@@ -12,15 +12,22 @@ state, array SOC, one multi-column thermal step per distinct flow per
 control interval). The race asserts:
 
 - the :class:`~repro.sweep.backends.VectorizedBackend` beats the
-  :class:`~repro.sweep.backends.ProcessBackend` by >= 3x on both dynamic
-  presets,
+  :class:`~repro.sweep.backends.ProcessBackend` by >= 3x on the
+  ``transient`` preset,
 - while agreeing with :class:`~repro.sweep.backends.SerialBackend`
   scenario by scenario within
   :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (the dynamic kernels
   are in fact bit-identical — trajectories feed discontinuous control
   decisions, so the batched path reuses the scalar arithmetic exactly),
 - and the batched engine stays reachable from the CLI
-  (``repro runtime --backend vectorized``).
+  (``repro runtime``).
+
+The ``runtime`` preset runs the same race for its numbers and its
+equivalence checks, but carries no speed floor: every backend runs the
+one batched runtime engine (the serial evaluator as one-lane calls), so
+there is no second implementation left to outrun. Runtime speed is
+gated in absolute terms by the repository benchmark's
+``dynamic-sweep`` workload instead.
 
 Every timed run starts cold: evaluator lru caches, vectorized kernel
 caches, the shared thermal-model store and the polarization-surface
@@ -57,7 +64,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: dominates the pool's fixed overheads.
 POINTS = {"transient": 8 if SMOKE else 16, "runtime": 4 if SMOKE else 8}
 
-#: Acceptance floor for vectorized vs process (the PR's headline claim).
+#: Acceptance floor for vectorized vs process on the ``transient`` preset
+#: (the ``runtime`` race is reported, not gated; see the module docstring).
 MIN_SPEEDUP = 3.0
 
 #: Process-pool width: the CI smoke configuration (--jobs 2) scaled up to
@@ -135,15 +143,17 @@ def test_a19_dynamic_batch_speedup(benchmark, preset_name):
     # property tests).
     assert _worst_relative_deviation(serial, process) == 0.0
     assert deviation <= EQUIVALENCE_RTOL
+    if preset_name == "runtime":
+        # One engine behind every backend: lane batching changes nothing.
+        assert deviation == 0.0
     # The headline: lockstep batching beats the process pool >= 3x on
-    # the dynamic presets.
-    assert process_s / vectorized_s >= MIN_SPEEDUP
+    # the transient preset.
+    if preset_name == "transient":
+        assert process_s / vectorized_s >= MIN_SPEEDUP
 
 
 def test_a19_batched_engine_reachable_from_cli():
-    """`repro runtime --backend vectorized` drives the batched engine."""
+    """`repro runtime` drives the batched engine."""
     from repro.cli import main
 
-    assert main([
-        "runtime", "--trace", "step", "--backend", "vectorized",
-    ]) == 0
+    assert main(["runtime", "--trace", "step"]) == 0

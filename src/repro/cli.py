@@ -378,11 +378,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_runtime(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
     from repro.runtime import (
+        BatchedRuntimeEngine,
         ElectrolyteState,
         FixedFlow,
         PIDFlowController,
         RuntimeConfig,
-        RuntimeEngine,
         ThrottleGovernor,
         standard_trace,
     )
@@ -397,30 +397,18 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         )
     _obs_start(args)
     try:
-        if args.backend == "vectorized":
-            from repro.runtime import BatchedRuntimeEngine
-
-            result = BatchedRuntimeEngine(
-                [controller],
-                governors=[ThrottleGovernor()],
-                reservoirs=[ElectrolyteState()],
-                config=RuntimeConfig(),
-            ).run(trace)[0]
-        else:
-            engine = RuntimeEngine(
-                controller,
-                governor=ThrottleGovernor(),
-                reservoir=ElectrolyteState(),
-                config=RuntimeConfig(),
-            )
-            result = engine.run(trace)
+        result = BatchedRuntimeEngine(
+            [controller],
+            governors=[ThrottleGovernor()],
+            reservoirs=[ElectrolyteState()],
+            config=RuntimeConfig(),
+        ).run(trace)[0]
     finally:
         _obs_finish(args)
 
     print(
         f"runtime '{trace.name}' — {len(trace.segments)} segment(s), "
-        f"{trace.duration_s:g} s, {args.controller} flow control "
-        f"({args.backend} backend)\n"
+        f"{trace.duration_s:g} s, {args.controller} flow control\n"
     )
     kpis = result.kpis()
     print(format_table(
@@ -736,11 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     runtime.add_argument(
         "--ki", type=float, default=60.0, metavar="G",
         help="PID integral gain [ml/min per K.s] (default: 60)",
-    )
-    runtime.add_argument(
-        "--backend", default="serial", choices=("serial", "vectorized"),
-        help="execution path: the scalar engine, or the batched engine "
-        "as a single lane (bit-identical trajectories; default: serial)",
     )
     runtime.add_argument(
         "--csv", default=None, metavar="PATH",

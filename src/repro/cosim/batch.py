@@ -17,9 +17,10 @@ varies the matrix-defining knobs (flow, inlet, raster).
   their states ride as stacked columns through
   :class:`~repro.thermal.batch.AnchoredTransientSolver`, so each time step
   costs one multi-RHS triangular solve instead of one solve per scenario;
-- sampling reuses the scalar stepper's own ``_sample`` (shared
-  :class:`~repro.cosim.surface.PolarizationSurface`, same group
-  partition), applied per column — but first *prefills* the surface:
+- sampling reuses the scalar stepper's own ``_sample`` (same group
+  partition), applied per column, on the config's *batched*
+  :class:`~repro.cosim.surface.PolarizationSurface` — and first
+  *prefills* that surface:
   the group temperatures of all columns at each sample time go through
   :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so the
   node curves the scalar path would build one by one (a full porous
@@ -32,9 +33,11 @@ before sampling so reductions see the same memory layout. That matters
 because the temperatures feed discontinuous decisions downstream
 (settling-band exits here, control branches in the runtime layer). The
 sampled *currents* agree with the scalar path to floating-point round-off
-rather than exactly: prefilled node curves come from the batched
-polarization march, which matches the scalar construction only to ~1 ulp.
-Currents feed no branch in either layer, so the round-off never amplifies.
+rather than exactly: batched surfaces build their node curves with the
+batched polarization march, which matches the scalar construction only
+to ~1 ulp. Currents feed no branch in either layer, so the round-off
+never amplifies. Batched and scalar surfaces never share a node, so
+neither path's results depend on which ran first in a process.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
+from repro.cosim.surface import surface_for
 from repro.cosim.transient import TransientCosim, TransientSample
 from repro.errors import ConfigurationError
 
@@ -109,25 +113,17 @@ def batched_step_responses(
             inlet_temperature_k=inlet,
         )
         solver = AnchoredTransientSolver(model)
-        model._build_system()  # materialize the source-free base RHS
-        _, base_rhs = model._structure
-        offset = model._field("active_si").offset
-        span = slice(offset, offset + nx * ny)
         for (duration_s, dt_s), indices in sorted(marches.items()):
-            columns_before = np.repeat(
-                base_rhs[:, None], len(indices), axis=1
-            )
-            columns_after = columns_before.copy()
-            samplers = []
-            for k, index in enumerate(indices):
-                case = cases[index]
-                columns_before[span, k] += full_load_power_map(
-                    nx, ny, utilization=case.utilization_before
-                ).ravel()
-                columns_after[span, k] += full_load_power_map(
-                    nx, ny, utilization=case.utilization_after
-                ).ravel()
-                samplers.append(TransientCosim(case.config))
+            family_cases = [cases[index] for index in indices]
+            columns_before = model.rhs_columns("active_si", [
+                full_load_power_map(nx, ny, utilization=case.utilization_before)
+                for case in family_cases
+            ])
+            columns_after = model.rhs_columns("active_si", [
+                full_load_power_map(nx, ny, utilization=case.utilization_after)
+                for case in family_cases
+            ])
+            samplers = [_BatchedSampler(case.config) for case in family_cases]
             states = solver.solve_steady_columns(columns_before)
 
             trajectories: "list[list[TransientSample]]" = [
@@ -164,6 +160,14 @@ def batched_step_responses(
             for k, index in enumerate(indices):
                 results[index] = trajectories[k]
     return [samples for samples in results if samples is not None]
+
+
+class _BatchedSampler(TransientCosim):
+    """The scalar stepper's sampling, reading the batched surface."""
+
+    @property
+    def _surface(self):
+        return surface_for(self.config, batched=True)
 
 
 def _sample_columns(

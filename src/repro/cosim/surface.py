@@ -63,6 +63,14 @@ class PolarizationSurface:
         each node's curve is constructed at most once, on first use, so
         the cost of a surface is proportional to the temperature span
         actually visited, not to the configured window.
+    batched:
+        Which construction builds this surface's node curves: the batched
+        array march (:func:`repro.flowcell.batch.batched_polarization_curves`)
+        or the scalar porous march. The two agree only to round-off, so a
+        surface uses one of them for every node, prefilled or lazy — no
+        curve depends on which caller reached a node first. The batched
+        consumers (the runtime engine, batched step responses) use
+        batched surfaces; everything else uses scalar ones.
     """
 
     def __init__(
@@ -74,6 +82,7 @@ class PolarizationSurface:
         temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
         resolution_k: float = DEFAULT_RESOLUTION_K,
         max_overpotential_v: float = 1.4,
+        batched: bool = False,
     ) -> None:
         if total_flow_ml_min <= 0.0:
             raise ConfigurationError("total flow must be > 0 ml/min")
@@ -96,6 +105,7 @@ class PolarizationSurface:
         self.n_curve_points = int(n_curve_points)
         self.max_overpotential_v = float(max_overpotential_v)
         self.resolution_k = float(resolution_k)
+        self.batched = bool(batched)
         n_nodes = int(math.ceil((t_max - t_min) / resolution_k)) + 1
         self.node_temperatures_k = t_min + resolution_k * np.arange(n_nodes)
         self._curves: "dict[int, PolarizationCurve]" = {}
@@ -139,41 +149,57 @@ class PolarizationSurface:
         """The group curve at one grid node (built lazily, once)."""
         curve = self._curves.get(node)
         if curve is None:
-            from repro.casestudy.power7plus import build_array_cell
-
             # Warm counter: whether a node is already built depends on
             # what earlier runs left in the shared surface.
             obs.inc("surface.node_builds", warm=True)
+            self._build_nodes([node])
+            curve = self._curves[node]
+        return curve
 
-            cell = build_array_cell(
+    def _build_nodes(self, nodes: "list[int]") -> None:
+        """Construct the given nodes' curves with this surface's march.
+
+        The batched march is elementwise across cells, so a node's curve
+        does not depend on which other nodes share its batch.
+        """
+        from repro.casestudy.power7plus import build_array_cell
+        from repro.flowcell.batch import batched_polarization_curves
+
+        cells = [
+            build_array_cell(
                 total_flow_ml_min=self.total_flow_ml_min,
                 temperature_k=float(self.node_temperatures_k[node]),
                 temperature_dependent=True,
             )
-            curve = cell.polarization_curve(
+            for node in nodes
+        ]
+        if self.batched:
+            curves = batched_polarization_curves(
+                cells,
                 n_points=self.n_curve_points,
                 max_overpotential_v=self.max_overpotential_v,
-            ).scaled(self.channels_per_group)
-            self._curves[node] = curve
-        return curve
+            )
+        else:
+            curves = [
+                cell.polarization_curve(
+                    n_points=self.n_curve_points,
+                    max_overpotential_v=self.max_overpotential_v,
+                )
+                for cell in cells
+            ]
+        for node, curve in zip(nodes, curves):
+            self._curves[node] = curve.scaled(self.channels_per_group)
 
     def warm_nodes(self, temperatures_k) -> int:
-        """Build every node curve the given temperatures bracket, batched.
+        """Build every node curve the given temperatures bracket.
 
         The lazy :meth:`_curve` path constructs one node curve per miss —
-        a full scalar porous-electrode march each time, which dominates
-        the dynamic sweep evaluators' cost. This prefill collects the
-        missing bracketing nodes of all the given query temperatures and
-        builds them in a single call to
-        :func:`~repro.flowcell.batch.batched_polarization_curves` (one
-        array march for the whole set). Returns how many nodes were built.
-
-        Batched and scalar marches agree only to floating-point round-off
-        (~1 ulp on the curve samples), so a prefetched node can differ
-        from its lazily built twin in the last bit — callers that promise
-        *bit*-identity to a scalar reference must not warm (the batched
-        sweep kernels promise bit-identical thermal trajectories and
-        round-off-level electrical KPIs, which warming preserves).
+        a full porous-electrode march each time, which dominates the
+        dynamic sweep evaluators' cost. This prefill collects the missing
+        bracketing nodes of all the given query temperatures and, on a
+        batched surface, builds them in a single array march. Returns how
+        many nodes were built. A prefilled node is bit-identical to its
+        lazily built twin: both come from the surface's one construction.
         """
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         index, _ = self._bracket(temps)
@@ -184,24 +210,7 @@ class PolarizationSurface:
             return 0
         obs.inc("surface.nodes_warmed", len(missing), warm=True)
         obs.observe("surface.warm_nodes.size", len(missing), warm=True)
-        from repro.casestudy.power7plus import build_array_cell
-        from repro.flowcell.batch import batched_polarization_curves
-
-        cells = [
-            build_array_cell(
-                total_flow_ml_min=self.total_flow_ml_min,
-                temperature_k=float(self.node_temperatures_k[node]),
-                temperature_dependent=True,
-            )
-            for node in missing
-        ]
-        curves = batched_polarization_curves(
-            cells,
-            n_points=self.n_curve_points,
-            max_overpotential_v=self.max_overpotential_v,
-        )
-        for node, curve in zip(missing, curves):
-            self._curves[node] = curve.scaled(self.channels_per_group)
+        self._build_nodes(missing)
         return len(missing)
 
     def _node_current(self, node: int, voltage_v: float) -> float:
@@ -302,9 +311,10 @@ class PolarizationSurface:
 
     #: Shared surfaces keyed on every construction parameter. Bounded: a
     #: long-running sweep over many flows evicts the oldest surface rather
-    #: than growing without limit.
+    #: than growing without limit. Room for a scalar and a batched surface
+    #: at each of 32 configurations.
     _SHARED: "dict[tuple, PolarizationSurface]" = {}
-    _SHARED_MAX = 32
+    _SHARED_MAX = 64
 
     @classmethod
     def shared(
@@ -316,6 +326,7 @@ class PolarizationSurface:
         temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
         resolution_k: float = DEFAULT_RESOLUTION_K,
         max_overpotential_v: float = 1.4,
+        batched: bool = False,
     ) -> "PolarizationSurface":
         """The process-wide surface for these parameters (built on first use).
 
@@ -323,7 +334,8 @@ class PolarizationSurface:
         :class:`~repro.cosim.coupling.ElectroThermalCosim`,
         :class:`~repro.cosim.transient.TransientCosim` and the ``cosim`` /
         ``transient`` sweep evaluators: co-simulations with the same flow,
-        group size and curve sampling share every node curve.
+        group size and curve sampling share every node curve. Batched and
+        scalar surfaces (see the class parameters) are kept apart.
         """
         key = (
             float(total_flow_ml_min),
@@ -332,6 +344,7 @@ class PolarizationSurface:
             tuple(float(t) for t in temperature_range_k),
             float(resolution_k),
             float(max_overpotential_v),
+            bool(batched),
         )
         surface = cls._SHARED.get(key)
         if surface is None:
@@ -342,6 +355,7 @@ class PolarizationSurface:
                 temperature_range_k=temperature_range_k,
                 resolution_k=resolution_k,
                 max_overpotential_v=max_overpotential_v,
+                batched=batched,
             )
             while len(cls._SHARED) >= cls._SHARED_MAX:
                 cls._SHARED.pop(next(iter(cls._SHARED)))
@@ -354,7 +368,9 @@ class PolarizationSurface:
         cls._SHARED.clear()
 
 
-def surface_for(config: "CosimConfig") -> PolarizationSurface:
+def surface_for(
+    config: "CosimConfig", batched: bool = False
+) -> PolarizationSurface:
     """The shared surface matching a co-simulation configuration."""
     from repro.casestudy.power7plus import ARRAY_CHANNEL_COUNT
 
@@ -364,4 +380,5 @@ def surface_for(config: "CosimConfig") -> PolarizationSurface:
         n_curve_points=config.n_curve_points,
         temperature_range_k=config.surface_temperature_range_k,
         resolution_k=config.surface_resolution_k,
+        batched=batched,
     )

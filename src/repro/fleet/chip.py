@@ -38,9 +38,9 @@ from repro.sweep.spec import ScenarioSpec
 def chip_cosim_config(spec: ScenarioSpec):
     """The electrochemical sampling config of one chip operating state.
 
-    Shares the process-wide polarization-surface store with the cosim and
-    runtime layers (same flow, inlet, voltage keys), so a fleet table at a
-    coolant point the runtime engine already visited rebuilds nothing.
+    Shares the process-wide scalar polarization surfaces with the steady
+    and transient co-simulations (same flow, inlet, voltage keys), so a
+    fleet table at a coolant point they already visited rebuilds nothing.
     """
     from repro.cosim import CosimConfig
 
@@ -149,20 +149,11 @@ def batch_chip_states(
         solver = AnchoredSteadySolver()
         for flow in _middle_out(sorted(flows)):
             model = shared_thermal_model(flow, inlet, nx, ny)
-            # The store hands the model over with whatever power map its
-            # last user left (full load when freshly built); the stacked
-            # columns add each utilization's map themselves, so the base
-            # RHS must carry none. Power maps only touch the RHS, so the
-            # model's cached factorizations survive.
-            model.set_power_map("active_si", np.zeros((ny, nx)))
-            _, base_rhs = model._build_system()
             utilizations = sorted(flows[flow])
-            offset = model._field("active_si").offset
-            columns = np.repeat(base_rhs[:, None], len(utilizations), axis=1)
-            for k, utilization in enumerate(utilizations):
-                columns[offset: offset + nx * ny, k] += full_load_power_map(
-                    nx, ny, floorplan, utilization
-                ).ravel()
+            columns = model.rhs_columns("active_si", [
+                full_load_power_map(nx, ny, floorplan, utilization)
+                for utilization in utilizations
+            ])
             temperatures = solver.solve_columns(model, columns)
             for k, utilization in enumerate(utilizations):
                 solutions[(flow, inlet, utilization, nx, ny)] = ThermalSolution(

@@ -8,15 +8,16 @@ power-delivery demands as workload varies:
 
 - :mod:`repro.runtime.trace` — piecewise workload schedules and the
   synthetic generators (step, ramp, square, bursty, diurnal);
-- :mod:`repro.runtime.controllers` — flow controllers (fixed, PID on
-  peak junction temperature) and a hysteresis throttle governor;
+- :mod:`repro.runtime.controllers` — flow-control policies (fixed, PID
+  on peak junction temperature), a hysteresis throttle governor, and the
+  lane-array control law that runs them;
 - :mod:`repro.runtime.state` — electrolyte reservoir state-of-charge
   along a trace (the flow-battery storage side);
-- :mod:`repro.runtime.engine` — the stepper tying them together into a
-  :class:`RuntimeResult` time series with energy/thermal KPIs, plus the
-  :class:`BatchedRuntimeEngine` that advances many scenario lanes per
-  control interval (vector controllers, array SOC, shared multi-column
-  thermal steps) with bit-identical trajectories.
+- :mod:`repro.runtime.engine` — :class:`BatchedRuntimeEngine`, the one
+  stepper tying them together: it advances one or many scenario lanes
+  per control interval (vector controllers, array SOC, shared
+  multi-column thermal steps) into :class:`RuntimeResult` time series
+  with energy/thermal KPIs. A single scenario is a one-lane run.
 
 The ``runtime`` sweep evaluator, the ``runtime-pid`` optimization preset
 and the ``repro runtime`` CLI command are thin wrappers over this
@@ -27,8 +28,6 @@ beats the paper's fixed nominal flow on net energy without violating the
 
 from repro.runtime.controllers import (
     FixedFlow,
-    FlowController,
-    Observation,
     PIDFlowController,
     ThrottleGovernor,
     VectorFlowControllers,
@@ -37,7 +36,6 @@ from repro.runtime.controllers import (
 from repro.runtime.engine import (
     BatchedRuntimeEngine,
     RuntimeConfig,
-    RuntimeEngine,
     RuntimeResult,
     RuntimeSample,
 )
@@ -65,11 +63,8 @@ __all__ = [
     "ElectrolyteState",
     "ElectrolyteStateArray",
     "FixedFlow",
-    "FlowController",
-    "Observation",
     "PIDFlowController",
     "RuntimeConfig",
-    "RuntimeEngine",
     "RuntimeResult",
     "RuntimeSample",
     "ThrottleGovernor",

@@ -2,28 +2,34 @@
 
 The paper modulates one coolant stream at runtime so it meets the chip's
 cooling *and* power-delivery demands as workload varies. This module holds
-the decision-making side of that loop:
+the decision-making side of that loop, in two halves:
 
-- :class:`FixedFlow` — the open-loop baseline: a constant flow command
-  (the paper's nominal 676 ml/min operating point as a controller).
-- :class:`PIDFlowController` — tracks a peak-junction-temperature setpoint
-  below the 85 degC limit by modulating total flow. Because pumping power
-  grows ~quadratically with flow while generation is nearly flat, holding
-  the chip *just* cool enough is also the net-energy-optimal policy
-  (bench A15); the PID turns that static observation into a runtime one.
-- :class:`ThrottleGovernor` — the safety net a DVFS governor provides:
-  when the thermal (or net-power) constraint is violated, activity is
-  scaled down with hysteresis until the system recovers.
+- the *policies* — plain parameter records with constructor validation:
 
-Controllers are deliberately stateful-but-small: ``reset()`` restores the
-initial state so one instance can run many traces, and every command is
-computed from the previous step's :class:`Observation` — the engine never
-lets a controller peek at the future.
+  - :class:`FixedFlow` — the open-loop baseline: a constant flow command
+    (the paper's nominal 676 ml/min operating point as a controller);
+  - :class:`PIDFlowController` — tracks a peak-junction-temperature
+    setpoint below the 85 degC limit by modulating total flow. Because
+    pumping power grows ~quadratically with flow while generation is
+    nearly flat, holding the chip *just* cool enough is also the
+    net-energy-optimal policy (bench A15); the PID turns that static
+    observation into a runtime one;
+  - :class:`ThrottleGovernor` — the safety net a DVFS governor provides:
+    when the thermal (or net-power) constraint is violated, activity is
+    scaled down with hysteresis until the system recovers;
+
+- the *control law* — :class:`VectorFlowControllers` and
+  :class:`VectorThrottleGovernors` pack a batch of policies into numpy
+  lane arrays and hold the only implementation of the PID update and the
+  hysteresis predicate. A single scenario is a one-lane batch.
+
+Every command is computed from the previous step's outcome — the runtime
+engine never lets a controller peek at the future — and ``reset()``
+restores the initial state so one lane array can run many traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,35 +43,7 @@ from repro.errors import ConfigurationError
 TEMPERATURE_LIMIT_C = DEFAULT_TEMPERATURE_LIMIT_C
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What a controller is allowed to see: the previous step's outcome."""
-
-    time_s: float
-    peak_temperature_c: float
-    flow_ml_min: float
-    utilization: float
-    activity_scale: float
-    generated_w: float
-    pumping_w: float
-    net_w: float
-
-
-class FlowController:
-    """Interface: map the previous observation to the next flow command."""
-
-    #: Flow commanded before the first observation exists [ml/min].
-    initial_flow_ml_min: float
-
-    def reset(self) -> None:
-        """Restore the initial state (no-op for stateless controllers)."""
-
-    def flow_command(self, observation: Observation, dt_s: float) -> float:
-        """Total-flow command [ml/min] for the next step."""
-        raise NotImplementedError
-
-
-class FixedFlow(FlowController):
+class FixedFlow:
     """Open-loop constant flow — the paper's static operating point."""
 
     def __init__(self, flow_ml_min: float) -> None:
@@ -73,13 +51,11 @@ class FixedFlow(FlowController):
             raise ConfigurationError(
                 f"flow must be > 0 ml/min, got {flow_ml_min}"
             )
+        #: The flow commanded on every step [ml/min].
         self.initial_flow_ml_min = float(flow_ml_min)
 
-    def flow_command(self, observation: Observation, dt_s: float) -> float:
-        return self.initial_flow_ml_min
 
-
-class PIDFlowController(FlowController):
+class PIDFlowController:
     """PID on peak junction temperature, actuating total flow.
 
     The error is ``peak - target``: a hot chip raises the command, a cold
@@ -87,6 +63,7 @@ class PIDFlowController(FlowController):
     integral term uses conditional anti-windup — it freezes whenever the
     command is clamped and integrating would push it further into the
     clamp — so recovery after a burst is not delayed by a wound-up term.
+    The update itself runs in :class:`VectorFlowControllers`.
 
     Parameters
     ----------
@@ -132,44 +109,17 @@ class PIDFlowController(FlowController):
         self.min_flow_ml_min = float(min_flow_ml_min)
         self.max_flow_ml_min = float(max_flow_ml_min)
         self.initial_flow_ml_min = float(initial_flow_ml_min)
-        self.reset()
-
-    def reset(self) -> None:
-        self._integral_k_s = 0.0
-        self._previous_error_k: "float | None" = None
-
-    def flow_command(self, observation: Observation, dt_s: float) -> float:
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
-        error = observation.peak_temperature_c - self.target_peak_c
-        derivative = 0.0
-        if self._previous_error_k is not None and self.kd > 0.0:
-            derivative = (error - self._previous_error_k) / dt_s
-        self._previous_error_k = error
-
-        candidate_integral = self._integral_k_s + error * dt_s
-        raw = (
-            self.initial_flow_ml_min
-            + self.kp * error
-            + self.ki * candidate_integral
-            + self.kd * derivative
-        )
-        clamped = min(self.max_flow_ml_min, max(self.min_flow_ml_min, raw))
-        # Conditional anti-windup: accept the integral update only when the
-        # command is unclamped, or when the update pulls back inside.
-        if raw == clamped or (raw > clamped) != (error > 0.0):
-            self._integral_k_s = candidate_integral
-        return clamped
 
 
 class ThrottleGovernor:
     """Hysteresis DVFS-style activity throttle.
 
-    Watches the previous observation and scales commanded activity by
-    ``throttle_scale`` whenever the thermal limit (or, optionally, a
-    minimum net-power floor) is violated; the throttle releases only when
-    the peak falls below ``release_peak_c``, so the governor never
-    chatters around the trip point.
+    Watches the previous step's peak (and net power) and scales commanded
+    activity by ``throttle_scale`` whenever the thermal limit (or,
+    optionally, a minimum net-power floor) is violated; the throttle
+    releases only when the peak falls below ``release_peak_c``, so the
+    governor never chatters around the trip point. The hysteresis itself
+    runs in :class:`VectorThrottleGovernors`.
 
     Parameters
     ----------
@@ -204,52 +154,31 @@ class ThrottleGovernor:
         self.release_peak_c = float(release_peak_c)
         self.throttle_scale = float(throttle_scale)
         self.min_net_w = None if min_net_w is None else float(min_net_w)
-        self.reset()
-
-    def reset(self) -> None:
-        self._throttled = False
-
-    @property
-    def throttled(self) -> bool:
-        """Whether the governor is currently limiting activity."""
-        return self._throttled
-
-    def scale_command(self, observation: Observation) -> float:
-        """Activity multiplier for the next step, updating the hysteresis."""
-        tripped = observation.peak_temperature_c >= self.trip_peak_c or (
-            self.min_net_w is not None and observation.net_w < self.min_net_w
-        )
-        if tripped:
-            self._throttled = True
-        elif (
-            self._throttled
-            and observation.peak_temperature_c < self.release_peak_c
-            and (self.min_net_w is None or observation.net_w >= self.min_net_w)
-        ):
-            self._throttled = False
-        return self.throttle_scale if self._throttled else 1.0
 
 
 class VectorFlowControllers:
-    """Lane-array mirror of a batch of flow controllers.
+    """The flow-control law, over a batch of controller lanes.
 
     Packs the gains, actuator limits and integrator state of many
     :class:`FixedFlow` / :class:`PIDFlowController` instances into numpy
-    lane arrays so a batched runtime engine can command every scenario's
-    flow in one vectorized update per control interval.
+    lane arrays so the runtime engine commands every scenario's flow in
+    one vectorized update per control interval. Each lane's command
+    stream depends on that lane's observations alone (no reduction runs
+    across lanes), so a lane batched with others commands exactly what it
+    commands in a one-lane batch — a hard requirement, because commands
+    pass through flow quantization, where an ulp decides which thermal
+    model a lane runs on. Fixed-flow lanes bypass the PID expression
+    entirely (``initial`` is returned verbatim), even for non-finite
+    observations.
 
-    The update is the scalar :meth:`PIDFlowController.flow_command`
-    arithmetic, expression for expression (same term order, same
-    conditional anti-windup predicate), so each lane's command stream is
-    bit-identical to running its scalar controller alone — the property
-    the batched/scalar equivalence tests pin, and a hard requirement
-    because commands pass through flow quantization, where an ulp decides
-    which thermal model a lane runs on. Fixed-flow lanes bypass the PID
-    expression entirely (``initial`` is returned verbatim), matching the
-    scalar class even for non-finite observations.
+    Only :class:`FixedFlow` and :class:`PIDFlowController` lanes are
+    accepted; any other object raises :class:`ConfigurationError` rather
+    than being run as something it is not.
     """
 
-    def __init__(self, controllers: "Sequence[FlowController]") -> None:
+    def __init__(
+        self, controllers: "Sequence[FixedFlow | PIDFlowController]"
+    ) -> None:
         if not controllers:
             raise ConfigurationError("need at least one controller lane")
         lanes = []
@@ -262,14 +191,17 @@ class VectorFlowControllers:
                     controller.min_flow_ml_min, controller.max_flow_ml_min,
                     controller.initial_flow_ml_min,
                 ))
-            else:
-                # Any controller that ignores the observation (FixedFlow
-                # and custom constant policies) reduces to its initial
-                # command on every lane update.
+            elif isinstance(controller, FixedFlow):
                 initial = controller.initial_flow_ml_min
                 lanes.append((
                     True, 0.0, 0.0, 0.0, 0.0, initial, initial, initial
                 ))
+            else:
+                raise ConfigurationError(
+                    "unsupported flow controller "
+                    f"{type(controller).__name__!r}; expected FixedFlow "
+                    "or PIDFlowController"
+                )
         columns = list(zip(*lanes))
         self._fixed = np.array(columns[0], dtype=bool)
         (
@@ -324,12 +256,11 @@ class VectorFlowControllers:
 
 
 class VectorThrottleGovernors:
-    """Lane-array mirror of a batch of (optional) throttle governors.
+    """The throttle hysteresis, over a batch of (optional) governor lanes.
 
     Lanes without a governor are encoded with a ``+inf`` trip temperature
-    and no net-power floor, so they can never throttle — exactly the
-    scalar engine's behaviour for ``governor=None`` — and the whole batch
-    updates with one vectorized pass of the scalar hysteresis predicate.
+    and no net-power floor, so they can never throttle, and the whole
+    batch updates with one vectorized pass of the hysteresis predicate.
     """
 
     def __init__(
@@ -374,9 +305,10 @@ class VectorThrottleGovernors:
     ) -> np.ndarray:
         """Per-lane activity multipliers, updating the hysteresis state.
 
-        A nan net-power floor means "no floor" (the scalar ``None``): nan
-        comparisons are false, so such lanes trip and release on
-        temperature alone, exactly like the scalar predicate.
+        A lane trips at ``peak >= trip`` (or net power below its floor)
+        and releases only once ``peak < release`` with the floor met. A
+        nan floor means "no floor" (``min_net_w=None``): nan comparisons
+        are false, so such lanes trip and release on temperature alone.
         """
         has_floor = ~np.isnan(self._min_nets_w)
         tripped = (peak_temperatures_c >= self._trips_c) | (

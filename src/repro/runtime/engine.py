@@ -3,18 +3,24 @@
 This is the dynamic counterpart of :class:`~repro.cosim.coupling.
 ElectroThermalCosim` (one operating point, run to a fixed point) and
 :class:`~repro.cosim.transient.TransientCosim` (one open-loop step): a
-:class:`RuntimeEngine` executes a whole :class:`~repro.runtime.trace.
-WorkloadTrace` while a flow controller and a throttle governor close the
-loop around the thermal state — the paper's "one coolant stream modulated
-at runtime" claim as an executable scenario.
+:class:`BatchedRuntimeEngine` executes a whole :class:`~repro.runtime.
+trace.WorkloadTrace` while flow controllers and throttle governors close
+the loop around the thermal state — the paper's "one coolant stream
+modulated at runtime" claim as an executable scenario. The engine runs
+one or many scenario lanes in lockstep; a single scenario is a one-lane
+call::
+
+    BatchedRuntimeEngine([controller], governors=[governor],
+                         reservoirs=[reservoir], config=config).run(trace)[0]
 
 Per control step the engine
 
 1. reads the trace (workload + utilization for the step interval),
-2. asks the governor for an activity scale and the controller for a flow
-   command (both see only the *previous* step's observation),
-3. advances the thermal state by one backward-Euler step on the cached
-   :class:`~repro.thermal.model.ThermalModel` for the commanded flow,
+2. asks the governors for activity scales and the controllers for flow
+   commands (both see only the *previous* step's outcome),
+3. advances every lane's thermal state by one backward-Euler step on the
+   cached :class:`~repro.thermal.model.ThermalModel` for its commanded
+   flow (lanes at the same flow share one multi-column solve),
 4. looks up group currents on the shared
    :class:`~repro.cosim.surface.PolarizationSurface` at the new channel
    temperatures, prices the pumping power, and
@@ -43,8 +49,8 @@ from repro.cosim.surface import surface_for
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.runtime.controllers import (
-    FlowController,
-    Observation,
+    FixedFlow,
+    PIDFlowController,
     ThrottleGovernor,
     VectorFlowControllers,
     VectorThrottleGovernors,
@@ -92,22 +98,6 @@ def shared_thermal_model(
 def clear_model_store() -> None:
     """Drop every shared thermal model (tests, memory pressure)."""
     _MODEL_STORE.clear()
-
-
-def warm_up(
-    config: "RuntimeConfig", flows_ml_min: "Sequence[float]"
-) -> None:
-    """Pre-build and factorize the models a set of flow commands needs.
-
-    The vectorized sweep backend calls this with the union of a batch's
-    starting flows before the trajectories run: the sparse assembly, the
-    steady LU (initial condition) and the control-step transient LU all
-    land in the shared store once instead of once per engine.
-    """
-    for flow in flows_ml_min:
-        shared_thermal_model(
-            flow, config.inlet_temperature_k, config.nx, config.ny
-        ).warm(dt_s=config.control_dt_s)
 
 
 @dataclass
@@ -305,251 +295,22 @@ class RuntimeResult:
         return save_json(self.records(), path)
 
 
-class RuntimeEngine:
-    """Steps a workload trace under closed-loop flow and activity control.
-
-    Parameters
-    ----------
-    controller:
-        Flow controller (see :mod:`repro.runtime.controllers`).
-    governor:
-        Optional :class:`~repro.runtime.controllers.ThrottleGovernor`;
-        ``None`` runs without thermal throttling.
-    reservoir:
-        Optional :class:`~repro.runtime.state.ElectrolyteState`; when
-        present, generated charge is drawn from it and generation stops
-        on depletion.
-    config:
-        Engine configuration (raster, timing, quantization, pricing).
-
-    The engine is reusable: :meth:`run` resets the controllers and starts
-    from the trace's initial steady state, while the per-flow thermal
-    models (and the process-wide polarization surfaces) persist across
-    runs, so a sweep of traces at similar flows is much cheaper than the
-    first run suggests. The reservoir state is deliberately *not* reset:
-    back-to-back runs model continuous operation drawing down the same
-    tanks (attach a fresh :class:`~repro.runtime.state.ElectrolyteState`
-    for independent trials).
-    """
-
-    def __init__(
-        self,
-        controller: FlowController,
-        governor: "ThrottleGovernor | None" = None,
-        reservoir: "ElectrolyteState | None" = None,
-        config: "RuntimeConfig | None" = None,
-    ) -> None:
-        self.controller = controller
-        self.governor = governor
-        self.reservoir = reservoir
-        self.config = config if config is not None else RuntimeConfig()
-        self._models: "dict[float, object]" = {}
-        self._power_maps: "dict[str, np.ndarray]" = {}
-        self._pumping: "dict[float, float]" = {}
-
-    # -- cached building blocks ---------------------------------------------------
-
-    def _quantize_flow(self, flow_ml_min: float) -> float:
-        """Snap a flow command to the resolution grid (never to zero).
-
-        The grid is anchored at the controller's initial flow, so the
-        initial (and any fixed) command is represented *exactly* — a
-        ``FixedFlow(676)`` baseline really runs at the paper's nominal
-        676 ml/min — while continuously varying commands still collapse
-        onto a bounded set of flows.
-        """
-        resolution = self.config.flow_resolution_ml_min
-        anchor = self.controller.initial_flow_ml_min
-        quantized = anchor + round((flow_ml_min - anchor) / resolution) * resolution
-        return max(resolution, quantized)
-
-    def _cosim_config(self, flow_ml_min: float) -> CosimConfig:
-        return CosimConfig(
-            total_flow_ml_min=flow_ml_min,
-            inlet_temperature_k=self.config.inlet_temperature_k,
-            operating_voltage_v=self.config.operating_voltage_v,
-            n_channel_groups=self.config.n_channel_groups,
-            nx=self.config.nx,
-            ny=self.config.ny,
-            n_curve_points=self.config.n_curve_points,
-        )
-
-    def _model(self, flow_ml_min: float):
-        """The thermal model for one quantized flow (built once, shared).
-
-        Models come from the process-wide store, so engines evaluating
-        related scenarios (a runtime sweep, back-to-back traces) share
-        each flow's sparse assembly and factorizations; the per-engine
-        dict only pins this run's models against store eviction.
-        """
-        model = self._models.get(flow_ml_min)
-        if model is None:
-            model = shared_thermal_model(
-                flow_ml_min,
-                self.config.inlet_temperature_k,
-                self.config.nx,
-                self.config.ny,
-            )
-            self._models[flow_ml_min] = model
-        return model
-
-    def _workload_map(self, workload_name: str) -> np.ndarray:
-        """Unit-utilization power map of a named workload (cached)."""
-        base = self._power_maps.get(workload_name)
-        if base is None:
-            from repro.casestudy.workloads import standard_workloads
-
-            workload = {w.name: w for w in standard_workloads()}[workload_name]
-            base = workload.power_map(self.config.nx, self.config.ny)
-            self._power_maps[workload_name] = base
-        return base
-
-    def _pumping_w(self, flow_ml_min: float) -> float:
-        """Pumping power of one quantized flow (cached; single source is
-        the case study's own pricing helper)."""
-        pumping = self._pumping.get(flow_ml_min)
-        if pumping is None:
-            from repro.casestudy.power7plus import array_pumping_power_w
-
-            pumping = array_pumping_power_w(
-                flow_ml_min, pump_efficiency=self.config.pump_efficiency
-            )
-            self._pumping[flow_ml_min] = pumping
-        return pumping
-
-    # -- main loop -----------------------------------------------------------------
-
-    def run(self, trace: WorkloadTrace) -> RuntimeResult:
-        """Execute one trace end to end; returns the closed-loop result."""
-        if not obs.enabled():
-            return self._run(trace)
-        with obs.span("runtime.run", trace=trace.name, lanes=1):
-            result = self._run(trace)
-        obs.inc("runtime.steps", len(result.samples))
-        obs.inc(
-            "runtime.throttled_steps",
-            sum(1 for s in result.samples if s.throttled),
-        )
-        obs.inc(
-            "runtime.violation_steps",
-            sum(1 for s in result.samples if s.violation),
-        )
-        return result
-
-    def _run(self, trace: WorkloadTrace) -> RuntimeResult:
-        config = self.config
-        voltage = config.operating_voltage_v
-        self.controller.reset()
-        if self.governor is not None:
-            self.governor.reset()
-
-        # Initial condition: the steady state of the trace's first
-        # operating point at the controller's initial flow — the system
-        # has been sitting there before t = 0.
-        first = trace.segments[0]
-        flow = self._quantize_flow(self.controller.initial_flow_ml_min)
-        model = self._model(flow)
-        scale = 1.0
-        model.set_power_map(
-            "active_si",
-            self._workload_map(first.workload) * (first.utilization * scale),
-        )
-        state = model.solve_steady()
-
-        samples: "list[RuntimeSample]" = []
-        observation: "Observation | None" = None
-        throttled = False
-        for t_start, step_dt, segment in trace.iter_steps(config.control_dt_s):
-            if observation is not None:
-                if self.governor is not None:
-                    scale = self.governor.scale_command(observation)
-                    throttled = self.governor.throttled
-                flow = self._quantize_flow(
-                    self.controller.flow_command(observation, step_dt)
-                )
-                model = self._model(flow)
-
-            # One span per control step covering the physics (thermal
-            # advance + electrochemical lookup); controller bookkeeping
-            # is negligible next to the solves.
-            with obs.span("runtime.step"):
-                model.set_power_map(
-                    "active_si",
-                    self._workload_map(segment.workload)
-                    * (segment.utilization * scale),
-                )
-                state = model.solve_transient(
-                    duration_s=step_dt, dt_s=step_dt, initial=state
-                )
-
-                cosim_config = self._cosim_config(flow)
-                group_temps = group_coolant_temperatures(state, cosim_config)
-                surface = surface_for(cosim_config)
-                current = float(
-                    surface.currents_at(group_temps, voltage).sum()
-                )
-
-            soc = float("nan")
-            if self.reservoir is not None:
-                current = self.reservoir.step(current, step_dt)
-                soc = self.reservoir.state_of_charge
-
-            generated = current * voltage
-            pumping = self._pumping_w(flow)
-            net = generated - pumping
-            fluid = state.field("channels", "fluid")
-            peak_c = state.peak_celsius
-            time_s = t_start + step_dt
-
-            samples.append(RuntimeSample(
-                time_s=time_s,
-                step_dt_s=step_dt,
-                workload=segment.workload,
-                utilization=segment.utilization,
-                activity_scale=scale,
-                flow_ml_min=flow,
-                peak_temperature_c=peak_c,
-                mean_coolant_c=float(fluid.mean()) - 273.15,
-                array_current_a=current,
-                generated_w=generated,
-                pumping_w=pumping,
-                net_w=net,
-                state_of_charge=soc,
-                throttled=throttled,
-                violation=peak_c > config.temperature_limit_c,
-            ))
-            observation = Observation(
-                time_s=time_s,
-                peak_temperature_c=peak_c,
-                flow_ml_min=flow,
-                utilization=segment.utilization,
-                activity_scale=scale,
-                generated_w=generated,
-                pumping_w=pumping,
-                net_w=net,
-            )
-
-        if not math.isfinite(samples[-1].peak_temperature_c):
-            raise ConfigurationError(
-                "runtime trajectory diverged (non-finite peak temperature)"
-            )
-        return RuntimeResult(trace_name=trace.name, samples=tuple(samples))
-
-
 class BatchedRuntimeEngine:
-    """Runs many closed-loop scenarios through one trace in lockstep.
+    """Runs one or many closed-loop scenarios through one trace in lockstep.
 
-    The scalar :class:`RuntimeEngine` advances one scenario per call;
-    a runtime *sweep* runs dozens whose control intervals line up (same
-    trace, raster, inlet) while only the control policies differ. This
-    engine advances all of them together, one control interval at a time:
+    A runtime *sweep* runs dozens of scenarios whose control intervals
+    line up (same trace, raster, inlet) while only the control policies
+    differ; a single scenario is simply a one-lane batch. The engine
+    advances every lane together, one control interval at a time:
 
     - controller and governor state live in
       :class:`~repro.runtime.controllers.VectorFlowControllers` /
       :class:`~repro.runtime.controllers.VectorThrottleGovernors` lane
       arrays, updated with one vectorized pass per step;
-    - reservoir SOC lives in an
-      :class:`~repro.runtime.state.ElectrolyteStateArray`;
+    - reservoir SOC advances as an
+      :class:`~repro.runtime.state.ElectrolyteStateArray` and is written
+      back to the lanes' :class:`~repro.runtime.state.ElectrolyteState`
+      objects when the run ends;
     - lanes commanding the *same quantized flow* share one thermal model
       from the process-wide store and advance as stacked state columns
       through a single multi-RHS backward-Euler solve
@@ -557,23 +318,31 @@ class BatchedRuntimeEngine:
       costs one triangular solve per distinct flow instead of one per
       scenario.
 
-    Every lane's *thermal* trajectory — and with it every control
-    decision — is bit-identical to running its scalar engine alone, not
-    merely close: flow quantization, governor hysteresis and the PID all
-    branch on the floats, so the batched path reuses the scalar
-    expressions (and the scalar sampling code on contiguous per-lane
-    columns) rather than approximating them. The electrical samples
-    (currents, net power, SOC) agree to floating-point round-off: the
-    engine prefills the shared polarization surface through the batched
-    curve march (:meth:`PolarizationSurface.warm_nodes`), whose node
-    curves match the scalar construction to ~1 ulp. No control branch
-    reads those values under the sweep presets (governors run without a
-    net-power floor there), so the round-off never amplifies.
+    Lanes never mix: each lane's trajectory — and with it every control
+    decision — is bit-identical to running that lane alone, not merely
+    close, because flow quantization, governor hysteresis and the PID all
+    branch on the floats. SuperLU solves stacked columns one by one, every
+    sample is read from a contiguous copy of its lane's column, and the
+    engine reads *batched* polarization surfaces, which build every node
+    with the batched curve march whichever run reaches it first
+    (:meth:`PolarizationSurface.warm_nodes` prefills them). Against a
+    scalar-surface reference the electrical samples agree to ~1 ulp; no
+    control branch reads them under the sweep presets (governors run
+    without a net-power floor there), so the round-off never amplifies.
+
+    The engine is reusable: :meth:`run` resets the controllers and
+    governors and starts from the trace's initial steady state, while the
+    per-flow thermal models (and the process-wide polarization surfaces)
+    persist across runs. The reservoirs are deliberately *not* reset:
+    back-to-back runs model continuous operation drawing down the same
+    tanks (attach fresh :class:`~repro.runtime.state.ElectrolyteState`
+    objects for independent trials).
 
     Parameters
     ----------
     controllers:
-        One flow controller per lane.
+        One :class:`~repro.runtime.controllers.FixedFlow` or
+        :class:`~repro.runtime.controllers.PIDFlowController` per lane.
     governors / reservoirs:
         Optional per-lane throttle governors and electrolyte states
         (``None`` entries — or ``None`` for the whole list — run those
@@ -585,7 +354,7 @@ class BatchedRuntimeEngine:
 
     def __init__(
         self,
-        controllers: "Sequence[FlowController]",
+        controllers: "Sequence[FixedFlow | PIDFlowController]",
         governors: "Sequence[ThrottleGovernor | None] | None" = None,
         reservoirs: "Sequence[ElectrolyteState | None] | None" = None,
         config: "RuntimeConfig | None" = None,
@@ -605,7 +374,7 @@ class BatchedRuntimeEngine:
         self.config = config if config is not None else RuntimeConfig()
         self._controllers = VectorFlowControllers(controllers)
         self._governors = VectorThrottleGovernors(governors)
-        self._reservoirs = ElectrolyteStateArray(reservoirs)
+        self._reservoir_states = list(reservoirs)
         self._anchors = self._controllers.initial_flows_ml_min
         self._models: "dict[float, object]" = {}
         self._solvers: "dict[float, object]" = {}
@@ -619,9 +388,15 @@ class BatchedRuntimeEngine:
     # -- cached building blocks ---------------------------------------------------
 
     def _quantize_flows(self, flows_ml_min: np.ndarray) -> np.ndarray:
-        """Per-lane flow quantization, anchored at each lane's initial
-        flow — the scalar :meth:`RuntimeEngine._quantize_flow` rule,
-        vectorized (``np.round`` and ``round`` share half-even ties)."""
+        """Snap per-lane flow commands to the resolution grid (never to
+        zero).
+
+        Each lane's grid is anchored at its controller's initial flow, so
+        the initial (and any fixed) command is represented *exactly* — a
+        ``FixedFlow(676)`` baseline really runs at the paper's nominal
+        676 ml/min — while continuously varying commands still collapse
+        onto a bounded set of flows.
+        """
         resolution = self.config.flow_resolution_ml_min
         quantized = self._anchors + np.round(
             (flows_ml_min - self._anchors) / resolution
@@ -640,8 +415,7 @@ class BatchedRuntimeEngine:
                 self.config.nx,
                 self.config.ny,
             )
-            # Pin against store eviction for the lifetime of this engine,
-            # like the scalar engine's per-run model dict.
+            # Pin against store eviction for the lifetime of this engine.
             self._models[flow_ml_min] = model
             solver = AnchoredTransientSolver(model)
             self._solvers[flow_ml_min] = solver
@@ -718,6 +492,7 @@ class BatchedRuntimeEngine:
         n_lanes = len(self)
         self._controllers.reset()
         self._governors.reset()
+        reservoirs = ElectrolyteStateArray(self._reservoir_states)
 
         # Initial condition per lane: the steady state of the trace's
         # first operating point at the lane's initial flow. Lanes at the
@@ -732,8 +507,7 @@ class BatchedRuntimeEngine:
             model = solver.model
             model.set_power_map(
                 "active_si",
-                self._workload_map(first.workload)
-                * (first.utilization * 1.0),
+                self._workload_map(first.workload) * first.utilization,
             )
             steady = model.solve_steady()
             if states is None:
@@ -768,28 +542,17 @@ class BatchedRuntimeEngine:
                     obs.observe("runtime.lane_group.size", len(lanes))
                     solver = self._solver(flow)
                     model = solver.model
-                    model._build_system()  # materialize the base RHS
-                    _, base_rhs = model._structure
-                    span_field = model._field("active_si")
-                    span = slice(
-                        span_field.offset,
-                        span_field.offset + config.nx * config.ny,
-                    )
-                    rhs_columns = np.repeat(
-                        base_rhs[:, None], len(lanes), axis=1
-                    )
-                    for k, lane in enumerate(lanes):
-                        power = base_map * (
-                            segment.utilization * scales[lane]
-                        )
-                        rhs_columns[span, k] += power.ravel()
+                    rhs_columns = model.rhs_columns("active_si", [
+                        base_map * (segment.utilization * scales[lane])
+                        for lane in lanes
+                    ])
                     advanced = solver.step_columns(
                         states[:, lanes], rhs_columns, step_dt
                     )
                     states[:, lanes] = advanced
 
                     cosim_config = self._cosim_config(flow)
-                    surface = surface_for(cosim_config)
+                    surface = surface_for(cosim_config, batched=True)
                     pumpings[lanes] = self._pumping_w(flow)
                     solutions = [
                         _lane_solution(model, advanced, k)
@@ -811,8 +574,8 @@ class BatchedRuntimeEngine:
                         mean_coolants_c[lane] = float(fluid.mean()) - 273.15
                         peaks[lane] = solution.peak_celsius
 
-            currents = self._reservoirs.step(currents, step_dt)
-            socs = self._reservoirs.state_of_charge
+            currents = reservoirs.step(currents, step_dt)
+            socs = reservoirs.state_of_charge
             for lane in range(n_lanes):
                 current = float(currents[lane])
                 generated = current * voltage
@@ -838,6 +601,7 @@ class BatchedRuntimeEngine:
                     violation=peak_c > config.temperature_limit_c,
                 ))
             have_observation = True
+        reservoirs.write_back()
 
         results = []
         for lane in range(n_lanes):
@@ -852,12 +616,12 @@ class BatchedRuntimeEngine:
 
 
 def _lane_solution(model, columns: np.ndarray, k: int):
-    """One lane's state column as a scalar-identical thermal solution.
+    """One lane's state column as a thermal solution.
 
     Copied contiguous first so the sampling reductions (channel-group
-    means, the peak) see the exact memory layout the scalar engine's
-    1-D solves produce — numpy's pairwise sums can round differently on
-    strided views, and bit-identity is the contract here.
+    means, the peak) see the same memory layout whatever the lane's
+    position in the batch — numpy's pairwise sums can round differently
+    on strided views, and lane independence is bit-exact here.
     """
     from repro.thermal.solver import ThermalSolution
 

@@ -13,6 +13,10 @@ cells themselves are fine.
 clamped-draw semantics a time stepper needs: a step that would pull the
 system below the usable SOC floor delivers only the remaining charge and
 marks the state depleted (generation stops), instead of raising mid-run.
+The runtime engine steps its lanes' states together as an
+:class:`ElectrolyteStateArray` and writes the result back at the end of
+a run; :meth:`ElectrolyteState.step` is the scalar reference the array
+form is tested against.
 """
 
 from __future__ import annotations
@@ -149,9 +153,9 @@ class ElectrolyteStateArray:
     alone, depletion flags included.
 
     Lanes passed as ``None`` have no reservoir: their current passes
-    through unchanged and their SOC reads nan, matching the scalar
-    engine's ``reservoir=None`` behaviour. The scalar states are only
-    read at construction; afterwards the arrays are the source of truth.
+    through unchanged and their SOC reads nan. The scalar states are read
+    at construction; afterwards the arrays are the source of truth until
+    :meth:`write_back` copies them into the scalar states again.
     """
 
     #: Tank axis order: anolyte (fuel side), catholyte (oxidant side).
@@ -163,6 +167,7 @@ class ElectrolyteStateArray:
         self._has_reservoir = np.array(
             [state is not None for state in states], dtype=bool
         )
+        self._states = list(states)
         n_lanes = len(states)
         n_tanks = len(self._TANKS)
         # Placeholder tanks for reservoir-less lanes: one mole of a
@@ -202,6 +207,18 @@ class ElectrolyteStateArray:
     def depleted(self) -> np.ndarray:
         """Per-lane boolean: which lanes exhausted their SOC window."""
         return self._depleted.copy()
+
+    def write_back(self) -> None:
+        """Copy every lane's tank concentrations and depleted flag back to
+        the :class:`ElectrolyteState` it was built from."""
+        for lane, state in enumerate(self._states):
+            if state is None:
+                continue
+            for t, name in enumerate(self._TANKS):
+                getattr(state.loop, name).set_concentrations(
+                    self._conc_ox[t, lane], self._conc_red[t, lane]
+                )
+            state._depleted = bool(self._depleted[lane])
 
     def _tank_socs(self) -> np.ndarray:
         """(n_tanks, n_lanes) charged-species fractions."""

@@ -5,7 +5,7 @@ runtime so it simultaneously meets the chip's cooling and power-delivery
 demands as the workload varies. A :class:`WorkloadTrace` is the workload
 side of that story — a piecewise-constant schedule of operating points
 (named :class:`~repro.casestudy.workloads.Workload` scenarios scaled by a
-utilization factor) that :class:`~repro.runtime.engine.RuntimeEngine`
+utilization factor) that :class:`~repro.runtime.engine.BatchedRuntimeEngine`
 steps through while its controllers modulate flow and activity.
 
 Synthetic generators cover the standard shapes a power-management study

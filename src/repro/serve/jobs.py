@@ -114,11 +114,11 @@ def _optimize_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
 
 def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
     from repro.runtime import (
+        BatchedRuntimeEngine,
         ElectrolyteState,
         FixedFlow,
         PIDFlowController,
         RuntimeConfig,
-        RuntimeEngine,
         ThrottleGovernor,
         standard_trace,
     )
@@ -138,12 +138,12 @@ def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
             kp=params["kp"], ki=params["ki"],
             initial_flow_ml_min=params["flow_ml_min"],
         )
-    result = RuntimeEngine(
-        controller,
-        governor=ThrottleGovernor(),
-        reservoir=ElectrolyteState(),
+    result = BatchedRuntimeEngine(
+        [controller],
+        governors=[ThrottleGovernor()],
+        reservoirs=[ElectrolyteState()],
         config=RuntimeConfig(),
-    ).run(trace)
+    ).run(trace)[0]
     records = result.records()
     return {
         "kind": "runtime",

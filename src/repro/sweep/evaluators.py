@@ -16,7 +16,7 @@ the hand-rolled loops they replaced:
   (bench A14); settling time and current swing of the step.
 - ``workload`` — named workload scenario thermal state (bench A8).
 - ``runtime`` — closed-loop execution of a named workload trace through
-  :class:`~repro.runtime.engine.RuntimeEngine` (bench A16); energy,
+  :class:`~repro.runtime.engine.BatchedRuntimeEngine` (bench A16); energy,
   thermal and throttling KPIs of the whole trajectory.
 - ``fleet_chip`` — one fleet chip at one quantized (flow, utilization)
   point: the cell of the fleet layer's operating-state table (bench A18).
@@ -432,10 +432,11 @@ def runtime_scenario_parts(spec: ScenarioSpec):
     runtime scenario.
 
     The single definition of how a spec wires up the closed loop, shared
-    between :func:`evaluate_runtime` (which runs one scalar engine) and
-    the vectorized backend's batch kernel (which mounts the same parts as
-    lanes of a :class:`~repro.runtime.engine.BatchedRuntimeEngine`), so
-    the two paths cannot disagree about gains, governors or reservoirs.
+    between :func:`evaluate_runtime` (a one-lane
+    :class:`~repro.runtime.engine.BatchedRuntimeEngine`) and the
+    vectorized backend's batch kernel (which mounts many specs' parts as
+    lanes of one engine), so the two paths cannot disagree about gains,
+    governors or reservoirs.
     """
     from repro.runtime import (
         ElectrolyteState,
@@ -479,15 +480,16 @@ def evaluate_runtime(spec: ScenarioSpec) -> "dict[str, float]":
     case-study electrolyte reservoirs, so the KPIs include throttling
     and state-of-charge alongside the energy balance.
     """
-    from repro.runtime import RuntimeEngine
+    from repro.runtime import BatchedRuntimeEngine
 
     trace, controller, governor, reservoir, config = runtime_scenario_parts(
         spec
     )
-    engine = RuntimeEngine(
-        controller, governor=governor, reservoir=reservoir, config=config
+    engine = BatchedRuntimeEngine(
+        [controller], governors=[governor], reservoirs=[reservoir],
+        config=config,
     )
-    return engine.run(trace).kpis()
+    return engine.run(trace)[0].kpis()
 
 
 @register_evaluator("fleet_chip")

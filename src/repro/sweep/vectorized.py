@@ -46,8 +46,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence
 
-import numpy as np
-
 from repro.sweep.evaluators import (
     geometry_cell,
     geometry_metrics,
@@ -127,16 +125,11 @@ def batch_peak_temperatures(
                 build_thermal_stack(flow, inlet),
                 floorplan.width_m, floorplan.height_m, nx, ny,
             )
-            _, base_rhs = model._build_system()
             utilizations = sorted(flows[flow])
-            offset = model._field("active_si").offset
-            columns = np.repeat(
-                base_rhs[:, None], len(utilizations), axis=1
-            )
-            for k, utilization in enumerate(utilizations):
-                columns[offset: offset + nx * ny, k] += full_load_power_map(
-                    nx, ny, floorplan, utilization
-                ).ravel()
+            columns = model.rhs_columns("active_si", [
+                full_load_power_map(nx, ny, floorplan, utilization)
+                for utilization in utilizations
+            ])
             temperatures = solver.solve_columns(model, columns)
             for k, utilization in enumerate(utilizations):
                 peaks[(flow, inlet, utilization, nx, ny)] = celsius_from_kelvin(
@@ -294,16 +287,14 @@ def batch_workload(
                 == (inlet, nx, ny)
             )
             model, floorplan = workload_thermal_model(reference)
-            _, base_rhs = model._build_system()
-            offset = model._field("active_si").offset
             names = sorted(flows[flow])
             maps = {
                 name: workloads[name].power_map(nx, ny, floorplan)
                 for name in names
             }
-            columns = np.repeat(base_rhs[:, None], len(names), axis=1)
-            for k, name in enumerate(names):
-                columns[offset: offset + nx * ny, k] += maps[name].ravel()
+            columns = model.rhs_columns(
+                "active_si", [maps[name] for name in names]
+            )
             temperatures = solver.solve_columns(model, columns)
             for k, name in enumerate(names):
                 model.set_power_map("active_si", maps[name])
@@ -358,11 +349,11 @@ def batch_runtime(
     Scenarios sharing ``(trace, seed, inlet, raster, voltage, pump
     efficiency)`` advance through every control interval together as
     lanes of a :class:`~repro.runtime.engine.BatchedRuntimeEngine`: the
-    loop is wired from the scalar evaluator's own
+    loop is wired from the serial evaluator's own
     ``runtime_scenario_parts``, controller/governor/SOC state updates as
     lane arrays, and lanes at the same quantized flow share one
     multi-column backward-Euler solve per step — while each lane's KPI
-    trajectory stays bit-identical to its scalar engine.
+    trajectory stays identical to the serial evaluator's one-lane run.
     """
     from repro.runtime.engine import BatchedRuntimeEngine
 

@@ -259,8 +259,8 @@ class AnchoredTransientSolver:
     the scalar path produces.
 
     The solver shares the model's LU caches rather than keeping its own,
-    so a scalar engine touching the same model (warm cache replays, the
-    runtime store) reuses every factorization paid for here and vice
+    so scalar solves touching the same model (warm cache replays, the
+    runtime store) reuse every factorization paid for here and vice
     versa.
     """
 

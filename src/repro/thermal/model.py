@@ -22,6 +22,7 @@ used here (tens of thousands of DOFs) in well under a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -332,6 +333,14 @@ class ThermalModel:
     # -- solves ---------------------------------------------------------------------------
 
     def _build_system(self) -> "tuple[sparse.csr_matrix, np.ndarray]":
+        matrix, base_rhs = self._system_structure()
+        rhs = base_rhs.copy()
+        for offset, power in self._sources.items():
+            rhs[offset: offset + self.nx * self.ny] += power.ravel()
+        return matrix, rhs
+
+    def _system_structure(self) -> "tuple[sparse.csr_matrix, np.ndarray]":
+        """The system matrix and the source-free right-hand side (cached)."""
         if self._structure is None:
             self._advection_rows = []
             matrix, rhs = self._assemble()
@@ -353,11 +362,34 @@ class ThermalModel:
                 ).tocsr()
                 matrix = matrix + advection
             self._structure = (matrix, rhs)
-        matrix, base_rhs = self._structure
-        rhs = base_rhs.copy()
-        for offset, power in self._sources.items():
-            rhs[offset: offset + self.nx * self.ny] += power.ravel()
-        return matrix, rhs
+        return self._structure
+
+    def rhs_columns(
+        self,
+        layer_name: str,
+        power_maps: "Sequence[np.ndarray]",
+    ) -> np.ndarray:
+        """Stacked right-hand sides, one ``(n_dof,)`` column per power map.
+
+        Each column is the source-free right-hand side (the inlet enthalpy
+        only) plus one (ny, nx) power map [W] on a layer's field — the
+        multi-RHS form the batched steady and transient solvers take. The
+        maps set through :meth:`set_power_map` are *not* included, so the
+        caller owns every column's sources.
+        """
+        _, base_rhs = self._system_structure()
+        field = self._field(layer_name)
+        span = slice(field.offset, field.offset + self.nx * self.ny)
+        columns = np.repeat(base_rhs[:, None], len(power_maps), axis=1)
+        for k, power in enumerate(power_maps):
+            power = np.asarray(power, dtype=float)
+            if power.shape != (self.ny, self.nx):
+                raise ConfigurationError(
+                    f"power map shape {power.shape} != raster "
+                    f"({self.ny}, {self.nx})"
+                )
+            columns[span, k] += power.ravel()
+        return columns
 
     def warm(self, dt_s: "float | None" = None) -> "ThermalModel":
         """Assemble and factorize ahead of the first solve; returns self.

@@ -235,3 +235,84 @@ class TestSharing:
             assert surface_for(config) is not first
         finally:
             PolarizationSurface.clear_shared()
+
+
+class TestHistoryIndependence:
+    """Every node of a surface has one construction, whoever builds it."""
+
+    TEMPS_K = (300.2, 301.7, 305.4, 318.9, 340.3)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_lazy_and_warmed_nodes_are_bit_identical(self, batched):
+        lazy, warmed = (
+            PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=35,
+                                batched=batched)
+            for _ in range(2)
+        )
+        # One prefill of every node the queries touch, and one more pair.
+        assert warmed.warm_nodes(self.TEMPS_K + (325.2,)) == 12
+        for voltage in (0.8, 1.0, 1.2):
+            for t in self.TEMPS_K:
+                assert lazy.current_at(t, voltage) == warmed.current_at(
+                    t, voltage
+                )
+        assert np.array_equal(lazy.ocvs_at(self.TEMPS_K),
+                              warmed.ocvs_at(self.TEMPS_K))
+
+    def test_batched_and_scalar_surfaces_are_kept_apart(self):
+        config = CosimConfig(nx=22, ny=11)
+        try:
+            assert surface_for(config, batched=True) is not surface_for(config)
+            assert surface_for(config, batched=True).batched
+            assert not surface_for(config).batched
+        finally:
+            PolarizationSurface.clear_shared()
+
+    def test_fleet_chip_ignores_earlier_batched_runs(self):
+        """Runtime runs and batched step responses warm surfaces at the
+        fleet chips' coolant points; the chip metrics must not notice."""
+        from repro.cosim.batch import StepResponseCase, batched_step_responses
+        from repro.fleet.chip import chip_cosim_config, chip_state_metrics
+        from repro.runtime import (
+            BatchedRuntimeEngine,
+            FixedFlow,
+            RuntimeConfig,
+            TraceSegment,
+            WorkloadTrace,
+        )
+        from repro.sweep.spec import ScenarioSpec
+
+        specs = [
+            ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
+                         total_flow_ml_min=flow, utilization=utilization)
+            for flow in (338.0, 676.0) for utilization in (0.4, 0.7, 1.0)
+        ]
+
+        def chip_table():
+            return repr([chip_state_metrics(spec) for spec in specs])
+
+        def batched_runs():
+            # Each run holds one chip operating point, so it visits the
+            # very nodes that chip's steady state brackets.
+            for spec in specs:
+                BatchedRuntimeEngine(
+                    [FixedFlow(spec.total_flow_ml_min)],
+                    config=RuntimeConfig(nx=22, ny=11, n_curve_points=50),
+                ).run(WorkloadTrace("hold", [
+                    TraceSegment(0.1, spec.utilization, spec.workload)
+                ]))
+            batched_step_responses([
+                StepResponseCase(chip_cosim_config(spec), spec.utilization,
+                                 spec.utilization, 0.1, 0.05)
+                for spec in specs
+            ])
+
+        PolarizationSurface.clear_shared()
+        try:
+            cold = chip_table()
+            PolarizationSurface.clear_shared()
+            batched_runs()
+            after_batched = chip_table()
+        finally:
+            PolarizationSurface.clear_shared()
+        assert after_batched == cold

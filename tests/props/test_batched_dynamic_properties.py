@@ -1,7 +1,7 @@
 """Property-based invariants of the batched dynamic kernels (PR 8).
 
 The batched transient/runtime path promises *structural* equivalence
-with the scalar engines, not just agreement at the preset grid points:
+with their scalar references, not just agreement at the preset grid points:
 
 - a batched step response matches the scalar trajectory for arbitrary
   valid (utilization, duration, dt) cases — thermal samples bit-exact,

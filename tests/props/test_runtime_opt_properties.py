@@ -5,38 +5,37 @@ exercise only at a handful of points:
 
 - electrolyte reservoir bookkeeping (SOC window, monotone discharge),
 - the PID flow controller's conditional anti-windup,
-- the throttle governor's hysteresis band,
+- the throttle governor's hysteresis band (both checked on one-lane
+  control-law arrays, the form the runtime engine runs them in),
 - Pareto-front extraction (mutual non-domination, permutation
   invariance).
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.flowcell.recirculation import ElectrolyteReservoir, RecirculationLoop
 from repro.opt.objective import Objective
 from repro.opt.pareto import dominates, objective_vector, pareto_front
 from repro.runtime.controllers import (
-    Observation,
     PIDFlowController,
     ThrottleGovernor,
+    VectorFlowControllers,
+    VectorThrottleGovernors,
 )
 from repro.runtime.state import ElectrolyteState
 from repro.sweep.runner import SweepResult
 from repro.sweep.spec import ScenarioSpec
 
 
-def observation(peak_temperature_c: float) -> Observation:
-    """An observation whose only controller-relevant field is the peak."""
-    return Observation(
-        time_s=0.0,
-        peak_temperature_c=peak_temperature_c,
-        flow_ml_min=676.0,
-        utilization=1.0,
-        activity_scale=1.0,
-        generated_w=6.0,
-        pumping_w=4.4,
-        net_w=1.6,
-    )
+def command(lane: VectorFlowControllers, peak_c: float, dt_s: float) -> float:
+    """One-lane PID command for an observed peak temperature."""
+    return float(lane.flow_commands(np.array([peak_c]), dt_s)[0])
+
+
+def scale(lane: VectorThrottleGovernors, peak_c: float) -> float:
+    """One-lane governor scale for an observed peak (no net floor)."""
+    return float(lane.scale_commands(np.array([peak_c]), np.array([1.6]))[0])
 
 
 def tiny_loop() -> RecirculationLoop:
@@ -122,17 +121,17 @@ class TestPIDAntiWindupProperties:
         integration step of the worst error seen.
         """
         controller = PIDFlowController(kp=kp, ki=ki)
+        lane = VectorFlowControllers([controller])
         lo, hi = controller.min_flow_ml_min, controller.max_flow_ml_min
         worst_error = 0.0
         for peak in peaks:
-            command = controller.flow_command(observation(peak), dt)
-            assert lo <= command <= hi
+            assert lo <= command(lane, peak, dt) <= hi
             worst_error = max(
                 worst_error, abs(peak - controller.target_peak_c)
             )
             stored = (
                 controller.initial_flow_ml_min
-                + ki * controller._integral_k_s
+                + ki * float(lane._integrals_k_s[0])
             )
             pad = kp * worst_error + ki * worst_error * dt + 1e-9
             assert lo - pad <= stored <= hi + pad
@@ -147,10 +146,11 @@ class TestPIDAntiWindupProperties:
         cold observation immediately pulls the command off the clamp —
         the signature behaviour anti-windup exists for."""
         controller = PIDFlowController(kp=40.0, ki=60.0)
+        lane = VectorFlowControllers([controller])
         for _ in range(hot_steps):
-            command = controller.flow_command(observation(hot_peak), 0.05)
-        assert command == controller.max_flow_ml_min
-        recovered = controller.flow_command(observation(20.0), 0.05)
+            hot = command(lane, hot_peak, 0.05)
+        assert hot == controller.max_flow_ml_min
+        recovered = command(lane, 20.0, 0.05)
         assert recovered < controller.max_flow_ml_min
 
 
@@ -169,15 +169,16 @@ class TestThrottleHysteresisProperties:
         state, whichever side it starts on — the definition of the
         hysteresis band."""
         governor = ThrottleGovernor(trip_peak_c=85.0, release_peak_c=80.0)
+        lane = VectorThrottleGovernors([governor])
         if start_throttled:
-            governor.scale_command(observation(90.0))  # trip it first
-            assert governor.throttled
-        initial = governor.throttled
+            scale(lane, 90.0)  # trip it first
+            assert lane.throttled[0]
+        initial = bool(lane.throttled[0])
         for peak in peaks:
-            scale = governor.scale_command(observation(peak))
-            assert governor.throttled == initial
+            activity = scale(lane, peak)
+            assert lane.throttled[0] == initial
             expected = governor.throttle_scale if initial else 1.0
-            assert scale == expected
+            assert activity == expected
 
     @settings(max_examples=40, deadline=None)
     @given(peaks=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=60))
@@ -185,15 +186,17 @@ class TestThrottleHysteresisProperties:
         """A trip requires peak >= trip point; a release requires peak <
         release point. No other transition exists."""
         governor = ThrottleGovernor(trip_peak_c=85.0, release_peak_c=80.0)
-        previous = governor.throttled
+        lane = VectorThrottleGovernors([governor])
+        previous = bool(lane.throttled[0])
         for peak in peaks:
-            governor.scale_command(observation(peak))
-            if governor.throttled != previous:
-                if governor.throttled:
+            scale(lane, peak)
+            throttled = bool(lane.throttled[0])
+            if throttled != previous:
+                if throttled:
                     assert peak >= governor.trip_peak_c
                 else:
                     assert peak < governor.release_peak_c
-            previous = governor.throttled
+            previous = throttled
 
 
 def results_from_vectors(vectors) -> "list[SweepResult]":

@@ -2,20 +2,24 @@
 
 All engine runs here use the reduced 22 x 11 raster (trajectory KPIs are
 raster-insensitive, as in the transient co-sim tests) and short traces,
-so the whole module stays in test-suite time budgets.
+so the whole module stays in test-suite time budgets. Single scenarios
+run as one-lane :class:`BatchedRuntimeEngine` calls, exactly as the CLI,
+the serve job and the serial sweep evaluator run them.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import (
+    BatchedRuntimeEngine,
     ElectrolyteState,
     FixedFlow,
     PIDFlowController,
     RuntimeConfig,
-    RuntimeEngine,
     RuntimeResult,
     ThrottleGovernor,
     TraceSegment,
@@ -35,6 +39,20 @@ def short_step() -> WorkloadTrace:
     return step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=0.4)
 
 
+def engine_for(controller, governor=None, reservoir=None, **overrides):
+    """A one-lane engine: the single-scenario form of the runtime."""
+    return BatchedRuntimeEngine(
+        [controller], governors=[governor], reservoirs=[reservoir],
+        config=config(**overrides),
+    )
+
+
+def run_one(controller, trace=None, governor=None, reservoir=None,
+            **overrides) -> RuntimeResult:
+    engine = engine_for(controller, governor, reservoir, **overrides)
+    return engine.run(trace if trace is not None else short_step())[0]
+
+
 class TestRuntimeConfig:
     @pytest.mark.parametrize("kwargs", [
         {"control_dt_s": 0.0},
@@ -51,8 +69,7 @@ class TestRuntimeConfig:
 class TestEngineTrajectory:
     @pytest.fixture(scope="class")
     def fixed_result(self) -> RuntimeResult:
-        engine = RuntimeEngine(FixedFlow(676.0), config=config())
-        return engine.run(short_step())
+        return run_one(FixedFlow(676.0))
 
     def test_covers_the_trace_exactly(self, fixed_result):
         trace = short_step()
@@ -72,13 +89,17 @@ class TestEngineTrajectory:
         assert flows == {676.0}
 
     def test_quantization_grid_is_anchored_at_the_initial_flow(self):
-        engine = RuntimeEngine(FixedFlow(676.0), config=config())
-        assert engine._quantize_flow(676.0) == 676.0
-        assert engine._quantize_flow(670.0) == 676.0   # nearest grid point
-        assert engine._quantize_flow(655.0) == 660.0   # 676 - 16
-        assert engine._quantize_flow(100.0) == 100.0   # 676 - 36*16
+        engine = engine_for(FixedFlow(676.0))
+
+        def quantize(flow):
+            return float(engine._quantize_flows(np.array([flow]))[0])
+
+        assert quantize(676.0) == 676.0
+        assert quantize(670.0) == 676.0   # nearest grid point
+        assert quantize(655.0) == 660.0   # 676 - 16
+        assert quantize(100.0) == 100.0   # 676 - 36*16
         # Commands can never quantize to zero or below.
-        assert engine._quantize_flow(1.0) >= 16.0
+        assert quantize(1.0) >= 16.0
 
     def test_step_heats_the_chip(self, fixed_result):
         samples = fixed_result.samples
@@ -111,27 +132,21 @@ class TestEngineTrajectory:
         assert loaded[0]["flow_ml_min"] == 676.0
 
     def test_deterministic_across_engines(self, fixed_result):
-        again = RuntimeEngine(FixedFlow(676.0), config=config()).run(
-            short_step()
-        )
+        again = run_one(FixedFlow(676.0))
         assert again.kpis() == pytest.approx(
             fixed_result.kpis(), nan_ok=True
         )
 
     def test_engine_is_reusable_across_runs(self):
-        engine = RuntimeEngine(PIDFlowController(initial_flow_ml_min=300.0),
-                               config=config())
-        first = engine.run(short_step())
-        second = engine.run(short_step())
+        engine = engine_for(PIDFlowController(initial_flow_ml_min=300.0))
+        [first] = engine.run(short_step())
+        [second] = engine.run(short_step())
         assert second.kpis() == pytest.approx(first.kpis(), nan_ok=True)
 
 
 class TestClosedLoop:
     def test_pid_sheds_flow_on_a_cool_chip(self):
-        engine = RuntimeEngine(
-            PIDFlowController(initial_flow_ml_min=676.0), config=config()
-        )
-        result = engine.run(short_step())
+        result = run_one(PIDFlowController(initial_flow_ml_min=676.0))
         # The 22 x 11 raster runs far below the 78 C setpoint, so the
         # controller walks the flow down toward its minimum.
         assert result.samples[-1].flow_ml_min < 200.0
@@ -143,10 +158,11 @@ class TestClosedLoop:
         # the hysteresis engages mid-trace without a huge model.
         governor = ThrottleGovernor(trip_peak_c=36.0, release_peak_c=34.0,
                                     throttle_scale=0.5)
-        engine = RuntimeEngine(FixedFlow(676.0), governor=governor,
-                               config=config())
-        result = engine.run(step_trace(0.1, 1.0, hold_before_s=0.2,
-                                       hold_after_s=1.0))
+        result = run_one(
+            FixedFlow(676.0),
+            step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0),
+            governor=governor,
+        )
         assert 0.0 < result.throttled_time_fraction < 1.0
         throttled = [s for s in result.samples if s.throttled]
         assert all(s.activity_scale == 0.5 for s in throttled)
@@ -160,11 +176,7 @@ class TestClosedLoop:
         )
 
     def test_violation_accounting(self):
-        engine = RuntimeEngine(
-            FixedFlow(676.0),
-            config=config(temperature_limit_c=35.0),
-        )
-        result = engine.run(short_step())
+        result = run_one(FixedFlow(676.0), temperature_limit_c=35.0)
         assert result.n_violations > 0
         assert 0.0 < result.violation_time_fraction <= 1.0
         assert result.peak_temperature_c > 35.0
@@ -174,7 +186,7 @@ class TestClosedLoop:
             trace = WorkloadTrace("boost", (
                 TraceSegment(0.3, utilization),
             ))
-            return RuntimeEngine(FixedFlow(676.0), config=config()).run(trace)
+            return run_one(FixedFlow(676.0), trace)
 
         assert (
             run(1.5).peak_temperature_c > run(1.0).peak_temperature_c
@@ -184,18 +196,14 @@ class TestClosedLoop:
 class TestReservoirCoupling:
     def test_soc_declines_along_the_trace(self):
         reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
-        engine = RuntimeEngine(FixedFlow(676.0), reservoir=reservoir,
-                               config=config())
-        result = engine.run(short_step())
+        result = run_one(FixedFlow(676.0), reservoir=reservoir)
         socs = [s.state_of_charge for s in result.samples]
         assert socs[-1] < socs[0]
         assert not math.isnan(result.final_state_of_charge)
 
     def test_depletion_stops_generation(self):
         reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-8))
-        engine = RuntimeEngine(FixedFlow(676.0), reservoir=reservoir,
-                               config=config())
-        result = engine.run(short_step())
+        result = run_one(FixedFlow(676.0), reservoir=reservoir)
         assert reservoir.depleted
         assert result.samples[-1].generated_w == 0.0
         # Pumping continues regardless: net goes negative once the
@@ -203,6 +211,165 @@ class TestReservoirCoupling:
         assert result.samples[-1].net_w < 0.0
 
     def test_without_reservoir_soc_is_nan(self):
-        engine = RuntimeEngine(FixedFlow(676.0), config=config())
-        result = engine.run(short_step())
+        result = run_one(FixedFlow(676.0))
         assert math.isnan(result.final_state_of_charge)
+
+    def test_reservoir_reflects_the_finished_run(self):
+        """The engine steps SOC as arrays and writes the tanks back, so
+        the caller's state ends where the trajectory ends."""
+        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
+        initial_soc = reservoir.state_of_charge
+        result = run_one(FixedFlow(676.0), reservoir=reservoir)
+        assert reservoir.state_of_charge == result.final_state_of_charge
+        assert reservoir.state_of_charge < initial_soc
+        assert not reservoir.depleted
+
+    def test_back_to_back_runs_keep_drawing_down_the_tanks(self):
+        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
+        engine = engine_for(FixedFlow(676.0), reservoir=reservoir)
+        [first] = engine.run(short_step())
+        [second] = engine.run(short_step())
+        assert second.final_state_of_charge < first.final_state_of_charge
+        assert reservoir.state_of_charge == second.final_state_of_charge
+
+
+class TestLaneIndependence:
+    @staticmethod
+    def lanes():
+        """Fresh (controller, governor, reservoir) parts of a mixed batch:
+        fixed and PID, governed and ungoverned, with and without a
+        reservoir (one of them depleting), different initial flows."""
+        def tight_governor():
+            # Trips inside the reduced raster's swing.
+            return ThrottleGovernor(trip_peak_c=36.0, release_peak_c=34.0,
+                                    throttle_scale=0.5)
+
+        def reservoir(volume_m3):
+            return ElectrolyteState(build_case_study_loop(volume_m3))
+
+        return [
+            (FixedFlow(676.0), tight_governor(), reservoir(1e-5)),
+            (PIDFlowController(initial_flow_ml_min=300.0), None, None),
+            (PIDFlowController(target_peak_c=34.0, initial_flow_ml_min=676.0),
+             ThrottleGovernor(), reservoir(1e-8)),
+            (FixedFlow(400.0), None, reservoir(1e-6)),
+            (PIDFlowController(kp=80.0, ki=10.0, initial_flow_ml_min=676.0),
+             tight_governor(), None),
+        ]
+
+    def test_each_lane_matches_its_one_lane_run(self):
+        trace = step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0)
+        parts = self.lanes()
+        batched = BatchedRuntimeEngine(
+            [part[0] for part in parts],
+            governors=[part[1] for part in parts],
+            reservoirs=[part[2] for part in parts],
+            config=config(),
+        ).run(trace)
+        # The batch really exercises what it claims to.
+        assert len({s.flow_ml_min for r in batched for s in r.samples}) > 3
+        assert any(s.throttled for r in batched for s in r.samples)
+        assert batched[2].samples[-1].generated_w == 0.0  # depleted lane
+
+        for lane, (controller, governor, reservoir) in enumerate(
+            self.lanes()
+        ):
+            alone = run_one(controller, trace, governor, reservoir)
+            assert len(alone.samples) == len(batched[lane].samples)
+            for a, b in zip(alone.samples, batched[lane].samples):
+                # Bit-identical in every field (repr: nan SOC compares
+                # equal on lanes without a reservoir).
+                assert repr(a) == repr(b), lane
+
+
+class TestScalarOracle:
+    """The engine against an independent per-step march built from the
+    scalar pieces: ``ThermalModel.solve_transient`` for the thermal step
+    and :meth:`ElectrolyteState.step` for the tanks."""
+
+    @staticmethod
+    def scalar_march(trace, flow_ml_min, cfg, reservoir):
+        from repro.casestudy.power7plus import (
+            array_pumping_power_w,
+            build_thermal_model,
+        )
+        from repro.casestudy.workloads import standard_workloads
+        from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
+        from repro.cosim.surface import surface_for
+
+        workloads = {w.name: w for w in standard_workloads()}
+
+        def power(segment):
+            base = workloads[segment.workload].power_map(cfg.nx, cfg.ny)
+            return base * segment.utilization
+
+        model = build_thermal_model(
+            nx=cfg.nx, ny=cfg.ny, total_flow_ml_min=flow_ml_min,
+            inlet_temperature_k=cfg.inlet_temperature_k,
+        )
+        cosim_config = CosimConfig(
+            total_flow_ml_min=flow_ml_min,
+            inlet_temperature_k=cfg.inlet_temperature_k,
+            operating_voltage_v=cfg.operating_voltage_v,
+            n_channel_groups=cfg.n_channel_groups,
+            nx=cfg.nx, ny=cfg.ny, n_curve_points=cfg.n_curve_points,
+        )
+        surface = surface_for(cosim_config)
+        pumping = array_pumping_power_w(
+            flow_ml_min, pump_efficiency=cfg.pump_efficiency
+        )
+        model.set_power_map("active_si", power(trace.segments[0]))
+        state = model.solve_steady()
+        rows = []
+        for _, step_dt, segment in trace.iter_steps(cfg.control_dt_s):
+            model.set_power_map("active_si", power(segment))
+            state = model.solve_transient(
+                duration_s=step_dt, dt_s=step_dt, initial=state
+            )
+            temps = group_coolant_temperatures(state, cosim_config)
+            current = float(
+                surface.currents_at(temps, cfg.operating_voltage_v).sum()
+            )
+            current = reservoir.step(current, step_dt)
+            rows.append({
+                "peak_temperature_c": state.peak_celsius,
+                "mean_coolant_c":
+                    float(state.field("channels", "fluid").mean()) - 273.15,
+                "pumping_w": pumping,
+                "array_current_a": current,
+                "net_w": current * cfg.operating_voltage_v - pumping,
+                "state_of_charge": reservoir.state_of_charge,
+            })
+        return rows
+
+    def test_fixed_flow_lane_matches_the_scalar_march(self):
+        from repro.sweep.vectorized import EQUIVALENCE_RTOL
+
+        trace = short_step()
+        cfg = config()
+        result = run_one(
+            FixedFlow(676.0), trace,
+            reservoir=ElectrolyteState(build_case_study_loop(1e-5)),
+        )
+        expected = self.scalar_march(
+            trace, 676.0, cfg, ElectrolyteState(build_case_study_loop(1e-5))
+        )
+        assert len(result.samples) == len(expected)
+        for sample, row in zip(result.samples, expected):
+            got = dataclasses.asdict(sample)
+            for name in ("peak_temperature_c", "mean_coolant_c", "pumping_w"):
+                assert got[name] == row[name], name
+            for name in ("array_current_a", "net_w", "state_of_charge"):
+                assert got[name] == pytest.approx(
+                    row[name], rel=EQUIVALENCE_RTOL
+                ), name
+
+
+class TestEngineInputs:
+    def test_rejects_mismatched_lane_lists(self):
+        with pytest.raises(ConfigurationError):
+            BatchedRuntimeEngine(
+                [FixedFlow(676.0)], governors=[None, None], config=config()
+            )
+        with pytest.raises(ConfigurationError):
+            BatchedRuntimeEngine([], config=config())

@@ -1,9 +1,14 @@
 """Tests for the electrolyte recirculation state."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.state import ElectrolyteState, build_case_study_loop
+from repro.runtime.state import (
+    ElectrolyteState,
+    ElectrolyteStateArray,
+    build_case_study_loop,
+)
 
 
 class TestBuildLoop:
@@ -67,3 +72,41 @@ class TestElectrolyteState:
             state.step(1.0, 0.0)
         with pytest.raises(ConfigurationError):
             state.step(-1.0, 1.0)
+
+
+class TestElectrolyteStateArrayWriteBack:
+    def test_write_back_matches_stepping_the_scalar_state(self):
+        """Array-stepped lanes, written back, equal scalar-stepped twins
+        bit for bit — depleted flag included."""
+        def lanes():
+            return [
+                ElectrolyteState(build_case_study_loop(volume_m3=1e-5)),
+                None,
+                ElectrolyteState(build_case_study_loop(volume_m3=1e-8)),
+            ]
+
+        arrayed, scalar = lanes(), lanes()
+        array = ElectrolyteStateArray(arrayed)
+        for current, dt in ((6.0, 0.5), (6.0, 0.5), (8.0, 1.0)):
+            array.step(np.full(3, current), dt)
+            for state in scalar:
+                if state is not None:
+                    state.step(current, dt)
+        array.write_back()
+        for written, reference in zip(arrayed, scalar):
+            if reference is None:
+                continue
+            for name in ("anolyte_tank", "catholyte_tank"):
+                got = getattr(written.loop, name)
+                want = getattr(reference.loop, name)
+                assert (got.conc_ox, got.conc_red) == (
+                    want.conc_ox, want.conc_red
+                )
+            assert written.depleted == reference.depleted
+            assert written.state_of_charge == reference.state_of_charge
+        assert arrayed[2].depleted and not arrayed[0].depleted
+
+    def test_tanks_reject_negative_concentrations(self):
+        tank = build_case_study_loop().anolyte_tank
+        with pytest.raises(ConfigurationError):
+            tank.set_concentrations(-1.0, 10.0)

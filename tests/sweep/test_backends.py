@@ -8,7 +8,9 @@ produce the same result set:
   the scheduling differs);
 - serial vs vectorized: within the documented
   :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (evaluators with a
-  batch kernel) or bit-identical (evaluators that fall back to serial).
+  batch kernel) or bit-identical (evaluators that fall back to serial,
+  and ``runtime``, whose serial evaluator is a one-lane run of the same
+  batched engine).
 
 Plus the cache-interop contract: results computed by any backend land in
 the shared :class:`~repro.sweep.runner.SweepCache` under the same keys,
@@ -58,6 +60,18 @@ def preset_scenarios(name: str) -> "list[ScenarioSpec]":
     return preset.expand(points=6)
 
 
+def vectorized_rtol(evaluator: str) -> float:
+    """Documented serial-vs-vectorized tolerance of one evaluator.
+
+    ``runtime`` has a batch kernel but no second engine: both backends
+    run :class:`~repro.runtime.engine.BatchedRuntimeEngine`, one lane per
+    scenario or many, so they must agree exactly.
+    """
+    if evaluator in BATCH_KERNELS and evaluator != "runtime":
+        return EQUIVALENCE_RTOL
+    return 0.0
+
+
 def assert_equivalent(reference, other, rtol: float) -> None:
     """Result-set equality within a relative tolerance, order included."""
     assert len(reference) == len(other)
@@ -87,10 +101,10 @@ class TestEquivalenceMatrix:
         # Process scheduling must not change a single bit.
         assert_equivalent(serial, process, rtol=0.0)
         # Vectorized kernels agree within the documented tolerance;
-        # fallback evaluators are bit-identical by construction.
-        evaluator = specs[0].evaluator
-        rtol = EQUIVALENCE_RTOL if evaluator in BATCH_KERNELS else 0.0
-        assert_equivalent(serial, vectorized, rtol=rtol)
+        # fallback evaluators and the runtime engine are bit-identical.
+        assert_equivalent(
+            serial, vectorized, rtol=vectorized_rtol(specs[0].evaluator)
+        )
 
 
 class TestCacheInterop:
@@ -174,10 +188,9 @@ class TestDynamicPresetCacheInterop:
         assert_equivalent(
             cold_results["serial"], cold_results["process"], rtol=0.0
         )
-        evaluator = specs[0].evaluator
-        rtol = EQUIVALENCE_RTOL if evaluator in BATCH_KERNELS else 0.0
         assert_equivalent(
-            cold_results["serial"], cold_results["vectorized"], rtol=rtol
+            cold_results["serial"], cold_results["vectorized"],
+            rtol=vectorized_rtol(specs[0].evaluator),
         )
 
 

@@ -53,14 +53,11 @@ class TestAnchoredSolves:
             build_thermal_stack(676.0, 300.0),
             floorplan.width_m, floorplan.height_m, nx, ny,
         )
-        _, base_rhs = model._build_system()
-        offset = model._field("active_si").offset
         utilizations = (0.25, 0.5, 1.0)
-        columns = np.repeat(base_rhs[:, None], len(utilizations), axis=1)
-        for k, utilization in enumerate(utilizations):
-            columns[offset: offset + nx * ny, k] += full_load_power_map(
-                nx, ny, floorplan, utilization
-            ).ravel()
+        columns = model.rhs_columns("active_si", [
+            full_load_power_map(nx, ny, floorplan, utilization)
+            for utilization in utilizations
+        ])
 
         solver = AnchoredSteadySolver()
         stacked = solver.solve_columns(model, columns)

@@ -130,6 +130,43 @@ class TestFig9Anchor:
         assert abs(thermal_solution.energy_balance_error_w()) < 1e-6
 
 
+class TestRhsColumns:
+    """The stacked multi-RHS form the batched solvers take."""
+
+    def test_each_column_is_the_rhs_of_that_power_map(self):
+        model = small_model()
+        maps = [np.full((11, 22), w / 242.0) for w in (0.0, 50.0, 250.0)]
+        columns = model.rhs_columns("active_si", maps)
+        assert columns.shape == (model.n_dof, len(maps))
+        for k, power in enumerate(maps):
+            reference = small_model(power_w=0.0)
+            reference.set_power_map("active_si", power)
+            _, rhs = reference._build_system()
+            # Bit-identical: the batched paths rely on it.
+            assert np.array_equal(columns[:, k], rhs)
+
+    def test_ignores_the_models_own_power_maps(self):
+        loaded = small_model(power_w=100.0)
+        bare = small_model(power_w=0.0)
+        power = np.full((11, 22), 1.0)
+        assert np.array_equal(
+            loaded.rhs_columns("active_si", [power]),
+            bare.rhs_columns("active_si", [power]),
+        )
+
+    def test_targets_the_named_field(self):
+        model = small_model()
+        power = np.full((11, 22), 2.0)
+        on_beol = model.rhs_columns("beol", [power])
+        on_silicon = model.rhs_columns("active_si", [power])
+        assert not np.array_equal(on_beol, on_silicon)
+        assert on_beol.sum() == pytest.approx(on_silicon.sum())
+
+    def test_power_map_shape_checked(self):
+        with pytest.raises(ConfigurationError):
+            small_model().rhs_columns("active_si", [np.zeros((3, 3))])
+
+
 class TestTransient:
     def test_transient_approaches_steady(self):
         model = small_model(nx=12, ny=6, power_w=100.0)
