@@ -24,7 +24,8 @@ import pytest
 from benchmarks.conftest import artifact, emit
 from repro.core.report import format_table
 from repro.opt import get_preset
-from repro.sweep import ScenarioSpec, SweepCache, SweepRunner
+from repro.store import ResultStore
+from repro.sweep import ScenarioSpec, SweepRunner
 from repro.sweep.evaluators import TEMPERATURE_LIMIT_C, evaluate_spec
 
 #: Table II nominal coolant flow [ml/min] — the paper's operating point.
@@ -36,7 +37,7 @@ STRESS_FLOW_ML_MIN = 48.0
 
 
 def test_a15_flow_optimum(benchmark):
-    cache = SweepCache()
+    cache = ResultStore()
     preset = get_preset("flow-optimum")
 
     def optimize():

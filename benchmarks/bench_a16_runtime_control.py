@@ -23,7 +23,8 @@ import os
 
 from benchmarks.conftest import artifact, emit
 from repro.core.report import format_table
-from repro.sweep import ScenarioSpec, SweepCache, SweepRunner, get_preset
+from repro.store import ResultStore
+from repro.sweep import ScenarioSpec, SweepRunner, get_preset
 from repro.sweep.evaluators import TEMPERATURE_LIMIT_C
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -49,7 +50,7 @@ def _bursty_spec(controller: str) -> ScenarioSpec:
 
 
 def test_a16_pid_beats_fixed_nominal_flow(benchmark):
-    cache = SweepCache()
+    cache = ResultStore()
     runner = SweepRunner(cache=cache)
     specs = [_bursty_spec("fixed"), _bursty_spec("pid")]
 
@@ -98,7 +99,7 @@ def test_a16_pid_beats_fixed_nominal_flow(benchmark):
 
 
 def test_a16_runtime_preset_replays_from_warm_cache():
-    cache = SweepCache()
+    cache = ResultStore()
     runner = SweepRunner(cache=cache)
     preset = get_preset("runtime")
     specs = preset.expand()

@@ -17,7 +17,7 @@ bench asserts the three headline claims of the PR:
 - **replay is free**: re-running the ``fleet`` sweep preset against a
   warm persistent cache performs zero evaluations (extending the
   A15/A16 zero-eval replay guarantees to the fleet layer, via the new
-  :meth:`~repro.sweep.runner.SweepCache.stats` accounting).
+  :meth:`~repro.store.ResultStore.stats` accounting).
 
 Every timed run starts with a cold thermal path: the process-wide model
 store and the vectorized kernel caches are cleared per measurement. The
@@ -38,8 +38,10 @@ from benchmarks.conftest import SMOKE, artifact, emit
 from repro.core.report import format_table
 from repro.fleet import ChipTable, FleetEngine, FleetSpec, shared_fleet_runner
 from repro.runtime.engine import clear_model_store
-from repro.sweep import SweepCache, SweepRunner, get_preset
-from repro.sweep.vectorized import EQUIVALENCE_RTOL, clear_caches
+from repro.store import ResultStore
+from repro.sweep import SweepRunner, get_preset
+from repro.sweep.evaluators import clear_array_curves
+from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
 #: Fleet size for the scale race (the PR's headline configuration).
 N_CHIPS = 128 if SMOKE else 1000
@@ -81,7 +83,7 @@ def _build_table(spec: FleetSpec, runner: SweepRunner) -> ChipTable:
 def _cold_build(backend: str, spec: FleetSpec):
     """Time one chip-table build with the thermal path cold."""
     clear_model_store()
-    clear_caches()
+    clear_array_curves()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()
     table = _build_table(spec, runner)
@@ -157,7 +159,7 @@ def test_a18_fleet_scale_speedup(benchmark):
 
 def test_a18_allocation_beats_uniform():
     """Shared-supply allocation beats a uniform split at equal budget."""
-    cache = SweepCache()
+    cache = ResultStore()
     runner = SweepRunner(cache=cache, backend="vectorized")
     results = {
         policy: FleetEngine(
@@ -211,7 +213,7 @@ def test_a18_warm_fleet_preset_replay(tmp_path):
     preset = get_preset("fleet")
     specs = preset.expand(3)  # 3 policies x 2 per-chip budgets
 
-    cold_cache = SweepCache(directory=tmp_path)
+    cold_cache = ResultStore(directory=tmp_path)
     cold = SweepRunner(cache=cold_cache, backend="serial").run(specs)
     assert cold_cache.stats()["misses"] == len(specs)
     assert cold_cache.stats()["corrupt"] == 0
@@ -220,7 +222,7 @@ def test_a18_warm_fleet_preset_replay(tmp_path):
     # KPI replays from disk, so neither the fleet evaluator nor the
     # shared chip-table runner does any work at all.
     inner_before = shared_fleet_runner().cache.stats()
-    warm_cache = SweepCache(directory=tmp_path)
+    warm_cache = ResultStore(directory=tmp_path)
     warm = SweepRunner(cache=warm_cache, backend="serial").run(specs)
 
     stats = warm_cache.stats()

@@ -28,8 +28,7 @@ from benchmarks.conftest import artifact, emit, obs_artifacts
 from repro import obs
 from repro.core.report import format_table
 from repro.sweep import SweepRunner, get_preset
-from repro.sweep.evaluators import _array, _peak_temperature_c
-from repro.sweep.vectorized import clear_caches
+from repro.sweep.evaluators import _peak_temperature_c, clear_array_curves
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -45,9 +44,8 @@ MICROBENCH_CALLS = 200_000
 
 def _cold_run(specs) -> float:
     """Wall time of one serial flow-preset run with every cache cold."""
-    _array.cache_clear()
     _peak_temperature_c.cache_clear()
-    clear_caches()
+    clear_array_curves()
     runner = SweepRunner()
     start = time.perf_counter()
     runner.run(specs)

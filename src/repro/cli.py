@@ -229,7 +229,8 @@ def _print_cache_stats(cache) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.sweep import SweepCache, SweepRunner, get_preset
+    from repro.store import ResultStore
+    from repro.sweep import SweepRunner, get_preset
     from repro.sweep.presets import PRESETS
 
     if args.list:
@@ -243,7 +244,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = preset.expand(args.points)
     runner = SweepRunner(
         n_workers=args.jobs,
-        cache=SweepCache(
+        cache=ResultStore(
             directory=args.cache_dir,
             max_disk_entries=args.cache_max_entries,
             max_disk_bytes=args.cache_max_bytes,
@@ -281,7 +282,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
     from repro.opt import get_preset
     from repro.opt.presets import PRESETS
-    from repro.sweep import SweepCache, SweepRunner
+    from repro.store import ResultStore
+    from repro.sweep import SweepRunner
 
     if args.list:
         _print_presets(PRESETS)
@@ -293,7 +295,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     preset = get_preset(args.preset)
     runner = SweepRunner(
         n_workers=args.jobs,
-        cache=SweepCache(directory=args.cache_dir),
+        cache=ResultStore(directory=args.cache_dir),
         backend=args.backend,
     )
     _obs_start(args)
@@ -425,7 +427,8 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
     from repro.fleet import FleetEngine, FleetSpec
-    from repro.sweep import SweepCache, SweepRunner
+    from repro.store import ResultStore
+    from repro.sweep import SweepRunner
 
     trace_name, args.trace_out = _split_workload_trace(
         args.trace, "diurnal-bursty"
@@ -440,7 +443,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     runner = SweepRunner(
         n_workers=args.jobs,
-        cache=SweepCache(directory=args.cache_dir),
+        cache=ResultStore(directory=args.cache_dir),
         backend=args.backend,
     )
     _obs_start(args)

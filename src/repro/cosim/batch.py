@@ -1,11 +1,11 @@
-"""Batched transient co-simulation: many step responses marched together.
+"""Step responses of the transient co-simulation, marched together.
 
-The scalar :class:`~repro.cosim.transient.TransientCosim` integrates one
-utilization step at a time: one thermal model, one backward-Euler LU per
-step size, one trajectory. A transient *sweep* runs dozens of such
-trajectories whose thermal systems are nearly identical — the ``transient``
-preset varies utilization pairs and step sizes far more often than it
-varies the matrix-defining knobs (flow, inlet, raster).
+This is the one stepper behind
+:meth:`~repro.cosim.transient.TransientCosim.run_step_response` (a batch
+of one) and the ``transient`` sweep kernel. A transient *sweep* runs
+dozens of trajectories whose thermal systems are nearly identical — the
+``transient`` preset varies utilization pairs and step sizes far more
+often than it varies the matrix-defining knobs (flow, inlet, raster).
 
 :func:`batched_step_responses` exploits that structure:
 
@@ -17,27 +17,26 @@ varies the matrix-defining knobs (flow, inlet, raster).
   their states ride as stacked columns through
   :class:`~repro.thermal.batch.AnchoredTransientSolver`, so each time step
   costs one multi-RHS triangular solve instead of one solve per scenario;
-- sampling reuses the scalar stepper's own ``_sample`` (same group
-  partition), applied per column, on the config's *batched*
+- sampling is :class:`~repro.cosim.transient.TransientCosim`'s own
+  ``_sample`` (same group partition), applied per column, on the shared
   :class:`~repro.cosim.surface.PolarizationSurface` — and first
-  *prefills* that surface:
-  the group temperatures of all columns at each sample time go through
-  :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so the
-  node curves the scalar path would build one by one (a full porous
-  march each) are marched as one batch.
+  *prefills* that surface: the group temperatures of all columns at each
+  sample time go through
+  :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so missing
+  node curves are marched as one batch rather than one by one.
 
-Equivalence: the thermal trajectories are *bit-exact* — SuperLU solves a
-multi-column right-hand side column by column, the stacked step formula
-mirrors the scalar one elementwise, and every column is copied contiguous
-before sampling so reductions see the same memory layout. That matters
-because the temperatures feed discontinuous decisions downstream
-(settling-band exits here, control branches in the runtime layer). The
-sampled *currents* agree with the scalar path to floating-point round-off
-rather than exactly: batched surfaces build their node curves with the
-batched polarization march, which matches the scalar construction only
-to ~1 ulp. Currents feed no branch in either layer, so the round-off
-never amplifies. Batched and scalar surfaces never share a node, so
-neither path's results depend on which ran first in a process.
+Equivalence: a case's trajectory is *bit-identical* whichever batch it
+rides in, and to a direct march of
+:meth:`~repro.thermal.model.ThermalModel.solve_steady` /
+:meth:`~repro.thermal.model.ThermalModel.solve_transient` sampled on the
+surface (``tests/cosim/test_transient.py`` holds that oracle). SuperLU solves
+a multi-column right-hand side column by column, the stacked step formula
+mirrors the scalar one elementwise, every column is copied contiguous
+before sampling so reductions see the same memory layout, and every
+surface node comes from the one curve construction whoever builds it.
+That matters because the temperatures feed discontinuous decisions
+downstream (settling-band exits here, control branches in the runtime
+layer).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
-from repro.cosim.surface import surface_for
 from repro.cosim.transient import TransientCosim, TransientSample
 from repro.errors import ConfigurationError
 
@@ -69,9 +67,12 @@ def batched_step_responses(
 ) -> "list[list[TransientSample]]":
     """Step-response trajectories for every case, batch-marched.
 
-    Returns one sample list per case, in input order, each bit-identical
-    to ``TransientCosim(case.config).run_step_response(...)`` with the
-    case's parameters.
+    Returns one sample list per case, in input order. Each trajectory
+    starts at the steady state of ``utilization_before``, switches the
+    power map to ``utilization_after`` and samples every ``dt_s`` for
+    ``duration_s``; full steps are two backward-Euler half steps of
+    exactly ``dt_s / 2`` (one cached factorization), and a final partial
+    step lands the last sample exactly at ``duration_s``.
     """
     from repro.casestudy.power7plus import (
         build_thermal_model,
@@ -106,7 +107,7 @@ def batched_step_responses(
     results: "list[list[TransientSample] | None]" = [None] * len(cases)
     for (flow, inlet, nx, ny), marches in sorted(families.items()):
         # One model for the whole family — utilization only scales the
-        # right-hand side, exactly as in the scalar stepper.
+        # right-hand side, so assembly and factorizations are shared.
         model = build_thermal_model(
             nx=nx, ny=ny,
             total_flow_ml_min=flow,
@@ -123,16 +124,17 @@ def batched_step_responses(
                 full_load_power_map(nx, ny, utilization=case.utilization_after)
                 for case in family_cases
             ])
-            samplers = [_BatchedSampler(case.config) for case in family_cases]
+            samplers = [TransientCosim(case.config) for case in family_cases]
             states = solver.solve_steady_columns(columns_before)
 
             trajectories: "list[list[TransientSample]]" = [
                 [] for _ in samplers
             ]
             _sample_columns(samplers, model, states, 0.0, trajectories)
-            # Same stepping schedule (and float guards) as the scalar
-            # run_step_response: full dt steps as two half steps each,
-            # then one partial step landing exactly at duration_s.
+            # Full dt steps as two half steps each, then one partial step
+            # landing exactly at duration_s. The float guard keeps an
+            # exact multiple (e.g. 0.5 / 0.05) at exactly duration/dt
+            # full steps rather than growing a sliver step.
             n_full = int(duration_s / dt_s + 1e-9)
             remainder = duration_s - n_full * dt_s
             if remainder <= 1e-9 * dt_s:
@@ -162,14 +164,6 @@ def batched_step_responses(
     return [samples for samples in results if samples is not None]
 
 
-class _BatchedSampler(TransientCosim):
-    """The scalar stepper's sampling, reading the batched surface."""
-
-    @property
-    def _surface(self):
-        return surface_for(self.config, batched=True)
-
-
 def _sample_columns(
     samplers: "list[TransientCosim]",
     model,
@@ -180,8 +174,8 @@ def _sample_columns(
     """Sample every column at one time, prefilling the surfaces first.
 
     All columns' group temperatures go through ``warm_nodes`` before any
-    scalar ``_sample`` call, so missing node curves are marched as one
-    batch instead of one scalar march per first-touching column.
+    per-column ``_sample`` call, so missing node curves are marched as one
+    batch instead of one march per first-touching column.
     """
     solutions = [
         _column_solution(model, states, k) for k in range(len(samplers))
@@ -198,12 +192,11 @@ def _sample_columns(
 
 
 def _column_solution(model, states: np.ndarray, k: int):
-    """One scenario column as a scalar-identical ``ThermalSolution``.
+    """One scenario column as a standalone ``ThermalSolution``.
 
     The column is copied contiguous first: numpy's pairwise reductions
     (``mean``/``max`` inside the samplers) can round differently on
-    strided views, and bit-identity with the scalar trajectory is the
-    contract here.
+    strided views, and a trajectory must not depend on its batch.
     """
     from repro.thermal.solver import ThermalSolution
 

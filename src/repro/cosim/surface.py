@@ -62,15 +62,10 @@ class PolarizationSurface:
         the range rather than extrapolate). Grid nodes are built lazily —
         each node's curve is constructed at most once, on first use, so
         the cost of a surface is proportional to the temperature span
-        actually visited, not to the configured window.
-    batched:
-        Which construction builds this surface's node curves: the batched
-        array march (:func:`repro.flowcell.batch.batched_polarization_curves`)
-        or the scalar porous march. The two agree only to round-off, so a
-        surface uses one of them for every node, prefilled or lazy — no
-        curve depends on which caller reached a node first. The batched
-        consumers (the runtime engine, batched step responses) use
-        batched surfaces; everything else uses scalar ones.
+        actually visited, not to the configured window. Every node,
+        prefilled or lazy, comes from the one curve construction
+        (:func:`repro.flowcell.batch.batched_polarization_curves`), so no
+        curve depends on which caller reached a node first.
     """
 
     def __init__(
@@ -82,20 +77,24 @@ class PolarizationSurface:
         temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
         resolution_k: float = DEFAULT_RESOLUTION_K,
         max_overpotential_v: float = 1.4,
-        batched: bool = False,
     ) -> None:
-        if total_flow_ml_min <= 0.0:
-            raise ConfigurationError("total flow must be > 0 ml/min")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < total_flow_ml_min < math.inf:
+            raise ConfigurationError(
+                f"total flow must be finite and > 0 ml/min, got {total_flow_ml_min}"
+            )
         if channels_per_group < 1:
             raise ConfigurationError("need at least one channel per group")
         if n_curve_points < 2:
             raise ConfigurationError("need at least two curve points")
-        if resolution_k <= 0.0:
-            raise ConfigurationError("grid resolution must be > 0 K")
-        t_min, t_max = (float(t) for t in temperature_range_k)
-        if not t_min < t_max:
+        if not 0.0 < resolution_k < math.inf:
             raise ConfigurationError(
-                f"temperature range must satisfy min < max, got "
+                f"grid resolution must be finite and > 0 K, got {resolution_k}"
+            )
+        t_min, t_max = (float(t) for t in temperature_range_k)
+        if not t_min < t_max < math.inf:
+            raise ConfigurationError(
+                f"temperature range must satisfy min < max < inf, got "
                 f"({t_min:g}, {t_max:g})"
             )
         if t_min <= 0.0:
@@ -105,7 +104,6 @@ class PolarizationSurface:
         self.n_curve_points = int(n_curve_points)
         self.max_overpotential_v = float(max_overpotential_v)
         self.resolution_k = float(resolution_k)
-        self.batched = bool(batched)
         n_nodes = int(math.ceil((t_max - t_min) / resolution_k)) + 1
         self.node_temperatures_k = t_min + resolution_k * np.arange(n_nodes)
         self._curves: "dict[int, PolarizationCurve]" = {}
@@ -157,10 +155,10 @@ class PolarizationSurface:
         return curve
 
     def _build_nodes(self, nodes: "list[int]") -> None:
-        """Construct the given nodes' curves with this surface's march.
+        """Construct the given nodes' curves in one batched march.
 
-        The batched march is elementwise across cells, so a node's curve
-        does not depend on which other nodes share its batch.
+        The march is elementwise across cells, so a node's curve does not
+        depend on which other nodes share its batch.
         """
         from repro.casestudy.power7plus import build_array_cell
         from repro.flowcell.batch import batched_polarization_curves
@@ -173,20 +171,11 @@ class PolarizationSurface:
             )
             for node in nodes
         ]
-        if self.batched:
-            curves = batched_polarization_curves(
-                cells,
-                n_points=self.n_curve_points,
-                max_overpotential_v=self.max_overpotential_v,
-            )
-        else:
-            curves = [
-                cell.polarization_curve(
-                    n_points=self.n_curve_points,
-                    max_overpotential_v=self.max_overpotential_v,
-                )
-                for cell in cells
-            ]
+        curves = batched_polarization_curves(
+            cells,
+            n_points=self.n_curve_points,
+            max_overpotential_v=self.max_overpotential_v,
+        )
         for node, curve in zip(nodes, curves):
             self._curves[node] = curve.scaled(self.channels_per_group)
 
@@ -196,10 +185,10 @@ class PolarizationSurface:
         The lazy :meth:`_curve` path constructs one node curve per miss —
         a full porous-electrode march each time, which dominates the
         dynamic sweep evaluators' cost. This prefill collects the missing
-        bracketing nodes of all the given query temperatures and, on a
-        batched surface, builds them in a single array march. Returns how
-        many nodes were built. A prefilled node is bit-identical to its
-        lazily built twin: both come from the surface's one construction.
+        bracketing nodes of all the given query temperatures and builds
+        them in a single array march. Returns how many nodes were built. A
+        prefilled node is bit-identical to its lazily built twin: both
+        come from the one construction.
         """
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         index, _ = self._bracket(temps)
@@ -311,10 +300,9 @@ class PolarizationSurface:
 
     #: Shared surfaces keyed on every construction parameter. Bounded: a
     #: long-running sweep over many flows evicts the oldest surface rather
-    #: than growing without limit. Room for a scalar and a batched surface
-    #: at each of 32 configurations.
+    #: than growing without limit.
     _SHARED: "dict[tuple, PolarizationSurface]" = {}
-    _SHARED_MAX = 64
+    _SHARED_MAX = 32
 
     @classmethod
     def shared(
@@ -326,16 +314,15 @@ class PolarizationSurface:
         temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
         resolution_k: float = DEFAULT_RESOLUTION_K,
         max_overpotential_v: float = 1.4,
-        batched: bool = False,
     ) -> "PolarizationSurface":
         """The process-wide surface for these parameters (built on first use).
 
         The single curve source behind
         :class:`~repro.cosim.coupling.ElectroThermalCosim`,
         :class:`~repro.cosim.transient.TransientCosim` and the ``cosim`` /
-        ``transient`` sweep evaluators: co-simulations with the same flow,
-        group size and curve sampling share every node curve. Batched and
-        scalar surfaces (see the class parameters) are kept apart.
+        ``transient`` sweep evaluators, the runtime engine and the fleet
+        chips: co-simulations with the same flow, group size and curve
+        sampling share every node curve.
         """
         key = (
             float(total_flow_ml_min),
@@ -344,7 +331,6 @@ class PolarizationSurface:
             tuple(float(t) for t in temperature_range_k),
             float(resolution_k),
             float(max_overpotential_v),
-            bool(batched),
         )
         surface = cls._SHARED.get(key)
         if surface is None:
@@ -355,7 +341,6 @@ class PolarizationSurface:
                 temperature_range_k=temperature_range_k,
                 resolution_k=resolution_k,
                 max_overpotential_v=max_overpotential_v,
-                batched=batched,
             )
             while len(cls._SHARED) >= cls._SHARED_MAX:
                 cls._SHARED.pop(next(iter(cls._SHARED)))
@@ -368,9 +353,7 @@ class PolarizationSurface:
         cls._SHARED.clear()
 
 
-def surface_for(
-    config: "CosimConfig", batched: bool = False
-) -> PolarizationSurface:
+def surface_for(config: "CosimConfig") -> PolarizationSurface:
     """The shared surface matching a co-simulation configuration."""
     from repro.casestudy.power7plus import ARRAY_CHANNEL_COUNT
 
@@ -380,5 +363,4 @@ def surface_for(
         n_curve_points=config.n_curve_points,
         temperature_range_k=config.surface_temperature_range_k,
         resolution_k=config.surface_resolution_k,
-        batched=batched,
     )

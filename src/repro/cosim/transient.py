@@ -16,14 +16,15 @@ and their thermal mass is part of the fluid's).
 Electrochemical data comes from the shared
 :class:`~repro.cosim.surface.PolarizationSurface`, so the stepper never
 builds a polarization curve of its own and shares every node curve with
-the steady solver and the sweep evaluators.
+the steady solver and the sweep evaluators. The stepping itself is
+:func:`repro.cosim.batch.batched_step_responses`; a
+:class:`TransientCosim` run is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.casestudy.power7plus import build_thermal_model, full_load_power_map
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
 from repro.cosim.surface import surface_for
 from repro.errors import ConfigurationError
@@ -87,48 +88,21 @@ class TransientCosim:
         ``duration_s`` is not an integer multiple of ``dt_s``, a final
         partial step lands the last sample exactly at ``duration_s`` — no
         horizon is silently dropped or added.
+
+        A batch of one through
+        :func:`repro.cosim.batch.batched_step_responses`, which owns the
+        stepping schedule (full steps as two backward-Euler half steps,
+        then the partial step) and the ``0 < dt <= duration`` check.
         """
-        if duration_s <= 0.0 or dt_s <= 0.0 or dt_s > duration_s:
-            raise ConfigurationError("need 0 < dt <= duration")
-        config = self.config
-        # One model for both phases: utilization only scales the power map
-        # (the right-hand side), so the sparse assembly and factorizations
-        # survive the workload switch.
-        model = build_thermal_model(
-            nx=config.nx, ny=config.ny,
-            total_flow_ml_min=config.total_flow_ml_min,
-            inlet_temperature_k=config.inlet_temperature_k,
-            utilization=utilization_before,
-        )
-        state = model.solve_steady()
-        model.set_power_map(
-            "active_si",
-            full_load_power_map(config.nx, config.ny,
-                                utilization=utilization_after),
-        )
-        samples = [self._sample(0.0, state)]
-        # Full dt_s steps (the step size is passed *exactly*, so every
-        # full step shares one cached factorization), then one partial
-        # step for whatever remains. The float guard keeps an exact
-        # multiple (e.g. 0.5 / 0.05) at exactly duration_s full steps
-        # rather than growing a sliver step.
-        n_full = int(duration_s / dt_s + 1e-9)
-        remainder = duration_s - n_full * dt_s
-        if remainder <= 1e-9 * dt_s:
-            remainder = 0.0
-        for i in range(1, n_full + 1):
-            state = model.solve_transient(
-                duration_s=dt_s, dt_s=dt_s / 2.0, initial=state
-            )
-            at_end = i == n_full and remainder == 0.0
-            samples.append(self._sample(
-                duration_s if at_end else dt_s * i, state
-            ))
-        if remainder > 0.0:
-            state = model.solve_transient(
-                duration_s=remainder, dt_s=remainder / 2.0, initial=state
-            )
-            samples.append(self._sample(duration_s, state))
+        from repro.cosim.batch import StepResponseCase, batched_step_responses
+
+        (samples,) = batched_step_responses([StepResponseCase(
+            config=self.config,
+            utilization_before=utilization_before,
+            utilization_after=utilization_after,
+            duration_s=duration_s,
+            dt_s=dt_s,
+        )])
         return samples
 
     @staticmethod

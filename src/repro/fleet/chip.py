@@ -38,9 +38,10 @@ from repro.sweep.spec import ScenarioSpec
 def chip_cosim_config(spec: ScenarioSpec):
     """The electrochemical sampling config of one chip operating state.
 
-    Shares the process-wide scalar polarization surfaces with the steady
-    and transient co-simulations (same flow, inlet, voltage keys), so a
-    fleet table at a coolant point they already visited rebuilds nothing.
+    Shares the process-wide polarization surfaces with the steady and
+    transient co-simulations and the runtime engine (same flow, group and
+    sampling keys), so a fleet table at a coolant point they already
+    visited rebuilds nothing.
     """
     from repro.cosim import CosimConfig
 

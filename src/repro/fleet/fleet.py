@@ -9,7 +9,7 @@ milliseconds), so each chip sits at the steady state of its quantized
 (flow, utilization) point, and the whole fleet reduces to lookups into a
 :class:`~repro.fleet.chip.ChipTable` built once through the sweep engine
 (vectorized backend by default, memoized through the
-:class:`~repro.sweep.runner.SweepCache` like any scenario batch).
+:class:`~repro.store.ResultStore` like any scenario batch).
 
 Throttling mirrors :class:`~repro.runtime.controllers.ThrottleGovernor`:
 a chip whose requested level would exceed the trip limit at its allocated
@@ -304,7 +304,7 @@ class FleetEngine:
     runner:
         :class:`~repro.sweep.runner.SweepRunner` the chip table is built
         through; defaults to a fresh vectorized runner. Pass a runner
-        with a persistent :class:`~repro.sweep.runner.SweepCache` (or the
+        with a persistent :class:`~repro.store.ResultStore` (or the
         :func:`shared_fleet_runner`) to share tables across engines.
     """
 

@@ -1,25 +1,28 @@
 """Batched plug-flow polarization curves (vectorized across cells).
 
 The porous-electrode march of
-:meth:`~repro.flowcell.porous.FlowThroughPorousCell.polarization_curve`
-is closed-form in every segment — Nernst potential, exchange current and
-the film-model Butler-Volmer current are all elementary functions of the
-local concentrations — so the only *sequential* axis is the axial segment
+:class:`~repro.flowcell.porous.FlowThroughPorousCell` is closed-form in
+every segment — Nernst potential, exchange current and the film-model
+Butler-Volmer current are all elementary functions of the local
+concentrations — so the only *sequential* axis is the axial segment
 index. Across cells (different flows, channel widths, temperatures) and
 across the potential samples of one sweep, everything is independent.
 
 :func:`batched_polarization_curves` exploits exactly that: it marches the
 whole batch as ``(cell, potential-sample)`` numpy arrays, one segment at a
-time, instead of one scalar march per (cell, sample) pair. For a design
-sweep touching a dozen flow rates this turns thousands of scalar
-Butler-Volmer evaluations into ~tens of array operations — the electrical
-half of the :class:`~repro.sweep.backends.VectorizedBackend` speedup.
+time, instead of one scalar march per (cell, sample) pair. It is the one
+production construction of a porous-cell polarization curve:
+:meth:`FlowThroughPorousCell.polarization_curve` is a batch of one, and
+the polarization surfaces, the sweep evaluators and the kernels all call
+it. Every operation is elementwise across cells, so a cell's curve is
+bit-identical whichever batch it is marched in.
 
-Numerical parity: the batched march evaluates the *same* expressions as
-the scalar path (same Nernst concentration floor, same 0.999 Faradaic cap
-per segment, same exponent clipping), so results agree with
-:meth:`FlowThroughPorousCell.polarization_curve` to floating-point
-round-off (``tests/flowcell/test_batch.py`` pins a 1e-9 relative band).
+Oracle: the march evaluates the same expressions as the scalar
+per-potential march
+(:meth:`FlowThroughPorousCell.electrode_characteristic` — same Nernst
+concentration floor, same 0.999 Faradaic cap per segment, same exponent
+clipping), and ``tests/flowcell/test_batch.py`` holds the two to a 1e-9
+relative band.
 
 Requirements on a batch: every cell must use the same segment count and
 the same curve sampling (the callers in :mod:`repro.sweep.vectorized`
@@ -55,9 +58,10 @@ def _batched_electrode_characteristics(
 ) -> "list[ElectrodeCharacteristic]":
     """One electrode side of the whole batch, marched as arrays.
 
-    Mirrors :meth:`FlowThroughPorousCell.electrode_characteristic` /
-    :meth:`FlowThroughPorousCell.electrode_current` expression by
-    expression; see the module docstring for the parity contract.
+    Mirrors the scalar oracle,
+    :meth:`FlowThroughPorousCell.electrode_characteristic` /
+    :meth:`FlowThroughPorousCell.electrode_current`, expression by
+    expression; see the module docstring.
     """
     n_segments = cells[0].n_segments
     sign = 1.0 if anodic else -1.0
@@ -166,7 +170,7 @@ def _batched_electrode_characteristics(
         row_currents = total_current[b]
         order = np.argsort(row_potentials)
         row_potentials = row_potentials[order]
-        # Guard against round-off kinks, as the scalar path does.
+        # Guard against round-off kinks, as the scalar oracle does.
         row_currents = np.maximum.accumulate(row_currents[order])
         characteristics.append(
             ElectrodeCharacteristic(row_potentials, row_currents)
@@ -198,11 +202,10 @@ def batched_polarization_curves(
 ) -> "list[PolarizationCurve]":
     """Full-cell polarization curves for a batch of porous cells at once.
 
-    Drop-in vectorized equivalent of calling
+    Returns the curves in input order, each bit-identical to
     ``cell.polarization_curve(n_points, n_potential_samples,
-    max_overpotential_v)`` on every cell; returns the curves in input
-    order. All cells must share one segment count (the sampling arguments
-    already apply batch-wide).
+    max_overpotential_v)`` (a batch of one). All cells must share one
+    segment count (the sampling arguments already apply batch-wide).
 
     Example
     -------
@@ -210,8 +213,8 @@ def batched_polarization_curves(
     >>> cells = [build_array_cell(flow) for flow in (338.0, 676.0)]
     >>> curves = batched_polarization_curves(cells, max_overpotential_v=1.4)
     >>> reference = cells[1].polarization_curve(max_overpotential_v=1.4)
-    >>> bool(abs(curves[1].current_at_voltage(1.0)
-    ...          - reference.current_at_voltage(1.0)) < 1e-9)
+    >>> bool(curves[1].current_at_voltage(1.0)
+    ...      == reference.current_at_voltage(1.0))
     True
     """
     if not cells:

@@ -22,11 +22,20 @@ through:
 The electrode characteristic I(E) is produced by sweeping the electrode
 potential; the cell curve is assembled by
 :func:`repro.flowcell.cell.assemble_polarization`.
+
+Production curves, :meth:`FlowThroughPorousCell.polarization_curve`
+included, come from the array march of
+:func:`repro.flowcell.batch.batched_polarization_curves`. The scalar
+per-potential march here (``electrode_current`` /
+``electrode_characteristic``) is the independent oracle that march is
+tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -34,11 +43,7 @@ from repro.constants import FARADAY
 from repro.electrochem.halfcell import FilmHalfCell
 from repro.electrochem.polarization import PolarizationCurve
 from repro.errors import ConfigurationError
-from repro.flowcell.cell import (
-    ColaminarCellSpec,
-    ElectrodeCharacteristic,
-    assemble_polarization,
-)
+from repro.flowcell.cell import ColaminarCellSpec, ElectrodeCharacteristic
 from repro.materials.electrolyte import Electrolyte
 from repro.microfluidics.mass_transfer import porous_mass_transfer_coefficient
 
@@ -91,8 +96,10 @@ class FlowThroughPorousCell:
         temperature_k: float = 300.0,
         n_segments: int = 40,
     ) -> None:
-        if temperature_k <= 0.0:
-            raise ConfigurationError("temperature must be > 0 K")
+        if not 0.0 < temperature_k < math.inf:  # NaN fails too
+            raise ConfigurationError(
+                f"temperature must be finite and > 0 K, got {temperature_k}"
+            )
         if n_segments < 1:
             raise ConfigurationError(f"n_segments must be >= 1, got {n_segments}")
         self.spec = spec
@@ -125,17 +132,17 @@ class FlowThroughPorousCell:
             )
         return self._km_cache[key]
 
-    # -- per-electrode plug-flow solve -----------------------------------------------
+    # -- per-electrode plug-flow solve (the scalar oracle) -----------------------
 
-    def electrode_current(
+    def _segment_march(
         self, electrolyte: Electrolyte, potential_v: float, anodic: bool
-    ) -> float:
-        """Total electrode current [A] at a fixed electrode potential.
+    ) -> "Iterator[tuple[float, float, float]]":
+        """Plug flow through the axial segments at one electrode potential.
 
-        Marches the plug flow through the axial segments, reacting each one
-        at the local composition. Positive return value means the reaction
-        runs in the electrode's discharge direction (anodic for the fuel
-        electrode, cathodic magnitude for the oxidant electrode).
+        Yields ``(segment_current, conc_ox, conc_red)`` per segment: the
+        signed segment current [A] and the concentrations leaving it.
+        Each segment reacts at its inlet composition, capped at the
+        reactant its throughflow carries (plug-flow Faradaic bound).
         """
         couple = electrolyte.couple
         diffusivity = (
@@ -147,12 +154,10 @@ class FlowThroughPorousCell:
         area_per_segment = (
             self.electrode.specific_surface_area_m2_m3 * self._segment_volume_m3
         )
-        flow = self.spec.stream_flow_m3_s
-        n_f_q = couple.electrons * FARADAY * flow
+        n_f_q = couple.electrons * FARADAY * self.spec.stream_flow_m3_s
 
         conc_ox = electrolyte.conc_ox
         conc_red = electrolyte.conc_red
-        total_current = 0.0
         for _ in range(self.n_segments):
             half = FilmHalfCell(
                 couple=couple,
@@ -161,19 +166,30 @@ class FlowThroughPorousCell:
                 mass_transfer_coefficient=km,
                 temperature_k=self.temperature_k,
             )
-            j_signed = half.current_at_potential(potential_v)
-            segment_current = j_signed * area_per_segment
-            # Cap conversion at the reactant actually present in this
-            # segment's throughflow (plug-flow Faradaic bound).
+            segment_current = half.current_at_potential(potential_v) * area_per_segment
             if segment_current > 0.0:
-                available = conc_red * n_f_q
-                segment_current = min(segment_current, 0.999 * available)
+                segment_current = min(segment_current, 0.999 * (conc_red * n_f_q))
             else:
-                available = conc_ox * n_f_q
-                segment_current = max(segment_current, -0.999 * available)
+                segment_current = max(segment_current, -0.999 * (conc_ox * n_f_q))
             delta_c = segment_current / n_f_q
             conc_red -= delta_c
             conc_ox += delta_c
+            yield segment_current, conc_ox, conc_red
+
+    def electrode_current(
+        self, electrolyte: Electrolyte, potential_v: float, anodic: bool
+    ) -> float:
+        """Total electrode current [A] at a fixed electrode potential.
+
+        Marches the plug flow through the axial segments, reacting each one
+        at the local composition. Positive return value means the reaction
+        runs in the electrode's discharge direction (anodic for the fuel
+        electrode, cathodic magnitude for the oxidant electrode).
+        """
+        total_current = 0.0
+        for segment_current, _, _ in self._segment_march(
+            electrolyte, potential_v, anodic
+        ):
             total_current += segment_current
         return total_current if anodic else -total_current
 
@@ -183,14 +199,16 @@ class FlowThroughPorousCell:
         n_samples: int = 48,
         max_overpotential_v: float = 1.0,
     ) -> ElectrodeCharacteristic:
-        """Sample I(E) for one electrode by sweeping its potential.
+        """Sample I(E) for one electrode by sweeping its potential (oracle).
 
         For the fuel electrode (``anodic=True``) the sweep runs from the
         equilibrium potential upward (discharge direction); for the oxidant
         electrode downward. The sweep is log-spaced in overpotential to
         resolve both the kinetic knee and the transport plateau. The
         returned characteristic is in *signed electrode current* (anodic
-        positive), as :func:`assemble_polarization` expects.
+        positive), as :func:`~repro.flowcell.cell.assemble_polarization`
+        expects. Two of these, assembled by it, are the scalar reference
+        curve the batch march must reproduce to 1e-9.
         """
         if n_samples < 4:
             raise ConfigurationError(f"n_samples must be >= 4, got {n_samples}")
@@ -225,39 +243,12 @@ class FlowThroughPorousCell:
         midpoints — the depletion profile that caps the Faradaic conversion
         and the quantity a reactant-utilisation study reads.
         """
-        couple = electrolyte.couple
-        diffusivity = (
-            couple.diffusivity_red(self.temperature_k)
-            if anodic
-            else couple.diffusivity_ox(self.temperature_k)
+        _, profile_ox, profile_red = (
+            np.array(column)
+            for column in zip(*self._segment_march(electrolyte, potential_v, anodic))
         )
-        km = self._km(diffusivity)
-        area_per_segment = (
-            self.electrode.specific_surface_area_m2_m3 * self._segment_volume_m3
-        )
-        n_f_q = couple.electrons * FARADAY * self.spec.stream_flow_m3_s
-
-        conc_ox = electrolyte.conc_ox
-        conc_red = electrolyte.conc_red
         length = self.spec.channel.length_m
         xs = (np.arange(self.n_segments) + 0.5) * length / self.n_segments
-        profile_ox = np.empty(self.n_segments)
-        profile_red = np.empty(self.n_segments)
-        for k in range(self.n_segments):
-            half = FilmHalfCell(
-                couple=couple, conc_ox=conc_ox, conc_red=conc_red,
-                mass_transfer_coefficient=km, temperature_k=self.temperature_k,
-            )
-            segment_current = half.current_at_potential(potential_v) * area_per_segment
-            if segment_current > 0.0:
-                segment_current = min(segment_current, 0.999 * conc_red * n_f_q)
-            else:
-                segment_current = max(segment_current, -0.999 * conc_ox * n_f_q)
-            delta_c = segment_current / n_f_q
-            conc_red -= delta_c
-            conc_ox += delta_c
-            profile_ox[k] = conc_ox
-            profile_red[k] = conc_red
         return xs, profile_ox, profile_red
 
     # -- full cell ---------------------------------------------------------------------
@@ -319,22 +310,17 @@ class FlowThroughPorousCell:
         n_potential_samples: int = 48,
         max_overpotential_v: float = 1.0,
     ) -> PolarizationCurve:
-        """Full-cell V(I) by combining the two electrode characteristics."""
-        negative = self.electrode_characteristic(
-            anodic=True,
-            n_samples=n_potential_samples,
-            max_overpotential_v=max_overpotential_v,
-        )
-        positive = self.electrode_characteristic(
-            anodic=False,
-            n_samples=n_potential_samples,
-            max_overpotential_v=max_overpotential_v,
-        )
-        return assemble_polarization(
-            negative,
-            positive,
-            self.resistance_ohm,
-            ocv_adjustment_v=self.spec.ocv_adjustment_v,
+        """Full-cell V(I) by combining the two electrode characteristics.
+
+        A batch of one through
+        :func:`~repro.flowcell.batch.batched_polarization_curves`, so this
+        curve is bit-identical to the same cell's curve in any batch.
+        """
+        from repro.flowcell.batch import batched_polarization_curves
+
+        return batched_polarization_curves(
+            [self],
             n_points=n_points,
-            label=f"porous cell @ {self.temperature_k:.1f} K",
-        )
+            n_potential_samples=n_potential_samples,
+            max_overpotential_v=max_overpotential_v,
+        )[0]

@@ -8,7 +8,7 @@ abandoning the sweep engine's guarantees. Each round is an ordinary
 1. lay a coarse grid over the current bounds of every continuous axis
    (Cartesian with any categorical axes),
 2. evaluate it through the runner — deduplicated, memoized in the shared
-   :class:`~repro.sweep.runner.SweepCache`, optionally process-parallel,
+   :class:`~repro.store.ResultStore`, optionally process-parallel,
 3. extract the feasible Pareto front over *everything evaluated so far*,
 4. zoom every continuous axis to the front's bracketing grid neighbours,
 5. repeat until the bounds stop shrinking or reach the span tolerance.
@@ -225,7 +225,7 @@ class Optimizer:
         What to search, improve and respect.
     runner:
         The sweep runner every round goes through. Pass one built on a
-        directory-backed :class:`~repro.sweep.runner.SweepCache` to make
+        directory-backed :class:`~repro.store.ResultStore` to make
         the whole search resumable and replayable; defaults to a fresh
         in-memory runner.
     max_rounds:

@@ -322,13 +322,10 @@ class BatchedRuntimeEngine:
     decision — is bit-identical to running that lane alone, not merely
     close, because flow quantization, governor hysteresis and the PID all
     branch on the floats. SuperLU solves stacked columns one by one, every
-    sample is read from a contiguous copy of its lane's column, and the
-    engine reads *batched* polarization surfaces, which build every node
-    with the batched curve march whichever run reaches it first
-    (:meth:`PolarizationSurface.warm_nodes` prefills them). Against a
-    scalar-surface reference the electrical samples agree to ~1 ulp; no
-    control branch reads them under the sweep presets (governors run
-    without a net-power floor there), so the round-off never amplifies.
+    sample is read from a contiguous copy of its lane's column, and every
+    polarization-surface node comes from the one curve construction
+    whichever run reaches it first (:meth:`PolarizationSurface.warm_nodes`
+    prefills them).
 
     The engine is reusable: :meth:`run` resets the controllers and
     governors and starts from the trace's initial steady state, while the
@@ -552,7 +549,7 @@ class BatchedRuntimeEngine:
                     states[:, lanes] = advanced
 
                     cosim_config = self._cosim_config(flow)
-                    surface = surface_for(cosim_config, batched=True)
+                    surface = surface_for(cosim_config)
                     pumpings[lanes] = self._pumping_w(flow)
                     solutions = [
                         _lane_solution(model, advanced, k)

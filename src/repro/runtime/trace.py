@@ -147,9 +147,10 @@ class WorkloadTrace:
             raise ConfigurationError(f"dt must be > 0, got {dt_s}")
         start = 0.0
         for segment in self.segments:
-            # Same float guard as TransientCosim.run_step_response: an
-            # exact multiple (e.g. 0.25 / 0.05) yields only full steps
-            # rather than growing a sliver remainder.
+            # Same float guard as the step-response stepper
+            # (repro.cosim.batch.batched_step_responses): an exact
+            # multiple (e.g. 0.25 / 0.05) yields only full steps rather
+            # than growing a sliver remainder.
             n_full = int(segment.duration_s / dt_s + 1e-9)
             remainder = segment.duration_s - n_full * dt_s
             if remainder <= 1e-9 * dt_s:

@@ -206,7 +206,21 @@ class ResultServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         assert self._queue is not None
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            # The reader's limit: a request line over MAX_REQUEST_BYTES.
+            # Answer it, then drop the rest of the line, so that closing
+            # does not reset the connection under the reply.
+            writer.write(encode_line({
+                "event": "error", "job": None,
+                "message": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+            }))
+            await writer.drain()
+            while True:
+                chunk = await reader.read(1 << 16)
+                if not chunk or b"\n" in chunk:
+                    return
         if not raw:
             return
         try:

@@ -21,8 +21,8 @@ Layers:
   persisted as shard files under ``<dir>/.stats/`` so the directory's
   lifetime totals survive the processes that produced them.
 
-:class:`repro.sweep.SweepCache` is this class — the sweep, opt, fleet
-and serve layers all share it. See ``docs/service.md`` for the on-disk
+The sweep, opt, fleet and serve layers all memoize through this
+class. See ``docs/service.md`` for the on-disk
 layout and the concurrency contract.
 """
 

@@ -3,7 +3,7 @@
 Declarative design-space exploration over the integrated system: a
 :class:`ScenarioSpec` names one operating point, a :class:`SweepGrid`
 expands parameter axes into scenario batches, and a :class:`SweepRunner`
-evaluates them — deduplicated, memoized via :class:`SweepCache`, optionally
+evaluates them — deduplicated, memoized in a :class:`~repro.store.ResultStore`, optionally
 in parallel over a process pool — into :class:`SweepResult` records that
 export to CSV/JSON through :mod:`repro.io`.
 
@@ -45,7 +45,6 @@ from repro.sweep.presets import (
     preset_names,
 )
 from repro.sweep.runner import (
-    SweepCache,
     SweepResult,
     SweepResults,
     SweepRunner,
@@ -59,7 +58,6 @@ __all__ = [
     "ProcessBackend",
     "ScenarioSpec",
     "SerialBackend",
-    "SweepCache",
     "SweepGrid",
     "SweepPreset",
     "SweepResult",

@@ -17,7 +17,9 @@ execution strategy varies:
 
 All three produce the same metrics for the same specs — serial and
 process bit-identically (same pure functions, different scheduling),
-vectorized within :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` — and
+vectorized within :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (bit
+for bit where a kernel shares every piece with its serial evaluator; see
+:mod:`repro.sweep.vectorized`) — and
 all three are selectable by name from the Python API
 (``SweepRunner(backend="vectorized")``) and the CLI (``repro sweep
 --backend vectorized``). ``tests/sweep/test_backends.py`` holds the

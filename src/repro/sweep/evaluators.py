@@ -37,12 +37,15 @@ are isothermal at the 300 K reference, as in the benches they mirror;
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Callable, Dict, Sequence
 
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.sweep.spec import VRM_NAMES, ScenarioSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.electrochem.polarization import PolarizationCurve
 
 #: Die span reserved for the channel array in the geometry study
 #: (88 nominal channels at 300 um pitch).
@@ -134,17 +137,53 @@ def _peak_temperature_c(
     return model.solve_steady().peak_celsius
 
 
-@lru_cache(maxsize=16)
-def _array(total_flow_ml_min: float, n_points: int = 40):
-    """Memoized Fig. 7 array model: the polarization curve depends only on
-    the flow rate, so grids varying voltage/VRM at fixed flow solve it
-    once per process. Callers must treat the returned array as read-only.
-    """
-    from repro.casestudy.power7plus import build_array
+#: Full-array (88-channel) polarization curves by total flow: the one
+#: array-curve cache behind the serial evaluators and the vectorized
+#: kernels of ``operating_point`` and ``vrm``. Bounded; see
+#: :func:`array_curves`.
+_ARRAY_CURVE_CACHE: "dict[float, PolarizationCurve]" = {}
+_ARRAY_CURVE_CACHE_MAX = 64
 
-    return build_array(
-        total_flow_ml_min=total_flow_ml_min, n_points=n_points
+
+def array_curves(flows: "Sequence[float]") -> "dict[float, PolarizationCurve]":
+    """Full-array polarization curves per total flow, batch-marched, cached.
+
+    The curve depends only on the flow rate (40 curve points, 1.4 V
+    overpotential sweep, 88-channel scaling), so grids varying
+    voltage/VRM at fixed flow march it once per process, and the serial
+    and vectorized paths read the very same curves. Returns
+    ``{flow: curve}`` in sorted flow order; callers must treat the curves
+    as read-only.
+    """
+    from repro.casestudy.power7plus import (
+        ARRAY_CHANNEL_COUNT,
+        build_array_cell,
     )
+    from repro.flowcell.batch import batched_polarization_curves
+
+    needed = set(flows)
+    missing = [f for f in sorted(needed) if f not in _ARRAY_CURVE_CACHE]
+    if missing:
+        cells = [build_array_cell(flow) for flow in missing]
+        curves = batched_polarization_curves(
+            cells, n_points=40, max_overpotential_v=1.4
+        )
+        for flow, curve in zip(missing, curves):
+            _ARRAY_CURVE_CACHE[flow] = curve.scaled(ARRAY_CHANNEL_COUNT)
+        # Trim oldest entries the *current* call does not need; the cache
+        # may exceed the bound transiently when one batch's working set
+        # does, rather than ever evicting a curve about to be returned.
+        for key in list(_ARRAY_CURVE_CACHE):
+            if len(_ARRAY_CURVE_CACHE) <= _ARRAY_CURVE_CACHE_MAX:
+                break
+            if key not in needed:
+                del _ARRAY_CURVE_CACHE[key]
+    return {f: _ARRAY_CURVE_CACHE[f] for f in sorted(needed)}
+
+
+def clear_array_curves() -> None:
+    """Drop the array-curve cache (benches timing cold paths, tests)."""
+    _ARRAY_CURVE_CACHE.clear()
 
 
 def build_vrm(name: str, input_v: float):
@@ -205,8 +244,8 @@ def evaluate_operating_point(spec: ScenarioSpec) -> "dict[str, float]":
         spec.total_flow_ml_min, spec.inlet_temperature_k,
         spec.utilization, spec.nx, spec.ny,
     )
-    array = _array(spec.total_flow_ml_min)
-    return operating_point_metrics(spec, peak_c, array.curve)
+    curve = array_curves([spec.total_flow_ml_min])[spec.total_flow_ml_min]
+    return operating_point_metrics(spec, peak_c, curve)
 
 
 def geometry_cell(spec: ScenarioSpec):
@@ -330,8 +369,8 @@ def vrm_metrics(spec: ScenarioSpec, array_curve) -> "dict[str, float]":
 @register_evaluator("vrm")
 def evaluate_vrm(spec: ScenarioSpec) -> "dict[str, float]":
     """Regulator technology comparison at one array tap voltage."""
-    array = _array(spec.total_flow_ml_min)
-    return vrm_metrics(spec, array.curve)
+    curve = array_curves([spec.total_flow_ml_min])[spec.total_flow_ml_min]
+    return vrm_metrics(spec, curve)
 
 
 @register_evaluator("cosim")

@@ -3,7 +3,7 @@
 :class:`SweepRunner` turns a list of :class:`~repro.sweep.spec.ScenarioSpec`
 (or a :class:`~repro.sweep.spec.SweepGrid`) into
 :class:`SweepResult` records. It deduplicates physically identical specs,
-memoizes evaluations in a :class:`SweepCache` — the content-addressed
+memoizes evaluations in the content-addressed
 :class:`repro.store.ResultStore`, in-memory with an optional shared disk
 directory safe for concurrent multi-process writers — and hands
 the remaining unique work to a pluggable
@@ -54,17 +54,6 @@ class SweepResult:
             key = f"metric_{name}" if name in row else name
             row[key] = value
         return row
-
-
-#: Memoization store keyed on :meth:`ScenarioSpec.cache_key` — the
-#: content-addressed :class:`repro.store.ResultStore` under its
-#: historical sweep-engine name. Always caches in memory (LRU-bounded);
-#: with ``directory`` set, every evaluation is also written atomically
-#: as ``<hash>.json`` so later runs — and concurrent runs in other
-#: processes or on other hosts sharing the directory — skip the work
-#: entirely. See :mod:`repro.store` for eviction budgets, stale-tmp
-#: reaping and persistent stats.
-SweepCache = ResultStore
 
 
 class SweepResults(Sequence):
@@ -183,8 +172,9 @@ class SweepRunner:
         uncached specs out over a process pool of that size. Results are
         identical either way. An explicit ``backend`` takes precedence.
     cache:
-        Shared :class:`SweepCache`; defaults to a fresh in-memory cache
-        per runner.
+        Shared :class:`~repro.store.ResultStore`, keyed on
+        :meth:`ScenarioSpec.cache_key`; defaults to a fresh in-memory
+        store per runner.
     backend:
         Evaluation strategy for unique, uncached specs: a backend name
         (``"serial"``, ``"process"``, ``"vectorized"``), an
@@ -196,13 +186,13 @@ class SweepRunner:
     def __init__(
         self,
         n_workers: int = 1,
-        cache: "SweepCache | None" = None,
+        cache: "ResultStore | None" = None,
         backend: "str | EvaluationBackend | None" = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.cache = cache if cache is not None else SweepCache()
+        self.cache = cache if cache is not None else ResultStore()
         self.backend = get_backend(backend, n_workers)
 
     def run(
@@ -214,7 +204,7 @@ class SweepRunner:
         :class:`~repro.sweep.spec.SweepGrid` (expanded against a default
         base spec). Physically identical specs are evaluated once; a
         spec already in the cache is not evaluated at all, so reusing a
-        runner (or sharing its :class:`SweepCache`) across studies makes
+        runner (or sharing its store) across studies makes
         overlapping grids nearly free — this is what the
         :mod:`repro.opt` refinement loop builds on.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -144,7 +145,11 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         for name in self._FLOAT_FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            # NaN and inf slip through every ``x <= 0`` style check below.
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         for name in self._INT_FIELDS:
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.total_flow_ml_min <= 0.0:

@@ -1,7 +1,7 @@
 """Batch evaluation kernels behind the vectorized sweep backend.
 
 Each kernel maps a *batch* of :class:`~repro.sweep.spec.ScenarioSpec` of
-one evaluator family to the same metrics the scalar evaluator produces,
+one evaluator family to the same metrics the serial evaluator produces,
 but shares the expensive physics across the batch:
 
 - thermal: scenarios are grouped by mesh/inlet; within a group one
@@ -11,8 +11,11 @@ but shares the expensive physics across the batch:
   columns against it;
 - electrochemistry: polarization curves for every distinct flow/geometry
   in the batch are marched together through
-  :func:`repro.flowcell.batch.batched_polarization_curves`;
-- metric assembly: the *identical* formula helpers the scalar evaluators
+  :func:`repro.flowcell.batch.batched_polarization_curves` — the same
+  construction the serial evaluators run as batches of one, and for
+  ``operating_point``/``vrm`` the same cache
+  (:func:`repro.sweep.evaluators.array_curves`);
+- metric assembly: the *identical* formula helpers the serial evaluators
   use (``operating_point_metrics`` and friends in
   :mod:`repro.sweep.evaluators`), so the two paths cannot drift.
 
@@ -30,15 +33,17 @@ by those shared pieces (``operating_point``, ``geometry``, ``vrm``,
   arrays, and lanes commanding the same quantized flow share one
   multi-column thermal step per control interval.
 
-Other evaluators fall back to the scalar path inside
+Other evaluators fall back to the serial path inside
 :class:`~repro.sweep.backends.VectorizedBackend`.
 
-Equivalence contract: batched metrics match the scalar evaluators within
-``EQUIVALENCE_RTOL`` (dominated by the anchored GMRES residual, orders of
-magnitude tighter in practice); the dynamic kernels are stricter still —
-bit-identical to the scalar trajectories, because their floats feed
-discontinuous decisions (flow quantization, governor hysteresis,
-settling-band exits) where closeness would not survive.
+Equivalence contract: batched metrics match the serial evaluators within
+``EQUIVALENCE_RTOL``, which is the anchored GMRES residual of the steady
+thermal kernels (orders of magnitude tighter in practice). Where a
+kernel shares every piece with its serial evaluator the results are
+bit-identical: ``vrm`` (same cached curves), and ``transient`` and
+``runtime`` (the serial evaluators are one-case / one-lane calls of the
+same steppers, whose floats feed discontinuous decisions — flow
+quantization, governor hysteresis, settling-band exits).
 ``tests/sweep/test_backends.py`` pins it for every preset.
 """
 
@@ -47,6 +52,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence
 
 from repro.sweep.evaluators import (
+    array_curves,
     geometry_cell,
     geometry_metrics,
     operating_point_metrics,
@@ -59,23 +65,12 @@ from repro.sweep.evaluators import (
 )
 from repro.sweep.spec import ScenarioSpec
 
-#: Documented relative agreement between batched and scalar evaluation.
+#: Documented relative agreement between batched and serial evaluation.
 #: The dominant term is the anchored GMRES residual (<= 1e-8 relative);
 #: everything else is floating-point round-off.
 EQUIVALENCE_RTOL = 1e-6
 
-#: Bounded cache of batched array curves keyed by flow, mirroring the
-#: scalar path's ``_array`` lru cache so optimization rounds revisiting a
-#: flow do not re-march it.
-_ARRAY_CURVE_CACHE: "dict[float, object]" = {}
-_ARRAY_CURVE_CACHE_MAX = 64
-
 BatchKernel = Callable[[Sequence[ScenarioSpec]], "list[dict[str, float]]"]
-
-
-def clear_caches() -> None:
-    """Drop the kernel-level caches (benches timing cold paths)."""
-    _ARRAY_CURVE_CACHE.clear()
 
 
 # -- shared thermal batching ---------------------------------------------------------
@@ -151,41 +146,6 @@ def _middle_out(values: "list[float]") -> "list[float]":
     return [values[middle]] + values[:middle] + values[middle + 1:]
 
 
-# -- shared electrical batching -------------------------------------------------------
-
-
-def _array_curves(flows: "Sequence[float]") -> "dict[float, object]":
-    """Full-array polarization curves per flow, batch-marched and cached.
-
-    Matches the scalar evaluators' ``_array(flow)`` curves (40 curve
-    points, 1.4 V overpotential sweep, 88-channel scaling).
-    """
-    from repro.casestudy.power7plus import (
-        ARRAY_CHANNEL_COUNT,
-        build_array_cell,
-    )
-    from repro.flowcell.batch import batched_polarization_curves
-
-    needed = set(flows)
-    missing = [f for f in sorted(needed) if f not in _ARRAY_CURVE_CACHE]
-    if missing:
-        cells = [build_array_cell(flow) for flow in missing]
-        curves = batched_polarization_curves(
-            cells, n_points=40, max_overpotential_v=1.4
-        )
-        for flow, curve in zip(missing, curves):
-            _ARRAY_CURVE_CACHE[flow] = curve.scaled(ARRAY_CHANNEL_COUNT)
-        # Trim oldest entries the *current* call does not need; the cache
-        # may exceed the bound transiently when one batch's working set
-        # does, rather than ever evicting a curve about to be returned.
-        for key in list(_ARRAY_CURVE_CACHE):
-            if len(_ARRAY_CURVE_CACHE) <= _ARRAY_CURVE_CACHE_MAX:
-                break
-            if key not in needed:
-                del _ARRAY_CURVE_CACHE[key]
-    return {f: _ARRAY_CURVE_CACHE[f] for f in sorted(needed)}
-
-
 # -- kernels ---------------------------------------------------------------------------
 
 
@@ -194,7 +154,7 @@ def batch_operating_point(
 ) -> "list[dict[str, float]]":
     """Batched ``operating_point``: shared thermal family + curve march."""
     peaks = batch_peak_temperatures(specs)
-    curves = _array_curves([spec.total_flow_ml_min for spec in specs])
+    curves = array_curves([spec.total_flow_ml_min for spec in specs])
     return [
         operating_point_metrics(
             spec,
@@ -210,7 +170,7 @@ def batch_operating_point(
 
 def batch_vrm(specs: "Sequence[ScenarioSpec]") -> "list[dict[str, float]]":
     """Batched ``vrm``: one curve march for all distinct flows."""
-    curves = _array_curves([spec.total_flow_ml_min for spec in specs])
+    curves = array_curves([spec.total_flow_ml_min for spec in specs])
     return [
         vrm_metrics(spec, curves[spec.total_flow_ml_min]) for spec in specs
     ]
@@ -319,11 +279,12 @@ def batch_transient(
     """Batched ``transient``: step responses marched in lockstep.
 
     Scenarios map onto :class:`repro.cosim.batch.StepResponseCase` via
-    the scalar evaluator's own config helper, march together through
+    the serial evaluator's own config helper, march together through
     :func:`repro.cosim.batch.batched_step_responses` (shared models,
-    stacked state columns, the exact scalar factorizations), and reduce
-    through the scalar ``transient_metrics`` — so the kernel's results
-    are bit-identical to the serial path, settling times included.
+    stacked state columns) — the stepper the serial evaluator runs as a
+    batch of one — and reduce through the shared ``transient_metrics``,
+    so the kernel's results are bit-identical to the serial path,
+    settling times included.
     """
     from repro.cosim.batch import StepResponseCase, batched_step_responses
 

@@ -18,6 +18,7 @@ REPO = Path(__file__).resolve().parents[2]
 def test_fixed_files_have_no_determinism_findings():
     for relative in (
         "src/repro/sweep/vectorized.py",
+        "src/repro/sweep/evaluators.py",  # array_curves moved here
         "src/repro/fleet/chip.py",
     ):
         findings = [
@@ -28,15 +29,15 @@ def test_fixed_files_have_no_determinism_findings():
 
 
 def test_array_curve_batch_returns_flows_in_sorted_order():
-    from repro.sweep.vectorized import _array_curves, clear_caches
+    from repro.sweep.evaluators import array_curves, clear_array_curves
 
-    clear_caches()
+    clear_array_curves()
     try:
         flows = [90.0, 30.0, 60.0, 30.0]
-        curves = _array_curves(flows)
+        curves = array_curves(flows)
         assert list(curves) == sorted(set(flows))
     finally:
-        clear_caches()
+        clear_array_curves()
 
 
 def test_peak_temperature_batch_is_permutation_invariant():

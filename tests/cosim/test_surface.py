@@ -126,6 +126,18 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             PolarizationSurface(676.0, CHANNELS_PER_GROUP, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"total_flow_ml_min": float("nan")},
+        {"total_flow_ml_min": float("inf")},
+        {"resolution_k": float("nan")},
+        {"temperature_range_k": (float("nan"), 300.0)},
+        {"temperature_range_k": (300.0, float("inf"))},
+    ])
+    def test_non_finite_inputs_rejected(self, kwargs):
+        kwargs = {"total_flow_ml_min": 676.0, **kwargs}
+        with pytest.raises(ConfigurationError):
+            PolarizationSurface(channels_per_group=CHANNELS_PER_GROUP, **kwargs)
+
     def test_flow_and_group_validation(self):
         with pytest.raises(ConfigurationError):
             PolarizationSurface(0.0, CHANNELS_PER_GROUP)
@@ -242,11 +254,9 @@ class TestHistoryIndependence:
 
     TEMPS_K = (300.2, 301.7, 305.4, 318.9, 340.3)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_lazy_and_warmed_nodes_are_bit_identical(self, batched):
+    def test_lazy_and_warmed_nodes_are_bit_identical(self):
         lazy, warmed = (
-            PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=35,
-                                batched=batched)
+            PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=35)
             for _ in range(2)
         )
         # One prefill of every node the queries touch, and one more pair.
@@ -259,14 +269,53 @@ class TestHistoryIndependence:
         assert np.array_equal(lazy.ocvs_at(self.TEMPS_K),
                               warmed.ocvs_at(self.TEMPS_K))
 
-    def test_batched_and_scalar_surfaces_are_kept_apart(self):
-        config = CosimConfig(nx=22, ny=11)
+    def test_runtime_fleet_chip_and_transient_share_one_surface(
+        self, monkeypatch
+    ):
+        """One curve construction, so one surface per configuration: the
+        runtime engine, a fleet chip and the transient stepper all query
+        the same object."""
+        from repro.cosim import TransientCosim
+        from repro.fleet.chip import chip_cosim_config, chip_state_metrics
+        from repro.runtime import (
+            BatchedRuntimeEngine,
+            FixedFlow,
+            RuntimeConfig,
+            TraceSegment,
+            WorkloadTrace,
+        )
+        from repro.sweep.spec import ScenarioSpec
+
+        queried = {}
+        real_currents_at = PolarizationSurface.currents_at
+
+        def recording(surface, temperatures_k, voltage_v):
+            queried.setdefault(caller, set()).add(id(surface))
+            return real_currents_at(surface, temperatures_k, voltage_v)
+
+        monkeypatch.setattr(PolarizationSurface, "currents_at", recording)
+        spec = ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
+                            total_flow_ml_min=676.0, utilization=0.7)
+        PolarizationSurface.clear_shared()
         try:
-            assert surface_for(config, batched=True) is not surface_for(config)
-            assert surface_for(config, batched=True).batched
-            assert not surface_for(config).batched
+            caller = "fleet chip"
+            chip_state_metrics(spec)
+            caller = "runtime"
+            BatchedRuntimeEngine(
+                [FixedFlow(spec.total_flow_ml_min)],
+                config=RuntimeConfig(nx=22, ny=11, n_curve_points=50),
+            ).run(WorkloadTrace("hold", [
+                TraceSegment(0.1, spec.utilization, spec.workload)
+            ]))
+            caller = "transient"
+            TransientCosim(chip_cosim_config(spec)).run_step_response(
+                spec.utilization, spec.utilization, 0.1, 0.05
+            )
+            assert len(PolarizationSurface._SHARED) == 1
         finally:
             PolarizationSurface.clear_shared()
+        assert set(queried) == {"fleet chip", "runtime", "transient"}
+        assert len(set().union(*queried.values())) == 1
 
     def test_fleet_chip_ignores_earlier_batched_runs(self):
         """Runtime runs and batched step responses warm surfaces at the

@@ -109,6 +109,91 @@ class TestPartialFinalStep:
         assert samples[-1].time_s == 0.5
 
 
+def direct_march(config, u_before, u_after, duration_s, dt_s, n_full):
+    """The step response marched by hand on the scalar thermal model.
+
+    The independent reference for ``run_step_response``: one
+    :class:`ThermalModel` steady solve, ``n_full`` calls of
+    ``solve_transient(duration=dt, dt=dt/2)``, one partial call for any
+    remainder, each state sampled straight off the shared surface.
+    """
+    from repro.casestudy.power7plus import (
+        build_thermal_model,
+        full_load_power_map,
+    )
+    from repro.cosim.coupling import group_coolant_temperatures
+    from repro.cosim.surface import surface_for
+
+    surface = surface_for(config)
+
+    def sample(time_s, thermal):
+        temps = group_coolant_temperatures(thermal, config)
+        currents = surface.currents_at(temps, config.operating_voltage_v)
+        fluid = thermal.field("channels", "fluid")
+        return TransientSample(
+            time_s=time_s,
+            peak_temperature_c=thermal.peak_celsius,
+            mean_coolant_c=float(fluid.mean()) - 273.15,
+            array_current_a=float(currents.sum()),
+        )
+
+    model = build_thermal_model(
+        nx=config.nx, ny=config.ny,
+        total_flow_ml_min=config.total_flow_ml_min,
+        inlet_temperature_k=config.inlet_temperature_k,
+        utilization=u_before,
+    )
+    state = model.solve_steady()
+    model.set_power_map("active_si", full_load_power_map(
+        config.nx, config.ny, utilization=u_after
+    ))
+    samples = [sample(0.0, state)]
+    remainder = duration_s - n_full * dt_s
+    for i in range(1, n_full + 1):
+        state = model.solve_transient(
+            duration_s=dt_s, dt_s=dt_s / 2.0, initial=state
+        )
+        last = i == n_full and remainder == 0.0
+        samples.append(sample(duration_s if last else dt_s * i, state))
+    if remainder > 0.0:
+        state = model.solve_transient(
+            duration_s=remainder, dt_s=remainder / 2.0, initial=state
+        )
+        samples.append(sample(duration_s, state))
+    return samples
+
+
+class TestStepResponseOracle:
+    """``run_step_response`` (a batch of one through
+    ``batched_step_responses``) against a direct scalar march."""
+
+    @pytest.mark.parametrize("u_before, u_after, duration_s, dt_s, n_full", [
+        (0.1, 1.0, 0.5, 0.05, 10),   # exact multiple
+        (1.0, 0.3, 0.12, 0.05, 2),   # partial final step
+        (0.4, 0.9, 0.05, 0.05, 1),   # single full step
+    ])
+    def test_bit_identical_to_direct_march(
+        self, u_before, u_after, duration_s, dt_s, n_full
+    ):
+        config = CosimConfig(nx=22, ny=11, n_channel_groups=11,
+                             n_curve_points=30)
+        got = TransientCosim(config).run_step_response(
+            u_before, u_after, duration_s=duration_s, dt_s=dt_s
+        )
+        want = direct_march(config, u_before, u_after, duration_s, dt_s,
+                            n_full)
+        assert got == want
+
+    def test_other_coolant_point(self):
+        config = CosimConfig(nx=22, ny=11, n_channel_groups=11,
+                             n_curve_points=30, total_flow_ml_min=338.0,
+                             inlet_temperature_k=310.0)
+        got = TransientCosim(config).run_step_response(
+            0.2, 0.8, duration_s=0.17, dt_s=0.04
+        )
+        assert got == direct_march(config, 0.2, 0.8, 0.17, 0.04, 4)
+
+
 class TestSettlingTime:
     def test_millisecond_scale(self, cosim, step_up):
         """The thermal time constant is O(100 ms) — fast enough for DVFS

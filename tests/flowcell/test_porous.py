@@ -30,6 +30,11 @@ class TestElectrodeSpec:
 
 
 class TestCellBasics:
+    @pytest.mark.parametrize("temperature_k", [0.0, float("nan"), float("inf")])
+    def test_rejects_bad_temperature(self, temperature_k):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            build_array_cell(temperature_k=temperature_k)
+
     def test_superficial_velocity(self, array_cell):
         # Q/(w*h) for the Table II channel at 676 ml/min total: ~1.6 m/s.
         assert array_cell.superficial_velocity_m_s == pytest.approx(1.6, rel=0.01)

@@ -16,7 +16,8 @@ from repro.opt import (
     OptimizationProblem,
     Optimizer,
 )
-from repro.sweep import ScenarioSpec, SweepCache, SweepRunner
+from repro.store import ResultStore
+from repro.sweep import ScenarioSpec, SweepRunner
 from repro.sweep.evaluators import register_evaluator
 
 #: Where the synthetic objective peaks (utilization axis).
@@ -174,7 +175,7 @@ class TestRefinement:
         assert all(r.n_scenarios == 10 for r in result.rounds)
 
     def test_evaluation_accounting_matches_cache_counters(self):
-        cache = SweepCache()
+        cache = ResultStore()
         runner = SweepRunner(cache=cache)
         result = Optimizer(
             quadratic_problem(), runner=runner, max_rounds=3
@@ -184,7 +185,7 @@ class TestRefinement:
         assert len(result.evaluated) == result.n_evaluated
 
     def test_warm_cache_replays_with_zero_evaluations(self):
-        cache = SweepCache()
+        cache = ResultStore()
         problem = quadratic_problem()
         first = Optimizer(
             problem, runner=SweepRunner(cache=cache), max_rounds=6
@@ -204,12 +205,12 @@ class TestRefinement:
         problem = quadratic_problem()
         first = Optimizer(
             problem,
-            runner=SweepRunner(cache=SweepCache(directory=tmp_path)),
+            runner=SweepRunner(cache=ResultStore(directory=tmp_path)),
             max_rounds=4,
         ).run()
         second = Optimizer(
             problem,
-            runner=SweepRunner(cache=SweepCache(directory=tmp_path)),
+            runner=SweepRunner(cache=ResultStore(directory=tmp_path)),
             max_rounds=4,
         ).run()
         assert first.n_evaluated > 0

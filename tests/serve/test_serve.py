@@ -164,3 +164,26 @@ class TestErrors:
             )
         assert not outcome.ok
         assert "point" in outcome.error
+
+    def test_oversized_request_line_is_answered(self):
+        """A line over the limit gets an error event (no job id), and the
+        server keeps serving new connections."""
+        import socket
+
+        from repro.serve.server import MAX_REQUEST_BYTES
+
+        server = ResultServer(SweepRunner())
+        with BackgroundServer(server) as bg:
+            with socket.create_connection(
+                ("127.0.0.1", bg.port), timeout=60
+            ) as conn:
+                conn.sendall(b"x" * (MAX_REQUEST_BYTES + 1) + b"\n")
+                with conn.makefile("rb") as lines:
+                    event = decode_line(lines.readline())
+            assert event["event"] == "error"
+            assert event["job"] is None
+            assert str(MAX_REQUEST_BYTES) in event["message"]
+            assert ServeClient(port=bg.port).submit(
+                "sweep", preset="flow", points=2
+            ).ok
+        assert server.jobs_completed == 1

@@ -61,11 +61,6 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             ResultStore(**kwargs)
 
-    def test_sweepcache_is_the_store(self):
-        from repro.sweep import SweepCache
-
-        assert SweepCache is ResultStore
-
     def test_snapshot_stats(self):
         store = ResultStore()
         store.get("missing")

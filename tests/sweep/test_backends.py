@@ -7,13 +7,13 @@ produce the same result set:
 - serial vs process: bit-identical (same pure evaluator functions, only
   the scheduling differs);
 - serial vs vectorized: within the documented
-  :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (evaluators with a
-  batch kernel) or bit-identical (evaluators that fall back to serial,
-  and ``runtime``, whose serial evaluator is a one-lane run of the same
-  batched engine).
+  :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (kernels with a
+  batched thermal solve) or bit-identical (evaluators that fall back to
+  serial, and the kernels in ``EXACT_KERNELS``, whose serial evaluator is
+  a batch of one through the same code).
 
 Plus the cache-interop contract: results computed by any backend land in
-the shared :class:`~repro.sweep.runner.SweepCache` under the same keys,
+the shared :class:`~repro.store.ResultStore` under the same keys,
 so backends can replay each other's work with zero new evaluations and
 identical hit/miss accounting.
 
@@ -26,12 +26,12 @@ import math
 
 import pytest
 
+from repro.store import ResultStore
 from repro.sweep import (
     BACKEND_NAMES,
     ProcessBackend,
     ScenarioSpec,
     SerialBackend,
-    SweepCache,
     SweepRunner,
     VectorizedBackend,
     get_backend,
@@ -60,14 +60,17 @@ def preset_scenarios(name: str) -> "list[ScenarioSpec]":
     return preset.expand(points=6)
 
 
-def vectorized_rtol(evaluator: str) -> float:
-    """Documented serial-vs-vectorized tolerance of one evaluator.
+#: Kernels that share every piece with their serial evaluator: ``runtime``
+#: (one :class:`~repro.runtime.engine.BatchedRuntimeEngine`, one lane per
+#: scenario or many), ``transient`` (one step-response stepper, one case
+#: per scenario or many) and ``vrm`` (one cached array-curve march). They
+#: must agree exactly.
+EXACT_KERNELS = ("runtime", "transient", "vrm")
 
-    ``runtime`` has a batch kernel but no second engine: both backends
-    run :class:`~repro.runtime.engine.BatchedRuntimeEngine`, one lane per
-    scenario or many, so they must agree exactly.
-    """
-    if evaluator in BATCH_KERNELS and evaluator != "runtime":
+
+def vectorized_rtol(evaluator: str) -> float:
+    """Documented serial-vs-vectorized tolerance of one evaluator."""
+    if evaluator in BATCH_KERNELS and evaluator not in EXACT_KERNELS:
         return EQUIVALENCE_RTOL
     return 0.0
 
@@ -111,7 +114,7 @@ class TestCacheInterop:
     def test_vectorized_results_replay_on_serial(self):
         """Any backend's results serve every other backend's cache."""
         specs = get_preset("flow").expand(points=5)
-        cache = SweepCache()
+        cache = ResultStore()
         first = SweepRunner(backend="vectorized", cache=cache).run(specs)
         assert cache.misses == len(specs)
         replay = SweepRunner(backend="serial", cache=cache).run(specs)
@@ -128,7 +131,7 @@ class TestCacheInterop:
         accounting = {}
         stored = {}
         for name in BACKEND_NAMES:
-            cache = SweepCache()
+            cache = ResultStore()
             SweepRunner(backend=name, cache=cache).run(duplicated)
             accounting[name] = (cache.hits, cache.misses)
             stored[name] = {
@@ -171,7 +174,7 @@ class TestDynamicPresetCacheInterop:
         accounting = {}
         cold_results = {}
         for name in BACKEND_NAMES:
-            cache = SweepCache()
+            cache = ResultStore()
             runner = SweepRunner(backend=name, cache=cache)
             cold = runner.run(specs)
             assert cache.misses == len(specs)
@@ -200,23 +203,23 @@ class TestVectorizedCurveCache:
         every requested curve — including ones cached by *earlier* calls
         (regression: insertion-order eviction used to drop an old-but-
         requested flow and crash with KeyError)."""
-        from repro.sweep.vectorized import (
+        from repro.sweep.evaluators import (
             _ARRAY_CURVE_CACHE_MAX,
-            _array_curves,
-            clear_caches,
+            array_curves,
+            clear_array_curves,
         )
 
-        clear_caches()
+        clear_array_curves()
         try:
             old_flow = 676.0
-            _array_curves([old_flow])  # cached by an earlier batch
+            array_curves([old_flow])  # cached by an earlier batch
             flows = [old_flow] + [
                 100.0 + k for k in range(_ARRAY_CURVE_CACHE_MAX + 5)
             ]
-            curves = _array_curves(flows)
+            curves = array_curves(flows)
             assert set(curves) == set(flows)
         finally:
-            clear_caches()
+            clear_array_curves()
 
 
 class TestBackendSelection:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.io import load_csv, load_json
+from repro.store import ResultStore
 from repro.sweep import (
     ScenarioSpec,
-    SweepCache,
     SweepGrid,
     SweepRunner,
     register_evaluator,
@@ -90,10 +90,10 @@ class TestMemoization:
     def test_disk_cache_shared_across_runners(self, tmp_path):
         _CALLS["count"] = 0
         specs = cheap_specs(48.0, 676.0)
-        SweepRunner(cache=SweepCache(directory=tmp_path)).run(specs)
+        SweepRunner(cache=ResultStore(directory=tmp_path)).run(specs)
         assert _CALLS["count"] == 2
         # A brand-new runner sharing only the directory re-uses everything.
-        fresh = SweepRunner(cache=SweepCache(directory=tmp_path))
+        fresh = SweepRunner(cache=ResultStore(directory=tmp_path))
         results = fresh.run(specs)
         assert _CALLS["count"] == 2
         assert all(r.from_cache for r in results)
@@ -118,25 +118,25 @@ class TestMemoization:
         writer from another tool) used to crash the whole sweep."""
         spec = cheap_specs(48.0)[0]
         (tmp_path / f"{spec.cache_key()}.json").write_text('{"double_fl')
-        cache = SweepCache(directory=tmp_path)
+        cache = ResultStore(directory=tmp_path)
         assert cache.get(spec.cache_key()) is None
         assert (cache.hits, cache.misses) == (0, 1)
         # The runner re-evaluates and atomically replaces the bad file.
         results = SweepRunner(cache=cache).run([spec])
         assert results.metric("double_flow") == [96.0]
-        fresh = SweepCache(directory=tmp_path)
+        fresh = ResultStore(directory=tmp_path)
         assert fresh.get(spec.cache_key()) == results[0].metrics
 
     def test_non_dict_cache_payload_is_a_miss(self, tmp_path):
         spec = cheap_specs(676.0)[0]
         (tmp_path / f"{spec.cache_key()}.json").write_text("[1, 2, 3]\n")
-        cache = SweepCache(directory=tmp_path)
+        cache = ResultStore(directory=tmp_path)
         assert cache.get(spec.cache_key()) is None
 
 
 class TestCacheStats:
     def test_fresh_cache_reports_zero_everything(self):
-        assert SweepCache().stats() == {
+        assert ResultStore().stats() == {
             "hits": 0, "misses": 0, "corrupt": 0, "evicted": 0,
         }
 
@@ -154,13 +154,13 @@ class TestCacheStats:
         next cold cache reads it clean."""
         spec = cheap_specs(48.0)[0]
         (tmp_path / f"{spec.cache_key()}.json").write_text('{"double_fl')
-        cache = SweepCache(directory=tmp_path)
+        cache = ResultStore(directory=tmp_path)
         SweepRunner(cache=cache).run([spec])
         assert cache.stats() == {
             "hits": 0, "misses": 1, "corrupt": 1, "evicted": 0,
         }
 
-        repaired = SweepCache(directory=tmp_path)
+        repaired = ResultStore(directory=tmp_path)
         SweepRunner(cache=repaired).run([spec])
         assert repaired.stats() == {
             "hits": 1, "misses": 0, "corrupt": 0, "evicted": 0,
@@ -171,7 +171,7 @@ class TestCacheStats:
         must not hide it as a plain miss."""
         spec = cheap_specs(676.0)[0]
         (tmp_path / f"{spec.cache_key()}.json").write_text("[1, 2, 3]\n")
-        cache = SweepCache(directory=tmp_path)
+        cache = ResultStore(directory=tmp_path)
         assert cache.get(spec.cache_key()) is None
         assert cache.stats() == {
             "hits": 0, "misses": 1, "corrupt": 1, "evicted": 0,

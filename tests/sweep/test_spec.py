@@ -47,6 +47,13 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(**changes)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ScenarioSpec._FLOAT_FIELDS)
+    def test_non_finite_floats_rejected_by_name(self, field, value):
+        """NaN passes every ``x <= 0`` check; the field must be named."""
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioSpec(**{field: value})
+
     def test_replace_validates_field_names(self):
         spec = ScenarioSpec()
         assert spec.replace(total_flow_ml_min=48.0).total_flow_ml_min == 48.0
