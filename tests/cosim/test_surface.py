@@ -254,7 +254,10 @@ class TestHistoryIndependence:
 
     TEMPS_K = (300.2, 301.7, 305.4, 318.9, 340.3)
 
-    def test_lazy_and_warmed_nodes_are_bit_identical(self):
+    @pytest.mark.parametrize("array_query", [False, True])
+    def test_lazy_and_warmed_nodes_are_bit_identical(self, array_query):
+        """The lazy nodes are built by scalar queries or by array queries;
+        either way they match the prefilled ones bit for bit."""
         lazy, warmed = (
             PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=35)
             for _ in range(2)
@@ -262,6 +265,12 @@ class TestHistoryIndependence:
         # One prefill of every node the queries touch, and one more pair.
         assert warmed.warm_nodes(self.TEMPS_K + (325.2,)) == 12
         for voltage in (0.8, 1.0, 1.2):
+            if array_query:
+                assert np.array_equal(
+                    lazy.currents_at(self.TEMPS_K, voltage),
+                    warmed.currents_at(self.TEMPS_K, voltage),
+                )
+                continue
             for t in self.TEMPS_K:
                 assert lazy.current_at(t, voltage) == warmed.current_at(
                     t, voltage
