@@ -14,7 +14,9 @@ Three faces of the same physics live here so they cannot drift:
   (fresh thermal model per call, like the other scalar evaluators);
 - :func:`batch_chip_states` — the vectorized kernel: one store-backed
   thermal model per quantized flow, utilization variants as stacked RHS
-  columns through one :class:`~repro.thermal.batch.AnchoredSteadySolver`;
+  columns through one :class:`~repro.thermal.batch.AnchoredSteadySolver`
+  (affine in utilization, so beyond a flow's first one or two columns
+  they project onto the solver's snapshot basis with no LU solve);
 - :class:`ChipTable` — the ``(flow level, utilization level)`` lookup the
   :class:`~repro.fleet.fleet.FleetEngine` and the greedy allocation
   policy consume, built by running the grid through a
@@ -119,7 +121,8 @@ def batch_chip_states(
     flow draws its thermal model from the process-wide store of
     :mod:`repro.runtime.engine` (sparse assembly shared with the runtime
     layer), utilization variants of one flow become stacked RHS columns,
-    and flows share one anchored factorization middle-out — the same
+    and flows share one anchored factorization and snapshot basis
+    middle-out — the same
     sharing pattern as :func:`repro.sweep.vectorized.batch_peak_temperatures`.
     """
     from repro.casestudy.power7plus import full_load_power_map

@@ -90,6 +90,7 @@ COUNTER_NAMES = (
     "thermal.steady.anchored_solves",
     "thermal.steady.factorizations",
     "thermal.steady.fallbacks",
+    "thermal.steady.projected_solves",
     "thermal.steady.reanchors",
     "thermal.transient.column_steps",
 )

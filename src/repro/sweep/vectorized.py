@@ -5,10 +5,11 @@ one evaluator family to the same metrics the serial evaluator produces,
 but shares the expensive physics across the batch:
 
 - thermal: scenarios are grouped by mesh/inlet; within a group one
-  :class:`~repro.thermal.batch.AnchoredSteadySolver` shares a single LU
-  factorization across flow rates (as a GMRES preconditioner) and solves
+  :class:`~repro.thermal.batch.AnchoredSteadySolver` starts every solve
+  from the projection onto its earlier solutions, polishes misses with
+  GMRES preconditioned by a single shared LU factorization, and solves
   utilization/workload variants of one flow as stacked right-hand-side
-  columns against it;
+  columns;
 - electrochemistry: polarization curves for every distinct flow/geometry
   in the batch are marched together through
   :func:`repro.flowcell.batch.batched_polarization_curves` — the same
@@ -37,8 +38,8 @@ Other evaluators fall back to the serial path inside
 :class:`~repro.sweep.backends.VectorizedBackend`.
 
 Equivalence contract: batched metrics match the serial evaluators within
-``EQUIVALENCE_RTOL``, which is the anchored GMRES residual of the steady
-thermal kernels (orders of magnitude tighter in practice). Where a
+``EQUIVALENCE_RTOL``, which is the anchored solver's residual bound of
+the steady thermal kernels (orders of magnitude tighter in practice). Where a
 kernel shares every piece with its serial evaluator the results are
 bit-identical: ``vrm`` (same cached curves), and ``transient`` and
 ``runtime`` (the serial evaluators are one-case / one-lane calls of the
@@ -66,7 +67,8 @@ from repro.sweep.evaluators import (
 from repro.sweep.spec import ScenarioSpec
 
 #: Documented relative agreement between batched and serial evaluation.
-#: The dominant term is the anchored GMRES residual (<= 1e-8 relative);
+#: The dominant term is the anchored solver's residual (<= 1e-8 relative,
+#: projected starts and GMRES polishes alike);
 #: everything else is floating-point round-off.
 EQUIVALENCE_RTOL = 1e-6
 
@@ -83,8 +85,9 @@ def batch_peak_temperatures(
 
     Returns ``{(flow, inlet, utilization, nx, ny): peak_c}`` covering the
     batch. Scenarios are grouped by mesh + inlet; within a group, flows
-    are solved middle-out through one anchored solver (one factorization,
-    GMRES for the neighbours) and utilization variants of a flow become
+    are solved middle-out through one anchored solver (one factorization;
+    neighbours start from the projection onto earlier solutions, and
+    GMRES polishes the misses) and utilization variants of a flow become
     stacked RHS columns of a single solve.
     """
     from repro.casestudy.power7plus import (
@@ -218,9 +221,10 @@ def batch_workload(
 
     Every workload at one (flow, inlet, mesh) shares a single thermal
     factorization — its power maps become RHS columns — and distinct
-    flows of one family share the anchor as a preconditioner, exactly
-    the sharing the scalar evaluator cannot express (it rebuilds and
-    refactorizes per scenario).
+    flows of one family share the anchor as a preconditioner and the
+    solver's snapshot basis as starts, exactly the sharing the scalar
+    evaluator cannot express (it rebuilds and refactorizes per
+    scenario).
     """
     from repro.casestudy.workloads import standard_workloads
     from repro.thermal.batch import AnchoredSteadySolver

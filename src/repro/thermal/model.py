@@ -21,6 +21,7 @@ used here (tens of thousands of DOFs) in well under a second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +35,7 @@ from repro.microfluidics.heat_transfer import (
 )
 from repro.thermal.solver import (
     ThermalSolution,
+    check_step,
     factorize_steady,
     factorize_transient,
     solve_steady,
@@ -74,8 +76,13 @@ class ThermalModel:
         nx: int,
         ny: int,
     ) -> None:
-        if die_length_m <= 0.0 or die_width_m <= 0.0:
-            raise ConfigurationError("die dimensions must be > 0")
+        for field, value in (
+            ("die_length_m", die_length_m), ("die_width_m", die_width_m)
+        ):
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{field} must be finite and > 0, got {value}"
+                )
         if nx < 2 or ny < 2:
             raise ConfigurationError(f"raster must be at least 2x2, got {nx}x{ny}")
         for below, above in zip(stack.layers[:-1], stack.layers[1:]):
@@ -400,12 +407,12 @@ class ThermalModel:
         per-quantized-flow warm-up, sweep backends) move that work out of
         the stepping loop. Idempotent: warm parts are not recomputed.
         """
+        if dt_s is not None and not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
         matrix, _ = self._build_system()
         if self._steady_lu is None:
             self._steady_lu = factorize_steady(matrix)
         if dt_s is not None:
-            if dt_s <= 0.0:
-                raise ConfigurationError("dt must be > 0")
             if self._capacitance is None:
                 self._capacitance = self.capacitance_vector()
             if dt_s not in self._transient_lus:
@@ -432,8 +439,7 @@ class ThermalModel:
         ``initial`` may be a previous solution, a uniform temperature [K],
         or ``None`` (start from the coolant inlet temperature).
         """
-        if duration_s <= 0.0 or dt_s <= 0.0:
-            raise ConfigurationError("duration and dt must be > 0")
+        check_step(duration_s, dt_s)
         matrix, rhs = self._build_system()
         if self._capacitance is None:
             self._capacitance = self.capacitance_vector()

@@ -7,6 +7,7 @@ swapped in without touching the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -136,6 +137,16 @@ def solve_steady(
     return ThermalSolution(temperatures_k=temperatures, model=model)
 
 
+def check_step(duration_s: float, dt_s: float) -> None:
+    """Reject a non-finite or non-positive transient horizon or step."""
+    # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+    for field, value in (("duration_s", duration_s), ("dt_s", dt_s)):
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{field} must be finite and > 0, got {value}"
+            )
+
+
 def factorize_transient(
     matrix: sparse.csr_matrix, capacitance: np.ndarray, dt_s: float
 ):
@@ -166,8 +177,7 @@ def solve_transient(
     :func:`factorize_transient` result for the *effective* step size
     (``min(dt_s, duration_s)``); without them both are computed here.
     """
-    if duration_s <= 0.0 or dt_s <= 0.0:
-        raise ConfigurationError("duration and dt must be > 0")
+    check_step(duration_s, dt_s)
     if dt_s > duration_s:
         dt_s = duration_s
     if capacitance is None:

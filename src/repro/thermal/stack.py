@@ -17,6 +17,7 @@ The paper's case-study stack is built by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -44,8 +45,12 @@ class SolidLayer:
     material: SolidMaterial = SILICON
 
     def __post_init__(self) -> None:
-        if self.thickness_m <= 0.0:
-            raise ConfigurationError(f"layer {self.name}: thickness must be > 0")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < self.thickness_m < math.inf:
+            raise ConfigurationError(
+                f"layer {self.name}: thickness_m must be finite and > 0, "
+                f"got {self.thickness_m}"
+            )
 
     @property
     def is_channel(self) -> bool:
@@ -96,19 +101,22 @@ class MicrochannelLayer:
     flow_weights: "tuple[float, ...] | None" = None
 
     def __post_init__(self) -> None:
-        if self.total_flow_m3_s <= 0.0:
-            raise ConfigurationError(f"layer {self.name}: flow must be > 0")
-        if self.inlet_temperature_k <= 0.0:
-            raise ConfigurationError(f"layer {self.name}: inlet temperature must be > 0 K")
-        if self.heat_transfer_enhancement <= 0.0:
-            raise ConfigurationError(
-                f"layer {self.name}: heat-transfer enhancement must be > 0"
-            )
+        for field in (
+            "total_flow_m3_s", "inlet_temperature_k",
+            "heat_transfer_enhancement",
+        ):
+            value = getattr(self, field)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"layer {self.name}: {field} must be finite and > 0, "
+                    f"got {value}"
+                )
         if self.flow_weights is not None:
             weights = tuple(float(w) for w in self.flow_weights)
-            if not weights or any(w <= 0.0 for w in weights):
+            if not weights or not all(0.0 < w < math.inf for w in weights):
                 raise ConfigurationError(
-                    f"layer {self.name}: flow weights must be positive"
+                    f"layer {self.name}: flow weights must be finite and "
+                    f"positive, got {self.flow_weights}"
                 )
             object.__setattr__(self, "flow_weights", weights)
 

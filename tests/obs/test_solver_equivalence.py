@@ -6,18 +6,22 @@ changes the meaning of ``maxiter`` — attaching a counter could change
 convergence. The solver therefore pins ``callback_type="pr_norm"`` and
 attaches the callback only while a session records; this suite asserts
 the property that design exists to protect: anchored steady solves are
-**bitwise identical** with observability on and off.
+**bitwise identical** with observability on and off — over a family long
+enough that later flows take the snapshot-projection path too.
 """
 
 import numpy as np
 
 from repro import obs
 from repro.casestudy.power7plus import build_thermal_model
+from repro.sweep.vectorized import _middle_out
 from repro.thermal.batch import AnchoredSteadySolver
 
-#: Neighbouring flows so the second and third solves ride the anchor's
-#: preconditioned GMRES path — the one with the optional callback.
-FLOWS = (338.0, 450.0, 676.0)
+#: Neighbouring flows, middle-out: the first solve anchors, early
+#: neighbours ride the anchor's preconditioned GMRES path (the one with
+#: the optional callback), and later ones project onto the basis those
+#: solves built.
+FLOWS = _middle_out(sorted(np.geomspace(300.0, 900.0, 12).tolist()))
 
 
 def _solve_family():
@@ -43,6 +47,7 @@ def test_observed_solves_match_disabled_bitwise():
         assert np.array_equal(disabled, enabled)
     # The instrumented run exercised the GMRES path it claims to count.
     assert counters["thermal.steady.factorizations"] == 1
-    assert counters["thermal.steady.anchored_solves"] == 2
+    assert counters["thermal.steady.anchored_solves"] == len(FLOWS) - 1
+    assert counters["thermal.steady.projected_solves"] >= 1
     assert counters["thermal.gmres.iterations"] >= 1
     assert counters["thermal.steady.reanchors"] == 0
