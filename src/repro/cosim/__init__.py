@@ -23,7 +23,7 @@ stacked state columns) with bit-identical trajectories.
 
 from repro.cosim.batch import StepResponseCase, batched_step_responses
 from repro.cosim.coupling import CosimConfig, CosimResult, ElectroThermalCosim
-from repro.cosim.surface import PolarizationSurface, surface_for
+from repro.cosim.surface import PolarizationSurface, surface_for, warm_surfaces
 from repro.cosim.transient import TransientCosim, TransientSample
 
 __all__ = [
@@ -36,4 +36,5 @@ __all__ = [
     "TransientSample",
     "batched_step_responses",
     "surface_for",
+    "warm_surfaces",
 ]

@@ -20,10 +20,10 @@ often than it varies the matrix-defining knobs (flow, inlet, raster).
 - sampling is :class:`~repro.cosim.transient.TransientCosim`'s own
   ``_sample`` (same group partition), applied per column, on the shared
   :class:`~repro.cosim.surface.PolarizationSurface` — and first
-  *prefills* that surface: the group temperatures of all columns at each
-  sample time go through
-  :meth:`~repro.cosim.surface.PolarizationSurface.warm_nodes`, so missing
-  node curves are marched as one batch rather than one by one.
+  *prefills* the surfaces: the group temperatures of all columns at each
+  sample time go through one
+  :func:`~repro.cosim.surface.warm_surfaces` call, so missing node
+  curves are marched as one batch rather than one by one.
 
 Equivalence: a case's trajectory is *bit-identical* whichever batch it
 rides in, and to a direct march of
@@ -41,12 +41,14 @@ layer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
+from repro.cosim.surface import warm_surfaces
 from repro.cosim.transient import TransientCosim, TransientSample
 from repro.errors import ConfigurationError
 
@@ -81,12 +83,16 @@ def batched_step_responses(
     from repro.thermal.batch import AnchoredTransientSolver
 
     for case in cases:
-        if (
-            case.duration_s <= 0.0
-            or case.dt_s <= 0.0
-            or case.dt_s > case.duration_s
-        ):
-            raise ConfigurationError("need 0 < dt <= duration")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < case.duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration_s must be finite and > 0, got {case.duration_s}"
+            )
+        if not 0.0 < case.dt_s <= case.duration_s:
+            raise ConfigurationError(
+                f"need 0 < dt_s <= duration_s, got dt_s={case.dt_s}, "
+                f"duration_s={case.duration_s}"
+            )
 
     # Model families: cases sharing the matrix-defining knobs. Within a
     # family, (duration, dt) sub-groups march in lockstep.
@@ -173,20 +179,17 @@ def _sample_columns(
 ) -> None:
     """Sample every column at one time, prefilling the surfaces first.
 
-    All columns' group temperatures go through ``warm_nodes`` before any
-    per-column ``_sample`` call, so missing node curves are marched as one
-    batch instead of one march per first-touching column.
+    All columns' group temperatures go through one ``warm_surfaces`` call
+    before any per-column ``_sample`` call, so missing node curves are
+    marched as one batch instead of one march per first-touching column.
     """
     solutions = [
         _column_solution(model, states, k) for k in range(len(samplers))
     ]
-    queries: "dict[int, tuple[object, list[np.ndarray]]]" = {}
-    for sampler, solution in zip(samplers, solutions):
-        surface = sampler._surface
-        temps = group_coolant_temperatures(solution, sampler.config)
-        queries.setdefault(id(surface), (surface, []))[1].append(temps)
-    for surface, temp_arrays in queries.values():
-        surface.warm_nodes(np.concatenate(temp_arrays))
+    warm_surfaces(
+        (sampler._surface, group_coolant_temperatures(solution, sampler.config))
+        for sampler, solution in zip(samplers, solutions)
+    )
     for k, (sampler, solution) in enumerate(zip(samplers, solutions)):
         trajectories[k].append(sampler._sample(time_s, solution))
 

@@ -17,6 +17,14 @@ coupling loop, the transient stepper and the sweep evaluators all draw
 from the same curve store — a sweep revisiting the same flow rate never
 rebuilds a curve.
 
+Nodes are only ever built by a batched march. :func:`warm_surfaces` takes
+the query temperatures of many surfaces at once (the runtime engine's flow
+groups, a step-response batch's columns, a fleet table's chips) and
+marches every missing bracketing node of all of them in one
+:func:`~repro.flowcell.batch.batched_polarization_curves` call per curve
+sampling; :meth:`PolarizationSurface.warm_nodes` is its one-surface call,
+and every query warms its own brackets the same way before it reads them.
+
 Accuracy: the group current varies by a fraction of a percent per kelvin
 over the operating envelope, so linear interpolation at the default 0.5 K
 resolution sits orders of magnitude inside the 0.5 % acceptance band
@@ -26,7 +34,7 @@ resolution sits orders of magnitude inside the 0.5 % acceptance band
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -38,8 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cosim.coupling import CosimConfig
 
 #: Default temperature window [K]: generously wider than any co-sim
-#: operating envelope (the 48 ml/min stress case peaks near 365 K). Nodes
-#: are filled lazily, so a wide default costs nothing until visited.
+#: operating envelope (the 48 ml/min stress case peaks near 365 K). A node
+#: is built only once a query brackets it, so a wide default costs nothing
+#: until visited.
 DEFAULT_TEMPERATURE_RANGE_K = (250.0, 450.0)
 
 #: Default grid spacing [K].
@@ -59,13 +68,15 @@ class PolarizationSurface:
         Sampling of each underlying polarization curve.
     temperature_range_k / resolution_k:
         Grid window and spacing. Queries outside the window raise (widen
-        the range rather than extrapolate). Grid nodes are built lazily —
-        each node's curve is constructed at most once, on first use, so
+        the range rather than extrapolate). A node's curve is constructed
+        at most once, when a query or a warm call first brackets it, so
         the cost of a surface is proportional to the temperature span
-        actually visited, not to the configured window. Every node,
-        prefilled or lazy, comes from the one curve construction
-        (:func:`repro.flowcell.batch.batched_polarization_curves`), so no
-        curve depends on which caller reached a node first.
+        actually visited, not to the configured window. Every node comes
+        from the one curve construction
+        (:func:`repro.flowcell.batch.batched_polarization_curves`, via
+        :func:`warm_surfaces`), and that march is elementwise across
+        cells, so no curve depends on which caller reached a node first or
+        which other nodes shared its batch.
     """
 
     def __init__(
@@ -143,64 +154,19 @@ class PolarizationSurface:
         )
         return index, position - index
 
-    def _curve(self, node: int) -> PolarizationCurve:
-        """The group curve at one grid node (built lazily, once)."""
-        curve = self._curves.get(node)
-        if curve is None:
-            # Warm counter: whether a node is already built depends on
-            # what earlier runs left in the shared surface.
-            obs.inc("surface.node_builds", warm=True)
-            self._build_nodes([node])
-            curve = self._curves[node]
-        return curve
-
-    def _build_nodes(self, nodes: "list[int]") -> None:
-        """Construct the given nodes' curves in one batched march.
-
-        The march is elementwise across cells, so a node's curve does not
-        depend on which other nodes share its batch.
-        """
-        from repro.casestudy.power7plus import build_array_cell
-        from repro.flowcell.batch import batched_polarization_curves
-
-        cells = [
-            build_array_cell(
-                total_flow_ml_min=self.total_flow_ml_min,
-                temperature_k=float(self.node_temperatures_k[node]),
-                temperature_dependent=True,
-            )
-            for node in nodes
-        ]
-        curves = batched_polarization_curves(
-            cells,
-            n_points=self.n_curve_points,
-            max_overpotential_v=self.max_overpotential_v,
-        )
-        for node, curve in zip(nodes, curves):
-            self._curves[node] = curve.scaled(self.channels_per_group)
+    def _missing_nodes(self, index: np.ndarray) -> "list[int]":
+        """Unbuilt grid nodes of the given brackets (lower node indices)."""
+        flat = index.ravel()
+        needed = np.unique(np.concatenate([flat, flat + 1]))
+        return [int(node) for node in needed if int(node) not in self._curves]
 
     def warm_nodes(self, temperatures_k) -> int:
         """Build every node curve the given temperatures bracket.
 
-        The lazy :meth:`_curve` path constructs one node curve per miss —
-        a full porous-electrode march each time, which dominates the
-        dynamic sweep evaluators' cost. This prefill collects the missing
-        bracketing nodes of all the given query temperatures and builds
-        them in a single array march. Returns how many nodes were built. A
-        prefilled node is bit-identical to its lazily built twin: both
-        come from the one construction.
+        The one-surface call of :func:`warm_surfaces`: all missing nodes
+        in one array march. Returns how many nodes were built.
         """
-        temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
-        index, _ = self._bracket(temps)
-        flat = index.ravel()
-        needed = np.unique(np.concatenate([flat, flat + 1]))
-        missing = [int(node) for node in needed if int(node) not in self._curves]
-        if not missing:
-            return 0
-        obs.inc("surface.nodes_warmed", len(missing), warm=True)
-        obs.observe("surface.warm_nodes.size", len(missing), warm=True)
-        self._build_nodes(missing)
-        return len(missing)
+        return warm_surfaces([(self, temperatures_k)])
 
     def _node_current(self, node: int, voltage_v: float) -> float:
         """Group current of one grid node at a terminal voltage [A].
@@ -212,7 +178,7 @@ class PolarizationSurface:
         per_voltage = self._node_currents.setdefault(voltage_v, {})
         current = per_voltage.get(node)
         if current is None:
-            curve = self._curve(node)
+            curve = self._curves[node]
             v_max = float(curve.voltage_v[0])
             v_min = float(curve.voltage_v[-1])
             if voltage_v >= v_max:
@@ -225,7 +191,7 @@ class PolarizationSurface:
     def _node_ocv(self, node: int) -> float:
         ocv = self._node_ocvs.get(node)
         if ocv is None:
-            ocv = self._curve(node).open_circuit_voltage_v
+            ocv = self._curves[node].open_circuit_voltage_v
             self._node_ocvs[node] = ocv
         return ocv
 
@@ -248,10 +214,16 @@ class PolarizationSurface:
         return 0.0 if voltage_v >= ocv else current
 
     def _interpolate(self, temperatures_k, node_value) -> np.ndarray:
-        """Shape-preserving grid interpolation of a per-(node, frac) value."""
+        """Shape-preserving grid interpolation of a per-(node, frac) value.
+
+        Missing bracketing nodes are marched first, all in one batch.
+        """
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         obs.inc("surface.interpolations", temps.size)
         index, frac = self._bracket(temps)
+        missing = self._missing_nodes(index)
+        if missing:
+            _march_nodes({self: missing})
         flat_index = index.ravel()
         flat_frac = frac.ravel()
         values = np.fromiter(
@@ -351,6 +323,61 @@ class PolarizationSurface:
     def clear_shared(cls) -> None:
         """Drop all shared surfaces (tests, memory pressure)."""
         cls._SHARED.clear()
+
+
+def warm_surfaces(
+    queries: "Iterable[tuple[PolarizationSurface, object]]",
+) -> int:
+    """Build every missing node the queries bracket, across surfaces.
+
+    ``queries`` holds ``(surface, temperatures_k)`` pairs; a surface may
+    appear more than once. The missing bracketing nodes of all of them
+    are marched together: one
+    :func:`~repro.flowcell.batch.batched_polarization_curves` call per
+    curve sampling (``n_curve_points``, ``max_overpotential_v``), whatever
+    the surfaces' flows. The march is elementwise across cells, so a
+    node's curve is bit-identical whichever batch builds it. Returns how
+    many nodes were built.
+    """
+    missing: "dict[PolarizationSurface, set[int]]" = {}
+    for surface, temperatures_k in queries:
+        temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
+        nodes = surface._missing_nodes(surface._bracket(temps)[0])
+        if nodes:
+            missing.setdefault(surface, set()).update(nodes)
+    return _march_nodes(missing)
+
+
+def _march_nodes(missing: "dict[PolarizationSurface, Iterable[int]]") -> int:
+    """Build the given nodes of each surface, one march per curve sampling."""
+    from repro.casestudy.power7plus import build_array_cell
+    from repro.flowcell.batch import batched_polarization_curves
+
+    marches: "dict[tuple[int, float], list[tuple[PolarizationSurface, int]]]" = {}
+    for surface, nodes in missing.items():
+        sampling = (surface.n_curve_points, surface.max_overpotential_v)
+        marches.setdefault(sampling, []).extend(
+            (surface, node) for node in sorted(nodes)
+        )
+    for (n_points, max_overpotential_v), targets in marches.items():
+        # Warm counters: whether a node is already built depends on what
+        # earlier runs left in the shared surfaces.
+        obs.inc("surface.nodes_warmed", len(targets), warm=True)
+        obs.observe("surface.warm_nodes.size", len(targets), warm=True)
+        cells = [
+            build_array_cell(
+                total_flow_ml_min=surface.total_flow_ml_min,
+                temperature_k=float(surface.node_temperatures_k[node]),
+                temperature_dependent=True,
+            )
+            for surface, node in targets
+        ]
+        curves = batched_polarization_curves(
+            cells, n_points=n_points, max_overpotential_v=max_overpotential_v
+        )
+        for (surface, node), curve in zip(targets, curves):
+            surface._curves[node] = curve.scaled(surface.channels_per_group)
+    return sum(len(targets) for targets in marches.values())
 
 
 def surface_for(config: "CosimConfig") -> PolarizationSurface:

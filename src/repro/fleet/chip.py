@@ -57,6 +57,26 @@ def chip_cosim_config(spec: ScenarioSpec):
     )
 
 
+def _surface_query(solution, config):
+    """The chip's polarization surface and its clipped group temperatures.
+
+    Deeply infeasible grid corners (minimum flow at full load) can push
+    the coolant past the surface's sampled window; they are tabulated
+    only so allocation can price infeasibility (their peaks sit far
+    beyond the trip limit, so they are never served), and their
+    generation saturates at the window edge rather than extrapolating.
+    """
+    from repro.cosim.coupling import group_coolant_temperatures
+    from repro.cosim.surface import surface_for
+
+    surface = surface_for(config)
+    t_min, t_max = surface.temperature_range_k
+    group_temps = np.clip(
+        group_coolant_temperatures(solution, config), t_min, t_max
+    )
+    return surface, group_temps
+
+
 def chip_metrics(spec: ScenarioSpec, solution, config) -> "dict[str, float]":
     """Assemble the ``fleet_chip`` metrics from a solved thermal state.
 
@@ -66,18 +86,8 @@ def chip_metrics(spec: ScenarioSpec, solution, config) -> "dict[str, float]":
     utilization; ``config`` the matching :func:`chip_cosim_config`.
     """
     from repro.casestudy.power7plus import array_pumping_power_w
-    from repro.cosim.coupling import group_coolant_temperatures
-    from repro.cosim.surface import surface_for
 
-    group_temps = group_coolant_temperatures(solution, config)
-    surface = surface_for(config)
-    # Deeply infeasible grid corners (minimum flow at full load) can push
-    # the coolant past the surface's sampled window; they are tabulated
-    # only so allocation can price infeasibility (their peaks sit far
-    # beyond the trip limit, so they are never served), and their
-    # generation saturates at the window edge rather than extrapolating.
-    t_min, t_max = surface.temperature_range_k
-    group_temps = np.clip(group_temps, t_min, t_max)
+    surface, group_temps = _surface_query(solution, config)
     current = float(
         surface.currents_at(group_temps, spec.operating_voltage_v).sum()
     )
@@ -124,8 +134,11 @@ def batch_chip_states(
     and flows share one anchored factorization and snapshot basis
     middle-out — the same
     sharing pattern as :func:`repro.sweep.vectorized.batch_peak_temperatures`.
+    Every chip's missing polarization-surface nodes are then marched in one
+    :func:`~repro.cosim.surface.warm_surfaces` call before the metrics.
     """
     from repro.casestudy.power7plus import full_load_power_map
+    from repro.cosim.surface import warm_surfaces
     from repro.geometry.power7 import build_power7_floorplan
     from repro.runtime.engine import shared_thermal_model
     from repro.sweep.vectorized import _middle_out
@@ -163,8 +176,8 @@ def batch_chip_states(
                 solutions[(flow, inlet, utilization, nx, ny)] = ThermalSolution(
                     temperatures_k=temperatures[:, k].copy(), model=model
                 )
-    return [
-        chip_metrics(
+    states = [
+        (
             spec,
             solutions[(
                 spec.total_flow_ml_min, spec.inlet_temperature_k,
@@ -174,6 +187,11 @@ def batch_chip_states(
         )
         for spec in specs
     ]
+    # March every chip's missing surface nodes, across flows, in one batch.
+    warm_surfaces(
+        _surface_query(solution, config) for _, solution, config in states
+    )
+    return [chip_metrics(*state) for state in states]
 
 
 def _nearest_indices(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

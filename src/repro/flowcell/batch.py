@@ -9,9 +9,15 @@ index. Across cells (different flows, channel widths, temperatures) and
 across the potential samples of one sweep, everything is independent.
 
 :func:`batched_polarization_curves` exploits exactly that: it marches the
-whole batch as ``(cell, potential-sample)`` numpy arrays, one segment at a
-time, instead of one scalar march per (cell, sample) pair. It is the one
-production construction of a porous-cell polarization curve:
+batch as one ``(2B, S)`` numpy array (in slices of ``_MARCH_CELLS`` cells
+for large batches), one segment at a time, instead of one scalar march
+per (cell, sample) pair. Row ``b`` is cell ``b``'s negative electrode
+(anodic sweep) and row ``B + b`` its positive electrode (cathodic sweep);
+each row carries its own sign, couple and stream parameters as
+``(2B, 1)`` columns, and the ``S`` columns are the potential samples. One
+march for both electrodes halves the numpy calls per segment, which is
+what a small batch pays for. It is the one production construction of a
+porous-cell polarization curve:
 :meth:`FlowThroughPorousCell.polarization_curve` is a batch of one, and
 the polarization surfaces, the sweep evaluators and the kernels all call
 it. Every operation is elementwise across cells, so a cell's curve is
@@ -49,44 +55,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (:meth:`FilmHalfCell.current_at_overpotential`).
 _EXPONENT_CLIP = 500.0
 
+#: Cells per ``(2B, S)`` march. A larger batch is marched in slices of
+#: this many cells: enough rows to amortize numpy's per-call cost, few
+#: enough that the march's working set stays cache-sized. On a 2-vCPU
+#: box a 612-cell batch costs ~0.34 ms per curve in slices of 64-256
+#: cells and ~0.38 ms in one march, which also peaks ~10 MB higher.
+_MARCH_CELLS = 64
 
-def _batched_electrode_characteristics(
+
+def _electrode_characteristics(
     cells: "Sequence[FlowThroughPorousCell]",
-    anodic: bool,
     n_samples: int,
     max_overpotential_v: float,
-) -> "list[ElectrodeCharacteristic]":
-    """One electrode side of the whole batch, marched as arrays.
+) -> "tuple[list[ElectrodeCharacteristic], list[ElectrodeCharacteristic]]":
+    """Both electrodes of the whole batch, marched as one ``(2B, S)`` array.
 
-    Mirrors the scalar oracle,
-    :meth:`FlowThroughPorousCell.electrode_characteristic` /
+    Returns ``(negatives, positives)`` in cell order. Mirrors the scalar
+    oracle, :meth:`FlowThroughPorousCell.electrode_characteristic` /
     :meth:`FlowThroughPorousCell.electrode_current`, expression by
-    expression; see the module docstring.
+    expression; see the module docstring for the row layout.
     """
+    n_cells = len(cells)
     n_segments = cells[0].n_segments
-    sign = 1.0 if anodic else -1.0
+    rows = [(cell, True) for cell in cells] + [(cell, False) for cell in cells]
 
-    # Per-cell scalars, shaped (B, 1) so they broadcast over samples.
+    # Per-row scalars, shaped (2B, 1) so they broadcast over samples.
     def column(values: "list[float]") -> np.ndarray:
         return np.asarray(values, dtype=float)[:, None]
 
-    couples = [
-        (cell.spec.anolyte if anodic else cell.spec.catholyte).couple
-        for cell in cells
-    ]
     electrolytes = [
-        cell.spec.anolyte if anodic else cell.spec.catholyte for cell in cells
+        cell.spec.anolyte if anodic else cell.spec.catholyte
+        for cell, anodic in rows
     ]
-    temperatures = [cell.temperature_k for cell in cells]
+    couples = [electrolyte.couple for electrolyte in electrolytes]
+    temperatures = [cell.temperature_k for cell, _ in rows]
+    sign = column([1.0 if anodic else -1.0 for _, anodic in rows])
     km = column([
         cell._km(
             couple.diffusivity_red(t) if anodic else couple.diffusivity_ox(t)
         )
-        for cell, couple, t in zip(cells, couples, temperatures)
+        for (cell, anodic), couple, t in zip(rows, couples, temperatures)
     ])
     area_per_segment = column([
         cell.electrode.specific_surface_area_m2_m3 * cell._segment_volume_m3
-        for cell in cells
+        for cell, _ in rows
     ])
     electrons = column([couple.electrons for couple in couples])
     alpha = column([couple.transfer_coefficient for couple in couples])
@@ -99,17 +111,23 @@ def _batched_electrode_characteristics(
     ])
     n_f_q = column([
         couple.electrons * FARADAY * cell.spec.stream_flow_m3_s
-        for cell, couple in zip(cells, couples)
+        for (cell, _), couple in zip(rows, couples)
     ])
     f_over_rt = electrons * FARADAY / (
         GAS_CONSTANT * column(temperatures)
     )
     nernst_slope = 1.0 / f_over_rt
     nfk = electrons * FARADAY * km
+    # Loop-invariant leading factors of the segment expressions below,
+    # hoisted with their left-to-right association intact (same bits).
+    nfk0 = electrons * FARADAY * k0
+    red_order = 1.0 - alpha
+    anodic_rate = red_order * f_over_rt
+    cathodic_rate = -alpha * f_over_rt
 
     # The sampled electrode potentials: the inlet equilibrium potential
     # plus a log-spaced overpotential sweep (identical grid construction
-    # to the scalar path, per cell).
+    # to the scalar path, per cell), anodic on the first B rows.
     overpotentials = np.concatenate(
         ([0.0], np.geomspace(1e-3, max_overpotential_v, n_samples - 1))
     )
@@ -119,9 +137,9 @@ def _batched_electrode_characteristics(
         )
         for couple, electrolyte, t in zip(couples, electrolytes, temperatures)
     ])
-    potentials = e_eq_inlet + sign * overpotentials[None, :]  # (B, S)
+    potentials = e_eq_inlet + sign * overpotentials[None, :]  # (2B, S)
 
-    # March state: local concentrations per (cell, sample).
+    # March state: local concentrations per (row, sample).
     shape = potentials.shape
     conc_ox = np.broadcast_to(
         column([e.conc_ox for e in electrolytes]), shape
@@ -140,11 +158,9 @@ def _batched_electrode_characteristics(
         # Exchange current j0 = n*F*k0 * C_ox^a * C_red^(1-a); a depleted
         # species zeroes it, which zeroes the segment current exactly as
         # the scalar guards do.
-        j0 = electrons * FARADAY * k0 * conc_ox**alpha * conc_red ** (
-            1.0 - alpha
-        )
-        exp_a = np.exp(np.minimum((1.0 - alpha) * f_over_rt * eta, _EXPONENT_CLIP))
-        exp_c = np.exp(np.minimum(-alpha * f_over_rt * eta, _EXPONENT_CLIP))
+        j0 = nfk0 * conc_ox**alpha * conc_red**red_order
+        exp_a = np.exp(np.minimum(anodic_rate * eta, _EXPONENT_CLIP))
+        exp_c = np.exp(np.minimum(cathodic_rate * eta, _EXPONENT_CLIP))
         denominator = (
             1.0
             + _masked_ratio(j0 * exp_a, nfk * conc_red)
@@ -164,34 +180,32 @@ def _batched_electrode_characteristics(
         conc_ox = conc_ox + delta_c
         total_current = total_current + segment_current
 
-    characteristics = []
-    for b in range(len(cells)):
-        row_potentials = potentials[b]
-        row_currents = total_current[b]
-        order = np.argsort(row_potentials)
-        row_potentials = row_potentials[order]
-        # Guard against round-off kinks, as the scalar oracle does.
-        row_currents = np.maximum.accumulate(row_currents[order])
-        characteristics.append(
-            ElectrodeCharacteristic(row_potentials, row_currents)
-        )
-    return characteristics
+    order = np.argsort(potentials, axis=1)
+    potentials = np.take_along_axis(potentials, order, axis=1)
+    # Guard against round-off kinks, as the scalar oracle does.
+    currents = np.maximum.accumulate(
+        np.take_along_axis(total_current, order, axis=1), axis=1
+    )
+    characteristics = [
+        ElectrodeCharacteristic(potentials[r], currents[r])
+        for r in range(2 * n_cells)
+    ]
+    return characteristics[:n_cells], characteristics[n_cells:]
 
 
 def _masked_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """numerator / denominator where the denominator is positive, else 0.
 
     The zero branch reproduces the scalar guards for a fully depleted
-    species (whose j0 factor already zeroes the current).
+    species (whose j0 factor already zeroes the current). The inner
+    ``where`` swaps the masked denominators for 1 before dividing, so no
+    element ever divides by zero and no floating-point state needs
+    silencing.
     """
-    out = np.zeros(np.broadcast_shapes(numerator.shape, denominator.shape))
-    np.divide(
-        numerator,
-        denominator,
-        out=out,
-        where=np.broadcast_to(denominator > 0.0, out.shape),
+    positive = denominator > 0.0
+    return np.where(
+        positive, numerator / np.where(positive, denominator, 1.0), 0.0
     )
-    return out
 
 
 def batched_polarization_curves(
@@ -229,12 +243,16 @@ def batched_polarization_curves(
             "a batch must share one segment count, got "
             f"{sorted(segment_counts)}"
         )
-    negatives = _batched_electrode_characteristics(
-        cells, True, n_potential_samples, max_overpotential_v
-    )
-    positives = _batched_electrode_characteristics(
-        cells, False, n_potential_samples, max_overpotential_v
-    )
+    negatives: "list[ElectrodeCharacteristic]" = []
+    positives: "list[ElectrodeCharacteristic]" = []
+    for start in range(0, len(cells), _MARCH_CELLS):
+        chunk_negatives, chunk_positives = _electrode_characteristics(
+            cells[start:start + _MARCH_CELLS],
+            n_potential_samples,
+            max_overpotential_v,
+        )
+        negatives += chunk_negatives
+        positives += chunk_positives
     return [
         assemble_polarization(
             negative,

@@ -17,6 +17,7 @@ characteristics with the ohmic term into a full-cell
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,17 @@ class ColaminarCellSpec:
     ocv_adjustment_v: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.volumetric_flow_m3_s <= 0.0:
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < self.volumetric_flow_m3_s < math.inf:
             raise ConfigurationError(
-                f"flow rate must be > 0, got {self.volumetric_flow_m3_s}"
+                "volumetric_flow_m3_s must be finite and > 0, got "
+                f"{self.volumetric_flow_m3_s}"
             )
-        if self.electronic_resistance_ohm < 0.0:
-            raise ConfigurationError("electronic resistance must be >= 0")
+        if not 0.0 <= self.electronic_resistance_ohm < math.inf:
+            raise ConfigurationError(
+                "electronic_resistance_ohm must be finite and >= 0, got "
+                f"{self.electronic_resistance_ohm}"
+            )
 
     @property
     def stream_flow_m3_s(self) -> float:
@@ -115,24 +121,29 @@ class ElectrodeCharacteristic:
     def max_current_a(self) -> float:
         return float(self.current_a[-1])
 
-    def potential_at_current(self, current_a: float) -> float:
+    def potential_at_current(self, current_a):
         """Inverse interpolation E(I); raises outside the sampled range.
 
-        Requests within a tiny tolerance of the sampled ends are clamped:
-        the zero-overpotential sample of a marched characteristic carries
-        O(1e-19) numerical current, and callers legitimately ask for an
-        exact 0.
+        Accepts one current (returns a float) or an array of currents
+        (returns an array of the same shape). Requests within a tiny
+        tolerance of the sampled ends are clamped: the zero-overpotential
+        sample of a marched characteristic carries O(1e-19) numerical
+        current, and callers legitimately ask for an exact 0.
         """
-        tolerance = 1e-9 * (abs(self.max_current_a) + abs(self.min_current_a)) + 1e-15
-        if current_a < self.min_current_a - tolerance or (
-            current_a > self.max_current_a + tolerance
-        ):
+        currents = np.asarray(current_a, dtype=float)
+        low, high = self.min_current_a, self.max_current_a
+        tolerance = 1e-9 * (abs(high) + abs(low)) + 1e-15
+        outside = (currents < low - tolerance) | (currents > high + tolerance)
+        if np.any(outside):
+            offending = float(currents[outside].flat[0])
             raise ConfigurationError(
-                f"current {current_a:.4g} A outside sampled electrode range "
-                f"[{self.min_current_a:.4g}, {self.max_current_a:.4g}] A"
+                f"current {offending:.4g} A outside sampled electrode range "
+                f"[{low:.4g}, {high:.4g}] A"
             )
-        clamped = min(max(current_a, self.min_current_a), self.max_current_a)
-        return float(np.interp(clamped, self.current_a, self.potential_v))
+        potentials = np.interp(
+            np.clip(currents, low, high), self.current_a, self.potential_v
+        )
+        return float(potentials) if currents.ndim == 0 else potentials
 
 
 def assemble_polarization(
@@ -157,8 +168,10 @@ def assemble_polarization(
     where the voltage would go negative are dropped (the paper's plots stop
     at V > 0 as well).
     """
-    if resistance_ohm < 0.0:
-        raise ConfigurationError("resistance must be >= 0")
+    if not 0.0 <= resistance_ohm < math.inf:
+        raise ConfigurationError(
+            f"resistance_ohm must be finite and >= 0, got {resistance_ohm}"
+        )
     if n_points < 2:
         raise ConfigurationError(f"n_points must be >= 2, got {n_points}")
     if not 0.0 < max_utilization < 1.0:
@@ -170,11 +183,9 @@ def assemble_polarization(
         )
     s = np.linspace(0.0, 1.0, n_points)
     currents = i_max * (1.0 - (1.0 - s) ** 2)  # cluster samples near i_max
-    voltages = np.empty_like(currents)
-    for k, current in enumerate(currents):
-        e_neg = negative.potential_at_current(+current)
-        e_pos = positive.potential_at_current(-current)
-        voltages[k] = e_pos - e_neg - current * resistance_ohm + ocv_adjustment_v
+    e_neg = negative.potential_at_current(+currents)
+    e_pos = positive.potential_at_current(-currents)
+    voltages = e_pos - e_neg - currents * resistance_ohm + ocv_adjustment_v
     keep = voltages > 0.0
     if int(keep.sum()) < 2:
         raise ConfigurationError("cell produces no positive-voltage operating range")

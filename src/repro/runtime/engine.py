@@ -45,7 +45,7 @@ import numpy as np
 from repro import obs
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
 from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
-from repro.cosim.surface import surface_for
+from repro.cosim.surface import surface_for, warm_surfaces
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.runtime.controllers import (
@@ -135,10 +135,16 @@ class RuntimeConfig:
     temperature_limit_c: float = TEMPERATURE_LIMIT_C
 
     def __post_init__(self) -> None:
-        if self.control_dt_s <= 0.0:
-            raise ConfigurationError("control dt must be > 0")
-        if self.flow_resolution_ml_min <= 0.0:
-            raise ConfigurationError("flow resolution must be > 0 ml/min")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < self.control_dt_s < math.inf:
+            raise ConfigurationError(
+                f"control_dt_s must be finite and > 0, got {self.control_dt_s}"
+            )
+        if not 0.0 < self.flow_resolution_ml_min < math.inf:
+            raise ConfigurationError(
+                "flow_resolution_ml_min must be finite and > 0 ml/min, got "
+                f"{self.flow_resolution_ml_min}"
+            )
         if not 0.0 < self.pump_efficiency <= 1.0:
             raise ConfigurationError(
                 f"pump efficiency must be in (0, 1], got {self.pump_efficiency}"
@@ -324,8 +330,8 @@ class BatchedRuntimeEngine:
     branch on the floats. SuperLU solves stacked columns one by one, every
     sample is read from a contiguous copy of its lane's column, and every
     polarization-surface node comes from the one curve construction
-    whichever run reaches it first (:meth:`PolarizationSurface.warm_nodes`
-    prefills them).
+    whichever run reaches it first (each step prefills every lane group's
+    missing nodes in one :func:`~repro.cosim.surface.warm_surfaces` call).
 
     The engine is reusable: :meth:`run` resets the controllers and
     governors and starts from the trace's initial steady state, while the
@@ -535,6 +541,9 @@ class BatchedRuntimeEngine:
             # thermal advance + electrochemical lookups); the sample
             # bookkeeping below is negligible next to the solves.
             with obs.span("runtime.step", lanes=n_lanes):
+                # Step every flow group, then march all groups' missing
+                # surface nodes as one batch, then sample the lanes.
+                stepped = []
                 for flow, lanes in self._flow_groups(flows):
                     obs.observe("runtime.lane_group.size", len(lanes))
                     solver = self._solver(flow)
@@ -551,25 +560,22 @@ class BatchedRuntimeEngine:
                     cosim_config = self._cosim_config(flow)
                     surface = surface_for(cosim_config)
                     pumpings[lanes] = self._pumping_w(flow)
-                    solutions = [
-                        _lane_solution(model, advanced, k)
-                        for k in range(len(lanes))
-                    ]
-                    lane_temps = [
-                        group_coolant_temperatures(solution, cosim_config)
-                        for solution in solutions
-                    ]
-                    # Prefill: march all lanes' missing node curves as
-                    # one batch before the scalar per-lane lookups below.
-                    surface.warm_nodes(np.concatenate(lane_temps))
                     for k, lane in enumerate(lanes):
-                        solution = solutions[k]
-                        currents[lane] = float(
-                            surface.currents_at(lane_temps[k], voltage).sum()
+                        solution = _lane_solution(model, advanced, k)
+                        temps = group_coolant_temperatures(
+                            solution, cosim_config
                         )
-                        fluid = solution.field("channels", "fluid")
-                        mean_coolants_c[lane] = float(fluid.mean()) - 273.15
-                        peaks[lane] = solution.peak_celsius
+                        stepped.append((lane, solution, surface, temps))
+                warm_surfaces(
+                    (surface, temps) for _, _, surface, temps in stepped
+                )
+                for lane, solution, surface, temps in stepped:
+                    currents[lane] = float(
+                        surface.currents_at(temps, voltage).sum()
+                    )
+                    fluid = solution.field("channels", "fluid")
+                    mean_coolants_c[lane] = float(fluid.mean()) - 273.15
+                    peaks[lane] = solution.peak_celsius
 
             currents = reservoirs.step(currents, step_dt)
             socs = reservoirs.state_of_charge

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.casestudy.power7plus import ARRAY_CHANNEL_COUNT, build_array_cell
-from repro.cosim import CosimConfig, PolarizationSurface, surface_for
+from repro.cosim import CosimConfig, PolarizationSurface, surface_for, warm_surfaces
 from repro.errors import ConfigurationError
 from repro.flowcell.array import FlowCellArray
 
@@ -26,6 +26,21 @@ def direct_group_curve(flow_ml_min: float, temperature_k: float, n_points: int):
     return cell.polarization_curve(
         n_points=n_points, max_overpotential_v=1.4
     ).scaled(CHANNELS_PER_GROUP)
+
+
+def count_marches(monkeypatch):
+    """Record ``(cells, n_points)`` of every node march from here on."""
+    from repro.flowcell import batch
+
+    marches = []
+    real = batch.batched_polarization_curves
+
+    def recording(cells, n_points=40, **kwargs):
+        marches.append((len(cells), n_points))
+        return real(cells, n_points=n_points, **kwargs)
+
+    monkeypatch.setattr(batch, "batched_polarization_curves", recording)
+    return marches
 
 
 @pytest.fixture(scope="module")
@@ -254,29 +269,78 @@ class TestHistoryIndependence:
 
     TEMPS_K = (300.2, 301.7, 305.4, 318.9, 340.3)
 
+    @staticmethod
+    def _assert_same_nodes(surface, other):
+        """Every node built on ``surface`` is built on ``other``, same bits."""
+        assert surface._curves
+        for node, curve in surface._curves.items():
+            twin = other._curves[node]
+            assert np.array_equal(curve.current_a, twin.current_a)
+            assert np.array_equal(curve.voltage_v, twin.voltage_v)
+
     @pytest.mark.parametrize("array_query", [False, True])
-    def test_lazy_and_warmed_nodes_are_bit_identical(self, array_query):
-        """The lazy nodes are built by scalar queries or by array queries;
-        either way they match the prefilled ones bit for bit."""
-        lazy, warmed = (
+    def test_alone_and_cross_surface_warmed_nodes_are_bit_identical(
+        self, array_query, monkeypatch
+    ):
+        """A surface whose own queries (scalar or array) warm its nodes
+        matches one warmed in a cross-surface batch, bit for bit."""
+        alone, batched = (
             PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=35)
             for _ in range(2)
         )
-        # One prefill of every node the queries touch, and one more pair.
-        assert warmed.warm_nodes(self.TEMPS_K + (325.2,)) == 12
+        others = [
+            PolarizationSurface(flow, CHANNELS_PER_GROUP, n_curve_points=35)
+            for flow in (169.0, 1352.0)
+        ]
+        # One prefill of every node the queries touch, one more pair, and
+        # the other surfaces' nodes in the same march.
+        assert warm_surfaces([
+            (batched, self.TEMPS_K + (325.2,)),
+            *((other, self.TEMPS_K) for other in others),
+        ]) == 32
+        marches = count_marches(monkeypatch)
         for voltage in (0.8, 1.0, 1.2):
             if array_query:
                 assert np.array_equal(
-                    lazy.currents_at(self.TEMPS_K, voltage),
-                    warmed.currents_at(self.TEMPS_K, voltage),
+                    alone.currents_at(self.TEMPS_K, voltage),
+                    batched.currents_at(self.TEMPS_K, voltage),
                 )
                 continue
             for t in self.TEMPS_K:
-                assert lazy.current_at(t, voltage) == warmed.current_at(
+                assert alone.current_at(t, voltage) == batched.current_at(
                     t, voltage
                 )
-        assert np.array_equal(lazy.ocvs_at(self.TEMPS_K),
-                              warmed.ocvs_at(self.TEMPS_K))
+        assert np.array_equal(alone.ocvs_at(self.TEMPS_K),
+                              batched.ocvs_at(self.TEMPS_K))
+        # An array query warms all its brackets in one march; scalar
+        # queries march once per temperature.
+        assert len(marches) == (1 if array_query else len(self.TEMPS_K))
+        assert alone.nodes_built == 10
+        self._assert_same_nodes(alone, batched)
+
+    def test_cross_surface_warm_is_batch_independent(self, monkeypatch):
+        """Surfaces at three flows and two curve samplings warmed by one
+        call hold the node curves each would build alone, and the call
+        makes exactly one march per sampling."""
+        def surfaces():
+            return [
+                PolarizationSurface(flow, CHANNELS_PER_GROUP,
+                                    n_curve_points=points)
+                for flow in (169.0, 676.0, 1352.0) for points in (35, 50)
+            ]
+
+        temps = [(300.2 + 7.0 * k, 341.0 - 3.5 * k) for k in range(6)]
+        together, alone = surfaces(), surfaces()
+        marches = count_marches(monkeypatch)
+        built = warm_surfaces(zip(together, temps))
+        assert [size for size, _ in marches] == [12, 12]
+        assert sorted(points for _, points in marches) == [35, 50]
+        assert built == 24
+        for surface, surface_temps in zip(alone, temps):
+            assert surface.warm_nodes(surface_temps) == 4
+        for surface, twin in zip(alone, together):
+            self._assert_same_nodes(surface, twin)
+            assert surface.nodes_built == twin.nodes_built
 
     def test_runtime_fleet_chip_and_transient_share_one_surface(
         self, monkeypatch

@@ -44,6 +44,20 @@ class TestElectrodeCharacteristic:
         with pytest.raises(ConfigurationError):
             char.potential_at_current(2.0)
 
+    def test_array_query_matches_scalar_queries(self):
+        char = ElectrodeCharacteristic([0.0, 0.1, 0.2], [0.0, 1.0, 2.0])
+        currents = np.array([0.0, 0.25, 1.5, 2.0])
+        potentials = char.potential_at_current(currents)
+        assert potentials.shape == currents.shape
+        assert list(potentials) == [
+            char.potential_at_current(float(c)) for c in currents
+        ]
+
+    def test_array_out_of_range_names_first_offender(self):
+        char = ElectrodeCharacteristic([0.0, 0.1], [0.0, 1.0])
+        with pytest.raises(ConfigurationError, match="current 2 A outside"):
+            char.potential_at_current(np.array([0.5, 2.0, 3.0]))
+
 
 class TestAssemblePolarization:
     @staticmethod
