@@ -17,13 +17,14 @@ often than it varies the matrix-defining knobs (flow, inlet, raster).
   their states ride as stacked columns through
   :class:`~repro.thermal.batch.AnchoredTransientSolver`, so each time step
   costs one multi-RHS triangular solve instead of one solve per scenario;
-- sampling is :class:`~repro.cosim.transient.TransientCosim`'s own
-  ``_sample`` (same group partition), applied per column, on the shared
-  :class:`~repro.cosim.surface.PolarizationSurface` — and first
-  *prefills* the surfaces: the group temperatures of all columns at each
-  sample time go through one
-  :func:`~repro.cosim.surface.warm_surfaces` call, so missing node
-  curves are marched as one batch rather than one by one.
+- sampling takes every column sharing a configuration as one array
+  (:func:`~repro.cosim.coupling.coolant_columns`, the steady loop's group
+  partition, then one query of the shared
+  :class:`~repro.cosim.surface.PolarizationSurface`) — after *prefilling*
+  the surfaces: the group temperatures of all columns at each sample
+  time go through one :func:`~repro.cosim.surface.warm_surfaces` call,
+  so missing node curves are marched as one batch rather than one by
+  one.
 
 Equivalence: a case's trajectory is *bit-identical* whichever batch it
 rides in, and to a direct march of
@@ -31,9 +32,9 @@ rides in, and to a direct march of
 :meth:`~repro.thermal.model.ThermalModel.solve_transient` sampled on the
 surface (``tests/cosim/test_transient.py`` holds that oracle). SuperLU solves
 a multi-column right-hand side column by column, the stacked step formula
-mirrors the scalar one elementwise, every column is copied contiguous
-before sampling so reductions see the same memory layout, and every
-surface node comes from the one curve construction whoever builds it.
+mirrors the scalar one elementwise, every sampling reduction sums one
+contiguous run of a single column's values, and every surface node comes
+from the one curve construction whoever builds it.
 That matters because the temperatures feed discontinuous decisions
 downstream (settling-band exits here, control branches in the runtime
 layer).
@@ -47,9 +48,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
-from repro.cosim.surface import warm_surfaces
-from repro.cosim.transient import TransientCosim, TransientSample
+from repro.cosim.coupling import CosimConfig, coolant_columns
+from repro.cosim.surface import surface_for, warm_surfaces
+from repro.cosim.transient import TransientSample
 from repro.errors import ConfigurationError
 
 
@@ -130,13 +131,13 @@ def batched_step_responses(
                 full_load_power_map(nx, ny, utilization=case.utilization_after)
                 for case in family_cases
             ])
-            samplers = [TransientCosim(case.config) for case in family_cases]
+            configs = [case.config for case in family_cases]
             states = solver.solve_steady_columns(columns_before)
 
             trajectories: "list[list[TransientSample]]" = [
-                [] for _ in samplers
+                [] for _ in configs
             ]
-            _sample_columns(samplers, model, states, 0.0, trajectories)
+            _sample_columns(configs, model, states, 0.0, trajectories)
             # Full dt steps as two half steps each, then one partial step
             # landing exactly at duration_s. The float guard keeps an
             # exact multiple (e.g. 0.5 / 0.05) at exactly duration/dt
@@ -154,7 +155,7 @@ def batched_step_responses(
                 )
                 at_end = i == n_full and remainder == 0.0
                 time_s = duration_s if at_end else dt_s * i
-                _sample_columns(samplers, model, states, time_s, trajectories)
+                _sample_columns(configs, model, states, time_s, trajectories)
             if remainder > 0.0:
                 states = solver.step_columns(
                     states, columns_after, remainder / 2.0
@@ -163,7 +164,7 @@ def batched_step_responses(
                     states, columns_after, remainder / 2.0
                 )
                 _sample_columns(
-                    samplers, model, states, duration_s, trajectories
+                    configs, model, states, duration_s, trajectories
                 )
             for k, index in enumerate(indices):
                 results[index] = trajectories[k]
@@ -171,38 +172,38 @@ def batched_step_responses(
 
 
 def _sample_columns(
-    samplers: "list[TransientCosim]",
+    configs: "list[CosimConfig]",
     model,
     states: np.ndarray,
     time_s: float,
     trajectories: "list[list[TransientSample]]",
 ) -> None:
-    """Sample every column at one time, prefilling the surfaces first.
+    """Sample every column at one time, as one array per configuration.
 
-    All columns' group temperatures go through one ``warm_surfaces`` call
-    before any per-column ``_sample`` call, so missing node curves are
-    marched as one batch instead of one march per first-touching column.
+    Columns sharing a configuration are sampled together
+    (:func:`~repro.cosim.coupling.coolant_columns`, one surface query),
+    after one ``warm_surfaces`` call has marched every configuration's
+    missing node curves as one batch.
     """
-    solutions = [
-        _column_solution(model, states, k) for k in range(len(samplers))
+    by_config: "dict[CosimConfig, list[int]]" = {}
+    for k, config in enumerate(configs):
+        by_config.setdefault(config, []).append(k)
+    peaks_c = states.max(axis=0) - 273.15
+    sampled = [
+        (config, columns, *coolant_columns(model, states[:, columns], config))
+        for config, columns in by_config.items()
     ]
     warm_surfaces(
-        (sampler._surface, group_coolant_temperatures(solution, sampler.config))
-        for sampler, solution in zip(samplers, solutions)
+        (surface_for(config), temps) for config, _, temps, _ in sampled
     )
-    for k, (sampler, solution) in enumerate(zip(samplers, solutions)):
-        trajectories[k].append(sampler._sample(time_s, solution))
-
-
-def _column_solution(model, states: np.ndarray, k: int):
-    """One scenario column as a standalone ``ThermalSolution``.
-
-    The column is copied contiguous first: numpy's pairwise reductions
-    (``mean``/``max`` inside the samplers) can round differently on
-    strided views, and a trajectory must not depend on its batch.
-    """
-    from repro.thermal.solver import ThermalSolution
-
-    return ThermalSolution(
-        temperatures_k=np.ascontiguousarray(states[:, k]), model=model
-    )
+    for config, columns, temps, mean_coolants_k in sampled:
+        currents = surface_for(config).currents_at(
+            temps, config.operating_voltage_v
+        ).sum(axis=1)
+        for k, current, mean_coolant_k in zip(columns, currents, mean_coolants_k):
+            trajectories[k].append(TransientSample(
+                time_s=time_s,
+                peak_temperature_c=float(peaks_c[k]),
+                mean_coolant_c=float(mean_coolant_k - 273.15),
+                array_current_a=float(current),
+            ))

@@ -10,6 +10,7 @@ a double-digit power gain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,16 @@ class CosimConfig:
             )
         if self.max_iterations < 1:
             raise ConfigurationError("need at least one iteration")
-        if self.tolerance_k <= 0.0:
-            raise ConfigurationError("tolerance must be > 0")
-        if self.surface_resolution_k <= 0.0:
-            raise ConfigurationError("surface resolution must be > 0 K")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < self.tolerance_k < math.inf:
+            raise ConfigurationError(
+                f"tolerance_k must be finite and > 0 K, got {self.tolerance_k}"
+            )
+        if not 0.0 < self.surface_resolution_k < math.inf:
+            raise ConfigurationError(
+                "surface_resolution_k must be finite and > 0 K, got "
+                f"{self.surface_resolution_k}"
+            )
         t_min, t_max = self.surface_temperature_range_k
         if not t_min < t_max:
             raise ConfigurationError(
@@ -139,17 +146,41 @@ def group_coolant_temperatures(
 ) -> np.ndarray:
     """Mean coolant temperature over each group's channel columns [K].
 
-    The single definition of the group-to-column partition, shared by the
-    steady loop and the transient stepper so the two can never disagree
-    about which channels belong to which group.
+    The one-solution case of :func:`coolant_columns`, shared by the
+    steady loop so it and the batched steppers can never disagree about
+    which channels belong to which group.
     """
-    fluid = thermal.field("channels", "fluid")
+    group_temperatures, _ = coolant_columns(
+        thermal.model, thermal.temperatures_k[:, None], config
+    )
+    return group_temperatures[0]
+
+
+def coolant_columns(
+    model, states: np.ndarray, config: CosimConfig
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Coolant temperatures [K] of ``(n_dof, k)`` thermal state columns.
+
+    Returns the ``(k, G)`` mean over each channel group's columns of the
+    fluid field and the ``(k,)`` mean over the whole fluid field. Each
+    mean is a sum over one contiguous run of the column's values — the
+    fluid field, or one group's ``ny * columns`` block — so a column's
+    result is bit-identical whatever its position in the batch, and to a
+    per-group ``fluid[:, group].mean()`` of the column alone.
+    """
+    k = states.shape[1]
+    ny, nx = config.ny, config.nx
     groups = config.n_channel_groups
-    columns_per_group = config.nx // groups
-    return np.array([
-        float(fluid[:, g * columns_per_group:(g + 1) * columns_per_group].mean())
-        for g in range(groups)
-    ])
+    columns_per_group = nx // groups
+    offset = model._field("channels", "fluid").offset
+    fluid = np.ascontiguousarray(states[offset:offset + nx * ny].T)
+    blocks = np.ascontiguousarray(
+        fluid.reshape(k, ny, groups, columns_per_group).transpose(0, 2, 1, 3)
+    ).reshape(k, groups, ny * columns_per_group)
+    return (
+        blocks.sum(axis=2) / (ny * columns_per_group),
+        fluid.sum(axis=1) / (ny * nx),
+    )
 
 
 class ElectroThermalCosim:

@@ -137,8 +137,15 @@ class PolarizationSurface:
         """How many grid nodes have had their curve constructed."""
         return len(self._curves)
 
-    def _bracket(self, temperatures_k: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """(node index, fraction) of each query on the grid; validates range."""
+    def _bracket(
+        self, temperatures_k: np.ndarray
+    ) -> "tuple[list[int], np.ndarray, np.ndarray]":
+        """Bracketing grid nodes of the queries; validates the range.
+
+        Returns ``(nodes, where, frac)``: the sorted distinct bracketing
+        nodes, the ``(2, *shape)`` positions in ``nodes`` of each query's
+        lower and upper node, and each query's fraction between them.
+        """
         t_min, t_max = self.temperature_range_k
         if np.any(temperatures_k < t_min) or np.any(temperatures_k > t_max):
             bad_lo = float(temperatures_k.min())
@@ -152,13 +159,19 @@ class PolarizationSurface:
         index = np.clip(
             np.floor(position).astype(int), 0, len(self.node_temperatures_k) - 2
         )
-        return index, position - index
-
-    def _missing_nodes(self, index: np.ndarray) -> "list[int]":
-        """Unbuilt grid nodes of the given brackets (lower node indices)."""
         flat = index.ravel()
-        needed = np.unique(np.concatenate([flat, flat + 1]))
-        return [int(node) for node in needed if int(node) not in self._curves]
+        nodes, where = np.unique(
+            np.concatenate([flat, flat + 1]), return_inverse=True
+        )
+        return (
+            [int(node) for node in nodes],
+            where.reshape(2, *temperatures_k.shape),
+            position - index,
+        )
+
+    def _missing_nodes(self, nodes: "list[int]") -> "list[int]":
+        """The unbuilt ones among the given grid nodes."""
+        return [node for node in nodes if node not in self._curves]
 
     def warm_nodes(self, temperatures_k) -> int:
         """Build every node curve the given temperatures bracket.
@@ -197,44 +210,27 @@ class PolarizationSurface:
 
     # -- queries ---------------------------------------------------------------
 
-    def _interpolated_current(self, node: int, frac: float, voltage_v: float) -> float:
-        current = (
-            (1.0 - frac) * self._node_current(node, voltage_v)
-            + frac * self._node_current(node + 1, voltage_v)
-        )
-        if current == 0.0:
-            return 0.0
-        # Open-circuit cutoff: when the terminal voltage sits between the
-        # two nodes' OCVs (one contributes zero, one a sliver), blending
-        # would fake a small current where the group is in fact open. Gate
-        # on the *interpolated* OCV — the surface's estimate of the true
-        # OCV at this temperature — so the cutoff lands where direct
-        # construction puts it, to within interpolation error.
-        ocv = (1.0 - frac) * self._node_ocv(node) + frac * self._node_ocv(node + 1)
-        return 0.0 if voltage_v >= ocv else current
+    def _warm_brackets(
+        self, temperatures_k
+    ) -> "tuple[list[int], np.ndarray, np.ndarray]":
+        """:meth:`_bracket` of the queries, missing nodes marched first.
 
-    def _interpolate(self, temperatures_k, node_value) -> np.ndarray:
-        """Shape-preserving grid interpolation of a per-(node, frac) value.
-
-        Missing bracketing nodes are marched first, all in one batch.
+        All missing nodes go in one batch; per-node values are then read
+        once per distinct node, not once per query.
         """
         temps = np.atleast_1d(np.asarray(temperatures_k, dtype=float))
         obs.inc("surface.interpolations", temps.size)
-        index, frac = self._bracket(temps)
-        missing = self._missing_nodes(index)
+        nodes, where, frac = self._bracket(temps)
+        missing = self._missing_nodes(nodes)
         if missing:
             _march_nodes({self: missing})
-        flat_index = index.ravel()
-        flat_frac = frac.ravel()
-        values = np.fromiter(
-            (
-                node_value(int(i), float(f))
-                for i, f in zip(flat_index, flat_frac)
-            ),
-            dtype=float,
-            count=flat_index.size,
-        )
-        return values.reshape(temps.shape)
+        return nodes, where, frac
+
+    @staticmethod
+    def _blend(node_values: "list[float]", where: np.ndarray, frac: np.ndarray):
+        """Linear blend ``(1 - f) * lower + f * upper`` of per-node values."""
+        lower, upper = np.array(node_values)[where]
+        return (1.0 - frac) * lower + frac * upper
 
     def currents_at(self, temperatures_k, voltage_v: float) -> np.ndarray:
         """Group currents [A] at the given temperatures and terminal voltage.
@@ -245,10 +241,18 @@ class PolarizationSurface:
         OCV is at or below ``voltage_v`` contributes zero, mirroring
         :meth:`FlowCellArray.combine_at_voltage`.
         """
-        return self._interpolate(
-            temperatures_k,
-            lambda node, frac: self._interpolated_current(node, frac, voltage_v),
+        nodes, where, frac = self._warm_brackets(temperatures_k)
+        currents = self._blend(
+            [self._node_current(node, voltage_v) for node in nodes], where, frac
         )
+        # Open-circuit cutoff: when the terminal voltage sits between the
+        # two nodes' OCVs (one contributes zero, one a sliver), blending
+        # would fake a small current where the group is in fact open. Gate
+        # on the *interpolated* OCV — the surface's estimate of the true
+        # OCV at this temperature — so the cutoff lands where direct
+        # construction puts it, to within interpolation error.
+        ocvs = self._blend([self._node_ocv(node) for node in nodes], where, frac)
+        return np.where((currents == 0.0) | (voltage_v >= ocvs), 0.0, currents)
 
     def current_at(self, temperature_k: float, voltage_v: float) -> float:
         """Scalar convenience for :meth:`currents_at`."""
@@ -256,13 +260,8 @@ class PolarizationSurface:
 
     def ocvs_at(self, temperatures_k) -> np.ndarray:
         """Open-circuit voltages [V] at the given temperatures."""
-        return self._interpolate(
-            temperatures_k,
-            lambda node, frac: (
-                (1.0 - frac) * self._node_ocv(node)
-                + frac * self._node_ocv(node + 1)
-            ),
-        )
+        nodes, where, frac = self._warm_brackets(temperatures_k)
+        return self._blend([self._node_ocv(node) for node in nodes], where, frac)
 
     def ocv_at(self, temperature_k: float) -> float:
         """Scalar convenience for :meth:`ocvs_at`."""

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
+from repro.cosim.coupling import CosimConfig
 from repro.cosim.surface import surface_for
 from repro.errors import ConfigurationError
-from repro.thermal.solver import ThermalSolution
 
 
 @dataclass(frozen=True)
@@ -59,19 +58,6 @@ class TransientCosim:
         """Resolved per access (a dict lookup on the shared store), so
         rebinding ``self.config`` between runs is honored."""
         return surface_for(self.config)
-
-    def _sample(self, time_s: float, thermal: ThermalSolution) -> TransientSample:
-        group_temps = group_coolant_temperatures(thermal, self.config)
-        currents = self._surface.currents_at(
-            group_temps, self.config.operating_voltage_v
-        )
-        fluid = thermal.field("channels", "fluid")
-        return TransientSample(
-            time_s=time_s,
-            peak_temperature_c=thermal.peak_celsius,
-            mean_coolant_c=float(fluid.mean()) - 273.15,
-            array_current_a=float(currents.sum()),
-        )
 
     def run_step_response(
         self,

@@ -57,8 +57,13 @@ def chip_cosim_config(spec: ScenarioSpec):
     )
 
 
-def _surface_query(solution, config):
-    """The chip's polarization surface and its clipped group temperatures.
+def _sample_chips(model, temperatures: np.ndarray, config):
+    """The surface, clipped group temperatures and peaks of chip states.
+
+    ``temperatures`` holds ``(n_dof, k)`` steady states of one thermal
+    model at one coolant point; ``config`` the matching
+    :func:`chip_cosim_config`. Returns the chips' polarization surface,
+    their ``(k, G)`` group temperatures [K] and ``(k,)`` peaks [degC].
 
     Deeply infeasible grid corners (minimum flow at full load) can push
     the coolant past the surface's sampled window; they are tabulated
@@ -66,45 +71,61 @@ def _surface_query(solution, config):
     beyond the trip limit, so they are never served), and their
     generation saturates at the window edge rather than extrapolating.
     """
-    from repro.cosim.coupling import group_coolant_temperatures
+    from repro.cosim.coupling import coolant_columns
     from repro.cosim.surface import surface_for
 
     surface = surface_for(config)
     t_min, t_max = surface.temperature_range_k
-    group_temps = np.clip(
-        group_coolant_temperatures(solution, config), t_min, t_max
+    group_temps, _ = coolant_columns(model, temperatures, config)
+    return (
+        surface,
+        np.clip(group_temps, t_min, t_max),
+        temperatures.max(axis=0) - 273.15,
     )
-    return surface, group_temps
 
 
-def chip_metrics(spec: ScenarioSpec, solution, config) -> "dict[str, float]":
-    """Assemble the ``fleet_chip`` metrics from a solved thermal state.
+def chip_metrics(
+    specs: "Sequence[ScenarioSpec]", surface, group_temps: np.ndarray,
+    peaks_c: np.ndarray,
+) -> "list[dict[str, float]]":
+    """Assemble the ``fleet_chip`` metrics of sampled chip states.
 
     Shared between the scalar evaluator and the batch kernel so both
-    paths apply the identical generation/pumping energy balance.
-    ``solution`` must be the steady state at the spec's coolant point and
-    utilization; ``config`` the matching :func:`chip_cosim_config`.
+    paths apply the identical generation/pumping energy balance. Row
+    ``i`` of :func:`_sample_chips`' output is the steady state of
+    ``specs[i]``; the rows at each terminal voltage are one surface
+    query.
     """
     from repro.casestudy.power7plus import array_pumping_power_w
 
-    surface, group_temps = _surface_query(solution, config)
-    current = float(
-        surface.currents_at(group_temps, spec.operating_voltage_v).sum()
-    )
-    generated = current * spec.operating_voltage_v
-    pumping = array_pumping_power_w(
-        spec.total_flow_ml_min, pump_efficiency=spec.pump_efficiency
-    )
-    peak_c = solution.peak_celsius
-    return {
-        "peak_temperature_c": peak_c,
-        "mean_coolant_c": float(np.mean(group_temps)) - 273.15,
-        "array_current_a": current,
-        "generated_w": generated,
-        "pumping_w": pumping,
-        "net_w": generated - pumping,
-        "feasible": float(peak_c <= DEFAULT_TEMPERATURE_LIMIT_C),
-    }
+    currents = np.empty(len(specs))
+    for voltage in sorted({spec.operating_voltage_v for spec in specs}):
+        rows = [i for i, spec in enumerate(specs)
+                if spec.operating_voltage_v == voltage]
+        currents[rows] = surface.currents_at(
+            group_temps[rows], voltage
+        ).sum(axis=1)
+    mean_coolants_c = group_temps.mean(axis=1) - 273.15
+    metrics = []
+    for spec, current, peak_c, mean_coolant_c in zip(
+        specs, currents, peaks_c, mean_coolants_c
+    ):
+        current = float(current)
+        peak_c = float(peak_c)
+        generated = current * spec.operating_voltage_v
+        pumping = array_pumping_power_w(
+            spec.total_flow_ml_min, pump_efficiency=spec.pump_efficiency
+        )
+        metrics.append({
+            "peak_temperature_c": peak_c,
+            "mean_coolant_c": float(mean_coolant_c),
+            "array_current_a": current,
+            "generated_w": generated,
+            "pumping_w": pumping,
+            "net_w": generated - pumping,
+            "feasible": float(peak_c <= DEFAULT_TEMPERATURE_LIMIT_C),
+        })
+    return metrics
 
 
 def chip_state_metrics(spec: ScenarioSpec) -> "dict[str, float]":
@@ -119,7 +140,10 @@ def chip_state_metrics(spec: ScenarioSpec) -> "dict[str, float]":
         utilization=spec.utilization,
     )
     solution = model.solve_steady()
-    return chip_metrics(spec, solution, chip_cosim_config(spec))
+    (metrics,) = chip_metrics([spec], *_sample_chips(
+        model, solution.temperatures_k[:, None], chip_cosim_config(spec)
+    ))
+    return metrics
 
 
 def batch_chip_states(
@@ -135,7 +159,8 @@ def batch_chip_states(
     middle-out — the same
     sharing pattern as :func:`repro.sweep.vectorized.batch_peak_temperatures`.
     Every chip's missing polarization-surface nodes are then marched in one
-    :func:`~repro.cosim.surface.warm_surfaces` call before the metrics.
+    :func:`~repro.cosim.surface.warm_surfaces` call, and each flow's chips
+    are sampled and queried as one array.
     """
     from repro.casestudy.power7plus import full_load_power_map
     from repro.cosim.surface import warm_surfaces
@@ -143,55 +168,47 @@ def batch_chip_states(
     from repro.runtime.engine import shared_thermal_model
     from repro.sweep.vectorized import _middle_out
     from repro.thermal.batch import AnchoredSteadySolver
-    from repro.thermal.solver import ThermalSolution
 
-    points = {
-        (
-            spec.total_flow_ml_min,
-            spec.inlet_temperature_k,
-            spec.utilization,
-            spec.nx,
-            spec.ny,
-        )
-        for spec in specs
-    }
-    families: "dict[tuple, dict[float, list[float]]]" = {}
-    for flow, inlet, utilization, nx, ny in sorted(points):
-        flows = families.setdefault((inlet, nx, ny), {})
-        flows.setdefault(flow, []).append(utilization)
+    # Chips (spec indices) per coolant point, then per mesh + inlet family.
+    points: "dict[tuple, list[int]]" = {}
+    for index, spec in enumerate(specs):
+        points.setdefault(
+            (spec.total_flow_ml_min, spec.inlet_temperature_k, spec.nx, spec.ny),
+            [],
+        ).append(index)
+    families: "dict[tuple, list[float]]" = {}
+    for flow, inlet, nx, ny in sorted(points):
+        families.setdefault((inlet, nx, ny), []).append(flow)
 
     floorplan = build_power7_floorplan()
-    solutions: "dict[tuple, ThermalSolution]" = {}
+    sampled = []
     for (inlet, nx, ny), flows in families.items():
         solver = AnchoredSteadySolver()
-        for flow in _middle_out(sorted(flows)):
+        for flow in _middle_out(flows):
             model = shared_thermal_model(flow, inlet, nx, ny)
-            utilizations = sorted(flows[flow])
+            indices = points[(flow, inlet, nx, ny)]
+            utilizations = sorted({specs[i].utilization for i in indices})
             columns = model.rhs_columns("active_si", [
                 full_load_power_map(nx, ny, floorplan, utilization)
                 for utilization in utilizations
             ])
             temperatures = solver.solve_columns(model, columns)
-            for k, utilization in enumerate(utilizations):
-                solutions[(flow, inlet, utilization, nx, ny)] = ThermalSolution(
-                    temperatures_k=temperatures[:, k].copy(), model=model
-                )
-    states = [
-        (
-            spec,
-            solutions[(
-                spec.total_flow_ml_min, spec.inlet_temperature_k,
-                spec.utilization, spec.nx, spec.ny,
-            )],
-            chip_cosim_config(spec),
-        )
-        for spec in specs
-    ]
+            chip_columns = [
+                utilizations.index(specs[i].utilization) for i in indices
+            ]
+            sampled.append((indices, _sample_chips(
+                model, temperatures[:, chip_columns],
+                chip_cosim_config(specs[indices[0]]),
+            )))
     # March every chip's missing surface nodes, across flows, in one batch.
-    warm_surfaces(
-        _surface_query(solution, config) for _, solution, config in states
-    )
-    return [chip_metrics(*state) for state in states]
+    warm_surfaces((surface, temps) for _, (surface, temps, _) in sampled)
+    metrics: "list[dict[str, float] | None]" = [None] * len(specs)
+    for indices, chips in sampled:
+        for index, chip in zip(
+            indices, chip_metrics([specs[i] for i in indices], *chips)
+        ):
+            metrics[index] = chip
+    return metrics
 
 
 def _nearest_indices(grid: np.ndarray, values: np.ndarray) -> np.ndarray:

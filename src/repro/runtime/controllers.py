@@ -30,6 +30,7 @@ restores the initial state so one lane array can run many traces.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -47,9 +48,10 @@ class FixedFlow:
     """Open-loop constant flow — the paper's static operating point."""
 
     def __init__(self, flow_ml_min: float) -> None:
-        if flow_ml_min <= 0.0:
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < flow_ml_min < math.inf:
             raise ConfigurationError(
-                f"flow must be > 0 ml/min, got {flow_ml_min}"
+                f"flow_ml_min must be finite and > 0 ml/min, got {flow_ml_min}"
             )
         #: The flow commanded on every step [ml/min].
         self.initial_flow_ml_min = float(flow_ml_min)
@@ -89,9 +91,15 @@ class PIDFlowController:
         max_flow_ml_min: float = 1352.0,
         initial_flow_ml_min: "float | None" = None,
     ) -> None:
-        if min_flow_ml_min <= 0.0 or max_flow_ml_min <= min_flow_ml_min:
+        if not 0.0 < min_flow_ml_min < math.inf:
             raise ConfigurationError(
-                "need 0 < min_flow_ml_min < max_flow_ml_min"
+                f"min_flow_ml_min must be finite and > 0 ml/min, got "
+                f"{min_flow_ml_min}"
+            )
+        if not min_flow_ml_min < max_flow_ml_min < math.inf:
+            raise ConfigurationError(
+                f"max_flow_ml_min must be finite and > min_flow_ml_min="
+                f"{min_flow_ml_min:g}, got {max_flow_ml_min}"
             )
         if kp < 0.0 or ki < 0.0 or kd < 0.0:
             raise ConfigurationError("gains must be >= 0")
@@ -228,8 +236,8 @@ class VectorFlowControllers:
         self, peak_temperatures_c: np.ndarray, dt_s: float
     ) -> np.ndarray:
         """Per-lane flow commands [ml/min] for the next step."""
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
         errors = peak_temperatures_c - self._targets_c
         derivatives = np.zeros_like(errors)
         if self._has_previous:

@@ -21,17 +21,19 @@ Per control step the engine
 3. advances every lane's thermal state by one backward-Euler step on the
    cached :class:`~repro.thermal.model.ThermalModel` for its commanded
    flow (lanes at the same flow share one multi-column solve),
-4. looks up group currents on the shared
-   :class:`~repro.cosim.surface.PolarizationSurface` at the new channel
-   temperatures, prices the pumping power, and
+4. samples each flow group's lanes as one array — coolant group
+   temperatures, peaks, and group currents on the shared
+   :class:`~repro.cosim.surface.PolarizationSurface` — and prices the
+   pumping power, and
 5. draws the generated charge from the electrolyte reservoirs.
 
 Flow commands are quantized to ``flow_resolution_ml_min`` so the caches
 stay bounded: each distinct quantized flow costs one thermal model (its
-sparse assembly + LU factorizations are then reused for every later step
-at that flow) and one polarization surface (shared process-wide). A PID
-sweeping smoothly through flows therefore pays for a handful of models,
-not one per step.
+sparse assembly and one backward-Euler LU per step size are then reused
+for every later step at that flow; only the lanes' initial flows also
+factorize the steady matrix, for the initial state) and one polarization
+surface (shared process-wide). A PID sweeping smoothly through flows
+therefore pays for a handful of models, not one per step.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
-from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
+from repro.cosim.coupling import CosimConfig, coolant_columns
 from repro.cosim.surface import surface_for, warm_surfaces
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
@@ -328,10 +330,12 @@ class BatchedRuntimeEngine:
     decision — is bit-identical to running that lane alone, not merely
     close, because flow quantization, governor hysteresis and the PID all
     branch on the floats. SuperLU solves stacked columns one by one, every
-    sample is read from a contiguous copy of its lane's column, and every
-    polarization-surface node comes from the one curve construction
-    whichever run reaches it first (each step prefills every lane group's
-    missing nodes in one :func:`~repro.cosim.surface.warm_surfaces` call).
+    lane-array sample (:func:`~repro.cosim.coupling.coolant_columns`, the
+    column maxima, one surface query per flow group) reduces each lane's
+    values on their own, and every polarization-surface node comes from
+    the one curve construction whichever run reaches it first (each step
+    prefills every lane group's missing nodes in one
+    :func:`~repro.cosim.surface.warm_surfaces` call).
 
     The engine is reusable: :meth:`run` resets the controllers and
     governors and starts from the trace's initial steady state, while the
@@ -542,7 +546,8 @@ class BatchedRuntimeEngine:
             # bookkeeping below is negligible next to the solves.
             with obs.span("runtime.step", lanes=n_lanes):
                 # Step every flow group, then march all groups' missing
-                # surface nodes as one batch, then sample the lanes.
+                # surface nodes as one batch, then sample each group's
+                # lanes as one array.
                 stepped = []
                 for flow, lanes in self._flow_groups(flows):
                     obs.observe("runtime.lane_group.size", len(lanes))
@@ -558,24 +563,20 @@ class BatchedRuntimeEngine:
                     states[:, lanes] = advanced
 
                     cosim_config = self._cosim_config(flow)
-                    surface = surface_for(cosim_config)
-                    pumpings[lanes] = self._pumping_w(flow)
-                    for k, lane in enumerate(lanes):
-                        solution = _lane_solution(model, advanced, k)
-                        temps = group_coolant_temperatures(
-                            solution, cosim_config
-                        )
-                        stepped.append((lane, solution, surface, temps))
-                warm_surfaces(
-                    (surface, temps) for _, _, surface, temps in stepped
-                )
-                for lane, solution, surface, temps in stepped:
-                    currents[lane] = float(
-                        surface.currents_at(temps, voltage).sum()
+                    group_temps, mean_coolants_k = coolant_columns(
+                        model, advanced, cosim_config
                     )
-                    fluid = solution.field("channels", "fluid")
-                    mean_coolants_c[lane] = float(fluid.mean()) - 273.15
-                    peaks[lane] = solution.peak_celsius
+                    peaks[lanes] = advanced.max(axis=0) - 273.15
+                    mean_coolants_c[lanes] = mean_coolants_k - 273.15
+                    pumpings[lanes] = self._pumping_w(flow)
+                    stepped.append((lanes, surface_for(cosim_config), group_temps))
+                warm_surfaces(
+                    (surface, temps) for _, surface, temps in stepped
+                )
+                for lanes, surface, temps in stepped:
+                    currents[lanes] = surface.currents_at(temps, voltage).sum(
+                        axis=1
+                    )
 
             currents = reservoirs.step(currents, step_dt)
             socs = reservoirs.state_of_charge
@@ -617,17 +618,3 @@ class BatchedRuntimeEngine:
             ))
         return results
 
-
-def _lane_solution(model, columns: np.ndarray, k: int):
-    """One lane's state column as a thermal solution.
-
-    Copied contiguous first so the sampling reductions (channel-group
-    means, the peak) see the same memory layout whatever the lane's
-    position in the batch — numpy's pairwise sums can round differently
-    on strided views, and lane independence is bit-exact here.
-    """
-    from repro.thermal.solver import ThermalSolution
-
-    return ThermalSolution(
-        temperatures_k=np.ascontiguousarray(columns[:, k]), model=model
-    )

@@ -21,6 +21,7 @@ form is tested against.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -114,8 +115,9 @@ class ElectrolyteState:
         remainder and marks the state depleted; once depleted, the
         sustained current is zero.
         """
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the check too.
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
         if current_a < 0.0:
             raise ConfigurationError(
                 f"discharge current must be >= 0, got {current_a}"
@@ -245,8 +247,8 @@ class ElectrolyteStateArray:
         the request crosses the floor (after which they sustain zero);
         reservoir-less lanes pass their current through unchanged.
         """
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
         currents_a = np.asarray(currents_a, dtype=float)
         if np.any(self._has_reservoir & (currents_a < 0.0)):
             raise ConfigurationError("discharge currents must be >= 0")

@@ -59,9 +59,10 @@ class TraceSegment:
     workload: str = "full load"
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0.0:
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the check too.
+        if not 0.0 < self.duration_s < math.inf:
             raise ConfigurationError(
-                f"segment duration must be > 0 s, got {self.duration_s}"
+                f"duration_s must be finite and > 0 s, got {self.duration_s}"
             )
         if not 0.0 <= self.utilization <= MAX_UTILIZATION:
             raise ConfigurationError(
@@ -143,8 +144,8 @@ class WorkloadTrace:
         the runtime engine keys cached transient factorizations on the
         step size, so a trace must not manufacture near-identical sizes.
         """
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
         start = 0.0
         for segment in self.segments:
             # Same float guard as the step-response stepper

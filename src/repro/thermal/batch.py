@@ -371,8 +371,9 @@ class AnchoredTransientSolver:
     Wraps a single :class:`~repro.thermal.model.ThermalModel` and advances
     ``k`` scenario state columns per backward-Euler step as one multi-RHS
     triangular solve against the model's own cached factorizations
-    (:meth:`ThermalModel.warm`). SuperLU solves a 2-D right-hand side
-    column by column, so each column is bit-identical to the scalar
+    (:meth:`ThermalModel.transient_lu`, :meth:`ThermalModel.steady_lu`).
+    SuperLU solves a 2-D right-hand side column by column, so each
+    column is bit-identical to the scalar
     ``model.solve_transient`` step at the same ``dt`` — which is the whole
     point: the anchor here is the exact per-``(matrix, dt)`` LU, not a
     preconditioner, because downstream consumers (controllers, settling
@@ -398,9 +399,9 @@ class AnchoredTransientSolver:
         same LU, same finite and residual checks — for stacked initial
         conditions of a transient family.
         """
-        model = self.model.warm()
-        matrix, _ = model._build_system()
-        solution = model._steady_lu.solve(rhs_columns)
+        model = self.model
+        matrix, _ = model._system_structure()
+        solution = model.steady_lu().solve(rhs_columns)
         if not np.all(np.isfinite(solution)):
             raise ConvergenceError(
                 "thermal solve produced non-finite temperatures"
@@ -425,11 +426,13 @@ class AnchoredTransientSolver:
         ``states`` and ``rhs_columns`` are ``(n_dof, k)``; returns the
         advanced ``(n_dof, k)`` states. The step formula is the scalar
         stepper's, column-vectorized:
-        ``lu.solve(rhs + (capacitance / dt) * state)``. ``warm`` rejects
-        a non-finite or non-positive ``dt_s``.
+        ``lu.solve(rhs + (capacitance / dt) * state)``. Only the step
+        matrix is factorized (:meth:`ThermalModel.transient_lu`, which
+        rejects a non-finite or non-positive ``dt_s``); the steady LU is
+        left to the solves that need it.
         """
-        model = self.model.warm(dt_s=dt_s)
-        lu = model._transient_lus[dt_s]
+        model = self.model
+        lu = model.transient_lu(dt_s)
         advanced = lu.solve(
             rhs_columns + (model._capacitance / dt_s)[:, None] * states
         )

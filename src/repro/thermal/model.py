@@ -403,30 +403,45 @@ class ThermalModel:
 
         Pre-pays the model's one-time costs — sparse assembly, the steady
         LU and (with ``dt_s``) the backward-Euler step factorization — so
-        callers that build models speculatively (the runtime engine's
-        per-quantized-flow warm-up, sweep backends) move that work out of
-        the stepping loop. Idempotent: warm parts are not recomputed.
+        callers that build models speculatively (sweep backends) move that
+        work out of their solve loops. Idempotent: warm parts are not
+        recomputed.
         """
-        if dt_s is not None and not 0.0 < dt_s < math.inf:
-            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
-        matrix, _ = self._build_system()
-        if self._steady_lu is None:
-            self._steady_lu = factorize_steady(matrix)
         if dt_s is not None:
+            self.transient_lu(dt_s)
+        self.steady_lu()
+        return self
+
+    def steady_lu(self):
+        """The steady-state LU, factorized on first use and then cached."""
+        if self._steady_lu is None:
+            matrix, _ = self._system_structure()
+            self._steady_lu = factorize_steady(matrix)
+        return self._steady_lu
+
+    def transient_lu(self, dt_s: float):
+        """The backward-Euler factorization of ``A + C/dt`` for one step size.
+
+        Cached per ``dt_s``, shared with :meth:`solve_transient`. Only the
+        step matrix is factorized: a model that only ever steps (the
+        runtime engine's flows after the first) never pays for the steady
+        LU.
+        """
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(f"dt_s must be finite and > 0, got {dt_s}")
+        lu = self._transient_lus.get(dt_s)
+        if lu is None:
+            matrix, _ = self._system_structure()
             if self._capacitance is None:
                 self._capacitance = self.capacitance_vector()
-            if dt_s not in self._transient_lus:
-                self._transient_lus[dt_s] = factorize_transient(
-                    matrix, self._capacitance, dt_s
-                )
-        return self
+            lu = factorize_transient(matrix, self._capacitance, dt_s)
+            self._transient_lus[dt_s] = lu
+        return lu
 
     def solve_steady(self) -> ThermalSolution:
         """Solve the steady-state temperature field (the Fig. 9 quantity)."""
         matrix, rhs = self._build_system()
-        if self._steady_lu is None:
-            self._steady_lu = factorize_steady(matrix)
-        return solve_steady(self, matrix, rhs, lu=self._steady_lu)
+        return solve_steady(self, matrix, rhs, lu=self.steady_lu())
 
     def solve_transient(
         self,
@@ -441,13 +456,7 @@ class ThermalModel:
         """
         check_step(duration_s, dt_s)
         matrix, rhs = self._build_system()
-        if self._capacitance is None:
-            self._capacitance = self.capacitance_vector()
-        effective_dt = min(dt_s, duration_s)
-        lu = self._transient_lus.get(effective_dt)
-        if lu is None:
-            lu = factorize_transient(matrix, self._capacitance, effective_dt)
-            self._transient_lus[effective_dt] = lu
+        lu = self.transient_lu(min(dt_s, duration_s))
         return solve_transient(
             self, matrix, rhs, duration_s, dt_s, initial,
             lu=lu, capacitance=self._capacitance,

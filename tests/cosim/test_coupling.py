@@ -200,3 +200,58 @@ class TestHeatFeedback:
         assert warm.peak_temperature_c >= cold.peak_temperature_c - 0.05
         # The polarization loss at 6 A is ~4 W against a 151 W chip: small.
         assert warm.peak_temperature_c - cold.peak_temperature_c < 1.0
+
+
+class TestCoolantColumns:
+    """The ``(n_dof, k)`` columns form against the per-column slice means
+    it replaced, kept here as the oracle: bit-for-bit, for every batch
+    size and every lane position."""
+
+    @staticmethod
+    def _oracle(model, column, config):
+        from repro.thermal.solver import ThermalSolution
+
+        fluid = ThermalSolution(
+            temperatures_k=np.ascontiguousarray(column), model=model
+        ).field("channels", "fluid")
+        width = config.nx // config.n_channel_groups
+        groups = np.array([
+            float(fluid[:, g * width:(g + 1) * width].mean())
+            for g in range(config.n_channel_groups)
+        ])
+        return groups, float(fluid.mean())
+
+    @pytest.mark.parametrize("nx, ny", [(22, 11), (44, 22)])
+    def test_matches_per_column_slice_means_at_every_position(self, nx, ny):
+        from repro.casestudy.power7plus import build_thermal_model
+        from repro.cosim.coupling import coolant_columns
+
+        model = build_thermal_model(nx=nx, ny=ny)
+        config = CosimConfig(nx=nx, ny=ny)
+        rng = np.random.default_rng(nx)
+        lane = 300.0 + 60.0 * rng.random(model.n_dof)
+        oracle_groups, oracle_mean = self._oracle(model, lane, config)
+        for k in range(1, 9):
+            for position in range(k):
+                states = 300.0 + 60.0 * rng.random((model.n_dof, k))
+                states[:, position] = lane
+                groups, means = coolant_columns(model, states, config)
+                assert groups.shape == (k, config.n_channel_groups)
+                assert np.array_equal(groups[position], oracle_groups)
+                assert means[position] == oracle_mean
+                for j in range(k):
+                    expected, expected_mean = self._oracle(
+                        model, states[:, j], config
+                    )
+                    assert np.array_equal(groups[j], expected)
+                    assert means[j] == expected_mean
+
+    def test_one_solution_call_is_the_single_column_case(self, nominal_result):
+        from repro.cosim.coupling import group_coolant_temperatures
+
+        config = nominal_result.config
+        thermal = nominal_result.thermal
+        expected, _ = self._oracle(thermal.model, thermal.temperatures_k, config)
+        assert np.array_equal(
+            group_coolant_temperatures(thermal, config), expected
+        )

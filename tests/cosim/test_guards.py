@@ -28,3 +28,10 @@ def test_non_finite_input_is_rejected_naming_the_field(field, bad):
     )
     with pytest.raises(ConfigurationError, match=field):
         batched_step_responses([case])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["tolerance_k", "surface_resolution_k"])
+def test_non_finite_cosim_config_is_rejected_naming_the_field(field, bad):
+    with pytest.raises(ConfigurationError, match=field):
+        CosimConfig(**{field: bad})

@@ -438,3 +438,79 @@ class TestHistoryIndependence:
         finally:
             PolarizationSurface.clear_shared()
         assert after_batched == cold
+
+
+class TestArrayOracle:
+    """The array queries against the per-element formula they replaced,
+    kept here as the oracle: bit-for-bit, node caches included."""
+
+    @staticmethod
+    def _oracle_bracket(surface, temperature_k):
+        t_min = surface.temperature_range_k[0]
+        position = (temperature_k - t_min) / surface.resolution_k
+        node = int(np.clip(
+            np.floor(position), 0, len(surface.node_temperatures_k) - 2
+        ))
+        return node, float(position - node)
+
+    def _oracle_ocv(self, surface, temperature_k):
+        node, frac = self._oracle_bracket(surface, temperature_k)
+        return (
+            (1.0 - frac) * surface._node_ocv(node)
+            + frac * surface._node_ocv(node + 1)
+        )
+
+    def _oracle_current(self, surface, temperature_k, voltage_v):
+        node, frac = self._oracle_bracket(surface, temperature_k)
+        current = (
+            (1.0 - frac) * surface._node_current(node, voltage_v)
+            + frac * surface._node_current(node + 1, voltage_v)
+        )
+        if current == 0.0:
+            return 0.0
+        ocv = self._oracle_ocv(surface, temperature_k)
+        return 0.0 if voltage_v >= ocv else current
+
+    def _assert_oracle(self, surface, temps, voltage_v):
+        temps = np.asarray(temps, dtype=float)
+        currents = surface.currents_at(temps, voltage_v)
+        ocvs = surface.ocvs_at(temps)
+        flat = np.atleast_1d(temps).ravel()
+        assert currents.shape == ocvs.shape == np.atleast_1d(temps).shape
+        assert np.array_equal(currents.ravel(), [
+            self._oracle_current(surface, float(t), voltage_v) for t in flat
+        ])
+        assert np.array_equal(ocvs.ravel(), [
+            self._oracle_ocv(surface, float(t)) for t in flat
+        ])
+        return currents
+
+    @pytest.mark.parametrize("voltage", [0.8, 1.0, 1.2])
+    def test_scalar_and_lane_group_queries(self, surface, voltage):
+        rng = np.random.default_rng(17)
+        self._assert_oracle(surface, 311.37, voltage)
+        self._assert_oracle(surface, float(surface.node_temperatures_k[110]),
+                            voltage)
+        for k in (1, 3, 8):
+            self._assert_oracle(
+                surface, 300.0 + 40.0 * rng.random((k, 11)), voltage
+            )
+
+    def test_zero_current_nodes_and_the_cutoff_bracket(self, surface):
+        """A terminal voltage between two neighbouring nodes' OCVs: one
+        node contributes zero, the other a sliver, and the interpolated
+        OCV decides the cutoff inside the bracket."""
+        node = 100
+        lower = float(surface.node_temperatures_k[node])
+        surface.warm_nodes([lower])
+        ocv_lo, ocv_hi = surface._node_ocv(node), surface._node_ocv(node + 1)
+        assert ocv_lo != ocv_hi
+        voltage = 0.5 * (ocv_lo + ocv_hi)
+        temps = lower + surface.resolution_k * np.linspace(0.0, 1.0, 22)
+        currents = self._assert_oracle(surface, temps.reshape(2, 11), voltage)
+        assert np.any(currents == 0.0) and np.any(currents > 0.0)
+        assert 0.0 in (
+            surface._node_current(node, voltage),
+            surface._node_current(node + 1, voltage),
+        )
+        self._assert_oracle(surface, temps, 2.0)  # every node open

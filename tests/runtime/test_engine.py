@@ -153,6 +153,25 @@ class TestClosedLoop:
         assert result.mean_flow_ml_min < 676.0
         assert result.net_energy_j > 0.0
 
+    def test_only_initial_flow_models_factorize_the_steady_matrix(
+        self, monkeypatch
+    ):
+        """The steady LU serves only the initial state; every flow the
+        PID visits afterwards only steps, so its model holds step
+        factorizations alone."""
+        from repro.runtime import engine as engine_module
+
+        store = {}
+        monkeypatch.setattr(engine_module, "_MODEL_STORE", store)
+        run_one(
+            PIDFlowController(initial_flow_ml_min=676.0),
+            step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0),
+        )
+        assert len(store) > 2
+        for (flow, _, _, _), model in store.items():
+            assert (model._steady_lu is not None) == (flow == 676.0), flow
+            assert model._transient_lus or flow == 676.0
+
     def test_governor_throttles_and_recovers(self):
         # Trip thresholds placed inside the reduced raster's swing so
         # the hysteresis engages mid-trace without a huge model.

@@ -6,10 +6,19 @@ reject NaN, +inf and -inf with a ConfigurationError that names the field.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import RuntimeConfig
+from repro.runtime import (
+    FixedFlow,
+    PIDFlowController,
+    RuntimeConfig,
+    TraceSegment,
+    WorkloadTrace,
+)
+from repro.runtime.controllers import VectorFlowControllers
+from repro.runtime.state import ElectrolyteState, ElectrolyteStateArray
 
 FIELDS = ("control_dt_s", "flow_resolution_ml_min")
 
@@ -19,3 +28,39 @@ FIELDS = ("control_dt_s", "flow_resolution_ml_min")
 def test_non_finite_input_is_rejected_naming_the_field(field, bad):
     with pytest.raises(ConfigurationError, match=field):
         RuntimeConfig(**{field: bad})
+
+
+def _trace():
+    return WorkloadTrace("hold", [TraceSegment(0.5, 0.5)])
+
+
+#: site -> (field named in the error, call with the bad value)
+SITES = {
+    "FixedFlow flow_ml_min": ("flow_ml_min", lambda bad: FixedFlow(bad)),
+    "PIDFlowController min_flow_ml_min": ("min_flow_ml_min", lambda bad:
+        PIDFlowController(min_flow_ml_min=bad, initial_flow_ml_min=100.0)),
+    "PIDFlowController max_flow_ml_min": ("max_flow_ml_min", lambda bad:
+        PIDFlowController(max_flow_ml_min=bad, initial_flow_ml_min=100.0)),
+    "VectorFlowControllers.flow_commands": ("dt_s", lambda bad:
+        VectorFlowControllers([PIDFlowController()]).flow_commands(
+            np.array([70.0]), bad
+        )),
+    "ElectrolyteState.step": ("dt_s", lambda bad:
+        ElectrolyteState().step(1.0, bad)),
+    "ElectrolyteStateArray.step": ("dt_s", lambda bad:
+        ElectrolyteStateArray([ElectrolyteState(), None]).step(
+            np.array([1.0, 1.0]), bad
+        )),
+    "TraceSegment duration_s": ("duration_s", lambda bad:
+        TraceSegment(bad, 0.5)),
+    "WorkloadTrace.iter_steps": ("dt_s", lambda bad:
+        list(_trace().iter_steps(bad))),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_non_finite_runtime_input_is_rejected_naming_the_field(site, bad):
+    field, call = SITES[site]
+    with pytest.raises(ConfigurationError, match=field):
+        call(bad)

@@ -11,7 +11,7 @@ from repro.casestudy.power7plus import (
 from repro.geometry.power7 import build_power7_floorplan
 from repro.sweep.vectorized import _middle_out
 from repro.thermal import batch
-from repro.thermal.batch import AnchoredSteadySolver
+from repro.thermal.batch import AnchoredSteadySolver, AnchoredTransientSolver
 from repro.thermal.model import ThermalModel
 from repro.units import celsius_from_kelvin
 
@@ -178,6 +178,31 @@ class TestSnapshotBasis:
         second = _family_solves(AnchoredSteadySolver())
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestStepOnly:
+    def test_step_columns_factorizes_only_the_step_matrix(self):
+        """A model that only steps never pays for the steady LU; a later
+        steady solve factorizes it then, bit-identical to a fresh model."""
+        model = build_thermal_model(nx=22, ny=11)
+        states = np.full((model.n_dof, 2), 300.0)
+        rhs = model.rhs_columns("active_si", [
+            np.full((11, 22), 0.01), np.full((11, 22), 0.02),
+        ])
+        AnchoredTransientSolver(model).step_columns(states, rhs, 0.05)
+        assert model._steady_lu is None
+        assert list(model._transient_lus) == [0.05]
+        later = model.solve_steady()
+        assert model._steady_lu is not None
+        fresh = build_thermal_model(nx=22, ny=11).solve_steady()
+        assert np.array_equal(later.temperatures_k, fresh.temperatures_k)
+
+    def test_transient_lu_is_the_cached_step_factorization(self):
+        model = build_thermal_model(nx=22, ny=11)
+        lu = model.transient_lu(0.05)
+        assert model.transient_lu(0.05) is lu
+        assert model._transient_lus == {0.05: lu}
+        assert model._steady_lu is None
 
 
 class TestWarm:
