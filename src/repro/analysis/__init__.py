@@ -1,7 +1,7 @@
 """Custom AST static analysis guarding the repo's correctness contracts.
 
 The library's headline guarantees — byte-identical sweep/fleet exports
-across runs and worker counts, unit-suffixed physical quantities flowing
+across runs, unit-suffixed physical quantities flowing
 through every layer, and a :class:`~repro.sweep.spec.ScenarioSpec` whose
 fields, presets, evaluators, CLI and docs agree — are runtime-tested,
 but a single unsorted container iteration or mismatched-unit expression

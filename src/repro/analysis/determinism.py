@@ -1,7 +1,7 @@
 """Determinism rules (RPL1xx).
 
-The repo promises byte-identical sweep/opt/fleet exports across runs and
-worker counts. Everything here flags constructs that break that promise
+The repo promises byte-identical sweep/opt/fleet exports across runs.
+Everything here flags constructs that break that promise
 silently: global RNG state, wall-clock reads in result paths, iteration
 over containers whose order the language does not pin down, and hashes
 or serialized payloads built from unordered collections.

@@ -243,7 +243,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     preset = get_preset(args.preset)
     specs = preset.expand(args.points)
     runner = SweepRunner(
-        n_workers=args.jobs,
         cache=ResultStore(
             directory=args.cache_dir,
             max_disk_entries=args.cache_max_entries,
@@ -258,12 +257,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"sweep '{preset.name}' — {preset.description}\n"
             f"{len(specs)} scenarios through the {preset.base.evaluator!r} "
-            f"evaluator ({runner.backend.name} backend, {args.jobs} "
-            f"worker{'s' if args.jobs != 1 else ''})\n"
+            f"evaluator ({runner.backend.name} backend)\n"
         )
         print(results.table())
         print(
-            f"\nevaluated in {results.total_elapsed_s:.2f} s of worker time "
+            f"\nevaluated in {results.total_elapsed_s:.2f} s "
             f"({runner.cache.hits} cache hit(s), "
             f"{runner.cache.misses} miss(es))"
         )
@@ -294,7 +292,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         return 2
     preset = get_preset(args.preset)
     runner = SweepRunner(
-        n_workers=args.jobs,
         cache=ResultStore(directory=args.cache_dir),
         backend=args.backend,
     )
@@ -442,7 +439,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         skew=args.skew,
     )
     runner = SweepRunner(
-        n_workers=args.jobs,
         cache=ResultStore(directory=args.cache_dir),
         backend=args.backend,
     )
@@ -483,7 +479,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sweep import SweepRunner
 
     runner = SweepRunner(
-        n_workers=args.jobs,
         cache=ResultStore(
             directory=args.store,
             max_disk_entries=args.cache_max_entries,
@@ -589,14 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the preset's own)",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool size; 1 runs in-process (default)",
-    )
-    sweep.add_argument(
         "--backend", default=None, metavar="NAME",
-        choices=("serial", "process", "vectorized"),
-        help="evaluation backend: serial, process or vectorized "
-        "(default: derived from --jobs)",
+        choices=("serial", "vectorized"),
+        help="evaluation backend: serial (the oracle, default) or "
+        "vectorized (batched kernels)",
     )
     sweep.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -640,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="design-space optimization (see docs/optimization.md)",
         description="Run a named optimization preset: adaptive grid "
         "refinement toward the objective(s) under the constraints, "
-        "through the sweep engine's cache and process pool.",
+        "through the sweep engine's cache and backends.",
     )
     optimize.add_argument(
         "preset", nargs="?", default=None,
@@ -657,14 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="refinement-round budget (default: the preset's own)",
     )
     optimize.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool size per round; 1 runs in-process (default)",
-    )
-    optimize.add_argument(
         "--backend", default=None, metavar="NAME",
-        choices=("serial", "process", "vectorized"),
-        help="evaluation backend for every refinement round: serial, "
-        "process or vectorized (default: derived from --jobs)",
+        choices=("serial", "vectorized"),
+        help="evaluation backend for every refinement round: serial "
+        "(default) or vectorized",
     )
     optimize.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -783,15 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0.35)",
     )
     fleet.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool size for the chip-table build; 1 runs "
-        "in-process (default)",
-    )
-    fleet.add_argument(
         "--backend", default=None, metavar="NAME",
-        choices=("serial", "process", "vectorized"),
-        help="chip-table evaluation backend: serial, process or "
-        "vectorized (default: derived from --jobs)",
+        choices=("serial", "vectorized"),
+        help="chip-table evaluation backend: serial (default) or "
+        "vectorized",
     )
     fleet.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -843,15 +825,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="store eviction budget: keep the directory under BYTES",
     )
     serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="process-pool size inside each job; 1 runs in-process "
-        "(default)",
-    )
-    serve.add_argument(
         "--backend", default=None, metavar="NAME",
-        choices=("serial", "process", "vectorized"),
-        help="evaluation backend for every job: serial, process or "
-        "vectorized (default: derived from --jobs)",
+        choices=("serial", "vectorized"),
+        help="evaluation backend for every job: serial (default) or "
+        "vectorized",
     )
     serve.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",

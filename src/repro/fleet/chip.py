@@ -34,27 +34,8 @@ import numpy as np
 
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
+from repro.sweep.evaluators import cosim_config
 from repro.sweep.spec import ScenarioSpec
-
-
-def chip_cosim_config(spec: ScenarioSpec):
-    """The electrochemical sampling config of one chip operating state.
-
-    Shares the process-wide polarization surfaces with the steady and
-    transient co-simulations and the runtime engine (same flow, group and
-    sampling keys), so a fleet table at a coolant point they already
-    visited rebuilds nothing.
-    """
-    from repro.cosim import CosimConfig
-
-    return CosimConfig(
-        total_flow_ml_min=spec.total_flow_ml_min,
-        inlet_temperature_k=spec.inlet_temperature_k,
-        operating_voltage_v=spec.operating_voltage_v,
-        nx=spec.nx,
-        ny=spec.ny,
-        n_channel_groups=11,
-    )
 
 
 def _sample_chips(model, temperatures: np.ndarray, config):
@@ -62,8 +43,9 @@ def _sample_chips(model, temperatures: np.ndarray, config):
 
     ``temperatures`` holds ``(n_dof, k)`` steady states of one thermal
     model at one coolant point; ``config`` the matching
-    :func:`chip_cosim_config`. Returns the chips' polarization surface,
-    their ``(k, G)`` group temperatures [K] and ``(k,)`` peaks [degC].
+    :func:`~repro.sweep.evaluators.cosim_config`. Returns the chips'
+    polarization surface, their ``(k, G)`` group temperatures [K] and
+    ``(k,)`` peaks [degC].
 
     Deeply infeasible grid corners (minimum flow at full load) can push
     the coolant past the surface's sampled window; they are tabulated
@@ -141,7 +123,7 @@ def chip_state_metrics(spec: ScenarioSpec) -> "dict[str, float]":
     )
     solution = model.solve_steady()
     (metrics,) = chip_metrics([spec], *_sample_chips(
-        model, solution.temperatures_k[:, None], chip_cosim_config(spec)
+        model, solution.temperatures_k[:, None], cosim_config(spec)
     ))
     return metrics
 
@@ -198,7 +180,7 @@ def batch_chip_states(
             ]
             sampled.append((indices, _sample_chips(
                 model, temperatures[:, chip_columns],
-                chip_cosim_config(specs[indices[0]]),
+                cosim_config(specs[indices[0]]),
             )))
     # March every chip's missing surface nodes, across flows, in one batch.
     warm_surfaces((surface, temps) for _, (surface, temps, _) in sampled)

@@ -33,6 +33,7 @@ fairness index the fleet KPIs report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +86,22 @@ class SupplySpec:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.n_chips < 1:
             raise ConfigurationError("a fleet needs at least one chip")
-        if self.min_flow_ml_min <= 0.0:
-            raise ConfigurationError("minimum chip flow must be > 0 ml/min")
-        if self.max_flow_ml_min < self.min_flow_ml_min:
-            raise ConfigurationError("max flow must be >= min flow")
-        if self.resolution_ml_min <= 0.0:
-            raise ConfigurationError("flow resolution must be > 0 ml/min")
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        if not 0.0 < self.min_flow_ml_min < math.inf:
+            raise ConfigurationError(
+                "min_flow_ml_min must be finite and > 0 ml/min, "
+                f"got {self.min_flow_ml_min}"
+            )
+        if not self.min_flow_ml_min <= self.max_flow_ml_min < math.inf:
+            raise ConfigurationError(
+                "max_flow_ml_min must be finite and >= min_flow_ml_min, "
+                f"got {self.max_flow_ml_min}"
+            )
+        if not 0.0 < self.resolution_ml_min < math.inf:
+            raise ConfigurationError(
+                "resolution_ml_min must be finite and > 0 ml/min, "
+                f"got {self.resolution_ml_min}"
+            )
         span = self.max_flow_ml_min - self.min_flow_ml_min
         steps = span / self.resolution_ml_min
         if abs(steps - round(steps)) > 1e-9:

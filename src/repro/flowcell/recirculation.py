@@ -19,6 +19,7 @@ loop turnover time (seconds) is far below the discharge time scale (hours).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.constants import FARADAY
@@ -48,8 +49,10 @@ class ElectrolyteReservoir:
     is_fuel: bool
 
     def __post_init__(self) -> None:
-        if self.volume_m3 <= 0.0:
-            raise ConfigurationError(f"volume must be > 0, got {self.volume_m3}")
+        if not 0.0 < self.volume_m3 < math.inf:
+            raise ConfigurationError(
+                f"volume_m3 must be finite and > 0, got {self.volume_m3}"
+            )
         self._conc_ox = self.electrolyte.conc_ox
         self._conc_red = self.electrolyte.conc_red
 
@@ -153,8 +156,10 @@ class RecirculationLoop:
 
     def step(self, current_a: float, dt_s: float) -> None:
         """Advance the loop by dt under a constant terminal current."""
-        if dt_s <= 0.0:
-            raise ConfigurationError(f"dt must be > 0, got {dt_s}")
+        if not 0.0 < dt_s < math.inf:
+            raise ConfigurationError(
+                f"dt_s must be finite and > 0, got {dt_s}"
+            )
         charge = current_a * dt_s
         self.anolyte_tank.draw_charge(charge)
         self.catholyte_tank.draw_charge(charge)

@@ -10,6 +10,7 @@ electrical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -83,6 +84,8 @@ class ChannelArray:
 
     def coverage_fraction(self, die_width_m: float) -> float:
         """Fraction of the die width covered by channel openings (not walls)."""
-        if die_width_m <= 0.0:
-            raise ConfigurationError(f"die width must be > 0, got {die_width_m}")
+        if not 0.0 < die_width_m < math.inf:
+            raise ConfigurationError(
+                f"die_width_m must be finite and > 0, got {die_width_m}"
+            )
         return min(1.0, self.count * self.channel.width_m / die_width_m)

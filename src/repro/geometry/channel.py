@@ -17,6 +17,7 @@ side walls (area = height x length each), as in Fig. 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -46,8 +47,11 @@ class RectangularChannel:
             ("height_m", self.height_m),
             ("length_m", self.length_m),
         ):
-            if value <= 0.0:
-                raise ConfigurationError(f"{label} must be > 0, got {value}")
+            # ``not 0 < x < inf`` so NaN and inf fail the check too.
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{label} must be finite and > 0, got {value}"
+                )
 
     # -- cross-section -----------------------------------------------------
 

@@ -17,6 +17,7 @@ lower-left corner.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,14 +56,18 @@ class Block:
     height_m: float
 
     def __post_init__(self) -> None:
-        if self.width_m <= 0.0 or self.height_m <= 0.0:
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+        for label, value in (
+            ("width_m", self.width_m), ("height_m", self.height_m)
+        ):
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"block {self.name}: {label} must be finite and > 0, "
+                    f"got {value}"
+                )
+        if not (0.0 <= self.x_m < math.inf and 0.0 <= self.y_m < math.inf):
             raise ConfigurationError(
-                f"block {self.name}: dimensions must be > 0, "
-                f"got {self.width_m} x {self.height_m}"
-            )
-        if self.x_m < 0.0 or self.y_m < 0.0:
-            raise ConfigurationError(
-                f"block {self.name}: origin must be >= 0, got ({self.x_m}, {self.y_m})"
+                f"block {self.name}: origin must be finite and >= 0, got ({self.x_m}, {self.y_m})"
             )
 
     @property
@@ -119,10 +124,13 @@ class Floorplan:
     blocks: "list[Block]" = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.width_m <= 0.0 or self.height_m <= 0.0:
-            raise ConfigurationError(
-                f"die dimensions must be > 0, got {self.width_m} x {self.height_m}"
-            )
+        for label, value in (
+            ("width_m", self.width_m), ("height_m", self.height_m)
+        ):
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"die {label} must be finite and > 0, got {value}"
+                )
         for block in self.blocks:
             self._check_inside(block)
         for i, a in enumerate(self.blocks):

@@ -15,6 +15,7 @@ assumptions every solver rests on can be *checked*, not asserted:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -57,10 +58,16 @@ def characterize(
     temperature_k: float = 300.0,
 ) -> TransportRegime:
     """Evaluate the transport regime of a channel operating point."""
-    if diffusivity_m2_s <= 0.0:
-        raise ConfigurationError("diffusivity must be > 0")
-    if volumetric_flow_m3_s <= 0.0:
-        raise ConfigurationError("flow must be > 0")
+    # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
+    if not 0.0 < diffusivity_m2_s < math.inf:
+        raise ConfigurationError(
+            f"diffusivity_m2_s must be finite and > 0, got {diffusivity_m2_s}"
+        )
+    if not 0.0 < volumetric_flow_m3_s < math.inf:
+        raise ConfigurationError(
+            "volumetric_flow_m3_s must be finite and > 0, "
+            f"got {volumetric_flow_m3_s}"
+        )
     velocity = channel.mean_velocity(volumetric_flow_m3_s)
     nu = fluid.kinematic_viscosity(temperature_k)
     re = reynolds_number(channel, fluid, volumetric_flow_m3_s, temperature_k)

@@ -16,6 +16,7 @@ header sizing needed to keep it below a target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,10 @@ def solve_flow_distribution(
     leaves at c_0 ("U") or c_{N-1} ("Z"). Laminar flow makes every branch
     linear, so one sparse solve gives the exact split.
     """
-    if total_flow_m3_s <= 0.0:
-        raise ConfigurationError("total flow must be > 0")
+    if not 0.0 < total_flow_m3_s < math.inf:
+        raise ConfigurationError(
+            f"total_flow_m3_s must be finite and > 0, got {total_flow_m3_s}"
+        )
     n = design.array.count
     segment = RectangularChannel(
         design.header_channel.width_m,

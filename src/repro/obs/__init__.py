@@ -23,8 +23,8 @@ the RPL306 lint rule cross-checks those names against the catalog in
 ``docs/observability.md`` in both directions.
 
 The metric snapshot separates deterministic sections (byte-stable
-across runs and worker counts) from warmth-dependent and wall-clock
-sections — see :mod:`repro.obs.metrics` for the contract.
+across runs) from warmth-dependent and wall-clock sections — see
+:mod:`repro.obs.metrics` for the contract.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ __all__ = [
     "enabled",
     "gauge",
     "inc",
-    "merge",
     "observe",
     "session",
     "snapshot",
@@ -195,13 +194,6 @@ def gauge(name: str, value: float) -> None:
     current = _session
     if current is not None:
         current.metrics.gauge(name, value)
-
-
-def merge(worker_snapshot: "dict[str, Any]") -> None:
-    """Fold a worker's metrics snapshot into the active session."""
-    current = _session
-    if current is not None:
-        current.metrics.merge(worker_snapshot)
 
 
 def snapshot() -> "dict[str, Any]":

@@ -7,8 +7,8 @@ sections with different stability guarantees:
 ``counters`` / ``histograms``
     Deterministic: integer counts derived only from the work itself
     (scenarios evaluated, control steps run, solver columns factored).
-    Byte-stable across runs and across ``--jobs 1`` vs ``--jobs N`` —
-    the determinism suite serialises exactly these two sections.
+    Byte-stable across runs — the determinism suite serialises exactly
+    these two sections.
 
 ``warm``
     Counts that depend on process cache warmth (polarization-surface
@@ -18,15 +18,15 @@ sections with different stability guarantees:
 
 ``gauges``
     Last-write-wins observations (lane counts, table sizes). Excluded
-    from the byte-stability contract because "last" depends on
-    scheduling order under a worker pool.
+    from the byte-stability contract: "last" is a report of the final
+    call, not an aggregate of the work.
 
 ``timings``
     Wall-clock aggregates fed by the span tracer (``perf_counter``
     deltas). Never deterministic; determinism tests mask this section.
 
-Counter and histogram values are integers so that merging worker
-snapshots is exact addition — no float-summation order sensitivity.
+Counter and histogram values are integers, so their sums are exact — no
+float-summation order sensitivity.
 """
 
 from __future__ import annotations
@@ -38,17 +38,19 @@ from typing import Any
 DETERMINISTIC_SECTIONS: "tuple[str, ...]" = ("counters", "histograms")
 
 
-def _merge_histogram(
-    into: "dict[str, dict[str, int]]", name: str, sample: "dict[str, int]"
+def _add_sample(
+    into: "dict[str, dict[str, int]]", name: str, sample: int
 ) -> None:
     bucket = into.get(name)
     if bucket is None:
-        into[name] = dict(sample)
+        into[name] = {
+            "count": 1, "total": sample, "min": sample, "max": sample
+        }
         return
-    bucket["count"] += sample["count"]
-    bucket["total"] += sample["total"]
-    bucket["min"] = min(bucket["min"], sample["min"])
-    bucket["max"] = max(bucket["max"], sample["max"])
+    bucket["count"] += 1
+    bucket["total"] += sample
+    bucket["min"] = min(bucket["min"], sample)
+    bucket["max"] = max(bucket["max"], sample)
 
 
 class MetricsRegistry:
@@ -74,13 +76,8 @@ class MetricsRegistry:
     def observe(self, name: str, value: int, warm: bool = False) -> None:
         """Record one integer sample into the histogram ``name``."""
         self.operations += 1
-        sample = int(value)
         store = self.warm_histograms if warm else self.histograms
-        _merge_histogram(
-            store,
-            name,
-            {"count": 1, "total": sample, "min": sample, "max": sample},
-        )
+        _add_sample(store, name, int(value))
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to ``value`` (last write wins)."""
@@ -117,34 +114,6 @@ class MetricsRegistry:
                 name: dict(fields) for name, fields in self.timings.items()
             },
         }
-
-    def merge(self, snapshot: "dict[str, Any]") -> None:
-        """Fold a worker's :meth:`snapshot` into this registry.
-
-        Counters and histogram fields add (min-of-min / max-of-max);
-        gauges are last-write-wins; timings add. Merging is commutative
-        for the deterministic sections, so parent-side merge order does
-        not affect the byte-stability contract.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, sample in snapshot.get("histograms", {}).items():
-            _merge_histogram(self.histograms, name, sample)
-        warm = snapshot.get("warm", {})
-        for name, value in warm.get("counters", {}).items():
-            self.warm_counters[name] = (
-                self.warm_counters.get(name, 0) + value
-            )
-        for name, sample in warm.get("histograms", {}).items():
-            _merge_histogram(self.warm_histograms, name, sample)
-        self.gauges.update(snapshot.get("gauges", {}))
-        for name, fields in snapshot.get("timings", {}).items():
-            bucket = self.timings.get(name)
-            if bucket is None:
-                self.timings[name] = dict(fields)
-            else:
-                bucket["count"] += fields["count"]
-                bucket["total_s"] += fields["total_s"]
 
 
 def deterministic_sections(snapshot: "dict[str, Any]") -> "dict[str, Any]":

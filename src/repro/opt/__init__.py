@@ -5,9 +5,9 @@ decides *which* scenarios to evaluate: declare objectives and constraints
 over evaluator metrics, and an adaptive refinement loop (coarse grid ->
 zoom on the non-dominated region -> converge) finds optima and Pareto
 frontiers. Every evaluation still flows through
-:class:`~repro.sweep.runner.SweepRunner`, so memoization, process
-parallelism and bit-identical serial/parallel results carry over — a
-re-run against a warm cache replays the search with zero new evaluations.
+:class:`~repro.sweep.runner.SweepRunner`, so memoization and the choice
+of backend carry over — a re-run against a warm cache replays the search
+with zero new evaluations.
 
 Typical use::
 

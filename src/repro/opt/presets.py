@@ -72,7 +72,7 @@ class OptimizationPreset:
     ) -> Optimizer:
         """An :class:`~repro.opt.refine.Optimizer` for this study.
 
-        ``runner`` lets callers share a cache (or a process pool) across
+        ``runner`` lets callers share a cache (and a backend) across
         presets; ``max_rounds`` overrides the preset's budget. ``backend``
         is a shorthand for ``runner=SweepRunner(backend=...)`` — passing
         ``"vectorized"`` evaluates each refinement round through the

@@ -8,7 +8,7 @@ abandoning the sweep engine's guarantees. Each round is an ordinary
 1. lay a coarse grid over the current bounds of every continuous axis
    (Cartesian with any categorical axes),
 2. evaluate it through the runner — deduplicated, memoized in the shared
-   :class:`~repro.store.ResultStore`, optionally process-parallel,
+   :class:`~repro.store.ResultStore`, serially or batched,
 3. extract the feasible Pareto front over *everything evaluated so far*,
 4. zoom every continuous axis to the front's bracketing grid neighbours,
 5. repeat until the bounds stop shrinking or reach the span tolerance.
@@ -21,6 +21,7 @@ evaluations** — the property bench A15 asserts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -242,8 +243,14 @@ class Optimizer:
         max_rounds: int = 5,
         tolerance: float = 0.05,
     ) -> None:
-        if max_rounds < 1:
-            raise ConfigurationError("max_rounds must be >= 1")
+        if (
+            isinstance(max_rounds, bool)
+            or not isinstance(max_rounds, numbers.Integral)
+            or max_rounds < 1
+        ):
+            raise ConfigurationError(
+                f"max_rounds must be an integer >= 1, got {max_rounds!r}"
+            )
         if not 0.0 < tolerance < 1.0:
             raise ConfigurationError("tolerance must be in (0, 1)")
         self.problem = problem

@@ -3,7 +3,7 @@
 The promotion of the sweep engine's memoization cache into a first-class
 subsystem (ROADMAP item 4): evaluation results become shared, evictable,
 durable data instead of a per-run JSON directory. One
-:class:`ResultStore` directory can be hammered by many worker processes
+:class:`ResultStore` directory can be hammered by many processes
 on many hosts (an NFS mount works) because every write is an atomic
 replace of a collision-proof temporary file, and a reader that races a
 writer sees either the old bytes or the new bytes — never a torn file.

@@ -3,8 +3,9 @@
 Declarative design-space exploration over the integrated system: a
 :class:`ScenarioSpec` names one operating point, a :class:`SweepGrid`
 expands parameter axes into scenario batches, and a :class:`SweepRunner`
-evaluates them — deduplicated, memoized in a :class:`~repro.store.ResultStore`, optionally
-in parallel over a process pool — into :class:`SweepResult` records that
+evaluates them — deduplicated, memoized in a
+:class:`~repro.store.ResultStore`, serially or through numpy batch
+kernels — into :class:`SweepResult` records that
 export to CSV/JSON through :mod:`repro.io`.
 
 Typical use::
@@ -27,7 +28,6 @@ flows through :class:`SweepRunner` and lands in the same cache.
 from repro.sweep.backends import (
     BACKEND_NAMES,
     EvaluationBackend,
-    ProcessBackend,
     SerialBackend,
     VectorizedBackend,
     get_backend,
@@ -55,7 +55,6 @@ __all__ = [
     "BACKEND_NAMES",
     "EvaluationBackend",
     "PRESETS",
-    "ProcessBackend",
     "ScenarioSpec",
     "SerialBackend",
     "SweepGrid",

@@ -1,10 +1,9 @@
 """Evaluators: one :class:`~repro.sweep.spec.ScenarioSpec` -> metrics dict.
 
-Each evaluator is a module-level function (picklable by reference, so the
-process-pool path of :class:`~repro.sweep.runner.SweepRunner` works) that
-maps a spec to a flat ``{metric_name: number}`` dict. They wrap the same
-calibrated builders the benchmarks and examples use, so sweep results match
-the hand-rolled loops they replaced:
+Each evaluator is a module-level function that maps a spec to a flat
+``{metric_name: number}`` dict. They wrap the same calibrated builders the
+benchmarks and examples use, so sweep results match the hand-rolled loops
+they replaced:
 
 - ``operating_point`` — thermal peak, generation at the terminal voltage,
   pumping cost and net energy (bench A2's loop body).
@@ -98,8 +97,8 @@ def evaluate_spec(spec: ScenarioSpec) -> "dict[str, float]":
     """Dispatch a spec to its registered evaluator.
 
     Convenience for evaluating single scenarios directly; the runner
-    resolves evaluator callables itself (in the parent process) and does
-    not go through this function.
+    resolves evaluator callables itself and does not go through this
+    function.
     """
     return get_evaluator(spec.evaluator)(spec)
 
@@ -373,42 +372,14 @@ def evaluate_vrm(spec: ScenarioSpec) -> "dict[str, float]":
     return vrm_metrics(spec, curve)
 
 
-@register_evaluator("cosim")
-def evaluate_cosim(spec: ScenarioSpec) -> "dict[str, float]":
-    """Full electro-thermal fixed-point run (Section III-B).
-
-    Scenarios sharing a flow rate draw from one polarization surface per
-    worker process, so only the first point at each flow pays for curve
-    construction.
-    """
-    from repro.cosim import CosimConfig, ElectroThermalCosim
-
-    config = CosimConfig(
-        total_flow_ml_min=spec.total_flow_ml_min,
-        inlet_temperature_k=spec.inlet_temperature_k,
-        operating_voltage_v=spec.operating_voltage_v,
-        nx=spec.nx,
-        ny=spec.ny,
-        n_channel_groups=11,
-    )
-    result = ElectroThermalCosim(config).run()
-    return {
-        "array_current_a": result.array_current_a,
-        "array_power_w": result.array_power_w,
-        "peak_temperature_c": result.peak_temperature_c,
-        "current_gain": result.current_gain,
-        "iterations": float(result.iterations),
-        "converged": float(result.converged),
-    }
-
-
-def transient_cosim_config(spec: ScenarioSpec):
-    """The ``transient`` evaluator's co-sim configuration for one spec.
+def cosim_config(spec: ScenarioSpec):
+    """The co-simulation configuration of one spec.
 
     The single definition of how a scenario maps onto a
-    :class:`~repro.cosim.coupling.CosimConfig`, shared with the vectorized
-    backend's batch kernel so both paths query the same shared
-    polarization surface and thermal family.
+    :class:`~repro.cosim.coupling.CosimConfig`. The ``cosim``,
+    ``transient`` and ``fleet_chip`` evaluators and their batch kernels
+    all build it here, so every path at one coolant point queries the
+    same shared polarization surface and thermal family.
     """
     from repro.cosim import CosimConfig
 
@@ -420,6 +391,27 @@ def transient_cosim_config(spec: ScenarioSpec):
         ny=spec.ny,
         n_channel_groups=11,
     )
+
+
+@register_evaluator("cosim")
+def evaluate_cosim(spec: ScenarioSpec) -> "dict[str, float]":
+    """Full electro-thermal fixed-point run (Section III-B).
+
+    Scenarios sharing a flow rate draw from one polarization surface per
+    process, so only the first point at each flow pays for curve
+    construction.
+    """
+    from repro.cosim import ElectroThermalCosim
+
+    result = ElectroThermalCosim(cosim_config(spec)).run()
+    return {
+        "array_current_a": result.array_current_a,
+        "array_power_w": result.array_power_w,
+        "peak_temperature_c": result.peak_temperature_c,
+        "current_gain": result.current_gain,
+        "iterations": float(result.iterations),
+        "converged": float(result.converged),
+    }
 
 
 def transient_metrics(samples) -> "dict[str, float]":
@@ -452,11 +444,11 @@ def evaluate_transient(spec: ScenarioSpec) -> "dict[str, float]":
     ``step_dt_s`` and reduces the trajectory to scalar metrics. The group
     curves come from the shared polarization surface, so a sweep across
     inlet temperatures or step sizes at one flow rate builds each curve
-    only once per worker process.
+    only once per process.
     """
     from repro.cosim import TransientCosim
 
-    cosim = TransientCosim(transient_cosim_config(spec))
+    cosim = TransientCosim(cosim_config(spec))
     samples = cosim.run_step_response(
         spec.utilization_before,
         spec.utilization,

@@ -30,6 +30,7 @@ benchmarks run at a handful of points:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,9 +65,15 @@ class SweepPreset:
     def grid(self, points: "int | None" = None) -> SweepGrid:
         """The grid at the requested density (>= ``points`` scenarios)."""
         points = self.default_points if points is None else points
-        if points < 1:
-            raise ConfigurationError("points must be >= 1")
-        return self.grid_builder(points)
+        if (
+            isinstance(points, bool)
+            or not isinstance(points, numbers.Integral)
+            or points < 1
+        ):
+            raise ConfigurationError(
+                f"points must be an integer >= 1, got {points!r}"
+            )
+        return self.grid_builder(int(points))
 
     def expand(self, points: "int | None" = None) -> "list[ScenarioSpec]":
         """Concrete scenario list at the requested density."""

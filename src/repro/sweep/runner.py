@@ -7,14 +7,12 @@ memoizes evaluations in the content-addressed
 :class:`repro.store.ResultStore`, in-memory with an optional shared disk
 directory safe for concurrent multi-process writers — and hands
 the remaining unique work to a pluggable
-:class:`~repro.sweep.backends.EvaluationBackend` — in-process serial, a
-``concurrent.futures`` process pool, or grouped numpy-batched evaluation
-(see :mod:`repro.sweep.backends`).
+:class:`~repro.sweep.backends.EvaluationBackend` — in-process serial or
+grouped numpy-batched evaluation (see :mod:`repro.sweep.backends`).
 
-Results come back in input order regardless of backend scheduling. The
-serial and process backends produce bit-identical metrics (same pure
-evaluator functions, different scheduling); the vectorized backend
-matches them within :data:`repro.sweep.vectorized.EQUIVALENCE_RTOL`.
+Results come back in input order regardless of backend. The vectorized
+backend matches the serial oracle within
+:data:`repro.sweep.vectorized.EQUIVALENCE_RTOL`.
 """
 
 from __future__ import annotations
@@ -163,37 +161,28 @@ class SweepResults(Sequence):
 
 
 class SweepRunner:
-    """Executes scenario batches with dedup, memoization and parallelism.
+    """Executes scenario batches with dedup and memoization.
 
     Parameters
     ----------
-    n_workers:
-        With the default backend: 1 evaluates in-process, >1 fans unique,
-        uncached specs out over a process pool of that size. Results are
-        identical either way. An explicit ``backend`` takes precedence.
     cache:
         Shared :class:`~repro.store.ResultStore`, keyed on
         :meth:`ScenarioSpec.cache_key`; defaults to a fresh in-memory
         store per runner.
     backend:
         Evaluation strategy for unique, uncached specs: a backend name
-        (``"serial"``, ``"process"``, ``"vectorized"``), an
+        (``"serial"``, ``"vectorized"``), an
         :class:`~repro.sweep.backends.EvaluationBackend` instance, or
-        ``None`` for the ``n_workers``-derived default. See
-        :mod:`repro.sweep.backends`.
+        ``None`` for serial. See :mod:`repro.sweep.backends`.
     """
 
     def __init__(
         self,
-        n_workers: int = 1,
         cache: "ResultStore | None" = None,
         backend: "str | EvaluationBackend | None" = None,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be >= 1")
-        self.n_workers = n_workers
         self.cache = cache if cache is not None else ResultStore()
-        self.backend = get_backend(backend, n_workers)
+        self.backend = get_backend(backend)
 
     def run(
         self, scenarios: "Sequence[ScenarioSpec] | SweepGrid"
@@ -234,7 +223,7 @@ class SweepRunner:
         after = self.cache.stats()
         # Deltas, not totals: a shared cache may carry counts from
         # earlier runs. Always emitted (even when zero) so the counter
-        # set itself is identical across runs and worker counts.
+        # set itself is identical across runs and backends.
         obs.inc("sweep.cache.hits", after["hits"] - before["hits"])
         obs.inc("sweep.cache.misses", after["misses"] - before["misses"])
         obs.inc("sweep.cache.corrupt", after["corrupt"] - before["corrupt"])

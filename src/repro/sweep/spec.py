@@ -3,9 +3,9 @@
 A :class:`ScenarioSpec` names one operating point of the integrated
 power-and-cooling system — flow, inlet temperature, channel geometry, VRM
 technology, workload, terminal voltage — plus which evaluator turns it into
-metrics. Specs are frozen dataclasses of plain scalars, so they hash, pickle
-(for process-pool workers), serialize through :mod:`repro.io`, and admit a
-stable content hash for memoization.
+metrics. Specs are frozen dataclasses of plain scalars, so they hash,
+serialize through :mod:`repro.io`, and admit a stable content hash for
+memoization.
 
 A :class:`SweepGrid` is the Cartesian product of named axes over spec
 fields; :meth:`SweepGrid.expand` turns it into the concrete spec list a

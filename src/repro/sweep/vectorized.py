@@ -54,11 +54,11 @@ from typing import Callable, Dict, Sequence
 
 from repro.sweep.evaluators import (
     array_curves,
+    cosim_config,
     geometry_cell,
     geometry_metrics,
     operating_point_metrics,
     runtime_scenario_parts,
-    transient_cosim_config,
     transient_metrics,
     vrm_metrics,
     workload_metrics,
@@ -294,7 +294,7 @@ def batch_transient(
 
     cases = [
         StepResponseCase(
-            config=transient_cosim_config(spec),
+            config=cosim_config(spec),
             utilization_before=spec.utilization_before,
             utilization_after=spec.utilization,
             duration_s=spec.step_duration_s,

@@ -246,4 +246,27 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.port == 7777
         assert args.store is None
-        assert args.jobs == 1
+        assert args.backend is None
+        assert not hasattr(args, "jobs")
+
+
+class TestBackendFlags:
+    """Two backends and no pool knob on every evaluating subcommand."""
+
+    COMMANDS = (["sweep", "flow"], ["optimize", "flow-optimum"],
+                ["fleet"], ["serve"])
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_jobs_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_backend_choices(self, command):
+        for name in ("serial", "vectorized"):
+            args = build_parser().parse_args(command + ["--backend", name])
+            assert args.backend == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--backend", "process"])

@@ -349,7 +349,8 @@ class TestHistoryIndependence:
         runtime engine, a fleet chip and the transient stepper all query
         the same object."""
         from repro.cosim import TransientCosim
-        from repro.fleet.chip import chip_cosim_config, chip_state_metrics
+        from repro.fleet.chip import chip_state_metrics
+        from repro.sweep.evaluators import cosim_config
         from repro.runtime import (
             BatchedRuntimeEngine,
             FixedFlow,
@@ -381,7 +382,7 @@ class TestHistoryIndependence:
                 TraceSegment(0.1, spec.utilization, spec.workload)
             ]))
             caller = "transient"
-            TransientCosim(chip_cosim_config(spec)).run_step_response(
+            TransientCosim(cosim_config(spec)).run_step_response(
                 spec.utilization, spec.utilization, 0.1, 0.05
             )
             assert len(PolarizationSurface._SHARED) == 1
@@ -394,7 +395,8 @@ class TestHistoryIndependence:
         """Runtime runs and batched step responses warm surfaces at the
         fleet chips' coolant points; the chip metrics must not notice."""
         from repro.cosim.batch import StepResponseCase, batched_step_responses
-        from repro.fleet.chip import chip_cosim_config, chip_state_metrics
+        from repro.fleet.chip import chip_state_metrics
+        from repro.sweep.evaluators import cosim_config
         from repro.runtime import (
             BatchedRuntimeEngine,
             FixedFlow,
@@ -424,7 +426,7 @@ class TestHistoryIndependence:
                     TraceSegment(0.1, spec.utilization, spec.workload)
                 ]))
             batched_step_responses([
-                StepResponseCase(chip_cosim_config(spec), spec.utilization,
+                StepResponseCase(cosim_config(spec), spec.utilization,
                                  spec.utilization, 0.1, 0.05)
                 for spec in specs
             ])

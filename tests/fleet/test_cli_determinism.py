@@ -2,10 +2,9 @@
 
 The fleet CLI promises the same pure-function behaviour the sweep stack
 pins in ``tests/integration/test_determinism.py``: the same rack rolled
-twice — or with a process pool instead of in-process evaluation — must
-write the *same bytes*. The seeded diurnal-bursty trace plus the greedy
-allocation is the most rot-prone path: any hidden global-RNG use,
-dict-ordering dependence or pool-scheduling leak shows up here first.
+twice must write the *same bytes*. The seeded diurnal-bursty trace plus
+the greedy allocation is the most rot-prone path: any hidden global-RNG
+use or dict-ordering dependence shows up here first.
 """
 
 import pytest
@@ -25,30 +24,20 @@ FLEET_ARGS = ["fleet", "--chips", "6", "--supply", "40", "--seed", "7"]
 class TestFleetExportDeterminism:
     @pytest.fixture(scope="class")
     def exports(self, tmp_path_factory):
-        """CSV/JSON exports from three CLI invocations: twice with the
-        in-process default, once through the process pool."""
+        """CSV/JSON exports from two identical CLI invocations."""
         root = tmp_path_factory.mktemp("fleet-determinism")
         artifacts = {}
-        for label, extra in (
-            ("first", []),
-            ("second", []),
-            ("workers", ["--jobs", "2"]),
-        ):
+        for label in ("first", "second"):
             csv_path = root / f"{label}.csv"
             json_path = root / f"{label}.json"
             assert main(
-                FLEET_ARGS
-                + extra
-                + ["--csv", str(csv_path), "--json", str(json_path)]
+                FLEET_ARGS + ["--csv", str(csv_path), "--json", str(json_path)]
             ) == 0
             artifacts[label] = (read_bytes(csv_path), read_bytes(json_path))
         return artifacts
 
     def test_two_runs_byte_identical(self, exports):
         assert exports["first"] == exports["second"]
-
-    def test_jobs_1_vs_2_byte_identical(self, exports):
-        assert exports["first"] == exports["workers"]
 
     def test_exports_are_nonempty_per_chip_records(self, exports):
         import json

@@ -3,10 +3,10 @@
 The sweep/opt/runtime stack promises pure-function behaviour: the same
 scenarios produce the same records whatever the scheduling. These tests
 pin that promise at the artifact level — the CSV/JSON files two
-independent runs write must match *byte for byte*, including across
-``workers=1`` vs ``workers=N`` and across evaluation backends, because
-diffable exports are what makes cached replays and CI comparisons
-trustworthy.
+independent runs write must match *byte for byte*, and so must the
+serial oracle's and the vectorized backend's where their kernels share
+every piece (the runtime engine, the VRM curve cache), because diffable
+exports are what makes cached replays and CI comparisons trustworthy.
 
 Seeded stochastic traces (bursty, diurnal) are the cases most likely to
 rot: any hidden global-RNG use or dict-ordering dependence would show up
@@ -55,14 +55,15 @@ class TestTraceDeterminism:
 class TestRuntimeExportDeterminism:
     @pytest.fixture(scope="class")
     def exports(self, tmp_path_factory):
-        """CSV/JSON exports of the seeded traces from three runner
-        configurations: twice serial, once with a worker pool."""
+        """CSV/JSON exports of the seeded traces from three runs: twice
+        on the serial oracle, once on the vectorized backend (one
+        runtime engine behind both)."""
         root = tmp_path_factory.mktemp("runtime-determinism")
         artifacts = {}
         for label, runner in (
             ("first", SweepRunner()),
             ("second", SweepRunner()),
-            ("workers", SweepRunner(n_workers=2)),
+            ("vectorized", SweepRunner(backend="vectorized")),
         ):
             results = runner.run(RUNTIME_SPECS)
             csv_path = root / f"{label}.csv"
@@ -75,8 +76,8 @@ class TestRuntimeExportDeterminism:
     def test_two_runs_byte_identical(self, exports):
         assert exports["first"] == exports["second"]
 
-    def test_workers_1_vs_n_byte_identical(self, exports):
-        assert exports["first"] == exports["workers"]
+    def test_serial_vs_vectorized_byte_identical(self, exports):
+        assert exports["first"] == exports["vectorized"]
 
 
 #: The dynamic scenarios evaluated through the batched kernels: a seeded
@@ -101,8 +102,7 @@ class TestVectorizedExportDeterminism:
 
     The vectorized backend reorders the work (model families, lockstep
     columns, surface prefills) but must not reorder or perturb the
-    records: two cold runs — and a run configured with a worker pool,
-    which the vectorized backend takes over — export identical bytes.
+    records: two cold runs export identical bytes.
     """
 
     @pytest.fixture(scope="class")
@@ -112,7 +112,6 @@ class TestVectorizedExportDeterminism:
         for label, runner in (
             ("first", SweepRunner(backend="vectorized")),
             ("second", SweepRunner(backend="vectorized")),
-            ("workers", SweepRunner(backend="vectorized", n_workers=2)),
         ):
             results = runner.run(VECTORIZED_SPECS)
             csv_path = root / f"{label}.csv"
@@ -125,29 +124,24 @@ class TestVectorizedExportDeterminism:
     def test_two_runs_byte_identical(self, exports):
         assert exports["first"] == exports["second"]
 
-    def test_workers_1_vs_n_byte_identical(self, exports):
-        assert exports["first"] == exports["workers"]
-
 
 class TestMetricsDeterminism:
     """The observability counters obey the export contract too.
 
     ``repro --metrics`` snapshots are diffed across CI runs exactly like
     sweep exports, so the deterministic sections (counters, histograms)
-    must serialize byte-identically across independent runs and across
-    ``--jobs 1`` vs ``--jobs 2`` — the worker path exercises the
-    snapshot-merge aggregation. Wall-time and warmth-dependent signals
-    live in other sections and are excluded by design.
+    must serialize byte-identically across independent runs. Wall-time
+    and warmth-dependent signals live in other sections and are excluded
+    by design.
     """
 
     @pytest.fixture(scope="class")
     def snapshots(self):
-        """Serialized deterministic metrics from three fresh sessions."""
+        """Serialized deterministic metrics from two fresh sessions."""
         artifacts = {}
         for label, runner in (
             ("first", SweepRunner()),
             ("second", SweepRunner()),
-            ("workers", SweepRunner(n_workers=2)),
         ):
             obs.start()
             try:
@@ -166,9 +160,6 @@ class TestMetricsDeterminism:
     def test_two_runs_byte_identical(self, snapshots):
         assert snapshots["first"] == snapshots["second"]
 
-    def test_workers_1_vs_n_byte_identical(self, snapshots):
-        assert snapshots["first"] == snapshots["workers"]
-
     def test_masked_sections_excluded(self, snapshots):
         """Wall-time and warmth signals must not leak into the
         deterministic payload."""
@@ -180,14 +171,15 @@ class TestOptExportDeterminism:
     @pytest.fixture(scope="class")
     def frontiers(self, tmp_path_factory):
         """Frontier exports of a full refinement search, re-run from
-        scratch (fresh caches) under three configurations."""
+        scratch (fresh caches): twice on the serial oracle, once on the
+        vectorized backend (one cached VRM curve march behind both)."""
         root = tmp_path_factory.mktemp("opt-determinism")
         preset = get_preset("vrm-tradeoff")
         artifacts = {}
         for label, runner in (
             ("first", SweepRunner()),
             ("second", SweepRunner()),
-            ("workers", SweepRunner(n_workers=2)),
+            ("vectorized", SweepRunner(backend="vectorized")),
         ):
             result = preset.optimizer(runner=runner).run()
             csv_path = root / f"{label}.csv"
@@ -204,5 +196,5 @@ class TestOptExportDeterminism:
     def test_two_runs_byte_identical(self, frontiers):
         assert frontiers["first"] == frontiers["second"]
 
-    def test_workers_1_vs_n_byte_identical(self, frontiers):
-        assert frontiers["first"] == frontiers["workers"]
+    def test_serial_vs_vectorized_byte_identical(self, frontiers):
+        assert frontiers["first"] == frontiers["vectorized"]

@@ -26,7 +26,6 @@ class TestDisabled:
             obs.inc("x.count")
             obs.observe("x.size", 3)
             obs.gauge("x.lanes", 1.0)
-            obs.merge({"counters": {"x.count": 5}})
         snapshot = obs.snapshot()
         assert snapshot["counters"] == {}
         assert snapshot["timings"] == {}
@@ -59,12 +58,6 @@ class TestSession:
         assert record["name"] == "sweep.run"
         assert record["attrs"] == {"scenarios": 2}
         assert session.metrics.timings["sweep.run"]["count"] == 1
-
-    def test_merge_folds_worker_snapshot(self):
-        obs.start()
-        obs.inc("sweep.evaluations")
-        obs.merge({"counters": {"sweep.evaluations": 4}})
-        assert obs.snapshot()["counters"]["sweep.evaluations"] == 5
 
     def test_write_trace_and_metrics(self, tmp_path):
         obs.start()

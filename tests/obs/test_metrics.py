@@ -1,4 +1,4 @@
-"""MetricsRegistry: sections, merge algebra, serialization."""
+"""MetricsRegistry: sections, accumulation, serialization."""
 
 from repro.obs.metrics import (
     DETERMINISTIC_SECTIONS,
@@ -44,38 +44,13 @@ class TestSections:
             "count": 3, "total": 16, "min": 2, "max": 9,
         }
 
-
-class TestMerge:
-    def _worker(self, values):
+    def test_timings_accumulate_and_gauges_overwrite(self):
         registry = MetricsRegistry()
-        for value in values:
-            registry.inc("a.count", value)
-            registry.observe("a.size", value)
+        for lanes in (2.0, 1.0):
             registry.timing("a.run", 0.25)
-        registry.gauge("a.lanes", float(len(values)))
-        return registry.snapshot()
-
-    def test_deterministic_sections_merge_commutes(self):
-        one, two = self._worker([1, 2]), self._worker([7])
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        forward.merge(one)
-        forward.merge(two)
-        backward.merge(two)
-        backward.merge(one)
-        assert dumps(deterministic_sections(forward.snapshot())) == dumps(
-            deterministic_sections(backward.snapshot())
-        )
-        assert forward.snapshot()["counters"] == {"a.count": 10}
-        assert forward.snapshot()["histograms"]["a.size"] == {
-            "count": 3, "total": 10, "min": 1, "max": 7,
-        }
-
-    def test_merge_accumulates_timings_and_overwrites_gauges(self):
-        parent = MetricsRegistry()
-        parent.merge(self._worker([1, 2]))
-        parent.merge(self._worker([7]))
-        assert parent.timings["a.run"] == {"count": 3, "total_s": 0.75}
-        assert parent.gauges["a.lanes"] == 1.0
+            registry.gauge("a.lanes", lanes)
+        assert registry.timings["a.run"] == {"count": 2, "total_s": 0.5}
+        assert registry.gauges["a.lanes"] == 1.0
 
 
 class TestSerialization:

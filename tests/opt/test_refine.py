@@ -114,6 +114,13 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             Optimizer(problem, tolerance=0.0)
 
+    @pytest.mark.parametrize(
+        "max_rounds", [float("nan"), float("inf"), 1.5, 2.0, "3", True]
+    )
+    def test_malformed_round_budget_named(self, max_rounds):
+        with pytest.raises(ConfigurationError, match="max_rounds"):
+            Optimizer(quadratic_problem(), max_rounds=max_rounds)
+
 
 class TestRefinement:
     def test_converges_to_the_quadratic_optimum(self):

@@ -165,6 +165,28 @@ class TestErrors:
         assert not outcome.ok
         assert "point" in outcome.error
 
+    @pytest.mark.parametrize(
+        "kind, param, name",
+        [
+            ("sweep", "points", "points"),
+            ("optimize", "rounds", "max_rounds"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, "3"])
+    def test_malformed_count_named_in_error(self, kind, param, name, value):
+        """A malformed count fails the job with a ConfigurationError that
+        names the field, not a TypeError from deep inside."""
+        preset = "flow" if kind == "sweep" else "flow-optimum"
+        with BackgroundServer() as bg:
+            outcome = ServeClient(port=bg.port).submit(
+                kind, preset=preset, **{param: value}
+            )
+        assert not outcome.ok
+        assert name in outcome.error
+        assert "TypeError" not in outcome.error
+        with pytest.raises(ConfigurationError):
+            outcome.require()
+
     def test_oversized_request_line_is_answered(self):
         """A line over the limit gets an error event (no job id), and the
         server keeps serving new connections."""

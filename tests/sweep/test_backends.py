@@ -1,20 +1,16 @@
-"""Backend-equivalence matrix: serial vs process vs vectorized.
+"""Oracle-vs-kernel contract: the serial oracle vs the vectorized backend.
 
-Every sweep preset is evaluated on all three
-:class:`~repro.sweep.backends.EvaluationBackend` implementations and must
-produce the same result set:
+Every sweep preset is evaluated on both
+:class:`~repro.sweep.backends.EvaluationBackend` implementations and the
+vectorized result set must match the serial oracle's: within the
+documented :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (kernels with
+a batched thermal solve) or bit-identical (evaluators without a kernel,
+which run the serial path, and the kernels in ``EXACT_KERNELS``, whose
+serial evaluator is a batch of one through the same code).
 
-- serial vs process: bit-identical (same pure evaluator functions, only
-  the scheduling differs);
-- serial vs vectorized: within the documented
-  :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (kernels with a
-  batched thermal solve) or bit-identical (evaluators that fall back to
-  serial, and the kernels in ``EXACT_KERNELS``, whose serial evaluator is
-  a batch of one through the same code).
-
-Plus the cache-interop contract: results computed by any backend land in
-the shared :class:`~repro.store.ResultStore` under the same keys,
-so backends can replay each other's work with zero new evaluations and
+Plus the cache-interop contract: results computed by either backend land
+in the shared :class:`~repro.store.ResultStore` under the same keys, so
+the backends replay each other's work with zero new evaluations and
 identical hit/miss accounting.
 
 The slow presets (cosim, transient, runtime) run tiny scenario subsets at
@@ -29,7 +25,6 @@ import pytest
 from repro.store import ResultStore
 from repro.sweep import (
     BACKEND_NAMES,
-    ProcessBackend,
     ScenarioSpec,
     SerialBackend,
     SweepRunner,
@@ -96,15 +91,11 @@ class TestEquivalenceMatrix:
     def test_all_backends_agree(self, preset_name):
         specs = preset_scenarios(preset_name)
         serial = SweepRunner(backend="serial").run(specs)
-        process = SweepRunner(
-            backend=ProcessBackend(n_workers=2)
-        ).run(specs)
         vectorized = SweepRunner(backend="vectorized").run(specs)
 
-        # Process scheduling must not change a single bit.
-        assert_equivalent(serial, process, rtol=0.0)
         # Vectorized kernels agree within the documented tolerance;
-        # fallback evaluators and the runtime engine are bit-identical.
+        # evaluators without a kernel and the exact kernels are
+        # bit-identical.
         assert_equivalent(
             serial, vectorized, rtol=vectorized_rtol(specs[0].evaluator)
         )
@@ -112,7 +103,7 @@ class TestEquivalenceMatrix:
 
 class TestCacheInterop:
     def test_vectorized_results_replay_on_serial(self):
-        """Any backend's results serve every other backend's cache."""
+        """Either backend's results serve the other backend's cache."""
         specs = get_preset("flow").expand(points=5)
         cache = ResultStore()
         first = SweepRunner(backend="vectorized", cache=cache).run(specs)
@@ -140,12 +131,11 @@ class TestCacheInterop:
                 key for key in (s.cache_key() for s in duplicated)
                 if cache.get(key) is None
             }
-        assert accounting["serial"] == accounting["process"]
         assert accounting["serial"] == accounting["vectorized"]
-        assert stored["serial"] == stored["process"] == stored["vectorized"]
+        assert stored["serial"] == stored["vectorized"]
 
     def test_mixed_evaluator_batch_partitions_and_reassembles(self):
-        """A batch mixing kernel and fallback evaluators keeps input
+        """A batch mixing kernel and kernel-less evaluators keeps input
         order and per-spec correctness."""
         specs = [
             ScenarioSpec(evaluator="operating_point", total_flow_ml_min=338.0),
@@ -164,7 +154,7 @@ class TestDynamicPresetCacheInterop:
 
     The steady presets' cache contract is pinned above; these checks
     extend it to the dynamic evaluators the batched kernels cover:
-    every backend performs the same cold-run misses, replays warm with
+    both backends perform the same cold-run misses, replay warm with
     zero new evaluations, and reports identical hit/miss accounting.
     """
 
@@ -186,11 +176,7 @@ class TestDynamicPresetCacheInterop:
                 assert replayed.metrics == computed.metrics
             accounting[name] = (cache.hits, cache.misses)
             cold_results[name] = cold
-        assert accounting["serial"] == accounting["process"]
         assert accounting["serial"] == accounting["vectorized"]
-        assert_equivalent(
-            cold_results["serial"], cold_results["process"], rtol=0.0
-        )
         assert_equivalent(
             cold_results["serial"], cold_results["vectorized"],
             rtol=vectorized_rtol(specs[0].evaluator),
@@ -229,23 +215,22 @@ class TestBackendSelection:
             assert SweepRunner(backend=name).backend.name == name
 
     def test_instances_pass_through(self):
-        backend = VectorizedBackend(fallback=SerialBackend())
-        assert SweepRunner(backend=backend).backend is backend
+        for backend in (SerialBackend(), VectorizedBackend()):
+            assert SweepRunner(backend=backend).backend is backend
 
-    def test_default_derives_from_n_workers(self):
+    def test_default_is_the_serial_oracle(self):
+        assert BACKEND_NAMES == ("serial", "vectorized")
         assert SweepRunner().backend.name == "serial"
-        assert SweepRunner(n_workers=3).backend.name == "process"
-        assert SweepRunner(n_workers=3).backend.n_workers == 3
+        assert get_backend(None).name == "serial"
 
-    def test_process_by_name_always_fans_out(self):
-        assert get_backend("process", n_workers=1).n_workers >= 2
+    def test_process_name_rejected_with_listing(self):
+        with pytest.raises(
+            ConfigurationError, match=r"\('serial', 'vectorized'\)"
+        ):
+            SweepRunner(backend="process")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown backend"):
             get_backend("gpu")
         with pytest.raises(ConfigurationError, match="unknown backend"):
             SweepRunner(backend="gpu")
-
-    def test_process_backend_validates_workers(self):
-        with pytest.raises(ConfigurationError):
-            ProcessBackend(n_workers=0)

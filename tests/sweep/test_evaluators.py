@@ -18,6 +18,41 @@ class TestRegistry:
             get_evaluator("no_such_evaluator")
 
 
+class TestSharedCosimConfig:
+    def test_cosim_transient_and_fleet_chip_share_one_surface(
+        self, monkeypatch
+    ):
+        """The three evaluators build one configuration per spec, so at one
+        coolant point they resolve to the same shared surface object."""
+        from dataclasses import replace
+
+        from repro.cosim import PolarizationSurface
+
+        spec = ScenarioSpec(
+            nx=22, ny=11, total_flow_ml_min=676.0, utilization=0.7,
+            utilization_before=0.7, step_duration_s=0.1, step_dt_s=0.05,
+        )
+        resolved = {}
+        real_shared = PolarizationSurface.shared
+
+        def recording(cls, *args, **kwargs):
+            surface = real_shared(*args, **kwargs)
+            resolved.setdefault(evaluator, set()).add(id(surface))
+            return surface
+
+        monkeypatch.setattr(
+            PolarizationSurface, "shared", classmethod(recording)
+        )
+        PolarizationSurface.clear_shared()
+        try:
+            for evaluator in ("cosim", "transient", "fleet_chip"):
+                evaluate_spec(replace(spec, evaluator=evaluator))
+        finally:
+            PolarizationSurface.clear_shared()
+        assert set(resolved) == {"cosim", "transient", "fleet_chip"}
+        assert len(set().union(*resolved.values())) == 1
+
+
 class TestTransientEvaluator:
     @pytest.fixture(scope="class")
     def metrics(self):

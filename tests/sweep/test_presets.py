@@ -51,6 +51,23 @@ class TestPresets:
         with pytest.raises(ConfigurationError):
             get_preset("flow").expand(0)
 
+    @pytest.mark.parametrize("name", ["flow", "geometry"])
+    @pytest.mark.parametrize(
+        "points", [float("nan"), float("inf"), 2.5, 3.0, "3", True]
+    )
+    def test_malformed_point_count_named(self, name, points):
+        """Anything but an integer is rejected at the boundary, by name,
+        not by whatever the grid builder trips over first."""
+        with pytest.raises(ConfigurationError, match="points"):
+            get_preset(name).grid(points)
+
+    def test_numpy_integer_point_count_accepted(self):
+        import numpy as np
+
+        assert get_preset("flow").expand(np.int64(3)) == (
+            get_preset("flow").expand(3)
+        )
+
 
 class TestSweepCli:
     def test_parser_accepts_sweep(self):

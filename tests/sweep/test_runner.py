@@ -72,10 +72,6 @@ class TestRunnerSerial:
         with pytest.raises(ConfigurationError):
             SweepRunner().run([ScenarioSpec(evaluator="nope")])
 
-    def test_n_workers_validated(self):
-        with pytest.raises(ConfigurationError):
-            SweepRunner(n_workers=0)
-
 
 class TestMemoization:
     def test_second_run_is_all_cache_hits(self):
@@ -182,21 +178,6 @@ class TestCacheStats:
         runner.run(cheap_specs(48.0))
         runner.run(cheap_specs(48.0))
         assert runner.cache.stats()["corrupt"] == 0
-
-
-class TestParallel:
-    def test_parallel_matches_serial_bit_for_bit(self):
-        # Real evaluator: workers re-import repro.sweep.evaluators, so the
-        # registry must resolve in a fresh process too.
-        specs = [
-            ScenarioSpec(evaluator="vrm", vrm=vrm, operating_voltage_v=v)
-            for vrm in ("ideal", "sc", "buck")
-            for v in (1.0, 1.2)
-        ]
-        serial = SweepRunner(n_workers=1).run(specs)
-        parallel = SweepRunner(n_workers=2).run(specs)
-        assert [r.metrics for r in serial] == [r.metrics for r in parallel]
-        assert serial.records() == parallel.records()
 
 
 class TestResults:

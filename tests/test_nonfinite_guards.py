@@ -1,0 +1,121 @@
+"""Constructor guards reject NaN and infinities by field name.
+
+A ``x <= 0`` check lets NaN through (every comparison with NaN is
+false), so these guards are written ``not 0 < x < inf``. Each case
+builds an otherwise valid object with one field replaced and expects a
+:class:`ConfigurationError` that names that field.
+"""
+
+import pytest
+
+from repro.casestudy.power7plus import build_array_spec
+from repro.errors import ConfigurationError
+from repro.fleet.supply import SupplySpec
+from repro.flowcell.recirculation import (
+    ElectrolyteReservoir,
+    RecirculationLoop,
+)
+from repro.geometry.array import ChannelArray
+from repro.geometry.channel import RectangularChannel
+from repro.geometry.floorplan import Block, BlockKind, Floorplan
+from repro.materials.fluid import vanadium_electrolyte_fluid
+from repro.microfluidics.dimensionless import characterize
+from repro.microfluidics.manifold import (
+    ManifoldDesign,
+    solve_flow_distribution,
+)
+
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _supply(**field):
+    return SupplySpec(**{"n_chips": 4, "supply_per_chip_ml_min": 40.0,
+                         **field})
+
+
+def _channel(**field):
+    return RectangularChannel(**{"width_m": 200e-6, "height_m": 400e-6,
+                                 "length_m": 22e-3, **field})
+
+
+def _block(**field):
+    return Block(**{"name": "core0", "kind": BlockKind.CORE, "x_m": 0.0,
+                    "y_m": 0.0, "width_m": 5e-3, "height_m": 5e-3, **field})
+
+
+def _floorplan(**field):
+    return Floorplan(**{"width_m": 10e-3, "height_m": 10e-3, **field})
+
+
+def _coverage(die_width_m):
+    return ChannelArray(_channel(), 22, 300e-6).coverage_fraction(die_width_m)
+
+
+def _reservoir(volume_m3):
+    return ElectrolyteReservoir(
+        build_array_spec().anolyte, volume_m3, is_fuel=True
+    )
+
+
+def _loop_step(dt_s):
+    spec = build_array_spec()
+    RecirculationLoop(
+        ElectrolyteReservoir(spec.anolyte, 1e-3, is_fuel=True),
+        ElectrolyteReservoir(spec.catholyte, 1e-3, is_fuel=False),
+    ).step(1.0, dt_s)
+
+
+def _manifold(total_flow_m3_s):
+    design = ManifoldDesign(
+        ChannelArray(_channel(), 22, 300e-6),
+        RectangularChannel(4e-3, 400e-6, 1e-3),
+        "Z",
+        1e-10,
+    )
+    return solve_flow_distribution(
+        design, vanadium_electrolyte_fluid(), total_flow_m3_s
+    )
+
+
+def _characterize(**field):
+    spec = build_array_spec()
+    args = {"diffusivity_m2_s": 1e-10,
+            "volumetric_flow_m3_s": spec.volumetric_flow_m3_s, **field}
+    return characterize(spec.channel, spec.anolyte.fluid, **args)
+
+
+CASES = [
+    ("min_flow_ml_min", lambda v: _supply(min_flow_ml_min=v)),
+    ("max_flow_ml_min", lambda v: _supply(max_flow_ml_min=v)),
+    ("resolution_ml_min", lambda v: _supply(resolution_ml_min=v)),
+    ("width_m", lambda v: _channel(width_m=v)),
+    ("height_m", lambda v: _channel(height_m=v)),
+    ("length_m", lambda v: _channel(length_m=v)),
+    ("width_m", lambda v: _block(width_m=v)),
+    ("height_m", lambda v: _block(height_m=v)),
+    ("width_m", lambda v: _floorplan(width_m=v)),
+    ("height_m", lambda v: _floorplan(height_m=v)),
+    ("die_width_m", _coverage),
+    ("volume_m3", _reservoir),
+    ("dt_s", _loop_step),
+    ("total_flow_m3_s", _manifold),
+    ("diffusivity_m2_s", lambda v: _characterize(diffusivity_m2_s=v)),
+    ("volumetric_flow_m3_s",
+     lambda v: _characterize(volumetric_flow_m3_s=v)),
+]
+
+
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "field, build", CASES,
+    ids=[f"{i}-{name}" for i, (name, _) in enumerate(CASES)],
+)
+def test_nonfinite_field_rejected_by_name(field, build, value):
+    with pytest.raises(ConfigurationError, match=field):
+        build(value)
+
+
+@pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
+def test_nonfinite_block_origin_rejected(value):
+    with pytest.raises(ConfigurationError, match="origin"):
+        _block(x_m=value)
