@@ -15,8 +15,8 @@ Three faces of the same physics live here so they cannot drift:
 - :func:`batch_chip_states` — the vectorized kernel: one store-backed
   thermal model per quantized flow, utilization variants as stacked RHS
   columns through one :class:`~repro.thermal.batch.AnchoredSteadySolver`
-  (affine in utilization, so beyond a flow's first one or two columns
-  they project onto the solver's snapshot basis with no LU solve);
+  (multiples of one power map, so after the family's first flows every
+  column is answered by the solver's Krylov space with no new step);
 - :class:`ChipTable` — the ``(flow level, utilization level)`` lookup the
   :class:`~repro.fleet.fleet.FleetEngine` and the greedy allocation
   policy consume, built by running the grid through a
@@ -136,8 +136,9 @@ def batch_chip_states(
     Scenarios are grouped by mesh + inlet; within a group each quantized
     flow draws its thermal model from the process-wide store of
     :mod:`repro.runtime.engine` (sparse assembly shared with the runtime
-    layer), utilization variants of one flow become stacked RHS columns,
-    and flows share one anchored factorization and snapshot basis
+    layer), utilization variants of one flow become stacked RHS columns
+    (each distinct utilization's power map rasterized once per family),
+    and flows share one anchored factorization and Krylov space
     middle-out — the same
     sharing pattern as :func:`repro.sweep.vectorized.batch_peak_temperatures`.
     Every chip's missing polarization-surface nodes are then marched in one
@@ -166,14 +167,20 @@ def batch_chip_states(
     sampled = []
     for (inlet, nx, ny), flows in families.items():
         solver = AnchoredSteadySolver()
+        maps = {
+            utilization: full_load_power_map(nx, ny, floorplan, utilization)
+            for utilization in sorted({
+                specs[i].utilization
+                for flow in flows for i in points[(flow, inlet, nx, ny)]
+            })
+        }
         for flow in _middle_out(flows):
             model = shared_thermal_model(flow, inlet, nx, ny)
             indices = points[(flow, inlet, nx, ny)]
             utilizations = sorted({specs[i].utilization for i in indices})
-            columns = model.rhs_columns("active_si", [
-                full_load_power_map(nx, ny, floorplan, utilization)
-                for utilization in utilizations
-            ])
+            columns = model.rhs_columns(
+                "active_si", [maps[utilization] for utilization in utilizations]
+            )
             temperatures = solver.solve_columns(model, columns)
             chip_columns = [
                 utilizations.index(specs[i].utilization) for i in indices

@@ -10,9 +10,9 @@ execution strategy varies:
 - :class:`VectorizedBackend` — group compatible scenarios and evaluate
   them through the batch kernels of :mod:`repro.sweep.vectorized`: one
   polarization march per batch, one thermal factorization per scenario
-  family (stacked right-hand sides + anchored GMRES). Evaluators without
-  a batch kernel go through the serial path, so *any* scenario mix is
-  accepted. This is the production path.
+  family (stacked right-hand sides + one shared Krylov space).
+  Evaluators without a batch kernel go through the serial path, so
+  *any* scenario mix is accepted. This is the production path.
 
 Both produce the same metrics for the same specs — within
 :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`, bit for bit where a

@@ -5,9 +5,9 @@ one evaluator family to the same metrics the serial evaluator produces,
 but shares the expensive physics across the batch:
 
 - thermal: scenarios are grouped by mesh/inlet; within a group one
-  :class:`~repro.thermal.batch.AnchoredSteadySolver` starts every solve
-  from the projection onto its earlier solutions, polishes misses with
-  GMRES preconditioned by a single shared LU factorization, and solves
+  :class:`~repro.thermal.batch.AnchoredSteadySolver` factorizes a single
+  anchor flow and answers every other flow from one Krylov space shared
+  by the whole flow family (the matrix is affine in flow), and solves
   utilization/workload variants of one flow as stacked right-hand-side
   columns;
 - electrochemistry: polarization curves for every distinct flow/geometry
@@ -68,8 +68,7 @@ from repro.sweep.spec import ScenarioSpec
 
 #: Documented relative agreement between batched and serial evaluation.
 #: The dominant term is the anchored solver's residual (<= 1e-8 relative,
-#: projected starts and GMRES polishes alike);
-#: everything else is floating-point round-off.
+#: checked on every column); everything else is floating-point round-off.
 EQUIVALENCE_RTOL = 1e-6
 
 BatchKernel = Callable[[Sequence[ScenarioSpec]], "list[dict[str, float]]"]
@@ -85,10 +84,10 @@ def batch_peak_temperatures(
 
     Returns ``{(flow, inlet, utilization, nx, ny): peak_c}`` covering the
     batch. Scenarios are grouped by mesh + inlet; within a group, flows
-    are solved middle-out through one anchored solver (one factorization;
-    neighbours start from the projection onto earlier solutions, and
-    GMRES polishes the misses) and utilization variants of a flow become
-    stacked RHS columns of a single solve.
+    are solved middle-out through one anchored solver (one factorization
+    and one Krylov space for the whole family), utilization variants of a
+    flow become stacked RHS columns of a single solve, and each distinct
+    utilization's power map is rasterized once per family.
     """
     from repro.casestudy.power7plus import (
         build_thermal_stack,
@@ -118,16 +117,19 @@ def batch_peak_temperatures(
     peaks: "dict[tuple, float]" = {}
     for (inlet, nx, ny), flows in families.items():
         solver = AnchoredSteadySolver()
+        maps = {
+            utilization: full_load_power_map(nx, ny, floorplan, utilization)
+            for utilization in sorted(set().union(*flows.values()))
+        }
         for flow in _middle_out(sorted(flows)):
             model = ThermalModel(
                 build_thermal_stack(flow, inlet),
                 floorplan.width_m, floorplan.height_m, nx, ny,
             )
             utilizations = sorted(flows[flow])
-            columns = model.rhs_columns("active_si", [
-                full_load_power_map(nx, ny, floorplan, utilization)
-                for utilization in utilizations
-            ])
+            columns = model.rhs_columns(
+                "active_si", [maps[utilization] for utilization in utilizations]
+            )
             temperatures = solver.solve_columns(model, columns)
             for k, utilization in enumerate(utilizations):
                 peaks[(flow, inlet, utilization, nx, ny)] = celsius_from_kelvin(
@@ -221,10 +223,9 @@ def batch_workload(
 
     Every workload at one (flow, inlet, mesh) shares a single thermal
     factorization — its power maps become RHS columns — and distinct
-    flows of one family share the anchor as a preconditioner and the
-    solver's snapshot basis as starts, exactly the sharing the scalar
-    evaluator cannot express (it rebuilds and refactorizes per
-    scenario).
+    flows of one family share the anchor and its Krylov space, exactly
+    the sharing the scalar evaluator cannot express (it rebuilds and
+    refactorizes per scenario).
     """
     from repro.casestudy.workloads import standard_workloads
     from repro.thermal.batch import AnchoredSteadySolver

@@ -2,39 +2,39 @@
 
 A design sweep evaluates many operating points whose thermal systems are
 *nearly* the same: the mesh and the conduction structure are fixed, only
-the advection strength (flow rate) and the right-hand side (power maps,
-inlet enthalpy) move. Factorizing every matrix from scratch — what the
-scalar path does — therefore repeats almost identical work.
+the coolant flow and the right-hand side (power maps) move. Two
+properties of the assembled system make such a family cheap:
 
-:class:`AnchoredSteadySolver` shares that work three ways:
+1. **The matrix is affine in flow.** Advection is the only term that
+   depends on flow (film coefficient, fin efficiency and conduction
+   stamps do not), so ``A(q) = A(q0) + (q - q0) D`` with ``D`` nonzero
+   only on the fluid rows.
+2. **The inlet temperature is a flow-independent start.** With
+   ``x0 = T_inlet`` everywhere, ``b(q) - A(q) x0`` is just the power
+   sources: conduction rows sum to zero on adiabatic walls, and the
+   upwind inlet rows carry the inlet enthalpy.
 
-1. **Snapshot-basis starts.** The solver keeps an orthonormal basis of its
-   own earlier solutions and starts every column from the least-squares
-   projection of its system onto that basis. Neighbouring flows and
-   utilization variants (affine in utilization) mostly lie in the span
-   already: a start whose residual meets the GMRES tolerance is the
-   answer, with no triangular solve at all.
-2. **Anchored iterative polish.** A start that misses is corrected by
-   GMRES on the right-preconditioned system, with the most recent
-   factorization (a neighbouring flow's LU) as the preconditioner — a
-   handful of iterations, several times cheaper than a fresh
-   factorization — and the polished solution joins the basis. When the
-   flows drift too far apart for the anchor to precondition well, the
-   solver transparently re-anchors (factorizes the current matrix and
-   continues from there), so accuracy never depends on the batch's
-   spread.
-3. **Stacked right-hand sides.** Scenarios that share a matrix (same flow
-   and inlet; different utilizations or workloads) are one multi-column
-   call: after the first one or two columns join the basis, the rest
-   project.
+:class:`AnchoredSteadySolver` factorizes one anchor ``M = A(q0)`` and
+uses it as a right preconditioner, ``A(q) M^-1 = I + (q - q0) D M^-1``.
+The Krylov space of ``D M^-1`` grown from the source vectors is thus the
+same for every flow of the family: a column at a new flow costs a small
+least-squares solve in that space plus one triangular solve, and the
+space grows (one triangular solve per Krylov step) only where it cannot
+yet meet the tolerance. Utilization or workload variants of one flow are
+stacked right-hand-side columns of one call.
 
-Every solution is residual-checked against the same bound as
+The solver checks property 1 on every matrix it is fed: a matrix off the
+family's line (a flow-dependent channel allocation, another raster or
+stack) re-anchors. Each model starts from its own inlet temperature, so
+a family mixing inlets stays on the line as long as the coolant's
+properties do not depend on it. Every solution is
+residual-checked against the same bound as
 :func:`repro.thermal.solver.solve_steady` and falls back to a direct
 factorization when the fast path misses it, so callers get direct-solver
 accuracy unconditionally — the backend-equivalence tests pin batched peak
-temperatures to the scalar path within 1e-6 K. The basis belongs to one
-solver instance (one family of one batch), so a result depends only on
-its batch.
+temperatures to the scalar path within 1e-6 K. The Krylov space belongs
+to one solver instance (one family of one batch), so a result depends
+only on its batch.
 
 :class:`AnchoredTransientSolver` is the transient counterpart, with a
 stricter anchor: the *exact* per-``(matrix, dt)`` backward-Euler
@@ -42,9 +42,9 @@ factorizations the scalar stepper caches on the model. Transient
 trajectories feed discontinuous control decisions downstream (flow
 quantization, governor hysteresis trips, settling-band exits), where a
 sub-ulp perturbation would flip a branch and diverge far beyond any
-linear tolerance — so the batched path trades the preconditioned-GMRES
-trick for bit-identical stepping and wins by marching many scenarios'
-state columns through each factorization as one multi-RHS solve.
+linear tolerance — so the batched path trades the anchored Krylov space
+for bit-identical stepping and wins by marching many scenarios' state
+columns through each factorization as one multi-RHS solve.
 """
 
 from __future__ import annotations
@@ -53,14 +53,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import (
-    LinAlgError,
-    cho_factor,
-    cho_solve,
-    qr_multiply,
-    solve_triangular,
-)
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import lstsq
+from scipy.sparse.linalg import splu
 
 from repro import obs
 from repro.errors import ConfigurationError, ConvergenceError
@@ -74,23 +68,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: inside the documented equivalence tolerance.
 _RESIDUAL_RTOL = 1e-8
 
-#: GMRES restart length and outer-iteration budget per solve. The budget
-#: is deliberately small: a preconditioner that needs more than
-#: ``restart * max_outer`` Krylov vectors is a bad anchor, and
-#: re-factorizing is both faster and exact.
+#: Krylov stop test: a column is answered once its residual estimate is
+#: at most ``_GMRES_RTOL * ||b||``. The same bound also decides whether a
+#: matrix lies on the family's line ``A(q0) + (q - q0) D``.
 _GMRES_RTOL = 1e-12
-_GMRES_RESTART = 30
-_GMRES_MAX_OUTER = 2
 
-#: Relative norm below which a solution's component outside the snapshot
-#: basis is rounding noise, not a new direction (10 of the 75 misses of a
-#: 256-flow 44x22 family land here: projections at the residual floor).
-#: The basis width itself is unbounded on purpose: only projection misses
-#: grow it, and it saturates — 67 columns over that family, 34 over a
-#: 64-flow 88x44 one (both geomspaced 20-1500 ml/min). Dropping the oldest
-#: snapshot at a cap of 16 or 24 made them 1.8-2.2x slower (2-vCPU box,
-#: single-threaded BLAS): no start projected any more.
-_BASIS_DEFLATION = 1e-13
+#: Most vectors one solver's Krylov space holds. The space lives on the
+#: fluid and source rows only (40 % of the DOFs of the case-study stack),
+#: so 64 vectors cost ~4 MB at 88x44. 28 flows at 88x44 settle at 18
+#: vectors; the workloads preset (4 power maps at 48 and 1352 ml/min)
+#: reaches 60. A column that cannot converge within the cap re-anchors
+#: on its own matrix.
+_SPACE_CAP = 64
+
+#: DGKS criterion: orthogonalize a second time when one Gram-Schmidt pass
+#: removed more than this share of a vector's norm.
+_REORTHOGONALIZE = 0.7071
 
 
 def _fast_splu(matrix: sparse.spmatrix):
@@ -114,195 +107,350 @@ def _fast_splu(matrix: sparse.spmatrix):
 
 
 class AnchoredSteadySolver:
-    """Steady solves over a model family, sharing one anchor factorization.
+    """Steady solves over a model family, sharing one anchor and one
+    Krylov space.
 
     Stateless from the caller's perspective: feed it models (with their
     power maps already applied) in any order and read back
     :class:`~repro.thermal.solver.ThermalSolution` objects identical — to
-    solver accuracy — to ``model.solve_steady()``. Feeding models sorted
-    by flow rate keeps consecutive matrices similar, which is what makes
-    the anchor and the snapshot basis effective; the solver re-anchors on
-    its own when they are not.
+    solver accuracy — to ``model.solve_steady()``. Feeding a flow family
+    middle-out keeps every flow close to the anchor, which keeps the
+    Krylov space small; the solver re-anchors on its own when a matrix
+    leaves the family's line or the space would outgrow its cap.
 
-    Each instance keeps an orthonormal basis ``V`` of its own earlier
-    solutions. A column starts from ``x0 = V c`` with
-    ``c = argmin ||A V c - b||``; a start already within the GMRES
-    tolerance is the answer. Otherwise the column is solved — by the
-    anchor LU for the anchor's own matrix, else by right-preconditioned
-    GMRES on the correction ``(A M^-1) y = b - A x0`` — and the solution
-    joins ``V`` before the matrix's remaining columns are re-projected.
-    The basis lives and dies with the instance (one family of one batch),
-    so a result depends only on its batch.
+    The space is an orthonormal basis ``V`` plus the Arnoldi relation
+    ``D M^-1 (V R) = V H``: ``R`` holds the coefficients of the directions
+    ``D M^-1`` was applied to, ``H`` those of their images. With
+    ``r0 = b - A x0`` and ``c = V^T r0``, a column at shift
+    ``s = q - q0`` takes ``z = argmin ||c - (R + s H) z||`` and
+    ``x = x0 + M^-1 V R z``. A column whose residual estimate misses the
+    tolerance applies ``D M^-1`` once along its current residual, which
+    extends ``V``, ``R`` and ``H`` by one column, and solves again. The
+    anchor's own columns are ``x0 + M^-1 r0``; that solve doubles as a
+    free Krylov step, whose image joins ``V`` once the family's second
+    flow has defined ``D``.
     """
 
     def __init__(self) -> None:
         self._anchor_lu = None
-        self._anchor_matrix: "sparse.spmatrix | None" = None
-        #: Snapshot basis ``V``: ``(n_dof, m)`` orthonormal columns.
-        self._basis: "np.ndarray | None" = None
+        self._anchor_matrix: "sparse.csr_matrix | None" = None
+        self._anchor_flow = 0.0
+        #: ``D`` (``None`` until a second flow) and the positions of its
+        #: entries in the anchor's sparsity pattern, for the family check.
+        self._drift: "sparse.csr_matrix | None" = None
+        self._drift_at: "np.ndarray | None" = None
+        self._forget(0)
         #: Fresh factorizations performed (anchors + fallbacks) — exposed
         #: for benches and tests asserting the sharing actually happens.
         self.factorizations = 0
-        #: Solves answered without a fresh LU: by anchor-preconditioned
-        #: GMRES or by the snapshot projection alone.
+        #: Solves answered without a fresh LU, by the Krylov space.
         self.anchored_solves = 0
-        #: The subset of ``anchored_solves`` the projection answered alone.
+        #: The subset of ``anchored_solves`` the family's existing space
+        #: answered: no Krylov step was taken along the column.
         self.projected_solves = 0
+        #: Krylov steps taken along a column's residual (one triangular
+        #: solve each; the anchor's own solves join the space for free).
+        self.krylov_steps = 0
 
-    # -- internals -------------------------------------------------------------
+    # -- the Krylov space -------------------------------------------------------
 
-    def _anchor(self, matrix: sparse.spmatrix) -> None:
-        self._anchor_lu = _fast_splu(matrix)
-        self._anchor_matrix = matrix
+    def _forget(self, n_dof: int) -> None:
+        """Start an empty space: it belongs to one anchor."""
+        #: Rows the space may be nonzero on (``D``'s rows and the source
+        #: rows); ``V`` is stored on those rows only.
+        self._inside = np.zeros(n_dof, dtype=bool)
+        self._rows = np.empty(0, dtype=np.intp)
+        #: ``V^T``: one orthonormal vector per row, ``_width`` in use.
+        self._basis = np.zeros((_SPACE_CAP, 0))
+        self._width = 0
+        #: ``R`` and ``H``: one column per Krylov step, ``_steps`` in use.
+        self._dirs = np.zeros((_SPACE_CAP, _SPACE_CAP))
+        self._images = np.zeros((_SPACE_CAP, _SPACE_CAP))
+        self._steps = 0
+        #: Anchor columns ``(coefficients of r0, M^-1 r0)`` waiting for D.
+        self._pending: "list[tuple[np.ndarray, np.ndarray]]" = []
+        if self._drift is not None:
+            self._widen(np.flatnonzero(np.diff(self._drift.indptr)))
+
+    def _room(self) -> bool:
+        return self._width < _SPACE_CAP and self._steps < _SPACE_CAP
+
+    def _widen(self, rows: np.ndarray) -> None:
+        """Let the space be nonzero on ``rows`` too."""
+        inside = self._inside.copy()
+        inside[rows] = True
+        widened = np.flatnonzero(inside)
+        basis = np.zeros((_SPACE_CAP, widened.size))
+        columns = np.searchsorted(widened, self._rows)
+        basis[:self._width, columns] = self._basis[:self._width]
+        self._inside, self._rows, self._basis = inside, widened, basis
+
+    def _sources(
+        self, residuals: np.ndarray, tols: np.ndarray
+    ) -> "tuple[list[int], np.ndarray, np.ndarray]":
+        """Fit the columns ``r0`` into the space.
+
+        Widens the support to every row where a residual is more than
+        rounding (what stays outside is at most half of each column's
+        tolerance in norm) and appends each new source direction. Returns
+        the columns that brought one, ``c = V^T r0``, and the norm of
+        what ``V`` leaves out of each ``r0``.
+        """
+        floor = 0.5 * tols / np.sqrt(residuals.shape[0])
+        rows = np.flatnonzero(
+            (np.abs(residuals) > floor).any(axis=1) & ~self._inside
+        )
+        if rows.size:
+            self._widen(rows)
+        inside = residuals[self._rows]
+        outside = np.linalg.norm(residuals[~self._inside], axis=0)
+        new: "list[int]" = []
+        while True:
+            basis = self._basis[:self._width]
+            coefficients = basis @ inside
+            left_out = outside + np.linalg.norm(
+                inside - basis.T @ coefficients, axis=0
+            )
+            grown = [
+                k for k in np.flatnonzero(left_out > 0.5 * tols)
+                if self._add_source(inside[:, k], tols[k])
+            ]
+            if not grown:
+                return new, coefficients, left_out
+            new += grown
+
+    def _orthogonalize(
+        self, vector: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(h, w)`` with ``vector = V h + w`` and ``w`` orthogonal to V:
+        one Gram-Schmidt pass, a second one when DGKS asks for it."""
+        basis = self._basis[:self._width]
+        h = basis @ vector
+        w = vector - h @ basis
+        if np.linalg.norm(w) < _REORTHOGONALIZE * np.linalg.norm(vector):
+            again = basis @ w
+            w -= again @ basis
+            h += again
+        return h, w
+
+    def _append(self, w: np.ndarray, norm: float) -> None:
+        self._basis[self._width] = w / norm
+        self._width += 1
+
+    def _add_source(self, vector: np.ndarray, tol: float) -> bool:
+        """Append ``vector``'s part outside ``V`` unless it is below half
+        of ``tol`` (a new source direction, not rounding)."""
+        if self._width == _SPACE_CAP:
+            return False
+        _, w = self._orthogonalize(vector)
+        norm = np.linalg.norm(w)
+        if not norm > 0.5 * tol:
+            return False
+        self._append(w, norm)
+        return True
+
+    def _record(self, direction: np.ndarray, image: np.ndarray) -> None:
+        """One Arnoldi column: ``D M^-1 (V direction) = image``."""
+        h, w = self._orthogonalize(image)
+        k, m = self._steps, self._width
+        self._dirs[:direction.size, k] = direction
+        self._images[:m, k] = h
+        norm = np.linalg.norm(w)
+        if norm > 0.0:
+            self._images[m, k] = norm
+            self._append(w, norm)
+        self._steps += 1
+
+    def _flush(self) -> None:
+        """Record the anchor columns' images, once ``D`` is known."""
+        for direction, correction in self._pending:
+            if self._room():
+                self._record(
+                    direction, (self._drift @ correction)[self._rows]
+                )
+        self._pending = []
+
+    # -- the family -------------------------------------------------------------
+
+    def _anchor(
+        self, matrix: sparse.csr_matrix, flow: float, lu=None
+    ) -> None:
+        """Make ``matrix`` the anchor; its Krylov space starts empty."""
+        # Release the old factors before building the new ones.
+        self._anchor_lu = None
+        self._anchor_lu = _fast_splu(matrix) if lu is None else lu
+        self._anchor_matrix, self._anchor_flow = matrix, flow
+        self._forget(matrix.shape[0])
         self.factorizations += 1
         obs.inc("thermal.steady.factorizations")
 
-    def _project(
-        self, matrix: sparse.spmatrix, rhs_columns: np.ndarray
-    ) -> np.ndarray:
-        """Least-squares starts ``V c``, ``c = argmin ||A V c - b||``.
-
-        A thin QR of ``A V`` whose ``Q`` is never formed: ``R`` is the
-        Cholesky factor of the Gram matrix ``(A V)^T A V`` (one BLAS-3
-        product, ~7x cheaper than Householder at these shapes), so
-        ``c = R^-1 R^-T (A V)^T b``. ``A V`` has a condition number of
-        1e2-1e3 on these families (measured), far inside CholeskyQR's
-        ~1e8 range; a Gram matrix Cholesky rejects falls back to
-        Householder QR applied to ``b`` in place. Either way an inaccurate
-        start only costs a GMRES polish: the caller checks its residual.
-        """
-        basis = self._basis
-        if basis is None:
-            return np.zeros_like(rhs_columns)
-        image = matrix @ basis
-        try:
-            factor = cho_factor(image.T @ image)
-        except LinAlgError:
-            qtb, r = qr_multiply(
-                image, rhs_columns.T, mode="right", overwrite_a=True
+    def _shift(
+        self, matrix: sparse.csr_matrix, flow: float
+    ) -> "float | None":
+        """``flow - q0`` if ``matrix`` is ``A(q0) + (flow - q0) D`` to
+        rounding, else ``None``. The family's first matrix at another
+        flow defines ``D``."""
+        anchor = self._anchor_matrix
+        if not (
+            matrix.shape == anchor.shape
+            and np.array_equal(matrix.indptr, anchor.indptr)
+            and np.array_equal(matrix.indices, anchor.indices)
+        ):
+            return None
+        shift = flow - self._anchor_flow
+        gap = matrix.data - anchor.data
+        if self._drift is None and shift != 0.0:
+            values = gap / shift
+            self._drift_at = np.flatnonzero(values)
+            self._drift = sparse.csr_matrix(
+                (values, anchor.indices, anchor.indptr),
+                shape=anchor.shape, copy=True,
             )
-            return basis @ solve_triangular(r, qtb.T)
-        return basis @ cho_solve(factor, image.T @ rhs_columns)
+            self._drift.eliminate_zeros()
+            self._widen(np.flatnonzero(np.diff(self._drift.indptr)))
+            self._flush()
+            return shift
+        if self._drift is not None:
+            gap[self._drift_at] -= shift * self._drift.data
+        if np.abs(gap).max() > _GMRES_RTOL * np.abs(matrix.data).max():
+            return None
+        return shift
 
-    def _extend(self, x: np.ndarray) -> None:
-        """Append ``x``'s component outside the basis, normalized."""
-        basis = self._basis
-        w = x.copy()
-        for _ in range(0 if basis is None else 2):
-            w -= basis @ (basis.T @ w)  # Gram-Schmidt, twice is enough
-        norm = np.linalg.norm(w)
-        if not norm > _BASIS_DEFLATION * np.linalg.norm(x):
-            return
-        w /= norm
-        # Exact width, C order: the sparse product A V wants contiguous
-        # rows, and appends (one per projection miss) are rare.
-        self._basis = (
-            w[:, None] if basis is None else np.column_stack((basis, w))
-        )
+    # -- solves -----------------------------------------------------------------
 
-    def _polish(
+    def _direct(
+        self, residuals: np.ndarray, tols: np.ndarray
+    ) -> np.ndarray:
+        """Anchor columns: ``M^-1 r0``. Each new source direction joins the
+        space with that solve as a free Krylov step, recorded once ``D``
+        is known."""
+        new, coefficients, _ = self._sources(residuals, tols)
+        corrections = self._anchor_lu.solve(residuals)
+        self._pending += [
+            (coefficients[:, k], corrections[:, k]) for k in new
+        ]
+        if self._drift is not None:
+            self._flush()
+        return corrections
+
+    def _least_squares(
+        self, shift: float, coefficients: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``z = argmin ||c - (R + s H) z||`` per column, and the small
+        residuals ``c - (R + s H) z``."""
+        m, k = self._width, self._steps
+        if not k:
+            return np.zeros((0, coefficients.shape[1])), coefficients
+        system = self._dirs[:m, :k] + shift * self._images[:m, :k]
+        z = lstsq(system, coefficients, lapack_driver="gelsy")[0]
+        return z, coefficients - system @ z
+
+    def _lift(self, coefficients: np.ndarray) -> np.ndarray:
+        """Full-length columns ``V coefficients``."""
+        full = np.zeros((self._inside.size, coefficients.shape[1]))
+        basis = self._basis[:coefficients.shape[0]]
+        full[self._rows] = basis.T @ coefficients
+        return full
+
+    def _krylov(
         self,
-        matrix: sparse.spmatrix,
-        x0: np.ndarray,
-        residual: np.ndarray,
-        atol: float,
-        gmres_callback: dict,
-    ) -> "tuple[np.ndarray, int]":
-        """GMRES on the right-preconditioned correction system.
+        matrix: sparse.csr_matrix,
+        flow: float,
+        shift: float,
+        residuals: np.ndarray,
+        tols: np.ndarray,
+    ) -> np.ndarray:
+        """Corrections ``x - x0`` of a matrix on the family's line."""
+        _, fitted, left_out = self._sources(residuals, tols)
+        # Zero-padded: r0 is V c plus what the space leaves out, and later
+        # vectors do not move c. By the triangle inequality the residual
+        # estimate adds the left-out norm to the small residual's.
+        coefficients = np.zeros((_SPACE_CAP, residuals.shape[1]))
+        coefficients[:len(fitted)] = fitted
 
-        Solves ``(A M^-1) y = r0`` with ``M`` the anchor LU and returns
-        ``x0 + M^-1 y``. Right preconditioning leaves the residual GMRES
-        minimizes equal to the true residual ``b - A x``, so the absolute
-        stop test is the same one a start is accepted by.
-        """
-        lu = self._anchor_lu
-        operator = LinearOperator(
-            matrix.shape, lambda y: matrix @ lu.solve(y)
-        )
-        correction, info = gmres(
-            operator,
-            residual,
-            rtol=0.0,
-            atol=atol,
-            restart=_GMRES_RESTART,
-            maxiter=_GMRES_MAX_OUTER,
-            **gmres_callback,
-        )
-        return x0 + lu.solve(correction), info
+        corrections = np.empty_like(residuals)
+        todo = np.arange(residuals.shape[1])
+        stepped: "set[int]" = set()
+        while todo.size:
+            z, small = self._least_squares(
+                shift, coefficients[:self._width, todo]
+            )
+            misses = (
+                np.linalg.norm(small, axis=0) + left_out[todo]
+            ) / tols[todo]
+            done = misses <= 1.0
+            if done.any():
+                directions = self._dirs[:self._width, :self._steps]
+                corrections[:, todo[done]] = self._anchor_lu.solve(
+                    self._lift(directions @ z[:, done])
+                )
+                answered = int(done.sum())
+                projected = answered - len(stepped.intersection(todo[done]))
+                self.anchored_solves += answered
+                self.projected_solves += projected
+                obs.inc("thermal.steady.anchored_solves", answered)
+                obs.inc("thermal.steady.projected_solves", projected)
+            todo, small, misses = todo[~done], small[:, ~done], misses[~done]
+            if not todo.size:
+                break
+            if not self._room():
+                # The space is full: this matrix becomes the anchor and
+                # answers its remaining columns directly.
+                obs.inc("thermal.steady.reanchors")
+                self._anchor(matrix, flow)
+                corrections[:, todo] = self._direct(
+                    residuals[:, todo], tols[todo]
+                )
+                break
+            # Step along the column furthest from its tolerance.
+            worst = int(np.argmax(misses))
+            stepped.add(int(todo[worst]))
+            direction = small[:, worst]
+            self.krylov_steps += 1
+            obs.inc("thermal.gmres.iterations")
+            image = self._drift @ self._anchor_lu.solve(
+                self._lift(direction[:, None])[:, 0]
+            )
+            self._record(direction, image[self._rows])
+        return corrections
 
     def _solve_columns(
-        self, matrix: sparse.spmatrix, rhs_columns: np.ndarray
+        self,
+        model: "ThermalModel",
+        matrix: sparse.csr_matrix,
+        rhs_columns: np.ndarray,
     ) -> np.ndarray:
-        """Solve ``matrix @ x = rhs`` for each column, basis-started."""
-        if self._anchor_lu is None:
-            self._anchor(matrix)
-        solution = np.empty_like(rhs_columns)
-        iterations = 0
-
-        def _count(_pr_norm: float) -> None:
-            nonlocal iterations
-            iterations += 1
-
-        # The counting callback is attached only while observability is
-        # on, and always with callback_type="pr_norm": the default
-        # ("legacy") silently switches maxiter to count *inner*
-        # iterations, which would change convergence behaviour. With
-        # pr_norm the iterates are identical with or without the
-        # callback (pinned by tests/obs/test_solver_equivalence.py).
-        gmres_callback = (
-            dict(callback=_count, callback_type="pr_norm")
-            if obs.enabled()
-            else {}
-        )
-        starts = None
-        for k in range(rhs_columns.shape[1]):
-            rhs = rhs_columns[:, k]
-            if starts is None:
-                # (Re-)project every column not yet solved onto the
-                # current basis: one factorization serves them all.
-                starts = self._project(matrix, rhs_columns[:, k:])
-            x = starts[:, 0]
-            starts = starts[:, 1:]
-            residual = rhs - matrix @ x
-            atol = _GMRES_RTOL * np.linalg.norm(rhs)
-            if np.linalg.norm(residual) <= atol:
-                self.anchored_solves += 1
-                self.projected_solves += 1
-                obs.inc("thermal.steady.anchored_solves")
-                obs.inc("thermal.steady.projected_solves")
-                solution[:, k] = x
-                continue
-            if matrix is self._anchor_matrix:
-                x = self._anchor_lu.solve(rhs)
-            else:
-                x, info = self._polish(
-                    matrix, x, residual, atol, gmres_callback
-                )
-                if info != 0 or not _residual_ok(matrix, x, rhs):
-                    # The anchor stopped preconditioning this far from
-                    # its own flow: make the current matrix the new
-                    # anchor and solve this column directly.
-                    obs.inc("thermal.steady.reanchors")
-                    self._anchor(matrix)
-                    x = self._anchor_lu.solve(rhs)
-                else:
-                    self.anchored_solves += 1
-                    obs.inc("thermal.steady.anchored_solves")
-            solution[:, k] = x
-            # Greedy growth: only a column the projection missed joins the
-            # basis, and the matrix's remaining columns re-project onto it.
-            self._extend(x)
-            starts = None
-        obs.inc("thermal.gmres.iterations", iterations)
-        return solution
+        """Solve ``matrix @ x = rhs`` for each column from ``x0 = T_inlet``."""
+        flow = model.coolant_flow_m3_s
+        shift = None if self._anchor_lu is None else self._shift(matrix, flow)
+        fresh = shift is None
+        if fresh:
+            if self._anchor_lu is not None:
+                # Off the family's line: D no longer describes the flow
+                # dependence, so it is learned again from the new anchor.
+                obs.inc("thermal.steady.reanchors")
+                self._drift = self._drift_at = None
+            self._anchor(matrix, flow)
+        inlet = model.inlet_temperature_k
+        residuals = rhs_columns - (
+            matrix @ np.full(matrix.shape[0], inlet)
+        )[:, None]
+        tols = _GMRES_RTOL * np.linalg.norm(rhs_columns, axis=0)
+        if fresh or self._drift is None:
+            corrections = self._direct(residuals, tols)
+        else:
+            corrections = self._krylov(matrix, flow, shift, residuals, tols)
+        return inlet + corrections
 
     # -- public API -------------------------------------------------------------
 
     def solve(self, model: "ThermalModel") -> ThermalSolution:
         """Drop-in for ``model.solve_steady()`` using the shared anchor."""
         matrix, rhs = model._build_system()
+        rhs_columns = rhs[:, None]
         temperatures = self._checked(
-            model, matrix, self._solve_columns(matrix, rhs[:, None])
+            model, matrix, self._solve_columns(model, matrix, rhs_columns),
+            rhs_columns,
         )[:, 0]
         return ThermalSolution(temperatures_k=temperatures, model=model)
 
@@ -318,7 +466,7 @@ class AnchoredSteadySolver:
         """
         matrix, _ = model._build_system()
         return self._checked(
-            model, matrix, self._solve_columns(matrix, rhs_columns),
+            model, matrix, self._solve_columns(model, matrix, rhs_columns),
             rhs_columns,
         )
 
@@ -327,12 +475,9 @@ class AnchoredSteadySolver:
         model: "ThermalModel",
         matrix: sparse.spmatrix,
         solution: np.ndarray,
-        rhs_columns: "np.ndarray | None" = None,
+        rhs_columns: np.ndarray,
     ) -> np.ndarray:
         """Residual-check every column; re-solve misses with a direct LU."""
-        if rhs_columns is None:
-            _, rhs = model._build_system()
-            rhs_columns = rhs[:, None]
         direct_lu = None
         for k in range(solution.shape[1]):
             x, rhs = solution[:, k], rhs_columns[:, k]
@@ -340,15 +485,13 @@ class AnchoredSteadySolver:
                 continue
             if direct_lu is None:
                 # One fully pivoted factorization serves every failing
-                # column, and becomes the new anchor: if the fast LU was
-                # inaccurate here, it would stay inaccurate for the rest
-                # of the family too.
-                direct_lu = factorize_steady(matrix)
-                self.factorizations += 1
-                obs.inc("thermal.steady.factorizations")
+                # column, and becomes the new anchor with an empty space
+                # and an unknown D: if the fast path was inaccurate here,
+                # it would stay inaccurate for the rest of the family too.
                 obs.inc("thermal.steady.fallbacks")
-                self._anchor_lu = direct_lu
-                self._anchor_matrix = matrix
+                self._anchor_lu = self._drift = self._drift_at = None
+                direct_lu = factorize_steady(matrix)
+                self._anchor(matrix, model.coolant_flow_m3_s, direct_lu)
             direct = direct_lu.solve(rhs)
             if not np.all(np.isfinite(direct)):
                 raise ConvergenceError(

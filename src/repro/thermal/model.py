@@ -488,7 +488,14 @@ class ThermalModel:
                 )
         return c
 
-    # -- reference temperature -------------------------------------------------------------
+    # -- coolant ---------------------------------------------------------------------------
+
+    @property
+    def coolant_flow_m3_s(self) -> float:
+        """Total coolant flow through the stack's channel layers [m^3/s]."""
+        return sum(
+            layer.total_flow_m3_s for layer in self.stack if layer.is_channel
+        )
 
     @property
     def inlet_temperature_k(self) -> float:

@@ -1,13 +1,11 @@
 """Observability must not perturb the numerics.
 
-The GMRES iteration counter in ``repro.thermal.batch`` is a scipy
-callback, and scipy's default ``callback_type`` ("legacy") silently
-changes the meaning of ``maxiter`` — attaching a counter could change
-convergence. The solver therefore pins ``callback_type="pr_norm"`` and
-attaches the callback only while a session records; this suite asserts
-the property that design exists to protect: anchored steady solves are
-**bitwise identical** with observability on and off — over a family long
-enough that later flows take the snapshot-projection path too.
+The anchored steady solver counts its Krylov steps, anchored and
+projected solves while a session records; counting must never feed back
+into what the solver computes. This suite asserts it: anchored steady
+solves are **bitwise identical** with observability on and off — over a
+family long enough that early flows grow the Krylov space and later ones
+are answered by it.
 """
 
 import numpy as np
@@ -17,10 +15,9 @@ from repro.casestudy.power7plus import build_thermal_model
 from repro.sweep.vectorized import _middle_out
 from repro.thermal.batch import AnchoredSteadySolver
 
-#: Neighbouring flows, middle-out: the first solve anchors, early
-#: neighbours ride the anchor's preconditioned GMRES path (the one with
-#: the optional callback), and later ones project onto the basis those
-#: solves built.
+#: Neighbouring flows, middle-out: the first solve anchors, the first
+#: neighbour takes Krylov steps, and later ones are answered by the space
+#: those steps built.
 FLOWS = _middle_out(sorted(np.geomspace(300.0, 900.0, 12).tolist()))
 
 
@@ -45,7 +42,7 @@ def test_observed_solves_match_disabled_bitwise():
         obs.stop()
     for disabled, enabled in zip(baseline, observed):
         assert np.array_equal(disabled, enabled)
-    # The instrumented run exercised the GMRES path it claims to count.
+    # The instrumented run exercised the Krylov steps it claims to count.
     assert counters["thermal.steady.factorizations"] == 1
     assert counters["thermal.steady.anchored_solves"] == len(FLOWS) - 1
     assert counters["thermal.steady.projected_solves"] >= 1

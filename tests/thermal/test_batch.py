@@ -1,24 +1,29 @@
 """Anchored steady solver vs direct factorization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.casestudy.power7plus import (
     build_thermal_model,
     build_thermal_stack,
     full_load_power_map,
 )
+from repro.errors import ConfigurationError
 from repro.geometry.power7 import build_power7_floorplan
 from repro.sweep.vectorized import _middle_out
 from repro.thermal import batch
 from repro.thermal.batch import AnchoredSteadySolver, AnchoredTransientSolver
 from repro.thermal.model import ThermalModel
+from repro.thermal.stack import LayerStack
 from repro.units import celsius_from_kelvin
 
 FLOWS = (48.0, 169.0, 676.0, 1352.0)
 
-#: A flow family long enough for the snapshot basis to answer some flows
-#: by projection alone, in the middle-out order the sweep kernels use.
+#: A flow family long enough for the Krylov space to answer most flows
+#: with no new step, in the middle-out order the sweep kernels use.
 FAMILY = _middle_out(sorted(np.geomspace(300.0, 900.0, 12).tolist()))
 
 UTILIZATIONS = np.linspace(0.1, 1.0, 10).tolist()
@@ -49,7 +54,8 @@ def _utilization_columns(solver, flow):
 
 class TestAnchoredSolves:
     def test_matches_direct_solve_across_flows(self):
-        """One factorization + GMRES agrees with per-flow direct solves."""
+        """One factorization + Krylov space agrees with per-flow direct
+        solves."""
         solver = AnchoredSteadySolver()
         for flow in FLOWS:
             model = build_thermal_model(
@@ -68,7 +74,7 @@ class TestAnchoredSolves:
             )
 
     def test_shares_the_anchor(self):
-        """Only the first solve factorizes; neighbours ride GMRES."""
+        """Only the first solve factorizes; neighbours ride the space."""
         solver = AnchoredSteadySolver()
         for flow in (338.0, 450.0, 676.0):
             solver.solve(build_thermal_model(
@@ -118,19 +124,24 @@ class TestAnchoredSolves:
             direct.peak_celsius, abs=1e-6
         )
 
+    def test_rejects_a_stack_without_coolant(self):
+        """No channel layer, no heat sink: the steady system is singular,
+        and the solver says so instead of returning temperatures."""
+        stack = build_thermal_stack()
+        model = ThermalModel(
+            LayerStack([stack.layers[0], stack.layers[1], stack.layers[3]]),
+            0.01, 0.01, 6, 4,
+        )
+        model.set_power_map("active_si", np.full((4, 6), 0.01))
+        with pytest.raises(ConfigurationError, match="microchannel"):
+            AnchoredSteadySolver().solve(model)
 
-class TestSnapshotBasis:
-    @pytest.mark.parametrize("projection", ["cholesky", "householder"])
-    def test_family_matches_direct_and_projects(self, projection, monkeypatch):
-        """A middle-out family answers some flows by projection alone and
-        still agrees with per-flow direct solves — also when the Gram
-        matrix Cholesky rejects and the Householder QR takes over."""
-        if projection == "householder":
 
-            def reject(_gram):
-                raise batch.LinAlgError("not positive definite")
-
-            monkeypatch.setattr(batch, "cho_factor", reject)
+class TestKrylovSpace:
+    def test_family_matches_direct_with_one_factorization(self):
+        """A 12-flow middle-out family: one anchor LU, a handful of Krylov
+        steps, every later flow answered by the existing space, and
+        agreement with per-flow direct solves."""
         solver = AnchoredSteadySolver()
         for flow, anchored in zip(FAMILY, _family_solves(solver)):
             direct = build_thermal_model(
@@ -143,23 +154,31 @@ class TestSnapshotBasis:
                 direct.peak_celsius, abs=1e-6
             )
         assert solver.factorizations == 1
-        assert solver.projected_solves > 0
+        assert solver.krylov_steps <= 7
         assert solver.anchored_solves == len(FAMILY) - 1
+        assert solver.projected_solves == len(FAMILY) - 2
 
-    def test_utilization_columns_mostly_project(self):
-        """Utilization columns are affine in utilization: once a flow's
-        first two columns joined the basis, the rest project."""
+    def test_utilization_columns_take_no_new_steps(self):
+        """Utilization maps are multiples of one source: once a flow of
+        the family has been solved, every utilization column of any flow
+        is answered by the existing space."""
         solver = AnchoredSteadySolver()
         flows = _middle_out(sorted(np.geomspace(200.0, 1200.0, 6).tolist()))
         for position, flow in enumerate(flows):
-            anchored, projected = solver.anchored_solves, solver.projected_solves
+            steps = solver.krylov_steps
+            projected = solver.projected_solves
             stacked = _utilization_columns(solver, flow)
-            polished = (
-                (solver.anchored_solves - anchored)
-                - (solver.projected_solves - projected)
-            )
             if position:
-                assert polished <= 2
+                # Only a flow's first column may step, and only while the
+                # space is still growing; the rest ride along.
+                assert solver.projected_solves - projected >= len(
+                    UTILIZATIONS
+                ) - 1
+            if position > 1:
+                assert solver.krylov_steps == steps
+                assert solver.projected_solves - projected == len(
+                    UTILIZATIONS
+                )
             for k, utilization in enumerate(UTILIZATIONS):
                 direct = build_thermal_model(
                     nx=22, ny=11, total_flow_ml_min=flow,
@@ -172,12 +191,152 @@ class TestSnapshotBasis:
         assert solver.factorizations == 1
 
     def test_fresh_solvers_are_bit_identical(self):
-        """The basis belongs to the solver: the same batch through two
+        """The space belongs to the solver: the same batch through two
         fresh solvers gives the very same floats."""
         first = _family_solves(AnchoredSteadySolver())
         second = _family_solves(AnchoredSteadySolver())
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+def _system(flow, inlet=300.0, nx=22, ny=11):
+    floorplan = build_power7_floorplan()
+    model = ThermalModel(
+        build_thermal_stack(flow, inlet),
+        floorplan.width_m, floorplan.height_m, nx, ny,
+    )
+    matrix, base_rhs = model._system_structure()
+    return model, matrix, base_rhs
+
+
+class TestFamilyProperties:
+    """The two properties the anchored Krylov space relies on. If
+    conduction or convection ever starts to depend on flow, these fail
+    first (the solver would still be right, through re-anchoring, but no
+    longer fast)."""
+
+    @pytest.mark.parametrize("inlet", [300.0, 310.15])
+    @pytest.mark.parametrize("nx, ny", [(22, 11), (88, 44)])
+    def test_matrix_is_affine_in_flow(self, inlet, nx, ny):
+        """``A(q) - A(q0) == (q - q0) D`` with ``D`` on the fluid rows."""
+        model0, a0, _ = _system(48.0, inlet, nx, ny)
+        model1, a1, _ = _system(170.0, inlet, nx, ny)
+        q0 = model0.coolant_flow_m3_s
+        drift = (a1 - a0) / (model1.coolant_flow_m3_s - q0)
+        drift.eliminate_zeros()
+        fluid = model0._field("channels", "fluid")
+        assert np.array_equal(
+            np.flatnonzero(np.diff(drift.indptr)),
+            fluid.offset + np.arange(nx * ny),
+        )
+        for flow in (20.0, 300.0, 676.0, 1352.0):
+            model, a, _ = _system(flow, inlet, nx, ny)
+            gap = a - a0 - (model.coolant_flow_m3_s - q0) * drift
+            assert abs(gap).max() <= 1e-14 * abs(a).max()
+
+    @pytest.mark.parametrize("inlet", [300.0, 310.15])
+    @pytest.mark.parametrize("flow", [20.0, 676.0, 1352.0])
+    def test_inlet_start_leaves_the_sources(self, flow, inlet):
+        """``A(q) @ full(T_inlet) == base_rhs``: from the inlet temperature
+        the residual is the power sources alone, for every flow."""
+        model, a, base_rhs = _system(flow, inlet)
+        start = np.full(model.n_dof, model.inlet_temperature_k)
+        np.testing.assert_allclose(
+            a @ start, base_rhs, rtol=0.0, atol=1e-14 * abs(base_rhs).max()
+        )
+
+
+def _weighted_model(flow):
+    """Case-study model whose channel allocation skews with flow: the
+    matrix is then not affine in the model's flow."""
+    floorplan = build_power7_floorplan()
+    stack = build_thermal_stack(flow, 300.0)
+    channels = stack.layers[2]
+    weights = tuple(1.0 + k * flow / 500.0 for k in range(22))
+    stack = LayerStack([
+        *stack.layers[:2],
+        replace(channels, flow_weights=weights),
+        *stack.layers[3:],
+    ])
+    model = ThermalModel(stack, floorplan.width_m, floorplan.height_m, 22, 11)
+    model.set_power_map("active_si", full_load_power_map(22, 11, floorplan))
+    return model
+
+
+class TestOffTheLine:
+    """Families that break the properties are still solved right, and
+    the counters say how."""
+
+    def _agree(self, solver, models):
+        for model in models:
+            anchored = solver.solve(model).temperatures_k
+            direct = model.solve_steady().temperatures_k
+            np.testing.assert_allclose(
+                anchored, direct, rtol=1e-9, atol=1e-7
+            )
+
+    def test_flow_dependent_allocation_reanchors(self):
+        """Each matrix off the line re-anchors (the next one defines D
+        again): 400 anchors, 300 defines D, 500 re-anchors, 600 defines
+        D, 700 re-anchors."""
+        obs.start()
+        try:
+            solver = AnchoredSteadySolver()
+            self._agree(solver, [
+                _weighted_model(flow) for flow in (400, 300, 500, 600, 700)
+            ])
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.stop()
+        assert counters["thermal.steady.reanchors"] == 2
+        assert counters["thermal.steady.fallbacks"] == 0
+        assert counters["thermal.steady.factorizations"] == 3
+        assert solver.factorizations == 3
+
+    def test_mixed_inlets_stay_on_the_line(self):
+        """The case-study fluid's properties do not depend on the inlet
+        temperature, so mixed inlets keep A on one line, and starting
+        each model from its own inlet keeps the residual at the sources:
+        one anchor serves them all."""
+        obs.start()
+        try:
+            solver = AnchoredSteadySolver()
+            self._agree(solver, [
+                build_thermal_model(
+                    nx=22, ny=11, total_flow_ml_min=flow,
+                    inlet_temperature_k=inlet,
+                )
+                for flow, inlet in (
+                    (400, 300.0), (300, 310.15), (500, 300.0), (600, 310.15)
+                )
+            ])
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.stop()
+        assert counters["thermal.steady.reanchors"] == 0
+        assert counters["thermal.steady.fallbacks"] == 0
+        assert solver.factorizations == 1
+
+    def test_inaccurate_anchor_falls_back(self, monkeypatch):
+        """An anchor LU of the wrong matrix fails the true residual check:
+        the direct fallback answers and becomes the anchor."""
+        fast_splu = batch._fast_splu
+        monkeypatch.setattr(
+            batch, "_fast_splu", lambda matrix: fast_splu(matrix * 1.001)
+        )
+        obs.start()
+        try:
+            solver = AnchoredSteadySolver()
+            self._agree(solver, [
+                build_thermal_model(nx=22, ny=11, total_flow_ml_min=flow)
+                for flow in (400, 300, 500)
+            ])
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.stop()
+        assert counters["thermal.steady.fallbacks"] == 1
+        assert counters["thermal.steady.reanchors"] == 0
+        assert solver.factorizations == 2
 
 
 class TestStepOnly:
