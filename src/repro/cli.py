@@ -376,32 +376,22 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
-    from repro.runtime import (
-        BatchedRuntimeEngine,
-        ElectrolyteState,
-        FixedFlow,
-        PIDFlowController,
-        RuntimeConfig,
-        ThrottleGovernor,
-        standard_trace,
-    )
+    from repro.sweep import ScenarioSpec
+    from repro.sweep.evaluators import run_runtime_scenario
 
     trace_name, args.trace_out = _split_workload_trace(args.trace, "bursty")
-    trace = standard_trace(trace_name, seed=args.seed)
-    if args.controller == "fixed":
-        controller = FixedFlow(args.flow)
-    else:
-        controller = PIDFlowController(
-            kp=args.kp, ki=args.ki, initial_flow_ml_min=args.flow
-        )
+    spec = ScenarioSpec(
+        evaluator="runtime",
+        trace=trace_name,
+        trace_seed=args.seed,
+        controller=args.controller,
+        total_flow_ml_min=args.flow,
+        pid_kp=args.kp,
+        pid_ki=args.ki,
+    )
     _obs_start(args)
     try:
-        result = BatchedRuntimeEngine(
-            [controller],
-            governors=[ThrottleGovernor()],
-            reservoirs=[ElectrolyteState()],
-            config=RuntimeConfig(),
-        ).run(trace)[0]
+        trace, result = run_runtime_scenario(spec)
     finally:
         _obs_finish(args)
 

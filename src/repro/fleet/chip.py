@@ -12,11 +12,12 @@ Three faces of the same physics live here so they cannot drift:
 
 - :func:`chip_state_metrics` — the scalar ``fleet_chip`` evaluator body
   (fresh thermal model per call, like the other scalar evaluators);
-- :func:`batch_chip_states` — the vectorized kernel: one store-backed
-  thermal model per quantized flow, utilization variants as stacked RHS
-  columns through one :class:`~repro.thermal.batch.AnchoredSteadySolver`
-  (multiples of one power map, so after the family's first flows every
-  column is answered by the solver's Krylov space with no new step);
+- :func:`batch_chip_states` — the vectorized ``fleet_chip`` kernel: a
+  consumer of :func:`repro.sweep.vectorized.steady_families` with
+  utilization keys and one store-backed thermal model per quantized
+  flow (the maps are multiples of one power map, so after the family's
+  first flows every column is answered by the solver's Krylov space
+  with no new step);
 - :class:`ChipTable` — the ``(flow level, utilization level)`` lookup the
   :class:`~repro.fleet.fleet.FleetEngine` and the greedy allocation
   policy consume, built by running the grid through a
@@ -133,68 +134,38 @@ def batch_chip_states(
 ) -> "list[dict[str, float]]":
     """Batched ``fleet_chip``: stacked utilization columns per flow level.
 
-    Scenarios are grouped by mesh + inlet; within a group each quantized
-    flow draws its thermal model from the process-wide store of
+    The chips' coolant points are solved through
+    :func:`repro.sweep.vectorized.steady_families` with utilization keys,
+    each quantized flow's model drawn from the process-wide store of
     :mod:`repro.runtime.engine` (sparse assembly shared with the runtime
-    layer), utilization variants of one flow become stacked RHS columns
-    (each distinct utilization's power map rasterized once per family),
-    and flows share one anchored factorization and Krylov space
-    middle-out — the same
-    sharing pattern as :func:`repro.sweep.vectorized.batch_peak_temperatures`.
-    Every chip's missing polarization-surface nodes are then marched in one
-    :func:`~repro.cosim.surface.warm_surfaces` call, and each flow's chips
-    are sampled and queried as one array.
+    layer). Every chip's missing polarization-surface nodes are then
+    marched in one :func:`~repro.cosim.surface.warm_surfaces` call, and
+    each flow's chips are sampled and queried as one array.
     """
     from repro.casestudy.power7plus import full_load_power_map
     from repro.cosim.surface import warm_surfaces
-    from repro.geometry.power7 import build_power7_floorplan
     from repro.runtime.engine import shared_thermal_model
-    from repro.sweep.vectorized import _middle_out
-    from repro.thermal.batch import AnchoredSteadySolver
+    from repro.sweep.vectorized import coolant_point, steady_families
 
-    # Chips (spec indices) per coolant point, then per mesh + inlet family.
-    points: "dict[tuple, list[int]]" = {}
-    for index, spec in enumerate(specs):
-        points.setdefault(
-            (spec.total_flow_ml_min, spec.inlet_temperature_k, spec.nx, spec.ny),
-            [],
-        ).append(index)
-    families: "dict[tuple, list[float]]" = {}
-    for flow, inlet, nx, ny in sorted(points):
-        families.setdefault((inlet, nx, ny), []).append(flow)
-
-    floorplan = build_power7_floorplan()
+    points = [coolant_point(spec, spec.utilization) for spec in specs]
+    chips: "dict[tuple, list[int]]" = {}  # spec indices per coolant point
+    for index, point in enumerate(points):
+        chips.setdefault(point[:4], []).append(index)
     sampled = []
-    for (inlet, nx, ny), flows in families.items():
-        solver = AnchoredSteadySolver()
-        maps = {
-            utilization: full_load_power_map(nx, ny, floorplan, utilization)
-            for utilization in sorted({
-                specs[i].utilization
-                for flow in flows for i in points[(flow, inlet, nx, ny)]
-            })
-        }
-        for flow in _middle_out(flows):
-            model = shared_thermal_model(flow, inlet, nx, ny)
-            indices = points[(flow, inlet, nx, ny)]
-            utilizations = sorted({specs[i].utilization for i in indices})
-            columns = model.rhs_columns(
-                "active_si", [maps[utilization] for utilization in utilizations]
-            )
-            temperatures = solver.solve_columns(model, columns)
-            chip_columns = [
-                utilizations.index(specs[i].utilization) for i in indices
-            ]
-            sampled.append((indices, _sample_chips(
-                model, temperatures[:, chip_columns],
-                cosim_config(specs[indices[0]]),
-            )))
+    for point, model, utilizations, _, temperatures in steady_families(
+        points, full_load_power_map, shared_thermal_model,
+    ):
+        indices = chips[point]
+        columns = [utilizations.index(specs[i].utilization) for i in indices]
+        sampled.append((indices, _sample_chips(
+            model, temperatures[:, columns], cosim_config(specs[indices[0]]),
+        )))
     # March every chip's missing surface nodes, across flows, in one batch.
     warm_surfaces((surface, temps) for _, (surface, temps, _) in sampled)
     metrics: "list[dict[str, float] | None]" = [None] * len(specs)
-    for indices, chips in sampled:
+    for indices, chip_states in sampled:
         for index, chip in zip(
-            indices, chip_metrics([specs[i] for i in indices], *chips)
+            indices, chip_metrics([specs[i] for i in indices], *chip_states)
         ):
             metrics[index] = chip
     return metrics

@@ -17,6 +17,7 @@ like single-chip ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,16 @@ class TrafficModel:
             raise ConfigurationError("a fleet needs at least one chip")
         if self.trace_seed < 0:
             raise ConfigurationError("trace seed must be >= 0")
-        if self.skew < 0.0:
-            raise ConfigurationError(f"skew must be >= 0, got {self.skew}")
-        if self.users_per_chip <= 0.0:
-            raise ConfigurationError("users per chip must be > 0")
+        # Written as ``not lo <= x < inf`` so NaN and inf fail too.
+        if not 0.0 <= self.skew < math.inf:
+            raise ConfigurationError(
+                f"skew must be finite and >= 0, got {self.skew}"
+            )
+        if not 0.0 < self.users_per_chip < math.inf:
+            raise ConfigurationError(
+                "users_per_chip must be finite and > 0, got "
+                f"{self.users_per_chip}"
+            )
         # Validates the trace name eagerly (same closed-set policy as
         # ScenarioSpec).
         standard_trace(self.trace, seed=self.trace_seed)

@@ -23,8 +23,9 @@ answers the headline question of the paper with no further configuration:
   over the whole trajectory. Every candidate runs the full trace
   through the ``runtime`` evaluator, so tuned gains land in the same
   cache the runtime sweeps use — and with
-  ``optimizer(backend="vectorized")`` each refinement round's gain grid
-  marches as lanes of one batched runtime engine.
+  ``optimizer(runner=SweepRunner(backend="vectorized"))`` each
+  refinement round's gain grid marches as lanes of one batched runtime
+  engine.
 - ``fleet-allocation`` — rack-scale supply sizing: maximize fleet net
   energy over allocation policy x per-chip pump budget, subject to the
   85 C worst-chip junction limit over the whole traffic schedule. Every
@@ -68,26 +69,18 @@ class OptimizationPreset:
         self,
         runner: "SweepRunner | None" = None,
         max_rounds: "int | None" = None,
-        backend: "str | None" = None,
     ) -> Optimizer:
         """An :class:`~repro.opt.refine.Optimizer` for this study.
 
-        ``runner`` lets callers share a cache (and a backend) across
-        presets; ``max_rounds`` overrides the preset's budget. ``backend``
-        is a shorthand for ``runner=SweepRunner(backend=...)`` — passing
-        ``"vectorized"`` evaluates each refinement round through the
-        batched sweep kernels, which pays off for the trajectory-valued
-        studies (``runtime-pid`` candidates march as lanes of one
+        ``runner`` lets callers share a cache and pick a backend across
+        presets — ``runner=SweepRunner(backend="vectorized")`` evaluates
+        each refinement round through the batched sweep kernels, which
+        pays off for the trajectory-valued studies (``runtime-pid``
+        candidates march as lanes of one
         :class:`~repro.runtime.engine.BatchedRuntimeEngine` per round
-        instead of one scalar trace each). Mutually exclusive with
-        ``runner``.
+        instead of one scalar trace each); ``max_rounds`` overrides the
+        preset's budget.
         """
-        if backend is not None:
-            if runner is not None:
-                raise ConfigurationError(
-                    "pass either runner or backend, not both"
-                )
-            runner = SweepRunner(backend=backend)
         return Optimizer(
             self.problem,
             runner=runner,

@@ -101,8 +101,15 @@ class PIDFlowController:
                 f"max_flow_ml_min must be finite and > min_flow_ml_min="
                 f"{min_flow_ml_min:g}, got {max_flow_ml_min}"
             )
-        if kp < 0.0 or ki < 0.0 or kd < 0.0:
-            raise ConfigurationError("gains must be >= 0")
+        if not -math.inf < target_peak_c < math.inf:
+            raise ConfigurationError(
+                f"target_peak_c must be finite, got {target_peak_c}"
+            )
+        for name, gain in (("kp", kp), ("ki", ki), ("kd", kd)):
+            if not 0.0 <= gain < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {gain}"
+                )
         if initial_flow_ml_min is None:
             initial_flow_ml_min = 0.5 * (min_flow_ml_min + max_flow_ml_min)
         if not min_flow_ml_min <= initial_flow_ml_min <= max_flow_ml_min:
@@ -149,6 +156,14 @@ class ThrottleGovernor:
         throttle_scale: float = 0.7,
         min_net_w: "float | None" = None,
     ) -> None:
+        # Written as ``not -inf < x < inf`` so NaN fails the checks too: a
+        # NaN limit would never trip, and a NaN floor would mean no floor.
+        limits = {"trip_peak_c": trip_peak_c, "release_peak_c": release_peak_c}
+        if min_net_w is not None:
+            limits["min_net_w"] = min_net_w
+        for name, value in limits.items():
+            if not -math.inf < value < math.inf:
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if release_peak_c >= trip_peak_c:
             raise ConfigurationError(
                 f"release temperature ({release_peak_c:g} C) must be below "

@@ -113,37 +113,18 @@ def _optimize_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
 
 
 def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
-    from repro.runtime import (
-        BatchedRuntimeEngine,
-        ElectrolyteState,
-        FixedFlow,
-        PIDFlowController,
-        RuntimeConfig,
-        ThrottleGovernor,
-        standard_trace,
-    )
+    from repro.sweep import ScenarioSpec
+    from repro.sweep.evaluators import run_runtime_scenario
 
-    if params["controller"] not in ("fixed", "pid"):
-        raise ConfigurationError(
-            f"unknown controller {params['controller']!r}; "
-            "expected fixed or pid"
-        )
-    trace = standard_trace(params["trace"], seed=params["seed"])
-    if params["controller"] == "fixed":
-        controller: "FixedFlow | PIDFlowController" = FixedFlow(
-            params["flow_ml_min"]
-        )
-    else:
-        controller = PIDFlowController(
-            kp=params["kp"], ki=params["ki"],
-            initial_flow_ml_min=params["flow_ml_min"],
-        )
-    result = BatchedRuntimeEngine(
-        [controller],
-        governors=[ThrottleGovernor()],
-        reservoirs=[ElectrolyteState()],
-        config=RuntimeConfig(),
-    ).run(trace)[0]
+    trace, result = run_runtime_scenario(ScenarioSpec(
+        evaluator="runtime",
+        trace=params["trace"],
+        trace_seed=params["seed"],
+        controller=params["controller"],
+        total_flow_ml_min=params["flow_ml_min"],
+        pid_kp=params["kp"],
+        pid_ki=params["ki"],
+    ))
     records = result.records()
     return {
         "kind": "runtime",

@@ -497,6 +497,26 @@ def runtime_scenario_parts(spec: ScenarioSpec):
     return trace, controller, ThrottleGovernor(), ElectrolyteState(), config
 
 
+def run_runtime_scenario(spec: ScenarioSpec):
+    """``(trace, result)`` of one runtime scenario run as a one-lane
+    :class:`~repro.runtime.engine.BatchedRuntimeEngine`.
+
+    The runtime evaluator, ``repro runtime`` and the served ``runtime``
+    job all run their loop here, so a bad knob fails by its spec field
+    name on every surface.
+    """
+    from repro.runtime import BatchedRuntimeEngine
+
+    trace, controller, governor, reservoir, config = runtime_scenario_parts(
+        spec
+    )
+    engine = BatchedRuntimeEngine(
+        [controller], governors=[governor], reservoirs=[reservoir],
+        config=config,
+    )
+    return trace, engine.run(trace)[0]
+
+
 @register_evaluator("runtime")
 def evaluate_runtime(spec: ScenarioSpec) -> "dict[str, float]":
     """Closed-loop runtime execution of a named workload trace.
@@ -511,16 +531,7 @@ def evaluate_runtime(spec: ScenarioSpec) -> "dict[str, float]":
     case-study electrolyte reservoirs, so the KPIs include throttling
     and state-of-charge alongside the energy balance.
     """
-    from repro.runtime import BatchedRuntimeEngine
-
-    trace, controller, governor, reservoir, config = runtime_scenario_parts(
-        spec
-    )
-    engine = BatchedRuntimeEngine(
-        [controller], governors=[governor], reservoirs=[reservoir],
-        config=config,
-    )
-    return engine.run(trace)[0].kpis()
+    return run_runtime_scenario(spec)[1].kpis()
 
 
 @register_evaluator("fleet_chip")
@@ -570,22 +581,6 @@ def evaluate_fleet(spec: ScenarioSpec) -> "dict[str, float]":
     return engine.run().kpis()
 
 
-def workload_thermal_model(spec: ScenarioSpec):
-    """Bare (no power map) thermal model of a workload scenario's coolant
-    point — shared between the serial evaluator and the batch kernel,
-    which reuses one model (and one factorization) across every workload
-    at the same coolant operating point."""
-    from repro.casestudy.power7plus import build_thermal_stack
-    from repro.geometry.power7 import build_power7_floorplan
-    from repro.thermal.model import ThermalModel
-
-    floorplan = build_power7_floorplan()
-    return ThermalModel(
-        build_thermal_stack(spec.total_flow_ml_min, spec.inlet_temperature_k),
-        floorplan.width_m, floorplan.height_m, spec.nx, spec.ny,
-    ), floorplan
-
-
 def workload_metrics(model, solution) -> "dict[str, float]":
     """Assemble the ``workload`` metrics from a solved thermal state.
 
@@ -606,13 +601,20 @@ def workload_metrics(model, solution) -> "dict[str, float]":
 @register_evaluator("workload")
 def evaluate_workload(spec: ScenarioSpec) -> "dict[str, float]":
     """Thermal state of one named workload at the coolant operating point."""
+    from repro.casestudy.power7plus import build_thermal_stack
     from repro.casestudy.workloads import standard_workloads
+    from repro.geometry.power7 import build_power7_floorplan
+    from repro.thermal.model import ThermalModel
 
     # Spec validation already pinned the name to WORKLOAD_NAMES, and
     # standard_workloads() self-checks against the same tuple.
     workload = {w.name: w for w in standard_workloads()}[spec.workload]
 
-    model, floorplan = workload_thermal_model(spec)
+    floorplan = build_power7_floorplan()
+    model = ThermalModel(
+        build_thermal_stack(spec.total_flow_ml_min, spec.inlet_temperature_k),
+        floorplan.width_m, floorplan.height_m, spec.nx, spec.ny,
+    )
     model.set_power_map(
         "active_si", workload.power_map(spec.nx, spec.ny, floorplan)
     )

@@ -144,14 +144,18 @@ class ScenarioSpec:
     _INT_FIELDS = ("nx", "ny", "trace_seed", "n_chips")
 
     def __post_init__(self) -> None:
-        for name in self._FLOAT_FIELDS:
-            value = float(getattr(self, name))
+        for name in self._FLOAT_FIELDS + self._INT_FIELDS:
+            raw = getattr(self, name)
+            try:
+                value = float(raw) if name in self._FLOAT_FIELDS else int(raw)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {raw!r}"
+                ) from None
             # NaN and inf slip through every ``x <= 0`` style check below.
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        for name in self._INT_FIELDS:
-            object.__setattr__(self, name, int(getattr(self, name)))
         if self.total_flow_ml_min <= 0.0:
             raise ConfigurationError("total flow must be > 0 ml/min")
         if self.inlet_temperature_k <= 0.0:

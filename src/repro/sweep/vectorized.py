@@ -4,12 +4,15 @@ Each kernel maps a *batch* of :class:`~repro.sweep.spec.ScenarioSpec` of
 one evaluator family to the same metrics the serial evaluator produces,
 but shares the expensive physics across the batch:
 
-- thermal: scenarios are grouped by mesh/inlet; within a group one
+- thermal: every steady kernel solves its coolant points through the
+  one family loop, :func:`steady_families`. Points are grouped by
+  mesh/inlet; within a group one
   :class:`~repro.thermal.batch.AnchoredSteadySolver` factorizes a single
   anchor flow and answers every other flow from one Krylov space shared
-  by the whole flow family (the matrix is affine in flow), and solves
-  utilization/workload variants of one flow as stacked right-hand-side
-  columns;
+  by the whole flow family (the matrix is affine in flow), and
+  utilization/workload variants of one flow are stacked right-hand-side
+  columns. Callers pass the power-map rasterizer and the model source;
+  only ``fleet_chip`` draws its models from the runtime layer's store;
 - electrochemistry: polarization curves for every distinct flow/geometry
   in the batch are marched together through
   :func:`repro.flowcell.batch.batched_polarization_curves` — the same
@@ -22,7 +25,8 @@ but shares the expensive physics across the batch:
 
 Kernels exist for the steady evaluator families whose cost is dominated
 by those shared pieces (``operating_point``, ``geometry``, ``vrm``,
-``workload``, ``fleet_chip``) and for the dynamic ones:
+``workload``, and ``fleet_chip`` through
+:func:`repro.fleet.chip.batch_chip_states`) and for the dynamic ones:
 
 - ``transient`` marches whole step-response sweeps in lockstep through
   :func:`repro.cosim.batch.batched_step_responses` — one thermal model
@@ -50,8 +54,9 @@ quantization, governor hysteresis, settling-band exits).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Iterable, Iterator, Sequence
 
+from repro.fleet.chip import batch_chip_states
 from repro.sweep.evaluators import (
     array_curves,
     cosim_config,
@@ -62,7 +67,6 @@ from repro.sweep.evaluators import (
     transient_metrics,
     vrm_metrics,
     workload_metrics,
-    workload_thermal_model,
 )
 from repro.sweep.spec import ScenarioSpec
 
@@ -74,68 +78,66 @@ EQUIVALENCE_RTOL = 1e-6
 BatchKernel = Callable[[Sequence[ScenarioSpec]], "list[dict[str, float]]"]
 
 
-# -- shared thermal batching ---------------------------------------------------------
+# -- the steady family loop ------------------------------------------------------------
 
 
-def batch_peak_temperatures(
-    specs: "Sequence[ScenarioSpec]",
-) -> "dict[tuple, float]":
-    """Full-load steady peak [degC] for every distinct coolant point.
-
-    Returns ``{(flow, inlet, utilization, nx, ny): peak_c}`` covering the
-    batch. Scenarios are grouped by mesh + inlet; within a group, flows
-    are solved middle-out through one anchored solver (one factorization
-    and one Krylov space for the whole family), utilization variants of a
-    flow become stacked RHS columns of a single solve, and each distinct
-    utilization's power map is rasterized once per family.
-    """
-    from repro.casestudy.power7plus import (
-        build_thermal_stack,
-        full_load_power_map,
-    )
+def fresh_thermal_model(
+    flow_ml_min: float, inlet_temperature_k: float, nx: int, ny: int
+):
+    """A new case-study thermal model of one coolant point, no power map."""
+    from repro.casestudy.power7plus import build_thermal_stack
     from repro.geometry.power7 import build_power7_floorplan
-    from repro.thermal.batch import AnchoredSteadySolver
     from repro.thermal.model import ThermalModel
-    from repro.units import celsius_from_kelvin
-
-    points = {
-        (
-            spec.total_flow_ml_min,
-            spec.inlet_temperature_k,
-            spec.utilization,
-            spec.nx,
-            spec.ny,
-        )
-        for spec in specs
-    }
-    families: "dict[tuple, dict[float, list[float]]]" = {}
-    for flow, inlet, utilization, nx, ny in sorted(points):
-        flows = families.setdefault((inlet, nx, ny), {})
-        flows.setdefault(flow, []).append(utilization)
 
     floorplan = build_power7_floorplan()
-    peaks: "dict[tuple, float]" = {}
+    return ThermalModel(
+        build_thermal_stack(flow_ml_min, inlet_temperature_k),
+        floorplan.width_m, floorplan.height_m, nx, ny,
+    )
+
+
+def steady_families(
+    points: "Iterable[tuple]", rasterize: Callable, model_for: Callable,
+) -> "Iterator[tuple]":
+    """Steady states of ``(flow, inlet, nx, ny, key)`` points, by family.
+
+    ``key`` names a power map, drawn by ``rasterize(nx, ny, floorplan,
+    key)`` (:func:`~repro.casestudy.power7plus.full_load_power_map` with
+    a utilization key, or a workload's ``power_map``); ``model_for(flow,
+    inlet, nx, ny)`` supplies each coolant point's thermal model. Points
+    are grouped into ``(inlet, nx, ny)`` families; each family rasterizes
+    every key once and solves its flows middle-out through one
+    :class:`~repro.thermal.batch.AnchoredSteadySolver` (one factorization
+    and one Krylov space), a coolant point's keys as stacked RHS columns.
+
+    Yields ``((flow, inlet, nx, ny), model, keys, maps, temperatures)``
+    per coolant point: its sorted keys, their maps and the ``(n_dof,
+    len(keys))`` steady states. The order depends only on the set of
+    points, so permuted or duplicated batches solve identically.
+    """
+    from repro.geometry.power7 import build_power7_floorplan
+    from repro.thermal.batch import AnchoredSteadySolver
+
+    families: "dict[tuple, dict[float, list]]" = {}
+    for flow, inlet, nx, ny, key in sorted(set(points)):
+        flows = families.setdefault((inlet, nx, ny), {})
+        flows.setdefault(flow, []).append(key)
+
+    floorplan = build_power7_floorplan()
     for (inlet, nx, ny), flows in families.items():
         solver = AnchoredSteadySolver()
         maps = {
-            utilization: full_load_power_map(nx, ny, floorplan, utilization)
-            for utilization in sorted(set().union(*flows.values()))
+            key: rasterize(nx, ny, floorplan, key)
+            for key in sorted(set().union(*flows.values()))
         }
-        for flow in _middle_out(sorted(flows)):
-            model = ThermalModel(
-                build_thermal_stack(flow, inlet),
-                floorplan.width_m, floorplan.height_m, nx, ny,
+        for flow in _middle_out(list(flows)):
+            model = model_for(flow, inlet, nx, ny)
+            keys = flows[flow]
+            key_maps = [maps[key] for key in keys]
+            temperatures = solver.solve_columns(
+                model, model.rhs_columns("active_si", key_maps)
             )
-            utilizations = sorted(flows[flow])
-            columns = model.rhs_columns(
-                "active_si", [maps[utilization] for utilization in utilizations]
-            )
-            temperatures = solver.solve_columns(model, columns)
-            for k, utilization in enumerate(utilizations):
-                peaks[(flow, inlet, utilization, nx, ny)] = celsius_from_kelvin(
-                    float(temperatures[:, k].max())
-                )
-    return peaks
+            yield (flow, inlet, nx, ny), model, keys, key_maps, temperatures
 
 
 def _middle_out(values: "list[float]") -> "list[float]":
@@ -151,6 +153,37 @@ def _middle_out(values: "list[float]") -> "list[float]":
     return [values[middle]] + values[:middle] + values[middle + 1:]
 
 
+def coolant_point(spec: ScenarioSpec, key) -> tuple:
+    """The ``(flow, inlet, nx, ny, key)`` point of a spec's steady state."""
+    return (
+        spec.total_flow_ml_min, spec.inlet_temperature_k, spec.nx, spec.ny,
+        key,
+    )
+
+
+def batch_peak_temperatures(
+    specs: "Sequence[ScenarioSpec]",
+) -> "dict[tuple, float]":
+    """Full-load steady peak [degC] for every distinct coolant point.
+
+    Returns ``{(flow, inlet, nx, ny, utilization): peak_c}`` covering the
+    batch, solved through :func:`steady_families` with utilization keys.
+    """
+    from repro.casestudy.power7plus import full_load_power_map
+    from repro.units import celsius_from_kelvin
+
+    peaks: "dict[tuple, float]" = {}
+    for point, _, utilizations, _, temperatures in steady_families(
+        [coolant_point(spec, spec.utilization) for spec in specs],
+        full_load_power_map, fresh_thermal_model,
+    ):
+        for k, utilization in enumerate(utilizations):
+            peaks[(*point, utilization)] = celsius_from_kelvin(
+                float(temperatures[:, k].max())
+            )
+    return peaks
+
+
 # -- kernels ---------------------------------------------------------------------------
 
 
@@ -163,10 +196,7 @@ def batch_operating_point(
     return [
         operating_point_metrics(
             spec,
-            peaks[(
-                spec.total_flow_ml_min, spec.inlet_temperature_k,
-                spec.utilization, spec.nx, spec.ny,
-            )],
+            peaks[coolant_point(spec, spec.utilization)],
             curves[spec.total_flow_ml_min],
         )
         for spec in specs
@@ -208,10 +238,7 @@ def batch_geometry(
         count, cell = cells[key]
         results.append(geometry_metrics(
             spec, count, cell, curve_by_key[key],
-            peaks[(
-                spec.total_flow_ml_min, spec.inlet_temperature_k,
-                spec.utilization, spec.nx, spec.ny,
-            )],
+            peaks[coolant_point(spec, spec.utilization)],
         ))
     return results
 
@@ -221,60 +248,32 @@ def batch_workload(
 ) -> "list[dict[str, float]]":
     """Batched ``workload``: stacked workload maps per coolant point.
 
-    Every workload at one (flow, inlet, mesh) shares a single thermal
-    factorization — its power maps become RHS columns — and distinct
-    flows of one family share the anchor and its Krylov space, exactly
-    the sharing the scalar evaluator cannot express (it rebuilds and
-    refactorizes per scenario).
+    Every workload at one (flow, inlet, mesh) becomes an RHS column of
+    one :func:`steady_families` solve, and distinct flows of one family
+    share the anchor and its Krylov space, exactly the sharing the scalar
+    evaluator cannot express (it rebuilds and refactorizes per scenario).
     """
     from repro.casestudy.workloads import standard_workloads
-    from repro.thermal.batch import AnchoredSteadySolver
     from repro.thermal.solver import ThermalSolution
 
     workloads = {w.name: w for w in standard_workloads()}
-    families: "dict[tuple, dict[float, list[str]]]" = {}
-    for spec in specs:
-        family = families.setdefault(
-            (spec.inlet_temperature_k, spec.nx, spec.ny), {}
-        )
-        names = family.setdefault(spec.total_flow_ml_min, [])
-        if spec.workload not in names:
-            names.append(spec.workload)
+
+    def rasterize(nx: int, ny: int, floorplan, name: str):
+        return workloads[name].power_map(nx, ny, floorplan)
 
     metrics: "dict[tuple, dict[str, float]]" = {}
-    for (inlet, nx, ny), flows in families.items():
-        solver = AnchoredSteadySolver()
-        for flow in _middle_out(sorted(flows)):
-            reference = next(
-                spec for spec in specs
-                if spec.total_flow_ml_min == flow
-                and (spec.inlet_temperature_k, spec.nx, spec.ny)
-                == (inlet, nx, ny)
+    for point, model, names, maps, temperatures in steady_families(
+        [coolant_point(spec, spec.workload) for spec in specs],
+        rasterize, fresh_thermal_model,
+    ):
+        for k, (name, power) in enumerate(zip(names, maps)):
+            model.set_power_map("active_si", power)
+            solution = ThermalSolution(
+                temperatures_k=temperatures[:, k], model=model
             )
-            model, floorplan = workload_thermal_model(reference)
-            names = sorted(flows[flow])
-            maps = {
-                name: workloads[name].power_map(nx, ny, floorplan)
-                for name in names
-            }
-            columns = model.rhs_columns(
-                "active_si", [maps[name] for name in names]
-            )
-            temperatures = solver.solve_columns(model, columns)
-            for k, name in enumerate(names):
-                model.set_power_map("active_si", maps[name])
-                solution = ThermalSolution(
-                    temperatures_k=temperatures[:, k], model=model
-                )
-                metrics[(flow, inlet, nx, ny, name)] = workload_metrics(
-                    model, solution
-                )
+            metrics[(*point, name)] = workload_metrics(model, solution)
     return [
-        dict(metrics[(
-            spec.total_flow_ml_min, spec.inlet_temperature_k,
-            spec.nx, spec.ny, spec.workload,
-        )])
-        for spec in specs
+        dict(metrics[coolant_point(spec, spec.workload)]) for spec in specs
     ]
 
 
@@ -352,23 +351,6 @@ def batch_runtime(
     return [metrics for metrics in results if metrics is not None]
 
 
-def batch_fleet_chip(
-    specs: "Sequence[ScenarioSpec]",
-) -> "list[dict[str, float]]":
-    """Batched ``fleet_chip``: stacked utilization columns per flow level.
-
-    Delegates to :func:`repro.fleet.chip.batch_chip_states`, which draws
-    one store-backed thermal model per quantized flow (shared with the
-    runtime layer) and solves utilization variants as stacked RHS columns
-    through one anchored factorization. The ``fleet`` evaluator itself
-    deliberately has *no* kernel: it runs its chips through this one
-    internally and must stay bit-identical across sweep backends.
-    """
-    from repro.fleet.chip import batch_chip_states
-
-    return batch_chip_states(specs)
-
-
 #: Evaluator families with a batch kernel. Everything else falls back to
 #: the scalar path inside the vectorized backend.
 BATCH_KERNELS: "Dict[str, BatchKernel]" = {
@@ -378,5 +360,5 @@ BATCH_KERNELS: "Dict[str, BatchKernel]" = {
     "workload": batch_workload,
     "transient": batch_transient,
     "runtime": batch_runtime,
-    "fleet_chip": batch_fleet_chip,
+    "fleet_chip": batch_chip_states,
 }

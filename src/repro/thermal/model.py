@@ -403,9 +403,10 @@ class ThermalModel:
 
         Pre-pays the model's one-time costs — sparse assembly, the steady
         LU and (with ``dt_s``) the backward-Euler step factorization — so
-        callers that build models speculatively (sweep backends) move that
-        work out of their solve loops. Idempotent: warm parts are not
-        recomputed.
+        a caller that builds models ahead of time can move that work out
+        of its solve loop. No sweep backend calls it: the batch kernels
+        factorize one anchor per family instead. Idempotent: warm parts
+        are not recomputed.
         """
         if dt_s is not None:
             self.transient_lu(dt_s)

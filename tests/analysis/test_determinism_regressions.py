@@ -3,12 +3,16 @@
 ``repro lint`` flagged three unordered-set iterations feeding result
 assembly (``sweep/vectorized.py`` x2, ``fleet/chip.py``). The fixes pin
 the order with ``sorted``; these tests pin the behavior — identical
-results for permuted inputs, sorted key order where the API returns a
-mapping — and keep the files lint-clean so the bugs cannot return.
+results for permuted inputs to every steady kernel, sorted key order
+where the API returns a mapping — and keep the files lint-clean so the
+bugs cannot return.
 """
 
 from pathlib import Path
 
+import pytest
+
+from repro import obs
 from repro.analysis import lint_file
 from repro.sweep import ScenarioSpec
 
@@ -40,25 +44,43 @@ def test_array_curve_batch_returns_flows_in_sorted_order():
         clear_array_curves()
 
 
-def test_peak_temperature_batch_is_permutation_invariant():
-    from repro.sweep.vectorized import batch_peak_temperatures
+#: Per steady kernel: the spec field holding its power-map key, and two
+#: values of it.
+STEADY_KERNEL_KEYS = {
+    "operating_point": ("utilization", (1.0, 0.5)),
+    "workload": ("workload", ("memory bound", "full load")),
+    "fleet_chip": ("utilization", (0.75, 0.25)),
+}
 
+
+@pytest.mark.parametrize("evaluator", sorted(STEADY_KERNEL_KEYS))
+def test_steady_kernel_is_permutation_invariant(evaluator):
+    """Permuted and duplicated specs get identical metrics, and a batch
+    over 2 inlets x 3 flows factorizes once per inlet family."""
+    from repro.sweep.vectorized import BATCH_KERNELS
+
+    kernel = BATCH_KERNELS[evaluator]
+    field, values = STEADY_KERNEL_KEYS[evaluator]
     specs = [
         ScenarioSpec(
+            evaluator=evaluator,
             total_flow_ml_min=flow,
-            utilization=utilization,
+            inlet_temperature_k=inlet,
             nx=22,
             ny=11,
+            **{field: value},
         )
-        for flow, utilization in (
-            (400.0, 1.0), (500.0, 1.0), (400.0, 0.5), (600.0, 0.75),
-        )
+        for inlet in (310.15, 300.0)
+        for flow in (600.0, 300.0, 450.0)
+        for value in values
     ]
-    forward = batch_peak_temperatures(specs)
-    backward = batch_peak_temperatures(list(reversed(specs)))
-    assert forward == backward
-    assert set(forward) == {
-        (s.total_flow_ml_min, s.inlet_temperature_k, s.utilization,
-         s.nx, s.ny)
-        for s in specs
-    }
+    obs.start()
+    try:
+        forward = kernel(specs)
+        counters = obs.snapshot()["counters"]
+    finally:
+        obs.stop()
+    assert counters["thermal.steady.factorizations"] == 2
+
+    shuffled = specs[::-1] + specs[:3]
+    assert kernel(shuffled) == [forward[specs.index(s)] for s in shuffled]

@@ -45,17 +45,6 @@ class TestPresetStructure:
         assert optimizer.max_rounds == preset.max_rounds
         assert preset.optimizer(max_rounds=1).max_rounds == 1
 
-    def test_optimizer_backend_shorthand(self):
-        """``backend=`` builds the runner; combining it with an explicit
-        runner is rejected rather than silently picking one."""
-        from repro.sweep import SweepRunner
-
-        preset = get_preset("runtime-pid")
-        optimizer = preset.optimizer(backend="vectorized")
-        assert optimizer.runner.backend.name == "vectorized"
-        with pytest.raises(ConfigurationError, match="not both"):
-            preset.optimizer(runner=SweepRunner(), backend="vectorized")
-
     def test_flow_optimum_is_a_constrained_scalar_search(self):
         preset = get_preset("flow-optimum")
         assert len(preset.problem.objectives) == 1

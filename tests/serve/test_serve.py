@@ -187,6 +187,24 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             outcome.require()
 
+    @pytest.mark.parametrize(
+        "param, value, name",
+        [
+            ("kp", float("nan"), "pid_kp"),
+            ("flow_ml_min", "fast", "total_flow_ml_min"),
+        ],
+    )
+    def test_bad_runtime_parameter_named_in_error(self, param, value, name):
+        """Runtime jobs are wired through a runtime ScenarioSpec, so a bad
+        knob fails by its spec field name."""
+        with BackgroundServer() as bg:
+            outcome = ServeClient(port=bg.port).submit(
+                "runtime", **{param: value}
+            )
+        assert not outcome.ok
+        assert name in outcome.error
+        assert "TypeError" not in outcome.error
+
     def test_oversized_request_line_is_answered(self):
         """A line over the limit gets an error event (no job id), and the
         server keeps serving new connections."""

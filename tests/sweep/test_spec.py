@@ -54,6 +54,16 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError, match=field):
             ScenarioSpec(**{field: value})
 
+    @pytest.mark.parametrize("value", ["fast", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ScenarioSpec._INT_FIELDS + ("total_flow_ml_min", "pid_kp")
+    )
+    def test_non_numbers_rejected_by_name(self, field, value):
+        """A value that is no finite number names its field instead of
+        escaping as a bare TypeError/ValueError/OverflowError."""
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioSpec(**{field: value})
+
     def test_replace_validates_field_names(self):
         spec = ScenarioSpec()
         assert spec.replace(total_flow_ml_min=48.0).total_flow_ml_min == 48.0

@@ -10,7 +10,9 @@ import pytest
 
 from repro.casestudy.power7plus import build_array_spec
 from repro.errors import ConfigurationError
+from repro.fleet import FleetSpec
 from repro.fleet.supply import SupplySpec
+from repro.fleet.traffic import TrafficModel
 from repro.flowcell.recirculation import (
     ElectrolyteReservoir,
     RecirculationLoop,
@@ -24,6 +26,9 @@ from repro.microfluidics.manifold import (
     ManifoldDesign,
     solve_flow_distribution,
 )
+from repro.runtime import PIDFlowController, ThrottleGovernor
+from repro.serve.jobs import run_job
+from repro.sweep import SweepRunner
 
 NONFINITE = [float("nan"), float("inf"), float("-inf")]
 
@@ -84,6 +89,10 @@ def _characterize(**field):
     return characterize(spec.channel, spec.anolyte.fluid, **args)
 
 
+def _served_fleet(**params):
+    return run_job("fleet", params, SweepRunner())
+
+
 CASES = [
     ("min_flow_ml_min", lambda v: _supply(min_flow_ml_min=v)),
     ("max_flow_ml_min", lambda v: _supply(max_flow_ml_min=v)),
@@ -102,6 +111,17 @@ CASES = [
     ("diffusivity_m2_s", lambda v: _characterize(diffusivity_m2_s=v)),
     ("volumetric_flow_m3_s",
      lambda v: _characterize(volumetric_flow_m3_s=v)),
+    ("target_peak_c", lambda v: PIDFlowController(target_peak_c=v)),
+    ("kp", lambda v: PIDFlowController(kp=v)),
+    ("ki", lambda v: PIDFlowController(ki=v)),
+    ("kd", lambda v: PIDFlowController(kd=v)),
+    ("trip_peak_c", lambda v: ThrottleGovernor(trip_peak_c=v)),
+    ("release_peak_c", lambda v: ThrottleGovernor(release_peak_c=v)),
+    ("min_net_w", lambda v: ThrottleGovernor(min_net_w=v)),
+    ("skew", lambda v: TrafficModel(n_chips=4, skew=v)),
+    ("users_per_chip", lambda v: TrafficModel(n_chips=4, users_per_chip=v)),
+    ("skew", lambda v: FleetSpec(skew=v)),
+    ("skew", lambda v: _served_fleet(skew=v)),
 ]
 
 
