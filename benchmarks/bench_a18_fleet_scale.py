@@ -19,8 +19,9 @@ bench asserts the three headline claims of the PR:
   A15/A16 zero-eval replay guarantees to the fleet layer, via the new
   :meth:`~repro.store.ResultStore.stats` accounting).
 
-Every timed run starts with a cold thermal path: the process-wide model
-store and the vectorized kernel caches are cleared per measurement. The
+Every timed run starts with a cold thermal path: the vectorized kernel
+caches are cleared per measurement (chip tables draw no models from the
+runtime engine's store; each builds its own thermal families). The
 polarization surfaces are deliberately warmed first — both backends
 share them through one process-wide store, so the race measures the
 thermal solves, not one-time surface construction.
@@ -37,7 +38,6 @@ import pytest
 from benchmarks.conftest import SMOKE, artifact, emit
 from repro.core.report import format_table
 from repro.fleet import ChipTable, FleetEngine, FleetSpec, shared_fleet_runner
-from repro.runtime.engine import clear_model_store
 from repro.store import ResultStore
 from repro.sweep import SweepRunner, get_preset
 from repro.sweep.evaluators import clear_array_curves
@@ -82,7 +82,6 @@ def _build_table(spec: FleetSpec, runner: SweepRunner) -> ChipTable:
 
 def _cold_build(backend: str, spec: FleetSpec):
     """Time one chip-table build with the thermal path cold."""
-    clear_model_store()
     clear_array_curves()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()

@@ -14,10 +14,9 @@ Three faces of the same physics live here so they cannot drift:
   (fresh thermal model per call, like the other scalar evaluators);
 - :func:`batch_chip_states` — the vectorized ``fleet_chip`` kernel: a
   consumer of :func:`repro.sweep.vectorized.steady_families` with
-  utilization keys and one store-backed thermal model per quantized
-  flow (the maps are multiples of one power map, so after the family's
-  first flows every column is answered by the solver's Krylov space
-  with no new step);
+  utilization keys (the maps are multiples of one power map, so after
+  the family's first flows every column is answered by the solver's
+  Krylov space with no new step);
 - :class:`ChipTable` — the ``(flow level, utilization level)`` lookup the
   :class:`~repro.fleet.fleet.FleetEngine` and the greedy allocation
   policy consume, built by running the grid through a
@@ -135,16 +134,14 @@ def batch_chip_states(
     """Batched ``fleet_chip``: stacked utilization columns per flow level.
 
     The chips' coolant points are solved through
-    :func:`repro.sweep.vectorized.steady_families` with utilization keys,
-    each quantized flow's model drawn from the process-wide store of
-    :mod:`repro.runtime.engine` (sparse assembly shared with the runtime
-    layer). Every chip's missing polarization-surface nodes are then
-    marched in one :func:`~repro.cosim.surface.warm_surfaces` call, and
-    each flow's chips are sampled and queried as one array.
+    :func:`repro.sweep.vectorized.steady_families` with utilization keys
+    (one conduction stamp per inlet family, each quantized flow's model
+    derived from it). Every chip's missing polarization-surface nodes
+    are then marched in one :func:`~repro.cosim.surface.warm_surfaces`
+    call, and each flow's chips are sampled and queried as one array.
     """
     from repro.casestudy.power7plus import full_load_power_map
     from repro.cosim.surface import warm_surfaces
-    from repro.runtime.engine import shared_thermal_model
     from repro.sweep.vectorized import coolant_point, steady_families
 
     points = [coolant_point(spec, spec.utilization) for spec in specs]
@@ -153,7 +150,7 @@ def batch_chip_states(
         chips.setdefault(point[:4], []).append(index)
     sampled = []
     for point, model, utilizations, _, temperatures in steady_families(
-        points, full_load_power_map, shared_thermal_model,
+        points, full_load_power_map,
     ):
         indices = chips[point]
         columns = [utilizations.index(specs[i].utilization) for i in indices]

@@ -211,7 +211,9 @@ def operating_point_metrics(
     Shared between :func:`evaluate_operating_point` (which computes the
     inputs scenario by scenario) and the vectorized backend's batch
     kernel (which computes them for whole scenario groups at once), so
-    both paths apply the identical energy-balance formulas.
+    both paths apply the identical energy-balance formulas. The array
+    curve is isothermal (300 K) and keyed by flow alone: inlet
+    temperature moves only ``peak_temperature_c``.
     """
     from repro.casestudy.power7plus import array_pumping_power_w
 
@@ -238,7 +240,11 @@ def operating_point_metrics(
 
 @register_evaluator("operating_point")
 def evaluate_operating_point(spec: ScenarioSpec) -> "dict[str, float]":
-    """Cooling vs generation vs pumping at one coolant operating point."""
+    """Cooling vs generation vs pumping at one coolant operating point.
+
+    Inlet temperature moves only ``peak_temperature_c`` (the electrical
+    metrics come from an isothermal array curve keyed by flow).
+    """
     peak_c = _peak_temperature_c(
         spec.total_flow_ml_min, spec.inlet_temperature_k,
         spec.utilization, spec.nx, spec.ny,

@@ -11,8 +11,8 @@ but shares the expensive physics across the batch:
   anchor flow and answers every other flow from one Krylov space shared
   by the whole flow family (the matrix is affine in flow), and
   utilization/workload variants of one flow are stacked right-hand-side
-  columns. Callers pass the power-map rasterizer and the model source;
-  only ``fleet_chip`` draws its models from the runtime layer's store;
+  columns. A family stamps its conduction matrix once and derives each
+  flow's model with :meth:`~repro.thermal.model.ThermalModel.at_flow`;
 - electrochemistry: polarization curves for every distinct flow/geometry
   in the batch are marched together through
   :func:`repro.flowcell.batch.batched_polarization_curves` — the same
@@ -81,32 +81,18 @@ BatchKernel = Callable[[Sequence[ScenarioSpec]], "list[dict[str, float]]"]
 # -- the steady family loop ------------------------------------------------------------
 
 
-def fresh_thermal_model(
-    flow_ml_min: float, inlet_temperature_k: float, nx: int, ny: int
-):
-    """A new case-study thermal model of one coolant point, no power map."""
-    from repro.casestudy.power7plus import build_thermal_stack
-    from repro.geometry.power7 import build_power7_floorplan
-    from repro.thermal.model import ThermalModel
-
-    floorplan = build_power7_floorplan()
-    return ThermalModel(
-        build_thermal_stack(flow_ml_min, inlet_temperature_k),
-        floorplan.width_m, floorplan.height_m, nx, ny,
-    )
-
-
 def steady_families(
-    points: "Iterable[tuple]", rasterize: Callable, model_for: Callable,
+    points: "Iterable[tuple]", rasterize: Callable,
 ) -> "Iterator[tuple]":
     """Steady states of ``(flow, inlet, nx, ny, key)`` points, by family.
 
     ``key`` names a power map, drawn by ``rasterize(nx, ny, floorplan,
     key)`` (:func:`~repro.casestudy.power7plus.full_load_power_map` with
-    a utilization key, or a workload's ``power_map``); ``model_for(flow,
-    inlet, nx, ny)`` supplies each coolant point's thermal model. Points
-    are grouped into ``(inlet, nx, ny)`` families; each family rasterizes
-    every key once and solves its flows middle-out through one
+    a utilization key, or a workload's ``power_map``). Points are grouped
+    into ``(inlet, nx, ny)`` families, each one case-study model that
+    stamps conduction once; every flow's model is ``family.at_flow(q)``,
+    bit-identical to a freshly built one. Each family rasterizes every
+    key once and solves its flows middle-out through one
     :class:`~repro.thermal.batch.AnchoredSteadySolver` (one factorization
     and one Krylov space), a coolant point's keys as stacked RHS columns.
 
@@ -115,8 +101,11 @@ def steady_families(
     len(keys))`` steady states. The order depends only on the set of
     points, so permuted or duplicated batches solve identically.
     """
+    from repro.casestudy.power7plus import build_thermal_stack
     from repro.geometry.power7 import build_power7_floorplan
     from repro.thermal.batch import AnchoredSteadySolver
+    from repro.thermal.model import ThermalModel
+    from repro.units import m3s_from_ml_per_min
 
     families: "dict[tuple, dict[float, list]]" = {}
     for flow, inlet, nx, ny, key in sorted(set(points)):
@@ -125,13 +114,17 @@ def steady_families(
 
     floorplan = build_power7_floorplan()
     for (inlet, nx, ny), flows in families.items():
+        family = ThermalModel(
+            build_thermal_stack(inlet_temperature_k=inlet),
+            floorplan.width_m, floorplan.height_m, nx, ny,
+        )
         solver = AnchoredSteadySolver()
         maps = {
             key: rasterize(nx, ny, floorplan, key)
             for key in sorted(set().union(*flows.values()))
         }
         for flow in _middle_out(list(flows)):
-            model = model_for(flow, inlet, nx, ny)
+            model = family.at_flow(m3s_from_ml_per_min(flow))
             keys = flows[flow]
             key_maps = [maps[key] for key in keys]
             temperatures = solver.solve_columns(
@@ -175,7 +168,7 @@ def batch_peak_temperatures(
     peaks: "dict[tuple, float]" = {}
     for point, _, utilizations, _, temperatures in steady_families(
         [coolant_point(spec, spec.utilization) for spec in specs],
-        full_load_power_map, fresh_thermal_model,
+        full_load_power_map,
     ):
         for k, utilization in enumerate(utilizations):
             peaks[(*point, utilization)] = celsius_from_kelvin(
@@ -264,7 +257,7 @@ def batch_workload(
     metrics: "dict[tuple, dict[str, float]]" = {}
     for point, model, names, maps, temperatures in steady_families(
         [coolant_point(spec, spec.workload) for spec in specs],
-        rasterize, fresh_thermal_model,
+        rasterize,
     ):
         for k, (name, power) in enumerate(zip(names, maps)):
             model.set_power_map("active_si", power)

@@ -17,12 +17,18 @@ All outer boundaries are adiabatic: in the modelled package the only heat
 sink is the coolant stream, exactly as in the paper's setup. The matrix is
 non-symmetric because of advection; scipy's sparse LU handles the sizes
 used here (tens of thousands of DOFs) in well under a second.
+
+Only advection and the inlet enthalpy depend on flow, so the matrix is
+``conduction + advection(q)``. Each model caches its own system and
+factorizations; only models used through :meth:`ThermalModel.at_flow` also
+keep the conduction matrix, shared by reference across a flow family (the
+sweep kernels' :func:`repro.sweep.vectorized.steady_families`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -112,7 +118,6 @@ class ThermalModel:
                 offset += nx * ny
         self.n_dof = offset
         self._sources: "dict[int, np.ndarray]" = {}
-        self._advection_rows: "list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]" = []
         # The system matrix and the source-free right-hand side depend only
         # on the (frozen) stack and raster, never on the power maps — so
         # they, the steady LU factorization and the per-step-size transient
@@ -121,6 +126,8 @@ class ThermalModel:
         # (the co-simulation's fixed-point loop, transient stepping) cheap:
         # iterations after the first cost one sparse triangular solve.
         self._structure: "tuple[sparse.csr_matrix, np.ndarray] | None" = None
+        # Conduction stamps, kept only by models used through ``at_flow``.
+        self._conduction: "sparse.csr_matrix | None" = None
         self._steady_lu = None
         self._transient_lus: "dict[float, object]" = {}
         self._capacitance: "np.ndarray | None" = None
@@ -164,11 +171,11 @@ class ThermalModel:
 
     # -- assembly -------------------------------------------------------------------
 
-    def _assemble(self) -> "tuple[sparse.csr_matrix, np.ndarray]":
+    def _assemble(self) -> sparse.csr_matrix:
+        """Conduction, side-wall and interface convection (flow-free)."""
         rows: "list[np.ndarray]" = []
         cols: "list[np.ndarray]" = []
         vals: "list[np.ndarray]" = []
-        rhs = np.zeros(self.n_dof)
 
         def stamp(ia: np.ndarray, ib: np.ndarray, g) -> None:
             """Symmetric conductance stamp between node arrays ia, ib."""
@@ -191,8 +198,9 @@ class ThermalModel:
                 stamp(ids[:, :-1], ids[:, 1:], k * t * dy / dx)
                 stamp(ids[:-1, :], ids[1:, :], k * t * dx / dy)
             elif field.kind == "wall":
-                self._stamp_channel_layer(layer, field, stamp, rhs)
-            # fluid lateral/advective terms are handled with the wall field
+                self._stamp_channel_layer(layer, field, stamp)
+            # fluid: side-wall convection with the wall field, advection in
+            # _advection()
 
         # Vertical interfaces.
         for k in range(len(self.stack) - 1):
@@ -211,11 +219,37 @@ class ThermalModel:
             else:
                 self._stamp_channel_interface(above, below, stamp, channel_above=False)
 
-        matrix = sparse.coo_matrix(
+        return sparse.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.n_dof, self.n_dof),
         ).tocsr()
-        return matrix, rhs
+
+    def _advection(self) -> "tuple[sparse.csr_matrix, np.ndarray]":
+        """Upwind advection ``+mcp*(T_i - T_up)`` along each channel column
+        (inlet at index 0) and the inlet enthalpy on the right-hand side."""
+        rows: "list[np.ndarray]" = []
+        cols: "list[np.ndarray]" = []
+        vals: "list[np.ndarray]" = []
+        rhs = np.zeros(self.n_dof)
+        for field in self._fields:
+            if field.kind != "fluid":
+                continue
+            layer = self.stack.layers[field.layer_index]
+            ids = self._cell_ids(field)
+            if layer.array.flow_axis == "x":
+                ids = ids.T  # the flow runs along axis 0 from here on
+            mcp = np.broadcast_to(self._channel_geometry(layer)["mcp"], ids.shape)
+            downstream, upstream, inlet = ids[1:].ravel(), ids[:-1].ravel(), ids[0]
+            rows.extend((downstream, downstream, inlet))
+            cols.extend((downstream, upstream, inlet))
+            vals.extend((mcp[1:].ravel(), -mcp[1:].ravel(), mcp[0]))
+            rhs[inlet] += mcp[0] * layer.inlet_temperature_k
+        if not rows:
+            return sparse.csr_matrix((self.n_dof, self.n_dof)), rhs
+        return sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.n_dof, self.n_dof),
+        ).tocsr(), rhs
 
     # -- channel-layer pieces ----------------------------------------------------------
 
@@ -258,8 +292,8 @@ class ThermalModel:
         }
 
     def _stamp_channel_layer(self, layer: MicrochannelLayer, wall_field: _Field,
-                             stamp, rhs: np.ndarray) -> None:
-        """Wall conduction, side convection and fluid advection of a layer."""
+                             stamp) -> None:
+        """Wall conduction and side-wall convection of a channel layer."""
         geometry = self._channel_geometry(layer)
         ids_wall = self._cell_ids(wall_field)
         ids_fluid = self._cell_ids(self._field(layer.name, "fluid"))
@@ -282,26 +316,6 @@ class ThermalModel:
 
         # Side-wall convection: fluid <-> wall in the same cell.
         stamp(ids_fluid, ids_wall, geometry["g_side"])
-
-        # Advection: upwind along the flow axis; inlet at index 0. mcp is
-        # per-across-column; align it with the raveled (row-major) ids.
-        mcp_columns = geometry["mcp"]
-        if layer.array.flow_axis == "y":
-            downstream = ids_fluid[1:, :].ravel()
-            upstream = ids_fluid[:-1, :].ravel()
-            inlet = ids_fluid[0, :].ravel()
-            mcp_interior = np.tile(mcp_columns, self.ny - 1)
-            mcp_inlet = mcp_columns
-        else:
-            downstream = ids_fluid[:, 1:].ravel()
-            upstream = ids_fluid[:, :-1].ravel()
-            inlet = ids_fluid[:, 0].ravel()
-            mcp_interior = np.repeat(mcp_columns, self.nx - 1)
-            mcp_inlet = mcp_columns
-        # Interior cells: +mcp*(T_i - T_up).
-        self._advection_rows.append((downstream, upstream, mcp_interior))
-        self._advection_rows.append((inlet, None, mcp_inlet))
-        rhs[inlet] += mcp_inlet * layer.inlet_temperature_k
 
     def _stamp_channel_interface(self, solid_layer: SolidLayer,
                                  channel_layer: MicrochannelLayer,
@@ -349,27 +363,33 @@ class ThermalModel:
     def _system_structure(self) -> "tuple[sparse.csr_matrix, np.ndarray]":
         """The system matrix and the source-free right-hand side (cached)."""
         if self._structure is None:
-            self._advection_rows = []
-            matrix, rhs = self._assemble()
-            # Advection is non-symmetric: append after the symmetric stamps.
-            rows, cols, vals = [], [], []
-            for cells, upstream, mcp in self._advection_rows:
-                mcp_values = np.broadcast_to(np.asarray(mcp, dtype=float), cells.shape)
-                rows.append(cells)
-                cols.append(cells)
-                vals.append(mcp_values.copy())
-                if upstream is not None:
-                    rows.append(cells)
-                    cols.append(upstream)
-                    vals.append(-mcp_values)
-            if rows:
-                advection = sparse.coo_matrix(
-                    (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(self.n_dof, self.n_dof),
-                ).tocsr()
-                matrix = matrix + advection
-            self._structure = (matrix, rhs)
+            conduction = self._assemble() if self._conduction is None else self._conduction
+            advection, rhs = self._advection()
+            self._structure = (conduction + advection, rhs)
         return self._structure
+
+    def at_flow(self, total_flow_m3_s: float) -> "ThermalModel":
+        """This stack and raster, without power maps, at another total flow.
+
+        The new model shares this model's conduction matrix (stamped on
+        the first call) and assembles only its advection; its system is
+        bit-identical to a freshly built model's. One channel layer only.
+        """
+        channels = sum(layer.is_channel for layer in self.stack)
+        if channels != 1:
+            raise ConfigurationError(
+                f"at_flow moves the flow of a single channel layer; this stack has {channels}"
+            )
+        stack = LayerStack(
+            replace(layer, total_flow_m3_s=total_flow_m3_s)
+            if layer.is_channel else layer
+            for layer in self.stack
+        )
+        model = ThermalModel(stack, self.die_length_m, self.die_width_m, self.nx, self.ny)
+        if self._conduction is None:
+            self._conduction = self._assemble()
+        model._conduction = self._conduction
+        return model
 
     def rhs_columns(
         self,

@@ -54,10 +54,21 @@ STEADY_KERNEL_KEYS = {
 
 
 @pytest.mark.parametrize("evaluator", sorted(STEADY_KERNEL_KEYS))
-def test_steady_kernel_is_permutation_invariant(evaluator):
+def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
     """Permuted and duplicated specs get identical metrics, and a batch
-    over 2 inlets x 3 flows factorizes once per inlet family."""
+    over 2 inlets x 3 flows stamps conduction and factorizes once per
+    inlet family."""
     from repro.sweep.vectorized import BATCH_KERNELS
+    from repro.thermal.model import ThermalModel
+
+    stamps = []
+    assemble = ThermalModel._assemble
+
+    def counting_assemble(model):
+        stamps.append(model)
+        return assemble(model)
+
+    monkeypatch.setattr(ThermalModel, "_assemble", counting_assemble)
 
     kernel = BATCH_KERNELS[evaluator]
     field, values = STEADY_KERNEL_KEYS[evaluator]
@@ -81,6 +92,7 @@ def test_steady_kernel_is_permutation_invariant(evaluator):
     finally:
         obs.stop()
     assert counters["thermal.steady.factorizations"] == 2
+    assert len(stamps) == 2
 
     shuffled = specs[::-1] + specs[:3]
     assert kernel(shuffled) == [forward[specs.index(s)] for s in shuffled]

@@ -102,6 +102,36 @@ class TestSteadyPhysics:
         cap = solution.field("cap")
         assert active.max() > cap.max()
 
+    def test_flow_along_x_is_the_transposed_flow_along_y(self):
+        """Swapping the die's axes together with the flow axis transposes
+        every field (unequal flow weights included)."""
+        nx, ny, length, width = 9, 7, 0.02, 0.015
+        channel = RectangularChannel(200e-6, 400e-6, 22e-3)
+        weights = tuple(np.linspace(0.5, 2.0, nx))
+        power = np.random.default_rng(3).uniform(0.0, 0.5, (ny, nx))
+        solutions = []
+        for axis, shape, die, source in (
+            ("y", (nx, ny), (length, width), power),
+            ("x", (ny, nx), (width, length), power.T),
+        ):
+            layer = MicrochannelLayer(
+                "channels", ChannelArray(channel, 40, 300e-6, flow_axis=axis),
+                vanadium_electrolyte_fluid(), 1e-6, flow_weights=weights,
+            )
+            stack = LayerStack([
+                SolidLayer("active_si", 3e-4), layer, SolidLayer("cap", 3e-4),
+            ])
+            model = ThermalModel(stack, *die, *shape)
+            model.set_power_map("active_si", source)
+            solutions.append(model.solve_steady())
+        along_y, along_x = solutions
+        for name, kind in (("active_si", None), ("channels", "wall"),
+                           ("channels", "fluid"), ("cap", None)):
+            assert np.allclose(
+                along_x.field(name, kind), along_y.field(name, kind).T,
+                rtol=0.0, atol=1e-9,
+            )
+
 
 class TestFig9Anchor:
     def test_full_load_peak_near_41c(self, thermal_solution):
