@@ -18,6 +18,7 @@ bench pins end to end:
 every push.
 """
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -40,7 +41,9 @@ def _cold_fill(args):
 
     Module-level so :class:`ProcessPoolExecutor` can pickle it by name —
     the point is that the *filling* process and the *replaying* process
-    share nothing but the directory.
+    share nothing but the directory. The pool spawns its worker: a forked
+    one would inherit the caches earlier benches left warm in this
+    process, and its "cold" fill would not be cold.
     """
     directory, points = args
     runner = SweepRunner(cache=ResultStore(directory))
@@ -55,7 +58,8 @@ def _cold_fill(args):
 
 def test_a21_warm_replay_across_processes(tmp_path):
     directory = str(tmp_path / "store")
-    with ProcessPoolExecutor(max_workers=1) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
         cold_s, cold_stats, cold_csv = pool.submit(
             _cold_fill, (directory, POINTS)
         ).result()

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
-from repro.electrochem.polarization import PolarizationCurve
 from repro.errors import ConfigurationError
 from repro.flowcell.array import FlowCellArray
 from repro.flowcell.cell import ColaminarCellSpec
@@ -358,10 +357,6 @@ class Power7CaseStudy:
                 floorplan=self.floorplan,
             )
         return self._thermal
-
-    @property
-    def array_polarization(self) -> PolarizationCurve:
-        return self.array.curve
 
     def pumping_power_w(self) -> float:
         return array_pumping_power_w(self.total_flow_ml_min)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.casestudy.tables import TABLE1
 from repro.flowcell.cell import ColaminarCellSpec
-from repro.flowcell.fvm import FiniteVolumeColaminarCell
 from repro.flowcell.planar import PlanarColaminarCell
 from repro.geometry.channel import RectangularChannel
 from repro.materials.electrolyte import Electrolyte
@@ -96,16 +95,4 @@ def build_validation_cell(
     """Analytic (film/Leveque) model of the validation cell."""
     return PlanarColaminarCell(
         build_validation_spec(flow_ul_min), temperature_k=temperature_k
-    )
-
-
-def build_validation_fv_cell(
-    flow_ul_min: float,
-    nx: int = 100,
-    ny: int = 48,
-    temperature_k: float = 300.0,
-) -> FiniteVolumeColaminarCell:
-    """Quasi-2D finite-volume model of the validation cell."""
-    return FiniteVolumeColaminarCell(
-        build_validation_spec(flow_ul_min), nx=nx, ny=ny, temperature_k=temperature_k
     )

@@ -10,26 +10,3 @@ FARADAY = 96485.33212
 
 #: Universal gas constant [J/(mol*K)].
 GAS_CONSTANT = 8.314462618
-
-#: Absolute temperature of 0 degrees Celsius [K].
-ZERO_CELSIUS = 273.15
-
-#: Standard atmospheric pressure [Pa].
-ATMOSPHERE = 101325.0
-
-#: Acceleration due to gravity [m/s^2] (used by manometer-style checks only).
-GRAVITY = 9.80665
-
-#: Standard electrochemical reference temperature [K] (25 C).
-STANDARD_TEMPERATURE = 298.15
-
-
-def thermal_voltage(temperature_k: float) -> float:
-    """Return RT/F [V] at the given absolute temperature.
-
-    This is the natural voltage scale of electrochemical expressions
-    (~25.7 mV at 25 C). Raises ``ValueError`` for non-positive temperature.
-    """
-    if temperature_k <= 0.0:
-        raise ValueError(f"absolute temperature must be > 0, got {temperature_k}")
-    return GAS_CONSTANT * temperature_k / FARADAY

@@ -22,10 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.metrics import (
-    DEFAULT_TEMPERATURE_LIMIT_C,
-    bright_silicon_utilization,
-)
+from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.pdn.c4 import C4DeliveryBaseline
 
@@ -90,14 +87,6 @@ class ConventionalBaseline:
         if budget <= 0.0:
             return 0.0
         return min(1.0, budget / full_rise)
-
-    def bisection_max_utilization(
-        self, temperature_limit_c: float = DEFAULT_TEMPERATURE_LIMIT_C
-    ) -> float:
-        """Same quantity via the generic bisection (cross-checks metrics)."""
-        return bright_silicon_utilization(
-            self.peak_temperature_c, temperature_limit_c
-        )
 
     def supply_droop_v(self, current_a: float) -> float:
         """IR droop of the bump delivery path at a load current [V]."""

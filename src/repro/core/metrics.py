@@ -44,44 +44,6 @@ class EnergyBalance:
         """The paper's Section III-B claim at the nominal operating point."""
         return self.net_w > 0.0
 
-    @property
-    def gain_ratio(self) -> float:
-        """Generated / pumping (inf for a free-flowing system)."""
-        if self.pumping_w == 0.0:
-            return float("inf")
-        return self.generated_w / self.pumping_w
-
-    @classmethod
-    def from_hydraulics(
-        cls,
-        generated_w: float,
-        pressure_drop_pa: float,
-        volumetric_flow_m3_s: float,
-        pump_efficiency: "float | None" = None,
-    ) -> "EnergyBalance":
-        """Balance with the pumping side priced from hydraulic state.
-
-        ``pump_efficiency`` defaults to the paper's 50 % pump
-        (:data:`repro.microfluidics.hydraulics.DEFAULT_PUMP_EFFICIENCY`);
-        pass a value in (0, 1] to model a realistic pump instead of
-        hand-computing the pumping power.
-        """
-        from repro.microfluidics.hydraulics import (
-            DEFAULT_PUMP_EFFICIENCY,
-            pumping_power,
-        )
-
-        if pump_efficiency is None:
-            pump_efficiency = DEFAULT_PUMP_EFFICIENCY
-        return cls(
-            generated_w=generated_w,
-            pumping_w=pumping_power(
-                pressure_drop_pa,
-                volumetric_flow_m3_s,
-                pump_efficiency=pump_efficiency,
-            ),
-        )
-
 
 def bright_silicon_utilization(
     peak_temperature_at: Callable[[float], float],
@@ -113,10 +75,3 @@ def bright_silicon_utilization(
         else:
             hi = mid
     return lo
-
-
-def dark_silicon_fraction(utilization: float) -> float:
-    """Fraction of full-load capability that must stay dark (1 - u)."""
-    if not 0.0 <= utilization <= 1.0:
-        raise ConfigurationError("utilization must be in [0, 1]")
-    return 1.0 - utilization

@@ -66,11 +66,6 @@ class SystemEvaluation:
         """Whether the delivered power covers the cache demand."""
         return self.delivered_power_w >= self.cache_demand_w
 
-    @property
-    def dark_silicon_avoided(self) -> float:
-        """Utilization gained over the conventional baseline."""
-        return self.bright_utilization - self.baseline_utilization
-
 
 class IntegratedPowerCoolingSystem:
     """The paper's proposed system, end to end.

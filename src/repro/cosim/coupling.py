@@ -131,12 +131,6 @@ class CosimResult:
         return self.array_current_a / self.isothermal_current_a - 1.0
 
     @property
-    def power_gain(self) -> float:
-        """Relative power change vs isothermal (equals the current gain at
-        a fixed operating voltage)."""
-        return self.current_gain
-
-    @property
     def peak_temperature_c(self) -> float:
         return self.thermal.peak_celsius
 

@@ -263,10 +263,6 @@ class PolarizationSurface:
         nodes, where, frac = self._warm_brackets(temperatures_k)
         return self._blend([self._node_ocv(node) for node in nodes], where, frac)
 
-    def ocv_at(self, temperature_k: float) -> float:
-        """Scalar convenience for :meth:`ocvs_at`."""
-        return float(self.ocvs_at([temperature_k])[0])
-
     # -- process-wide sharing --------------------------------------------------
 
     #: Shared surfaces keyed on every construction parameter. Bounded: a

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cosim.coupling import CosimConfig
-from repro.cosim.surface import surface_for
 from repro.errors import ConfigurationError
 
 
@@ -52,12 +51,6 @@ class TransientCosim:
 
     def __init__(self, config: CosimConfig = CosimConfig()) -> None:
         self.config = config
-
-    @property
-    def _surface(self):
-        """Resolved per access (a dict lookup on the shared store), so
-        rebinding ``self.config`` between runs is honored."""
-        return surface_for(self.config)
 
     def run_step_response(
         self,

@@ -6,9 +6,9 @@ Implements Section II-A of the paper:
   open-circuit voltage (paper eqs. 4-5).
 - :mod:`repro.electrochem.butler_volmer` — reaction kinetics (paper eq. 6),
   exchange current densities, forward and inverse evaluation.
-- :mod:`repro.electrochem.losses` — ohmic and mass-transport overvoltages
-  (paper eqs. 7-8) and the film-model surface concentrations that unify
-  them with the kinetics.
+- :mod:`repro.electrochem.losses` — the ohmic resistance of the co-laminar
+  cell and the film-model surface concentrations that carry the
+  mass-transport overvoltage (paper eqs. 7-8) into the kinetics.
 - :mod:`repro.electrochem.halfcell` — a half-cell (couple + bulk state +
   transport) that maps current density to electrode potential.
 - :mod:`repro.electrochem.polarization` — polarization/power curve
@@ -16,7 +16,6 @@ Implements Section II-A of the paper:
 """
 
 from repro.electrochem.butler_volmer import (
-    charge_transfer_resistance,
     current_density,
     exchange_current_density,
     overpotential_for_current,
@@ -24,26 +23,21 @@ from repro.electrochem.butler_volmer import (
 from repro.electrochem.halfcell import FilmHalfCell
 from repro.electrochem.losses import (
     film_surface_concentrations,
-    mass_transport_overvoltage,
     ohmic_resistance_colaminar,
 )
 from repro.electrochem.nernst import (
     equilibrium_potential,
     open_circuit_voltage,
-    standard_cell_voltage,
 )
 from repro.electrochem.polarization import PolarizationCurve
 
 __all__ = [
     "equilibrium_potential",
     "open_circuit_voltage",
-    "standard_cell_voltage",
     "exchange_current_density",
     "current_density",
     "overpotential_for_current",
-    "charge_transfer_resistance",
     "film_surface_concentrations",
-    "mass_transport_overvoltage",
     "ohmic_resistance_colaminar",
     "FilmHalfCell",
     "PolarizationCurve",

@@ -197,20 +197,3 @@ def wall_reaction_coefficients(
     denominator = 1.0 + (k0 / wall_mass_transfer_m_s) * (exp_a + exp_c)
     prefactor = n * FARADAY * k0 / denominator
     return prefactor * exp_a, prefactor * exp_c
-
-
-def charge_transfer_resistance(
-    couple: RedoxCouple,
-    conc_ox_mol_m3: float,
-    conc_red_mol_m3: float,
-    temperature_k: float = 300.0,
-) -> float:
-    """Small-signal (linearised) area-specific resistance [Ohm*m^2].
-
-    ``R_ct = R*T / (n*F*j0)`` — the slope of eta(j) at equilibrium, useful
-    for quick sizing and as an analytic check of the kinetics code.
-    """
-    j0 = exchange_current_density(couple, conc_ox_mol_m3, conc_red_mol_m3, temperature_k)
-    if j0 <= 0.0:
-        raise ConfigurationError("exchange current density is zero")
-    return GAS_CONSTANT * temperature_k / (couple.electrons * FARADAY * j0)

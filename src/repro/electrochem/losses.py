@@ -1,4 +1,4 @@
-"""Polarization losses: ohmic and mass-transport overvoltages.
+"""Polarization losses: the film model and the ohmic resistance.
 
 The paper decomposes the total voltage loss as
 ``eta = eta_Omega + eta_ct + eta_mt`` (Section II-A). The charge-transfer
@@ -7,21 +7,16 @@ part lives in :mod:`repro.electrochem.butler_volmer`; this module provides
 - the *film model* linking current density to electrode surface
   concentrations (``C_s = C_b -+ j/(n*F*k_m)``), which is how mass
   transport enters the Butler-Volmer expression self-consistently,
-- the explicit Nernstian mass-transport overvoltages of paper eqs. (7)-(8)
-  for loss-breakdown reporting,
 - the ohmic resistance of the co-laminar cell geometry (ionic path between
   the two side-wall electrodes, plus electronic/contact terms).
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.constants import FARADAY, GAS_CONSTANT
+from repro.constants import FARADAY
 from repro.errors import ConfigurationError, OperatingPointError
 from repro.geometry.channel import RectangularChannel
 from repro.materials.electrolyte import Electrolyte
-from repro.materials.species import RedoxCouple
 
 
 def film_surface_concentrations(
@@ -59,33 +54,6 @@ def film_surface_concentrations(
     return consumed, produced
 
 
-def mass_transport_overvoltage(
-    couple: RedoxCouple,
-    conc_bulk: float,
-    conc_surface: float,
-    temperature_k: float = 300.0,
-    electrode: str = "negative",
-) -> float:
-    """Nernstian mass-transport overvoltage [V] (paper eqs. 7-8).
-
-    negative electrode: ``eta_mt = (R*T)/(alpha*F) * ln(C*_red / C_red,s)``
-    positive electrode: ``eta_mt = -(R*T)/((1-alpha)*F) * ln(C*_ox / C_ox,s)``
-
-    Provided for reporting/loss-breakdown; the solvers themselves use the
-    film model inside Butler-Volmer, which subsumes this term.
-    """
-    if electrode not in ("negative", "positive"):
-        raise ConfigurationError(f"electrode must be 'negative' or 'positive', got {electrode}")
-    if conc_bulk <= 0.0 or conc_surface <= 0.0:
-        raise ConfigurationError("bulk and surface concentrations must be > 0")
-    alpha = couple.transfer_coefficient
-    rt_f = GAS_CONSTANT * temperature_k / FARADAY
-    log_ratio = math.log(conc_bulk / conc_surface)
-    if electrode == "negative":
-        return rt_f / alpha * log_ratio
-    return -rt_f / (1.0 - alpha) * log_ratio
-
-
 def ohmic_resistance_colaminar(
     channel: RectangularChannel,
     anolyte: Electrolyte,
@@ -111,10 +79,3 @@ def ohmic_resistance_colaminar(
     if electronic_resistance_ohm < 0.0:
         raise ConfigurationError("electronic resistance must be >= 0")
     return r_ionic + electronic_resistance_ohm
-
-
-def ohmic_overvoltage(resistance_ohm: float, current_a: float) -> float:
-    """eta_Omega = R * I [V] (paper's ohmic loss)."""
-    if resistance_ohm < 0.0:
-        raise ConfigurationError("resistance must be >= 0")
-    return resistance_ohm * current_a

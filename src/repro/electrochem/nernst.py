@@ -50,11 +50,6 @@ def equilibrium_potential(
     )
 
 
-def standard_cell_voltage(positive: RedoxCouple, negative: RedoxCouple) -> float:
-    """Standard OCV U0 = E0_pos - E0_neg [V] (1.25 V for all-vanadium)."""
-    return positive.standard_potential_v - negative.standard_potential_v
-
-
 def open_circuit_voltage(
     positive: RedoxCouple,
     pos_conc_ox: float,

@@ -127,14 +127,3 @@ class PolarizationCurve:
             self.voltage_v.copy(),
             label if label is not None else self.label,
         )
-
-    def clipped_to_voltage(self, min_voltage_v: float) -> "PolarizationCurve":
-        """The part of the curve with V >= min_voltage_v (>= 2 samples)."""
-        keep = self.voltage_v >= min_voltage_v
-        if int(keep.sum()) < 2:
-            raise ConfigurationError(
-                f"fewer than two samples remain above {min_voltage_v} V"
-            )
-        return PolarizationCurve(
-            self.current_a[keep], self.voltage_v[keep], self.label
-        )

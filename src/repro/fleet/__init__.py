@@ -7,9 +7,7 @@ loop and an aggregate request stream. This package composes the existing
 per-chip physics into that system:
 
 - :mod:`repro.fleet.supply` — cross-chip flow allocation under a fixed
-  total pump budget (uniform / proportional / greedy policies), extending
-  the channel-level allocation story of
-  :mod:`repro.microfluidics.manifold` to the rack level;
+  total pump budget (uniform / proportional / greedy policies);
 - :mod:`repro.fleet.traffic` — maps a fleet request-rate trace (diurnal +
   bursty components from :mod:`repro.runtime.trace`) to per-chip
   utilization schedules with configurable load-balancing skew;
@@ -37,7 +35,6 @@ from repro.fleet.fleet import (
     FleetEngine,
     FleetResult,
     FleetSpec,
-    clear_shared_runner,
     shared_fleet_runner,
 )
 from repro.fleet.supply import (
@@ -61,7 +58,6 @@ __all__ = [
     "SupplySpec",
     "TrafficModel",
     "allocate",
-    "clear_shared_runner",
     "greedy_allocation",
     "jain_fairness",
     "proportional_allocation",

@@ -59,12 +59,6 @@ def shared_fleet_runner() -> SweepRunner:
     return _SHARED_RUNNER
 
 
-def clear_shared_runner() -> None:
-    """Drop the shared runner and its cache (tests, benches)."""
-    global _SHARED_RUNNER
-    _SHARED_RUNNER = None
-
-
 @dataclass(frozen=True)
 class FleetSpec:
     """One rack-scale co-design scenario, ready to evaluate.
@@ -195,7 +189,7 @@ class FleetResult:
     chip_throttled_time_fraction: np.ndarray
     #: time-weighted Jain fairness of the allocation
     allocation_fairness: float
-    #: time-weighted manifold-style uniformity (min/max flow ratio)
+    #: time-weighted supply uniformity (min/max flow ratio)
     supply_uniformity: float
     #: served / requested utilization shortfall over the whole schedule
     shed_load_fraction: float

@@ -1,10 +1,8 @@
 """Shared coolant supply: cross-chip flow allocation under a fixed budget.
 
 One rack pump delivers a fixed total flow; :func:`allocate` splits it
-across the fleet's chips. This extends the channel-level flow-allocation
-story of :mod:`repro.microfluidics.manifold` — where a header geometry
-fixes how flow divides across an array's channels — to the rack level,
-where an active valve network can *choose* the split:
+across the fleet's chips. Where a passive header geometry fixes how flow
+divides, an active valve network at rack level can *choose* the split:
 
 - ``uniform`` — every chip gets the same flow (the passive-manifold
   baseline, equivalent to a perfectly balanced header);
@@ -26,9 +24,8 @@ The greedy policy operates on per-utilization-level *groups* rather than
 individual chips, which makes the resulting allocation invariant under
 chip permutation by construction.
 
-Diagnostics reuse the manifold layer's :class:`~repro.microfluidics.
-manifold.FlowDistribution` (uniformity, maldistribution) plus the Jain
-fairness index the fleet KPIs report.
+Diagnostics are the :class:`FlowDistribution` uniformity (min/max flow
+ratio) and the Jain fairness index the fleet KPIs report.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.microfluidics.manifold import FlowDistribution
 from repro.units import m3s_from_ml_per_min
 
 #: Allocation policies :func:`allocate` knows, sorted.
@@ -137,12 +133,21 @@ class SupplySpec:
 # -- diagnostics ---------------------------------------------------------------------
 
 
-def supply_distribution(flows_ml_min) -> FlowDistribution:
-    """The rack allocation as a manifold :class:`FlowDistribution`.
+@dataclass(frozen=True)
+class FlowDistribution:
+    """Per-chip flows of a rack allocation."""
 
-    Converts to SI volumetric flow so the manifold layer's uniformity /
-    maldistribution diagnostics apply unchanged at rack scale.
-    """
+    flows_m3_s: np.ndarray
+
+    @property
+    def uniformity(self) -> float:
+        """min/max flow ratio in (0, 1]; 1 means perfectly even."""
+        return float(self.flows_m3_s.min() / self.flows_m3_s.max())
+
+
+def supply_distribution(flows_ml_min) -> FlowDistribution:
+    """The rack allocation as a :class:`FlowDistribution`, in SI
+    volumetric flow."""
     flows = np.asarray(flows_ml_min, dtype=float)
     return FlowDistribution(
         flows_m3_s=np.array([m3s_from_ml_per_min(f) for f in flows])

@@ -82,11 +82,6 @@ class TrafficModel:
         # ScenarioSpec).
         standard_trace(self.trace, seed=self.trace_seed)
 
-    @property
-    def total_users(self) -> float:
-        """Users the fleet serves at full utilization."""
-        return self.n_chips * self.users_per_chip
-
     def aggregate_trace(self) -> WorkloadTrace:
         """The fleet-level demand schedule (mean utilization over chips)."""
         return standard_trace(self.trace, seed=self.trace_seed)

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-from scipy.optimize import brentq
-
 from repro.electrochem.polarization import PolarizationCurve
-from repro.errors import ConfigurationError, OperatingPointError
+from repro.errors import ConfigurationError
 from repro.geometry.array import ChannelArray
 
 
@@ -78,63 +75,6 @@ class FlowCellArray:
         """Maximum power point of the array [W]."""
         return self.curve.max_power_w
 
-    # -- load intersections -----------------------------------------------------
-
-    def operating_point_constant_power(self, power_w: float) -> "tuple[float, float]":
-        """(V, I) where the array delivers a constant power load.
-
-        Picks the high-voltage intersection of P = V*I(V) (the efficient
-        branch). Raises :class:`OperatingPointError` if the array cannot
-        supply the requested power.
-        """
-        if power_w <= 0.0:
-            raise ConfigurationError(f"power must be > 0, got {power_w}")
-        if power_w > self.max_power_w:
-            raise OperatingPointError(
-                f"requested {power_w:.3g} W exceeds array maximum "
-                f"{self.max_power_w:.3g} W"
-            )
-        v_lo = float(self.curve.voltage_v[-1])
-        v_hi = float(self.curve.voltage_v[0]) - 1e-12
-
-        def residual(voltage: float) -> float:
-            return self.power_at_voltage(voltage) - power_w
-
-        # P(V) is zero at OCV and rises as V decreases toward the max power
-        # point; march down from OCV to bracket the efficient branch.
-        v_probe = np.linspace(v_hi, v_lo, 256)
-        previous = residual(v_probe[0])
-        for v in v_probe[1:]:
-            current = residual(v)
-            if previous <= 0.0 <= current or current == 0.0:
-                voltage = float(brentq(residual, v, v + (v_probe[0] - v_probe[1])))
-                return voltage, self.current_at_voltage(voltage)
-            previous = current
-        raise OperatingPointError(
-            f"no operating point found for {power_w:.3g} W on the efficient branch"
-        )
-
-    def operating_point_constant_resistance(self, resistance_ohm: float) -> "tuple[float, float]":
-        """(V, I) where the array feeds a fixed resistive load."""
-        if resistance_ohm <= 0.0:
-            raise ConfigurationError(f"resistance must be > 0, got {resistance_ohm}")
-
-        def residual(voltage: float) -> float:
-            return self.current_at_voltage(voltage) - voltage / resistance_ohm
-
-        v_lo = float(self.curve.voltage_v[-1])
-        v_hi = float(self.curve.voltage_v[0]) - 1e-12
-        r_lo, r_hi = residual(v_lo), residual(v_hi)
-        if r_lo * r_hi > 0.0:
-            # The load line may cross outside the sampled window; the only
-            # physical possibility left is the low-voltage end.
-            raise OperatingPointError(
-                f"load line R={resistance_ohm:.3g} Ohm does not intersect the "
-                "sampled polarization curve"
-            )
-        voltage = float(brentq(residual, v_lo, v_hi))
-        return voltage, voltage / resistance_ohm
-
     # -- heterogeneous combination -------------------------------------------------
 
     @staticmethod
@@ -157,23 +97,3 @@ class FlowCellArray:
             clamped = max(voltage_v, v_min)
             total += curve.current_at_voltage(clamped)
         return total
-
-    @staticmethod
-    def combined_curve(
-        channel_curves: Sequence[PolarizationCurve],
-        n_points: int = 60,
-        label: str = "heterogeneous array",
-    ) -> PolarizationCurve:
-        """Aggregate polarization curve of distinct parallel channels."""
-        if not channel_curves:
-            raise ConfigurationError("need at least one channel curve")
-        v_top = max(float(c.voltage_v[0]) for c in channel_curves)
-        v_bot = min(float(c.voltage_v[-1]) for c in channel_curves)
-        voltages = np.linspace(v_top - 1e-9, max(v_bot, 1e-6), n_points)
-        currents = np.array(
-            [FlowCellArray.combine_at_voltage(channel_curves, v) for v in voltages]
-        )
-        order = np.argsort(currents)
-        currents, voltages = currents[order], voltages[order]
-        keep = np.concatenate(([True], np.diff(currents) > 1e-12))
-        return PolarizationCurve(currents[keep], voltages[keep], label=label)

@@ -77,17 +77,6 @@ class ColaminarCellSpec:
         """Flow rate of each individual stream (half the total) [m^3/s]."""
         return self.volumetric_flow_m3_s / 2.0
 
-    def with_flow(self, volumetric_flow_m3_s: float) -> "ColaminarCellSpec":
-        """Copy of the spec at a different total flow rate."""
-        return ColaminarCellSpec(
-            channel=self.channel,
-            anolyte=self.anolyte,
-            catholyte=self.catholyte,
-            volumetric_flow_m3_s=volumetric_flow_m3_s,
-            electronic_resistance_ohm=self.electronic_resistance_ohm,
-            ocv_adjustment_v=self.ocv_adjustment_v,
-        )
-
 
 @dataclass(frozen=True)
 class ElectrodeCharacteristic:

@@ -125,10 +125,6 @@ class PlanarColaminarCell:
             e_pos - e_neg - current_a * self.resistance_ohm + self.spec.ocv_adjustment_v
         )
 
-    def voltage_at_current_density(self, current_density_a_m2: float) -> float:
-        """Cell voltage [V] at a current density [A/m^2 of electrode]."""
-        return self.voltage_at_current(current_density_a_m2 * self.electrode_area_m2)
-
     def loss_breakdown(self, current_a: float) -> "dict[str, float]":
         """Decompose the total loss at a current into the paper's terms.
 
@@ -148,24 +144,6 @@ class PlanarColaminarCell:
             "eta_mt_pos": -(eta_pos_total - eta_ct_pos),
             "eta_ohmic": current_a * self.resistance_ohm,
         }
-
-    def differential_resistance(self, current_a: float, delta_a: "float | None" = None) -> float:
-        """Small-signal output resistance -dV/dI at an operating point [Ohm].
-
-        The impedance a downstream VRM sees; central difference with a
-        current-scaled step. Grows steeply approaching the transport limit.
-        """
-        if current_a < 0.0:
-            raise ConfigurationError("current must be >= 0")
-        if delta_a is None:
-            delta_a = max(1e-6, 1e-3 * max(current_a, 1e-3))
-        hi = min(current_a + delta_a, 0.999 * self.limiting_current_a)
-        lo = max(current_a - delta_a, 0.0)
-        if hi <= lo:
-            raise ConfigurationError("operating point too close to the limit")
-        v_hi = self.voltage_at_current(hi)
-        v_lo = self.voltage_at_current(lo)
-        return -(v_hi - v_lo) / (hi - lo)
 
     # -- curves ---------------------------------------------------------------------
 

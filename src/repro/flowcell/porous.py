@@ -234,23 +234,6 @@ class FlowThroughPorousCell:
         currents = np.maximum.accumulate(currents)
         return ElectrodeCharacteristic(potentials, currents)
 
-    def axial_profile(
-        self, electrolyte: Electrolyte, potential_v: float, anodic: bool
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Plug-flow state along the channel at a fixed electrode potential.
-
-        Returns ``(x_m, conc_ox, conc_red)`` arrays over the segment
-        midpoints — the depletion profile that caps the Faradaic conversion
-        and the quantity a reactant-utilisation study reads.
-        """
-        _, profile_ox, profile_red = (
-            np.array(column)
-            for column in zip(*self._segment_march(electrolyte, potential_v, anodic))
-        )
-        length = self.spec.channel.length_m
-        xs = (np.arange(self.n_segments) + 0.5) * length / self.n_segments
-        return xs, profile_ox, profile_red
-
     # -- full cell ---------------------------------------------------------------------
 
     @property

@@ -57,21 +57,6 @@ class ChannelArray:
         """Width of the silicon wall (fin) between adjacent channels [m]."""
         return self.pitch_m - self.channel.width_m
 
-    @property
-    def footprint_width_m(self) -> float:
-        """Total width spanned by the array across the flow direction [m]."""
-        return self.count * self.pitch_m
-
-    @property
-    def total_flow_area_m2(self) -> float:
-        """Sum of all channel cross-sections [m^2]."""
-        return self.count * self.channel.cross_section_area_m2
-
-    @property
-    def total_electrode_area_m2(self) -> float:
-        """Total area of one electrode kind (anode or cathode) [m^2]."""
-        return self.count * self.channel.electrode_area_m2
-
     def per_channel_flow(self, total_flow_m3_s: float) -> float:
         """Even flow split across identical parallel channels [m^3/s]."""
         if total_flow_m3_s < 0.0:

@@ -84,11 +84,6 @@ class RectangularChannel:
         return self.width_m / 2.0
 
     @property
-    def stream_cross_section_m2(self) -> float:
-        """Cross-section of one stream (half the channel) [m^2]."""
-        return self.cross_section_area_m2 / 2.0
-
-    @property
     def electrode_area_m2(self) -> float:
         """Area of one side-wall electrode: h*L [m^2]."""
         return self.height_m * self.length_m
@@ -97,11 +92,6 @@ class RectangularChannel:
     def inter_electrode_gap_m(self) -> float:
         """Distance between anode and cathode walls (= channel width) [m]."""
         return self.width_m
-
-    @property
-    def volume_m3(self) -> float:
-        """Channel internal volume [m^3]."""
-        return self.cross_section_area_m2 * self.length_m
 
     # -- kinematics ---------------------------------------------------------
 
@@ -112,25 +102,3 @@ class RectangularChannel:
                 f"volumetric flow must be >= 0, got {volumetric_flow_m3_s}"
             )
         return volumetric_flow_m3_s / self.cross_section_area_m2
-
-    def wall_shear_rate(self, volumetric_flow_m3_s: float, across: str = "width") -> float:
-        """Near-wall shear rate of fully developed laminar duct flow [1/s].
-
-        For a parallel-plate approximation the wall shear rate is
-        ``6 * v_mean / s`` where s is the plate spacing. ``across`` selects
-        which wall pair: ``"width"`` for the side-wall electrodes (spacing =
-        channel width), ``"height"`` for top/bottom walls.
-
-        The Leveque mass-transfer model consumes this value; using the
-        parallel-plate form for a rectangular duct is the standard
-        approximation in the microfluidic fuel-cell literature.
-        """
-        spacing = self.width_m if across == "width" else self.height_m
-        return 6.0 * self.mean_velocity(volumetric_flow_m3_s) / spacing
-
-    def residence_time(self, volumetric_flow_m3_s: float) -> float:
-        """Mean residence time L/v [s] of fluid in the channel."""
-        velocity = self.mean_velocity(volumetric_flow_m3_s)
-        if velocity == 0.0:
-            return float("inf")
-        return self.length_m / velocity

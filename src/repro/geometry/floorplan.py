@@ -83,11 +83,6 @@ class Block:
     def y_max_m(self) -> float:
         return self.y_m + self.height_m
 
-    @property
-    def center_m(self) -> "tuple[float, float]":
-        """Geometric centre (x, y) [m]."""
-        return (self.x_m + self.width_m / 2.0, self.y_m + self.height_m / 2.0)
-
     def contains(self, x_m: float, y_m: float) -> bool:
         """Whether the point lies inside the block (closed lower, open upper)."""
         return (self.x_m <= x_m < self.x_max_m) and (self.y_m <= y_m < self.y_max_m)

@@ -86,43 +86,3 @@ def build_power7_floorplan(
         add_column(cursor_mm, name, kind, col_width_mm, stacked, counters[name])
         cursor_mm += col_width_mm
     return floorplan
-
-
-def full_load_power_densities(
-    chip_average_w_cm2: float = 26.7,
-    cache_w_cm2: float = 1.0,
-    logic_w_cm2: float = 10.0,
-    io_w_cm2: float = 5.0,
-    floorplan: "Floorplan | None" = None,
-) -> "dict[BlockKind, float]":
-    """Block power densities [W/m^2] for the full-load operating point.
-
-    The paper fixes two anchors: caches at ~1 W/cm2 (Section III-A) and a
-    full-load chip power density of 26.7 W/cm2 (Section III). Given modest
-    assumptions for the logic and I/O columns, the core density is solved so
-    that the area-weighted total equals the chip-average anchor; on the
-    default floorplan this lands near 50 W/cm2 — typical of full-load
-    high-performance cores of that generation.
-    """
-    if floorplan is None:
-        floorplan = build_power7_floorplan()
-    area = floorplan.area_m2
-    area_core = floorplan.total_area_of(BlockKind.CORE)
-    area_cache = floorplan.total_area_of(BlockKind.L2, BlockKind.L3)
-    area_logic = floorplan.total_area_of(BlockKind.LOGIC)
-    area_io = floorplan.total_area_of(BlockKind.IO)
-
-    from repro.units import w_m2_from_w_cm2
-
-    total_w = w_m2_from_w_cm2(chip_average_w_cm2) * area
-    cache_w = w_m2_from_w_cm2(cache_w_cm2) * area_cache
-    logic_w = w_m2_from_w_cm2(logic_w_cm2) * area_logic
-    io_w = w_m2_from_w_cm2(io_w_cm2) * area_io
-    core_density_w_m2 = (total_w - cache_w - logic_w - io_w) / area_core
-    return {
-        BlockKind.CORE: core_density_w_m2,
-        BlockKind.L2: w_m2_from_w_cm2(cache_w_cm2),
-        BlockKind.L3: w_m2_from_w_cm2(cache_w_cm2),
-        BlockKind.LOGIC: w_m2_from_w_cm2(logic_w_cm2),
-        BlockKind.IO: w_m2_from_w_cm2(io_w_cm2),
-    }

@@ -11,7 +11,7 @@ This subpackage provides the property substrate everything else builds on:
 - :mod:`repro.materials.solids` — solid materials for thermal and PDN models.
 """
 
-from repro.materials.electrolyte import Electrolyte, ElectrolyteState
+from repro.materials.electrolyte import Electrolyte
 from repro.materials.fluid import Fluid
 from repro.materials.properties import (
     Arrhenius,
@@ -39,7 +39,6 @@ __all__ = [
     "TemperatureModel",
     "Fluid",
     "Electrolyte",
-    "ElectrolyteState",
     "RedoxCouple",
     "vanadium_negative_couple",
     "vanadium_positive_couple",

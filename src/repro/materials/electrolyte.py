@@ -5,10 +5,6 @@ bulk fluid (density, viscosity, thermal properties), its ionic conductivity
 (for the ohmic overvoltage, paper's eta_Omega = R*I) and the inlet
 concentrations of the oxidised/reduced forms of its redox couple
 (paper's C*_Ox, C*_Red in Tables I and II).
-
-:class:`ElectrolyteState` is the mutable counterpart used inside solvers: the
-local concentrations evolve along the channel as the reaction consumes
-reactant, while the :class:`Electrolyte` recipe itself stays frozen.
 """
 
 from __future__ import annotations
@@ -80,17 +76,6 @@ class Electrolyte:
         """Total dissolved redox concentration [mol/m^3] (conserved)."""
         return self.conc_ox + self.conc_red
 
-    def state_of_charge(self, as_fuel: bool) -> float:
-        """Fraction of the couple in its 'charged' form.
-
-        For the fuel stream (negative electrode) the charged species is the
-        *reduced* form (V2+); for the oxidant stream it is the *oxidised*
-        form (VO2+). Returns a value in [0, 1].
-        """
-        if as_fuel:
-            return self.conc_red / self.total_vanadium
-        return self.conc_ox / self.total_vanadium
-
     def charge_capacity_per_volume(self, as_fuel: bool) -> float:
         """Extractable charge per unit electrolyte volume [C/m^3].
 
@@ -109,26 +94,6 @@ class Electrolyte:
             conc_red=conc_red,
             ionic_conductivity=self.ionic_conductivity,
         )
-
-
-@dataclass
-class ElectrolyteState:
-    """Mutable local state of an electrolyte inside a solver.
-
-    Tracks the local bulk concentrations and temperature of one stream as it
-    moves down the channel. Solvers create one per discretisation cell.
-    """
-
-    conc_ox: float
-    conc_red: float
-    temperature_k: float
-
-    def clamp_nonnegative(self) -> None:
-        """Clip tiny negative concentrations produced by round-off to zero."""
-        if self.conc_ox < 0.0:
-            self.conc_ox = 0.0
-        if self.conc_red < 0.0:
-            self.conc_red = 0.0
 
 
 def default_conductivity_model(

@@ -63,22 +63,6 @@ class Fluid:
             if value <= 0.0:
                 raise ConfigurationError(f"{label} must be positive at 300 K, got {value}")
 
-    def kinematic_viscosity(self, temperature_k: float = 300.0) -> float:
-        """nu = mu / rho [m^2/s] at the given temperature."""
-        return self.dynamic_viscosity(temperature_k) / self.density(temperature_k)
-
-    def specific_heat_capacity(self, temperature_k: float = 300.0) -> float:
-        """cp [J/(kg*K)] derived from the volumetric heat capacity."""
-        return self.volumetric_heat_capacity(temperature_k) / self.density(temperature_k)
-
-    def prandtl(self, temperature_k: float = 300.0) -> float:
-        """Prandtl number Pr = cp * mu / k at the given temperature."""
-        return (
-            self.specific_heat_capacity(temperature_k)
-            * self.dynamic_viscosity(temperature_k)
-            / self.thermal_conductivity(temperature_k)
-        )
-
 
 #: Activation energy of viscous flow for aqueous sulfuric-acid electrolytes
 #: [J/mol]; literature values for 2-4 M H2SO4 vanadium electrolytes cluster

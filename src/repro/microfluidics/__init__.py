@@ -3,33 +3,27 @@
 These are the momentum/energy/species substrates (paper eqs. 9-12) that the
 flow-cell and thermal models build on:
 
-- :mod:`repro.microfluidics.flow` — Reynolds number, laminar velocity
-  profiles, entrance lengths, regime checks (the membraneless co-laminar
-  concept requires low Re).
-- :mod:`repro.microfluidics.hydraulics` — pressure drop (open rectangular
-  ducts via the exact f*Re series, porous media via Darcy) and pumping
-  power (Darcy-Weisbach + Bernoulli, as used for the paper's 4.4 W figure).
-- :mod:`repro.microfluidics.heat_transfer` — Nusselt correlations and
-  convective conductances for the microchannel heat-sink model.
+- :mod:`repro.microfluidics.flow` — Reynolds number (the membraneless
+  co-laminar concept requires low Re) and the cross-channel laminar
+  velocity profile.
+- :mod:`repro.microfluidics.hydraulics` — Darcy pressure drop through
+  porous media and pumping power (Darcy-Weisbach + Bernoulli, as used for
+  the paper's 4.4 W figure).
+- :mod:`repro.microfluidics.heat_transfer` — Nusselt correlations, the
+  wall heat-transfer coefficient and the fin efficiency of the
+  microchannel heat-sink model.
 - :mod:`repro.microfluidics.mass_transfer` — Leveque/Graetz developing
   boundary-layer mass transfer and porous-media correlations that set the
   limiting current of the flow cells.
 """
 
-from repro.microfluidics.flow import (
-    entrance_length_m,
-    is_laminar,
-    reynolds_number,
-)
+from repro.microfluidics.flow import reynolds_number
 from repro.microfluidics.heat_transfer import (
-    convective_conductance_per_length,
     heat_transfer_coefficient,
     nusselt_rectangular,
 )
 from repro.microfluidics.hydraulics import (
     darcy_pressure_drop,
-    friction_factor_times_re,
-    open_channel_pressure_drop,
     pumping_power,
 )
 from repro.microfluidics.mass_transfer import (
@@ -40,15 +34,10 @@ from repro.microfluidics.mass_transfer import (
 
 __all__ = [
     "reynolds_number",
-    "is_laminar",
-    "entrance_length_m",
-    "friction_factor_times_re",
-    "open_channel_pressure_drop",
     "darcy_pressure_drop",
     "pumping_power",
     "nusselt_rectangular",
     "heat_transfer_coefficient",
-    "convective_conductance_per_length",
     "leveque_local_mass_transfer_coefficient",
     "average_mass_transfer_coefficient",
     "porous_mass_transfer_coefficient",

@@ -4,23 +4,17 @@ The membraneless co-laminar flow cell exists *because* microchannel flow is
 deeply laminar: the paper (Section II) notes that for small hydraulic
 diameters the Reynolds number ``Re = rho*v*Dh/mu`` is low enough that the
 fuel and oxidant streams flow side by side without convective mixing. These
-helpers quantify that: Reynolds number, laminar-regime checks, hydrodynamic
-entrance length, and the fully developed laminar velocity profile of a
-rectangular duct (used by the finite-volume species solver).
+helpers quantify that: the Reynolds number, and the cross-channel laminar
+velocity profile the finite-volume species solver convects with.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.channel import RectangularChannel
 from repro.materials.fluid import Fluid
-
-#: Conventional upper bound of the laminar regime in ducts.
-LAMINAR_RE_LIMIT = 2300.0
 
 
 def reynolds_number(
@@ -37,56 +31,6 @@ def reynolds_number(
         * channel.hydraulic_diameter_m
         / fluid.dynamic_viscosity(temperature_k)
     )
-
-
-def is_laminar(
-    channel: RectangularChannel,
-    fluid: Fluid,
-    volumetric_flow_m3_s: float,
-    temperature_k: float = 300.0,
-) -> bool:
-    """Whether the flow is laminar (Re below :data:`LAMINAR_RE_LIMIT`)."""
-    return reynolds_number(channel, fluid, volumetric_flow_m3_s, temperature_k) < LAMINAR_RE_LIMIT
-
-
-def entrance_length_m(
-    channel: RectangularChannel,
-    fluid: Fluid,
-    volumetric_flow_m3_s: float,
-    temperature_k: float = 300.0,
-) -> float:
-    """Hydrodynamic entrance length of laminar duct flow [m].
-
-    Uses the standard correlation ``L_e = 0.05 * Re * D_h``. For the
-    channels of this study L_e is tens of micrometres — negligible against
-    the 22-33 mm channel lengths, which justifies the fully developed
-    profile assumed everywhere else.
-    """
-    re = reynolds_number(channel, fluid, volumetric_flow_m3_s, temperature_k)
-    return 0.05 * re * channel.hydraulic_diameter_m
-
-
-def parallel_plate_velocity_profile(
-    y_over_gap: np.ndarray, mean_velocity_m_s: float
-) -> np.ndarray:
-    """Poiseuille profile between parallel plates.
-
-    ``u(y) = 6 * v_mean * (y/s) * (1 - y/s)`` with y measured from one wall
-    and s the gap. This is the cross-channel profile the quasi-2D species
-    solver uses (the spanwise direction is much wider than the gap for the
-    validation cell, and the approximation is standard for co-laminar cells).
-
-    Parameters
-    ----------
-    y_over_gap:
-        Normalised positions y/s in [0, 1].
-    mean_velocity_m_s:
-        Bulk mean velocity [m/s].
-    """
-    y = np.asarray(y_over_gap, dtype=float)
-    if np.any(y < 0.0) or np.any(y > 1.0):
-        raise ConfigurationError("y_over_gap values must lie in [0, 1]")
-    return 6.0 * mean_velocity_m_s * y * (1.0 - y)
 
 
 def cross_channel_velocity_profile(
@@ -128,43 +72,3 @@ def cross_channel_velocity_profile(
         raise ConfigurationError("velocity profile has non-positive mean")
     return profile * (mean_velocity_m_s / mean)
 
-
-def rectangular_duct_velocity_profile(
-    channel: RectangularChannel,
-    mean_velocity_m_s: float,
-    nx: int,
-    ny: int,
-    terms: int = 11,
-) -> np.ndarray:
-    """Fully developed laminar velocity field of a rectangular duct.
-
-    Evaluates the classical double-series solution (truncated Fourier form,
-    odd ``terms`` kept) of u(x, y) on an (ny, nx) cell-centre grid spanning
-    the cross-section, normalised so that the mean equals
-    ``mean_velocity_m_s``. Used for high-fidelity shear/transport studies
-    and to validate the parallel-plate approximation.
-    """
-    if nx < 1 or ny < 1:
-        raise ConfigurationError(f"grid must be at least 1x1, got {nx}x{ny}")
-    if terms < 1:
-        raise ConfigurationError(f"terms must be >= 1, got {terms}")
-    a = channel.width_m / 2.0
-    b = channel.height_m / 2.0
-    # Cell-centre coordinates centred on the duct axis.
-    xs = (np.arange(nx) + 0.5) / nx * channel.width_m - a
-    ys = (np.arange(ny) + 0.5) / ny * channel.height_m - b
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    profile = np.zeros_like(grid_x)
-    for k in range(terms):
-        n = 2 * k + 1
-        beta = n * math.pi / (2.0 * a)
-        term = (
-            ((-1.0) ** k / n**3)
-            * (1.0 - np.cosh(beta * grid_y) / math.cosh(beta * b))
-            * np.cos(beta * grid_x)
-        )
-        profile += term
-    mean = profile.mean()
-    if mean <= 0.0:
-        raise ConfigurationError("velocity series summed to a non-positive mean")
-    return profile * (mean_velocity_m_s / mean)

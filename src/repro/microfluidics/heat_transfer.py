@@ -7,9 +7,8 @@ thermal model needs to couple fluid cells to the surrounding silicon:
   of aspect ratio (constant-heat-flux boundary, interpolated from the Shah &
   London tabulation),
 - the wall heat-transfer coefficient ``h = Nu * k_fluid / D_h``,
-- per-unit-length and per-cell convective conductances including the fin
-  effect of the silicon walls between channels (the standard microchannel
-  heat-sink treatment, cf. the paper's refs [6-8]).
+- the fin efficiency of the silicon walls between channels (the standard
+  microchannel heat-sink treatment, cf. the paper's refs [6-8]).
 """
 
 from __future__ import annotations
@@ -68,52 +67,3 @@ def fin_efficiency(
     if mh < 1e-9:
         return 1.0
     return math.tanh(mh) / mh
-
-
-def convective_conductance_per_length(
-    channel: RectangularChannel,
-    fluid: Fluid,
-    wall_width_m: float = 0.0,
-    temperature_k: float = 300.0,
-    wall_material: SolidMaterial = SILICON,
-) -> float:
-    """Wall-to-fluid conductance per unit channel length [W/(m*K)].
-
-    Accounts for the full wetted perimeter with the two side walls treated
-    as fins of the given thickness (``wall_width_m``); the base (bottom and
-    top) surfaces count at full efficiency. This is the conductance the
-    compact thermal model distributes among the cells bordering a fluid
-    cell.
-    """
-    h = heat_transfer_coefficient(channel, fluid, temperature_k)
-    eta_fin = fin_efficiency(channel.height_m, wall_width_m, h, wall_material)
-    base_perimeter = 2.0 * channel.width_m            # top + bottom surfaces
-    fin_perimeter = 2.0 * channel.height_m            # two side walls
-    return h * (base_perimeter + eta_fin * fin_perimeter)
-
-
-def advective_capacity_rate(
-    fluid: Fluid, volumetric_flow_m3_s: float, temperature_k: float = 300.0
-) -> float:
-    """Heat capacity rate of a stream, m_dot*cp = rho*cp*Q [W/K].
-
-    Multiplying by a temperature difference gives the enthalpy the stream
-    carries; the total chip power divided by this rate is the coolant
-    outlet temperature rise (the paper's ~3 K at 676 ml/min).
-    """
-    if volumetric_flow_m3_s < 0.0:
-        raise ConfigurationError("flow rate must be >= 0")
-    return fluid.volumetric_heat_capacity(temperature_k) * volumetric_flow_m3_s
-
-
-def outlet_temperature_rise(
-    total_heat_w: float,
-    fluid: Fluid,
-    volumetric_flow_m3_s: float,
-    temperature_k: float = 300.0,
-) -> float:
-    """Bulk coolant temperature rise [K] from a global energy balance."""
-    rate = advective_capacity_rate(fluid, volumetric_flow_m3_s, temperature_k)
-    if rate == 0.0:
-        return float("inf")
-    return total_heat_w / rate

@@ -3,8 +3,6 @@
 Implements the momentum side of the paper (eqs. 9-10) in the compact form
 actually used for system evaluation:
 
-- fully developed laminar flow in an *open* rectangular duct via the exact
-  f*Re(aspect) series solution (Shah & London),
 - Darcy flow through a *porous* electrode-filled channel (the flow-through
   electrode configuration needed to reach the paper's array current
   densities; see DESIGN.md substitution note 3),
@@ -20,44 +18,6 @@ from repro.materials.fluid import Fluid
 
 #: Default pump efficiency assumed by the paper (Section III-B, ref [6]).
 DEFAULT_PUMP_EFFICIENCY = 0.5
-
-#: Shah & London polynomial for f*Re of rectangular ducts as a function of
-#: aspect ratio alpha = min/max side, exact to ~0.05 %.
-_FRE_COEFFS = (1.0, -1.3553, 1.9467, -1.7012, 0.9564, -0.2537)
-
-
-def friction_factor_times_re(aspect_ratio: float) -> float:
-    """f*Re for fully developed laminar flow in a rectangular duct.
-
-    ``aspect_ratio`` is min(w,h)/max(w,h) in (0, 1]. Limits: 56.91 for the
-    square duct (alpha=1), 96 for parallel plates (alpha->0).
-    """
-    if not 0.0 < aspect_ratio <= 1.0:
-        raise ConfigurationError(f"aspect ratio must be in (0, 1], got {aspect_ratio}")
-    poly = 0.0
-    for power, coeff in enumerate(_FRE_COEFFS):
-        poly += coeff * aspect_ratio**power
-    return 96.0 * poly
-
-
-def open_channel_pressure_drop(
-    channel: RectangularChannel,
-    fluid: Fluid,
-    volumetric_flow_m3_s: float,
-    temperature_k: float = 300.0,
-) -> float:
-    """Pressure drop [Pa] across an open (electrode-free) channel.
-
-    Darcy-Weisbach with the laminar friction factor f = (f*Re)/Re:
-
-    ``dp = (f*Re) * mu * L * v / (2 * Dh^2)``
-    """
-    if volumetric_flow_m3_s < 0.0:
-        raise ConfigurationError("flow rate must be >= 0")
-    f_re = friction_factor_times_re(channel.aspect_ratio)
-    velocity = channel.mean_velocity(volumetric_flow_m3_s)
-    mu = fluid.dynamic_viscosity(temperature_k)
-    return f_re * mu * channel.length_m * velocity / (2.0 * channel.hydraulic_diameter_m**2)
 
 
 def darcy_pressure_drop(
@@ -95,10 +55,3 @@ def pumping_power(
     if pressure_drop_pa < 0.0 or volumetric_flow_m3_s < 0.0:
         raise ConfigurationError("pressure drop and flow rate must be >= 0")
     return pressure_drop_pa * volumetric_flow_m3_s / pump_efficiency
-
-
-def pressure_gradient_pa_per_m(pressure_drop_pa: float, length_m: float) -> float:
-    """Average pressure gradient [Pa/m] along a channel of given length."""
-    if length_m <= 0.0:
-        raise ConfigurationError(f"length must be > 0, got {length_m}")
-    return pressure_drop_pa / length_m

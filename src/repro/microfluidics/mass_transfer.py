@@ -64,20 +64,6 @@ def average_mass_transfer_coefficient(
     return 1.5 * local_at_end
 
 
-def boundary_layer_thickness(
-    diffusivity_m2_s: float, wall_shear_rate_s: float, distance_m: float
-) -> float:
-    """Concentration boundary-layer thickness delta_c(x) [m].
-
-    Defined through delta_c = D / k_m(x); used to check the Leveque validity
-    condition (delta_c much smaller than the stream half-width).
-    """
-    k_m = leveque_local_mass_transfer_coefficient(
-        diffusivity_m2_s, wall_shear_rate_s, distance_m
-    )
-    return diffusivity_m2_s / k_m
-
-
 def porous_mass_transfer_coefficient(
     diffusivity_m2_s: float,
     superficial_velocity_m_s: float,
@@ -117,18 +103,3 @@ def porous_mass_transfer_coefficient(
         * fibre_diameter_m ** (exponent - 1.0)
         * superficial_velocity_m_s**exponent
     )
-
-
-def limiting_current_density(
-    n_electrons: int,
-    mass_transfer_coefficient_m_s: float,
-    bulk_concentration_mol_m3: float,
-) -> float:
-    """Transport-limited current density j_lim = n*F*k_m*C* [A/m^2]."""
-    from repro.constants import FARADAY
-
-    if n_electrons < 1:
-        raise ConfigurationError(f"n_electrons must be >= 1, got {n_electrons}")
-    if mass_transfer_coefficient_m_s < 0.0 or bulk_concentration_mol_m3 < 0.0:
-        raise ConfigurationError("k_m and concentration must be >= 0")
-    return n_electrons * FARADAY * mass_transfer_coefficient_m_s * bulk_concentration_mol_m3

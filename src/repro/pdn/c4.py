@@ -58,11 +58,6 @@ class C4DeliveryBaseline:
         return max(1, int(self.total_bump_count * self.power_bump_fraction / 2.0))
 
     @property
-    def io_bump_count(self) -> int:
-        """Bumps left for signals."""
-        return self.total_bump_count - 2 * self.power_bump_count
-
-    @property
     def delivery_resistance_ohm(self) -> float:
         """Effective supply-path resistance [Ohm].
 

@@ -53,15 +53,6 @@ class GridSolution:
         """Highest powered-node voltage [V]."""
         return float(np.nanmax(self.voltage_map_v))
 
-    @property
-    def mean_voltage_v(self) -> float:
-        """Mean powered-node voltage [V]."""
-        return float(np.nanmean(self.voltage_map_v))
-
-    def worst_case_drop_v(self, nominal_v: float) -> float:
-        """IR drop of the worst node relative to a nominal rail [V]."""
-        return nominal_v - self.min_voltage_v
-
 
 def solve_grid(grid: PowerGrid) -> GridSolution:
     """Solve the nodal equations of a power grid.

@@ -1,10 +1,8 @@
 """Through-silicon-via (TSV) bundle model.
 
 The flow-cell electrodes connect to the on-chip grid through TSVs (paper
-Fig. 5). A :class:`TsvBundle` models N copper vias in parallel: series
-resistance, electromigration-limited current capacity, and the silicon
-area the bundle occupies (keep-out included) — the quantities the PDN
-builder and the I/O-gain analysis use.
+Fig. 5). A :class:`TsvBundle` models N copper vias in parallel; the PDN
+builder uses its series resistance.
 """
 
 from __future__ import annotations
@@ -14,10 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.materials.solids import COPPER
-
-#: Conservative electromigration-limited current density for copper TSVs
-#: [A/m^2 of via cross-section].
-TSV_EM_CURRENT_DENSITY_LIMIT = 2.0e9
 
 
 @dataclass(frozen=True)
@@ -32,22 +26,17 @@ class TsvBundle:
         Via radius (5 um is typical for via-middle processes).
     length_m:
         Via length = thickness of silicon traversed.
-    keep_out_factor:
-        Area multiplier for the stress keep-out zone around each via.
     """
 
     count: int
     radius_m: float = 5e-6
     length_m: float = 100e-6
-    keep_out_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigurationError(f"count must be >= 1, got {self.count}")
         if self.radius_m <= 0.0 or self.length_m <= 0.0:
             raise ConfigurationError("radius and length must be > 0")
-        if self.keep_out_factor < 1.0:
-            raise ConfigurationError("keep-out factor must be >= 1")
 
     @property
     def single_via_resistance_ohm(self) -> float:
@@ -59,27 +48,3 @@ class TsvBundle:
     def resistance_ohm(self) -> float:
         """Bundle resistance (parallel vias) [Ohm]."""
         return self.single_via_resistance_ohm / self.count
-
-    @property
-    def max_current_a(self) -> float:
-        """Electromigration-limited bundle current [A]."""
-        area = math.pi * self.radius_m**2
-        return TSV_EM_CURRENT_DENSITY_LIMIT * area * self.count
-
-    @property
-    def footprint_area_m2(self) -> float:
-        """Die area consumed by the bundle including keep-out [m^2]."""
-        return self.count * self.keep_out_factor * math.pi * self.radius_m**2
-
-    def sized_for_current(self, current_a: float) -> "TsvBundle":
-        """A copy with the minimal via count carrying ``current_a`` safely."""
-        if current_a <= 0.0:
-            raise ConfigurationError("current must be > 0")
-        per_via = TSV_EM_CURRENT_DENSITY_LIMIT * math.pi * self.radius_m**2
-        needed = max(1, math.ceil(current_a / per_via))
-        return TsvBundle(
-            count=needed,
-            radius_m=self.radius_m,
-            length_m=self.length_m,
-            keep_out_factor=self.keep_out_factor,
-        )

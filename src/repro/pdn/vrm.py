@@ -13,12 +13,10 @@ cites:
   rational topology ratio.
 - :class:`BuckVRM` — stacked-chip buck after Onizuka et al. 2007
   (ref [23]): wide-ratio regulation at a flatter ~80 % efficiency, needing
-  interposer inductors (captured as an added series thermal/area cost by
-  the system model).
+  interposer inductors (a lower power density, so more converter area).
 
-All models expose the same small interface used by the system layer:
-``output_voltage(i_out)``, ``input_power(p_out)`` and
-``required_area_m2(p_out)``.
+The system layer reads a model's ``efficiency`` (1.0 when it has none) and
+its ``required_area_m2(p_out)``.
 """
 
 from __future__ import annotations
@@ -34,14 +32,6 @@ class VoltageRegulator(Protocol):
 
     nominal_output_v: float
 
-    def output_voltage(self, i_out_a: float) -> float:
-        """Regulated output voltage [V] at a load current (includes droop)."""
-        ...
-
-    def input_power(self, p_out_w: float) -> float:
-        """Input power [W] drawn from the cell array for a given output power."""
-        ...
-
     def required_area_m2(self, p_out_w: float) -> float:
         """Silicon/interposer area [m^2] needed to convert ``p_out_w``."""
         ...
@@ -52,16 +42,6 @@ class IdealVRM:
     """Lossless, droop-free regulator (analysis baseline)."""
 
     nominal_output_v: float = 1.0
-
-    def output_voltage(self, i_out_a: float) -> float:
-        if i_out_a < 0.0:
-            raise ConfigurationError("load current must be >= 0")
-        return self.nominal_output_v
-
-    def input_power(self, p_out_w: float) -> float:
-        if p_out_w < 0.0:
-            raise ConfigurationError("output power must be >= 0")
-        return p_out_w
 
     def required_area_m2(self, p_out_w: float) -> float:
         return 0.0
@@ -81,8 +61,6 @@ class SwitchedCapacitorVRM:
         Efficiency at the ideal rational conversion ratio (0.86 reported).
     power_density_w_m2:
         Converted power per converter area (4.6 W/mm^2 reported).
-    output_impedance_ohm:
-        Effective droop impedance at the output.
     ratio_granularity:
         Available topology ratios are multiples of 1/this (2:1, 3:2, ... a
         granularity of 6 models a reconfigurable 1/6-step SC bank).
@@ -92,7 +70,6 @@ class SwitchedCapacitorVRM:
     nominal_output_v: float = 1.0
     peak_efficiency: float = 0.86
     power_density_w_m2: float = 4.6e6
-    output_impedance_ohm: float = 0.02
     ratio_granularity: int = 6
 
     def __post_init__(self) -> None:
@@ -102,8 +79,6 @@ class SwitchedCapacitorVRM:
             raise ConfigurationError("peak efficiency must be in (0, 1]")
         if self.power_density_w_m2 <= 0.0:
             raise ConfigurationError("power density must be > 0")
-        if self.output_impedance_ohm < 0.0:
-            raise ConfigurationError("output impedance must be >= 0")
         if self.ratio_granularity < 1:
             raise ConfigurationError("ratio granularity must be >= 1")
 
@@ -133,16 +108,6 @@ class SwitchedCapacitorVRM:
         mismatch = requested / best_ratio
         return self.peak_efficiency * mismatch
 
-    def output_voltage(self, i_out_a: float) -> float:
-        if i_out_a < 0.0:
-            raise ConfigurationError("load current must be >= 0")
-        return self.nominal_output_v - self.output_impedance_ohm * i_out_a
-
-    def input_power(self, p_out_w: float) -> float:
-        if p_out_w < 0.0:
-            raise ConfigurationError("output power must be >= 0")
-        return p_out_w / self.efficiency
-
     def required_area_m2(self, p_out_w: float) -> float:
         return p_out_w / self.power_density_w_m2
 
@@ -152,16 +117,13 @@ class BuckVRM:
     """Stacked-chip buck converter (Onizuka 2007, ref [23]).
 
     Flat efficiency across conversion ratios (the inductor does the work)
-    but lower power density, and the interposer inductors add a series
-    thermal-resistance penalty the system model can account for.
+    but lower power density.
     """
 
     input_v: float
     nominal_output_v: float = 1.0
     efficiency: float = 0.80
     power_density_w_m2: float = 1.5e6
-    output_impedance_ohm: float = 0.01
-    interposer_thermal_resistance_k_m2_w: float = 2.0e-6
 
     def __post_init__(self) -> None:
         if self.input_v <= 0.0 or self.nominal_output_v <= 0.0:
@@ -172,16 +134,6 @@ class BuckVRM:
             raise ConfigurationError("efficiency must be in (0, 1]")
         if self.power_density_w_m2 <= 0.0:
             raise ConfigurationError("power density must be > 0")
-
-    def output_voltage(self, i_out_a: float) -> float:
-        if i_out_a < 0.0:
-            raise ConfigurationError("load current must be >= 0")
-        return self.nominal_output_v - self.output_impedance_ohm * i_out_a
-
-    def input_power(self, p_out_w: float) -> float:
-        if p_out_w < 0.0:
-            raise ConfigurationError("output power must be >= 0")
-        return p_out_w / self.efficiency
 
     def required_area_m2(self, p_out_w: float) -> float:
         return p_out_w / self.power_density_w_m2

@@ -311,9 +311,6 @@ class VectorThrottleGovernors:
         ) = (np.array(column, dtype=float) for column in zip(*lanes))
         self.reset()
 
-    def __len__(self) -> int:
-        return self._trips_c.size
-
     @property
     def throttled(self) -> np.ndarray:
         """Per-lane boolean: which lanes are currently throttling."""

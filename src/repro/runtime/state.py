@@ -197,14 +197,6 @@ class ElectrolyteStateArray:
                 )
                 self._volumes_m3[t, lane] = tank.volume_m3
 
-    def __len__(self) -> int:
-        return self._min_socs.size
-
-    @property
-    def has_reservoir(self) -> np.ndarray:
-        """Per-lane boolean: which lanes track a reservoir at all."""
-        return self._has_reservoir.copy()
-
     @property
     def depleted(self) -> np.ndarray:
         """Per-lane boolean: which lanes exhausted their SOC window."""

@@ -118,21 +118,6 @@ class WorkloadTrace:
                 return segment
         return self.segments[-1]
 
-    def utilization_at(self, time_s: float) -> float:
-        """Commanded utilization at ``time_s``."""
-        return self.segment_at(time_s).utilization
-
-    def workload_at(self, time_s: float) -> str:
-        """Commanded workload name at ``time_s``."""
-        return self.segment_at(time_s).workload
-
-    def boundaries_s(self) -> "list[float]":
-        """Segment start times plus the trace end, ascending."""
-        times = [0.0]
-        for segment in self.segments:
-            times.append(times[-1] + segment.duration_s)
-        return times
-
     def iter_steps(self, dt_s: float) -> "Iterator[tuple[float, float, TraceSegment]]":
         """``(t_start, step_dt, segment)`` covering the trace exactly.
 

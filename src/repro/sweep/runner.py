@@ -96,16 +96,6 @@ class SweepResults(Sequence):
                 f"common to all results: {sorted(common)}"
             ) from None
 
-    def best(self, metric: str, mode: str = "max") -> SweepResult:
-        """The scenario extremizing one metric."""
-        if mode not in ("max", "min"):
-            raise ConfigurationError("mode must be 'max' or 'min'")
-        if not self._results:
-            raise ConfigurationError("no results to rank")
-        self.metric(metric)  # validate the name with a helpful error
-        pick = max if mode == "max" else min
-        return pick(self._results, key=lambda r: r.metrics[metric])
-
     def varying_fields(self) -> "list[str]":
         """Spec fields that take more than one value across the sweep."""
         names = []

@@ -86,18 +86,3 @@ def kind_temperatures(
         sums[kind] = sums.get(kind, 0.0) + s.mean_c * s.block.area_m2
         areas[kind] = areas.get(kind, 0.0) + s.block.area_m2
     return {kind: sums[kind] / areas[kind] for kind in sums}
-
-
-def thermal_gradient_c_per_mm(
-    solution: ThermalSolution, layer_name: str = "active_si"
-) -> float:
-    """Largest lateral temperature gradient magnitude on a layer [degC/mm].
-
-    Mechanical-stress proxy: steep on-die gradients drive thermo-mechanical
-    reliability concerns that dense liquid cooling mitigates.
-    """
-    field = solution.field_celsius(layer_name)
-    model = solution.model
-    gy, gx = np.gradient(field, model.dy, model.dx)
-    magnitude = np.hypot(gx, gy)
-    return float(magnitude.max()) * 1e-3  # per mm

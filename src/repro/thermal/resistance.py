@@ -4,66 +4,14 @@ Cooling technologies are compared by their junction-to-coolant thermal
 resistance; the paper's refs [6-8] quote microchannel solutions in the
 0.1 K*cm2/W class against ~0.5+ for air. This module extracts those
 figures from solved thermal models so the proposed system can be placed on
-that scale:
-
-- the *area-specific* resistance map r(x, y) = (T_junction - T_inlet) /
-  q''(x, y) over powered cells,
-- the lumped junction-to-inlet resistance at the hot spot,
-- the case-study headline number.
+that scale with the lumped junction-to-inlet resistance.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.thermal.model import ThermalModel
 from repro.thermal.solver import ThermalSolution
-
-
-def area_specific_resistance_map(
-    solution: ThermalSolution,
-    power_map_w: np.ndarray,
-    layer_name: str = "active_si",
-    min_flux_w_m2: float = 1e3,
-) -> np.ndarray:
-    """r(x, y) = dT / q'' [K*m^2/W]; NaN where the cell is unpowered.
-
-    ``power_map_w`` is the per-cell power [W] used in the solve. Cells
-    whose flux is below ``min_flux_w_m2`` are masked (the ratio is
-    meaningless there).
-    """
-    model = solution.model
-    if power_map_w.shape != (model.ny, model.nx):
-        raise ConfigurationError(
-            f"power map shape {power_map_w.shape} != raster "
-            f"({model.ny}, {model.nx})"
-        )
-    cell_area = model.dx * model.dy
-    flux = power_map_w / cell_area
-    rise = solution.field(layer_name) - model.inlet_temperature_k
-    result = np.full_like(flux, np.nan)
-    powered = flux >= min_flux_w_m2
-    result[powered] = rise[powered] / flux[powered]
-    return result
-
-
-def hotspot_resistance_k_cm2_w(
-    solution: ThermalSolution,
-    power_map_w: np.ndarray,
-    layer_name: str = "active_si",
-) -> float:
-    """Area-specific junction-to-inlet resistance at the hottest cell
-    [K*cm^2/W] — the single figure used to rank cooling technologies."""
-    model = solution.model
-    field = solution.field(layer_name)
-    iy, ix = np.unravel_index(int(np.argmax(field)), field.shape)
-    cell_area = model.dx * model.dy
-    flux = power_map_w[iy, ix] / cell_area
-    if flux <= 0.0:
-        raise ConfigurationError("hottest cell carries no power")
-    rise = float(field[iy, ix]) - model.inlet_temperature_k
-    return rise / flux * 1e4  # K*m^2/W -> K*cm^2/W
 
 
 def junction_to_inlet_resistance_k_w(

@@ -146,11 +146,6 @@ class MicrochannelLayer:
         """Plan-view fraction of the layer occupied by channels."""
         return self.array.channel.width_m / self.array.pitch_m
 
-    @property
-    def per_channel_flow_m3_s(self) -> float:
-        """Flow through one channel [m^3/s]."""
-        return self.array.per_channel_flow(self.total_flow_m3_s)
-
 
 Layer = "SolidLayer | MicrochannelLayer"
 
@@ -182,8 +177,3 @@ class LayerStack:
             if layer.name == name:
                 return k
         raise ConfigurationError(f"no layer named {name!r} in stack")
-
-    @property
-    def total_thickness_m(self) -> float:
-        """Stack height [m]."""
-        return sum(layer.thickness_m for layer in self.layers)

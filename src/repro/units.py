@@ -5,8 +5,8 @@ The paper and the microfluidics literature, however, quote quantities in
 laboratory units (uL/min, ml/min, mA/cm^2, bar, um, mm). These helpers make
 the conversions explicit and self-documenting at call sites.
 
-Each function converts *to* SI; the ``*_from_si`` variants convert back for
-reporting. Keeping both directions as named functions avoids the classic
+Each function is named ``<to>_from_<from>``: most convert to SI, a few
+convert SI back for reporting. Named conversions avoid the classic
 "factor of 60" and "per-cm^2 vs per-m^2" bugs in hand-written conversions.
 """
 
@@ -27,16 +27,6 @@ def meters_from_um(value_um: float) -> float:
     return value_um * 1e-6
 
 
-def mm_from_meters(value_m: float) -> float:
-    """Metres -> millimetres."""
-    return value_m * 1e3
-
-
-def um_from_meters(value_m: float) -> float:
-    """Metres -> micrometres."""
-    return value_m * 1e6
-
-
 # ---------------------------------------------------------------------------
 # Volumetric flow rate
 # ---------------------------------------------------------------------------
@@ -55,29 +45,9 @@ def m3s_from_ml_per_min(value_ml_min: float) -> float:
     return value_ml_min * 1e-6 / _SECONDS_PER_MINUTE
 
 
-def ml_per_min_from_m3s(value_m3s: float) -> float:
-    """m^3/s -> millilitres per minute."""
-    return value_m3s * 1e6 * _SECONDS_PER_MINUTE
-
-
-def ul_per_min_from_m3s(value_m3s: float) -> float:
-    """m^3/s -> microlitres per minute."""
-    return value_m3s * 1e9 * _SECONDS_PER_MINUTE
-
-
 # ---------------------------------------------------------------------------
 # Pressure
 # ---------------------------------------------------------------------------
-
-
-def pa_from_bar(value_bar: float) -> float:
-    """Bar -> pascal."""
-    return value_bar * 1e5
-
-
-def bar_from_pa(value_pa: float) -> float:
-    """Pascal -> bar."""
-    return value_pa * 1e-5
 
 
 def bar_per_cm_from_pa_per_m(value: float) -> float:
@@ -90,19 +60,9 @@ def bar_per_cm_from_pa_per_m(value: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def a_m2_from_ma_cm2(value_ma_cm2: float) -> float:
-    """mA/cm^2 -> A/m^2 (1 mA/cm^2 = 10 A/m^2)."""
-    return value_ma_cm2 * 10.0
-
-
 def ma_cm2_from_a_m2(value_a_m2: float) -> float:
     """A/m^2 -> mA/cm^2."""
     return value_a_m2 / 10.0
-
-
-def w_cm2_from_w_m2(value_w_m2: float) -> float:
-    """W/m^2 -> W/cm^2."""
-    return value_w_m2 * 1e-4
 
 
 def w_m2_from_w_cm2(value_w_cm2: float) -> float:
@@ -115,11 +75,6 @@ def w_m2_from_w_cm2(value_w_cm2: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kelvin_from_celsius(value_c: float) -> float:
-    """Degrees Celsius -> kelvin."""
-    return value_c + 273.15
-
-
 def celsius_from_kelvin(value_k: float) -> float:
     """Kelvin -> degrees Celsius."""
     return value_k - 273.15
@@ -128,16 +83,6 @@ def celsius_from_kelvin(value_k: float) -> float:
 # ---------------------------------------------------------------------------
 # Concentration
 # ---------------------------------------------------------------------------
-
-
-def mol_m3_from_molar(value_mol_l: float) -> float:
-    """mol/L (molar) -> mol/m^3."""
-    return value_mol_l * 1e3
-
-
-def molar_from_mol_m3(value_mol_m3: float) -> float:
-    """mol/m^3 -> mol/L (molar)."""
-    return value_mol_m3 * 1e-3
 
 
 # ---------------------------------------------------------------------------

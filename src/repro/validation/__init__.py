@@ -5,15 +5,11 @@ from repro.validation.kjeang2007 import (
     reference_curve,
     reference_flow_rates_ul_min,
 )
-from repro.validation.metrics import (
-    compare_polarization,
-    max_relative_voltage_error,
-)
+from repro.validation.metrics import compare_polarization
 
 __all__ = [
     "KJEANG2007_REFERENCE",
     "reference_curve",
     "reference_flow_rates_ul_min",
     "compare_polarization",
-    "max_relative_voltage_error",
 ]

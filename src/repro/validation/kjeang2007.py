@@ -60,9 +60,8 @@ def reference_flow_rates_ul_min() -> "tuple[float, ...]":
 def reference_curve(flow_ul_min: float) -> PolarizationCurve:
     """Reference polarization curve at one of the four flow rates.
 
-    Current is in mA/cm2 (as plotted in the paper's Fig. 3); convert with
-    :func:`repro.units.a_m2_from_ma_cm2` when comparing against model
-    output in SI.
+    Current is in mA/cm2 (as plotted in the paper's Fig. 3); convert SI
+    model output with :func:`repro.units.ma_cm2_from_a_m2` to compare.
     """
     if flow_ul_min not in KJEANG2007_REFERENCE:
         raise ConfigurationError(

@@ -82,10 +82,3 @@ def compare_polarization(
         reference_v=reference.voltage_v[inside],
         model_v=model_v,
     )
-
-
-def max_relative_voltage_error(
-    model: PolarizationCurve, reference: PolarizationCurve
-) -> float:
-    """Shorthand for the paper's headline validation number."""
-    return compare_polarization(model, reference).max_relative_error

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.baselines import ConventionalBaseline
-from repro.core.metrics import (
-    EnergyBalance,
-    bright_silicon_utilization,
-    dark_silicon_fraction,
-)
+from repro.core.metrics import EnergyBalance, bright_silicon_utilization
 from repro.errors import ConfigurationError
 
 
@@ -17,47 +13,10 @@ class TestEnergyBalance:
         balance = EnergyBalance(generated_w=6.0, pumping_w=4.4)
         assert balance.is_net_positive
         assert balance.net_w == pytest.approx(1.6)
-        assert balance.gain_ratio == pytest.approx(6.0 / 4.4)
 
     def test_net_negative_case(self):
         balance = EnergyBalance(generated_w=2.0, pumping_w=4.4)
         assert not balance.is_net_positive
-
-    def test_free_flow(self):
-        assert EnergyBalance(1.0, 0.0).gain_ratio == float("inf")
-
-    def test_from_hydraulics_prices_the_pump(self):
-        # 1 kPa at 1 L/s is 1 W hydraulic; the paper's 50 % pump doubles
-        # the electrical cost, a perfect pump pays it exactly.
-        default = EnergyBalance.from_hydraulics(6.0, 1000.0, 1e-3)
-        assert default.pumping_w == pytest.approx(2.0)
-        ideal = EnergyBalance.from_hydraulics(
-            6.0, 1000.0, 1e-3, pump_efficiency=1.0
-        )
-        assert ideal.pumping_w == pytest.approx(1.0)
-        assert ideal.net_w > default.net_w
-
-    def test_from_hydraulics_matches_case_study_anchor(self):
-        from repro.casestudy.power7plus import (
-            array_pressure_drop_pa,
-            array_pumping_power_w,
-        )
-        from repro.units import m3s_from_ml_per_min
-
-        balance = EnergyBalance.from_hydraulics(
-            6.0, array_pressure_drop_pa(676.0), m3s_from_ml_per_min(676.0)
-        )
-        assert balance.pumping_w == pytest.approx(array_pumping_power_w(676.0))
-        assert balance.pumping_w == pytest.approx(4.4, abs=0.1)
-        # A realistic 80 % pump, threaded through the same path.
-        assert array_pumping_power_w(
-            676.0, pump_efficiency=0.8
-        ) == pytest.approx(balance.pumping_w * 0.5 / 0.8)
-
-    def test_from_hydraulics_rejects_bad_efficiency(self):
-        with pytest.raises(ConfigurationError):
-            EnergyBalance.from_hydraulics(6.0, 1000.0, 1e-3,
-                                          pump_efficiency=0.0)
 
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
@@ -81,11 +40,6 @@ class TestBrightSiliconSearch:
         u = bright_silicon_utilization(peak, tolerance=1e-4)
         assert peak(u) <= 85.0 + 1e-6
 
-    def test_dark_fraction(self):
-        assert dark_silicon_fraction(0.8) == pytest.approx(0.2)
-        with pytest.raises(ConfigurationError):
-            dark_silicon_fraction(1.2)
-
 
 class TestConventionalBaseline:
     def test_full_load_overheats(self):
@@ -105,7 +59,7 @@ class TestConventionalBaseline:
     def test_closed_form_matches_bisection(self):
         baseline = ConventionalBaseline()
         assert baseline.max_utilization() == pytest.approx(
-            baseline.bisection_max_utilization(), abs=0.01
+            bright_silicon_utilization(baseline.peak_temperature_c), abs=0.01
         )
 
     def test_limit_temperature_met_at_max_utilization(self):

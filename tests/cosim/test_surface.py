@@ -101,7 +101,6 @@ class TestVectorization:
 
     def test_scalar_conveniences(self, surface):
         assert isinstance(surface.current_at(300.0, 1.0), float)
-        assert isinstance(surface.ocv_at(300.0), float)
 
     def test_warmer_groups_make_more_current(self, surface):
         temps = np.linspace(300.0, 340.0, 9)
@@ -189,7 +188,7 @@ class TestGridEdges:
         assert narrow.current_at(edge_t, 1.0) == pytest.approx(
             direct, rel=1e-12
         )
-        assert narrow.ocv_at(edge_t) == pytest.approx(
+        assert narrow.ocvs_at([edge_t])[0] == pytest.approx(
             curve.open_circuit_voltage_v, rel=1e-12
         )
 
@@ -239,15 +238,6 @@ class TestSharing:
     def test_same_config_shares_one_surface(self):
         config = CosimConfig(nx=44, ny=22, n_curve_points=35)
         assert surface_for(config) is surface_for(config)
-
-    def test_steady_and_transient_share(self):
-        """The steady loop and the transient stepper draw from one store."""
-        from repro.cosim import ElectroThermalCosim, TransientCosim
-
-        config = CosimConfig(nx=22, ny=11, n_curve_points=30)
-        steady = ElectroThermalCosim(config)
-        transient = TransientCosim(config)
-        assert steady._surface is transient._surface
 
     def test_different_flow_gets_its_own_surface(self):
         base = CosimConfig(nx=44, ny=22)

@@ -7,7 +7,6 @@ import pytest
 from repro.constants import FARADAY, GAS_CONSTANT
 from repro.errors import ConfigurationError
 from repro.electrochem.butler_volmer import (
-    charge_transfer_resistance,
     current_density,
     exchange_current_density,
     overpotential_for_current,
@@ -100,17 +99,6 @@ class TestInverse:
         eta2 = overpotential_for_current(couple, 1e6, 500.0, 500.0)
         tafel = 2.303 * GAS_CONSTANT * 300.0 / (0.5 * FARADAY)
         assert eta2 - eta1 == pytest.approx(tafel, rel=0.02)
-
-
-class TestChargeTransferResistance:
-    def test_formula(self, couple):
-        r_ct = charge_transfer_resistance(couple, 500.0, 500.0)
-        j0 = exchange_current_density(couple, 500.0, 500.0)
-        assert r_ct == pytest.approx(GAS_CONSTANT * 300.0 / (FARADAY * j0))
-
-    def test_raises_for_empty_electrolyte(self, couple):
-        with pytest.raises(ConfigurationError):
-            charge_transfer_resistance(couple, 0.0, 500.0)
 
 
 class TestWallReactionCoefficients:

@@ -1,13 +1,11 @@
-"""Tests for ohmic and mass-transport loss models."""
+"""Tests for the film model and the co-laminar ohmic resistance."""
 
 import pytest
 
-from repro.constants import FARADAY, GAS_CONSTANT
-from repro.errors import ConfigurationError, OperatingPointError
+from repro.constants import FARADAY
+from repro.errors import OperatingPointError
 from repro.electrochem.losses import (
     film_surface_concentrations,
-    mass_transport_overvoltage,
-    ohmic_overvoltage,
     ohmic_resistance_colaminar,
 )
 from repro.geometry.channel import RectangularChannel
@@ -38,30 +36,6 @@ class TestFilmModel:
         j_lim = FARADAY * 1e-5 * 500.0
         consumed, _ = film_surface_concentrations(j_lim, 500.0, 100.0, 1e-5, 1)
         assert consumed == pytest.approx(0.0, abs=1e-9)
-
-
-class TestMassTransportOvervoltage:
-    def test_paper_eq7_negative_electrode(self):
-        import math
-
-        couple = vanadium_negative_couple()  # alpha = 0.5
-        eta = mass_transport_overvoltage(couple, 500.0, 250.0, 300.0, "negative")
-        expected = (GAS_CONSTANT * 300.0 / (0.5 * FARADAY)) * math.log(2.0)
-        assert eta == pytest.approx(expected, rel=1e-6)
-
-    def test_paper_eq8_positive_electrode_sign(self):
-        couple = vanadium_negative_couple()
-        eta = mass_transport_overvoltage(couple, 500.0, 250.0, 300.0, "positive")
-        assert eta < 0.0
-
-    def test_no_depletion_no_loss(self):
-        couple = vanadium_negative_couple()
-        assert mass_transport_overvoltage(couple, 500.0, 500.0) == pytest.approx(0.0)
-
-    def test_rejects_bad_electrode_name(self):
-        couple = vanadium_negative_couple()
-        with pytest.raises(ConfigurationError):
-            mass_transport_overvoltage(couple, 500.0, 250.0, electrode="middle")
 
 
 class TestOhmicResistance:
@@ -96,12 +70,3 @@ class TestOhmicResistance:
         assert ohmic_resistance_colaminar(wide, a, c) > ohmic_resistance_colaminar(
             narrow, a, c
         )
-
-
-class TestOhmicOvervoltage:
-    def test_formula(self):
-        assert ohmic_overvoltage(0.5, 6.0) == pytest.approx(3.0)
-
-    def test_rejects_negative_resistance(self):
-        with pytest.raises(ConfigurationError):
-            ohmic_overvoltage(-0.1, 1.0)

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.electrochem.nernst import (
     equilibrium_potential,
     open_circuit_voltage,
-    standard_cell_voltage,
 )
 from repro.materials.species import (
     vanadium_negative_couple,
@@ -60,9 +59,6 @@ class TestEquilibriumPotential:
 
 
 class TestCellVoltages:
-    def test_standard_vanadium_ocv(self, neg, pos):
-        # The paper's 1.25 V standard OCV (actually 1.246 with Table I E0s).
-        assert standard_cell_voltage(pos, neg) == pytest.approx(1.246, abs=1e-3)
 
     def test_table1_ocv(self, neg, pos):
         # Charged Kjeang electrolytes: Nernst OCV ~1.43 V.

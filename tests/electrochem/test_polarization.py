@@ -86,12 +86,3 @@ class TestTransforms:
     def test_scale_must_be_positive(self, curve):
         with pytest.raises(ConfigurationError):
             curve.scaled(0.0)
-
-    def test_clipping(self, curve):
-        clipped = curve.clipped_to_voltage(1.0)
-        assert clipped.voltage_v.min() >= 1.0
-        assert clipped.current_a.size < curve.current_a.size
-
-    def test_clipping_too_aggressive_raises(self, curve):
-        with pytest.raises(ConfigurationError):
-            curve.clipped_to_voltage(2.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.electrochem.polarization import PolarizationCurve
-from repro.errors import ConfigurationError, OperatingPointError
 from repro.flowcell.array import FlowCellArray
 
 
@@ -37,34 +36,6 @@ class TestParallelScaling:
         assert many.max_power_w == pytest.approx(88.0 * single.max_power_w)
 
 
-class TestOperatingPoints:
-    def test_constant_power_on_curve(self, array):
-        voltage, current = array.operating_point_constant_power(20.0)
-        assert voltage * current == pytest.approx(20.0, rel=1e-6)
-        assert array.current_at_voltage(voltage) == pytest.approx(current, rel=1e-6)
-
-    def test_constant_power_takes_efficient_branch(self, array):
-        """Of the two P=const intersections, the higher-voltage one wins."""
-        voltage, _ = array.operating_point_constant_power(10.0)
-        v_mpp = array.curve.voltage_at_current(array.curve.current_at_max_power_a)
-        assert voltage > v_mpp
-
-    def test_unreachable_power_raises(self, array):
-        with pytest.raises(OperatingPointError):
-            array.operating_point_constant_power(2.0 * array.max_power_w)
-
-    def test_constant_resistance(self, array):
-        voltage, current = array.operating_point_constant_resistance(0.2)
-        assert voltage / current == pytest.approx(0.2, rel=1e-6)
-        assert array.current_at_voltage(voltage) == pytest.approx(current, rel=1e-6)
-
-    def test_rejects_bad_load(self, array):
-        with pytest.raises(ConfigurationError):
-            array.operating_point_constant_resistance(-1.0)
-        with pytest.raises(ConfigurationError):
-            array.operating_point_constant_power(0.0)
-
-
 class TestHeterogeneousCombination:
     def test_identical_channels_match_scaling(self, channel_curve):
         total = FlowCellArray.combine_at_voltage([channel_curve] * 88, 1.0)
@@ -80,14 +51,3 @@ class TestHeterogeneousCombination:
         v_floor = float(channel_curve.voltage_v[-1])
         total = FlowCellArray.combine_at_voltage([channel_curve], v_floor / 2.0)
         assert total == pytest.approx(channel_curve.max_current_a)
-
-    def test_combined_curve_monotone(self, channel_curve):
-        hot = PolarizationCurve(
-            channel_curve.current_a * 1.2, channel_curve.voltage_v + 0.01
-        )
-        combined = FlowCellArray.combined_curve([channel_curve, hot], n_points=40)
-        assert np.all(np.diff(combined.voltage_v) <= 1e-12)
-
-    def test_combined_curve_needs_input(self):
-        with pytest.raises(ConfigurationError):
-            FlowCellArray.combined_curve([])

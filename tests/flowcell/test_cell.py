@@ -1,5 +1,7 @@
 """Tests for shared flow-cell definitions and polarization assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,17 +15,9 @@ class TestColaminarCellSpec:
             validation_spec_60.volumetric_flow_m3_s / 2.0
         )
 
-    def test_with_flow_copies(self, validation_spec_60):
-        doubled = validation_spec_60.with_flow(2.0 * validation_spec_60.volumetric_flow_m3_s)
-        assert doubled.volumetric_flow_m3_s == pytest.approx(
-            2.0 * validation_spec_60.volumetric_flow_m3_s
-        )
-        assert doubled.channel is validation_spec_60.channel
-        assert doubled.ocv_adjustment_v == validation_spec_60.ocv_adjustment_v
-
     def test_rejects_zero_flow(self, validation_spec_60):
         with pytest.raises(ConfigurationError):
-            validation_spec_60.with_flow(0.0)
+            replace(validation_spec_60, volumetric_flow_m3_s=0.0)
 
 
 class TestElectrodeCharacteristic:

@@ -25,8 +25,6 @@ SITES = {
         lambda spec, bad: spec.__class__(
             spec.channel, spec.anolyte, spec.catholyte, bad
         )),
-    "ColaminarCellSpec.with_flow": ("volumetric_flow_m3_s",
-        lambda spec, bad: spec.with_flow(bad)),
     "ColaminarCellSpec electronic_resistance_ohm": (
         "electronic_resistance_ohm",
         lambda spec, bad: spec.__class__(

@@ -17,16 +17,6 @@ class TestLayout:
     def test_wall_width(self, table2_array):
         assert table2_array.wall_width_m == pytest.approx(100e-6)
 
-    def test_footprint_spans_die_width(self, table2_array):
-        # 88 * 300 um = 26.4 mm ~ the 26.55 mm POWER7+ length.
-        assert table2_array.footprint_width_m == pytest.approx(26.4e-3)
-
-    def test_total_flow_area(self, table2_array):
-        assert table2_array.total_flow_area_m2 == pytest.approx(88 * 8e-8)
-
-    def test_total_electrode_area(self, table2_array):
-        assert table2_array.total_electrode_area_m2 == pytest.approx(88 * 8.8e-6)
-
     def test_coverage_fraction(self, table2_array):
         coverage = table2_array.coverage_fraction(26.55e-3)
         assert coverage == pytest.approx(88 * 200e-6 / 26.55e-3)

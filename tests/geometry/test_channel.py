@@ -1,7 +1,5 @@
 """Tests for rectangular channel geometry."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -51,9 +49,6 @@ class TestElectrodeGeometry:
         total_cm2 = 88 * table2_channel.electrode_area_m2 * 1e4
         assert total_cm2 == pytest.approx(7.744, rel=1e-3)
 
-    def test_stream_cross_section_is_half(self, table2_channel):
-        assert table2_channel.stream_cross_section_m2 == pytest.approx(4e-8)
-
     def test_gap_equals_width(self, table2_channel):
         assert table2_channel.inter_electrode_gap_m == table2_channel.width_m
 
@@ -66,24 +61,6 @@ class TestKinematics:
 
     def test_zero_flow(self, table2_channel):
         assert table2_channel.mean_velocity(0.0) == 0.0
-        assert math.isinf(table2_channel.residence_time(0.0))
-
-    def test_residence_time(self, table2_channel):
-        q = 676e-6 / 60.0 / 88
-        expected = 22e-3 / table2_channel.mean_velocity(q)
-        assert table2_channel.residence_time(q) == pytest.approx(expected)
-
-    def test_shear_rate_across_width(self, table2_channel):
-        q = table2_channel.cross_section_area_m2 * 1.0  # v = 1 m/s
-        assert table2_channel.wall_shear_rate(q, across="width") == pytest.approx(
-            6.0 / 200e-6
-        )
-
-    def test_shear_rate_across_height(self, table1_channel):
-        q = table1_channel.cross_section_area_m2 * 1.0
-        assert table1_channel.wall_shear_rate(q, across="height") == pytest.approx(
-            6.0 / 150e-6
-        )
 
     def test_negative_flow_rejected(self, table2_channel):
         with pytest.raises(ConfigurationError):

@@ -22,10 +22,6 @@ class TestBlock:
         block = Block("b", BlockKind.CORE, 0.0, 0.0, 2e-3, 3e-3)
         assert block.area_m2 == pytest.approx(6e-6)
 
-    def test_center(self):
-        block = Block("b", BlockKind.CORE, 1e-3, 2e-3, 2e-3, 2e-3)
-        assert block.center_m == pytest.approx((2e-3, 3e-3))
-
     def test_contains_half_open(self):
         block = Block("b", BlockKind.CORE, 0.0, 0.0, 1e-3, 1e-3)
         assert block.contains(0.0, 0.0)

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.geometry.floorplan import BlockKind
-from repro.geometry.power7 import (
-    build_power7_floorplan,
-    full_load_power_densities,
-)
-from repro.units import w_m2_from_w_cm2
+from repro.geometry.power7 import build_power7_floorplan
 
 
 class TestFloorplanStructure:
@@ -55,22 +51,3 @@ class TestFloorplanStructure:
         fp = build_power7_floorplan(length_mm=40.0, width_mm=30.0)
         assert fp.width_m == pytest.approx(40e-3)
         assert len(fp.blocks_of_kind(BlockKind.CORE)) == 8
-
-
-class TestPowerDensities:
-    def test_chip_average_matches_anchor(self, floorplan):
-        densities = full_load_power_densities(floorplan=floorplan)
-        total = sum(
-            densities[b.kind] * b.area_m2 for b in floorplan.blocks
-        )
-        average = total / floorplan.area_m2
-        assert average == pytest.approx(w_m2_from_w_cm2(26.7), rel=1e-6)
-
-    def test_cache_density_default(self, floorplan):
-        densities = full_load_power_densities(floorplan=floorplan)
-        assert densities[BlockKind.L2] == pytest.approx(w_m2_from_w_cm2(1.0))
-
-    def test_core_density_realistic(self, floorplan):
-        densities = full_load_power_densities(floorplan=floorplan)
-        core_w_cm2 = densities[BlockKind.CORE] / 1e4
-        assert 40.0 < core_w_cm2 < 60.0

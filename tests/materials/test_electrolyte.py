@@ -6,7 +6,6 @@ from repro.constants import FARADAY
 from repro.errors import ConfigurationError
 from repro.materials.electrolyte import (
     Electrolyte,
-    ElectrolyteState,
     default_conductivity_model,
 )
 from repro.materials.fluid import vanadium_electrolyte_fluid
@@ -26,13 +25,6 @@ def fuel():
 class TestElectrolyte:
     def test_total_vanadium_conserved_quantity(self, fuel):
         assert fuel.total_vanadium == pytest.approx(1000.0)
-
-    def test_state_of_charge_fuel_side(self, fuel):
-        # The charged fuel species is the reduced form (V2+).
-        assert fuel.state_of_charge(as_fuel=True) == pytest.approx(0.92)
-
-    def test_state_of_charge_oxidant_side(self, fuel):
-        assert fuel.state_of_charge(as_fuel=False) == pytest.approx(0.08)
 
     def test_charge_capacity(self, fuel):
         expected = 1 * FARADAY * 920.0
@@ -56,14 +48,6 @@ class TestElectrolyte:
 
     def test_default_conductivity_positive(self, fuel):
         assert fuel.ionic_conductivity(300.0) > 0.0
-
-
-class TestElectrolyteState:
-    def test_clamp_removes_roundoff_negatives(self):
-        state = ElectrolyteState(conc_ox=-1e-18, conc_red=5.0, temperature_k=300.0)
-        state.clamp_nonnegative()
-        assert state.conc_ox == 0.0
-        assert state.conc_red == 5.0
 
 
 class TestConductivityModel:

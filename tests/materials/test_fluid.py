@@ -12,19 +12,6 @@ class TestFluid:
         assert fluid.density(300.0) == 1260.0
         assert fluid.dynamic_viscosity(300.0) == 2.53e-3
 
-    def test_kinematic_viscosity(self):
-        fluid = Fluid(1000.0, 1e-3, 0.6, 4.18e6)
-        assert fluid.kinematic_viscosity(300.0) == pytest.approx(1e-6)
-
-    def test_specific_heat(self):
-        fluid = Fluid(1000.0, 1e-3, 0.6, 4.18e6)
-        assert fluid.specific_heat_capacity(300.0) == pytest.approx(4180.0)
-
-    def test_prandtl_number_scale(self):
-        # Water-like fluid: Pr ~ 7.
-        fluid = Fluid(1000.0, 1e-3, 0.6, 4.18e6)
-        assert 6.0 < fluid.prandtl(300.0) < 8.0
-
     def test_rejects_nonpositive_property(self):
         with pytest.raises(ConfigurationError):
             Fluid(0.0, 2.5e-3, 0.67, 4.187e6)

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.geometry.channel import RectangularChannel
 from repro.materials.fluid import vanadium_electrolyte_fluid
 from repro.microfluidics.flow import (
     cross_channel_velocity_profile,
-    entrance_length_m,
-    is_laminar,
-    parallel_plate_velocity_profile,
-    rectangular_duct_velocity_profile,
     reynolds_number,
 )
 
@@ -33,36 +28,11 @@ class TestReynolds:
         q = 676e-6 / 60.0 / 88
         re = reynolds_number(channel, fluid, q)
         assert re == pytest.approx(212, rel=0.02)
-        assert is_laminar(channel, fluid, q)
 
     def test_scales_linearly_with_flow(self, channel, fluid):
         re1 = reynolds_number(channel, fluid, 1e-7)
         re2 = reynolds_number(channel, fluid, 2e-7)
         assert re2 == pytest.approx(2.0 * re1)
-
-    def test_entrance_length_negligible(self, channel, fluid):
-        # L_e must be far below the 22 mm channel length.
-        q = 676e-6 / 60.0 / 88
-        assert entrance_length_m(channel, fluid, q) < 0.2 * channel.length_m
-
-
-class TestParallelPlateProfile:
-    def test_maximum_at_center(self):
-        u = parallel_plate_velocity_profile(np.array([0.5]), 1.0)
-        assert u[0] == pytest.approx(1.5)
-
-    def test_zero_at_walls(self):
-        u = parallel_plate_velocity_profile(np.array([0.0, 1.0]), 1.0)
-        assert np.allclose(u, 0.0)
-
-    def test_mean_is_bulk_velocity(self):
-        y = np.linspace(0, 1, 20001)
-        u = parallel_plate_velocity_profile(y, 2.0)
-        assert np.trapezoid(u, y) == pytest.approx(2.0, rel=1e-6)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            parallel_plate_velocity_profile(np.array([1.2]), 1.0)
 
 
 class TestCrossChannelProfile:
@@ -92,23 +62,3 @@ class TestCrossChannelProfile:
         u = cross_channel_velocity_profile(channel, 1.0, 64)
         assert np.allclose(u, u[::-1])
 
-
-class TestDuctProfileSeries:
-    def test_mean_normalised(self, channel):
-        u = rectangular_duct_velocity_profile(channel, 1.3, 24, 24)
-        assert u.mean() == pytest.approx(1.3, rel=1e-9)
-
-    def test_peak_location_at_center(self, channel):
-        u = rectangular_duct_velocity_profile(channel, 1.0, 25, 25)
-        iy, ix = np.unravel_index(np.argmax(u), u.shape)
-        assert abs(ix - 12) <= 1 and abs(iy - 12) <= 1
-
-    def test_square_duct_peak_ratio(self):
-        # u_max / u_mean for a square duct is ~2.096.
-        square = RectangularChannel(1e-4, 1e-4, 1e-2)
-        u = rectangular_duct_velocity_profile(square, 1.0, 41, 41, terms=25)
-        assert u.max() == pytest.approx(2.096, rel=0.02)
-
-    def test_rejects_bad_grid(self, channel):
-        with pytest.raises(ConfigurationError):
-            rectangular_duct_velocity_profile(channel, 1.0, 0, 10)

@@ -6,12 +6,9 @@ from repro.errors import ConfigurationError
 from repro.geometry.channel import RectangularChannel
 from repro.materials.fluid import vanadium_electrolyte_fluid
 from repro.microfluidics.heat_transfer import (
-    advective_capacity_rate,
-    convective_conductance_per_length,
     fin_efficiency,
     heat_transfer_coefficient,
     nusselt_rectangular,
-    outlet_temperature_rise,
 )
 
 
@@ -76,33 +73,3 @@ class TestFinEfficiency:
         for height in (1e-5, 1e-4, 1e-3, 1e-2):
             eta = fin_efficiency(height, 50e-6, 2e4)
             assert 0.0 < eta <= 1.0
-
-
-class TestConductancePerLength:
-    def test_positive_and_scales_with_h(self, channel, fluid):
-        g = convective_conductance_per_length(channel, fluid, wall_width_m=100e-6)
-        assert g > 0.0
-        # Must be below the no-fin-loss upper bound h*P.
-        h = heat_transfer_coefficient(channel, fluid)
-        assert g <= h * channel.wetted_perimeter_m
-
-    def test_footprint_ratio_matches_hand_calc(self, channel, fluid):
-        # Wetted-to-footprint enhancement at 300 um pitch is ~3.8.
-        g = convective_conductance_per_length(channel, fluid, wall_width_m=100e-6)
-        h = heat_transfer_coefficient(channel, fluid)
-        assert g / (h * 300e-6) == pytest.approx(3.8, rel=0.05)
-
-
-class TestEnergyBalanceHelpers:
-    def test_capacity_rate_table2(self, fluid):
-        # 676 ml/min * 4.187e6 J/m3K = 47.2 W/K.
-        rate = advective_capacity_rate(fluid, 676e-6 / 60.0)
-        assert rate == pytest.approx(47.2, rel=0.01)
-
-    def test_outlet_rise_paper_scale(self, fluid):
-        # 151 W chip -> ~3.2 K coolant rise at the nominal flow.
-        rise = outlet_temperature_rise(151.3, fluid, 676e-6 / 60.0)
-        assert rise == pytest.approx(3.2, abs=0.1)
-
-    def test_zero_flow_gives_infinite_rise(self, fluid):
-        assert outlet_temperature_rise(100.0, fluid, 0.0) == float("inf")

@@ -7,9 +7,6 @@ from repro.geometry.channel import RectangularChannel
 from repro.materials.fluid import vanadium_electrolyte_fluid
 from repro.microfluidics.hydraulics import (
     darcy_pressure_drop,
-    friction_factor_times_re,
-    open_channel_pressure_drop,
-    pressure_gradient_pa_per_m,
     pumping_power,
 )
 
@@ -22,48 +19,6 @@ def channel():
 @pytest.fixture
 def fluid():
     return vanadium_electrolyte_fluid()
-
-
-class TestFrictionFactor:
-    def test_square_duct(self):
-        assert friction_factor_times_re(1.0) == pytest.approx(56.91, rel=2e-3)
-
-    def test_parallel_plate_limit(self):
-        assert friction_factor_times_re(1e-9) == pytest.approx(96.0, rel=1e-3)
-
-    def test_aspect_half(self):
-        # Shah & London: f*Re = 62.19 at alpha = 0.5.
-        assert friction_factor_times_re(0.5) == pytest.approx(62.19, rel=5e-3)
-
-    def test_monotone_decreasing_in_aspect(self):
-        values = [friction_factor_times_re(a) for a in (0.1, 0.3, 0.5, 0.8, 1.0)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_rejects_out_of_range(self):
-        for aspect in (0.0, -0.5, 1.5):
-            with pytest.raises(ConfigurationError):
-                friction_factor_times_re(aspect)
-
-
-class TestOpenChannel:
-    def test_laminar_linearity_in_flow(self, channel, fluid):
-        dp1 = open_channel_pressure_drop(channel, fluid, 1e-7)
-        dp2 = open_channel_pressure_drop(channel, fluid, 2e-7)
-        assert dp2 == pytest.approx(2.0 * dp1)
-
-    def test_magnitude_at_table2_flow(self, channel, fluid):
-        # Open channels at 1.6 m/s: ~0.39 bar over 22 mm.
-        q = 676e-6 / 60.0 / 88
-        dp = open_channel_pressure_drop(channel, fluid, q)
-        assert dp == pytest.approx(0.39e5, rel=0.05)
-
-    def test_scales_with_length(self, fluid):
-        short = RectangularChannel(200e-6, 400e-6, 11e-3)
-        long = RectangularChannel(200e-6, 400e-6, 22e-3)
-        q = 1e-7
-        assert open_channel_pressure_drop(long, fluid, q) == pytest.approx(
-            2.0 * open_channel_pressure_drop(short, fluid, q)
-        )
 
 
 class TestDarcy:
@@ -103,12 +58,3 @@ class TestPumpingPower:
     def test_rejects_negative_inputs(self):
         with pytest.raises(ConfigurationError):
             pumping_power(-1.0, 1e-5)
-
-
-class TestGradient:
-    def test_gradient(self):
-        assert pressure_gradient_pa_per_m(2.2e5, 0.022) == pytest.approx(1e7)
-
-    def test_rejects_zero_length(self):
-        with pytest.raises(ConfigurationError):
-            pressure_gradient_pa_per_m(1e5, 0.0)

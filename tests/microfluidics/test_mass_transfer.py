@@ -8,9 +8,7 @@ from repro.errors import ConfigurationError
 from repro.microfluidics.mass_transfer import (
     LEVEQUE_CONSTANT,
     average_mass_transfer_coefficient,
-    boundary_layer_thickness,
     leveque_local_mass_transfer_coefficient,
-    limiting_current_density,
     porous_mass_transfer_coefficient,
 )
 
@@ -49,7 +47,7 @@ class TestLeveque:
         """
         k_m = average_mass_transfer_coefficient(1.3e-10, 133.3, 0.033)
         assert k_m == pytest.approx(3.3e-6, rel=0.05)
-        j_lim = limiting_current_density(1, k_m, 992.0)
+        j_lim = FARADAY * k_m * 992.0
         assert j_lim == pytest.approx(316.0, rel=0.06)
 
     def test_cube_root_flow_scaling_of_limiting_current(self):
@@ -57,11 +55,6 @@ class TestLeveque:
         k_low = average_mass_transfer_coefficient(1.3e-10, 10.0, 0.033)
         k_high = average_mass_transfer_coefficient(1.3e-10, 1200.0, 0.033)
         assert k_high / k_low == pytest.approx(120.0 ** (1.0 / 3.0), rel=1e-6)
-
-    def test_boundary_layer_consistency(self):
-        delta = boundary_layer_thickness(1e-10, 100.0, 0.01)
-        k_m = leveque_local_mass_transfer_coefficient(1e-10, 100.0, 0.01)
-        assert delta == pytest.approx(1e-10 / k_m)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):
@@ -91,19 +84,3 @@ class TestPorous:
             porous_mass_transfer_coefficient(-1e-10, 1.0)
         with pytest.raises(ConfigurationError):
             porous_mass_transfer_coefficient(1e-10, 1.0, fibre_diameter_m=0.0)
-
-
-class TestLimitingCurrent:
-    def test_formula(self):
-        assert limiting_current_density(1, 1e-5, 1000.0) == pytest.approx(
-            FARADAY * 1e-2
-        )
-
-    def test_two_electron_doubles(self):
-        assert limiting_current_density(2, 1e-5, 1000.0) == pytest.approx(
-            2.0 * limiting_current_density(1, 1e-5, 1000.0)
-        )
-
-    def test_rejects_bad_electrons(self):
-        with pytest.raises(ConfigurationError):
-            limiting_current_density(0, 1e-5, 1000.0)

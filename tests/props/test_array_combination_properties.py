@@ -61,12 +61,3 @@ class TestCombineProperties:
         total = FlowCellArray.combine_at_voltage([curve] * n, voltage)
         single = FlowCellArray.combine_at_voltage([curve], voltage)
         assert total == pytest.approx(n * single, rel=1e-12, abs=1e-12)
-
-
-class TestCombinedCurveProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(curves=st.lists(polarization_curves(), min_size=1, max_size=5))
-    def test_combined_curve_is_valid(self, curves):
-        combined = FlowCellArray.combined_curve(curves, n_points=30)
-        assert np.all(np.diff(combined.current_a) > 0.0)
-        assert np.all(np.diff(combined.voltage_v) <= 1e-9)

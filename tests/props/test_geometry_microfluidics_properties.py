@@ -5,12 +5,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.geometry.channel import RectangularChannel
-from repro.materials.fluid import vanadium_electrolyte_fluid
-from repro.microfluidics.hydraulics import (
-    friction_factor_times_re,
-    open_channel_pressure_drop,
-    pumping_power,
-)
+from repro.microfluidics.hydraulics import pumping_power
 from repro.microfluidics.mass_transfer import (
     average_mass_transfer_coefficient,
     leveque_local_mass_transfer_coefficient,
@@ -43,20 +38,6 @@ class TestChannelGeometryProperties:
 
 
 class TestHydraulicProperties:
-    @given(aspect=st.floats(0.01, 1.0))
-    def test_fre_within_duct_bounds(self, aspect):
-        value = friction_factor_times_re(aspect)
-        assert 56.0 < value < 96.5
-
-    @given(w=widths, h=heights, length=lengths, q1=flows, q2=flows)
-    def test_pressure_drop_monotone_in_flow(self, w, h, length, q1, q2):
-        channel = RectangularChannel(w, h, length)
-        fluid = vanadium_electrolyte_fluid()
-        lo, hi = sorted((q1, q2))
-        assert open_channel_pressure_drop(channel, fluid, hi) >= open_channel_pressure_drop(
-            channel, fluid, lo
-        )
-
     @given(dp=st.floats(0.0, 1e6), q=st.floats(0.0, 1e-4),
            eta=st.floats(0.05, 1.0))
     def test_pumping_power_scaling(self, dp, q, eta):

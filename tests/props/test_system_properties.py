@@ -1,7 +1,7 @@
 """Property-based tests for system-level components.
 
-Covers conservation and monotonicity invariants of the manifold ladder
-solver, reservoir bookkeeping and workload power maps.
+Covers conservation and monotonicity invariants of reservoir bookkeeping
+and workload power maps.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -9,48 +9,6 @@ import pytest
 
 from repro.casestudy.power7plus import build_array_spec
 from repro.flowcell.recirculation import ElectrolyteReservoir
-from repro.geometry.array import ChannelArray
-from repro.geometry.channel import RectangularChannel
-from repro.materials.fluid import vanadium_electrolyte_fluid
-from repro.microfluidics.manifold import ManifoldDesign, solve_flow_distribution
-
-
-class TestManifoldProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        header_width_mm=st.floats(0.8, 10.0),
-        n_channels=st.integers(4, 40),
-        flow_ml_min=st.floats(10.0, 1000.0),
-        configuration=st.sampled_from(["U", "Z"]),
-    )
-    def test_mass_conservation(self, header_width_mm, n_channels, flow_ml_min,
-                               configuration):
-        """The channel flows always sum to the inlet flow exactly."""
-        channel = RectangularChannel(200e-6, 400e-6, 22e-3)
-        array = ChannelArray(channel, n_channels, 300e-6)
-        header = RectangularChannel(header_width_mm * 1e-3, 400e-6, 1e-3)
-        design = ManifoldDesign(array, header, configuration)
-        total = flow_ml_min * 1e-6 / 60.0
-        result = solve_flow_distribution(
-            design, vanadium_electrolyte_fluid(), total
-        )
-        assert result.total_m3_s == pytest.approx(total, rel=1e-9)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        header_width_mm=st.floats(1.0, 10.0),
-        n_channels=st.integers(4, 40),
-    )
-    def test_uniformity_bounded(self, header_width_mm, n_channels):
-        channel = RectangularChannel(200e-6, 400e-6, 22e-3)
-        array = ChannelArray(channel, n_channels, 300e-6)
-        header = RectangularChannel(header_width_mm * 1e-3, 400e-6, 1e-3)
-        design = ManifoldDesign(array, header, "Z")
-        result = solve_flow_distribution(
-            design, vanadium_electrolyte_fluid(), 1e-5
-        )
-        assert 0.0 < result.uniformity <= 1.0 + 1e-12
-        assert result.worst_channel_deficit >= -1e-12
 
 
 class TestReservoirProperties:

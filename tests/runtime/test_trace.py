@@ -56,23 +56,20 @@ class TestWorkloadTrace:
 
     def test_segment_lookup_half_open(self):
         trace = self.trace()
-        assert trace.utilization_at(0.0) == 0.1
-        assert trace.utilization_at(0.499) == 0.1
+        assert trace.segment_at(0.0).utilization == 0.1
+        assert trace.segment_at(0.499).utilization == 0.1
         # Boundaries belong to the next segment...
-        assert trace.utilization_at(0.5) == 1.0
-        assert trace.workload_at(0.5) == "memory bound"
+        assert trace.segment_at(0.5).utilization == 1.0
+        assert trace.segment_at(0.5).workload == "memory bound"
         # ...except the trace end, which the last segment closes.
-        assert trace.utilization_at(1.5) == 1.0
+        assert trace.segment_at(1.5).utilization == 1.0
 
     def test_lookup_outside_span_raises(self):
         trace = self.trace()
         with pytest.raises(ConfigurationError):
-            trace.utilization_at(-0.1)
+            trace.segment_at(-0.1).utilization
         with pytest.raises(ConfigurationError):
-            trace.utilization_at(1.6)
-
-    def test_boundaries(self):
-        assert self.trace().boundaries_s() == pytest.approx([0.0, 0.5, 1.5])
+            trace.segment_at(1.6).utilization
 
     def test_iter_steps_covers_exactly(self):
         trace = self.trace()

@@ -196,15 +196,6 @@ class TestResults:
         assert record["double_flow"] == 96.0
         assert record["evaluator"] == "_test_cheap"
 
-    def test_best(self):
-        results = self.make()
-        assert results.best("double_flow").spec.total_flow_ml_min == 1352.0
-        assert results.best("double_flow", mode="min").spec.total_flow_ml_min == 48.0
-        with pytest.raises(ConfigurationError):
-            results.best("double_flow", mode="median")
-        with pytest.raises(ConfigurationError):
-            results.best("nope")
-
     def test_unknown_metric_raises(self):
         with pytest.raises(ConfigurationError):
             self.make().metric("nope")

@@ -20,12 +20,6 @@ from repro.flowcell.recirculation import (
 from repro.geometry.array import ChannelArray
 from repro.geometry.channel import RectangularChannel
 from repro.geometry.floorplan import Block, BlockKind, Floorplan
-from repro.materials.fluid import vanadium_electrolyte_fluid
-from repro.microfluidics.dimensionless import characterize
-from repro.microfluidics.manifold import (
-    ManifoldDesign,
-    solve_flow_distribution,
-)
 from repro.runtime import PIDFlowController, ThrottleGovernor
 from repro.serve.jobs import run_job
 from repro.sweep import SweepRunner
@@ -70,25 +64,6 @@ def _loop_step(dt_s):
     ).step(1.0, dt_s)
 
 
-def _manifold(total_flow_m3_s):
-    design = ManifoldDesign(
-        ChannelArray(_channel(), 22, 300e-6),
-        RectangularChannel(4e-3, 400e-6, 1e-3),
-        "Z",
-        1e-10,
-    )
-    return solve_flow_distribution(
-        design, vanadium_electrolyte_fluid(), total_flow_m3_s
-    )
-
-
-def _characterize(**field):
-    spec = build_array_spec()
-    args = {"diffusivity_m2_s": 1e-10,
-            "volumetric_flow_m3_s": spec.volumetric_flow_m3_s, **field}
-    return characterize(spec.channel, spec.anolyte.fluid, **args)
-
-
 def _served_fleet(**params):
     return run_job("fleet", params, SweepRunner())
 
@@ -107,10 +82,6 @@ CASES = [
     ("die_width_m", _coverage),
     ("volume_m3", _reservoir),
     ("dt_s", _loop_step),
-    ("total_flow_m3_s", _manifold),
-    ("diffusivity_m2_s", lambda v: _characterize(diffusivity_m2_s=v)),
-    ("volumetric_flow_m3_s",
-     lambda v: _characterize(volumetric_flow_m3_s=v)),
     ("target_peak_c", lambda v: PIDFlowController(target_peak_c=v)),
     ("kp", lambda v: PIDFlowController(kp=v)),
     ("ki", lambda v: PIDFlowController(ki=v)),

@@ -7,7 +7,6 @@ from repro.thermal.analysis import (
     block_temperatures,
     hottest_block,
     kind_temperatures,
-    thermal_gradient_c_per_mm,
 )
 
 
@@ -51,13 +50,3 @@ class TestKindTemperatures:
             BlockKind.CORE, BlockKind.L2, BlockKind.L3,
             BlockKind.LOGIC, BlockKind.IO,
         }
-
-
-class TestGradient:
-    def test_positive_under_load(self, thermal_solution):
-        assert thermal_gradient_c_per_mm(thermal_solution) > 0.0
-
-    def test_magnitude_plausible(self, thermal_solution):
-        """Core-to-cache transitions at ~5-10 K over ~2 mm: O(1-10) K/mm."""
-        gradient = thermal_gradient_c_per_mm(thermal_solution)
-        assert 0.5 < gradient < 20.0

@@ -1,15 +1,9 @@
 """Tests for thermal-resistance extraction."""
 
-import numpy as np
 import pytest
 
 from repro.casestudy.power7plus import build_thermal_model, full_load_power_map
-from repro.errors import ConfigurationError
-from repro.thermal.resistance import (
-    area_specific_resistance_map,
-    hotspot_resistance_k_cm2_w,
-    junction_to_inlet_resistance_k_w,
-)
+from repro.thermal.resistance import junction_to_inlet_resistance_k_w
 
 
 @pytest.fixture(scope="module")
@@ -17,41 +11,6 @@ def solved_case():
     model = build_thermal_model(nx=44, ny=22)
     power = full_load_power_map(44, 22)
     return model.solve_steady(), power
-
-
-class TestResistanceMap:
-    def test_low_flux_cells_masked(self, solved_case):
-        """With the threshold above the cache flux (~2.5 W/cm2), the cache
-        cells are masked as NaN while the cores stay defined."""
-        solution, power = solved_case
-        r_map = area_specific_resistance_map(solution, power, min_flux_w_m2=5e4)
-        assert np.isnan(r_map).any()
-        assert np.isfinite(r_map).any()
-
-    def test_positive_where_defined(self, solved_case):
-        solution, power = solved_case
-        r_map = area_specific_resistance_map(solution, power)
-        assert np.all(r_map[np.isfinite(r_map)] > 0.0)
-
-    def test_shape_check(self, solved_case):
-        solution, _ = solved_case
-        with pytest.raises(ConfigurationError):
-            area_specific_resistance_map(solution, np.zeros((3, 3)))
-
-
-class TestHotspotResistance:
-    def test_microchannel_class_value(self, solved_case):
-        """The case study sits in the published microchannel class:
-        a few tenths of K*cm2/W at the hot spot."""
-        solution, power = solved_case
-        r_spot = hotspot_resistance_k_cm2_w(solution, power)
-        assert 0.05 < r_spot < 0.6
-
-    def test_beats_air_spreading_figure(self, solved_case):
-        """Better than the ~0.35 K*cm2/W air-baseline spreading term used
-        in repro.core.baselines."""
-        solution, power = solved_case
-        assert hotspot_resistance_k_cm2_w(solution, power) < 0.35
 
 
 class TestLumpedResistance:
@@ -74,20 +33,3 @@ class TestLumpedResistance:
         r_low = junction_to_inlet_resistance_k_w(low.solve_steady(), low)
         r_high = junction_to_inlet_resistance_k_w(high.solve_steady(), high)
         assert r_high < r_low
-
-
-class TestDifferentialResistance:
-    def test_steepens_into_the_transport_limit(self, validation_cell_60):
-        """-dV/dI is U-shaped: kinetic at low current, mass-transport near
-        the limit; the mid-curve minimum is the natural operating region."""
-        i_lim = validation_cell_60.limiting_current_a
-        r_mid = validation_cell_60.differential_resistance(0.5 * i_lim)
-        r_edge = validation_cell_60.differential_resistance(0.97 * i_lim)
-        assert r_mid > 0.0
-        assert r_edge > 2.0 * r_mid
-
-    def test_exceeds_ohmic_floor(self, validation_cell_60):
-        r = validation_cell_60.differential_resistance(
-            0.3 * validation_cell_60.limiting_current_a
-        )
-        assert r > validation_cell_60.resistance_ohm

@@ -37,11 +37,6 @@ class TestMicrochannelLayer:
     def test_fluid_fraction(self, channel_layer):
         assert channel_layer.fluid_fraction == pytest.approx(200.0 / 300.0)
 
-    def test_per_channel_flow(self, channel_layer):
-        assert channel_layer.per_channel_flow_m3_s == pytest.approx(
-            676e-6 / 60.0 / 88
-        )
-
     def test_is_channel(self, channel_layer):
         assert channel_layer.is_channel
 
@@ -76,7 +71,3 @@ class TestLayerStack:
     def test_empty_stack_rejected(self):
         with pytest.raises(ConfigurationError):
             LayerStack([])
-
-    def test_total_thickness(self, channel_layer):
-        stack = LayerStack([SolidLayer("die", 300e-6), channel_layer])
-        assert stack.total_thickness_m == pytest.approx(700e-6)

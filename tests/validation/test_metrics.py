@@ -5,7 +5,7 @@ import pytest
 
 from repro.electrochem.polarization import PolarizationCurve
 from repro.errors import ConfigurationError
-from repro.validation.metrics import compare_polarization, max_relative_voltage_error
+from repro.validation.metrics import compare_polarization
 
 
 def linear_curve(ocv, slope, i_max, n=20):
@@ -16,7 +16,9 @@ def linear_curve(ocv, slope, i_max, n=20):
 class TestCompare:
     def test_identical_curves_zero_error(self):
         a = linear_curve(1.3, 0.01, 50.0)
-        assert max_relative_voltage_error(a, a) == pytest.approx(0.0, abs=1e-12)
+        assert compare_polarization(a, a).max_relative_error == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_known_offset(self):
         model = linear_curve(1.3, 0.01, 50.0)
@@ -60,5 +62,7 @@ class TestFig3Acceptance:
         model_ma = PolarizationCurve(
             ma_cm2_from_a_m2(model.current_a), model.voltage_v
         )
-        error = max_relative_voltage_error(model_ma, reference_curve(flow_ul_min))
+        error = compare_polarization(
+            model_ma, reference_curve(flow_ul_min)
+        ).max_relative_error
         assert error < 0.10
