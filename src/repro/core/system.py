@@ -134,10 +134,7 @@ class IntegratedPowerCoolingSystem:
         current = array.current_at_voltage(array_input_voltage_v)
         array_power = current * array_input_voltage_v
 
-        if hasattr(self.vrm, "efficiency"):
-            efficiency = float(self.vrm.efficiency)
-        else:
-            efficiency = 1.0
+        efficiency = float(self.vrm.efficiency)
         delivered = array_power * efficiency
 
         thermal = self.case_study.thermal_model.solve_steady()

@@ -27,7 +27,7 @@ Three faces of the same physics live here so they cannot drift:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -178,6 +178,32 @@ def _nearest_indices(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(pick_upper, upper, lower).astype(int)
 
 
+# Bounded: a fleet service sees a handful of distinct (base, flows, utils)
+# grids, one per supply/raster/voltage mix.
+@lru_cache(maxsize=8)
+def _grid_specs(
+    base: ScenarioSpec,
+    flows: "tuple[float, ...]",
+    utils: "tuple[float, ...]",
+) -> "tuple[ScenarioSpec, ...]":
+    """The ``fleet_chip`` specs of a chip-table grid, flows outer.
+
+    Memoized per process: every fleet job over the same supply grid
+    reuses these spec objects, and with them their already-hashed
+    :meth:`~repro.sweep.spec.ScenarioSpec.cache_key`, so a warm table
+    read costs only its store lookups.
+    """
+    return tuple(
+        base.replace(
+            evaluator="fleet_chip",
+            total_flow_ml_min=flow,
+            utilization=util,
+        )
+        for flow in flows
+        for util in utils
+    )
+
+
 @dataclass(frozen=True)
 class ChipTable:
     """Per-chip KPIs on the quantized ``flow x utilization`` grid.
@@ -236,20 +262,13 @@ class ChipTable:
         ``base`` carries the per-chip constants (inlet, voltage, pump
         efficiency, raster); the grid axes override flow and utilization.
         Row-major spec order (flows outer, utilizations inner) keeps the
-        batch deterministic and cache-stable.
+        batch deterministic and cache-stable; the spec list itself is
+        built once per process per grid (see :func:`_grid_specs`), while
+        every call still reads each point through ``runner``.
         """
         flows = tuple(sorted(float(f) for f in flows_ml_min))
         utils = tuple(sorted(float(u) for u in utilizations))
-        specs = [
-            base.replace(
-                evaluator="fleet_chip",
-                total_flow_ml_min=flow,
-                utilization=util,
-            )
-            for flow in flows
-            for util in utils
-        ]
-        results = runner.run(specs)
+        results = runner.run(_grid_specs(base, flows, utils))
         shape = (len(flows), len(utils))
 
         def grid(metric: str) -> np.ndarray:

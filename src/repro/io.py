@@ -27,6 +27,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Types :func:`to_jsonable` returns as they are.
+_PLAIN_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+#: Flat records without their ``indent=2`` frames: the C encoder with
+#: the separators the indenting encoder writes inside a record.
+_RECORDS_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",\n    ", ": ")
+)
+
 
 def write_text_atomic(path: "str | Path", text: str) -> Path:
     """Crash-safe text write: parents created, tmp + ``os.replace``.
@@ -58,6 +67,11 @@ def to_jsonable(value: object) -> object:
     enums become their value. Unknown object types are rejected rather than
     silently stringified.
     """
+    # Plain scalars are most of what a record holds and map to themselves.
+    # Exact types only: an IntEnum or a np.float64 subclasses one of them
+    # and still takes its branch below.
+    if type(value) in _PLAIN_SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         payload = {
             field.name: to_jsonable(getattr(value, field.name))
@@ -75,7 +89,7 @@ def to_jsonable(value: object) -> object:
         return {str(key): to_jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
     raise ConfigurationError(
         f"cannot serialise {type(value).__name__}; add a converter or "
@@ -83,8 +97,42 @@ def to_jsonable(value: object) -> object:
     )
 
 
+def _is_flat_records(value: object) -> bool:
+    """True for a non-empty list of non-empty, str-keyed dicts whose
+    values are all plain scalars (exact types, as :data:`_PLAIN_SCALARS`)."""
+    return type(value) is list and bool(value) and all(
+        type(record) is dict
+        and bool(record)
+        and set(map(type, record)) == {str}
+        and _PLAIN_SCALARS.issuperset(map(type, record.values()))
+        for record in value
+    )
+
+
 def dumps(value: object, indent: int = 2) -> str:
-    """JSON-encode any supported value."""
+    """JSON-encode any supported value.
+
+    The text is ``json.dumps(to_jsonable(value), indent=indent,
+    sort_keys=True)``, byte for byte. With an indent, ``json`` encodes in
+    pure Python. So flat records, the shape of every sweep, optimize,
+    runtime and fleet export, take a faster path at the default
+    ``indent=2``: a non-empty list of non-empty dicts with ``str`` keys
+    and values of exactly ``bool``/``int``/``float``/``str``/``None``.
+    The C encoder writes them in one call with the separator the
+    indenting encoder puts between a record's items, and the record
+    frames are spliced in after. A string's newlines are escaped, so
+    every newline is a separator's, and the separators between records
+    are the ones followed by ``{``. Any other value or indent (including
+    an empty list, an empty record, nested values, tuples and numpy or
+    enum scalars) takes the general path.
+    """
+    if indent == 2 and _is_flat_records(value):
+        body = _RECORDS_ENCODER.encode(value)  # '[{' ... '}]'
+        return (
+            "[\n  {\n    "
+            + body[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+            + "\n  }\n]"
+        )
     return json.dumps(to_jsonable(value), indent=indent, sort_keys=True)
 
 

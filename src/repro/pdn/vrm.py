@@ -15,8 +15,8 @@ cites:
   (ref [23]): wide-ratio regulation at a flatter ~80 % efficiency, needing
   interposer inductors (a lower power density, so more converter area).
 
-The system layer reads a model's ``efficiency`` (1.0 when it has none) and
-its ``required_area_m2(p_out)``.
+The system layer reads a model's ``efficiency`` (1.0 for the ideal
+regulator) and its ``required_area_m2(p_out)``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ class VoltageRegulator(Protocol):
 
     nominal_output_v: float
 
+    @property
+    def efficiency(self) -> float:
+        """Delivered / input power, in (0, 1]."""
+        ...
+
     def required_area_m2(self, p_out_w: float) -> float:
         """Silicon/interposer area [m^2] needed to convert ``p_out_w``."""
         ...
@@ -42,6 +47,12 @@ class IdealVRM:
     """Lossless, droop-free regulator (analysis baseline)."""
 
     nominal_output_v: float = 1.0
+
+    @property
+    def efficiency(self) -> float:
+        """Lossless: 1.0 (a property, so the serialized form is only
+        ``nominal_output_v``)."""
+        return 1.0
 
     def required_area_m2(self, p_out_w: float) -> float:
         return 0.0

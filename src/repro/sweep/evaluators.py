@@ -221,7 +221,7 @@ def operating_point_metrics(
     generated = current * spec.operating_voltage_v
 
     vrm = build_vrm(spec.vrm, spec.operating_voltage_v)
-    efficiency = float(getattr(vrm, "efficiency", 1.0))
+    efficiency = float(vrm.efficiency)
     delivered = generated * efficiency
     pumping = array_pumping_power_w(
         spec.total_flow_ml_min, pump_efficiency=spec.pump_efficiency
@@ -359,7 +359,7 @@ def vrm_metrics(spec: ScenarioSpec, array_curve) -> "dict[str, float]":
     array_power = current * spec.operating_voltage_v
 
     vrm = build_vrm(spec.vrm, spec.operating_voltage_v)
-    efficiency = float(getattr(vrm, "efficiency", 1.0))
+    efficiency = float(vrm.efficiency)
     delivered = array_power * efficiency
     return {
         "array_current_a": current,

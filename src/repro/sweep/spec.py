@@ -17,11 +17,12 @@ across runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
 from repro.errors import ConfigurationError
@@ -35,6 +36,99 @@ VRM_NAMES = ("ideal", "sc", "buck")
 
 #: Flow-controller policies the ``runtime`` evaluator knows.
 CONTROLLER_NAMES = ("fixed", "pid")
+
+#: Instance attribute that memoizes :meth:`ScenarioSpec.cache_key`. It
+#: lives in ``__dict__`` beside the fields, never among them, so it
+#: takes no part in equality, hashing, records or exports.
+_KEY_ATTR = "_cache_key"
+
+
+@functools.cache
+def _closed_sets() -> "dict[str, tuple[str, ...]]":
+    """The closed name sets of the enum-like fields, by constant name.
+
+    Imported on first use: the workload, trace and fleet modules import
+    the sweep package themselves.
+    """
+    from repro.casestudy.workloads import WORKLOAD_NAMES
+    from repro.fleet.supply import POLICY_NAMES
+    from repro.runtime.trace import TRACE_NAMES
+
+    return {
+        "VRM_NAMES": VRM_NAMES, "CONTROLLER_NAMES": CONTROLLER_NAMES,
+        "WORKLOAD_NAMES": WORKLOAD_NAMES, "TRACE_NAMES": TRACE_NAMES,
+        "POLICY_NAMES": POLICY_NAMES,
+    }
+
+
+def _unknown(field: str, names: str) -> "Callable[[ScenarioSpec], bool]":
+    """Rule predicate: ``field`` is outside the closed set ``names``."""
+    return lambda s: getattr(s, field) not in _closed_sets()[names]
+
+
+#: The checks that follow numeric coercion, in order: ``(fields read,
+#: fails(spec), message)``. A message is formatted (with the spec as
+#: ``s`` and the closed sets by name) only when its rule fails. Numeric
+#: fields are finite here, so each ``fails`` is the plain comparison.
+_RULES: "tuple[tuple[tuple[str, ...], Callable[[ScenarioSpec], bool], str], ...]" = (
+    (("total_flow_ml_min",), lambda s: s.total_flow_ml_min <= 0.0,
+     "total flow must be > 0 ml/min"),
+    (("inlet_temperature_k",), lambda s: s.inlet_temperature_k <= 0.0,
+     "inlet temperature must be > 0 K"),
+    (("channel_width_um",), lambda s: s.channel_width_um <= 0.0,
+     "channel width must be > 0 um"),
+    (("wall_width_um",), lambda s: s.wall_width_um < 0.0,
+     "wall width must be >= 0 um"),
+    (("operating_voltage_v",), lambda s: s.operating_voltage_v <= 0.0,
+     "operating voltage must be > 0 V"),
+    (("utilization",), lambda s: not 0.0 <= s.utilization <= 1.0,
+     "utilization must be in [0, 1]"),
+    (("utilization_before",),
+     lambda s: not 0.0 <= s.utilization_before <= 1.0,
+     "utilization_before must be in [0, 1]"),
+    (("step_duration_s", "step_dt_s"),
+     lambda s: (
+         s.step_duration_s <= 0.0
+         or s.step_dt_s <= 0.0
+         or s.step_dt_s > s.step_duration_s
+     ),
+     "step timing needs 0 < step_dt_s <= step_duration_s"),
+    (("pump_efficiency",), lambda s: not 0.0 < s.pump_efficiency <= 1.0,
+     "pump efficiency must be in (0, 1], got {s.pump_efficiency}"),
+    (("trace_seed",), lambda s: s.trace_seed < 0,
+     "trace seed must be >= 0"),
+    (("pid_kp", "pid_ki"), lambda s: s.pid_kp < 0.0 or s.pid_ki < 0.0,
+     "PID gains must be >= 0"),
+    (("nx", "ny"), lambda s: s.nx < 2 or s.ny < 2,
+     "thermal raster needs nx, ny >= 2"),
+    # The enum-like fields are closed sets; rejecting typos here means
+    # a bad grid fails before any scenario has burned solver time.
+    (("vrm",), _unknown("vrm", "VRM_NAMES"),
+     "unknown VRM {s.vrm!r}; expected one of {VRM_NAMES}"),
+    (("controller",), _unknown("controller", "CONTROLLER_NAMES"),
+     "unknown controller {s.controller!r}; expected one of "
+     "{CONTROLLER_NAMES}"),
+    (("workload",), _unknown("workload", "WORKLOAD_NAMES"),
+     "unknown workload {s.workload!r}; expected one of {WORKLOAD_NAMES}"),
+    (("trace",), _unknown("trace", "TRACE_NAMES"),
+     "unknown trace {s.trace!r}; expected one of {TRACE_NAMES}"),
+    (("n_chips",), lambda s: s.n_chips < 1, "n_chips must be >= 1"),
+    (("supply_per_chip_ml_min",),
+     lambda s: s.supply_per_chip_ml_min <= 0.0,
+     "per-chip supply must be > 0 ml/min"),
+    (("fleet_skew",), lambda s: s.fleet_skew < 0.0,
+     "fleet skew must be >= 0"),
+    (("fleet_policy",), _unknown("fleet_policy", "POLICY_NAMES"),
+     "unknown allocation policy {s.fleet_policy!r}; expected one of "
+     "{POLICY_NAMES}"),
+)
+
+#: Per field, the rules that read it (ascending, i.e. in check order).
+_RULES_READING: "dict[str, tuple[int, ...]]" = {
+    name: tuple(i for i, (read, _, _) in enumerate(_RULES) if name in read)
+    for read, _, _ in _RULES
+    for name in read
+}
 
 
 @dataclass(frozen=True)
@@ -144,7 +238,12 @@ class ScenarioSpec:
     _INT_FIELDS = ("nx", "ny", "trace_seed", "n_chips")
 
     def __post_init__(self) -> None:
-        for name in self._FLOAT_FIELDS + self._INT_FIELDS:
+        self._coerce(self._FLOAT_FIELDS + self._INT_FIELDS)
+        self._check(range(len(_RULES)))
+
+    def _coerce(self, names: "Iterable[str]") -> None:
+        """Coerce the numeric fields ``names`` to finite Python scalars."""
+        for name in names:
             raw = getattr(self, name)
             try:
                 value = float(raw) if name in self._FLOAT_FIELDS else int(raw)
@@ -152,110 +251,85 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"{name} must be a finite number, got {raw!r}"
                 ) from None
-            # NaN and inf slip through every ``x <= 0`` style check below.
+            # NaN and inf slip through every ``x <= 0`` style rule.
             if not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if self.total_flow_ml_min <= 0.0:
-            raise ConfigurationError("total flow must be > 0 ml/min")
-        if self.inlet_temperature_k <= 0.0:
-            raise ConfigurationError("inlet temperature must be > 0 K")
-        if self.channel_width_um <= 0.0:
-            raise ConfigurationError("channel width must be > 0 um")
-        if self.wall_width_um < 0.0:
-            raise ConfigurationError("wall width must be >= 0 um")
-        if self.operating_voltage_v <= 0.0:
-            raise ConfigurationError("operating voltage must be > 0 V")
-        if not 0.0 <= self.utilization <= 1.0:
-            raise ConfigurationError("utilization must be in [0, 1]")
-        if not 0.0 <= self.utilization_before <= 1.0:
-            raise ConfigurationError("utilization_before must be in [0, 1]")
-        if (
-            self.step_duration_s <= 0.0
-            or self.step_dt_s <= 0.0
-            or self.step_dt_s > self.step_duration_s
-        ):
-            raise ConfigurationError(
-                "step timing needs 0 < step_dt_s <= step_duration_s"
-            )
-        if not 0.0 < self.pump_efficiency <= 1.0:
-            raise ConfigurationError(
-                f"pump efficiency must be in (0, 1], got {self.pump_efficiency}"
-            )
-        if self.trace_seed < 0:
-            raise ConfigurationError("trace seed must be >= 0")
-        if self.pid_kp < 0.0 or self.pid_ki < 0.0:
-            raise ConfigurationError("PID gains must be >= 0")
-        if self.nx < 2 or self.ny < 2:
-            raise ConfigurationError("thermal raster needs nx, ny >= 2")
-        # The enum-like fields are closed sets; rejecting typos here means
-        # a bad grid fails before any scenario has burned solver time.
-        if self.vrm not in VRM_NAMES:
-            raise ConfigurationError(
-                f"unknown VRM {self.vrm!r}; expected one of {VRM_NAMES}"
-            )
-        if self.controller not in CONTROLLER_NAMES:
-            raise ConfigurationError(
-                f"unknown controller {self.controller!r}; expected one of "
-                f"{CONTROLLER_NAMES}"
-            )
-        from repro.casestudy.workloads import WORKLOAD_NAMES
 
-        if self.workload not in WORKLOAD_NAMES:
-            raise ConfigurationError(
-                f"unknown workload {self.workload!r}; expected one of "
-                f"{WORKLOAD_NAMES}"
-            )
-        from repro.runtime.trace import TRACE_NAMES
-
-        if self.trace not in TRACE_NAMES:
-            raise ConfigurationError(
-                f"unknown trace {self.trace!r}; expected one of {TRACE_NAMES}"
-            )
-        if self.n_chips < 1:
-            raise ConfigurationError("n_chips must be >= 1")
-        if self.supply_per_chip_ml_min <= 0.0:
-            raise ConfigurationError("per-chip supply must be > 0 ml/min")
-        if self.fleet_skew < 0.0:
-            raise ConfigurationError("fleet skew must be >= 0")
-        from repro.fleet.supply import POLICY_NAMES
-
-        if self.fleet_policy not in POLICY_NAMES:
-            raise ConfigurationError(
-                f"unknown allocation policy {self.fleet_policy!r}; "
-                f"expected one of {POLICY_NAMES}"
-            )
+    def _check(self, rules: "Iterable[int]") -> None:
+        """Run the :data:`_RULES` with these indices; the first failure
+        raises."""
+        for index in rules:
+            _, fails, message = _RULES[index]
+            if fails(self):
+                raise ConfigurationError(
+                    message.format(s=self, **_closed_sets())
+                )
 
     @classmethod
     def field_names(cls) -> "tuple[str, ...]":
         """All spec field names, in declaration order."""
-        return tuple(f.name for f in dataclasses.fields(cls))
+        return _FIELD_NAMES
 
     def replace(self, **changes: object) -> "ScenarioSpec":
-        """A copy with the given fields replaced (validated)."""
-        unknown = set(changes) - set(self.field_names())
+        """A copy with the given fields replaced, validated as construction
+        validates it.
+
+        An unknown name raises first. Then the changed numeric fields are
+        coerced (numpy scalars and numeric strings included, each to
+        ``float`` or ``int`` as on construction) and checked finite, in
+        declaration order. Last come the range and closed-set rules that
+        read a changed field, in construction's order: these include the
+        cross-field rules, so a new ``step_dt_s`` is checked against the
+        kept ``step_duration_s``, a new ``pid_kp`` with ``pid_ki``, a new
+        ``nx`` with ``ny``. ``self`` passed every rule, so the first
+        failure, and its message, is the one
+        ``ScenarioSpec(**{**fields, **changes})`` raises. The copy does not
+        carry this spec's memoized :meth:`cache_key`.
+        """
+        unknown = changes.keys() - _FIELD_SET
         if unknown:
             raise ConfigurationError(
                 f"unknown spec field(s): {sorted(unknown)}"
             )
-        return dataclasses.replace(self, **changes)
+        spec = object.__new__(type(self))
+        state = spec.__dict__
+        state.update(self.__dict__)
+        state.pop(_KEY_ATTR, None)
+        state.update(changes)
+        spec._coerce(name for name in _NUMERIC_FIELDS if name in changes)
+        spec._check(sorted({
+            index for name in changes for index in _RULES_READING.get(name, ())
+        }))
+        return spec
 
     def identity(self) -> "dict[str, object]":
         """The fields that define the scenario physically."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name not in _NON_IDENTITY_FIELDS
-        }
+        return {name: getattr(self, name) for name in _IDENTITY_NAMES}
 
     def cache_key(self) -> str:
         """Stable content hash for memoization and archive filenames.
 
         Two specs that differ only in ``label`` share a key; any physical
         difference (including raster resolution) yields a distinct one.
+        The hash is computed once per instance (a spec is immutable);
+        the memo travels with ``pickle``/``copy`` but never to a
+        :meth:`replace` copy.
         """
-        canonical = json.dumps(self.identity(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        key = self.__dict__.get(_KEY_ATTR)
+        if key is None:
+            canonical = json.dumps(self.identity(), sort_keys=True)
+            key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, _KEY_ATTR, key)
+        return key
+
+
+_FIELD_NAMES = tuple(field.name for field in dataclasses.fields(ScenarioSpec))
+_FIELD_SET = frozenset(_FIELD_NAMES)
+_IDENTITY_NAMES = tuple(
+    name for name in _FIELD_NAMES if name not in _NON_IDENTITY_FIELDS
+)
+_NUMERIC_FIELDS = ScenarioSpec._FLOAT_FIELDS + ScenarioSpec._INT_FIELDS
 
 
 @dataclass(frozen=True)

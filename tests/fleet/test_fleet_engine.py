@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetEngine, FleetSpec
+from repro.fleet.chip import ChipTable
 from repro.sweep import SweepRunner
 from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
@@ -101,3 +102,51 @@ class TestBackendEquivalence:
                 rtol=EQUIVALENCE_RTOL,
                 err_msg=attr,
             )
+
+
+class _RecordingRunner(SweepRunner):
+    """A sweep runner that keeps every spec list it was asked to run."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches: "list[list]" = []
+
+    def run(self, scenarios):
+        self.batches.append(list(scenarios))
+        return super().run(scenarios)
+
+
+class TestChipTableGridMemo:
+    def test_warm_builds_reuse_specs_but_still_read_every_point(self):
+        """The grid's specs (and their hashed keys) are built once per
+        process; each build still reads every point from the store, so a
+        job's store deltas are unchanged."""
+        base = FleetSpec(n_chips=3).table_base_spec().replace(label="memo")
+        flows, utils = (24.0, 16.0), (1.0, 0.0)
+        runner = _RecordingRunner()
+        expected = [
+            base.replace(
+                evaluator="fleet_chip", total_flow_ml_min=flow,
+                utilization=util,
+            )
+            for flow in (16.0, 24.0) for util in (0.0, 1.0)
+        ]
+        for index, spec in enumerate(expected):
+            runner.cache.put(spec.cache_key(), {
+                "peak_temperature_c": 50.0 + index, "net_w": 1.0,
+                "generated_w": 1.5, "pumping_w": 0.5,
+                "array_current_a": 1.5,
+            })
+        tables = []
+        for _ in range(2):
+            before = runner.cache.stats()
+            tables.append(ChipTable.build(flows, utils, base, runner))
+            after = runner.cache.stats()
+            assert after["hits"] - before["hits"] == len(expected)
+            assert after["misses"] == before["misses"]
+        first, second = runner.batches
+        assert first == expected
+        assert all(a is b for a, b in zip(first, second))
+        np.testing.assert_array_equal(
+            tables[1].peak_c, [[50.0, 51.0], [52.0, 53.0]]
+        )

@@ -69,6 +69,13 @@ class TestFlowDistribution:
             [m3s_from_ml_per_min(f) for f in (16.0, 40.0, 96.0)]
         )
 
+    def test_supply_distribution_is_bit_identical_to_scalar_conversion(self):
+        flows = np.random.default_rng(23).uniform(1.0, 200.0, size=512)
+        expected = np.array([m3s_from_ml_per_min(float(f)) for f in flows])
+        distribution = supply_distribution(flows)
+        assert np.array_equal(distribution.flows_m3_s, expected)
+        assert distribution.uniformity == expected.min() / expected.max()
+
     def test_uniformity_independent_of_units(self):
         flows = [16.0, 24.0, 64.0]
         ratio = min(flows) / max(flows)
