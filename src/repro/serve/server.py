@@ -9,14 +9,25 @@ jobs, which is what makes results reproducible: identical jobs against
 the same starting store state return identical bytes regardless of how
 many clients are connected.
 
-Each job runs in a worker thread (``asyncio.to_thread``) so the event
-loop stays responsive: while a job computes, the owning connection
-receives ``progress`` heartbeats carrying elapsed time and live store
-counters, and other clients can still connect and queue.
+A job that may evaluate runs in a worker thread (``asyncio.to_thread``)
+so the event loop stays responsive: while it computes, the owning
+connection receives ``progress`` heartbeats carrying elapsed time and
+live store counters, and other clients can still connect and queue.
+A *warm replay* -- a request whose last run here read every scenario
+from the store -- runs on the loop thread itself: it is a few
+milliseconds of lookups, and the hand-off to a thread and back costs
+about as much again, more on a loaded machine. A replay whose entries
+were evicted meanwhile evaluates on the loop, with no heartbeats, and
+goes back to the thread next time. The loop writes a job's ``started``
+line before the job runs and its ``done`` line as soon as it ends, both
+before the next job starts, so no line waits for the interpreter lock
+behind another job.
 
-After every job the store's stats are flushed to its ``.stats/`` shard,
-so the shared directory's lifetime hit/miss totals survive server
-restarts.
+The store's stats reach its ``.stats/`` shard within
+:data:`STATS_FLUSH_S` of a job's end (jobs that end in the
+meantime share one write) and once more on close, so the shared
+directory's lifetime hit/miss totals survive server restarts without a
+file write on every warm job.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import asyncio
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -41,6 +53,12 @@ from repro.serve.protocol import (
 #: Default seconds between ``progress`` heartbeats to a waiting client.
 DEFAULT_HEARTBEAT_S = 1.0
 
+#: Longest lag [s] of the persisted store stats behind a job's end.
+STATS_FLUSH_S = 1.0
+
+#: Warm replays remembered (least recently run forgotten first).
+MAX_WARM_REPLAYS = 1024
+
 #: Longest request line accepted (a request is one JSON object naming a
 #: preset and a few scalars — far below this; the limit bounds memory
 #: against a misbehaving client).
@@ -49,14 +67,24 @@ MAX_REQUEST_BYTES = 1 << 20
 
 @dataclass
 class _Job:
-    """One queued request and its event stream back to the client."""
+    """One queued request and the connection its events go to."""
 
     id: int
     kind: str
     params: "dict[str, Any]"
-    events: "asyncio.Queue[dict[str, Any]]" = field(
-        default_factory=asyncio.Queue
+    writer: asyncio.StreamWriter
+    #: ``perf_counter`` time the worker started the job (``None`` while
+    #: it waits in the queue).
+    started_at: "float | None" = None
+    #: Resolved once the job's last event is written.
+    finished: "asyncio.Future[None]" = field(
+        default_factory=lambda: asyncio.get_running_loop().create_future()
     )
+
+    def send(self, event: "dict[str, Any]") -> None:
+        """Write one event line now, unless the client went away."""
+        if not self.writer.is_closing():
+            self.writer.write(encode_line(event))
 
 
 class ResultServer:
@@ -96,6 +124,9 @@ class ResultServer:
         self._queue: "Optional[asyncio.Queue[_Job]]" = None
         self._server: "Optional[asyncio.AbstractServer]" = None
         self._worker: "Optional[asyncio.Task[None]]" = None
+        self._stats_flush: "Optional[asyncio.TimerHandle]" = None
+        #: Request lines of the warm replays (see the module docstring).
+        self._warm: "OrderedDict[bytes, None]" = OrderedDict()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -111,7 +142,8 @@ class ResultServer:
         return self._server
 
     async def close(self) -> None:
-        """Stop accepting, cancel the worker, release the socket."""
+        """Stop accepting, cancel the worker, release the socket, and
+        write any stats a pending flush still owes."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -121,6 +153,9 @@ class ResultServer:
                 await self._worker
             except asyncio.CancelledError:
                 pass
+        if self._stats_flush is not None:
+            self._stats_flush.cancel()
+            self._flush_store_stats()
 
     async def serve_forever(self, on_ready: "Any | None" = None) -> None:
         """Start and block until cancelled (the CLI entry point).
@@ -143,38 +178,65 @@ class ResultServer:
         assert self._queue is not None
         while True:
             job = await self._queue.get()
-            await job.events.put({"event": "started", "job": job.id})
+            job.started_at = time.perf_counter()
+            job.send({"event": "started", "job": job.id})
+            request = encode_line({"kind": job.kind, "params": job.params})
+            warm = request in self._warm
+            self._warm.pop(request, None)
             try:
-                result = await asyncio.to_thread(
-                    run_job, job.kind, job.params, self.runner
-                )
+                if warm:
+                    result = run_job(job.kind, job.params, self.runner)
+                else:
+                    result = await asyncio.to_thread(
+                        run_job, job.kind, job.params, self.runner
+                    )
             except asyncio.CancelledError:
                 raise
             except ConfigurationError as error:
                 self.jobs_failed += 1
                 obs.inc("serve.errors")
-                await job.events.put({
+                job.send({
                     "event": "error", "job": job.id, "message": str(error),
                 })
             except Exception as error:  # noqa: BLE001 — server must survive
                 self.jobs_failed += 1
                 obs.inc("serve.errors")
-                await job.events.put({
+                job.send({
                     "event": "error", "job": job.id,
                     "message": f"{type(error).__name__}: {error}",
                 })
             else:
                 self.jobs_completed += 1
                 obs.inc("serve.jobs")
-                await job.events.put({
+                if result.get("store", {}).get("misses") == 0:
+                    self._warm[request] = None
+                    if len(self._warm) > MAX_WARM_REPLAYS:
+                        self._warm.popitem(last=False)
+                job.send({
                     "event": "done", "job": job.id, "result": result,
                 })
             finally:
-                self._flush_store_stats()
+                if not job.finished.done():
+                    job.finished.set_result(None)
+                self._schedule_stats_flush()
                 self._queue.task_done()
 
+    def _schedule_stats_flush(self) -> None:
+        """Persist the store's counters :data:`STATS_FLUSH_S` from now,
+        unless a write is already pending: it also covers this job."""
+        if self._stats_flush is None:
+            self._stats_flush = asyncio.get_running_loop().call_later(
+                STATS_FLUSH_S, self._flush_store_stats
+            )
+
     def _flush_store_stats(self) -> None:
-        """Persist the shared store's counters (best effort)."""
+        """Persist the shared store's counters (best effort).
+
+        A write that lands while a job runs holds that job's counts so
+        far; the shard is overwritten whole, so the next write (at the
+        latest on close) brings it up to date.
+        """
+        self._stats_flush = None
         flush = getattr(self.runner.cache, "flush_stats", None)
         if flush is not None:
             try:
@@ -231,39 +293,35 @@ class ResultServer:
             }))
             await writer.drain()
             return
-        job = _Job(next(self._ids), kind, params)
-        position = self._queue.qsize()
+        job = _Job(next(self._ids), kind, params, writer)
+        job.send({
+            "event": "queued", "job": job.id,
+            "position": self._queue.qsize(), "version": PROTOCOL_VERSION,
+        })
         await self._queue.put(job)
-        writer.write(encode_line({
-            "event": "queued", "job": job.id, "position": position,
-            "version": PROTOCOL_VERSION,
-        }))
         await writer.drain()
-        started_at: "float | None" = None
+        # The worker writes the started and done (or error) lines; this
+        # connection adds heartbeats while the job runs.
         while True:
             try:
-                event = await asyncio.wait_for(
-                    job.events.get(), timeout=self.heartbeat_s
+                await asyncio.wait_for(
+                    asyncio.shield(job.finished), timeout=self.heartbeat_s
                 )
             except asyncio.TimeoutError:
-                if started_at is not None:
+                if job.started_at is not None:
                     # Heartbeat: elapsed wall time plus the store's live
                     # counters, so a client can watch warmth build.
-                    writer.write(encode_line({
+                    job.send({
                         "event": "progress", "job": job.id,
                         "elapsed_ms": int(
-                            1000.0 * (time.perf_counter() - started_at)
+                            1000.0 * (time.perf_counter() - job.started_at)
                         ),
                         "store": self.runner.cache.stats(),
-                    }))
+                    })
                     await writer.drain()
                 continue
-            if event["event"] == "started":
-                started_at = time.perf_counter()
-            writer.write(encode_line(event))
             await writer.drain()
-            if event["event"] in ("done", "error"):
-                return
+            return
 
 
 class BackgroundServer:

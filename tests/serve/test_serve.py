@@ -6,6 +6,9 @@ zero evaluations, and job failures are error *events* — the server
 survives them.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -19,6 +22,7 @@ from repro.serve import (
     validate_request,
     write_artifacts,
 )
+from repro.serve import server as server_module
 from repro.serve.protocol import decode_line, encode_line
 from repro.store import ResultStore
 from repro.sweep import SweepRunner, get_preset
@@ -102,6 +106,109 @@ class TestDeterminism:
         assert second["store"]["misses"] == 0
         assert second["store"]["hits"] == 3
         assert second["csv"] == first["csv"]
+
+
+class TestStatsFlush:
+    def test_jobs_share_one_pending_write_and_close_settles_it(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(server_module, "STATS_FLUSH_S", 3600.0)
+        runner = SweepRunner(cache=ResultStore(tmp_path))
+        with BackgroundServer(ResultServer(runner)) as bg:
+            for _ in range(2):
+                ServeClient(port=bg.port).submit(
+                    "sweep", preset="flow", points=3
+                ).require()
+            # Both jobs wait on the one write an hour out.
+            assert not (tmp_path / ".stats").exists()
+        assert ResultStore(tmp_path).persisted_stats() == {
+            "hits": 3, "misses": 3, "corrupt": 0, "evicted": 0,
+        }
+
+    def test_stats_reach_disk_while_the_server_runs(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(server_module, "STATS_FLUSH_S", 0.0)
+        runner = SweepRunner(cache=ResultStore(tmp_path))
+        with BackgroundServer(ResultServer(runner)) as bg:
+            ServeClient(port=bg.port).submit(
+                "sweep", preset="flow", points=3
+            ).require()
+            persisted = ResultStore(tmp_path).persisted_stats
+            deadline = time.monotonic() + 10.0
+            while persisted()["misses"] < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert persisted()["misses"] == 3
+
+
+class TestWarmReplays:
+    @staticmethod
+    def _threads_of_run_job(monkeypatch):
+        """Record the thread every served job runs on."""
+        threads = []
+        real = server_module.run_job
+
+        def spy(kind, params, runner):
+            threads.append(threading.get_ident())
+            return real(kind, params, runner)
+
+        monkeypatch.setattr(server_module, "run_job", spy)
+        return threads
+
+    def test_replay_without_misses_runs_on_the_loop_thread(
+        self, monkeypatch
+    ):
+        threads = self._threads_of_run_job(monkeypatch)
+        with BackgroundServer(ResultServer(SweepRunner())) as bg:
+            client = ServeClient(port=bg.port)
+            results = [
+                client.submit("sweep", preset="flow", points=3).require()
+                for _ in range(3)
+            ]
+            loop_thread = bg._thread.ident
+        # Cold run, then the first replay (still on the worker: the cold
+        # run missed), then a warm replay on the event loop.
+        assert [r["store"]["misses"] for r in results] == [3, 0, 0]
+        assert [t == loop_thread for t in threads] == [False, False, True]
+        assert results[2]["csv"] == results[0]["csv"]
+        assert results[2]["json"] == results[0]["json"]
+
+    def test_replay_that_misses_goes_back_to_the_worker(
+        self, monkeypatch, tmp_path
+    ):
+        threads = self._threads_of_run_job(monkeypatch)
+        runner = SweepRunner(
+            cache=ResultStore(tmp_path, max_memory_entries=1)
+        )
+        with BackgroundServer(ResultServer(runner)) as bg:
+            client = ServeClient(port=bg.port)
+
+            def submit():
+                return client.submit(
+                    "sweep", preset="flow", points=3
+                ).require()
+
+            first = submit()
+            submit()  # zero misses: the next replay is warm
+            for entry in tmp_path.glob("*.json"):
+                entry.unlink()  # evicted behind the server's back
+            evicted = submit()
+            again = submit()
+            loop_thread = bg._thread.ident
+        assert evicted["store"]["misses"] == 2  # one entry stayed in memory
+        assert [t == loop_thread for t in threads] == [
+            False, False, True, False,
+        ]
+        assert evicted["csv"] == again["csv"] == first["csv"]
+
+    def test_jobs_without_a_store_never_run_on_the_loop(self, monkeypatch):
+        threads = self._threads_of_run_job(monkeypatch)
+        with BackgroundServer(ResultServer(SweepRunner())) as bg:
+            client = ServeClient(port=bg.port)
+            for _ in range(2):
+                client.submit("runtime", trace="step").require()
+            loop_thread = bg._thread.ident
+        assert loop_thread not in threads
 
 
 class TestEventStream:
