@@ -9,16 +9,16 @@ races them on the two presets the paper's design questions densify most —
 - the :class:`~repro.sweep.backends.VectorizedBackend` (one
   polarization march per batch, anchored thermal factorizations,
   stacked RHS columns) beats the
-  :class:`~repro.sweep.backends.SerialBackend` oracle by >= 1.5x on
-  both presets (the serial evaluators march the same curves as batches
-  of one, so the race is over thermal sharing and batching),
-- while agreeing with the oracle scenario by scenario within the
-  documented :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`,
+  :class:`~repro.sweep.backends.SerialBackend` (the same evaluators in
+  batches of one) by >= 1.5x on both presets, so the race is over
+  thermal sharing and batching,
+- while agreeing with the batches of one scenario by scenario within
+  the documented :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`,
 - and both backends stay selectable from the Python API and the
   ``--backend`` CLI flag.
 
-Every timed run starts cold: the peak-temperature lru cache, the
-array-curve cache and the sweep cache are cleared per measurement,
+Every timed run starts cold: the array-curve cache and the sweep cache
+are cleared per measurement,
 so the race measures the backends, not cache luck.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the grids so CI can exercise the whole
@@ -38,7 +38,7 @@ from repro.sweep import (
     VectorizedBackend,
     get_preset,
 )
-from repro.sweep.evaluators import _peak_temperature_c, clear_array_curves
+from repro.sweep.evaluators import clear_array_curves
 from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -48,7 +48,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 POINTS = {"flow": 8 if SMOKE else 16, "geometry": 8 if SMOKE else 16}
 
 #: Acceptance floor for vectorized vs serial. Both march the same
-#: batched polarization curves (serial as batches of one), so the race
+#: polarization curves (serial in batches of one), so the race
 #: measures shared thermal factorizations and one march per batch
 #: against per-scenario work. On a 2-vCPU box, cold, at 8 and 16 points
 #: the ratio read 2.0-3.9x on both presets.
@@ -57,7 +57,6 @@ MIN_SPEEDUP = 1.5
 
 def _cold_run(backend, specs) -> "tuple[float, object]":
     """Time one backend over the specs with every cache cold."""
-    _peak_temperature_c.cache_clear()
     clear_array_curves()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()
@@ -111,7 +110,7 @@ def test_a17_backend_speedup(benchmark, preset_name):
     obs_artifacts(f"A17_{preset_name}")
     # Equivalence first: a fast wrong answer is not a speedup.
     assert deviation <= EQUIVALENCE_RTOL
-    # The headline: batched evaluation beats the serial oracle on the
+    # The headline: batched evaluation beats batches of one on the
     # presets the optimizer's refinement rounds hammer.
     assert serial_s / vectorized_s >= MIN_SPEEDUP
 

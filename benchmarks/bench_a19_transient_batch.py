@@ -13,9 +13,9 @@ control interval). The race asserts:
 
 - the :class:`~repro.sweep.backends.VectorizedBackend` agrees with
   :class:`~repro.sweep.backends.SerialBackend` scenario by scenario
-  *exactly* on both presets: both backends run the one stepper of
-  each kind (the serial evaluators as one-case / one-lane calls) on
-  the one polarization-curve construction;
+  *exactly* on both presets: both backends run the one evaluator of
+  each kind (serial in one-case / one-lane batches) on the one
+  polarization-curve construction;
 - and the batched engine stays reachable from the CLI
   (``repro runtime``).
 
@@ -25,8 +25,7 @@ wall times are reported and kept as artifacts; dynamic speed is gated
 in absolute terms by the repository benchmark's ``dynamic-sweep``
 workload instead.
 
-Every timed run starts cold: the peak-temperature lru cache, the
-array-curve cache, the shared thermal-model store and the
+Every timed run starts cold: the array-curve cache, the shared thermal-model store and the
 polarization-surface store are all cleared per measurement, so the race
 measures the backends, not cache luck.
 
@@ -49,7 +48,7 @@ from repro.sweep import (
     VectorizedBackend,
     get_preset,
 )
-from repro.sweep.evaluators import _peak_temperature_c, clear_array_curves
+from repro.sweep.evaluators import clear_array_curves
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -61,7 +60,6 @@ POINTS = {"transient": 8 if SMOKE else 16, "runtime": 4 if SMOKE else 8}
 
 def _cold_run(backend, specs) -> "tuple[float, object]":
     """Time one backend over the specs with every shared cache cold."""
-    _peak_temperature_c.cache_clear()
     clear_array_curves()
     clear_model_store()
     PolarizationSurface.clear_shared()

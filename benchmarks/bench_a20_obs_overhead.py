@@ -28,7 +28,7 @@ from benchmarks.conftest import artifact, emit, obs_artifacts
 from repro import obs
 from repro.core.report import format_table
 from repro.sweep import SweepRunner, get_preset
-from repro.sweep.evaluators import _peak_temperature_c, clear_array_curves
+from repro.sweep.evaluators import clear_array_curves
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -44,9 +44,8 @@ MICROBENCH_CALLS = 200_000
 
 def _cold_run(specs) -> float:
     """Wall time of one serial flow-preset run with every cache cold."""
-    _peak_temperature_c.cache_clear()
     clear_array_curves()
-    runner = SweepRunner()
+    runner = SweepRunner(backend="serial")
     start = time.perf_counter()
     runner.run(specs)
     return time.perf_counter() - start

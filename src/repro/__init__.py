@@ -18,7 +18,7 @@ electric power for the die it cools. Subpackages:
 - :mod:`repro.validation` — reference data and comparison metrics.
 - :mod:`repro.casestudy` — Table I / Table II configurations.
 - :mod:`repro.sweep` — batch scenario-sweep engine (grids, memoization,
-  serial and batched backends, CSV/JSON export).
+  batched evaluation, CSV/JSON export).
 - :mod:`repro.opt` — design-space optimization over the sweep engine
   (objectives/constraints, Pareto frontiers, adaptive refinement).
 - :mod:`repro.runtime` — trace-driven closed-loop runtime engine (flow

@@ -133,9 +133,12 @@ class _Surfaces:
 
 
 def _spec_param_names(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> "set[str]":
-    """Parameters of ``node`` annotated as ScenarioSpec (by name or
-    ``"quoted"`` forward reference)."""
+    """Names in ``node`` that hold one ScenarioSpec: parameters annotated
+    as one (by name or ``"quoted"`` forward reference), and the loop
+    variables of ``for``s and comprehensions over a parameter annotated
+    as a sequence of them (``specs: "Sequence[ScenarioSpec]"``)."""
     names: "set[str]" = set()
+    sequences: "set[str]" = set()
     arguments = node.args
     for argument in (
         arguments.posonlyargs + arguments.args + arguments.kwonlyargs
@@ -148,9 +151,33 @@ def _spec_param_names(node: "ast.FunctionDef | ast.AsyncFunctionDef") -> "set[st
             annotation.value, str
         ):
             text = annotation.value
-        if text is not None and _is_spec_annotation(text):
+        elif annotation is not None:
+            text = ast.unparse(annotation)
+        if text is None:
+            continue
+        if _is_spec_annotation(text):
             names.add(argument.arg)
+        elif _is_spec_sequence_annotation(text):
+            sequences.add(argument.arg)
+    for child in ast.walk(node):
+        if (
+            isinstance(child, (ast.For, ast.AsyncFor, ast.comprehension))
+            and isinstance(child.iter, ast.Name)
+            and child.iter.id in sequences
+            and isinstance(child.target, ast.Name)
+        ):
+            names.add(child.target.id)
     return names
+
+
+def _is_spec_sequence_annotation(text: str) -> bool:
+    """True when the annotation is a ``Sequence``/``list``/``tuple`` of
+    ScenarioSpec and nothing else (a ``... | SweepGrid`` union is not)."""
+    text = text.strip().strip("'\"").replace(" ", "")
+    return text in (
+        "Sequence[ScenarioSpec]", "list[ScenarioSpec]", "List[ScenarioSpec]",
+        "tuple[ScenarioSpec,...]", "Iterable[ScenarioSpec]",
+    )
 
 
 def _is_spec_annotation(text: str) -> bool:

@@ -8,8 +8,8 @@ Gives the reproduction a zero-code entry point:
   print its series/map;
 - ``cosim``   — the Section III-B coupling scenarios;
 - ``sweep``   — batch design-space exploration through the
-  :mod:`repro.sweep` engine (named presets, selectable evaluation
-  backend via ``--backend``, CSV/JSON export);
+  :mod:`repro.sweep` engine (named presets, selectable batch width
+  via ``--backend``, CSV/JSON export);
 - ``optimize`` — design-space optimization through :mod:`repro.opt`
   (objectives + constraints, Pareto frontiers, adaptive refinement);
 - ``runtime`` — closed-loop execution of a workload trace through
@@ -377,7 +377,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_runtime(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
     from repro.sweep import ScenarioSpec
-    from repro.sweep.evaluators import run_runtime_scenario
+    from repro.sweep.evaluators import run_runtime_scenarios
 
     trace_name, args.trace_out = _split_workload_trace(args.trace, "bursty")
     spec = ScenarioSpec(
@@ -391,7 +391,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     )
     _obs_start(args)
     try:
-        trace, result = run_runtime_scenario(spec)
+        (trace, result), = run_runtime_scenarios([spec])
     finally:
         _obs_finish(args)
 
@@ -576,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend", default=None, metavar="NAME",
         choices=("serial", "vectorized"),
-        help="evaluation backend: serial (the oracle, default) or "
-        "vectorized (batched kernels)",
+        help="evaluation backend: vectorized (one batch per evaluator, "
+        "default) or serial (batches of one)",
     )
     sweep.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -640,8 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--backend", default=None, metavar="NAME",
         choices=("serial", "vectorized"),
-        help="evaluation backend for every refinement round: serial "
-        "(default) or vectorized",
+        help="evaluation backend for every refinement round: vectorized "
+        "(default) or serial (batches of one)",
     )
     optimize.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -762,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--backend", default=None, metavar="NAME",
         choices=("serial", "vectorized"),
-        help="chip-table evaluation backend: serial (default) or "
-        "vectorized",
+        help="chip-table evaluation backend: vectorized (default) or "
+        "serial (batches of one)",
     )
     fleet.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -817,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend", default=None, metavar="NAME",
         choices=("serial", "vectorized"),
-        help="evaluation backend for every job: serial (default) or "
-        "vectorized",
+        help="evaluation backend for every job: vectorized (default) or "
+        "serial (batches of one)",
     )
     serve.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",

@@ -2,7 +2,7 @@
 
 This is the one stepper behind
 :meth:`~repro.cosim.transient.TransientCosim.run_step_response` (a batch
-of one) and the ``transient`` sweep kernel. A transient *sweep* runs
+of one) and the ``transient`` sweep evaluator. A transient *sweep* runs
 dozens of trajectories whose thermal systems are nearly identical — the
 ``transient`` preset varies utilization pairs and step sizes far more
 often than it varies the matrix-defining knobs (flow, inlet, raster).

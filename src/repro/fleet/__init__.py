@@ -12,7 +12,7 @@ per-chip physics into that system:
   bursty components from :mod:`repro.runtime.trace`) to per-chip
   utilization schedules with configurable load-balancing skew;
 - :mod:`repro.fleet.chip` — the per-chip operating-state physics on the
-  quantized flow x utilization grid (scalar evaluator + batch kernel +
+  quantized flow x utilization grid (the ``fleet_chip`` evaluator and
   the :class:`~repro.fleet.chip.ChipTable` lookup the engine rolls up);
 - :mod:`repro.fleet.fleet` — :class:`FleetSpec` / :class:`FleetEngine` /
   :class:`FleetResult`: evaluates every chip state through the sweep

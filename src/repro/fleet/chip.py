@@ -8,11 +8,9 @@ shared :class:`~repro.cosim.surface.PolarizationSurface`, so generation
 tracks coolant temperature exactly as in the co-simulation), pumping cost
 and net power.
 
-Three faces of the same physics live here so they cannot drift:
+Two faces of the same physics live here so they cannot drift:
 
-- :func:`chip_state_metrics` — the scalar ``fleet_chip`` evaluator body
-  (fresh thermal model per call, like the other scalar evaluators);
-- :func:`batch_chip_states` — the vectorized ``fleet_chip`` kernel: a
+- :func:`batch_chip_states` — the ``fleet_chip`` evaluator body: a
   consumer of :func:`repro.sweep.vectorized.steady_families` with
   utilization keys (the maps are multiples of one power map, so after
   the family's first flows every column is answered by the solver's
@@ -72,9 +70,7 @@ def chip_metrics(
 ) -> "list[dict[str, float]]":
     """Assemble the ``fleet_chip`` metrics of sampled chip states.
 
-    Shared between the scalar evaluator and the batch kernel so both
-    paths apply the identical generation/pumping energy balance. Row
-    ``i`` of :func:`_sample_chips`' output is the steady state of
+    Row ``i`` of :func:`_sample_chips`' output is the steady state of
     ``specs[i]``; the rows at each terminal voltage are one surface
     query.
     """
@@ -110,28 +106,11 @@ def chip_metrics(
     return metrics
 
 
-def chip_state_metrics(spec: ScenarioSpec) -> "dict[str, float]":
-    """Scalar ``fleet_chip`` evaluation: one chip at one (flow, util)."""
-    from repro.casestudy.power7plus import build_thermal_model
-
-    model = build_thermal_model(
-        nx=spec.nx,
-        ny=spec.ny,
-        total_flow_ml_min=spec.total_flow_ml_min,
-        inlet_temperature_k=spec.inlet_temperature_k,
-        utilization=spec.utilization,
-    )
-    solution = model.solve_steady()
-    (metrics,) = chip_metrics([spec], *_sample_chips(
-        model, solution.temperatures_k[:, None], cosim_config(spec)
-    ))
-    return metrics
-
-
 def batch_chip_states(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":
-    """Batched ``fleet_chip``: stacked utilization columns per flow level.
+    """The ``fleet_chip`` evaluator: stacked utilization columns per flow
+    level.
 
     The chips' coolant points are solved through
     :func:`repro.sweep.vectorized.steady_families` with utilization keys

@@ -55,7 +55,7 @@ def shared_fleet_runner() -> SweepRunner:
     """The process-wide vectorized runner fleet evaluations share."""
     global _SHARED_RUNNER
     if _SHARED_RUNNER is None:
-        _SHARED_RUNNER = SweepRunner(backend="vectorized")
+        _SHARED_RUNNER = SweepRunner()
     return _SHARED_RUNNER
 
 
@@ -306,9 +306,7 @@ class FleetEngine:
         self, spec: FleetSpec, runner: "SweepRunner | None" = None
     ) -> None:
         self.spec = spec
-        self.runner = (
-            runner if runner is not None else SweepRunner(backend="vectorized")
-        )
+        self.runner = runner if runner is not None else SweepRunner()
 
     @cached_property
     def chip_table(self) -> ChipTable:

@@ -19,8 +19,8 @@ march for both electrodes halves the numpy calls per segment, which is
 what a small batch pays for. It is the one production construction of a
 porous-cell polarization curve:
 :meth:`FlowThroughPorousCell.polarization_curve` is a batch of one, and
-the polarization surfaces, the sweep evaluators and the kernels all call
-it. Every operation is elementwise across cells, so a cell's curve is
+the polarization surfaces and the sweep evaluators all call it. Every
+operation is elementwise across cells, so a cell's curve is
 bit-identical whichever batch it is marched in.
 
 Oracle: the march evaluates the same expressions as the scalar

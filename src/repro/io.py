@@ -63,9 +63,9 @@ def to_jsonable(value: object) -> object:
     """Recursively convert a value into JSON-encodable primitives.
 
     Dataclasses become dicts (with a ``__type__`` tag for provenance),
-    numpy arrays become nested lists, numpy scalars become Python numbers,
-    enums become their value. Unknown object types are rejected rather than
-    silently stringified.
+    numpy arrays become nested lists, numpy scalars (bools included)
+    become Python scalars, enums become their value. Unknown object types
+    are rejected rather than silently stringified.
     """
     # Plain scalars are most of what a record holds and map to themselves.
     # Exact types only: an IntEnum or a np.float64 subclasses one of them
@@ -83,7 +83,7 @@ def to_jsonable(value: object) -> object:
         return value.value
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, dict):
         return {str(key): to_jsonable(item) for key, item in value.items()}

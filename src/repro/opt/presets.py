@@ -22,10 +22,9 @@ answers the headline question of the paper with no further configuration:
   PID's proportional/integral gains, subject to the 85 C junction limit
   over the whole trajectory. Every candidate runs the full trace
   through the ``runtime`` evaluator, so tuned gains land in the same
-  cache the runtime sweeps use — and with
-  ``optimizer(runner=SweepRunner(backend="vectorized"))`` each
-  refinement round's gain grid marches as lanes of one batched runtime
-  engine.
+  cache the runtime sweeps use — and on the default vectorized backend
+  each refinement round's gain grid marches as lanes of one batched
+  runtime engine.
 - ``fleet-allocation`` — rack-scale supply sizing: maximize fleet net
   energy over allocation policy x per-chip pump budget, subject to the
   85 C worst-chip junction limit over the whole traffic schedule. Every
@@ -73,12 +72,12 @@ class OptimizationPreset:
         """An :class:`~repro.opt.refine.Optimizer` for this study.
 
         ``runner`` lets callers share a cache and pick a backend across
-        presets — ``runner=SweepRunner(backend="vectorized")`` evaluates
-        each refinement round through the batched sweep kernels, which
-        pays off for the trajectory-valued studies (``runtime-pid``
-        candidates march as lanes of one
+        presets. The default (vectorized) runner evaluates each
+        refinement round as one batch per evaluator, which pays off for
+        the trajectory-valued studies (``runtime-pid`` candidates march
+        as lanes of one
         :class:`~repro.runtime.engine.BatchedRuntimeEngine` per round
-        instead of one scalar trace each); ``max_rounds`` overrides the
+        instead of one trace each); ``max_rounds`` overrides the
         preset's budget.
         """
         return Optimizer(

@@ -8,7 +8,7 @@ abandoning the sweep engine's guarantees. Each round is an ordinary
 1. lay a coarse grid over the current bounds of every continuous axis
    (Cartesian with any categorical axes),
 2. evaluate it through the runner — deduplicated, memoized in the shared
-   :class:`~repro.store.ResultStore`, serially or batched,
+   :class:`~repro.store.ResultStore`, batched per evaluator,
 3. extract the feasible Pareto front over *everything evaluated so far*,
 4. zoom every continuous axis to the front's bracketing grid neighbours,
 5. repeat until the bounds stop shrinking or reach the span tolerance.

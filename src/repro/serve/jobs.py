@@ -114,9 +114,9 @@ def _optimize_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
 
 def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
     from repro.sweep import ScenarioSpec
-    from repro.sweep.evaluators import run_runtime_scenario
+    from repro.sweep.evaluators import run_runtime_scenarios
 
-    trace, result = run_runtime_scenario(ScenarioSpec(
+    (trace, result), = run_runtime_scenarios([ScenarioSpec(
         evaluator="runtime",
         trace=params["trace"],
         trace_seed=params["seed"],
@@ -124,7 +124,7 @@ def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
         total_flow_ml_min=params["flow_ml_min"],
         pid_kp=params["kp"],
         pid_ki=params["ki"],
-    ))
+    )])
     records = result.records()
     return {
         "kind": "runtime",

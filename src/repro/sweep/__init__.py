@@ -4,8 +4,8 @@ Declarative design-space exploration over the integrated system: a
 :class:`ScenarioSpec` names one operating point, a :class:`SweepGrid`
 expands parameter axes into scenario batches, and a :class:`SweepRunner`
 evaluates them — deduplicated, memoized in a
-:class:`~repro.store.ResultStore`, serially or through numpy batch
-kernels — into :class:`SweepResult` records that
+:class:`~repro.store.ResultStore`, in batches per evaluator (or batches
+of one) — into :class:`SweepResult` records that
 export to CSV/JSON through :mod:`repro.io`.
 
 Typical use::

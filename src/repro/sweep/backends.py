@@ -1,129 +1,118 @@
-"""Pluggable evaluation backends for the sweep engine.
+"""Evaluation backends for the sweep engine.
 
-A backend answers one question — *how does a batch of unique, uncached
-scenarios get evaluated?* — so :class:`~repro.sweep.runner.SweepRunner`
-can keep its contract (dedup, memoization, input-order results) while the
-execution strategy varies:
+A backend answers one question — *how wide are the batches that unique,
+uncached scenarios are evaluated in?* — so
+:class:`~repro.sweep.runner.SweepRunner` can keep its contract (dedup,
+memoization, input-order results) while the batching varies. Both run
+the one loop, :func:`evaluate_batches`, which groups scenarios by
+evaluator and calls each registered evaluator
+(:mod:`repro.sweep.evaluators`) on its batches:
 
-- :class:`SerialBackend` — evaluate in-process, one scenario at a time
-  through the scalar evaluators: the independent oracle.
-- :class:`VectorizedBackend` — group compatible scenarios and evaluate
-  them through the batch kernels of :mod:`repro.sweep.vectorized`: one
+- :class:`VectorizedBackend` — one call per evaluator group: one
   polarization march per batch, one thermal factorization per scenario
-  family (stacked right-hand sides + one shared Krylov space).
-  Evaluators without a batch kernel go through the serial path, so
-  *any* scenario mix is accepted. This is the production path.
+  family (stacked right-hand sides + one shared Krylov space). This is
+  the default.
+- :class:`SerialBackend` — batches of one: each scenario is evaluated on
+  its own, with nothing shared across scenarios.
 
 Both produce the same metrics for the same specs — within
-:data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`, bit for bit where a
-kernel shares every piece with its serial evaluator (see
+:data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`, bit for bit where an
+evaluator's batch members share no floating-point work (see
 :mod:`repro.sweep.vectorized`) — and both are selectable by name from the
-Python API (``SweepRunner(backend="vectorized")``) and the CLI (``repro
-sweep --backend vectorized``). ``tests/sweep/test_backends.py`` holds the
-oracle-vs-kernel contract; ``benchmarks/bench_a17_backend_speedup.py``
-asserts the vectorized backend's speedup over the serial oracle on the
-flow and geometry presets.
+Python API (``SweepRunner(backend="serial")``) and the CLI (``repro
+sweep --backend serial``). ``tests/sweep/test_backends.py`` holds the
+batch-of-one-vs-batch contract; ``benchmarks/bench_a17_backend_speedup.py``
+races the two widths on the flow and geometry presets.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.sweep.evaluators import Evaluator
+from repro.sweep.evaluators import get_evaluator
 from repro.sweep.spec import ScenarioSpec
-
-#: One unit of work: a resolved evaluator callable plus its spec.
-EvaluationTask = Tuple[Evaluator, ScenarioSpec]
 
 #: Names accepted by :func:`get_backend` / ``SweepRunner(backend=...)``.
 BACKEND_NAMES = ("serial", "vectorized")
 
 
-def _timed_evaluate(
-    task: EvaluationTask,
-) -> "tuple[dict[str, float], float]":
-    """Evaluate one task, returning (metrics, seconds)."""
-    evaluator, spec = task
-    start = time.perf_counter()
-    with obs.span("sweep.evaluate", evaluator=spec.evaluator):
-        metrics = evaluator(spec)
-    obs.inc("sweep.evaluations")
-    return metrics, time.perf_counter() - start
+def evaluate_batches(
+    specs: "Sequence[ScenarioSpec]", width: "int | None",
+) -> "list[tuple[dict[str, float], float]]":
+    """Evaluate specs through their registered evaluators, in batches.
+
+    Specs are grouped by evaluator name, and each group is handed to its
+    evaluator in batches of at most ``width`` specs (``None``: the whole
+    group). Returns one ``(metrics, elapsed_s)`` pair per spec, in spec
+    order; ``elapsed_s`` is the batch's wall time split evenly.
+    """
+    groups: "dict[str, list[int]]" = {}
+    for index, spec in enumerate(specs):
+        groups.setdefault(spec.evaluator, []).append(index)
+
+    results: "list[tuple[dict[str, float], float] | None]"
+    results = [None] * len(specs)
+    for name, indices in groups.items():
+        evaluate = get_evaluator(name)
+        step = width or len(indices)
+        for first in range(0, len(indices), step):
+            batch = indices[first:first + step]
+            start = time.perf_counter()
+            with obs.span("sweep.batch", evaluator=name, size=len(batch)):
+                metrics = evaluate([specs[index] for index in batch])
+            obs.observe("sweep.batch.size", len(batch))
+            obs.inc("sweep.evaluations", len(batch))
+            share = (time.perf_counter() - start) / len(batch)
+            for index, scenario_metrics in zip(batch, metrics):
+                results[index] = (scenario_metrics, share)
+    assert all(result is not None for result in results)
+    return results  # type: ignore[return-value]
 
 
 class EvaluationBackend:
-    """Interface: evaluate unique scenario tasks, preserving order.
+    """Interface: evaluate unique scenarios, preserving order.
 
     Implementations must return one ``(metrics, elapsed_s)`` pair per
-    task, in task order, and must not reorder, drop or deduplicate —
+    spec, in spec order, and must not reorder, drop or deduplicate —
     the runner owns those concerns.
     """
 
     #: Registry name of the backend (``serial`` or ``vectorized``).
     name: str
+    #: Most specs one evaluator call receives (``None``: a whole group).
+    width: "int | None" = None
 
     def evaluate(
-        self, tasks: "Sequence[EvaluationTask]"
+        self, specs: "Sequence[ScenarioSpec]"
     ) -> "list[tuple[dict[str, float], float]]":
         raise NotImplementedError
 
 
 class SerialBackend(EvaluationBackend):
-    """In-process, one-at-a-time evaluation — the reference semantics."""
+    """Batches of one: every scenario evaluated on its own."""
 
     name = "serial"
+    width = 1
 
     def evaluate(
-        self, tasks: "Sequence[EvaluationTask]"
+        self, specs: "Sequence[ScenarioSpec]"
     ) -> "list[tuple[dict[str, float], float]]":
-        return [_timed_evaluate(task) for task in tasks]
+        return evaluate_batches(specs, self.width)
 
 
 class VectorizedBackend(EvaluationBackend):
-    """Grouped, numpy-batched evaluation of compatible scenarios.
-
-    Tasks are partitioned by evaluator name; names with a batch kernel
-    (see :data:`repro.sweep.vectorized.BATCH_KERNELS`) are evaluated as
-    whole groups, everything else one at a time, as :class:`SerialBackend`
-    does. Per-scenario ``elapsed_s`` is the group's wall time split
-    evenly — total sweep time stays meaningful even though scenarios are
-    no longer priced individually.
-    """
+    """One batch per evaluator group: the default."""
 
     name = "vectorized"
+    width = None
 
     def evaluate(
-        self, tasks: "Sequence[EvaluationTask]"
+        self, specs: "Sequence[ScenarioSpec]"
     ) -> "list[tuple[dict[str, float], float]]":
-        from repro.sweep.vectorized import BATCH_KERNELS
-
-        groups: "dict[str, list[int]]" = {}
-        passthrough: "list[int]" = []
-        for index, (_, spec) in enumerate(tasks):
-            if spec.evaluator in BATCH_KERNELS:
-                groups.setdefault(spec.evaluator, []).append(index)
-            else:
-                passthrough.append(index)
-
-        results: "list[tuple[dict[str, float], float] | None]"
-        results = [None] * len(tasks)
-        for name, indices in groups.items():
-            specs = [tasks[index][1] for index in indices]
-            start = time.perf_counter()
-            with obs.span("sweep.batch", evaluator=name, size=len(indices)):
-                metrics = BATCH_KERNELS[name](specs)
-            obs.observe("sweep.batch.size", len(indices))
-            obs.inc("sweep.evaluations", len(indices))
-            share = (time.perf_counter() - start) / len(indices)
-            for index, scenario_metrics in zip(indices, metrics):
-                results[index] = (scenario_metrics, share)
-        for index in passthrough:
-            results[index] = _timed_evaluate(tasks[index])
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        return evaluate_batches(specs, self.width)
 
 
 def get_backend(
@@ -131,15 +120,15 @@ def get_backend(
 ) -> EvaluationBackend:
     """Resolve a backend argument (name, instance or None) to an instance.
 
-    ``None`` is serial. A name from :data:`BACKEND_NAMES` builds the
+    ``None`` is vectorized. A name from :data:`BACKEND_NAMES` builds the
     corresponding backend.
     """
     if isinstance(backend, EvaluationBackend):
         return backend
-    if backend is None or backend == "serial":
-        return SerialBackend()
-    if backend == "vectorized":
+    if backend is None or backend == "vectorized":
         return VectorizedBackend()
+    if backend == "serial":
+        return SerialBackend()
     raise ConfigurationError(
         f"unknown backend {backend!r}; available: {BACKEND_NAMES}"
     )

@@ -1,9 +1,12 @@
-"""Evaluators: one :class:`~repro.sweep.spec.ScenarioSpec` -> metrics dict.
+"""Evaluators: a batch of :class:`~repro.sweep.spec.ScenarioSpec` -> metrics.
 
-Each evaluator is a module-level function that maps a spec to a flat
-``{metric_name: number}`` dict. They wrap the same calibrated builders the
-benchmarks and examples use, so sweep results match the hand-rolled loops
-they replaced:
+Each evaluator is one registered function that maps a sequence of specs
+of its family to one flat ``{metric_name: number}`` dict per spec, in
+order. The sweep backends call it with one spec at a time (``serial``)
+or with a whole group (``vectorized``); there is no second
+implementation, so a batch of one is the scalar evaluation. The
+functions wrap the same calibrated builders the benchmarks and examples
+use, so sweep results match the hand-rolled loops they replaced:
 
 - ``operating_point`` — thermal peak, generation at the terminal voltage,
   pumping cost and net energy (bench A2's loop body).
@@ -23,6 +26,15 @@ they replaced:
   schedule via :class:`~repro.fleet.fleet.FleetEngine`; rack-level
   energy, thermal, throttling and fairness KPIs.
 
+Work shared across a batch (thermal families, curve marches, lockstep
+trajectories) is described in :mod:`repro.sweep.vectorized`. ``cosim``
+and ``fleet`` share nothing yet: they loop over their specs.
+
+Every evaluator declares an integer model version. It is part of each
+spec's store key (:meth:`~repro.sweep.spec.ScenarioSpec.cache_key`), so
+an evaluator whose numbers move bumps it and stored results of the
+older model read as misses.
+
 The ``cosim`` and ``transient`` evaluators share the process-wide
 :class:`~repro.cosim.surface.PolarizationSurface` store, so sweeps that
 revisit a flow rate never rebuild a polarization curve.
@@ -35,13 +47,17 @@ are isothermal at the 300 K reference, as in the benches they mirror;
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, Sequence
 
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.sweep.spec import VRM_NAMES, ScenarioSpec
+from repro.sweep.vectorized import (
+    batch_peak_temperatures,
+    coolant_point,
+    steady_families,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.electrochem.polarization import PolarizationCurve
@@ -61,18 +77,34 @@ CACHE_DEMAND_W = (
     * PAPER_ANCHORS["cache_supply_voltage_v"]
 )
 
-Evaluator = Callable[[ScenarioSpec], "dict[str, float]"]
+Evaluator = Callable[[Sequence[ScenarioSpec]], "list[dict[str, float]]"]
 
 _REGISTRY: "Dict[str, Evaluator]" = {}
+_MODEL_VERSIONS: "Dict[str, int]" = {}
+_BATCH_DEPENDENT: "set[str]" = set()
 
 
-def register_evaluator(name: str) -> "Callable[[Evaluator], Evaluator]":
-    """Decorator registering an evaluator under ``name``."""
+def register_evaluator(
+    name: str, version: int = 1, batch_exact: bool = True
+) -> "Callable[[Evaluator], Evaluator]":
+    """Decorator registering a batch evaluator under ``name``.
+
+    ``version`` is the evaluator's model version. Bump it whenever the
+    metrics the evaluator returns for some spec change, so results stored
+    by the older model are never replayed as this one's. ``batch_exact``
+    is False for an evaluator whose floats depend on the batch a spec is
+    solved in (within :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`):
+    a runner then solves such a result that the store evicted again in
+    the batch it first solved it in.
+    """
 
     def decorate(fn: Evaluator) -> Evaluator:
         if name in _REGISTRY:
             raise ConfigurationError(f"evaluator {name!r} already registered")
         _REGISTRY[name] = fn
+        _MODEL_VERSIONS[name] = version
+        if not batch_exact:
+            _BATCH_DEPENDENT.add(name)
         return fn
 
     return decorate
@@ -93,14 +125,24 @@ def get_evaluator(name: str) -> Evaluator:
         ) from None
 
 
-def evaluate_spec(spec: ScenarioSpec) -> "dict[str, float]":
-    """Dispatch a spec to its registered evaluator.
+def model_version(name: str) -> int:
+    """Model version of an evaluator (1 for a name nobody registered)."""
+    return _MODEL_VERSIONS.get(name, 1)
 
-    Convenience for evaluating single scenarios directly; the runner
-    resolves evaluator callables itself and does not go through this
-    function.
+
+def batch_exact(name: str) -> bool:
+    """Whether an evaluator's metrics for a spec are the same bits in
+    every batch (see :func:`register_evaluator`)."""
+    return name not in _BATCH_DEPENDENT
+
+
+def evaluate_spec(spec: ScenarioSpec) -> "dict[str, float]":
+    """Evaluate one spec: its registered evaluator as a batch of one.
+
+    Convenience for evaluating single scenarios directly; the sweep
+    backends call the evaluators themselves.
     """
-    return get_evaluator(spec.evaluator)(spec)
+    return get_evaluator(spec.evaluator)([spec])[0]
 
 
 # -- shared pieces ---------------------------------------------------------------
@@ -113,32 +155,8 @@ def _current_at(curve, voltage_v: float) -> float:
     return 0.0
 
 
-@lru_cache(maxsize=64)
-def _peak_temperature_c(
-    total_flow_ml_min: float,
-    inlet_temperature_k: float,
-    utilization: float,
-    nx: int,
-    ny: int,
-) -> float:
-    """Memoized full-load steady peak: the thermal state is independent of
-    the electrical knobs, so grids that vary only geometry/voltage/VRM
-    solve each coolant point once per process."""
-    from repro.casestudy.power7plus import build_thermal_model
-
-    model = build_thermal_model(
-        nx=nx,
-        ny=ny,
-        total_flow_ml_min=total_flow_ml_min,
-        inlet_temperature_k=inlet_temperature_k,
-        utilization=utilization,
-    )
-    return model.solve_steady().peak_celsius
-
-
 #: Full-array (88-channel) polarization curves by total flow: the one
-#: array-curve cache behind the serial evaluators and the vectorized
-#: kernels of ``operating_point`` and ``vrm``. Bounded; see
+#: array-curve cache behind ``operating_point`` and ``vrm``. Bounded; see
 #: :func:`array_curves`.
 _ARRAY_CURVE_CACHE: "dict[float, PolarizationCurve]" = {}
 _ARRAY_CURVE_CACHE_MAX = 64
@@ -149,10 +167,9 @@ def array_curves(flows: "Sequence[float]") -> "dict[float, PolarizationCurve]":
 
     The curve depends only on the flow rate (40 curve points, 1.4 V
     overpotential sweep, 88-channel scaling), so grids varying
-    voltage/VRM at fixed flow march it once per process, and the serial
-    and vectorized paths read the very same curves. Returns
-    ``{flow: curve}`` in sorted flow order; callers must treat the curves
-    as read-only.
+    voltage/VRM at fixed flow march it once per process, whatever the
+    batch width. Returns ``{flow: curve}`` in sorted flow order; callers
+    must treat the curves as read-only.
     """
     from repro.casestudy.power7plus import (
         ARRAY_CHANNEL_COUNT,
@@ -200,21 +217,36 @@ def build_vrm(name: str, input_v: float):
     )
 
 
+def cosim_config(spec: ScenarioSpec):
+    """The co-simulation configuration of one spec.
+
+    The single definition of how a scenario maps onto a
+    :class:`~repro.cosim.coupling.CosimConfig`. The ``cosim``,
+    ``transient`` and ``fleet_chip`` evaluators all build it here, so
+    every path at one coolant point queries the same shared polarization
+    surface and thermal family.
+    """
+    from repro.cosim import CosimConfig
+
+    return CosimConfig(
+        total_flow_ml_min=spec.total_flow_ml_min,
+        inlet_temperature_k=spec.inlet_temperature_k,
+        operating_voltage_v=spec.operating_voltage_v,
+        nx=spec.nx,
+        ny=spec.ny,
+        n_channel_groups=11,
+    )
+
+
 # -- evaluators ---------------------------------------------------------------------
 
 
 def operating_point_metrics(
     spec: ScenarioSpec, peak_temperature_c: float, array_curve
 ) -> "dict[str, float]":
-    """Assemble the ``operating_point`` metrics from their physics inputs.
-
-    Shared between :func:`evaluate_operating_point` (which computes the
-    inputs scenario by scenario) and the vectorized backend's batch
-    kernel (which computes them for whole scenario groups at once), so
-    both paths apply the identical energy-balance formulas. The array
-    curve is isothermal (300 K) and keyed by flow alone: inlet
-    temperature moves only ``peak_temperature_c``.
-    """
+    """Assemble one spec's ``operating_point`` metrics from its physics
+    inputs. The array curve is isothermal (300 K) and keyed by flow alone:
+    inlet temperature moves only ``peak_temperature_c``."""
     from repro.casestudy.power7plus import array_pumping_power_w
 
     current = _current_at(array_curve, spec.operating_voltage_v)
@@ -238,19 +270,27 @@ def operating_point_metrics(
     }
 
 
-@register_evaluator("operating_point")
-def evaluate_operating_point(spec: ScenarioSpec) -> "dict[str, float]":
-    """Cooling vs generation vs pumping at one coolant operating point.
+@register_evaluator("operating_point", version=2, batch_exact=False)
+def batch_operating_point(
+    specs: "Sequence[ScenarioSpec]",
+) -> "list[dict[str, float]]":
+    """Cooling vs generation vs pumping at coolant operating points.
 
-    Inlet temperature moves only ``peak_temperature_c`` (the electrical
-    metrics come from an isothermal array curve keyed by flow).
+    Peaks come from one thermal family solve per (inlet, raster), curves
+    from one array-curve march over the distinct flows. Inlet temperature
+    moves only ``peak_temperature_c`` (the electrical metrics come from
+    an isothermal array curve keyed by flow).
     """
-    peak_c = _peak_temperature_c(
-        spec.total_flow_ml_min, spec.inlet_temperature_k,
-        spec.utilization, spec.nx, spec.ny,
-    )
-    curve = array_curves([spec.total_flow_ml_min])[spec.total_flow_ml_min]
-    return operating_point_metrics(spec, peak_c, curve)
+    peaks = batch_peak_temperatures(specs)
+    curves = array_curves([spec.total_flow_ml_min for spec in specs])
+    return [
+        operating_point_metrics(
+            spec,
+            peaks[coolant_point(spec, spec.utilization)],
+            curves[spec.total_flow_ml_min],
+        )
+        for spec in specs
+    ]
 
 
 def geometry_cell(spec: ScenarioSpec):
@@ -258,8 +298,7 @@ def geometry_cell(spec: ScenarioSpec):
 
     The channel count follows from the footprint: narrower channels (at
     the given wall width) mean more of them and more electrode volume, but
-    a quadratically growing Darcy pumping cost. Shared between the serial
-    evaluator and the vectorized batch kernel so both solve the same cell.
+    a quadratically growing Darcy pumping cost.
     """
     from repro.casestudy.power7plus import (
         build_array_spec,
@@ -301,11 +340,10 @@ def geometry_cell(spec: ScenarioSpec):
 def geometry_metrics(
     spec: ScenarioSpec, count: int, cell, curve, peak_temperature_c: float
 ) -> "dict[str, float]":
-    """Assemble the ``geometry`` metrics from their physics inputs.
+    """Assemble one spec's ``geometry`` metrics from its physics inputs.
 
     ``curve`` is the *single-channel* polarization curve of ``cell``;
-    hydraulics are priced here so the serial and vectorized paths share
-    one energy-balance formula.
+    hydraulics are priced here.
     """
     from repro.microfluidics.hydraulics import darcy_pressure_drop, pumping_power
     from repro.units import m3s_from_ml_per_min
@@ -338,23 +376,43 @@ def geometry_metrics(
     }
 
 
-@register_evaluator("geometry")
-def evaluate_geometry(spec: ScenarioSpec) -> "dict[str, float]":
-    """Channel-width design point at fixed array footprint and total flow."""
-    count, cell = geometry_cell(spec)
-    curve = cell.polarization_curve(n_points=30, max_overpotential_v=1.4)
-    peak_c = _peak_temperature_c(
-        spec.total_flow_ml_min, spec.inlet_temperature_k,
-        spec.utilization, spec.nx, spec.ny,
+@register_evaluator("geometry", version=2, batch_exact=False)
+def batch_geometry(
+    specs: "Sequence[ScenarioSpec]",
+) -> "list[dict[str, float]]":
+    """Channel-width design points at fixed array footprint and total flow.
+
+    Every distinct (width, wall, flow) design point's cell is marched in
+    one batch; scenarios differing only in electrical knobs share it.
+    """
+    from repro.flowcell.batch import batched_polarization_curves
+
+    peaks = batch_peak_temperatures(specs)
+    design_keys = [
+        (spec.channel_width_um, spec.wall_width_um, spec.total_flow_ml_min)
+        for spec in specs
+    ]
+    cells: "dict[tuple, tuple]" = {}
+    for key, spec in zip(design_keys, specs):
+        if key not in cells:
+            cells[key] = geometry_cell(spec)
+    order = list(cells)
+    curves = batched_polarization_curves(
+        [cells[key][1] for key in order], n_points=30, max_overpotential_v=1.4
     )
-    return geometry_metrics(spec, count, cell, curve, peak_c)
+    curve_by_key = dict(zip(order, curves))
+    results = []
+    for key, spec in zip(design_keys, specs):
+        count, cell = cells[key]
+        results.append(geometry_metrics(
+            spec, count, cell, curve_by_key[key],
+            peaks[coolant_point(spec, spec.utilization)],
+        ))
+    return results
 
 
 def vrm_metrics(spec: ScenarioSpec, array_curve) -> "dict[str, float]":
-    """Assemble the ``vrm`` metrics from the array polarization curve.
-
-    Shared between :func:`evaluate_vrm` and the vectorized batch kernel.
-    """
+    """Assemble one spec's ``vrm`` metrics from the array curve."""
     current = _current_at(array_curve, spec.operating_voltage_v)
     array_power = current * spec.operating_voltage_v
 
@@ -372,41 +430,17 @@ def vrm_metrics(spec: ScenarioSpec, array_curve) -> "dict[str, float]":
 
 
 @register_evaluator("vrm")
-def evaluate_vrm(spec: ScenarioSpec) -> "dict[str, float]":
-    """Regulator technology comparison at one array tap voltage."""
-    curve = array_curves([spec.total_flow_ml_min])[spec.total_flow_ml_min]
-    return vrm_metrics(spec, curve)
+def batch_vrm(specs: "Sequence[ScenarioSpec]") -> "list[dict[str, float]]":
+    """Regulator technology comparison at array tap voltages: one curve
+    march for all distinct flows."""
+    curves = array_curves([spec.total_flow_ml_min for spec in specs])
+    return [
+        vrm_metrics(spec, curves[spec.total_flow_ml_min]) for spec in specs
+    ]
 
 
-def cosim_config(spec: ScenarioSpec):
-    """The co-simulation configuration of one spec.
-
-    The single definition of how a scenario maps onto a
-    :class:`~repro.cosim.coupling.CosimConfig`. The ``cosim``,
-    ``transient`` and ``fleet_chip`` evaluators and their batch kernels
-    all build it here, so every path at one coolant point queries the
-    same shared polarization surface and thermal family.
-    """
-    from repro.cosim import CosimConfig
-
-    return CosimConfig(
-        total_flow_ml_min=spec.total_flow_ml_min,
-        inlet_temperature_k=spec.inlet_temperature_k,
-        operating_voltage_v=spec.operating_voltage_v,
-        nx=spec.nx,
-        ny=spec.ny,
-        n_channel_groups=11,
-    )
-
-
-@register_evaluator("cosim")
-def evaluate_cosim(spec: ScenarioSpec) -> "dict[str, float]":
-    """Full electro-thermal fixed-point run (Section III-B).
-
-    Scenarios sharing a flow rate draw from one polarization surface per
-    process, so only the first point at each flow pays for curve
-    construction.
-    """
+def cosim_metrics(spec: ScenarioSpec) -> "dict[str, float]":
+    """One spec's electro-thermal fixed-point run (Section III-B)."""
     from repro.cosim import ElectroThermalCosim
 
     result = ElectroThermalCosim(cosim_config(spec)).run()
@@ -420,13 +454,20 @@ def evaluate_cosim(spec: ScenarioSpec) -> "dict[str, float]":
     }
 
 
-def transient_metrics(samples) -> "dict[str, float]":
-    """Reduce one step-response trajectory to the ``transient`` metrics.
+@register_evaluator("cosim")
+def batch_cosim(specs: "Sequence[ScenarioSpec]") -> "list[dict[str, float]]":
+    """Full electro-thermal fixed-point runs, one per spec.
 
-    Shared between :func:`evaluate_transient` and the vectorized batch
-    kernel, so the two paths apply the identical trajectory reduction
-    (swings, settling detection) to whatever samples they produced.
+    Scenarios sharing a flow rate draw from one polarization surface per
+    process, so only the first point at each flow pays for curve
+    construction; nothing else is shared across the batch yet.
     """
+    return [cosim_metrics(spec) for spec in specs]
+
+
+def transient_metrics(samples) -> "dict[str, float]":
+    """Reduce one step-response trajectory to the ``transient`` metrics
+    (swings, settling detection)."""
     from repro.cosim import TransientCosim
 
     first, last = samples[0], samples[-1]
@@ -443,38 +484,38 @@ def transient_metrics(samples) -> "dict[str, float]":
 
 
 @register_evaluator("transient")
-def evaluate_transient(spec: ScenarioSpec) -> "dict[str, float]":
-    """Utilization-step response: ``utilization_before`` -> ``utilization``.
+def batch_transient(
+    specs: "Sequence[ScenarioSpec]",
+) -> "list[dict[str, float]]":
+    """Utilization-step responses, marched in lockstep.
 
-    Runs the transient co-simulation over ``step_duration_s`` sampled at
-    ``step_dt_s`` and reduces the trajectory to scalar metrics. The group
-    curves come from the shared polarization surface, so a sweep across
-    inlet temperatures or step sizes at one flow rate builds each curve
-    only once per process.
+    Cases march together through
+    :func:`repro.cosim.batch.batched_step_responses` (shared models per
+    coolant point, stacked state columns). A case's trajectory is
+    bit-identical whichever batch it rides in, settling times included.
+    The group curves come from the shared polarization surface, so a
+    sweep across inlet temperatures or step sizes at one flow rate builds
+    each curve only once per process.
     """
-    from repro.cosim import TransientCosim
+    from repro.cosim.batch import StepResponseCase, batched_step_responses
 
-    cosim = TransientCosim(cosim_config(spec))
-    samples = cosim.run_step_response(
-        spec.utilization_before,
-        spec.utilization,
-        duration_s=spec.step_duration_s,
-        dt_s=spec.step_dt_s,
-    )
-    return transient_metrics(samples)
+    trajectories = batched_step_responses([
+        StepResponseCase(
+            config=cosim_config(spec),
+            utilization_before=spec.utilization_before,
+            utilization_after=spec.utilization,
+            duration_s=spec.step_duration_s,
+            dt_s=spec.step_dt_s,
+        )
+        for spec in specs
+    ])
+    return [transient_metrics(samples) for samples in trajectories]
 
 
 def runtime_scenario_parts(spec: ScenarioSpec):
     """``(trace, controller, governor, reservoir, config)`` of one
-    runtime scenario.
-
-    The single definition of how a spec wires up the closed loop, shared
-    between :func:`evaluate_runtime` (a one-lane
-    :class:`~repro.runtime.engine.BatchedRuntimeEngine`) and the
-    vectorized backend's batch kernel (which mounts many specs' parts as
-    lanes of one engine), so the two paths cannot disagree about gains,
-    governors or reservoirs.
-    """
+    runtime scenario: the single definition of how a spec wires up the
+    closed loop (gains, governor, reservoir)."""
     from repro.runtime import (
         ElectrolyteState,
         FixedFlow,
@@ -503,29 +544,53 @@ def runtime_scenario_parts(spec: ScenarioSpec):
     return trace, controller, ThrottleGovernor(), ElectrolyteState(), config
 
 
-def run_runtime_scenario(spec: ScenarioSpec):
-    """``(trace, result)`` of one runtime scenario run as a one-lane
-    :class:`~repro.runtime.engine.BatchedRuntimeEngine`.
+def run_runtime_scenarios(specs: "Sequence[ScenarioSpec]") -> list:
+    """``(trace, result)`` per runtime scenario, in order.
 
-    The runtime evaluator, ``repro runtime`` and the served ``runtime``
+    Scenarios sharing ``(trace, seed, inlet, raster, voltage, pump
+    efficiency)`` advance through every control interval together as
+    lanes of one :class:`~repro.runtime.engine.BatchedRuntimeEngine`;
+    each lane's trajectory is identical to its one-lane run. The
+    ``runtime`` evaluator, ``repro runtime`` and the served ``runtime``
     job all run their loop here, so a bad knob fails by its spec field
     name on every surface.
     """
-    from repro.runtime import BatchedRuntimeEngine
+    from repro.runtime.engine import BatchedRuntimeEngine
 
-    trace, controller, governor, reservoir, config = runtime_scenario_parts(
-        spec
-    )
-    engine = BatchedRuntimeEngine(
-        [controller], governors=[governor], reservoirs=[reservoir],
-        config=config,
-    )
-    return trace, engine.run(trace)[0]
+    groups: "dict[tuple, list[int]]" = {}
+    for index, spec in enumerate(specs):
+        key = (
+            spec.trace,
+            spec.trace_seed,
+            spec.inlet_temperature_k,
+            spec.nx,
+            spec.ny,
+            spec.operating_voltage_v,
+            spec.pump_efficiency,
+        )
+        groups.setdefault(key, []).append(index)
+
+    results: list = [None] * len(specs)
+    for key in sorted(groups):
+        indices = groups[key]
+        parts = [runtime_scenario_parts(specs[index]) for index in indices]
+        trace, _, _, _, config = parts[0]
+        engine = BatchedRuntimeEngine(
+            controllers=[part[1] for part in parts],
+            governors=[part[2] for part in parts],
+            reservoirs=[part[3] for part in parts],
+            config=config,
+        )
+        for index, result in zip(indices, engine.run(trace)):
+            results[index] = (trace, result)
+    return results
 
 
 @register_evaluator("runtime")
-def evaluate_runtime(spec: ScenarioSpec) -> "dict[str, float]":
-    """Closed-loop runtime execution of a named workload trace.
+def batch_runtime(
+    specs: "Sequence[ScenarioSpec]",
+) -> "list[dict[str, float]]":
+    """Closed-loop runtime execution of named workload traces.
 
     ``spec.trace`` / ``spec.trace_seed`` pick the schedule
     (:func:`repro.runtime.trace.standard_trace`, deterministic per seed,
@@ -535,38 +600,31 @@ def evaluate_runtime(spec: ScenarioSpec) -> "dict[str, float]":
     gains ``pid_kp`` / ``pid_ki``, starting from ``total_flow_ml_min``.
     Both run under the default hysteresis throttle governor and the
     case-study electrolyte reservoirs, so the KPIs include throttling
-    and state-of-charge alongside the energy balance.
+    and state-of-charge alongside the energy balance. See
+    :func:`run_runtime_scenarios` for the lane grouping.
     """
-    return run_runtime_scenario(spec)[1].kpis()
+    return [result.kpis() for _, result in run_runtime_scenarios(specs)]
 
 
-@register_evaluator("fleet_chip")
-def evaluate_fleet_chip(spec: ScenarioSpec) -> "dict[str, float]":
-    """One fleet chip at one quantized (flow, utilization) point.
+@register_evaluator("fleet_chip", version=2, batch_exact=False)
+def batch_fleet_chip(
+    specs: "Sequence[ScenarioSpec]",
+) -> "list[dict[str, float]]":
+    """Fleet chips at quantized (flow, utilization) points.
 
-    The per-chip cell of the fleet layer's operating-state table: steady
+    The per-chip cells of the fleet layer's operating-state table: steady
     peak temperature, temperature-dependent array generation through the
     shared polarization surface (the coolant runs hotter at high load, so
     generation tracks utilization), pumping cost and net power. See
-    :mod:`repro.fleet.chip`.
+    :func:`repro.fleet.chip.batch_chip_states`.
     """
-    from repro.fleet.chip import chip_state_metrics
+    from repro.fleet.chip import batch_chip_states
 
-    return chip_state_metrics(spec)
+    return batch_chip_states(specs)
 
 
-@register_evaluator("fleet")
-def evaluate_fleet(spec: ScenarioSpec) -> "dict[str, float]":
-    """A whole shared-supply fleet rolled through its traffic schedule.
-
-    ``n_chips`` / ``fleet_policy`` / ``supply_per_chip_ml_min`` /
-    ``fleet_skew`` configure the rack; ``trace`` / ``trace_seed`` pick
-    the aggregate demand. The engine builds its chip table through the
-    process-wide :func:`repro.fleet.fleet.shared_fleet_runner` (always
-    the vectorized backend), so the ``fleet`` evaluator itself stays
-    bit-identical across sweep backends and scenarios sharing a supply
-    grid build the table once per process.
-    """
+def fleet_metrics(spec: ScenarioSpec) -> "dict[str, float]":
+    """One shared-supply fleet rolled through its traffic schedule."""
     from repro.fleet import FleetEngine, FleetSpec
     from repro.fleet.fleet import shared_fleet_runner
 
@@ -587,6 +645,20 @@ def evaluate_fleet(spec: ScenarioSpec) -> "dict[str, float]":
     return engine.run().kpis()
 
 
+@register_evaluator("fleet")
+def batch_fleet(specs: "Sequence[ScenarioSpec]") -> "list[dict[str, float]]":
+    """Whole shared-supply fleets rolled through their traffic schedules.
+
+    ``n_chips`` / ``fleet_policy`` / ``supply_per_chip_ml_min`` /
+    ``fleet_skew`` configure the rack; ``trace`` / ``trace_seed`` pick
+    the aggregate demand. Each fleet builds its chip table through the
+    process-wide :func:`repro.fleet.fleet.shared_fleet_runner`, so the
+    ``fleet`` metrics do not depend on the outer sweep backend and
+    scenarios sharing a supply grid build the table once per process.
+    """
+    return [fleet_metrics(spec) for spec in specs]
+
+
 def workload_metrics(model, solution) -> "dict[str, float]":
     """Assemble the ``workload`` metrics from a solved thermal state.
 
@@ -604,25 +676,35 @@ def workload_metrics(model, solution) -> "dict[str, float]":
     }
 
 
-@register_evaluator("workload")
-def evaluate_workload(spec: ScenarioSpec) -> "dict[str, float]":
-    """Thermal state of one named workload at the coolant operating point."""
-    from repro.casestudy.power7plus import build_thermal_stack
+@register_evaluator("workload", version=2, batch_exact=False)
+def batch_workload(
+    specs: "Sequence[ScenarioSpec]",
+) -> "list[dict[str, float]]":
+    """Thermal state of named workloads at coolant operating points.
+
+    Every workload at one (flow, inlet, mesh) becomes an RHS column of
+    one :func:`~repro.sweep.vectorized.steady_families` solve, and
+    distinct flows of one family share the anchor and its Krylov space.
+    """
     from repro.casestudy.workloads import standard_workloads
-    from repro.geometry.power7 import build_power7_floorplan
-    from repro.thermal.model import ThermalModel
+    from repro.thermal.solver import ThermalSolution
 
-    # Spec validation already pinned the name to WORKLOAD_NAMES, and
+    # Spec validation already pinned the names to WORKLOAD_NAMES, and
     # standard_workloads() self-checks against the same tuple.
-    workload = {w.name: w for w in standard_workloads()}[spec.workload]
+    workloads = {w.name: w for w in standard_workloads()}
 
-    floorplan = build_power7_floorplan()
-    model = ThermalModel(
-        build_thermal_stack(spec.total_flow_ml_min, spec.inlet_temperature_k),
-        floorplan.width_m, floorplan.height_m, spec.nx, spec.ny,
-    )
-    model.set_power_map(
-        "active_si", workload.power_map(spec.nx, spec.ny, floorplan)
-    )
-    solution = model.solve_steady()
-    return workload_metrics(model, solution)
+    def rasterize(nx: int, ny: int, floorplan, name: str):
+        return workloads[name].power_map(nx, ny, floorplan)
+
+    metrics: "dict[tuple, dict[str, float]]" = {}
+    points = [coolant_point(spec, spec.workload) for spec in specs]
+    for point, model, names, maps, temperatures in steady_families(
+        points, rasterize,
+    ):
+        for k, (name, power) in enumerate(zip(names, maps)):
+            model.set_power_map("active_si", power)
+            solution = ThermalSolution(
+                temperatures_k=temperatures[:, k], model=model
+            )
+            metrics[(*point, name)] = workload_metrics(model, solution)
+    return [dict(metrics[point]) for point in points]

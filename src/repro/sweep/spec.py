@@ -252,7 +252,13 @@ class ScenarioSpec:
                     f"{name} must be a finite number, got {raw!r}"
                 ) from None
             # NaN and inf slip through every ``x <= 0`` style rule.
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                raise ConfigurationError(
+                    f"{name} is out of range (beyond a float)"
+                ) from None
+            if not finite:
                 raise ConfigurationError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
 
@@ -311,14 +317,24 @@ class ScenarioSpec:
         """Stable content hash for memoization and archive filenames.
 
         Two specs that differ only in ``label`` share a key; any physical
-        difference (including raster resolution) yields a distinct one.
-        The hash is computed once per instance (a spec is immutable);
-        the memo travels with ``pickle``/``copy`` but never to a
-        :meth:`replace` copy.
+        difference (including raster resolution) yields a distinct one,
+        and so does the evaluator's model version
+        (:func:`~repro.sweep.evaluators.model_version`): results stored
+        by an older model of the evaluator read as misses. Version 1
+        adds nothing, so a version-1 evaluator keeps the key it had
+        before versions existed. The hash is computed once per instance
+        (a spec is immutable); the memo travels with ``pickle``/``copy``
+        but never to a :meth:`replace` copy.
         """
         key = self.__dict__.get(_KEY_ATTR)
         if key is None:
-            canonical = json.dumps(self.identity(), sort_keys=True)
+            from repro.sweep.evaluators import model_version
+
+            identity = self.identity()
+            version = model_version(self.evaluator)
+            if version != 1:
+                identity["model_version"] = version
+            canonical = json.dumps(identity, sort_keys=True)
             key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
             object.__setattr__(self, _KEY_ATTR, key)
         return key

@@ -22,7 +22,7 @@ Only advection and the inlet enthalpy depend on flow, so the matrix is
 ``conduction + advection(q)``. Each model caches its own system and
 factorizations; only models used through :meth:`ThermalModel.at_flow` also
 keep the conduction matrix, shared by reference across a flow family (the
-sweep kernels' :func:`repro.sweep.vectorized.steady_families`).
+steady sweep evaluators' :func:`repro.sweep.vectorized.steady_families`).
 """
 
 from __future__ import annotations
@@ -424,7 +424,7 @@ class ThermalModel:
         Pre-pays the model's one-time costs — sparse assembly, the steady
         LU and (with ``dt_s``) the backward-Euler step factorization — so
         a caller that builds models ahead of time can move that work out
-        of its solve loop. No sweep backend calls it: the batch kernels
+        of its solve loop. No sweep backend calls it: the steady evaluators
         factorize one anchor per family instead. Idempotent: warm parts
         are not recomputed.
         """

@@ -173,6 +173,32 @@ def test_clean_package_has_no_contract_findings(synthetic_repo):
     assert contract_findings(package, package.parent.parent) == []
 
 
+BATCH_EVALUATOR = '''
+
+@register_evaluator("batch")
+def evaluate_batch(specs: "Sequence[ScenarioSpec]") -> list:
+    values = [spec.dead_field for spec in specs]
+    for item in specs:
+        values.append(item.typo_attr)
+    return values
+'''
+
+
+def test_loop_variables_over_a_spec_sequence_are_specs(synthetic_repo):
+    """A batch evaluator's reads through ``for spec in specs`` count."""
+    package, root = synthetic_repo
+    (package / "sweep" / "evaluators.py").write_text(
+        EVALUATORS + BATCH_EVALUATOR
+    )
+    findings = contract_findings(package, root)
+    assert not any(f.code == "RPL301" for f in findings)
+    typos = {
+        f.message for f in findings
+        if f.code == "RPL303" and f.path == "src/pkg/sweep/evaluators.py"
+    }
+    assert any("typo_attr" in message for message in typos)
+
+
 OBS_INIT = '''\
 COUNTER_NAMES = (
     "engine.stale_counter",

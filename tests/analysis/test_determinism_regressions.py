@@ -58,7 +58,7 @@ def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
     """Permuted and duplicated specs get identical metrics, and a batch
     over 2 inlets x 3 flows stamps conduction and factorizes once per
     inlet family."""
-    from repro.sweep.vectorized import BATCH_KERNELS
+    from repro.sweep.evaluators import get_evaluator
     from repro.thermal.model import ThermalModel
 
     stamps = []
@@ -70,7 +70,7 @@ def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
 
     monkeypatch.setattr(ThermalModel, "_assemble", counting_assemble)
 
-    kernel = BATCH_KERNELS[evaluator]
+    kernel = get_evaluator(evaluator)
     field, values = STEADY_KERNEL_KEYS[evaluator]
     specs = [
         ScenarioSpec(

@@ -339,7 +339,7 @@ class TestHistoryIndependence:
         runtime engine, a fleet chip and the transient stepper all query
         the same object."""
         from repro.cosim import TransientCosim
-        from repro.fleet.chip import chip_state_metrics
+        from repro.fleet.chip import batch_chip_states
         from repro.sweep.evaluators import cosim_config
         from repro.runtime import (
             BatchedRuntimeEngine,
@@ -363,7 +363,7 @@ class TestHistoryIndependence:
         PolarizationSurface.clear_shared()
         try:
             caller = "fleet chip"
-            chip_state_metrics(spec)
+            batch_chip_states([spec])
             caller = "runtime"
             BatchedRuntimeEngine(
                 [FixedFlow(spec.total_flow_ml_min)],
@@ -385,7 +385,7 @@ class TestHistoryIndependence:
         """Runtime runs and batched step responses warm surfaces at the
         fleet chips' coolant points; the chip metrics must not notice."""
         from repro.cosim.batch import StepResponseCase, batched_step_responses
-        from repro.fleet.chip import chip_state_metrics
+        from repro.fleet.chip import batch_chip_states
         from repro.sweep.evaluators import cosim_config
         from repro.runtime import (
             BatchedRuntimeEngine,
@@ -403,7 +403,7 @@ class TestHistoryIndependence:
         ]
 
         def chip_table():
-            return repr([chip_state_metrics(spec) for spec in specs])
+            return repr([batch_chip_states([spec]) for spec in specs])
 
         def batched_runs():
             # Each run holds one chip operating point, so it visits the

@@ -34,8 +34,12 @@ def _quadratic(spec: ScenarioSpec) -> "dict[str, float]":
     }
 
 
+def _quadratic_batch(specs) -> "list[dict[str, float]]":
+    return [_quadratic(spec) for spec in specs]
+
+
 try:
-    register_evaluator("opt_test_quadratic")(_quadratic)
+    register_evaluator("opt_test_quadratic")(_quadratic_batch)
 except ConfigurationError:  # already registered by a prior import
     pass
 

@@ -98,12 +98,12 @@ def _fields(spec):
 
 
 def _outcome(build):
-    """``(spec, None)``, or ``(None, (error type, message))``. Not only
-    ConfigurationError: an int field given 10**400 overflows the
-    finiteness check on construction, and replace must do the same."""
+    """``(spec, None)``, or ``(None, (error type, message))``. Every
+    rejection is a ConfigurationError naming a field, the int field given
+    10**400 included; anything else escapes and fails the test."""
     try:
         return build(), None
-    except Exception as error:
+    except ConfigurationError as error:
         return None, (type(error), str(error))
 
 

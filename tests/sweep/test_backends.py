@@ -1,14 +1,18 @@
-"""Oracle-vs-kernel contract: the serial oracle vs the vectorized backend.
+"""Batch-width contract: batches of one vs batch composition.
 
-Every sweep preset is evaluated on both
-:class:`~repro.sweep.backends.EvaluationBackend` implementations and the
-vectorized result set must match the serial oracle's: within the
-documented :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` (kernels with
-a batched thermal solve) or bit-identical (evaluators without a kernel,
-which run the serial path, and the kernels in ``EXACT_KERNELS``, whose
-serial evaluator is a batch of one through the same code).
+Every evaluator is one registered function over a batch of specs. The
+:class:`~repro.sweep.backends.SerialBackend` hands it one spec at a
+time, the :class:`~repro.sweep.backends.VectorizedBackend` whole
+evaluator groups. Every sweep preset is evaluated both ways and the
+results must match: within the documented
+:data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` for the steady
+evaluators (an anchored family solve vs a direct one), bit for bit for
+the ``EXACT_KERNELS`` (whose batch members share no floating-point
+work). The steady evaluators are also checked, at both widths, against
+an independent default-ordering direct solve
+(``tests/sweep/steady_oracle.py``).
 
-Plus the cache-interop contract: results computed by either backend land
+Plus the cache-interop contract: results computed at either width land
 in the shared :class:`~repro.store.ResultStore` under the same keys, so
 the backends replay each other's work with zero new evaluations and
 identical hit/miss accounting.
@@ -29,12 +33,15 @@ from repro.sweep import (
     SerialBackend,
     SweepRunner,
     VectorizedBackend,
+    evaluator_names,
     get_backend,
     get_preset,
     preset_names,
 )
 from repro.errors import ConfigurationError
-from repro.sweep.vectorized import BATCH_KERNELS, EQUIVALENCE_RTOL
+from repro.sweep.evaluators import batch_exact
+from repro.sweep.vectorized import EQUIVALENCE_RTOL
+from tests.sweep.steady_oracle import STEADY_EVALUATORS, steady_oracle_metrics
 
 #: Scenario lists per preset: full grids for the fast analytic presets,
 #: reduced-raster subsets for the trajectory-valued ones.
@@ -55,19 +62,19 @@ def preset_scenarios(name: str) -> "list[ScenarioSpec]":
     return preset.expand(points=6)
 
 
-#: Kernels that share every piece with their serial evaluator: ``runtime``
-#: (one :class:`~repro.runtime.engine.BatchedRuntimeEngine`, one lane per
+#: Evaluators whose batch members share no floating-point work, so a
+#: spec's metrics are the same at every batch width: ``runtime`` (one
+#: :class:`~repro.runtime.engine.BatchedRuntimeEngine`, one lane per
 #: scenario or many), ``transient`` (one step-response stepper, one case
-#: per scenario or many) and ``vrm`` (one cached array-curve march). They
-#: must agree exactly.
-EXACT_KERNELS = ("runtime", "transient", "vrm")
+#: per scenario or many), ``vrm`` (one cached array-curve march), and
+#: ``cosim`` and ``fleet``, which loop over their specs. They must agree
+#: exactly.
+EXACT_KERNELS = ("cosim", "fleet", "runtime", "transient", "vrm")
 
 
-def vectorized_rtol(evaluator: str) -> float:
-    """Documented serial-vs-vectorized tolerance of one evaluator."""
-    if evaluator in BATCH_KERNELS and evaluator not in EXACT_KERNELS:
-        return EQUIVALENCE_RTOL
-    return 0.0
+def width_rtol(evaluator: str) -> float:
+    """Documented tolerance between batch widths of one evaluator."""
+    return 0.0 if evaluator in EXACT_KERNELS else EQUIVALENCE_RTOL
 
 
 def assert_equivalent(reference, other, rtol: float) -> None:
@@ -86,19 +93,95 @@ def assert_equivalent(reference, other, rtol: float) -> None:
             )
 
 
+def test_every_evaluator_has_a_width_contract():
+    """A new evaluator must be classified: exact or steady."""
+    # Evaluators other test modules register are not the library's.
+    library = [name for name in evaluator_names() if "test" not in name]
+    assert sorted(EXACT_KERNELS + STEADY_EVALUATORS) == library
+    assert [name for name in library if batch_exact(name)] == sorted(
+        EXACT_KERNELS
+    )
+
+
 class TestEquivalenceMatrix:
     @pytest.mark.parametrize("preset_name", sorted(preset_names()))
-    def test_all_backends_agree(self, preset_name):
+    def test_batches_of_one_match_batch_composition(self, preset_name):
         specs = preset_scenarios(preset_name)
         serial = SweepRunner(backend="serial").run(specs)
         vectorized = SweepRunner(backend="vectorized").run(specs)
-
-        # Vectorized kernels agree within the documented tolerance;
-        # evaluators without a kernel and the exact kernels are
-        # bit-identical.
         assert_equivalent(
-            serial, vectorized, rtol=vectorized_rtol(specs[0].evaluator)
+            serial, vectorized, rtol=width_rtol(specs[0].evaluator)
         )
+
+    def test_one_loop_batches_by_width(self, monkeypatch):
+        """Serial calls the registered evaluator once per spec,
+        vectorized once per evaluator group; nothing else runs."""
+        from repro.sweep import evaluators
+
+        sizes = []
+        registered = evaluators.get_evaluator("vrm")
+
+        def recording(specs):
+            sizes.append(len(specs))
+            return registered(specs)
+
+        monkeypatch.setitem(evaluators._REGISTRY, "vrm", recording)
+        specs = get_preset("vrm").expand(points=6)
+        SweepRunner(backend="serial").run(specs)
+        assert sizes == [1] * len(specs)
+        sizes.clear()
+        SweepRunner(backend="vectorized").run(specs)
+        assert sizes == [len(specs)]
+
+
+#: Scenario grids per steady evaluator for the direct-solve oracle.
+def steady_scenarios(evaluator: str) -> "list[ScenarioSpec]":
+    if evaluator == "fleet_chip":
+        return [
+            ScenarioSpec(
+                evaluator="fleet_chip", nx=22, ny=11,
+                total_flow_ml_min=flow, utilization=utilization,
+            )
+            for flow in (40.0, 338.0, 676.0)
+            for utilization in (0.25, 1.0)
+        ]
+    preset = {"operating_point": "flow", "workload": "workloads"}
+    return get_preset(preset.get(evaluator, evaluator)).expand(points=6)
+
+
+class TestSteadyOracle:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("evaluator", STEADY_EVALUATORS)
+    def test_steady_evaluator_matches_direct_solve(self, evaluator, backend):
+        specs = steady_scenarios(evaluator)
+        results = SweepRunner(backend=backend).run(specs)
+        for result in results:
+            for name, expected in steady_oracle_metrics(result.spec).items():
+                assert result.metrics[name] == pytest.approx(
+                    expected, rel=EQUIVALENCE_RTOL, abs=EQUIVALENCE_RTOL
+                ), f"{evaluator}/{name} at {result.spec}"
+
+
+class TestWideTransientBatch:
+    def test_shared_coolant_point_columns_match_batches_of_one(self):
+        """Six step responses at one 44x22 coolant point march as six
+        columns of one factorization; each matches its own batch of one
+        bit for bit."""
+        specs = [
+            ScenarioSpec(
+                evaluator="transient", nx=44, ny=22,
+                utilization_before=before, utilization=after,
+                step_duration_s=0.1, step_dt_s=0.05,
+            )
+            for before, after in (
+                (0.1, 1.0), (1.0, 0.1), (0.3, 0.8),
+                (0.5, 0.6), (0.9, 0.2), (0.0, 0.7),
+            )
+        ]
+        serial = SweepRunner(backend="serial").run(specs)
+        vectorized = SweepRunner(backend="vectorized").run(specs)
+        for one, wide in zip(serial, vectorized):
+            assert wide.metrics == one.metrics
 
 
 class TestCacheInterop:
@@ -135,8 +218,8 @@ class TestCacheInterop:
         assert stored["serial"] == stored["vectorized"]
 
     def test_mixed_evaluator_batch_partitions_and_reassembles(self):
-        """A batch mixing kernel and kernel-less evaluators keeps input
-        order and per-spec correctness."""
+        """A batch mixing evaluators keeps input order and per-spec
+        correctness."""
         specs = [
             ScenarioSpec(evaluator="operating_point", total_flow_ml_min=338.0),
             ScenarioSpec(evaluator="transient", nx=22, ny=11),
@@ -153,7 +236,7 @@ class TestDynamicPresetCacheInterop:
     """Cold/warm cache parity for the trajectory-valued presets.
 
     The steady presets' cache contract is pinned above; these checks
-    extend it to the dynamic evaluators the batched kernels cover:
+    extend it to the dynamic evaluators:
     both backends perform the same cold-run misses, replay warm with
     zero new evaluations, and reports identical hit/miss accounting.
     """
@@ -179,7 +262,7 @@ class TestDynamicPresetCacheInterop:
         assert accounting["serial"] == accounting["vectorized"]
         assert_equivalent(
             cold_results["serial"], cold_results["vectorized"],
-            rtol=vectorized_rtol(specs[0].evaluator),
+            rtol=width_rtol(specs[0].evaluator),
         )
 
 
@@ -218,10 +301,10 @@ class TestBackendSelection:
         for backend in (SerialBackend(), VectorizedBackend()):
             assert SweepRunner(backend=backend).backend is backend
 
-    def test_default_is_the_serial_oracle(self):
+    def test_default_is_vectorized(self):
         assert BACKEND_NAMES == ("serial", "vectorized")
-        assert SweepRunner().backend.name == "serial"
-        assert get_backend(None).name == "serial"
+        assert SweepRunner().backend.name == "vectorized"
+        assert get_backend(None).name == "vectorized"
 
     def test_process_name_rejected_with_listing(self):
         with pytest.raises(

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.io import load_csv, load_json
 from repro.store import ResultStore
+from repro.sweep import runner as runner_module
 from repro.sweep import (
     ScenarioSpec,
     SweepGrid,
@@ -13,23 +14,45 @@ from repro.sweep import (
 )
 
 # A cheap arithmetic evaluator so runner mechanics are tested without
-# physics solves. Registered at import; the in-process (serial) runner
-# path resolves it from the same registry.
+# physics solves. Registered at import, so every backend resolves it from
+# the same registry. Counts the specs it evaluates.
 _CALLS = {"count": 0}
 
 
 @register_evaluator("_test_cheap")
-def _cheap(spec):
-    _CALLS["count"] += 1
-    return {
-        "double_flow": 2.0 * spec.total_flow_ml_min,
-        "voltage": spec.operating_voltage_v,
-    }
+def _cheap(specs):
+    _CALLS["count"] += len(specs)
+    return [
+        {
+            "double_flow": 2.0 * spec.total_flow_ml_min,
+            "voltage": spec.operating_voltage_v,
+        }
+        for spec in specs
+    ]
 
 
 def cheap_specs(*flows):
     return [
         ScenarioSpec(evaluator="_test_cheap", total_flow_ml_min=flow)
+        for flow in flows
+    ]
+
+
+# A batch-dependent evaluator: every spec's metric is its batch's mean
+# flow, as steady family solves depend on the flows solved beside them.
+_BATCHES: "list[list[float]]" = []
+
+
+@register_evaluator("_test_batch_mean", batch_exact=False)
+def _batch_mean(specs):
+    flows = [spec.total_flow_ml_min for spec in specs]
+    _BATCHES.append(flows)
+    return [{"mean_flow": sum(flows) / len(flows)} for _ in specs]
+
+
+def batch_mean_specs(*flows):
+    return [
+        ScenarioSpec(evaluator="_test_batch_mean", total_flow_ml_min=flow)
         for flow in flows
     ]
 
@@ -130,6 +153,73 @@ class TestMemoization:
         assert cache.get(spec.cache_key()) is None
 
 
+class TestBatchDependentResults:
+    """An evicted batch-dependent result is solved in its first batch."""
+
+    @staticmethod
+    def _evicting_runner(directory, backend=None):
+        """A runner whose store keeps one entry in memory, so unlinking
+        the directory's entries evicts all but the last one put."""
+        return SweepRunner(
+            cache=ResultStore(directory, max_memory_entries=1),
+            backend=backend,
+        )
+
+    @staticmethod
+    def _evict(directory):
+        for entry in directory.glob("*.json"):
+            entry.unlink()
+        _BATCHES.clear()
+
+    def test_a_replay_solves_evicted_results_in_their_batch(self, tmp_path):
+        runner = self._evicting_runner(tmp_path)
+        specs = batch_mean_specs(30.0, 60.0, 90.0)
+        first = runner.run(specs)
+        self._evict(tmp_path)
+        replay = runner.run(specs)
+        # 90 stayed in memory and rides along with the two misses.
+        assert _BATCHES == [[30.0, 60.0, 90.0]]
+        assert [r.from_cache for r in replay] == [False, False, True]
+        assert replay.records() == first.records()
+        assert runner.cache.stats()["misses"] == 5
+
+    def test_new_misses_share_one_batch_without_riders(self, tmp_path):
+        runner = self._evicting_runner(tmp_path)
+        runner.run(batch_mean_specs(30.0, 60.0, 90.0))
+        _BATCHES.clear()
+        runner.run(batch_mean_specs(30.0, 45.0, 60.0, 75.0, 90.0))
+        assert _BATCHES == [[45.0, 75.0]]
+
+    def test_a_batch_the_run_lacks_is_not_repeated(self, tmp_path):
+        runner = self._evicting_runner(tmp_path)
+        runner.run(batch_mean_specs(30.0, 60.0, 90.0))
+        self._evict(tmp_path)
+        runner.run(batch_mean_specs(30.0, 60.0))
+        assert _BATCHES == [[30.0, 60.0]]
+
+    def test_the_remembered_batches_are_bounded(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(runner_module, "REMEMBERED_KEYS", 2)
+        runner = self._evicting_runner(tmp_path)
+        runner.run(batch_mean_specs(30.0, 60.0, 90.0))
+        assert len(runner._solved_with) == 2
+
+    def test_batches_of_one_solve_only_the_misses(self, tmp_path):
+        runner = self._evicting_runner(tmp_path, backend="serial")
+        specs = batch_mean_specs(30.0, 60.0, 90.0)
+        runner.run(specs)
+        self._evict(tmp_path)
+        runner.run(specs)
+        assert _BATCHES == [[30.0], [60.0]]
+
+    def test_exact_results_are_solved_with_the_misses(self, tmp_path):
+        runner = self._evicting_runner(tmp_path)
+        runner.run(cheap_specs(30.0, 60.0, 90.0))
+        self._evict(tmp_path)
+        _CALLS["count"] = 0
+        runner.run(cheap_specs(30.0, 60.0, 90.0))
+        assert _CALLS["count"] == 2
+
+
 class TestCacheStats:
     def test_fresh_cache_reports_zero_everything(self):
         assert ResultStore().stats() == {
@@ -202,8 +292,11 @@ class TestResults:
 
     def test_partially_present_metric_names_common_set(self):
         @register_evaluator("_test_other")
-        def _other(spec):
-            return {"voltage": spec.operating_voltage_v, "extra": 1.0}
+        def _other(specs):
+            return [
+                {"voltage": spec.operating_voltage_v, "extra": 1.0}
+                for spec in specs
+            ]
 
         results = SweepRunner().run([
             ScenarioSpec(evaluator="_test_cheap"),

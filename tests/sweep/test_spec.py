@@ -54,15 +54,34 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError, match=field):
             ScenarioSpec(**{field: value})
 
-    @pytest.mark.parametrize("value", ["fast", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", ["fast", None, float("nan"), float("inf"), 10**400]
+    )
     @pytest.mark.parametrize(
         "field", ScenarioSpec._INT_FIELDS + ("total_flow_ml_min", "pid_kp")
     )
     def test_non_numbers_rejected_by_name(self, field, value):
         """A value that is no finite number names its field instead of
-        escaping as a bare TypeError/ValueError/OverflowError."""
+        escaping as a bare TypeError/ValueError/OverflowError, on
+        construction and on replace alike."""
         with pytest.raises(ConfigurationError, match=field):
             ScenarioSpec(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioSpec().replace(**{field: value})
+
+    @pytest.mark.parametrize("field", ScenarioSpec._INT_FIELDS)
+    @pytest.mark.parametrize(
+        ("value", "message"),
+        [
+            (float("inf"), "must be a finite number, got inf"),
+            (10**400, "is out of range"),
+        ],
+    )
+    def test_out_of_range_ints_say_why(self, field, value, message):
+        for build in (ScenarioSpec, ScenarioSpec().replace):
+            with pytest.raises(ConfigurationError, match=message) as caught:
+                build(**{field: value})
+            assert str(caught.value).startswith(field)
 
     def test_replace_validates_field_names(self):
         spec = ScenarioSpec()

@@ -53,6 +53,13 @@ class TestFiles:
         parsed = json.loads(text)
         assert parsed["operating_voltage_v"] == 1.0
 
+    def test_dumps_numpy_bool_as_bool(self):
+        from repro.io import csv_dumps
+
+        records = [{"a": np.bool_(True), "b": np.bool_(False)}]
+        assert json.loads(dumps(records)) == [{"a": True, "b": False}]
+        assert csv_dumps(records).splitlines() == ["a,b", "True,False"]
+
     def test_deterministic_output(self):
         assert dumps(CosimConfig()) == dumps(CosimConfig())
 

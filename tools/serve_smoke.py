@@ -2,7 +2,7 @@
 """CI smoke test for ``repro serve`` (docs/service.md).
 
 Boots a :class:`~repro.serve.server.ResultServer` on a daemon thread
-against a throwaway store directory, submits the flow preset twice from
+against a throwaway store directory (removed on exit), submits the flow preset twice from
 a plain-socket client, and asserts the service contract end to end:
 
 - the cold submission evaluates every scenario;
@@ -25,6 +25,7 @@ Exit code 0 on success; any contract violation raises.
 
 from __future__ import annotations
 
+import shutil
 import sys
 import tempfile
 
@@ -46,13 +47,13 @@ def _replay_twice(client, kind: str, **params) -> dict:
     return warm
 
 
-def main() -> int:
+def smoke(store_dir: str) -> None:
+    """Run every check against a server on the store at ``store_dir``."""
     from repro.fleet import FleetSpec
     from repro.serve import BackgroundServer, ResultServer, ServeClient
     from repro.store import ResultStore
     from repro.sweep import SweepRunner
 
-    store_dir = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     runner = SweepRunner(cache=ResultStore(store_dir))
     server = ResultServer(runner)
     with BackgroundServer(server) as bg:
@@ -91,7 +92,15 @@ def main() -> int:
 
     assert server.jobs_completed == 7 and server.jobs_failed == 1
     print(f"serve smoke: OK ({server.jobs_completed} job(s), "
-          f"{server.jobs_failed} failure(s), store at {store_dir})")
+          f"{server.jobs_failed} failure(s))")
+
+
+def main() -> int:
+    store_dir = tempfile.mkdtemp(prefix="repro-serve-smoke-")
+    try:
+        smoke(store_dir)
+    finally:
+        shutil.rmtree(store_dir, ignore_errors=True)
     return 0
 
 
