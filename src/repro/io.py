@@ -151,6 +151,10 @@ def load_json(path: "str | Path") -> object:
     return json.loads(Path(path).read_text())
 
 
+#: Cell types written as they are, checked by exact type on the fast path.
+_PLAIN_CELLS = frozenset((bool, int, float, str, type(None)))
+
+
 def csv_dumps(
     records: "Sequence[Mapping[str, object]]",
     columns: "Sequence[str] | None" = None,
@@ -161,33 +165,33 @@ def csv_dumps(
     of this text): ``repro serve`` returns this string so a client-side
     write is byte-identical to an in-process export.
     """
-    rows = [dict(record) for record in records]
     if columns is None:
         ordered: "dict[str, None]" = {}
-        for row in rows:
-            for key in row:
-                ordered.setdefault(key)
+        for record in records:
+            ordered.update(dict.fromkeys(record))
         columns = list(ordered)
-    for row in rows:
-        for key in columns:
-            value = row.get(key)
-            if isinstance(value, (np.floating, np.integer, np.bool_)):
-                row[key] = value.item()
-            elif value is not None and not isinstance(
-                value, (bool, int, float, str)
-            ):
-                raise ConfigurationError(
-                    f"CSV cells must be scalars, got {type(value).__name__} "
-                    f"in column {key!r}; use save_json for nested data"
-                )
     buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer, fieldnames=list(columns), restval="",
-        extrasaction="ignore",
-    )
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    for record in records:
+        row = [record.get(key) for key in columns]
+        if not all(type(value) in _PLAIN_CELLS for value in row):
+            row = [_cell(value, key) for value, key in zip(row, columns)]
+        writer.writerow(row)
     return buffer.getvalue()
+
+
+def _cell(value: object, key: str) -> object:
+    """``value`` as a CSV cell: numpy scalars become Python scalars, and
+    anything that is not a scalar (or None, an empty cell) is refused."""
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if value is not None and not isinstance(value, (bool, int, float, str)):
+        raise ConfigurationError(
+            f"CSV cells must be scalars, got {type(value).__name__} "
+            f"in column {key!r}; use save_json for nested data"
+        )
+    return value
 
 
 def save_csv(

@@ -101,7 +101,7 @@ def steady_families(
             build_thermal_stack(inlet_temperature_k=inlet),
             floorplan.width_m, floorplan.height_m, nx, ny,
         )
-        solver = AnchoredSteadySolver()
+        solver = AnchoredSteadySolver(family)
         maps = {
             key: rasterize(nx, ny, floorplan, key)
             for key in sorted(set().union(*flows.values()))

@@ -23,11 +23,14 @@ space grows (one triangular solve per Krylov step) only where it cannot
 yet meet the tolerance. Utilization or workload variants of one flow are
 stacked right-hand-side columns of one call.
 
-The solver checks property 1 on every matrix it is fed: a matrix off the
-family's line (a flow-dependent channel allocation, another raster or
-stack) re-anchors. Each model starts from its own inlet temperature, so
-a family mixing inlets stays on the line as long as the coolant's
-properties do not depend on it. Every solution is
+The solver is built from its family, the flow-free model whose
+:meth:`~repro.thermal.model.ThermalModel.at_flow` derives every flow's
+model, and takes ``D`` once from the family's advection stamp at unit
+flow. Property 1 therefore holds by construction: the only check left is
+at the boundary, where a model that does not share the family's
+conduction matrix (a fresh build, a flow-dependent channel allocation,
+another inlet, raster or stack) raises
+:class:`~repro.errors.ConfigurationError`. Every solution is
 residual-checked against the same bound as
 :func:`repro.thermal.solver.solve_steady` and falls back to a direct
 factorization when the fast path misses it, so callers get direct-solver
@@ -69,8 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _RESIDUAL_RTOL = 1e-8
 
 #: Krylov stop test: a column is answered once its residual estimate is
-#: at most ``_GMRES_RTOL * ||b||``. The same bound also decides whether a
-#: matrix lies on the family's line ``A(q0) + (q - q0) D``.
+#: at most ``_GMRES_RTOL * ||b||``.
 _GMRES_RTOL = 1e-12
 
 #: Most vectors one solver's Krylov space holds. The space lives on the
@@ -107,16 +109,19 @@ def _fast_splu(matrix: sparse.spmatrix):
 
 
 class AnchoredSteadySolver:
-    """Steady solves over a model family, sharing one anchor and one
+    """Steady solves over one thermal family, sharing one anchor and one
     Krylov space.
 
-    Stateless from the caller's perspective: feed it models (with their
-    power maps already applied) in any order and read back
-    :class:`~repro.thermal.solver.ThermalSolution` objects identical — to
-    solver accuracy — to ``model.solve_steady()``. Feeding a flow family
-    middle-out keeps every flow close to the anchor, which keeps the
-    Krylov space small; the solver re-anchors on its own when a matrix
-    leaves the family's line or the space would outgrow its cap.
+    Built from its family, the flow-free model whose
+    :meth:`~repro.thermal.model.ThermalModel.at_flow` derives every flow's
+    model; ``D`` is the family's advection stamp at unit flow. Feed it
+    those models (with their power maps already applied) in any order and
+    read back :class:`~repro.thermal.solver.ThermalSolution` objects
+    identical — to solver accuracy — to ``model.solve_steady()``. Any
+    other model raises :class:`~repro.errors.ConfigurationError`. Feeding
+    the flows middle-out keeps every flow close to the anchor, which keeps
+    the Krylov space small; the solver re-anchors on its own when the
+    space would outgrow its cap.
 
     The space is an orthonormal basis ``V`` plus the Arnoldi relation
     ``D M^-1 (V R) = V H``: ``R`` holds the coefficients of the directions
@@ -127,19 +132,18 @@ class AnchoredSteadySolver:
     tolerance applies ``D M^-1`` once along its current residual, which
     extends ``V``, ``R`` and ``H`` by one column, and solves again. The
     anchor's own columns are ``x0 + M^-1 r0``; that solve doubles as a
-    free Krylov step, whose image joins ``V`` once the family's second
-    flow has defined ``D``.
+    free Krylov step whose image joins ``V`` at once.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, family: "ThermalModel") -> None:
+        #: ``D`` and its rows.
+        self._drift = family.at_flow(1.0)._advection()[0]
+        self._drift_rows = np.flatnonzero(np.diff(self._drift.indptr))
+        #: The conduction matrix every model of the family shares by
+        #: reference (the boundary check of :meth:`_system`).
+        self._conduction = family._conduction
         self._anchor_lu = None
-        self._anchor_matrix: "sparse.csr_matrix | None" = None
         self._anchor_flow = 0.0
-        #: ``D`` (``None`` until a second flow) and the positions of its
-        #: entries in the anchor's sparsity pattern, for the family check.
-        self._drift: "sparse.csr_matrix | None" = None
-        self._drift_at: "np.ndarray | None" = None
-        self._forget(0)
         #: Fresh factorizations performed (anchors + fallbacks) — exposed
         #: for benches and tests asserting the sharing actually happens.
         self.factorizations = 0
@@ -154,11 +158,11 @@ class AnchoredSteadySolver:
 
     # -- the Krylov space -------------------------------------------------------
 
-    def _forget(self, n_dof: int) -> None:
+    def _forget(self) -> None:
         """Start an empty space: it belongs to one anchor."""
-        #: Rows the space may be nonzero on (``D``'s rows and the source
-        #: rows); ``V`` is stored on those rows only.
-        self._inside = np.zeros(n_dof, dtype=bool)
+        #: Rows the space may be nonzero on (the source rows, and ``D``'s
+        #: rows once it holds an image); ``V`` is stored on those rows only.
+        self._inside = np.zeros(self._drift.shape[0], dtype=bool)
         self._rows = np.empty(0, dtype=np.intp)
         #: ``V^T``: one orthonormal vector per row, ``_width`` in use.
         self._basis = np.zeros((_SPACE_CAP, 0))
@@ -167,10 +171,6 @@ class AnchoredSteadySolver:
         self._dirs = np.zeros((_SPACE_CAP, _SPACE_CAP))
         self._images = np.zeros((_SPACE_CAP, _SPACE_CAP))
         self._steps = 0
-        #: Anchor columns ``(coefficients of r0, M^-1 r0)`` waiting for D.
-        self._pending: "list[tuple[np.ndarray, np.ndarray]]" = []
-        if self._drift is not None:
-            self._widen(np.flatnonzero(np.diff(self._drift.indptr)))
 
     def _room(self) -> bool:
         return self._width < _SPACE_CAP and self._steps < _SPACE_CAP
@@ -250,8 +250,11 @@ class AnchoredSteadySolver:
         return True
 
     def _record(self, direction: np.ndarray, image: np.ndarray) -> None:
-        """One Arnoldi column: ``D M^-1 (V direction) = image``."""
-        h, w = self._orthogonalize(image)
+        """One Arnoldi column: ``D M^-1 (V direction) = image``, a
+        full-length vector on ``D``'s rows."""
+        if not self._inside[self._drift_rows].all():
+            self._widen(self._drift_rows)
+        h, w = self._orthogonalize(image[self._rows])
         k, m = self._steps, self._width
         self._dirs[:direction.size, k] = direction
         self._images[:m, k] = h
@@ -260,15 +263,6 @@ class AnchoredSteadySolver:
             self._images[m, k] = norm
             self._append(w, norm)
         self._steps += 1
-
-    def _flush(self) -> None:
-        """Record the anchor columns' images, once ``D`` is known."""
-        for direction, correction in self._pending:
-            if self._room():
-                self._record(
-                    direction, (self._drift @ correction)[self._rows]
-                )
-        self._pending = []
 
     # -- the family -------------------------------------------------------------
 
@@ -279,42 +273,22 @@ class AnchoredSteadySolver:
         # Release the old factors before building the new ones.
         self._anchor_lu = None
         self._anchor_lu = _fast_splu(matrix) if lu is None else lu
-        self._anchor_matrix, self._anchor_flow = matrix, flow
-        self._forget(matrix.shape[0])
+        self._anchor_flow = flow
+        self._forget()
         self.factorizations += 1
         obs.inc("thermal.steady.factorizations")
 
-    def _shift(
-        self, matrix: sparse.csr_matrix, flow: float
-    ) -> "float | None":
-        """``flow - q0`` if ``matrix`` is ``A(q0) + (flow - q0) D`` to
-        rounding, else ``None``. The family's first matrix at another
-        flow defines ``D``."""
-        anchor = self._anchor_matrix
-        if not (
-            matrix.shape == anchor.shape
-            and np.array_equal(matrix.indptr, anchor.indptr)
-            and np.array_equal(matrix.indices, anchor.indices)
-        ):
-            return None
-        shift = flow - self._anchor_flow
-        gap = matrix.data - anchor.data
-        if self._drift is None and shift != 0.0:
-            values = gap / shift
-            self._drift_at = np.flatnonzero(values)
-            self._drift = sparse.csr_matrix(
-                (values, anchor.indices, anchor.indptr),
-                shape=anchor.shape, copy=True,
+    def _system(
+        self, model: "ThermalModel"
+    ) -> "tuple[sparse.csr_matrix, np.ndarray]":
+        """``model``'s matrix and right-hand side, if it is one of the
+        family's: only ``family.at_flow(q)`` shares its conduction."""
+        if model._conduction is not self._conduction:
+            raise ConfigurationError(
+                "AnchoredSteadySolver solves only models of its family, "
+                "derived with family.at_flow(total_flow_m3_s)"
             )
-            self._drift.eliminate_zeros()
-            self._widen(np.flatnonzero(np.diff(self._drift.indptr)))
-            self._flush()
-            return shift
-        if self._drift is not None:
-            gap[self._drift_at] -= shift * self._drift.data
-        if np.abs(gap).max() > _GMRES_RTOL * np.abs(matrix.data).max():
-            return None
-        return shift
+        return model._build_system()
 
     # -- solves -----------------------------------------------------------------
 
@@ -322,15 +296,15 @@ class AnchoredSteadySolver:
         self, residuals: np.ndarray, tols: np.ndarray
     ) -> np.ndarray:
         """Anchor columns: ``M^-1 r0``. Each new source direction joins the
-        space with that solve as a free Krylov step, recorded once ``D``
-        is known."""
+        space with that solve as a free Krylov step."""
         new, coefficients, _ = self._sources(residuals, tols)
         corrections = self._anchor_lu.solve(residuals)
-        self._pending += [
-            (coefficients[:, k], corrections[:, k]) for k in new
-        ]
-        if self._drift is not None:
-            self._flush()
+        for k in new:
+            if self._room():
+                self._record(
+                    coefficients[:, k],
+                    self._drift @ corrections[:, k],
+                )
         return corrections
 
     def _least_squares(
@@ -411,7 +385,7 @@ class AnchoredSteadySolver:
             image = self._drift @ self._anchor_lu.solve(
                 self._lift(direction[:, None])[:, 0]
             )
-            self._record(direction, image[self._rows])
+            self._record(direction, image)
         return corrections
 
     def _solve_columns(
@@ -420,38 +394,31 @@ class AnchoredSteadySolver:
         matrix: sparse.csr_matrix,
         rhs_columns: np.ndarray,
     ) -> np.ndarray:
-        """Solve ``matrix @ x = rhs`` for each column from ``x0 = T_inlet``."""
+        """Solve ``matrix @ x = rhs`` for each column from ``x0 = T_inlet``,
+        residual-checked."""
         flow = model.coolant_flow_m3_s
-        shift = None if self._anchor_lu is None else self._shift(matrix, flow)
-        fresh = shift is None
+        fresh = self._anchor_lu is None
         if fresh:
-            if self._anchor_lu is not None:
-                # Off the family's line: D no longer describes the flow
-                # dependence, so it is learned again from the new anchor.
-                obs.inc("thermal.steady.reanchors")
-                self._drift = self._drift_at = None
             self._anchor(matrix, flow)
         inlet = model.inlet_temperature_k
         residuals = rhs_columns - (
             matrix @ np.full(matrix.shape[0], inlet)
         )[:, None]
         tols = _GMRES_RTOL * np.linalg.norm(rhs_columns, axis=0)
-        if fresh or self._drift is None:
+        if fresh:
             corrections = self._direct(residuals, tols)
         else:
-            corrections = self._krylov(matrix, flow, shift, residuals, tols)
-        return inlet + corrections
+            corrections = self._krylov(
+                matrix, flow, flow - self._anchor_flow, residuals, tols
+            )
+        return self._checked(model, matrix, inlet + corrections, rhs_columns)
 
     # -- public API -------------------------------------------------------------
 
     def solve(self, model: "ThermalModel") -> ThermalSolution:
         """Drop-in for ``model.solve_steady()`` using the shared anchor."""
-        matrix, rhs = model._build_system()
-        rhs_columns = rhs[:, None]
-        temperatures = self._checked(
-            model, matrix, self._solve_columns(model, matrix, rhs_columns),
-            rhs_columns,
-        )[:, 0]
+        matrix, rhs = self._system(model)
+        temperatures = self._solve_columns(model, matrix, rhs[:, None])[:, 0]
         return ThermalSolution(temperatures_k=temperatures, model=model)
 
     def solve_columns(
@@ -464,11 +431,8 @@ class AnchoredSteadySolver:
         ``(n_dof, k)`` temperature fields [K]. The model's own matrix is
         used; its ``_sources`` are ignored (the caller owns the RHS).
         """
-        matrix, _ = model._build_system()
-        return self._checked(
-            model, matrix, self._solve_columns(model, matrix, rhs_columns),
-            rhs_columns,
-        )
+        matrix, _ = self._system(model)
+        return self._solve_columns(model, matrix, rhs_columns)
 
     def _checked(
         self,
@@ -485,11 +449,11 @@ class AnchoredSteadySolver:
                 continue
             if direct_lu is None:
                 # One fully pivoted factorization serves every failing
-                # column, and becomes the new anchor with an empty space
-                # and an unknown D: if the fast path was inaccurate here,
-                # it would stay inaccurate for the rest of the family too.
+                # column, and becomes the new anchor with an empty space:
+                # if the fast path was inaccurate here, it would stay
+                # inaccurate for the rest of the family too.
                 obs.inc("thermal.steady.fallbacks")
-                self._anchor_lu = self._drift = self._drift_at = None
+                self._anchor_lu = None
                 direct_lu = factorize_steady(matrix)
                 self._anchor(matrix, model.coolant_flow_m3_s, direct_lu)
             direct = direct_lu.solve(rhs)

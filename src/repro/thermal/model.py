@@ -378,7 +378,8 @@ class ThermalModel:
         channels = sum(layer.is_channel for layer in self.stack)
         if channels != 1:
             raise ConfigurationError(
-                f"at_flow moves the flow of a single channel layer; this stack has {channels}"
+                "at_flow moves the flow of a single channel layer; this stack has "
+                f"{channels} microchannel layers"
             )
         stack = LayerStack(
             replace(layer, total_flow_m3_s=total_flow_m3_s)

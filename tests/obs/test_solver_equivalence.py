@@ -11,9 +11,12 @@ are answered by it.
 import numpy as np
 
 from repro import obs
-from repro.casestudy.power7plus import build_thermal_model
+from repro.casestudy.power7plus import build_thermal_stack, full_load_power_map
+from repro.geometry.power7 import build_power7_floorplan
 from repro.sweep.vectorized import _middle_out
 from repro.thermal.batch import AnchoredSteadySolver
+from repro.thermal.model import ThermalModel
+from repro.units import m3s_from_ml_per_min
 
 #: Neighbouring flows, middle-out: the first solve anchors, the first
 #: neighbour takes Krylov steps, and later ones are answered by the space
@@ -22,13 +25,18 @@ FLOWS = _middle_out(sorted(np.geomspace(300.0, 900.0, 12).tolist()))
 
 
 def _solve_family():
-    solver = AnchoredSteadySolver()
-    return [
-        solver.solve(
-            build_thermal_model(nx=22, ny=11, total_flow_ml_min=flow)
-        ).temperatures_k
-        for flow in FLOWS
-    ]
+    floorplan = build_power7_floorplan()
+    family = ThermalModel(
+        build_thermal_stack(), floorplan.width_m, floorplan.height_m, 22, 11,
+    )
+    power = full_load_power_map(22, 11, floorplan)
+    solver = AnchoredSteadySolver(family)
+    temperatures = []
+    for flow in FLOWS:
+        model = family.at_flow(m3s_from_ml_per_min(flow))
+        model.set_power_map("active_si", power)
+        temperatures.append(solver.solve(model).temperatures_k)
+    return temperatures
 
 
 def test_observed_solves_match_disabled_bitwise():

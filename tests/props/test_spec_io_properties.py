@@ -8,10 +8,15 @@
   and never passes to a replaced spec;
 - :func:`repro.io.dumps` is byte-identical to the indenting ``json``
   encoder, on flat records (the C-encoder path) and on every shape that
-  falls back.
+  falls back;
+- :func:`repro.io.csv_dumps` is byte-identical to a ``csv.DictWriter``
+  encoding of the same records, and refuses the same cells with the same
+  message.
 """
 
 import copy
+import csv
+import io
 import json
 import math
 import pickle
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.io import dumps, to_jsonable
+from repro.io import csv_dumps, dumps, to_jsonable
 from repro.sweep.spec import ScenarioSpec
 
 FLOAT_FIELDS = ScenarioSpec._FLOAT_FIELDS
@@ -215,4 +220,71 @@ def test_dumps_other_indents_fall_back(indent):
     records = [{"a": 1.5, "b": "x"}, {"a": None}]
     assert dumps(records, indent=indent) == json.dumps(
         records, indent=indent, sort_keys=True
+    )
+
+
+def _csv_reference(records, columns=None):
+    """``csv.DictWriter`` over the records: missing keys and None become
+    empty cells, numpy scalars their Python values, and an explicit
+    ``columns`` projects the records."""
+    rows = [dict(record) for record in records]
+    if columns is None:
+        columns = list(dict.fromkeys(key for row in rows for key in row))
+    for row in rows:
+        for key in columns:
+            value = row.get(key)
+            if isinstance(value, (np.floating, np.integer, np.bool_)):
+                row[key] = value.item()
+            elif value is not None and not isinstance(
+                value, (bool, int, float, str)
+            ):
+                raise ConfigurationError(
+                    f"CSV cells must be scalars, got {type(value).__name__} "
+                    f"in column {key!r}; use save_json for nested data"
+                )
+    buffer = io.StringIO()
+    writer = csv.DictWriter(
+        buffer, fieldnames=list(columns), restval="", extrasaction="ignore",
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+csv_keys = st.sampled_from(["a", "b", "peak_c", "é", "a,b", '"q"', "x\ny"])
+csv_cells = st.one_of(
+    scalars,
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(allow_nan=True, width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+csv_records = st.lists(
+    st.dictionaries(csv_keys, csv_cells, max_size=5), max_size=6,
+)
+csv_columns = st.lists(csv_keys | st.just("missing"), unique=True)
+
+
+@given(records=csv_records, columns=st.none() | csv_columns)
+def test_csv_dumps_matches_dictwriter(records, columns):
+    assert csv_dumps(records, columns) == _csv_reference(records, columns)
+
+
+@given(
+    records=csv_records.filter(bool),
+    at=st.integers(0, 5),
+    cell=st.sampled_from([[1.0], {"a": 1}, (1, 2), object(), np.ones(2)]),
+)
+def test_csv_dumps_refuses_what_dictwriter_refuses(records, at, cell):
+    records[at % len(records)]["bad"] = cell
+    with pytest.raises(ConfigurationError) as expected:
+        _csv_reference(records)
+    with pytest.raises(ConfigurationError) as raised:
+        csv_dumps(records)
+    assert str(raised.value) == str(expected.value)
+    assert "in column 'bad'; use save_json for nested data" in str(
+        raised.value
+    )
+    assert csv_dumps(records, ["a", "b"]) == _csv_reference(
+        records, ["a", "b"]
     )

@@ -18,7 +18,7 @@ from repro.thermal import batch
 from repro.thermal.batch import AnchoredSteadySolver, AnchoredTransientSolver
 from repro.thermal.model import ThermalModel
 from repro.thermal.stack import LayerStack
-from repro.units import celsius_from_kelvin
+from repro.units import celsius_from_kelvin, m3s_from_ml_per_min
 
 FLOWS = (48.0, 169.0, 676.0, 1352.0)
 
@@ -28,25 +28,41 @@ FAMILY = _middle_out(sorted(np.geomspace(300.0, 900.0, 12).tolist()))
 
 UTILIZATIONS = np.linspace(0.1, 1.0, 10).tolist()
 
+FLOORPLAN = build_power7_floorplan()
 
-def _family_solves(solver):
-    return [
-        solver.solve(build_thermal_model(
-            nx=22, ny=11, total_flow_ml_min=flow
-        )).temperatures_k
+
+def _family(inlet=300.0, nx=22, ny=11):
+    """The flow-free case-study model a solver is built from, as in
+    :func:`repro.sweep.vectorized.steady_families`."""
+    return ThermalModel(
+        build_thermal_stack(inlet_temperature_k=inlet),
+        FLOORPLAN.width_m, FLOORPLAN.height_m, nx, ny,
+    )
+
+
+def _at_flow(family, flow, utilization=1.0):
+    """The family's model at ``flow`` [ml/min] under full-load power."""
+    model = family.at_flow(m3s_from_ml_per_min(flow))
+    model.set_power_map("active_si", full_load_power_map(
+        family.nx, family.ny, FLOORPLAN, utilization
+    ))
+    return model
+
+
+def _family_solves():
+    family = _family()
+    solver = AnchoredSteadySolver(family)
+    temperatures = [
+        solver.solve(_at_flow(family, flow)).temperatures_k
         for flow in FAMILY
     ]
+    return solver, temperatures
 
 
-def _utilization_columns(solver, flow):
-    floorplan = build_power7_floorplan()
-    nx, ny = 22, 11
-    model = ThermalModel(
-        build_thermal_stack(flow, 300.0),
-        floorplan.width_m, floorplan.height_m, nx, ny,
-    )
+def _utilization_columns(solver, family, flow):
+    model = family.at_flow(m3s_from_ml_per_min(flow))
     columns = model.rhs_columns("active_si", [
-        full_load_power_map(nx, ny, floorplan, utilization)
+        full_load_power_map(family.nx, family.ny, FLOORPLAN, utilization)
         for utilization in UTILIZATIONS
     ])
     return solver.solve_columns(model, columns)
@@ -56,12 +72,10 @@ class TestAnchoredSolves:
     def test_matches_direct_solve_across_flows(self):
         """One factorization + Krylov space agrees with per-flow direct
         solves."""
-        solver = AnchoredSteadySolver()
+        family = _family()
+        solver = AnchoredSteadySolver(family)
         for flow in FLOWS:
-            model = build_thermal_model(
-                nx=22, ny=11, total_flow_ml_min=flow
-            )
-            anchored = solver.solve(model)
+            anchored = solver.solve(_at_flow(family, flow))
             direct = build_thermal_model(
                 nx=22, ny=11, total_flow_ml_min=flow
             ).solve_steady()
@@ -75,35 +89,30 @@ class TestAnchoredSolves:
 
     def test_shares_the_anchor(self):
         """Only the first solve factorizes; neighbours ride the space."""
-        solver = AnchoredSteadySolver()
+        family = _family()
+        solver = AnchoredSteadySolver(family)
         for flow in (338.0, 450.0, 676.0):
-            solver.solve(build_thermal_model(
-                nx=22, ny=11, total_flow_ml_min=flow
-            ))
+            solver.solve(_at_flow(family, flow))
         assert solver.factorizations == 1
         assert solver.anchored_solves == 2
 
     def test_stacked_columns_match_individual_solves(self):
         """Utilization variants as stacked RHS columns of one matrix."""
-        floorplan = build_power7_floorplan()
-        nx, ny = 22, 11
-        model = ThermalModel(
-            build_thermal_stack(676.0, 300.0),
-            floorplan.width_m, floorplan.height_m, nx, ny,
-        )
+        family = _family()
+        model = family.at_flow(m3s_from_ml_per_min(676.0))
         utilizations = (0.25, 0.5, 1.0)
         columns = model.rhs_columns("active_si", [
-            full_load_power_map(nx, ny, floorplan, utilization)
+            full_load_power_map(22, 11, FLOORPLAN, utilization)
             for utilization in utilizations
         ])
 
-        solver = AnchoredSteadySolver()
+        solver = AnchoredSteadySolver(family)
         stacked = solver.solve_columns(model, columns)
         assert solver.factorizations == 1  # one LU served all columns
 
         for k, utilization in enumerate(utilizations):
             direct = build_thermal_model(
-                nx=nx, ny=ny, total_flow_ml_min=676.0,
+                nx=22, ny=11, total_flow_ml_min=676.0,
                 utilization=utilization,
             ).solve_steady()
             np.testing.assert_allclose(
@@ -113,10 +122,10 @@ class TestAnchoredSolves:
     def test_reanchors_on_distant_flow(self):
         """A flow far outside the anchor's reach still solves correctly
         (re-anchoring is transparent)."""
-        solver = AnchoredSteadySolver()
-        solver.solve(build_thermal_model(nx=22, ny=11, total_flow_ml_min=48.0))
-        far = build_thermal_model(nx=22, ny=11, total_flow_ml_min=1352.0)
-        anchored = solver.solve(far)
+        family = _family()
+        solver = AnchoredSteadySolver(family)
+        solver.solve(_at_flow(family, 48.0))
+        anchored = solver.solve(_at_flow(family, 1352.0))
         direct = build_thermal_model(
             nx=22, ny=11, total_flow_ml_min=1352.0
         ).solve_steady()
@@ -134,7 +143,7 @@ class TestAnchoredSolves:
         )
         model.set_power_map("active_si", np.full((4, 6), 0.01))
         with pytest.raises(ConfigurationError, match="microchannel"):
-            AnchoredSteadySolver().solve(model)
+            AnchoredSteadySolver(model).solve(model)
 
 
 class TestKrylovSpace:
@@ -142,8 +151,8 @@ class TestKrylovSpace:
         """A 12-flow middle-out family: one anchor LU, a handful of Krylov
         steps, every later flow answered by the existing space, and
         agreement with per-flow direct solves."""
-        solver = AnchoredSteadySolver()
-        for flow, anchored in zip(FAMILY, _family_solves(solver)):
+        solver, solves = _family_solves()
+        for flow, anchored in zip(FAMILY, solves):
             direct = build_thermal_model(
                 nx=22, ny=11, total_flow_ml_min=flow
             ).solve_steady()
@@ -162,12 +171,13 @@ class TestKrylovSpace:
         """Utilization maps are multiples of one source: once a flow of
         the family has been solved, every utilization column of any flow
         is answered by the existing space."""
-        solver = AnchoredSteadySolver()
+        family = _family()
+        solver = AnchoredSteadySolver(family)
         flows = _middle_out(sorted(np.geomspace(200.0, 1200.0, 6).tolist()))
         for position, flow in enumerate(flows):
             steps = solver.krylov_steps
             projected = solver.projected_solves
-            stacked = _utilization_columns(solver, flow)
+            stacked = _utilization_columns(solver, family, flow)
             if position:
                 # Only a flow's first column may step, and only while the
                 # space is still growing; the rest ride along.
@@ -190,20 +200,44 @@ class TestKrylovSpace:
                 )
         assert solver.factorizations == 1
 
+    def test_full_space_reanchors(self, monkeypatch):
+        """A column the capped space cannot answer makes its own matrix
+        the anchor and is answered directly (48 -> 1352 ml/min takes 20
+        Krylov steps under the real cap)."""
+        monkeypatch.setattr(batch, "_SPACE_CAP", 8)
+        obs.start()
+        try:
+            family = _family()
+            solver = AnchoredSteadySolver(family)
+            solver.solve(_at_flow(family, 48.0))
+            anchored = solver.solve(_at_flow(family, 1352.0))
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.stop()
+        direct = build_thermal_model(
+            nx=22, ny=11, total_flow_ml_min=1352.0
+        ).solve_steady()
+        np.testing.assert_allclose(
+            anchored.temperatures_k, direct.temperatures_k,
+            rtol=1e-9, atol=1e-7,
+        )
+        assert counters["thermal.steady.reanchors"] == 1
+        assert counters["thermal.steady.fallbacks"] == 0
+        assert solver.factorizations == 2
+
     def test_fresh_solvers_are_bit_identical(self):
         """The space belongs to the solver: the same batch through two
         fresh solvers gives the very same floats."""
-        first = _family_solves(AnchoredSteadySolver())
-        second = _family_solves(AnchoredSteadySolver())
+        _, first = _family_solves()
+        _, second = _family_solves()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
 
 def _system(flow, inlet=300.0, nx=22, ny=11):
-    floorplan = build_power7_floorplan()
     model = ThermalModel(
         build_thermal_stack(flow, inlet),
-        floorplan.width_m, floorplan.height_m, nx, ny,
+        FLOORPLAN.width_m, FLOORPLAN.height_m, nx, ny,
     )
     matrix, base_rhs = model._system_structure()
     return model, matrix, base_rhs
@@ -212,13 +246,16 @@ def _system(flow, inlet=300.0, nx=22, ny=11):
 class TestFamilyProperties:
     """The two properties the anchored Krylov space relies on. If
     conduction or convection ever starts to depend on flow, these fail
-    first (the solver would still be right, through re-anchoring, but no
-    longer fast)."""
+    first: the solver takes ``D`` from the family's advection stamp and
+    would then no longer be fast (its residual check would still hand
+    the misses to a direct LU)."""
 
     @pytest.mark.parametrize("inlet", [300.0, 310.15])
     @pytest.mark.parametrize("nx, ny", [(22, 11), (88, 44)])
     def test_matrix_is_affine_in_flow(self, inlet, nx, ny):
-        """``A(q) - A(q0) == (q - q0) D`` with ``D`` on the fluid rows."""
+        """``A(q) - A(q0) == (q - q0) D`` with ``D`` on the fluid rows,
+        and ``D`` is the family's advection stamp at unit flow (the one
+        the solver uses)."""
         model0, a0, _ = _system(48.0, inlet, nx, ny)
         model1, a1, _ = _system(170.0, inlet, nx, ny)
         q0 = model0.coolant_flow_m3_s
@@ -229,6 +266,8 @@ class TestFamilyProperties:
             np.flatnonzero(np.diff(drift.indptr)),
             fluid.offset + np.arange(nx * ny),
         )
+        stamp = _family(inlet, nx, ny).at_flow(1.0)._advection()[0]
+        assert abs(stamp - drift).max() <= 1e-14 * abs(drift).max()
         for flow in (20.0, 300.0, 676.0, 1352.0):
             model, a, _ = _system(flow, inlet, nx, ny)
             gap = a - a0 - (model.coolant_flow_m3_s - q0) * drift
@@ -249,7 +288,6 @@ class TestFamilyProperties:
 def _weighted_model(flow):
     """Case-study model whose channel allocation skews with flow: the
     matrix is then not affine in the model's flow."""
-    floorplan = build_power7_floorplan()
     stack = build_thermal_stack(flow, 300.0)
     channels = stack.layers[2]
     weights = tuple(1.0 + k * flow / 500.0 for k in range(22))
@@ -258,63 +296,40 @@ def _weighted_model(flow):
         replace(channels, flow_weights=weights),
         *stack.layers[3:],
     ])
-    model = ThermalModel(stack, floorplan.width_m, floorplan.height_m, 22, 11)
-    model.set_power_map("active_si", full_load_power_map(22, 11, floorplan))
+    model = ThermalModel(stack, FLOORPLAN.width_m, FLOORPLAN.height_m, 22, 11)
+    model.set_power_map("active_si", full_load_power_map(22, 11, FLOORPLAN))
     return model
 
 
 class TestOffTheLine:
-    """Families that break the properties are still solved right, and
-    the counters say how."""
+    """A model off the family's line never reaches the Krylov space: it
+    is rejected at the boundary. A wrong anchor is still answered right,
+    and the counters say how."""
 
-    def _agree(self, solver, models):
-        for model in models:
-            anchored = solver.solve(model).temperatures_k
-            direct = model.solve_steady().temperatures_k
-            np.testing.assert_allclose(
-                anchored, direct, rtol=1e-9, atol=1e-7
-            )
-
-    def test_flow_dependent_allocation_reanchors(self):
-        """Each matrix off the line re-anchors (the next one defines D
-        again): 400 anchors, 300 defines D, 500 re-anchors, 600 defines
-        D, 700 re-anchors."""
-        obs.start()
-        try:
-            solver = AnchoredSteadySolver()
-            self._agree(solver, [
-                _weighted_model(flow) for flow in (400, 300, 500, 600, 700)
-            ])
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.stop()
-        assert counters["thermal.steady.reanchors"] == 2
-        assert counters["thermal.steady.fallbacks"] == 0
-        assert counters["thermal.steady.factorizations"] == 3
-        assert solver.factorizations == 3
-
-    def test_mixed_inlets_stay_on_the_line(self):
-        """The case-study fluid's properties do not depend on the inlet
-        temperature, so mixed inlets keep A on one line, and starting
-        each model from its own inlet keeps the residual at the sources:
-        one anchor serves them all."""
-        obs.start()
-        try:
-            solver = AnchoredSteadySolver()
-            self._agree(solver, [
-                build_thermal_model(
-                    nx=22, ny=11, total_flow_ml_min=flow,
-                    inlet_temperature_k=inlet,
-                )
-                for flow, inlet in (
-                    (400, 300.0), (300, 310.15), (500, 300.0), (600, 310.15)
-                )
-            ])
-            counters = obs.snapshot()["counters"]
-        finally:
-            obs.stop()
-        assert counters["thermal.steady.reanchors"] == 0
-        assert counters["thermal.steady.fallbacks"] == 0
+    @pytest.mark.parametrize("outsider", [
+        pytest.param(
+            lambda: build_thermal_model(nx=22, ny=11, total_flow_ml_min=400),
+            id="fresh-model",
+        ),
+        pytest.param(lambda: _weighted_model(400), id="flow-weighted"),
+        pytest.param(
+            lambda: _at_flow(_family(inlet=310.15), 400), id="other-inlet",
+        ),
+    ])
+    def test_rejects_a_model_outside_the_family(self, outsider):
+        """A fresh build, a flow-dependent channel allocation and another
+        inlet's family all carry their own conduction matrix: rejected
+        before and after the solver has anchored."""
+        family = _family()
+        solver = AnchoredSteadySolver(family)
+        with pytest.raises(ConfigurationError, match="at_flow"):
+            solver.solve(outsider())
+        solver.solve(_at_flow(family, 400))
+        model = outsider()
+        with pytest.raises(ConfigurationError, match="at_flow"):
+            solver.solve_columns(model, model.rhs_columns("active_si", [
+                full_load_power_map(22, 11, FLOORPLAN),
+            ]))
         assert solver.factorizations == 1
 
     def test_inaccurate_anchor_falls_back(self, monkeypatch):
@@ -326,11 +341,17 @@ class TestOffTheLine:
         )
         obs.start()
         try:
-            solver = AnchoredSteadySolver()
-            self._agree(solver, [
-                build_thermal_model(nx=22, ny=11, total_flow_ml_min=flow)
-                for flow in (400, 300, 500)
-            ])
+            family = _family()
+            solver = AnchoredSteadySolver(family)
+            for flow in (400, 300, 500):
+                model = _at_flow(family, flow)
+                anchored = solver.solve(model).temperatures_k
+                direct = build_thermal_model(
+                    nx=22, ny=11, total_flow_ml_min=flow
+                ).solve_steady().temperatures_k
+                np.testing.assert_allclose(
+                    anchored, direct, rtol=1e-9, atol=1e-7
+                )
             counters = obs.snapshot()["counters"]
         finally:
             obs.stop()
