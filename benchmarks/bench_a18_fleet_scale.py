@@ -20,8 +20,10 @@ bench asserts the three headline claims of the PR:
   :meth:`~repro.store.ResultStore.stats` accounting).
 
 Every timed run starts with a cold thermal path: the vectorized kernel
-caches are cleared per measurement (chip tables draw no models from the
-runtime engine's store; each builds its own thermal families). The
+caches and the process's kept thermal families are cleared per
+measurement (chip tables draw no models from the runtime engine's
+store). Both backends then share one family per build, so serial
+evaluation no longer pays a factorization per chip state. The
 polarization surfaces are deliberately warmed first — both backends
 share them through one process-wide store, so the race measures the
 thermal solves, not one-time surface construction.
@@ -41,7 +43,7 @@ from repro.fleet import ChipTable, FleetEngine, FleetSpec, shared_fleet_runner
 from repro.store import ResultStore
 from repro.sweep import SweepRunner, get_preset
 from repro.sweep.evaluators import clear_array_curves
-from repro.sweep.vectorized import EQUIVALENCE_RTOL
+from repro.sweep.vectorized import EQUIVALENCE_RTOL, clear_steady_families
 
 #: Fleet size for the scale race (the PR's headline configuration).
 N_CHIPS = 128 if SMOKE else 1000
@@ -83,6 +85,7 @@ def _build_table(spec: FleetSpec, runner: SweepRunner) -> ChipTable:
 def _cold_build(backend: str, spec: FleetSpec):
     """Time one chip-table build with the thermal path cold."""
     clear_array_curves()
+    clear_steady_families()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()
     table = _build_table(spec, runner)

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 from repro.constants import FARADAY, GAS_CONSTANT
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.materials.species import RedoxCouple
@@ -130,6 +128,10 @@ def overpotential_for_current(
         if u <= 0.0:
             raise ConvergenceError("Butler-Volmer inversion produced non-positive root")
         return 2.0 * math.log(u) / f_over_rt
+
+    # Imported here: every couple in the library is symmetric, so a cold
+    # command never pays for loading scipy.optimize.
+    from scipy.optimize import brentq
 
     def residual(eta: float) -> float:
         return (

@@ -9,16 +9,13 @@ evaluator and calls each registered evaluator
 (:mod:`repro.sweep.evaluators`) on its batches:
 
 - :class:`VectorizedBackend` — one call per evaluator group: one
-  polarization march per batch, one thermal factorization per scenario
-  family (stacked right-hand sides + one shared Krylov space). This is
-  the default.
+  polarization march per batch, and the scenarios of one thermal family
+  as right-hand-side columns of its solver. This is the default.
 - :class:`SerialBackend` — batches of one: each scenario is evaluated on
-  its own, with nothing shared across scenarios.
+  its own, sharing only the process's kept thermal families.
 
-Both produce the same metrics for the same specs — within
-:data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`, bit for bit where an
-evaluator's batch members share no floating-point work (see
-:mod:`repro.sweep.vectorized`) — and both are selectable by name from the
+Both produce the same metrics for the same specs, bit for bit (see
+:mod:`repro.sweep.vectorized`), and both are selectable by name from the
 Python API (``SweepRunner(backend="serial")``) and the CLI (``repro
 sweep --backend serial``). ``tests/sweep/test_backends.py`` holds the
 batch-of-one-vs-batch contract; ``benchmarks/bench_a17_backend_speedup.py``

@@ -81,21 +81,17 @@ Evaluator = Callable[[Sequence[ScenarioSpec]], "list[dict[str, float]]"]
 
 _REGISTRY: "Dict[str, Evaluator]" = {}
 _MODEL_VERSIONS: "Dict[str, int]" = {}
-_BATCH_DEPENDENT: "set[str]" = set()
 
 
 def register_evaluator(
-    name: str, version: int = 1, batch_exact: bool = True
+    name: str, version: int = 1
 ) -> "Callable[[Evaluator], Evaluator]":
     """Decorator registering a batch evaluator under ``name``.
 
     ``version`` is the evaluator's model version. Bump it whenever the
     metrics the evaluator returns for some spec change, so results stored
-    by the older model are never replayed as this one's. ``batch_exact``
-    is False for an evaluator whose floats depend on the batch a spec is
-    solved in (within :data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`):
-    a runner then solves such a result that the store evicted again in
-    the batch it first solved it in.
+    by the older model are never replayed as this one's. An evaluator
+    must return the same metrics for a spec in every batch.
     """
 
     def decorate(fn: Evaluator) -> Evaluator:
@@ -103,8 +99,6 @@ def register_evaluator(
             raise ConfigurationError(f"evaluator {name!r} already registered")
         _REGISTRY[name] = fn
         _MODEL_VERSIONS[name] = version
-        if not batch_exact:
-            _BATCH_DEPENDENT.add(name)
         return fn
 
     return decorate
@@ -128,12 +122,6 @@ def get_evaluator(name: str) -> Evaluator:
 def model_version(name: str) -> int:
     """Model version of an evaluator (1 for a name nobody registered)."""
     return _MODEL_VERSIONS.get(name, 1)
-
-
-def batch_exact(name: str) -> bool:
-    """Whether an evaluator's metrics for a spec are the same bits in
-    every batch (see :func:`register_evaluator`)."""
-    return name not in _BATCH_DEPENDENT
 
 
 def evaluate_spec(spec: ScenarioSpec) -> "dict[str, float]":
@@ -270,7 +258,7 @@ def operating_point_metrics(
     }
 
 
-@register_evaluator("operating_point", version=2, batch_exact=False)
+@register_evaluator("operating_point", version=3)
 def batch_operating_point(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":
@@ -376,7 +364,7 @@ def geometry_metrics(
     }
 
 
-@register_evaluator("geometry", version=2, batch_exact=False)
+@register_evaluator("geometry", version=3)
 def batch_geometry(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":
@@ -606,7 +594,7 @@ def batch_runtime(
     return [result.kpis() for _, result in run_runtime_scenarios(specs)]
 
 
-@register_evaluator("fleet_chip", version=2, batch_exact=False)
+@register_evaluator("fleet_chip", version=3)
 def batch_fleet_chip(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":
@@ -676,15 +664,15 @@ def workload_metrics(model, solution) -> "dict[str, float]":
     }
 
 
-@register_evaluator("workload", version=2, batch_exact=False)
+@register_evaluator("workload", version=3)
 def batch_workload(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":
     """Thermal state of named workloads at coolant operating points.
 
     Every workload at one (flow, inlet, mesh) becomes an RHS column of
-    one :func:`~repro.sweep.vectorized.steady_families` solve, and
-    distinct flows of one family share the anchor and its Krylov space.
+    one :func:`~repro.sweep.vectorized.steady_families` solve, on the
+    family's canonical anchor and Krylov space.
     """
     from repro.casestudy.workloads import standard_workloads
     from repro.thermal.solver import ThermalSolution

@@ -11,10 +11,8 @@ the remaining unique work to an
 width: one batch per evaluator group (vectorized, the default) or
 batches of one (serial); see :mod:`repro.sweep.backends`.
 
-Results come back in input order regardless of backend, and the two
-widths agree within :data:`repro.sweep.vectorized.EQUIVALENCE_RTOL`.
-A runner solves a batch-dependent result (``batch_exact=False``) that
-the store has evicted again in the batch it first solved it in, so a
+Results come back in input order regardless of backend, and a spec's
+metrics are the same bits at either width and in any batch, so a
 replayed run returns its first run's bytes whatever the store evicted.
 """
 
@@ -28,13 +26,8 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.store import ResultStore
 from repro.sweep.backends import EvaluationBackend, get_backend
-from repro.sweep.evaluators import batch_exact, get_evaluator
+from repro.sweep.evaluators import get_evaluator
 from repro.sweep.spec import ScenarioSpec, SweepGrid
-
-
-#: Batch-dependent results whose batch a runner remembers, so it can
-#: solve them again in that batch once the store has evicted them.
-REMEMBERED_KEYS = 4096
 
 
 @dataclass(frozen=True)
@@ -181,9 +174,6 @@ class SweepRunner:
     ) -> None:
         self.cache = cache if cache is not None else ResultStore()
         self.backend = get_backend(backend)
-        #: The keys of the batch each batch-dependent result was solved
-        #: in, by the result's key (the latest REMEMBERED_KEYS results).
-        self._solved_with: "dict[str, frozenset[str]]" = {}
 
     def run(
         self, scenarios: "Sequence[ScenarioSpec] | SweepGrid"
@@ -254,71 +244,20 @@ class SweepRunner:
                 get_evaluator(specs[indices[0]].evaluator)
                 pending[key] = indices
 
-        for batch, claimed in self._batches(specs, by_key, pending):
-            evaluated = self.backend.evaluate(
-                [specs[by_key[key][0]] for key in batch]
-            )
-            for key, (metrics, elapsed) in zip(batch, evaluated):
-                if key not in claimed:
-                    continue  # a rider: a hit, or answered by another call
-                self.cache.put(key, metrics)
-                for repeat, index in enumerate(pending[key]):
-                    results[index] = SweepResult(
-                        specs[index],
-                        dict(metrics),
-                        elapsed if repeat == 0 else 0.0,
-                        from_cache=repeat > 0,
-                    )
+        evaluated = self.backend.evaluate(
+            [specs[indices[0]] for indices in pending.values()]
+        )
+        for (key, indices), (metrics, elapsed) in zip(
+            pending.items(), evaluated
+        ):
+            self.cache.put(key, metrics)
+            for repeat, index in enumerate(indices):
+                results[index] = SweepResult(
+                    specs[index],
+                    dict(metrics),
+                    elapsed if repeat == 0 else 0.0,
+                    from_cache=repeat > 0,
+                )
 
         assert all(result is not None for result in results)
         return SweepResults(results)  # type: ignore[arg-type]
-
-    def _batches(
-        self,
-        specs: "list[ScenarioSpec]",
-        by_key: "dict[str, list[int]]",
-        pending: "dict[str, list[int]]",
-    ) -> "list[tuple[list[str], set[str]]]":
-        """The backend calls that answer the misses, as ``(keys, claimed)``
-        pairs: the keys of one call's specs, in input order, and the
-        misses among them that the call answers.
-
-        A batch-dependent evaluator's floats depend on the batch a spec
-        is solved in (:func:`~repro.sweep.evaluators.register_evaluator`).
-        A miss this runner solved before (the store has evicted it since)
-        is solved again in the batch it was solved in, when that whole
-        batch is part of this run; its other members, hits included,
-        ride along. So a replayed run returns its first run's bytes
-        whatever the store evicted. Every other miss goes into one last
-        call, as it always did.
-        """
-        fresh = list(pending)
-        if self.backend.width is not None:
-            return [(fresh, set(fresh))]  # batches of one depend on nothing
-
-        again: "dict[frozenset[str], set[str]]" = {}
-        for key in pending:
-            batch = self._solved_with.get(key)
-            if batch is not None and batch.issubset(by_key):
-                again.setdefault(batch, set()).add(key)
-        repeated: "set[str]" = set().union(*again.values())
-        fresh = [key for key in fresh if key not in repeated]
-        calls = [
-            ([key for key in by_key if key in batch], claimed)
-            for batch, claimed in again.items()
-        ]
-        calls.append((fresh, set(fresh)))
-
-        groups: "dict[str, list[str]]" = {}
-        for key in fresh:
-            name = specs[by_key[key][0]].evaluator
-            if not batch_exact(name):
-                groups.setdefault(name, []).append(key)
-        for keys in groups.values():
-            solved_with = frozenset(keys)
-            for key in keys:
-                self._solved_with.pop(key, None)
-                self._solved_with[key] = solved_with
-        while len(self._solved_with) > REMEMBERED_KEYS:
-            del self._solved_with[next(iter(self._solved_with))]
-        return calls

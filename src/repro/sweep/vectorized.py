@@ -8,14 +8,16 @@ work a wider batch shares is:
 - thermal: every steady evaluator (``operating_point``, ``geometry``,
   ``workload``, ``fleet_chip``) solves its coolant points through the
   one family loop here, :func:`steady_families`. Points are grouped by
-  mesh/inlet; within a group one
-  :class:`~repro.thermal.batch.AnchoredSteadySolver` factorizes a single
-  anchor flow and answers every other flow from one Krylov space shared
-  by the whole flow family (the matrix is affine in flow), and
-  utilization/workload variants of one flow are stacked right-hand-side
-  columns. A family stamps its conduction matrix once and derives each
-  flow's model with :meth:`~repro.thermal.model.ThermalModel.at_flow`.
-  A batch of one factorizes its one flow and solves it directly;
+  mesh/inlet into families, and a process keeps each family it has
+  used: one case-study model that stamps its conduction matrix once and
+  derives each flow's model with
+  :meth:`~repro.thermal.model.ThermalModel.at_flow`, and one
+  :class:`~repro.thermal.batch.AnchoredSteadySolver` holding a single
+  anchor factorization and the family's canonical Krylov space, grown
+  once from a fixed training set (``_TRAINING_FLOWS`` flows at full
+  load over :data:`~repro.sweep.presets.FLOW_RANGE_ML_MIN`). Every
+  column is then solved alone on a view of that space, so batches of
+  one share the family with whole batches;
 - electrochemistry: polarization curves for every distinct flow/geometry
   in the batch are marched together through
   :func:`repro.flowcell.batch.batched_polarization_curves` (for
@@ -33,35 +35,94 @@ work a wider batch shares is:
 
 ``cosim`` and ``fleet`` share nothing across a batch yet.
 
-Equivalence contract: an evaluator's metrics for a spec agree across
-batch compositions within ``EQUIVALENCE_RTOL``, which is the anchored
-solver's residual bound of the steady thermal evaluators (orders of
-magnitude tighter in practice). ``vrm`` (same cached curves),
+Batch contract: every evaluator's metrics for a spec are the same bits
+at every batch width and in every batch composition. The steady
+evaluators get there because a column's answer depends only on its
+family and its right-hand side; ``vrm`` (same cached curves),
 ``transient`` and ``runtime`` (the same steppers, whose floats feed
 discontinuous decisions — flow quantization, governor hysteresis,
-settling-band exits) are bit-identical at every batch width, as are
-``cosim`` and ``fleet``, which loop. ``tests/sweep/test_backends.py``
-pins both, and checks every steady evaluator against an independent
-default-ordering direct solve. The steady evaluators register with
-``batch_exact=False``, so a :class:`~repro.sweep.runner.SweepRunner`
-solves such a result that its store evicted again in the batch it first
-solved it in: a replay keeps its bytes whatever the store evicted.
+settling-band exits) because their batch members share no floating-point
+work, as do ``cosim`` and ``fleet``, which loop.
+``tests/sweep/test_backends.py`` pins it, and checks every steady
+evaluator against an independent default-ordering direct solve within
+``EQUIVALENCE_RTOL``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.sweep.spec import ScenarioSpec
 
-#: Documented relative agreement between batch compositions, and between
-#: the steady evaluators and a direct solve. The dominant term is the
-#: anchored solver's residual (<= 1e-8 relative, checked on every
-#: column); everything else is floating-point round-off.
+#: Documented relative agreement between the steady evaluators and a
+#: direct solve. The dominant term is the anchored solver's residual
+#: (<= 1e-8 relative, checked on every column); everything else is
+#: floating-point round-off.
 EQUIVALENCE_RTOL = 1e-6
 
 
 # -- the steady family loop ------------------------------------------------------------
+
+#: The canonical Krylov space of every family is grown from this many
+#: flows, log-spaced over :data:`~repro.sweep.presets.FLOW_RANGE_ML_MIN`,
+#: at the full-load power map.
+_TRAINING_FLOWS = 8
+
+#: The families this process keeps, ``(inlet, nx, ny) -> (family,
+#: solver)``, oldest first. One 88x44 family holds ~24 MB of anchor LU
+#: (2.0 M nonzeros) and ~4 MB of Krylov space; a bound keeps a
+#: long-running server over many rasters and inlets from growing without
+#: limit by dropping the oldest family.
+_FAMILIES: "dict[tuple, tuple]" = {}
+_FAMILIES_MAX = 4
+
+
+def steady_family(inlet_temperature_k: float, nx: int, ny: int) -> tuple:
+    """The process-wide ``(family, solver)`` of an ``(inlet, nx, ny)``
+    family, built and trained on first use.
+
+    ``family`` is the flow-free case-study model; ``solver`` its
+    :class:`~repro.thermal.batch.AnchoredSteadySolver`, trained on the
+    family's models at ``_TRAINING_FLOWS`` flows log-spaced over
+    ``FLOW_RANGE_ML_MIN``, under the full-load power map. Both are
+    pure functions of the key, so keeping them changes no result.
+    """
+    key = (inlet_temperature_k, nx, ny)
+    cached = _FAMILIES.get(key)
+    if cached is None:
+        from repro.casestudy.power7plus import (
+            build_thermal_stack,
+            full_load_power_map,
+        )
+        from repro.geometry.power7 import build_power7_floorplan
+        from repro.sweep.presets import FLOW_RANGE_ML_MIN
+        from repro.thermal.batch import AnchoredSteadySolver
+        from repro.thermal.model import ThermalModel
+        from repro.units import m3s_from_ml_per_min
+
+        floorplan = build_power7_floorplan()
+        family = ThermalModel(
+            build_thermal_stack(inlet_temperature_k=inlet_temperature_k),
+            floorplan.width_m, floorplan.height_m, nx, ny,
+        )
+        full_load = full_load_power_map(nx, ny, floorplan)
+        training = []
+        for flow in np.geomspace(*FLOW_RANGE_ML_MIN, _TRAINING_FLOWS):
+            model = family.at_flow(m3s_from_ml_per_min(float(flow)))
+            model.set_power_map("active_si", full_load)
+            training.append(model)
+        cached = (family, AnchoredSteadySolver(family, training))
+        while len(_FAMILIES) >= _FAMILIES_MAX:
+            _FAMILIES.pop(next(iter(_FAMILIES)))
+        _FAMILIES[key] = cached
+    return cached
+
+
+def clear_steady_families() -> None:
+    """Drop every kept family (cold-start benches, tests)."""
+    _FAMILIES.clear()
 
 
 def steady_families(
@@ -72,22 +133,16 @@ def steady_families(
     ``key`` names a power map, drawn by ``rasterize(nx, ny, floorplan,
     key)`` (:func:`~repro.casestudy.power7plus.full_load_power_map` with
     a utilization key, or a workload's ``power_map``). Points are grouped
-    into ``(inlet, nx, ny)`` families, each one case-study model that
-    stamps conduction once; every flow's model is ``family.at_flow(q)``,
-    bit-identical to a freshly built one. Each family rasterizes every
-    key once and solves its flows middle-out through one
-    :class:`~repro.thermal.batch.AnchoredSteadySolver` (one factorization
-    and one Krylov space), a coolant point's keys as stacked RHS columns.
+    into ``(inlet, nx, ny)`` families (:func:`steady_family`); every
+    flow's model is ``family.at_flow(q)``, bit-identical to a freshly
+    built one, and a coolant point's keys are its RHS columns.
 
     Yields ``((flow, inlet, nx, ny), model, keys, maps, temperatures)``
     per coolant point: its sorted keys, their maps and the ``(n_dof,
-    len(keys))`` steady states. The order depends only on the set of
-    points, so permuted or duplicated batches solve identically.
+    len(keys))`` steady states. Each column is a function of its point
+    alone, so any batch holding a point solves it to the same bits.
     """
-    from repro.casestudy.power7plus import build_thermal_stack
     from repro.geometry.power7 import build_power7_floorplan
-    from repro.thermal.batch import AnchoredSteadySolver
-    from repro.thermal.model import ThermalModel
     from repro.units import m3s_from_ml_per_min
 
     families: "dict[tuple, dict[float, list]]" = {}
@@ -97,36 +152,18 @@ def steady_families(
 
     floorplan = build_power7_floorplan()
     for (inlet, nx, ny), flows in families.items():
-        family = ThermalModel(
-            build_thermal_stack(inlet_temperature_k=inlet),
-            floorplan.width_m, floorplan.height_m, nx, ny,
-        )
-        solver = AnchoredSteadySolver(family)
+        family, solver = steady_family(inlet, nx, ny)
         maps = {
             key: rasterize(nx, ny, floorplan, key)
             for key in sorted(set().union(*flows.values()))
         }
-        for flow in _middle_out(list(flows)):
+        for flow, keys in flows.items():
             model = family.at_flow(m3s_from_ml_per_min(flow))
-            keys = flows[flow]
             key_maps = [maps[key] for key in keys]
             temperatures = solver.solve_columns(
                 model, model.rhs_columns("active_si", key_maps)
             )
             yield (flow, inlet, nx, ny), model, keys, key_maps, temperatures
-
-
-def _middle_out(values: "list[float]") -> "list[float]":
-    """Middle element first, then the rest in order.
-
-    The first solve becomes the anchored solver's factorization; starting
-    from the middle of the (sorted) flow range keeps every other flow as
-    close to the anchor as the batch allows.
-    """
-    if len(values) < 3:
-        return values
-    middle = len(values) // 2
-    return [values[middle]] + values[:middle] + values[middle + 1:]
 
 
 def coolant_point(spec: ScenarioSpec, key) -> tuple:

@@ -18,10 +18,18 @@ properties of the assembled system make such a family cheap:
 uses it as a right preconditioner, ``A(q) M^-1 = I + (q - q0) D M^-1``.
 The Krylov space of ``D M^-1`` grown from the source vectors is thus the
 same for every flow of the family: a column at a new flow costs a small
-least-squares solve in that space plus one triangular solve, and the
-space grows (one triangular solve per Krylov step) only where it cannot
-yet meet the tolerance. Utilization or workload variants of one flow are
-stacked right-hand-side columns of one call.
+least-squares solve in that space plus one triangular solve.
+
+The solver grows that space once, when it is built, from a fixed
+training set of the family's models: it anchors on the set's lowest
+flow and takes Krylov steps (one triangular solve each) until every
+training flow meets the tolerance. After that the space is read-only,
+the family's *canonical* space. Each requested column is solved alone,
+on a view of it: a column the canonical space cannot answer grows its
+view, a view that fills up re-anchors on the column's own matrix, and
+those steps and that factorization die with the column. A column's
+answer is therefore a function of its family and its right-hand side
+alone: the same bits in any batch, in any order, after any other solve.
 
 The solver is built from its family, the flow-free model whose
 :meth:`~repro.thermal.model.ThermalModel.at_flow` derives every flow's
@@ -34,10 +42,8 @@ another inlet, raster or stack) raises
 residual-checked against the same bound as
 :func:`repro.thermal.solver.solve_steady` and falls back to a direct
 factorization when the fast path misses it, so callers get direct-solver
-accuracy unconditionally — the backend-equivalence tests pin batched peak
-temperatures to the scalar path within 1e-6 K. The Krylov space belongs
-to one solver instance (one family of one batch), so a result depends
-only on its batch.
+accuracy unconditionally — the steady oracle tests pin every steady
+evaluator to a direct solve within 1e-9 relative.
 
 :class:`AnchoredTransientSolver` is the transient counterpart, with a
 stricter anchor: the *exact* per-``(matrix, dt)`` backward-Euler
@@ -52,7 +58,9 @@ columns through each factorization as one multi-RHS solve.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import copy
+import threading
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -75,12 +83,14 @@ _RESIDUAL_RTOL = 1e-8
 #: at most ``_GMRES_RTOL * ||b||``.
 _GMRES_RTOL = 1e-12
 
-#: Most vectors one solver's Krylov space holds. The space lives on the
-#: fluid and source rows only (40 % of the DOFs of the case-study stack),
-#: so 64 vectors cost ~4 MB at 88x44. 28 flows at 88x44 settle at 18
-#: vectors; the workloads preset (4 power maps at 48 and 1352 ml/min)
-#: reaches 60. A column that cannot converge within the cap re-anchors
-#: on its own matrix.
+#: Most vectors a Krylov space holds: the canonical space and one
+#: column's own steps together. The space lives on the fluid and source
+#: rows only (40 % of the DOFs of the case-study stack), so 64 vectors
+#: cost ~4 MB at 88x44. The sweep families' canonical space (8 training
+#: flows over 48-1352 ml/min) holds 21 vectors at 88x44; a workload map
+#: that is not a multiple of the full-load map takes ~10 more on its
+#: column's view. A column that cannot converge within the cap
+#: re-anchors on its own matrix.
 _SPACE_CAP = 64
 
 #: DGKS criterion: orthogonalize a second time when one Gram-Schmidt pass
@@ -108,123 +118,82 @@ def _fast_splu(matrix: sparse.spmatrix):
         return factorize_steady(matrix)
 
 
-class AnchoredSteadySolver:
-    """Steady solves over one thermal family, sharing one anchor and one
-    Krylov space.
-
-    Built from its family, the flow-free model whose
-    :meth:`~repro.thermal.model.ThermalModel.at_flow` derives every flow's
-    model; ``D`` is the family's advection stamp at unit flow. Feed it
-    those models (with their power maps already applied) in any order and
-    read back :class:`~repro.thermal.solver.ThermalSolution` objects
-    identical — to solver accuracy — to ``model.solve_steady()``. Any
-    other model raises :class:`~repro.errors.ConfigurationError`. Feeding
-    the flows middle-out keeps every flow close to the anchor, which keeps
-    the Krylov space small; the solver re-anchors on its own when the
-    space would outgrow its cap.
+class _KrylovSpace:
+    """An anchor ``M = A(q0)`` and the Krylov space of ``D M^-1`` on it.
 
     The space is an orthonormal basis ``V`` plus the Arnoldi relation
     ``D M^-1 (V R) = V H``: ``R`` holds the coefficients of the directions
     ``D M^-1`` was applied to, ``H`` those of their images. With
     ``r0 = b - A x0`` and ``c = V^T r0``, a column at shift
     ``s = q - q0`` takes ``z = argmin ||c - (R + s H) z||`` and
-    ``x = x0 + M^-1 V R z``. A column whose residual estimate misses the
-    tolerance applies ``D M^-1`` once along its current residual, which
-    extends ``V``, ``R`` and ``H`` by one column, and solves again. The
-    anchor's own columns are ``x0 + M^-1 r0``; that solve doubles as a
-    free Krylov step whose image joins ``V`` at once.
+    ``x = x0 + M^-1 V R z``.
+
+    A shallow copy is a *view*: it shares the arrays, every append writes
+    past the original's width and step count, and widening makes new
+    arrays, so nothing done through a view shows through the original.
     """
 
-    def __init__(self, family: "ThermalModel") -> None:
-        #: ``D`` and its rows.
-        self._drift = family.at_flow(1.0)._advection()[0]
-        self._drift_rows = np.flatnonzero(np.diff(self._drift.indptr))
-        #: The conduction matrix every model of the family shares by
-        #: reference (the boundary check of :meth:`_system`).
-        self._conduction = family._conduction
-        self._anchor_lu = None
-        self._anchor_flow = 0.0
-        #: Fresh factorizations performed (anchors + fallbacks) — exposed
-        #: for benches and tests asserting the sharing actually happens.
-        self.factorizations = 0
-        #: Solves answered without a fresh LU, by the Krylov space.
-        self.anchored_solves = 0
-        #: The subset of ``anchored_solves`` the family's existing space
-        #: answered: no Krylov step was taken along the column.
-        self.projected_solves = 0
-        #: Krylov steps taken along a column's residual (one triangular
-        #: solve each; the anchor's own solves join the space for free).
-        self.krylov_steps = 0
-
-    # -- the Krylov space -------------------------------------------------------
-
-    def _forget(self) -> None:
-        """Start an empty space: it belongs to one anchor."""
+    def __init__(self, lu, flow: float, drift_rows: np.ndarray) -> None:
+        self.lu = lu
+        self.flow = flow
+        self.drift_rows = drift_rows
         #: Rows the space may be nonzero on (the source rows, and ``D``'s
         #: rows once it holds an image); ``V`` is stored on those rows only.
-        self._inside = np.zeros(self._drift.shape[0], dtype=bool)
-        self._rows = np.empty(0, dtype=np.intp)
-        #: ``V^T``: one orthonormal vector per row, ``_width`` in use.
-        self._basis = np.zeros((_SPACE_CAP, 0))
-        self._width = 0
-        #: ``R`` and ``H``: one column per Krylov step, ``_steps`` in use.
-        self._dirs = np.zeros((_SPACE_CAP, _SPACE_CAP))
-        self._images = np.zeros((_SPACE_CAP, _SPACE_CAP))
-        self._steps = 0
+        self.inside = np.zeros(lu.shape[0], dtype=bool)
+        self.rows = np.empty(0, dtype=np.intp)
+        #: ``V^T``: one orthonormal vector per row, ``width`` in use.
+        self.basis = np.zeros((_SPACE_CAP, 0))
+        self.width = 0
+        #: ``R`` and ``H``: one column per Krylov step, ``steps`` in use.
+        self.dirs = np.zeros((_SPACE_CAP, _SPACE_CAP))
+        self.images = np.zeros((_SPACE_CAP, _SPACE_CAP))
+        self.steps = 0
 
-    def _room(self) -> bool:
-        return self._width < _SPACE_CAP and self._steps < _SPACE_CAP
+    def room(self) -> bool:
+        return self.width < _SPACE_CAP and self.steps < _SPACE_CAP
 
-    def _widen(self, rows: np.ndarray) -> None:
+    def widen(self, rows: np.ndarray) -> None:
         """Let the space be nonzero on ``rows`` too."""
-        inside = self._inside.copy()
+        inside = self.inside.copy()
         inside[rows] = True
         widened = np.flatnonzero(inside)
         basis = np.zeros((_SPACE_CAP, widened.size))
-        columns = np.searchsorted(widened, self._rows)
-        basis[:self._width, columns] = self._basis[:self._width]
-        self._inside, self._rows, self._basis = inside, widened, basis
+        columns = np.searchsorted(widened, self.rows)
+        basis[:self.width, columns] = self.basis[:self.width]
+        self.inside, self.rows, self.basis = inside, widened, basis
 
-    def _sources(
-        self, residuals: np.ndarray, tols: np.ndarray
-    ) -> "tuple[list[int], np.ndarray, np.ndarray]":
-        """Fit the columns ``r0`` into the space.
+    def fit(
+        self, residual: np.ndarray, tol: float
+    ) -> "tuple[bool, np.ndarray, float]":
+        """Fit a column ``r0`` into the space.
 
-        Widens the support to every row where a residual is more than
-        rounding (what stays outside is at most half of each column's
-        tolerance in norm) and appends each new source direction. Returns
-        the columns that brought one, ``c = V^T r0``, and the norm of
-        what ``V`` leaves out of each ``r0``.
+        Widens the support to every row where ``r0`` is more than rounding
+        (what stays outside is at most half the tolerance in norm) and
+        appends each new source direction. Returns whether one was
+        appended, ``c = V^T r0``, and the norm of what ``V`` leaves out
+        of ``r0``.
         """
-        floor = 0.5 * tols / np.sqrt(residuals.shape[0])
-        rows = np.flatnonzero(
-            (np.abs(residuals) > floor).any(axis=1) & ~self._inside
-        )
+        floor = 0.5 * tol / np.sqrt(residual.size)
+        rows = np.flatnonzero((np.abs(residual) > floor) & ~self.inside)
         if rows.size:
-            self._widen(rows)
-        inside = residuals[self._rows]
-        outside = np.linalg.norm(residuals[~self._inside], axis=0)
-        new: "list[int]" = []
+            self.widen(rows)
+        inside = residual[self.rows]
+        outside = np.linalg.norm(residual[~self.inside])
+        grown = False
         while True:
-            basis = self._basis[:self._width]
+            basis = self.basis[:self.width]
             coefficients = basis @ inside
-            left_out = outside + np.linalg.norm(
-                inside - basis.T @ coefficients, axis=0
-            )
-            grown = [
-                k for k in np.flatnonzero(left_out > 0.5 * tols)
-                if self._add_source(inside[:, k], tols[k])
-            ]
-            if not grown:
-                return new, coefficients, left_out
-            new += grown
+            left_out = outside + np.linalg.norm(inside - coefficients @ basis)
+            if not (left_out > 0.5 * tol and self.add_source(inside, tol)):
+                return grown, coefficients, left_out
+            grown = True
 
-    def _orthogonalize(
+    def orthogonalize(
         self, vector: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
         """``(h, w)`` with ``vector = V h + w`` and ``w`` orthogonal to V:
         one Gram-Schmidt pass, a second one when DGKS asks for it."""
-        basis = self._basis[:self._width]
+        basis = self.basis[:self.width]
         h = basis @ vector
         w = vector - h @ basis
         if np.linalg.norm(w) < _REORTHOGONALIZE * np.linalg.norm(vector):
@@ -233,50 +202,105 @@ class AnchoredSteadySolver:
             h += again
         return h, w
 
-    def _append(self, w: np.ndarray, norm: float) -> None:
-        self._basis[self._width] = w / norm
-        self._width += 1
+    def append(self, w: np.ndarray, norm: float) -> None:
+        self.basis[self.width] = w / norm
+        self.width += 1
 
-    def _add_source(self, vector: np.ndarray, tol: float) -> bool:
+    def add_source(self, vector: np.ndarray, tol: float) -> bool:
         """Append ``vector``'s part outside ``V`` unless it is below half
         of ``tol`` (a new source direction, not rounding)."""
-        if self._width == _SPACE_CAP:
+        if self.width == _SPACE_CAP:
             return False
-        _, w = self._orthogonalize(vector)
+        _, w = self.orthogonalize(vector)
         norm = np.linalg.norm(w)
         if not norm > 0.5 * tol:
             return False
-        self._append(w, norm)
+        self.append(w, norm)
         return True
 
-    def _record(self, direction: np.ndarray, image: np.ndarray) -> None:
+    def record(self, direction: np.ndarray, image: np.ndarray) -> None:
         """One Arnoldi column: ``D M^-1 (V direction) = image``, a
         full-length vector on ``D``'s rows."""
-        if not self._inside[self._drift_rows].all():
-            self._widen(self._drift_rows)
-        h, w = self._orthogonalize(image[self._rows])
-        k, m = self._steps, self._width
-        self._dirs[:direction.size, k] = direction
-        self._images[:m, k] = h
+        if not self.inside[self.drift_rows].all():
+            self.widen(self.drift_rows)
+        h, w = self.orthogonalize(image[self.rows])
+        k, m = self.steps, self.width
+        # Whole columns: an earlier view may have written this one.
+        self.dirs[:, k] = 0.0
+        self.dirs[:direction.size, k] = direction
+        self.images[:, k] = 0.0
+        self.images[:m, k] = h
         norm = np.linalg.norm(w)
         if norm > 0.0:
-            self._images[m, k] = norm
-            self._append(w, norm)
-        self._steps += 1
+            self.images[m, k] = norm
+            self.append(w, norm)
+        self.steps += 1
+
+    def least_squares(
+        self, shift: float, coefficients: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``z = argmin ||c - (R + s H) z||`` and the small residual
+        ``c - (R + s H) z``."""
+        m, k = self.width, self.steps
+        if not k:
+            return np.zeros(0), coefficients
+        system = self.dirs[:m, :k] + shift * self.images[:m, :k]
+        z = lstsq(system, coefficients, lapack_driver="gelsy")[0]
+        return z, coefficients - system @ z
+
+    def lift(self, coefficients: np.ndarray) -> np.ndarray:
+        """The full-length vector ``V coefficients``."""
+        full = np.zeros(self.inside.size)
+        full[self.rows] = coefficients @ self.basis[:coefficients.size]
+        return full
+
+
+class AnchoredSteadySolver:
+    """Steady solves over one thermal family, on one canonical anchor
+    and Krylov space.
+
+    Built from its family, the flow-free model whose
+    :meth:`~repro.thermal.model.ThermalModel.at_flow` derives every flow's
+    model (``D`` is the family's advection stamp at unit flow), and from
+    a training set of such models with their power maps applied. It
+    anchors on the training set's lowest flow and grows its space along
+    the other training flows in flow order; see the module docstring.
+
+    Feed it the family's models (with their power maps already applied)
+    in any order and read back
+    :class:`~repro.thermal.solver.ThermalSolution` objects identical — to
+    solver accuracy — to ``model.solve_steady()``, and bit-identical
+    whatever else the solver has solved. Any other model raises
+    :class:`~repro.errors.ConfigurationError`. One solver may serve many
+    threads: a lock lets one solve at a time use the space's views.
+    """
+
+    def __init__(
+        self, family: "ThermalModel", training: "Sequence[ThermalModel]"
+    ) -> None:
+        #: ``D`` and its rows.
+        self._drift = family.at_flow(1.0)._advection()[0]
+        self._drift_rows = np.flatnonzero(np.diff(self._drift.indptr))
+        #: The conduction matrix every model of the family shares by
+        #: reference (the boundary check of :meth:`_system`).
+        self._conduction = family._conduction
+        #: Fresh factorizations performed (the anchor, its fallback, and
+        #: the re-anchors and fallbacks of single columns) — exposed for
+        #: benches and tests asserting the sharing actually happens.
+        self.factorizations = 0
+        #: Solves answered without a fresh LU, by the Krylov space.
+        self.anchored_solves = 0
+        #: The subset of ``anchored_solves`` the canonical space answered:
+        #: no Krylov step was taken along the column.
+        self.projected_solves = 0
+        #: Krylov steps taken, in training and along single columns (one
+        #: triangular solve each; the anchor's own solve joins the space
+        #: for free).
+        self.krylov_steps = 0
+        self._lock = threading.Lock()
+        self._canonical = self._train(training)
 
     # -- the family -------------------------------------------------------------
-
-    def _anchor(
-        self, matrix: sparse.csr_matrix, flow: float, lu=None
-    ) -> None:
-        """Make ``matrix`` the anchor; its Krylov space starts empty."""
-        # Release the old factors before building the new ones.
-        self._anchor_lu = None
-        self._anchor_lu = _fast_splu(matrix) if lu is None else lu
-        self._anchor_flow = flow
-        self._forget()
-        self.factorizations += 1
-        obs.inc("thermal.steady.factorizations")
 
     def _system(
         self, model: "ThermalModel"
@@ -290,103 +314,129 @@ class AnchoredSteadySolver:
             )
         return model._build_system()
 
+    def _factorize(self, matrix: sparse.csr_matrix, factorize=None):
+        """``factorize(matrix)``, by default :func:`_fast_splu`, counted."""
+        self.factorizations += 1
+        obs.inc("thermal.steady.factorizations")
+        return (factorize or _fast_splu)(matrix)
+
+    def _train(self, training: "Sequence[ThermalModel]") -> _KrylovSpace:
+        """The canonical space: anchored on the lowest training flow,
+        grown along the others in flow order until each meets the
+        tolerance or the space is full.
+
+        The lowest flow's system is the closest to singular (no flow, no
+        heat sink): anchored there, the space that reaches the top of the
+        range also answers flows below it, and it takes fewer steps than
+        one anchored mid-range.
+        """
+        models = sorted(training, key=lambda model: model.coolant_flow_m3_s)
+        if not models:
+            raise ConfigurationError(
+                "AnchoredSteadySolver needs at least one training model"
+            )
+        anchor = models[0]
+        matrix, rhs = self._system(anchor)
+        flow = anchor.coolant_flow_m3_s
+        residual, tol = _start(anchor, matrix, rhs)
+        lu = self._factorize(matrix)
+        correction = lu.solve(residual)
+        if not _residual_ok(
+            matrix, anchor.inlet_temperature_k + correction, rhs
+        ):
+            # A fast LU the family defeats would fail every column: the
+            # fully pivoted factorization anchors the family instead.
+            obs.inc("thermal.steady.fallbacks")
+            lu = self._factorize(matrix, factorize_steady)
+            correction = lu.solve(residual)
+        space = _KrylovSpace(lu, flow, self._drift_rows)
+        grown, coefficients, _ = space.fit(residual, tol)
+        if grown:
+            # The anchor's own solve is a free Krylov step.
+            space.record(coefficients, self._drift @ correction)
+        for model in models[1:]:
+            matrix, rhs = self._system(model)
+            residual, tol = _start(model, matrix, rhs)
+            if self._project(
+                space, model.coolant_flow_m3_s - flow, residual, tol
+            ) is None:
+                break
+        return space
+
     # -- solves -----------------------------------------------------------------
 
-    def _direct(
-        self, residuals: np.ndarray, tols: np.ndarray
-    ) -> np.ndarray:
-        """Anchor columns: ``M^-1 r0``. Each new source direction joins the
-        space with that solve as a free Krylov step."""
-        new, coefficients, _ = self._sources(residuals, tols)
-        corrections = self._anchor_lu.solve(residuals)
-        for k in new:
-            if self._room():
-                self._record(
-                    coefficients[:, k],
-                    self._drift @ corrections[:, k],
-                )
-        return corrections
-
-    def _least_squares(
-        self, shift: float, coefficients: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """``z = argmin ||c - (R + s H) z||`` per column, and the small
-        residuals ``c - (R + s H) z``."""
-        m, k = self._width, self._steps
-        if not k:
-            return np.zeros((0, coefficients.shape[1])), coefficients
-        system = self._dirs[:m, :k] + shift * self._images[:m, :k]
-        z = lstsq(system, coefficients, lapack_driver="gelsy")[0]
-        return z, coefficients - system @ z
-
-    def _lift(self, coefficients: np.ndarray) -> np.ndarray:
-        """Full-length columns ``V coefficients``."""
-        full = np.zeros((self._inside.size, coefficients.shape[1]))
-        basis = self._basis[:coefficients.shape[0]]
-        full[self._rows] = basis.T @ coefficients
-        return full
-
-    def _krylov(
+    def _project(
         self,
-        matrix: sparse.csr_matrix,
-        flow: float,
+        space: _KrylovSpace,
         shift: float,
-        residuals: np.ndarray,
-        tols: np.ndarray,
-    ) -> np.ndarray:
-        """Corrections ``x - x0`` of a matrix on the family's line."""
-        _, fitted, left_out = self._sources(residuals, tols)
+        residual: np.ndarray,
+        tol: float,
+    ) -> "tuple[np.ndarray, bool] | None":
+        """``(z, stepped)`` for a column of the family's line: grows
+        ``space`` along the column's residual until the estimate meets
+        ``tol``, and says whether it had to. None when the space fills
+        up first."""
+        _, fitted, left_out = space.fit(residual, tol)
         # Zero-padded: r0 is V c plus what the space leaves out, and later
         # vectors do not move c. By the triangle inequality the residual
         # estimate adds the left-out norm to the small residual's.
-        coefficients = np.zeros((_SPACE_CAP, residuals.shape[1]))
-        coefficients[:len(fitted)] = fitted
-
-        corrections = np.empty_like(residuals)
-        todo = np.arange(residuals.shape[1])
-        stepped: "set[int]" = set()
-        while todo.size:
-            z, small = self._least_squares(
-                shift, coefficients[:self._width, todo]
+        coefficients = np.zeros(_SPACE_CAP)
+        coefficients[:fitted.size] = fitted
+        stepped = False
+        while True:
+            z, small = space.least_squares(
+                shift, coefficients[:space.width]
             )
-            misses = (
-                np.linalg.norm(small, axis=0) + left_out[todo]
-            ) / tols[todo]
-            done = misses <= 1.0
-            if done.any():
-                directions = self._dirs[:self._width, :self._steps]
-                corrections[:, todo[done]] = self._anchor_lu.solve(
-                    self._lift(directions @ z[:, done])
-                )
-                answered = int(done.sum())
-                projected = answered - len(stepped.intersection(todo[done]))
-                self.anchored_solves += answered
-                self.projected_solves += projected
-                obs.inc("thermal.steady.anchored_solves", answered)
-                obs.inc("thermal.steady.projected_solves", projected)
-            todo, small, misses = todo[~done], small[:, ~done], misses[~done]
-            if not todo.size:
-                break
-            if not self._room():
-                # The space is full: this matrix becomes the anchor and
-                # answers its remaining columns directly.
-                obs.inc("thermal.steady.reanchors")
-                self._anchor(matrix, flow)
-                corrections[:, todo] = self._direct(
-                    residuals[:, todo], tols[todo]
-                )
-                break
-            # Step along the column furthest from its tolerance.
-            worst = int(np.argmax(misses))
-            stepped.add(int(todo[worst]))
-            direction = small[:, worst]
+            if np.linalg.norm(small) + left_out <= tol:
+                return z, stepped
+            if not space.room():
+                return None
+            stepped = True
             self.krylov_steps += 1
             obs.inc("thermal.gmres.iterations")
-            image = self._drift @ self._anchor_lu.solve(
-                self._lift(direction[:, None])[:, 0]
+            space.record(
+                small, self._drift @ space.lu.solve(space.lift(small))
             )
-            self._record(direction, image)
-        return corrections
+
+    def _column(
+        self,
+        matrix: sparse.csr_matrix,
+        flow: float,
+        inlet: float,
+        start: np.ndarray,
+        rhs: np.ndarray,
+    ) -> np.ndarray:
+        """One column of ``matrix @ x = rhs``, on a view of the canonical
+        space and residual-checked; ``start = matrix @ full(inlet)``."""
+        residual = rhs - start
+        tol = _GMRES_RTOL * np.linalg.norm(rhs)
+        space = copy.copy(self._canonical)
+        projected = self._project(space, flow - space.flow, residual, tol)
+        if projected is None:
+            # The view is full: the column's own matrix answers it.
+            obs.inc("thermal.steady.reanchors")
+            correction = self._factorize(matrix).solve(residual)
+        else:
+            z, stepped = projected
+            self.anchored_solves += 1
+            obs.inc("thermal.steady.anchored_solves")
+            if not stepped:
+                self.projected_solves += 1
+                obs.inc("thermal.steady.projected_solves")
+            directions = space.dirs[:space.width, :space.steps]
+            correction = space.lu.solve(space.lift(directions @ z))
+        solution = inlet + correction
+        if np.all(np.isfinite(solution)) and _residual_ok(
+            matrix, solution, rhs
+        ):
+            return solution
+        obs.inc("thermal.steady.fallbacks")
+        solution = self._factorize(matrix, factorize_steady).solve(rhs)
+        if not np.all(np.isfinite(solution)):
+            raise ConvergenceError(
+                "steady thermal solve produced non-finite temperatures"
+            )
+        return solution
 
     def _solve_columns(
         self,
@@ -395,28 +445,25 @@ class AnchoredSteadySolver:
         rhs_columns: np.ndarray,
     ) -> np.ndarray:
         """Solve ``matrix @ x = rhs`` for each column from ``x0 = T_inlet``,
-        residual-checked."""
-        flow = model.coolant_flow_m3_s
-        fresh = self._anchor_lu is None
-        if fresh:
-            self._anchor(matrix, flow)
+        one column at a time."""
         inlet = model.inlet_temperature_k
-        residuals = rhs_columns - (
-            matrix @ np.full(matrix.shape[0], inlet)
-        )[:, None]
-        tols = _GMRES_RTOL * np.linalg.norm(rhs_columns, axis=0)
-        if fresh:
-            corrections = self._direct(residuals, tols)
-        else:
-            corrections = self._krylov(
-                matrix, flow, flow - self._anchor_flow, residuals, tols
-            )
-        return self._checked(model, matrix, inlet + corrections, rhs_columns)
+        start = matrix @ np.full(matrix.shape[0], inlet)
+        # Column-major: every column is one contiguous vector, whatever
+        # the batch width, so its arithmetic is too.
+        columns = np.asfortranarray(rhs_columns)
+        solution = np.empty_like(columns, order="F")
+        with self._lock:
+            for k in range(columns.shape[1]):
+                solution[:, k] = self._column(
+                    matrix, model.coolant_flow_m3_s, inlet, start,
+                    columns[:, k],
+                )
+        return solution
 
     # -- public API -------------------------------------------------------------
 
     def solve(self, model: "ThermalModel") -> ThermalSolution:
-        """Drop-in for ``model.solve_steady()`` using the shared anchor."""
+        """Drop-in for ``model.solve_steady()`` on the canonical space."""
         matrix, rhs = self._system(model)
         temperatures = self._solve_columns(model, matrix, rhs[:, None])[:, 0]
         return ThermalSolution(temperatures_k=temperatures, model=model)
@@ -428,41 +475,20 @@ class AnchoredSteadySolver:
 
         ``rhs_columns`` is ``(n_dof, k)`` — typically the model's base
         right-hand side plus ``k`` different power maps. Returns the
-        ``(n_dof, k)`` temperature fields [K]. The model's own matrix is
-        used; its ``_sources`` are ignored (the caller owns the RHS).
+        ``(n_dof, k)`` temperature fields [K], column-major. The model's
+        own matrix is used; its ``_sources`` are ignored (the caller owns
+        the RHS).
         """
         matrix, _ = self._system(model)
         return self._solve_columns(model, matrix, rhs_columns)
 
-    def _checked(
-        self,
-        model: "ThermalModel",
-        matrix: sparse.spmatrix,
-        solution: np.ndarray,
-        rhs_columns: np.ndarray,
-    ) -> np.ndarray:
-        """Residual-check every column; re-solve misses with a direct LU."""
-        direct_lu = None
-        for k in range(solution.shape[1]):
-            x, rhs = solution[:, k], rhs_columns[:, k]
-            if np.all(np.isfinite(x)) and _residual_ok(matrix, x, rhs):
-                continue
-            if direct_lu is None:
-                # One fully pivoted factorization serves every failing
-                # column, and becomes the new anchor with an empty space:
-                # if the fast path was inaccurate here, it would stay
-                # inaccurate for the rest of the family too.
-                obs.inc("thermal.steady.fallbacks")
-                self._anchor_lu = None
-                direct_lu = factorize_steady(matrix)
-                self._anchor(matrix, model.coolant_flow_m3_s, direct_lu)
-            direct = direct_lu.solve(rhs)
-            if not np.all(np.isfinite(direct)):
-                raise ConvergenceError(
-                    "steady thermal solve produced non-finite temperatures"
-                )
-            solution[:, k] = direct
-        return solution
+
+def _start(
+    model: "ThermalModel", matrix: sparse.spmatrix, rhs: np.ndarray
+) -> "tuple[np.ndarray, float]":
+    """A training column's ``r0 = b - A x0`` and its Krylov tolerance."""
+    start = matrix @ np.full(matrix.shape[0], model.inlet_temperature_k)
+    return rhs - start, _GMRES_RTOL * np.linalg.norm(rhs)
 
 
 def _residual_ok(

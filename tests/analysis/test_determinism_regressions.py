@@ -55,10 +55,11 @@ STEADY_KERNEL_KEYS = {
 
 @pytest.mark.parametrize("evaluator", sorted(STEADY_KERNEL_KEYS))
 def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
-    """Permuted and duplicated specs get identical metrics, and a batch
-    over 2 inlets x 3 flows stamps conduction and factorizes once per
-    inlet family."""
+    """Permuted and duplicated specs get identical metrics, and a cold
+    batch over 2 inlets x 3 flows stamps conduction and factorizes once
+    per inlet family."""
     from repro.sweep.evaluators import get_evaluator
+    from repro.sweep.vectorized import clear_steady_families
     from repro.thermal.model import ThermalModel
 
     stamps = []
@@ -85,6 +86,7 @@ def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
         for flow in (600.0, 300.0, 450.0)
         for value in values
     ]
+    clear_steady_families()  # an earlier test may hold these families
     obs.start()
     try:
         forward = kernel(specs)

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -270,3 +275,15 @@ class TestBackendFlags:
             assert args.backend == name
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--backend", "process"])
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    """A cold command pays only for what it runs: the Brent branch of the
+    Butler-Volmer inversion imports scipy.optimize when it is taken."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = "import sys, repro.cli; print('scipy.optimize' in sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    ).stdout.strip()
+    assert loaded == "False"

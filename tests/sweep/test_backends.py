@@ -4,13 +4,12 @@ Every evaluator is one registered function over a batch of specs. The
 :class:`~repro.sweep.backends.SerialBackend` hands it one spec at a
 time, the :class:`~repro.sweep.backends.VectorizedBackend` whole
 evaluator groups. Every sweep preset is evaluated both ways and the
-results must match: within the documented
-:data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL` for the steady
-evaluators (an anchored family solve vs a direct one), bit for bit for
-the ``EXACT_KERNELS`` (whose batch members share no floating-point
-work). The steady evaluators are also checked, at both widths, against
-an independent default-ordering direct solve
-(``tests/sweep/steady_oracle.py``).
+results must match bit for bit: the steady evaluators solve each column
+on a view of its family's canonical Krylov space, and the other
+evaluators' batch members share no floating-point work. The steady
+evaluators are also checked, at both widths, against an independent
+default-ordering direct solve (``tests/sweep/steady_oracle.py``) within
+:data:`~repro.sweep.vectorized.EQUIVALENCE_RTOL`.
 
 Plus the cache-interop contract: results computed at either width land
 in the shared :class:`~repro.store.ResultStore` under the same keys, so
@@ -39,7 +38,6 @@ from repro.sweep import (
     preset_names,
 )
 from repro.errors import ConfigurationError
-from repro.sweep.evaluators import batch_exact
 from repro.sweep.vectorized import EQUIVALENCE_RTOL
 from tests.sweep.steady_oracle import STEADY_EVALUATORS, steady_oracle_metrics
 
@@ -62,23 +60,18 @@ def preset_scenarios(name: str) -> "list[ScenarioSpec]":
     return preset.expand(points=6)
 
 
-#: Evaluators whose batch members share no floating-point work, so a
-#: spec's metrics are the same at every batch width: ``runtime`` (one
-#: :class:`~repro.runtime.engine.BatchedRuntimeEngine`, one lane per
-#: scenario or many), ``transient`` (one step-response stepper, one case
-#: per scenario or many), ``vrm`` (one cached array-curve march), and
-#: ``cosim`` and ``fleet``, which loop over their specs. They must agree
-#: exactly.
+#: Evaluators whose batch members share no floating-point work:
+#: ``runtime`` (one :class:`~repro.runtime.engine.BatchedRuntimeEngine`,
+#: one lane per scenario or many), ``transient`` (one step-response
+#: stepper, one case per scenario or many), ``vrm`` (one cached
+#: array-curve march), and ``cosim`` and ``fleet``, which loop over their
+#: specs. The steady evaluators share a family but no column arithmetic.
 EXACT_KERNELS = ("cosim", "fleet", "runtime", "transient", "vrm")
 
 
-def width_rtol(evaluator: str) -> float:
-    """Documented tolerance between batch widths of one evaluator."""
-    return 0.0 if evaluator in EXACT_KERNELS else EQUIVALENCE_RTOL
-
-
-def assert_equivalent(reference, other, rtol: float) -> None:
-    """Result-set equality within a relative tolerance, order included."""
+def assert_identical(reference, other) -> None:
+    """Result-set equality bit for bit (NaN matching NaN), order
+    included."""
     assert len(reference) == len(other)
     for a, b in zip(reference, other):
         assert a.spec == b.spec
@@ -88,19 +81,15 @@ def assert_equivalent(reference, other, rtol: float) -> None:
             if math.isnan(ref):
                 assert math.isnan(got)
                 continue
-            assert got == pytest.approx(ref, rel=rtol, abs=rtol), (
-                f"{a.spec.evaluator}/{name}: {ref} vs {got}"
-            )
+            assert got == ref, f"{a.spec.evaluator}/{name}: {ref} vs {got}"
 
 
-def test_every_evaluator_has_a_width_contract():
-    """A new evaluator must be classified: exact or steady."""
+def test_every_evaluator_is_classified():
+    """A new evaluator must be classified: exact, or steady with a
+    direct-solve oracle."""
     # Evaluators other test modules register are not the library's.
     library = [name for name in evaluator_names() if "test" not in name]
     assert sorted(EXACT_KERNELS + STEADY_EVALUATORS) == library
-    assert [name for name in library if batch_exact(name)] == sorted(
-        EXACT_KERNELS
-    )
 
 
 class TestEquivalenceMatrix:
@@ -109,9 +98,7 @@ class TestEquivalenceMatrix:
         specs = preset_scenarios(preset_name)
         serial = SweepRunner(backend="serial").run(specs)
         vectorized = SweepRunner(backend="vectorized").run(specs)
-        assert_equivalent(
-            serial, vectorized, rtol=width_rtol(specs[0].evaluator)
-        )
+        assert_identical(serial, vectorized)
 
     def test_one_loop_batches_by_width(self, monkeypatch):
         """Serial calls the registered evaluator once per spec,
@@ -227,9 +214,7 @@ class TestCacheInterop:
         ]
         serial = SweepRunner(backend="serial").run(specs)
         vectorized = SweepRunner(backend="vectorized").run(specs)
-        for a, b in zip(serial, vectorized):
-            assert a.spec == b.spec
-        assert_equivalent(serial, vectorized, rtol=EQUIVALENCE_RTOL)
+        assert_identical(serial, vectorized)
 
 
 class TestDynamicPresetCacheInterop:
@@ -260,10 +245,7 @@ class TestDynamicPresetCacheInterop:
             accounting[name] = (cache.hits, cache.misses)
             cold_results[name] = cold
         assert accounting["serial"] == accounting["vectorized"]
-        assert_equivalent(
-            cold_results["serial"], cold_results["vectorized"],
-            rtol=width_rtol(specs[0].evaluator),
-        )
+        assert_identical(cold_results["serial"], cold_results["vectorized"])
 
 
 class TestVectorizedCurveCache:

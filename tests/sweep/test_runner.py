@@ -1,11 +1,18 @@
 """Tests for the sweep runner: memoization, parallelism, export."""
 
+import json
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.io import load_csv, load_json
 from repro.store import ResultStore
-from repro.sweep import runner as runner_module
 from repro.sweep import (
     ScenarioSpec,
     SweepGrid,
@@ -34,25 +41,6 @@ def _cheap(specs):
 def cheap_specs(*flows):
     return [
         ScenarioSpec(evaluator="_test_cheap", total_flow_ml_min=flow)
-        for flow in flows
-    ]
-
-
-# A batch-dependent evaluator: every spec's metric is its batch's mean
-# flow, as steady family solves depend on the flows solved beside them.
-_BATCHES: "list[list[float]]" = []
-
-
-@register_evaluator("_test_batch_mean", batch_exact=False)
-def _batch_mean(specs):
-    flows = [spec.total_flow_ml_min for spec in specs]
-    _BATCHES.append(flows)
-    return [{"mean_flow": sum(flows) / len(flows)} for _ in specs]
-
-
-def batch_mean_specs(*flows):
-    return [
-        ScenarioSpec(evaluator="_test_batch_mean", total_flow_ml_min=flow)
         for flow in flows
     ]
 
@@ -153,71 +141,117 @@ class TestMemoization:
         assert cache.get(spec.cache_key()) is None
 
 
-class TestBatchDependentResults:
-    """An evicted batch-dependent result is solved in its first batch."""
+#: Per steady evaluator: the spec field holding its power-map or design
+#: key, and two values of it.
+STEADY_KEYS = {
+    "operating_point": ("utilization", (1.0, 0.5)),
+    "geometry": ("channel_width_um", (100.0, 150.0)),
+    "workload": ("workload", ("memory bound", "full load")),
+    "fleet_chip": ("utilization", (0.75, 0.25)),
+}
 
-    @staticmethod
-    def _evicting_runner(directory, backend=None):
-        """A runner whose store keeps one entry in memory, so unlinking
-        the directory's entries evicts all but the last one put."""
-        return SweepRunner(
-            cache=ResultStore(directory, max_memory_entries=1),
-            backend=backend,
+#: (flow [ml/min], inlet [K], key index): two inlet families, flows off
+#: and on the training grid, both keys.
+STEADY_POINTS = (
+    (60.0, 300.0, 0), (250.0, 300.0, 1), (900.0, 310.15, 0),
+    (250.0, 310.15, 1), (1352.0, 300.0, 1), (60.0, 300.0, 1),
+)
+
+#: Every steady evaluator's specs at the reduced raster.
+STEADY_POOL = {
+    name: [
+        ScenarioSpec(
+            evaluator=name, total_flow_ml_min=flow,
+            inlet_temperature_k=inlet, nx=22, ny=11,
+            **{field: values[key]},
         )
+        for flow, inlet, key in STEADY_POINTS
+    ]
+    for name, (field, values) in STEADY_KEYS.items()
+}
 
-    @staticmethod
-    def _evict(directory):
-        for entry in directory.glob("*.json"):
+
+@lru_cache(maxsize=None)
+def whole_batch(name):
+    """Each pool spec's metrics, evaluated as one batch of the pool."""
+    from repro.sweep.evaluators import get_evaluator
+
+    specs = STEADY_POOL[name]
+    return dict(zip(specs, get_evaluator(name)(specs)))
+
+
+_POOL_PROCESS = """
+import json, sys
+from repro.sweep import ScenarioSpec, SweepRunner
+fields, backend, reverse = json.load(sys.stdin)
+specs = [ScenarioSpec(**spec) for spec in fields]
+order = specs[::-1] if reverse else specs
+results = {r.spec: r.metrics for r in SweepRunner(backend=backend).run(order)}
+json.dump([results[spec] for spec in specs], sys.stdout)
+"""
+
+
+class TestBatchIndependentResults:
+    """A steady spec's metrics are the same bits in any batch: a column
+    depends only on its family and its right-hand side."""
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_any_batch_gives_the_same_bits(self, data):
+        """Permuted sub-batches of the pool, with a duplicate riding
+        along, after a cold or a warm family cache, give the bits of the
+        whole pool's batch."""
+        from repro.sweep.evaluators import get_evaluator
+        from repro.sweep.vectorized import clear_steady_families
+
+        name = data.draw(st.sampled_from(sorted(STEADY_POOL)))
+        order = data.draw(st.permutations(STEADY_POOL[name]))
+        batch = order[:data.draw(st.integers(1, len(order)))]
+        batch = batch + batch[:data.draw(st.integers(0, 1))]
+        reference = whole_batch(name)
+        if data.draw(st.booleans()):
+            clear_steady_families()
+        assert get_evaluator(name)(batch) == [
+            reference[spec] for spec in batch
+        ]
+
+    def test_two_processes_give_the_same_bits(self):
+        """Two interpreters with the same BLAS thread count, one in a
+        whole batch and one in reversed batches of one, agree bitwise."""
+        specs = [spec for pool in STEADY_POOL.values() for spec in pool]
+        fields = [
+            {name: getattr(spec, name) for name in spec.field_names()}
+            for spec in specs
+        ]
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env.update(dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            "1",
+        ))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _POOL_PROCESS],
+                input=json.dumps([fields, backend, reverse]),
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout
+            for backend, reverse in (("vectorized", False), ("serial", True))
+        ]
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])) == len(specs)
+
+    def test_evicted_results_solve_alone(self, tmp_path):
+        """A replay evaluates only the entries the store lost."""
+        runner = SweepRunner(
+            cache=ResultStore(tmp_path, max_memory_entries=1)
+        )
+        first = runner.run(cheap_specs(30.0, 60.0, 90.0))
+        for entry in tmp_path.glob("*.json"):
             entry.unlink()
-        _BATCHES.clear()
-
-    def test_a_replay_solves_evicted_results_in_their_batch(self, tmp_path):
-        runner = self._evicting_runner(tmp_path)
-        specs = batch_mean_specs(30.0, 60.0, 90.0)
-        first = runner.run(specs)
-        self._evict(tmp_path)
-        replay = runner.run(specs)
-        # 90 stayed in memory and rides along with the two misses.
-        assert _BATCHES == [[30.0, 60.0, 90.0]]
-        assert [r.from_cache for r in replay] == [False, False, True]
-        assert replay.records() == first.records()
-        assert runner.cache.stats()["misses"] == 5
-
-    def test_new_misses_share_one_batch_without_riders(self, tmp_path):
-        runner = self._evicting_runner(tmp_path)
-        runner.run(batch_mean_specs(30.0, 60.0, 90.0))
-        _BATCHES.clear()
-        runner.run(batch_mean_specs(30.0, 45.0, 60.0, 75.0, 90.0))
-        assert _BATCHES == [[45.0, 75.0]]
-
-    def test_a_batch_the_run_lacks_is_not_repeated(self, tmp_path):
-        runner = self._evicting_runner(tmp_path)
-        runner.run(batch_mean_specs(30.0, 60.0, 90.0))
-        self._evict(tmp_path)
-        runner.run(batch_mean_specs(30.0, 60.0))
-        assert _BATCHES == [[30.0, 60.0]]
-
-    def test_the_remembered_batches_are_bounded(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(runner_module, "REMEMBERED_KEYS", 2)
-        runner = self._evicting_runner(tmp_path)
-        runner.run(batch_mean_specs(30.0, 60.0, 90.0))
-        assert len(runner._solved_with) == 2
-
-    def test_batches_of_one_solve_only_the_misses(self, tmp_path):
-        runner = self._evicting_runner(tmp_path, backend="serial")
-        specs = batch_mean_specs(30.0, 60.0, 90.0)
-        runner.run(specs)
-        self._evict(tmp_path)
-        runner.run(specs)
-        assert _BATCHES == [[30.0], [60.0]]
-
-    def test_exact_results_are_solved_with_the_misses(self, tmp_path):
-        runner = self._evicting_runner(tmp_path)
-        runner.run(cheap_specs(30.0, 60.0, 90.0))
-        self._evict(tmp_path)
         _CALLS["count"] = 0
-        runner.run(cheap_specs(30.0, 60.0, 90.0))
+        replay = runner.run(cheap_specs(30.0, 60.0, 90.0))
         assert _CALLS["count"] == 2
+        assert replay.records() == first.records()
 
 
 class TestCacheStats:

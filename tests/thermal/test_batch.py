@@ -1,5 +1,7 @@
 """Anchored steady solver vs direct factorization."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,6 @@ from repro.casestudy.power7plus import (
 )
 from repro.errors import ConfigurationError
 from repro.geometry.power7 import build_power7_floorplan
-from repro.sweep.vectorized import _middle_out
 from repro.thermal import batch
 from repro.thermal.batch import AnchoredSteadySolver, AnchoredTransientSolver
 from repro.thermal.model import ThermalModel
@@ -22,9 +23,12 @@ from repro.units import celsius_from_kelvin, m3s_from_ml_per_min
 
 FLOWS = (48.0, 169.0, 676.0, 1352.0)
 
-#: A flow family long enough for the Krylov space to answer most flows
-#: with no new step, in the middle-out order the sweep kernels use.
-FAMILY = _middle_out(sorted(np.geomspace(300.0, 900.0, 12).tolist()))
+#: The training set the sweep's steady families use: 8 log-spaced flows
+#: over the flow presets' range, at full load.
+TRAINING = np.geomspace(48.0, 1352.0, 8).tolist()
+
+#: A flow family between the training flows.
+FAMILY = np.geomspace(300.0, 900.0, 12).tolist()
 
 UTILIZATIONS = np.linspace(0.1, 1.0, 10).tolist()
 
@@ -33,7 +37,7 @@ FLOORPLAN = build_power7_floorplan()
 
 def _family(inlet=300.0, nx=22, ny=11):
     """The flow-free case-study model a solver is built from, as in
-    :func:`repro.sweep.vectorized.steady_families`."""
+    :func:`repro.sweep.vectorized.steady_family`."""
     return ThermalModel(
         build_thermal_stack(inlet_temperature_k=inlet),
         FLOORPLAN.width_m, FLOORPLAN.height_m, nx, ny,
@@ -49,14 +53,24 @@ def _at_flow(family, flow, utilization=1.0):
     return model
 
 
-def _family_solves():
-    family = _family()
-    solver = AnchoredSteadySolver(family)
-    temperatures = [
-        solver.solve(_at_flow(family, flow)).temperatures_k
-        for flow in FAMILY
-    ]
-    return solver, temperatures
+def _solver(family, training=TRAINING):
+    """A solver trained at full load on ``training`` flows [ml/min]."""
+    return AnchoredSteadySolver(
+        family, [_at_flow(family, flow) for flow in training]
+    )
+
+
+def _direct(flow, utilization=1.0):
+    return build_thermal_model(
+        nx=22, ny=11, total_flow_ml_min=flow, utilization=utilization,
+    ).solve_steady()
+
+
+def _counts(solver):
+    return (
+        solver.factorizations, solver.krylov_steps,
+        solver.anchored_solves, solver.projected_solves,
+    )
 
 
 def _utilization_columns(solver, family, flow):
@@ -73,12 +87,10 @@ class TestAnchoredSolves:
         """One factorization + Krylov space agrees with per-flow direct
         solves."""
         family = _family()
-        solver = AnchoredSteadySolver(family)
+        solver = _solver(family)
         for flow in FLOWS:
             anchored = solver.solve(_at_flow(family, flow))
-            direct = build_thermal_model(
-                nx=22, ny=11, total_flow_ml_min=flow
-            ).solve_steady()
+            direct = _direct(flow)
             np.testing.assert_allclose(
                 anchored.temperatures_k, direct.temperatures_k,
                 rtol=1e-9, atol=1e-7,
@@ -88,13 +100,13 @@ class TestAnchoredSolves:
             )
 
     def test_shares_the_anchor(self):
-        """Only the first solve factorizes; neighbours ride the space."""
+        """Only training factorizes; every column rides the space."""
         family = _family()
-        solver = AnchoredSteadySolver(family)
+        solver = _solver(family)
         for flow in (338.0, 450.0, 676.0):
             solver.solve(_at_flow(family, flow))
         assert solver.factorizations == 1
-        assert solver.anchored_solves == 2
+        assert solver.anchored_solves == 3
 
     def test_stacked_columns_match_individual_solves(self):
         """Utilization variants as stacked RHS columns of one matrix."""
@@ -106,32 +118,37 @@ class TestAnchoredSolves:
             for utilization in utilizations
         ])
 
-        solver = AnchoredSteadySolver(family)
+        solver = _solver(family)
         stacked = solver.solve_columns(model, columns)
         assert solver.factorizations == 1  # one LU served all columns
 
         for k, utilization in enumerate(utilizations):
-            direct = build_thermal_model(
-                nx=22, ny=11, total_flow_ml_min=676.0,
-                utilization=utilization,
-            ).solve_steady()
             np.testing.assert_allclose(
-                stacked[:, k], direct.temperatures_k, rtol=1e-9, atol=1e-7
+                stacked[:, k], _direct(676.0, utilization).temperatures_k,
+                rtol=1e-9, atol=1e-7,
             )
 
-    def test_reanchors_on_distant_flow(self):
-        """A flow far outside the anchor's reach still solves correctly
-        (re-anchoring is transparent)."""
-        family = _family()
-        solver = AnchoredSteadySolver(family)
-        solver.solve(_at_flow(family, 48.0))
-        anchored = solver.solve(_at_flow(family, 1352.0))
-        direct = build_thermal_model(
-            nx=22, ny=11, total_flow_ml_min=1352.0
-        ).solve_steady()
+    def test_distant_flow_is_answered_by_krylov_steps(self):
+        """A space trained at 48 ml/min alone answers 1352 ml/min with
+        Krylov steps along the column, on the same anchor."""
+        obs.start()
+        try:
+            family = _family()
+            solver = _solver(family, training=[48.0])
+            trained = solver.krylov_steps
+            anchored = solver.solve(_at_flow(family, 1352.0))
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.stop()
         assert anchored.peak_celsius == pytest.approx(
-            direct.peak_celsius, abs=1e-6
+            _direct(1352.0).peak_celsius, abs=1e-6
         )
+        assert solver.krylov_steps - trained == 20
+        assert solver.anchored_solves == 1
+        assert solver.projected_solves == 0
+        assert solver.factorizations == 1
+        assert counters["thermal.steady.reanchors"] == 0
+        assert counters["thermal.steady.fallbacks"] == 0
 
     def test_rejects_a_stack_without_coolant(self):
         """No channel layer, no heat sink: the steady system is singular,
@@ -143,19 +160,20 @@ class TestAnchoredSolves:
         )
         model.set_power_map("active_si", np.full((4, 6), 0.01))
         with pytest.raises(ConfigurationError, match="microchannel"):
-            AnchoredSteadySolver(model).solve(model)
+            AnchoredSteadySolver(model, [model])
 
 
 class TestKrylovSpace:
     def test_family_matches_direct_with_one_factorization(self):
-        """A 12-flow middle-out family: one anchor LU, a handful of Krylov
-        steps, every later flow answered by the existing space, and
-        agreement with per-flow direct solves."""
-        solver, solves = _family_solves()
-        for flow, anchored in zip(FAMILY, solves):
-            direct = build_thermal_model(
-                nx=22, ny=11, total_flow_ml_min=flow
-            ).solve_steady()
+        """The canonical space of the 8 training flows answers a 12-flow
+        family with no further step, in agreement with per-flow direct
+        solves."""
+        family = _family()
+        solver = _solver(family)
+        trained = solver.krylov_steps
+        for flow in FAMILY:
+            anchored = solver.solve(_at_flow(family, flow)).temperatures_k
+            direct = _direct(flow)
             np.testing.assert_allclose(
                 anchored, direct.temperatures_k, rtol=1e-9, atol=1e-7
             )
@@ -163,41 +181,26 @@ class TestKrylovSpace:
                 direct.peak_celsius, abs=1e-6
             )
         assert solver.factorizations == 1
-        assert solver.krylov_steps <= 7
-        assert solver.anchored_solves == len(FAMILY) - 1
-        assert solver.projected_solves == len(FAMILY) - 2
+        assert 0 < trained <= 20
+        assert solver.krylov_steps == trained
+        assert solver.anchored_solves == len(FAMILY)
+        assert solver.projected_solves == len(FAMILY)
 
     def test_utilization_columns_take_no_new_steps(self):
-        """Utilization maps are multiples of one source: once a flow of
-        the family has been solved, every utilization column of any flow
-        is answered by the existing space."""
+        """Utilization maps are multiples of the full-load source: the
+        canonical space answers every utilization column of any flow."""
         family = _family()
-        solver = AnchoredSteadySolver(family)
-        flows = _middle_out(sorted(np.geomspace(200.0, 1200.0, 6).tolist()))
-        for position, flow in enumerate(flows):
-            steps = solver.krylov_steps
-            projected = solver.projected_solves
+        solver = _solver(family)
+        trained = solver.krylov_steps
+        for flow in np.geomspace(200.0, 1200.0, 4).tolist():
             stacked = _utilization_columns(solver, family, flow)
-            if position:
-                # Only a flow's first column may step, and only while the
-                # space is still growing; the rest ride along.
-                assert solver.projected_solves - projected >= len(
-                    UTILIZATIONS
-                ) - 1
-            if position > 1:
-                assert solver.krylov_steps == steps
-                assert solver.projected_solves - projected == len(
-                    UTILIZATIONS
-                )
             for k, utilization in enumerate(UTILIZATIONS):
-                direct = build_thermal_model(
-                    nx=22, ny=11, total_flow_ml_min=flow,
-                    utilization=utilization,
-                ).solve_steady()
                 np.testing.assert_allclose(
-                    stacked[:, k], direct.temperatures_k,
+                    stacked[:, k], _direct(flow, utilization).temperatures_k,
                     rtol=1e-9, atol=1e-7,
                 )
+        assert solver.krylov_steps == trained
+        assert solver.projected_solves == 4 * len(UTILIZATIONS)
         assert solver.factorizations == 1
 
     def test_full_space_reanchors(self, monkeypatch):
@@ -208,30 +211,112 @@ class TestKrylovSpace:
         obs.start()
         try:
             family = _family()
-            solver = AnchoredSteadySolver(family)
-            solver.solve(_at_flow(family, 48.0))
+            solver = _solver(family, training=[48.0])
             anchored = solver.solve(_at_flow(family, 1352.0))
             counters = obs.snapshot()["counters"]
         finally:
             obs.stop()
-        direct = build_thermal_model(
-            nx=22, ny=11, total_flow_ml_min=1352.0
-        ).solve_steady()
         np.testing.assert_allclose(
-            anchored.temperatures_k, direct.temperatures_k,
+            anchored.temperatures_k, _direct(1352.0).temperatures_k,
             rtol=1e-9, atol=1e-7,
         )
         assert counters["thermal.steady.reanchors"] == 1
         assert counters["thermal.steady.fallbacks"] == 0
         assert solver.factorizations == 2
 
-    def test_fresh_solvers_are_bit_identical(self):
-        """The space belongs to the solver: the same batch through two
-        fresh solvers gives the very same floats."""
-        _, first = _family_solves()
-        _, second = _family_solves()
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+    def test_a_column_does_not_depend_on_earlier_solves(self):
+        """Each column is solved on its own view of the canonical space:
+        the same flows in any order, or each through a fresh solver, give
+        the very same floats."""
+        family = _family()
+        forward = _solver(family)
+        backward = _solver(family)
+        solves = {
+            flow: forward.solve(_at_flow(family, flow)).temperatures_k
+            for flow in FAMILY
+        }
+        for flow in reversed(FAMILY):
+            again = backward.solve(_at_flow(family, flow)).temperatures_k
+            assert np.array_equal(again, solves[flow])
+        for flow in FAMILY[::5]:
+            other = _family()
+            cold = _solver(other).solve(_at_flow(other, flow))
+            assert np.array_equal(cold.temperatures_k, solves[flow])
+
+    @pytest.mark.parametrize(
+        "detour", ["steps", "new-source", "reanchor", "fallback"]
+    )
+    def test_a_column_leaks_nothing_into_the_space(self, detour, monkeypatch):
+        """A column's own Krylov steps (after a new source direction, for
+        a map that is no multiple of the training map), its space-full
+        re-anchor or its direct fallback die with it: the next column's
+        counts and bits match a cold solver's."""
+        if detour == "reanchor":
+            monkeypatch.setattr(batch, "_SPACE_CAP", 8)
+        family = _family()
+        solver = _solver(family, training=[48.0])
+        model = _at_flow(family, 1352.0)
+        if detour == "new-source":
+            skew = np.linspace(0.5, 1.5, family.nx)
+            model.set_power_map("active_si", skew * full_load_power_map(
+                family.nx, family.ny, FLOORPLAN
+            ))
+        if detour == "fallback":
+            residual_ok = batch._residual_ok
+            monkeypatch.setattr(batch, "_residual_ok", lambda *args: False)
+        solver.solve(model)
+        if detour == "fallback":
+            monkeypatch.setattr(batch, "_residual_ok", residual_ok)
+            assert solver.factorizations == 2
+        warm = _counts(solver)
+        after = solver.solve(_at_flow(family, 200.0)).temperatures_k
+
+        other = _family()
+        cold = _solver(other, training=[48.0])
+        fresh = _counts(cold)
+        reference = cold.solve(_at_flow(other, 200.0)).temperatures_k
+        assert np.array_equal(after, reference)
+        assert np.subtract(_counts(solver), warm).tolist() == np.subtract(
+            _counts(cold), fresh
+        ).tolist()
+        assert cold.krylov_steps > fresh[1]  # the next column steps too
+
+
+class TestSharedSolver:
+    def test_threads_solving_at_once_get_the_single_thread_bits(self):
+        """One solver serves many threads: concurrent columns, some taking
+        Krylov steps on their views, give the bits of a lone thread."""
+        family = _family()
+        solver = _solver(family, training=[48.0])
+        flows = (1352.0, 60.0, 676.0, 100.0)
+        reference = {
+            flow: solver.solve(_at_flow(family, flow)).temperatures_k
+            for flow in flows
+        }
+        mismatches = []
+
+        def solve_all(order):
+            for flow in order:
+                got = solver.solve(_at_flow(family, flow)).temperatures_k
+                if not np.array_equal(got, reference[flow]):
+                    mismatches.append(flow)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=solve_all, args=(flows[k:] + flows[:k],))
+                for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert solver.anchored_solves == 5 * len(flows)
 
 
 def _system(flow, inlet=300.0, nx=22, ny=11):
@@ -303,7 +388,7 @@ def _weighted_model(flow):
 
 class TestOffTheLine:
     """A model off the family's line never reaches the Krylov space: it
-    is rejected at the boundary. A wrong anchor is still answered right,
+    is rejected at the boundary. A wrong anchor is replaced in training,
     and the counters say how."""
 
     @pytest.mark.parametrize("outsider", [
@@ -318,10 +403,12 @@ class TestOffTheLine:
     ])
     def test_rejects_a_model_outside_the_family(self, outsider):
         """A fresh build, a flow-dependent channel allocation and another
-        inlet's family all carry their own conduction matrix: rejected
-        before and after the solver has anchored."""
+        inlet's family all carry their own conduction matrix: rejected in
+        training and in solves."""
         family = _family()
-        solver = AnchoredSteadySolver(family)
+        with pytest.raises(ConfigurationError, match="at_flow"):
+            AnchoredSteadySolver(family, [outsider()])
+        solver = _solver(family)
         with pytest.raises(ConfigurationError, match="at_flow"):
             solver.solve(outsider())
         solver.solve(_at_flow(family, 400))
@@ -333,8 +420,9 @@ class TestOffTheLine:
         assert solver.factorizations == 1
 
     def test_inaccurate_anchor_falls_back(self, monkeypatch):
-        """An anchor LU of the wrong matrix fails the true residual check:
-        the direct fallback answers and becomes the anchor."""
+        """An anchor LU of the wrong matrix fails the true residual check
+        in training: the fully pivoted factorization becomes the anchor,
+        and every column is then answered by the space."""
         fast_splu = batch._fast_splu
         monkeypatch.setattr(
             batch, "_fast_splu", lambda matrix: fast_splu(matrix * 1.001)
@@ -342,15 +430,12 @@ class TestOffTheLine:
         obs.start()
         try:
             family = _family()
-            solver = AnchoredSteadySolver(family)
+            solver = _solver(family)
             for flow in (400, 300, 500):
-                model = _at_flow(family, flow)
-                anchored = solver.solve(model).temperatures_k
-                direct = build_thermal_model(
-                    nx=22, ny=11, total_flow_ml_min=flow
-                ).solve_steady().temperatures_k
+                anchored = solver.solve(_at_flow(family, flow))
                 np.testing.assert_allclose(
-                    anchored, direct, rtol=1e-9, atol=1e-7
+                    anchored.temperatures_k, _direct(flow).temperatures_k,
+                    rtol=1e-9, atol=1e-7,
                 )
             counters = obs.snapshot()["counters"]
         finally:
@@ -358,6 +443,7 @@ class TestOffTheLine:
         assert counters["thermal.steady.fallbacks"] == 1
         assert counters["thermal.steady.reanchors"] == 0
         assert solver.factorizations == 2
+        assert solver.anchored_solves == 3
 
 
 class TestStepOnly:
