@@ -33,6 +33,7 @@ import time
 import pytest
 
 from benchmarks.conftest import artifact, emit, obs_artifacts
+from repro.casestudy.power7plus import clear_thermal_families
 from repro.core.report import format_table
 from repro.sweep import (
     SerialBackend,
@@ -41,7 +42,6 @@ from repro.sweep import (
     get_preset,
 )
 from repro.sweep.evaluators import clear_array_curves
-from repro.sweep.vectorized import clear_steady_families
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -59,7 +59,7 @@ MIN_SPEEDUP = 1.5
 def _cold_run(backend, specs) -> "tuple[float, object]":
     """Time one backend over the specs with every cache cold."""
     clear_array_curves()
-    clear_steady_families()
+    clear_thermal_families()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()
     results = runner.run(specs)

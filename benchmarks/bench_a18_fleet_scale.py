@@ -38,12 +38,13 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import SMOKE, artifact, emit
+from repro.casestudy.power7plus import clear_thermal_families
 from repro.core.report import format_table
 from repro.fleet import ChipTable, FleetEngine, FleetSpec, shared_fleet_runner
 from repro.store import ResultStore
 from repro.sweep import SweepRunner, get_preset
 from repro.sweep.evaluators import clear_array_curves
-from repro.sweep.vectorized import EQUIVALENCE_RTOL, clear_steady_families
+from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
 #: Fleet size for the scale race (the PR's headline configuration).
 N_CHIPS = 128 if SMOKE else 1000
@@ -85,7 +86,7 @@ def _build_table(spec: FleetSpec, runner: SweepRunner) -> ChipTable:
 def _cold_build(backend: str, spec: FleetSpec):
     """Time one chip-table build with the thermal path cold."""
     clear_array_curves()
-    clear_steady_families()
+    clear_thermal_families()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()
     table = _build_table(spec, runner)

@@ -4,12 +4,12 @@ PR 5 vectorized the *steady* sweep hot path (bench A17); this bench
 races the dynamic half. The ``transient`` evaluator marches whole
 step-response sweeps in lockstep through
 :func:`repro.cosim.batch.batched_step_responses` (one thermal model per
-flow/inlet family, scenario states stacked as multi-RHS columns of the
-exact backward-Euler factorizations), and the ``runtime`` evaluator
-mounts every scenario of a trace group as a lane of
+flow/inlet family, scenario states stacked as columns of the exact
+backward-Euler factorizations), and the ``runtime`` evaluator mounts
+every scenario of a trace group as a lane of
 :class:`~repro.runtime.engine.BatchedRuntimeEngine` (vector PID/governor
-state, array SOC, one multi-column thermal step per distinct flow per
-control interval). The race asserts:
+state, array SOC, one thermal stepper per distinct flow per control
+interval). The race asserts:
 
 - the :class:`~repro.sweep.backends.VectorizedBackend` agrees with
   :class:`~repro.sweep.backends.SerialBackend` scenario by scenario
@@ -25,9 +25,9 @@ wall times are reported and kept as artifacts; dynamic speed is gated
 in absolute terms by the repository benchmark's ``dynamic-sweep``
 workload instead.
 
-Every timed run starts cold: the array-curve cache, the shared thermal-model store and the
-polarization-surface store are all cleared per measurement, so the race
-measures the backends, not cache luck.
+Every timed run starts cold: the array-curve cache, the kept thermal
+families and the polarization-surface store are all cleared per
+measurement, so the race measures the backends, not cache luck.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the grids so CI can exercise the whole
 matrix on every push.
@@ -39,9 +39,9 @@ import time
 import pytest
 
 from benchmarks.conftest import artifact, emit, obs_artifacts
+from repro.casestudy.power7plus import clear_thermal_families
 from repro.core.report import format_table
 from repro.cosim import PolarizationSurface
-from repro.runtime.engine import clear_model_store
 from repro.sweep import (
     SerialBackend,
     SweepRunner,
@@ -61,7 +61,7 @@ POINTS = {"transient": 8 if SMOKE else 16, "runtime": 4 if SMOKE else 8}
 def _cold_run(backend, specs) -> "tuple[float, object]":
     """Time one backend over the specs with every shared cache cold."""
     clear_array_curves()
-    clear_model_store()
+    clear_thermal_families()
     PolarizationSurface.clear_shared()
     runner = SweepRunner(backend=backend)
     start = time.perf_counter()

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
 from repro.errors import ConfigurationError
 from repro.flowcell.array import FlowCellArray
@@ -291,6 +292,94 @@ def build_thermal_model(
         "active_si", full_load_power_map(nx, ny, floorplan, utilization)
     )
     return model
+
+
+#: The steady solver's canonical Krylov space is grown from this many
+#: flows, log-spaced over ``FLOW_RANGE_ML_MIN``, at the full-load map.
+_TRAINING_FLOWS = 8
+
+
+class ThermalFamily:
+    """The case-study chip at one ``(inlet, nx, ny)``, at every flow.
+
+    The steady evaluators, the step responses and the runtime all solve
+    this stack at different flows. The family stamps the conduction
+    matrix of its flow-free :attr:`model` once; :meth:`at_flow` derives a
+    flow's model without power maps, bit-identical to a fresh build.
+    :attr:`steady_solver` is trained on first use, so a process that only
+    steps never pays for it, and :meth:`kept_model` keeps the runtime's
+    stepping models. All of it is a pure function of the key, so keeping
+    it changes no result.
+    """
+
+    #: Stepping models kept, least recently used dropped. The bound
+    #: counts per family; a process keeps at most ``_FAMILIES_MAX``.
+    KEPT_MODELS_MAX = 32
+
+    def __init__(self, inlet_temperature_k: float, nx: int, ny: int) -> None:
+        floorplan = build_power7_floorplan()
+        self.model = ThermalModel(
+            build_thermal_stack(inlet_temperature_k=inlet_temperature_k),
+            floorplan.width_m, floorplan.height_m, nx, ny,
+        )
+        self._solver = None
+        self._kept: "dict[float, ThermalModel]" = {}
+
+    def at_flow(self, total_flow_ml_min: float) -> ThermalModel:
+        """The family's model at one flow [ml/min], without power maps."""
+        return self.model.at_flow(m3s_from_ml_per_min(total_flow_ml_min))
+
+    @property
+    def steady_solver(self):
+        """The family's :class:`~repro.thermal.batch.AnchoredSteadySolver`,
+        trained at full load on ``_TRAINING_FLOWS`` flows on first use."""
+        if self._solver is None:
+            from repro.sweep.presets import FLOW_RANGE_ML_MIN
+            from repro.thermal.batch import AnchoredSteadySolver
+
+            full_load = full_load_power_map(self.model.nx, self.model.ny)
+            training = []
+            for flow in np.geomspace(*FLOW_RANGE_ML_MIN, _TRAINING_FLOWS):
+                training.append(self.at_flow(float(flow)))
+                training[-1].set_power_map("active_si", full_load)
+            self._solver = AnchoredSteadySolver(self.model, training)
+        return self._solver
+
+    def kept_model(self, total_flow_ml_min: float) -> ThermalModel:
+        """The kept stepping model of one flow [ml/min]."""
+        flow = float(total_flow_ml_min)
+        model = self._kept.pop(flow, None)
+        if model is None:
+            # Warm: counts what earlier runs did not leave in the family.
+            obs.inc("runtime.model_builds", warm=True)
+            model = self.at_flow(flow)
+            while len(self._kept) >= self.KEPT_MODELS_MAX:
+                self._kept.pop(next(iter(self._kept)))
+        self._kept[flow] = model  # (re)insert as most recently used
+        return model
+
+
+#: ``(inlet, nx, ny) -> ThermalFamily``, oldest first. An 88x44 family's
+#: steady solver holds ~28 MB (anchor LU and Krylov space); the bound
+#: keeps a long-running server from growing without limit.
+_FAMILIES: "dict[tuple, ThermalFamily]" = {}
+_FAMILIES_MAX = 4
+
+
+def thermal_family(inlet_temperature_k: float, nx: int, ny: int) -> ThermalFamily:
+    """The process-wide :class:`ThermalFamily` of ``(inlet, nx, ny)``."""
+    key = (float(inlet_temperature_k), int(nx), int(ny))
+    family = _FAMILIES.get(key)
+    if family is None:
+        while len(_FAMILIES) >= _FAMILIES_MAX:
+            _FAMILIES.pop(next(iter(_FAMILIES)))
+        family = _FAMILIES[key] = ThermalFamily(*key)
+    return family
+
+
+def clear_thermal_families() -> None:
+    """Drop every kept family (cold-start benches, tests)."""
+    _FAMILIES.clear()
 
 
 # -- hydraulics --------------------------------------------------------------------

@@ -10,13 +10,14 @@ often than it varies the matrix-defining knobs (flow, inlet, raster).
 :func:`batched_step_responses` exploits that structure:
 
 - scenarios sharing ``(flow, inlet, nx, ny)`` share one
-  :class:`~repro.thermal.model.ThermalModel` — one sparse assembly, one
-  steady LU for the initial conditions, one backward-Euler LU per distinct
-  half step size;
+  :class:`~repro.thermal.model.ThermalModel`, derived from the kept
+  :func:`~repro.casestudy.power7plus.thermal_family` and not kept — one
+  advection assembly, one steady LU for the initial conditions, one
+  backward-Euler LU per distinct half step size;
 - scenarios additionally sharing ``(duration, dt)`` march in *lockstep*:
   their states ride as stacked columns through
   :class:`~repro.thermal.batch.AnchoredTransientSolver`, so each time step
-  costs one multi-RHS triangular solve instead of one solve per scenario;
+  costs one factorization lookup and one triangular solve per scenario;
 - sampling takes every column sharing a configuration as one array
   (:func:`~repro.cosim.coupling.coolant_columns`, the steady loop's group
   partition, then one query of the shared
@@ -30,9 +31,10 @@ Equivalence: a case's trajectory is *bit-identical* whichever batch it
 rides in, and to a direct march of
 :meth:`~repro.thermal.model.ThermalModel.solve_steady` /
 :meth:`~repro.thermal.model.ThermalModel.solve_transient` sampled on the
-surface (``tests/cosim/test_transient.py`` holds that oracle). SuperLU solves
-a multi-column right-hand side column by column, the stacked step formula
-mirrors the scalar one elementwise, every sampling reduction sums one
+surface (``tests/cosim/test_transient.py`` holds that oracle). Every state
+column takes its own triangular solve (a multi-column SuperLU solve rounds
+differently at different widths), the stacked step formula mirrors the
+scalar one elementwise, every sampling reduction sums one
 contiguous run of a single column's values, and every surface node comes
 from the one curve construction whoever builds it.
 That matters because the temperatures feed discontinuous decisions
@@ -78,8 +80,8 @@ def batched_step_responses(
     step lands the last sample exactly at ``duration_s``.
     """
     from repro.casestudy.power7plus import (
-        build_thermal_model,
         full_load_power_map,
+        thermal_family,
     )
     from repro.thermal.batch import AnchoredTransientSolver
 
@@ -115,11 +117,7 @@ def batched_step_responses(
     for (flow, inlet, nx, ny), marches in sorted(families.items()):
         # One model for the whole family — utilization only scales the
         # right-hand side, so assembly and factorizations are shared.
-        model = build_thermal_model(
-            nx=nx, ny=ny,
-            total_flow_ml_min=flow,
-            inlet_temperature_k=inlet,
-        )
+        model = thermal_family(inlet, nx, ny).at_flow(flow)
         solver = AnchoredTransientSolver(model)
         for (duration_s, dt_s), indices in sorted(marches.items()):
             family_cases = [cases[index] for index in indices]

@@ -267,15 +267,17 @@ class ElectroThermalCosim:
             group_currents = surface.currents_at(temperatures, voltage)
             group_ocvs = surface.ocvs_at(temperatures)
 
-            if config.include_cell_heat:
+            if shift < config.tolerance_k and iteration > 1:
+                converged = True
+                break
+            # The next solve's cell heat: after the last solve the model
+            # keeps the map ``thermal`` was solved with (energy balance).
+            if config.include_cell_heat and iteration < config.max_iterations:
                 model.set_power_map(
                     "channels",
                     self._cell_heat_map(group_currents, group_ocvs),
                     kind="fluid",
                 )
-            if shift < config.tolerance_k and iteration > 1:
-                converged = True
-                break
 
         if thermal is None:  # pragma: no cover - loop always runs once
             raise ConvergenceError("co-simulation did not execute")

@@ -12,7 +12,7 @@ sections with different stability guarantees:
 
 ``warm``
     Counts that depend on process cache warmth (polarization-surface
-    node builds, thermal-model store misses). Real signal for perf
+    node builds, kept thermal-model misses). Real signal for perf
     debugging, but legitimately different between a cold and a warm
     process, so they live outside the deterministic contract.
 

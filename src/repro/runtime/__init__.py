@@ -15,8 +15,8 @@ power-delivery demands as workload varies:
   along a trace (the flow-battery storage side);
 - :mod:`repro.runtime.engine` — :class:`BatchedRuntimeEngine`, the one
   stepper tying them together: it advances one or many scenario lanes
-  per control interval (vector controllers, array SOC, shared
-  multi-column thermal steps) into :class:`RuntimeResult` time series
+  per control interval (vector controllers, array SOC, thermal steps
+  sharing one kept model per flow) into :class:`RuntimeResult` time series
   with energy/thermal KPIs. A single scenario is a one-lane run.
 
 The ``runtime`` sweep evaluator, the ``runtime-pid`` optimization preset

@@ -19,8 +19,8 @@ Per control step the engine
 2. asks the governors for activity scales and the controllers for flow
    commands (both see only the *previous* step's outcome),
 3. advances every lane's thermal state by one backward-Euler step on the
-   cached :class:`~repro.thermal.model.ThermalModel` for its commanded
-   flow (lanes at the same flow share one multi-column solve),
+   kept :class:`~repro.thermal.model.ThermalModel` of its commanded flow
+   (lanes at the same flow share its step factorization),
 4. samples each flow group's lanes as one array — coolant group
    temperatures, peaks, and group currents on the shared
    :class:`~repro.cosim.surface.PolarizationSurface` — and prices the
@@ -28,10 +28,11 @@ Per control step the engine
 5. draws the generated charge from the electrolyte reservoirs.
 
 Flow commands are quantized to ``flow_resolution_ml_min`` so the caches
-stay bounded: each distinct quantized flow costs one thermal model (its
-sparse assembly and one backward-Euler LU per step size are then reused
-for every later step at that flow; only the lanes' initial flows also
-factorize the steady matrix, for the initial state) and one polarization
+stay bounded: each distinct quantized flow costs one thermal model (the
+kept :meth:`~repro.casestudy.power7plus.ThermalFamily.kept_model` of the
+family the steady sweeps solve on; its backward-Euler LU per step size
+is then reused for every later step at that flow, and only the lanes'
+initial flows also factorize the steady matrix) and one polarization
 surface (shared process-wide). A PID sweeping smoothly through flows
 therefore pays for a handful of models, not one per step.
 """
@@ -63,44 +64,6 @@ from repro.runtime.trace import WorkloadTrace
 #: Junction-temperature limit used for violation accounting [degC] — the
 #: shared server-silicon limit of :mod:`repro.core.metrics`.
 TEMPERATURE_LIMIT_C = DEFAULT_TEMPERATURE_LIMIT_C
-
-#: Process-wide store of thermal models keyed on
-#: ``(flow, inlet, nx, ny)``, shared by every engine in the process (the
-#: engines run sequentially; the store is not thread-safe). A runtime
-#: *sweep* creates one engine per scenario — without sharing, each would
-#: rebuild and refactorize models for the very flows its neighbours just
-#: paid for. Bounded: least-recently-used models are evicted.
-_MODEL_STORE: "dict[tuple, object]" = {}
-_MODEL_STORE_MAX = 32
-
-
-def shared_thermal_model(
-    flow_ml_min: float, inlet_temperature_k: float, nx: int, ny: int
-):
-    """The process-wide thermal model for one quantized coolant point."""
-    key = (float(flow_ml_min), float(inlet_temperature_k), int(nx), int(ny))
-    model = _MODEL_STORE.pop(key, None)
-    if model is None:
-        from repro.casestudy.power7plus import build_thermal_model
-
-        # Warm counter: build counts depend on what earlier runs left in
-        # the store, so they sit outside the deterministic contract.
-        obs.inc("runtime.model_builds", warm=True)
-
-        model = build_thermal_model(
-            nx=key[2], ny=key[3],
-            total_flow_ml_min=key[0], inlet_temperature_k=key[1],
-        )
-        while len(_MODEL_STORE) >= _MODEL_STORE_MAX:
-            _MODEL_STORE.pop(next(iter(_MODEL_STORE)))
-    _MODEL_STORE[key] = model  # (re)insert as most recently used
-    return model
-
-
-def clear_model_store() -> None:
-    """Drop every shared thermal model (tests, memory pressure)."""
-    _MODEL_STORE.clear()
-
 
 @dataclass
 class RuntimeConfig:
@@ -319,17 +282,18 @@ class BatchedRuntimeEngine:
       :class:`~repro.runtime.state.ElectrolyteStateArray` and is written
       back to the lanes' :class:`~repro.runtime.state.ElectrolyteState`
       objects when the run ends;
-    - lanes commanding the *same quantized flow* share one thermal model
-      from the process-wide store and advance as stacked state columns
-      through a single multi-RHS backward-Euler solve
+    - lanes commanding the *same quantized flow* share one kept thermal
+      model of the family and its backward-Euler factorization, and
+      advance as stacked state columns
       (:class:`~repro.thermal.batch.AnchoredTransientSolver`), so a step
-      costs one triangular solve per distinct flow instead of one per
-      scenario.
+      costs one factorization per distinct flow and one triangular solve
+      per lane.
 
     Lanes never mix: each lane's trajectory — and with it every control
     decision — is bit-identical to running that lane alone, not merely
     close, because flow quantization, governor hysteresis and the PID all
-    branch on the floats. SuperLU solves stacked columns one by one, every
+    branch on the floats. Every state column takes its own triangular
+    solve (a wider SuperLU solve rounds differently), every
     lane-array sample (:func:`~repro.cosim.coupling.coolant_columns`, the
     column maxima, one surface query per flow group) reduces each lane's
     values on their own, and every polarization-surface node comes from
@@ -339,8 +303,9 @@ class BatchedRuntimeEngine:
 
     The engine is reusable: :meth:`run` resets the controllers and
     governors and starts from the trace's initial steady state, while the
-    per-flow thermal models (and the process-wide polarization surfaces)
-    persist across runs. The reservoirs are deliberately *not* reset:
+    per-flow steppers, which pin their kept models against eviction (and
+    the process-wide polarization surfaces), persist across runs. The
+    reservoirs are deliberately *not* reset:
     back-to-back runs model continuous operation drawing down the same
     tanks (attach fresh :class:`~repro.runtime.state.ElectrolyteState`
     objects for independent trials).
@@ -383,7 +348,6 @@ class BatchedRuntimeEngine:
         self._governors = VectorThrottleGovernors(governors)
         self._reservoir_states = list(reservoirs)
         self._anchors = self._controllers.initial_flows_ml_min
-        self._models: "dict[float, object]" = {}
         self._solvers: "dict[float, object]" = {}
         self._power_maps: "dict[str, np.ndarray]" = {}
         self._pumping: "dict[float, float]" = {}
@@ -411,20 +375,17 @@ class BatchedRuntimeEngine:
         return np.maximum(resolution, quantized)
 
     def _solver(self, flow_ml_min: float):
-        """The shared model + column stepper for one quantized flow."""
+        """The column stepper, pinning the family's kept model, of one
+        quantized flow."""
         solver = self._solvers.get(flow_ml_min)
         if solver is None:
+            from repro.casestudy.power7plus import thermal_family
             from repro.thermal.batch import AnchoredTransientSolver
 
-            model = shared_thermal_model(
-                flow_ml_min,
-                self.config.inlet_temperature_k,
-                self.config.nx,
-                self.config.ny,
+            family = thermal_family(
+                self.config.inlet_temperature_k, self.config.nx, self.config.ny
             )
-            # Pin against store eviction for the lifetime of this engine.
-            self._models[flow_ml_min] = model
-            solver = AnchoredTransientSolver(model)
+            solver = AnchoredTransientSolver(family.kept_model(flow_ml_min))
             self._solvers[flow_ml_min] = solver
         return solver
 
@@ -506,21 +467,18 @@ class BatchedRuntimeEngine:
         # same flow share the solve — the right-hand side is identical
         # before any controller has acted.
         first = trace.segments[0]
+        first_map = self._workload_map(first.workload) * first.utilization
         flows = self._quantize_flows(self._controllers.initial_flows_ml_min)
         scales = np.ones(n_lanes)
         states: "np.ndarray | None" = None
         for flow, lanes in self._flow_groups(flows):
             solver = self._solver(flow)
-            model = solver.model
-            model.set_power_map(
-                "active_si",
-                self._workload_map(first.workload) * first.utilization,
+            steady = solver.solve_steady_columns(
+                solver.model.rhs_columns("active_si", [first_map])
             )
-            steady = model.solve_steady()
             if states is None:
-                states = np.empty((steady.temperatures_k.size, n_lanes))
-            for lane in lanes:
-                states[:, lane] = steady.temperatures_k
+                states = np.empty((steady.shape[0], n_lanes))
+            states[:, lanes] = steady
         assert states is not None
 
         lane_samples: "list[list[RuntimeSample]]" = [[] for _ in range(n_lanes)]

@@ -471,7 +471,7 @@ def transient_metrics(samples) -> "dict[str, float]":
     }
 
 
-@register_evaluator("transient")
+@register_evaluator("transient", version=2)
 def batch_transient(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":
@@ -574,7 +574,7 @@ def run_runtime_scenarios(specs: "Sequence[ScenarioSpec]") -> list:
     return results
 
 
-@register_evaluator("runtime")
+@register_evaluator("runtime", version=2)
 def batch_runtime(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":

@@ -8,16 +8,16 @@ work a wider batch shares is:
 - thermal: every steady evaluator (``operating_point``, ``geometry``,
   ``workload``, ``fleet_chip``) solves its coolant points through the
   one family loop here, :func:`steady_families`. Points are grouped by
-  mesh/inlet into families, and a process keeps each family it has
-  used: one case-study model that stamps its conduction matrix once and
-  derives each flow's model with
-  :meth:`~repro.thermal.model.ThermalModel.at_flow`, and one
+  mesh/inlet into the process's kept thermal families
+  (:func:`repro.casestudy.power7plus.thermal_family`, which the step
+  responses and the runtime draw from too): one case-study model that
+  stamps its conduction matrix once and derives each flow's model with
+  :meth:`~repro.casestudy.power7plus.ThermalFamily.at_flow`, and one
   :class:`~repro.thermal.batch.AnchoredSteadySolver` holding a single
   anchor factorization and the family's canonical Krylov space, grown
-  once from a fixed training set (``_TRAINING_FLOWS`` flows at full
-  load over :data:`~repro.sweep.presets.FLOW_RANGE_ML_MIN`). Every
-  column is then solved alone on a view of that space, so batches of
-  one share the family with whole batches;
+  once from a fixed training set on first steady use. Every column is
+  then solved alone on a view of that space, so batches of one share
+  the family with whole batches;
 - electrochemistry: polarization curves for every distinct flow/geometry
   in the batch are marched together through
   :func:`repro.flowcell.batch.batched_polarization_curves` (for
@@ -25,13 +25,14 @@ work a wider batch shares is:
   :func:`repro.sweep.evaluators.array_curves`);
 - ``transient`` marches whole step-response sweeps in lockstep through
   :func:`repro.cosim.batch.batched_step_responses` — one thermal model
-  per (flow, inlet, mesh) family, scenario states stacked as multi-RHS
-  columns of the family's exact backward-Euler factorizations;
+  per (flow, inlet, mesh), derived from the kept family, scenario states
+  stepped as columns of that model's exact backward-Euler
+  factorizations;
 - ``runtime`` mounts every scenario of a (trace, raster, inlet) group as
   a lane of :class:`~repro.runtime.engine.BatchedRuntimeEngine`:
   controller/governor state advances as lane vectors, reservoir SOC as
-  arrays, and lanes commanding the same quantized flow share one
-  multi-column thermal step per control interval.
+  arrays, and lanes commanding the same quantized flow share one kept
+  stepping model of the family per control interval.
 
 ``cosim`` and ``fleet`` share nothing across a batch yet.
 
@@ -41,8 +42,9 @@ evaluators get there because a column's answer depends only on its
 family and its right-hand side; ``vrm`` (same cached curves),
 ``transient`` and ``runtime`` (the same steppers, whose floats feed
 discontinuous decisions — flow quantization, governor hysteresis,
-settling-band exits) because their batch members share no floating-point
-work, as do ``cosim`` and ``fleet``, which loop.
+settling-band exits) because every state column is solved on its own,
+so their batch members share no floating-point work, as do ``cosim``
+and ``fleet``, which loop.
 ``tests/sweep/test_backends.py`` pins it, and checks every steady
 evaluator against an independent default-ordering direct solve within
 ``EQUIVALENCE_RTOL``.
@@ -51,8 +53,6 @@ evaluator against an independent default-ordering direct solve within
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.sweep.spec import ScenarioSpec
 
@@ -65,65 +65,6 @@ EQUIVALENCE_RTOL = 1e-6
 
 # -- the steady family loop ------------------------------------------------------------
 
-#: The canonical Krylov space of every family is grown from this many
-#: flows, log-spaced over :data:`~repro.sweep.presets.FLOW_RANGE_ML_MIN`,
-#: at the full-load power map.
-_TRAINING_FLOWS = 8
-
-#: The families this process keeps, ``(inlet, nx, ny) -> (family,
-#: solver)``, oldest first. One 88x44 family holds ~24 MB of anchor LU
-#: (2.0 M nonzeros) and ~4 MB of Krylov space; a bound keeps a
-#: long-running server over many rasters and inlets from growing without
-#: limit by dropping the oldest family.
-_FAMILIES: "dict[tuple, tuple]" = {}
-_FAMILIES_MAX = 4
-
-
-def steady_family(inlet_temperature_k: float, nx: int, ny: int) -> tuple:
-    """The process-wide ``(family, solver)`` of an ``(inlet, nx, ny)``
-    family, built and trained on first use.
-
-    ``family`` is the flow-free case-study model; ``solver`` its
-    :class:`~repro.thermal.batch.AnchoredSteadySolver`, trained on the
-    family's models at ``_TRAINING_FLOWS`` flows log-spaced over
-    ``FLOW_RANGE_ML_MIN``, under the full-load power map. Both are
-    pure functions of the key, so keeping them changes no result.
-    """
-    key = (inlet_temperature_k, nx, ny)
-    cached = _FAMILIES.get(key)
-    if cached is None:
-        from repro.casestudy.power7plus import (
-            build_thermal_stack,
-            full_load_power_map,
-        )
-        from repro.geometry.power7 import build_power7_floorplan
-        from repro.sweep.presets import FLOW_RANGE_ML_MIN
-        from repro.thermal.batch import AnchoredSteadySolver
-        from repro.thermal.model import ThermalModel
-        from repro.units import m3s_from_ml_per_min
-
-        floorplan = build_power7_floorplan()
-        family = ThermalModel(
-            build_thermal_stack(inlet_temperature_k=inlet_temperature_k),
-            floorplan.width_m, floorplan.height_m, nx, ny,
-        )
-        full_load = full_load_power_map(nx, ny, floorplan)
-        training = []
-        for flow in np.geomspace(*FLOW_RANGE_ML_MIN, _TRAINING_FLOWS):
-            model = family.at_flow(m3s_from_ml_per_min(float(flow)))
-            model.set_power_map("active_si", full_load)
-            training.append(model)
-        cached = (family, AnchoredSteadySolver(family, training))
-        while len(_FAMILIES) >= _FAMILIES_MAX:
-            _FAMILIES.pop(next(iter(_FAMILIES)))
-        _FAMILIES[key] = cached
-    return cached
-
-
-def clear_steady_families() -> None:
-    """Drop every kept family (cold-start benches, tests)."""
-    _FAMILIES.clear()
-
 
 def steady_families(
     points: "Iterable[tuple]", rasterize: Callable,
@@ -133,17 +74,19 @@ def steady_families(
     ``key`` names a power map, drawn by ``rasterize(nx, ny, floorplan,
     key)`` (:func:`~repro.casestudy.power7plus.full_load_power_map` with
     a utilization key, or a workload's ``power_map``). Points are grouped
-    into ``(inlet, nx, ny)`` families (:func:`steady_family`); every
-    flow's model is ``family.at_flow(q)``, bit-identical to a freshly
-    built one, and a coolant point's keys are its RHS columns.
+    into ``(inlet, nx, ny)`` families, the process's kept
+    :func:`~repro.casestudy.power7plus.thermal_family`; every flow's
+    model is ``family.at_flow(flow)``, bit-identical to a freshly built
+    one, solved on the family's steady solver, and a coolant point's
+    keys are its RHS columns.
 
     Yields ``((flow, inlet, nx, ny), model, keys, maps, temperatures)``
     per coolant point: its sorted keys, their maps and the ``(n_dof,
     len(keys))`` steady states. Each column is a function of its point
     alone, so any batch holding a point solves it to the same bits.
     """
+    from repro.casestudy.power7plus import thermal_family
     from repro.geometry.power7 import build_power7_floorplan
-    from repro.units import m3s_from_ml_per_min
 
     families: "dict[tuple, dict[float, list]]" = {}
     for flow, inlet, nx, ny, key in sorted(set(points)):
@@ -152,13 +95,14 @@ def steady_families(
 
     floorplan = build_power7_floorplan()
     for (inlet, nx, ny), flows in families.items():
-        family, solver = steady_family(inlet, nx, ny)
+        family = thermal_family(inlet, nx, ny)
+        solver = family.steady_solver
         maps = {
             key: rasterize(nx, ny, floorplan, key)
             for key in sorted(set().union(*flows.values()))
         }
         for flow, keys in flows.items():
-            model = family.at_flow(m3s_from_ml_per_min(flow))
+            model = family.at_flow(flow)
             key_maps = [maps[key] for key in keys]
             temperatures = solver.solve_columns(
                 model, model.rhs_columns("active_si", key_maps)

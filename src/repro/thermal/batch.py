@@ -52,8 +52,9 @@ trajectories feed discontinuous control decisions downstream (flow
 quantization, governor hysteresis trips, settling-band exits), where a
 sub-ulp perturbation would flip a branch and diverge far beyond any
 linear tolerance — so the batched path trades the anchored Krylov space
-for bit-identical stepping and wins by marching many scenarios' state
-columns through each factorization as one multi-RHS solve.
+for bit-identical stepping: many scenarios' state columns share each
+factorization, and each column takes its own triangular solve, because
+a multi-column SuperLU solve rounds differently at different widths.
 """
 
 from __future__ import annotations
@@ -69,7 +70,11 @@ from scipy.sparse.linalg import splu
 
 from repro import obs
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.thermal.solver import ThermalSolution, factorize_steady
+from repro.thermal.solver import (
+    ThermalSolution,
+    checked_steady_solve,
+    factorize_steady,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.thermal.model import ThermalModel
@@ -502,53 +507,42 @@ class AnchoredTransientSolver:
     """Lockstep transient marching of stacked scenario columns on one model.
 
     Wraps a single :class:`~repro.thermal.model.ThermalModel` and advances
-    ``k`` scenario state columns per backward-Euler step as one multi-RHS
-    triangular solve against the model's own cached factorizations
-    (:meth:`ThermalModel.transient_lu`, :meth:`ThermalModel.steady_lu`).
-    SuperLU solves a 2-D right-hand side column by column, so each
-    column is bit-identical to the scalar
-    ``model.solve_transient`` step at the same ``dt`` — which is the whole
-    point: the anchor here is the exact per-``(matrix, dt)`` LU, not a
-    preconditioner, because downstream consumers (controllers, settling
-    detection) branch on the trajectory and must see the very same floats
-    the scalar path produces.
+    ``k`` scenario state columns per backward-Euler step against the
+    model's own cached factorizations (:meth:`ThermalModel.transient_lu`,
+    :meth:`ThermalModel.steady_lu`). Each column is solved with its own
+    triangular solve: SuperLU's solve of a 2-D right-hand side uses
+    blocked kernels whose rounding depends on the batch width, so only
+    one solve per column makes every column bit-identical to the scalar
+    ``model.solve_transient`` step at the same ``dt``, in a batch of any
+    width. That is the whole point: the anchor here is the exact
+    per-``(matrix, dt)`` LU, not a preconditioner, because downstream
+    consumers (controllers, settling detection) branch on the trajectory
+    and must see the very same floats the scalar path produces.
 
     The solver shares the model's LU caches rather than keeping its own,
     so scalar solves touching the same model (warm cache replays, the
-    runtime store) reuse every factorization paid for here and vice
-    versa.
+    runtime's kept models) reuse every factorization paid for here and
+    vice versa.
     """
 
     def __init__(self, model: "ThermalModel") -> None:
         self.model = model
-        #: Multi-column backward-Euler solves performed (one per step per
-        #: ``dt`` sub-batch, regardless of how many columns ride along).
-        self.column_steps = 0
 
     def solve_steady_columns(self, rhs_columns: np.ndarray) -> np.ndarray:
         """Steady temperature columns for many right-hand sides.
 
-        Mirrors :func:`repro.thermal.solver.solve_steady` per column —
-        same LU, same finite and residual checks — for stacked initial
-        conditions of a transient family.
+        Each column is :func:`repro.thermal.solver.solve_steady`'s checked
+        solve on the model's steady LU, one column at a time, for stacked
+        initial conditions of a transient family.
         """
         model = self.model
         matrix, _ = model._system_structure()
-        solution = model.steady_lu().solve(rhs_columns)
-        if not np.all(np.isfinite(solution)):
-            raise ConvergenceError(
-                "thermal solve produced non-finite temperatures"
+        lu = model.steady_lu()
+        solution = np.empty_like(rhs_columns, order="F")
+        for k in range(rhs_columns.shape[1]):
+            solution[:, k] = checked_steady_solve(
+                matrix, lu, rhs_columns[:, k]
             )
-        for k in range(solution.shape[1]):
-            rhs = rhs_columns[:, k]
-            residual = np.abs(matrix @ solution[:, k] - rhs).max()
-            scale = max(np.abs(rhs).max(), 1e-30)
-            if residual > 1e-6 * scale:
-                raise ConfigurationError(
-                    "steady thermal system is ill-posed (relative residual "
-                    f"{residual / scale:.2e}) — does the stack contain a "
-                    "microchannel layer to carry heat away?"
-                )
         return solution
 
     def step_columns(
@@ -559,20 +553,24 @@ class AnchoredTransientSolver:
         ``states`` and ``rhs_columns`` are ``(n_dof, k)``; returns the
         advanced ``(n_dof, k)`` states. The step formula is the scalar
         stepper's, column-vectorized:
-        ``lu.solve(rhs + (capacitance / dt) * state)``. Only the step
-        matrix is factorized (:meth:`ThermalModel.transient_lu`, which
-        rejects a non-finite or non-positive ``dt_s``); the steady LU is
-        left to the solves that need it.
+        ``lu.solve(rhs + (capacitance / dt) * state)``, one solve per
+        column. Only the step matrix is factorized
+        (:meth:`ThermalModel.transient_lu`, which rejects a non-finite or
+        non-positive ``dt_s``); the steady LU is left to the solves that
+        need it.
         """
         model = self.model
         lu = model.transient_lu(dt_s)
-        advanced = lu.solve(
+        # Column-major: every column is one contiguous vector.
+        columns = np.asfortranarray(
             rhs_columns + (model._capacitance / dt_s)[:, None] * states
         )
+        advanced = np.empty_like(columns)
+        for k in range(columns.shape[1]):
+            advanced[:, k] = lu.solve(columns[:, k])
         if not np.all(np.isfinite(advanced)):
             raise ConvergenceError(
                 "transient solve produced non-finite temperatures"
             )
-        self.column_steps += 1
         obs.inc("thermal.transient.column_steps")
         return advanced

@@ -120,6 +120,15 @@ def solve_steady(
     """
     if lu is None:
         lu = factorize_steady(matrix)
+    return ThermalSolution(
+        temperatures_k=checked_steady_solve(matrix, lu, rhs), model=model
+    )
+
+
+def checked_steady_solve(
+    matrix: sparse.csr_matrix, lu, rhs: np.ndarray
+) -> np.ndarray:
+    """``lu.solve(rhs)`` for one ``(n_dof,)`` right-hand side, checked."""
     temperatures = lu.solve(rhs)
     if not np.all(np.isfinite(temperatures)):
         raise ConvergenceError("thermal solve produced non-finite temperatures")
@@ -134,7 +143,7 @@ def solve_steady(
             f"{residual / scale:.2e}) — does the stack contain a microchannel "
             "layer to carry heat away?"
         )
-    return ThermalSolution(temperatures_k=temperatures, model=model)
+    return temperatures
 
 
 def check_step(duration_s: float, dt_s: float) -> None:

@@ -58,8 +58,8 @@ def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
     """Permuted and duplicated specs get identical metrics, and a cold
     batch over 2 inlets x 3 flows stamps conduction and factorizes once
     per inlet family."""
+    from repro.casestudy.power7plus import clear_thermal_families
     from repro.sweep.evaluators import get_evaluator
-    from repro.sweep.vectorized import clear_steady_families
     from repro.thermal.model import ThermalModel
 
     stamps = []
@@ -86,7 +86,7 @@ def test_steady_kernel_is_permutation_invariant(evaluator, monkeypatch):
         for flow in (600.0, 300.0, 450.0)
         for value in values
     ]
-    clear_steady_families()  # an earlier test may hold these families
+    clear_thermal_families()  # an earlier test may hold these families
     obs.start()
     try:
         forward = kernel(specs)

@@ -200,6 +200,29 @@ class TestHeatFeedback:
         # The polarization loss at 6 A is ~4 W against a 151 W chip: small.
         assert warm.peak_temperature_c - cold.peak_temperature_c < 1.0
 
+    @pytest.mark.parametrize("flow, max_iterations, converged", [
+        (676.0, 10, True),
+        (59.0, 2, False),
+    ], ids=["converged", "stopped-at-max-iterations"])
+    def test_final_thermal_state_balances_its_own_power(
+        self, flow, max_iterations, converged
+    ):
+        """The returned solution's model carries the cell heat it was
+        solved with, so its energy balance closes to solver accuracy
+        (a map set after the last solve read 1e-4..1e-3 W here)."""
+        result = ElectroThermalCosim(CosimConfig(
+            total_flow_ml_min=flow, nx=22, ny=11, n_channel_groups=11,
+            max_iterations=max_iterations,
+        )).run()
+        assert result.converged is converged
+        assert result.iterations == (2 if converged else max_iterations)
+        assert abs(result.thermal.energy_balance_error_w()) < 1e-6
+        # The cell heat is in the balance: more than the chip alone.
+        model = result.thermal.model
+        assert model.total_power_w() > model._sources[
+            model._field("active_si").offset
+        ].sum()
+
 
 class TestCoolantColumns:
     """The ``(n_dof, k)`` columns form against the per-column slice means

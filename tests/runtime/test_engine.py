@@ -153,22 +153,24 @@ class TestClosedLoop:
         assert result.mean_flow_ml_min < 676.0
         assert result.net_energy_j > 0.0
 
-    def test_only_initial_flow_models_factorize_the_steady_matrix(
-        self, monkeypatch
-    ):
+    def test_only_initial_flow_models_factorize_the_steady_matrix(self):
         """The steady LU serves only the initial state; every flow the
-        PID visits afterwards only steps, so its model holds step
+        PID visits afterwards only steps, so its kept model holds step
         factorizations alone."""
-        from repro.runtime import engine as engine_module
+        from repro.casestudy.power7plus import (
+            clear_thermal_families,
+            thermal_family,
+        )
 
-        store = {}
-        monkeypatch.setattr(engine_module, "_MODEL_STORE", store)
+        clear_thermal_families()
         run_one(
             PIDFlowController(initial_flow_ml_min=676.0),
             step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0),
         )
+        cfg = config()
+        store = thermal_family(cfg.inlet_temperature_k, cfg.nx, cfg.ny)._kept
         assert len(store) > 2
-        for (flow, _, _, _), model in store.items():
+        for flow, model in store.items():
             assert (model._steady_lu is not None) == (flow == 676.0), flow
             assert model._transient_lus or flow == 676.0
 

@@ -6,8 +6,9 @@ reduced 22x11 raster, evaluated on the serial backend, each keyed by
 ``sha256(spec identity)`` alone. Version-1 evaluators must replay it
 unchanged; the steady evaluators, bumped when serial evaluation became
 a batch of one and again when their columns moved onto a family's
-canonical Krylov space, must read their old entries as plain misses and
-re-evaluate.
+canonical Krylov space, and the transient and runtime evaluators,
+bumped when their state columns became one triangular solve each, must
+read their old entries as plain misses and re-evaluate.
 """
 
 import hashlib
@@ -24,12 +25,18 @@ from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
 PARENT_STORE = Path(__file__).parent / "data" / "parent_store"
 
-#: Evaluators whose numbers moved when their scalar twin was deleted,
-#: and again with the canonical Krylov space (version 3).
-BUMPED = ("fleet_chip", "geometry", "operating_point", "workload")
+#: Bumped evaluators and their versions: the steady ones moved when their
+#: scalar twin was deleted and again with the canonical Krylov space
+#: (version 3); a transient or runtime column's bits stopped depending on
+#: its batch width (version 2).
+VERSIONS = {
+    "fleet_chip": 3, "geometry": 3, "operating_point": 3, "workload": 3,
+    "runtime": 2, "transient": 2,
+}
+BUMPED = tuple(VERSIONS)
 
 #: Evaluators whose numbers did not move.
-UNCHANGED = ("cosim", "fleet", "runtime", "transient", "vrm")
+UNCHANGED = ("cosim", "fleet", "vrm")
 
 #: The specs the parent store holds, one per evaluator.
 SPECS = [
@@ -54,9 +61,7 @@ def parent_entries() -> "dict[str, dict[str, float]]":
 def test_every_evaluator_declares_a_version():
     versions = {name: model_version(name) for name in evaluator_names()}
     assert all(isinstance(version, int) for version in versions.values())
-    assert {name: versions[name] for name in BUMPED} == dict.fromkeys(
-        BUMPED, 3
-    )
+    assert {name: versions[name] for name in BUMPED} == VERSIONS
     assert {name: versions[name] for name in UNCHANGED} == dict.fromkeys(
         UNCHANGED, 1
     )

@@ -201,8 +201,8 @@ class TestBatchIndependentResults:
         """Permuted sub-batches of the pool, with a duplicate riding
         along, after a cold or a warm family cache, give the bits of the
         whole pool's batch."""
+        from repro.casestudy.power7plus import clear_thermal_families
         from repro.sweep.evaluators import get_evaluator
-        from repro.sweep.vectorized import clear_steady_families
 
         name = data.draw(st.sampled_from(sorted(STEADY_POOL)))
         order = data.draw(st.permutations(STEADY_POOL[name]))
@@ -210,7 +210,7 @@ class TestBatchIndependentResults:
         batch = batch + batch[:data.draw(st.integers(0, 1))]
         reference = whole_batch(name)
         if data.draw(st.booleans()):
-            clear_steady_families()
+            clear_thermal_families()
         assert get_evaluator(name)(batch) == [
             reference[spec] for spec in batch
         ]

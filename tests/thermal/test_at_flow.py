@@ -9,6 +9,7 @@ from repro.casestudy.power7plus import (
     build_array_fluid,
     build_array_layout,
     build_thermal_stack,
+    thermal_family,
 )
 from repro.errors import ConfigurationError
 from repro.geometry.power7 import build_power7_floorplan
@@ -52,9 +53,14 @@ def assert_same_system(derived, fresh):
 @pytest.mark.parametrize("nx, ny", [(22, 11), (44, 22)])
 def test_derived_system_is_bit_identical(inlet_k, nx, ny):
     family = case_study_model(100.0, inlet_k, nx, ny)
+    kept = thermal_family(inlet_k, nx, ny)
     for flow in FLOWS_ML_MIN:
-        derived = family.at_flow(m3s_from_ml_per_min(flow))
-        assert_same_system(derived, case_study_model(flow, inlet_k, nx, ny))
+        fresh = case_study_model(flow, inlet_k, nx, ny)
+        assert_same_system(family.at_flow(m3s_from_ml_per_min(flow)), fresh)
+        # The process's kept family derives the same system, power-free.
+        derived = kept.at_flow(flow)
+        assert_same_system(derived, fresh)
+        assert derived.total_power_w() == 0.0
 
 
 def test_flow_weights_survive_derivation():

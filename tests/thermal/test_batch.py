@@ -37,7 +37,7 @@ FLOORPLAN = build_power7_floorplan()
 
 def _family(inlet=300.0, nx=22, ny=11):
     """The flow-free case-study model a solver is built from, as in
-    :func:`repro.sweep.vectorized.steady_family`."""
+    :class:`repro.casestudy.power7plus.ThermalFamily`."""
     return ThermalModel(
         build_thermal_stack(inlet_temperature_k=inlet),
         FLOORPLAN.width_m, FLOORPLAN.height_m, nx, ny,
@@ -487,3 +487,77 @@ class TestWarm:
 
         with pytest.raises(ConfigurationError):
             build_thermal_model(nx=22, ny=11).warm(dt_s=0.0)
+
+
+class TestBatchInvariance:
+    """A stepped or steady column is the same bits at any batch width:
+    each column takes its own triangular solve (a multi-column SuperLU
+    solve rounds differently at different widths)."""
+
+    WIDTH = 17
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        model = build_thermal_model(nx=22, ny=11)
+        rng = np.random.default_rng(17)
+        rhs = model.rhs_columns("active_si", [
+            rng.uniform(0.0, 0.05, (11, 22)) for _ in range(self.WIDTH)
+        ])
+        return AnchoredTransientSolver(model), rhs
+
+    def test_steady_columns_together_and_alone(self, columns):
+        solver, rhs = columns
+        together = solver.solve_steady_columns(rhs)
+        alone = np.column_stack([
+            solver.solve_steady_columns(rhs[:, [k]])[:, 0]
+            for k in range(self.WIDTH)
+        ])
+        assert np.array_equal(together, alone)
+
+    def test_step_columns_together_and_alone(self, columns):
+        solver, rhs = columns
+        states = solver.solve_steady_columns(rhs)
+        after = rhs[:, ::-1]
+        together = solver.step_columns(states, after, 0.05)
+        alone = np.column_stack([
+            solver.step_columns(states[:, [k]], after[:, [k]], 0.05)[:, 0]
+            for k in range(self.WIDTH)
+        ])
+        assert np.array_equal(together, alone)
+        # And each column is the scalar stepper's step.
+        model = solver.model
+        lu = model.transient_lu(0.05)
+        scalar = lu.solve(
+            after[:, 3] + (model._capacitance / 0.05) * states[:, 3]
+        )
+        assert np.array_equal(together[:, 3], scalar)
+
+    def test_steady_solves_share_one_checked_solve(self):
+        """Steady columns and ``solve_steady`` run the one checked solve:
+        a residual above 1e-6 relative is rejected as ill-posed, and
+        non-finite temperatures as a convergence failure."""
+        from repro.errors import ConvergenceError
+        from repro.thermal.solver import checked_steady_solve
+
+        model = build_thermal_model(nx=22, ny=11)
+        matrix, rhs = model._build_system()
+        assert np.array_equal(
+            checked_steady_solve(matrix, model.steady_lu(), rhs),
+            model.solve_steady().temperatures_k,
+        )
+        assert np.array_equal(
+            AnchoredTransientSolver(model).solve_steady_columns(
+                rhs[:, None]
+            )[:, 0],
+            model.solve_steady().temperatures_k,
+        )
+        other = build_thermal_model(nx=22, ny=11, total_flow_ml_min=100.0)
+        with pytest.raises(ConfigurationError, match="ill-posed"):
+            checked_steady_solve(matrix, other.steady_lu(), rhs)
+
+        class NanLU:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            checked_steady_solve(matrix, NanLU(), rhs)
