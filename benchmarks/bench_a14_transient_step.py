@@ -22,13 +22,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import artifact, emit
-from repro.casestudy.power7plus import (
-    ARRAY_CHANNEL_COUNT,
-    build_array_cell,
-    build_thermal_model,
-)
+from repro.casestudy.power7plus import build_array_cell, build_thermal_model
 from repro.core.report import format_table
 from repro.cosim import CosimConfig, ElectroThermalCosim, TransientCosim
+from repro.cosim.coupling import MAX_ITERATIONS, TOLERANCE_K
+from repro.cosim.surface import (
+    CHANNELS_PER_GROUP,
+    MAX_OVERPOTENTIAL_V,
+    N_CHANNEL_GROUPS,
+)
 from repro.flowcell.array import FlowCellArray
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -39,8 +41,7 @@ STEADY_CONFIG = (
     CosimConfig(nx=22, ny=11, n_curve_points=35) if SMOKE else CosimConfig()
 )
 
-TRANSIENT_CONFIG = CosimConfig(nx=22, ny=11, n_channel_groups=11,
-                               n_curve_points=35)
+TRANSIENT_CONFIG = CosimConfig(nx=22, ny=11, n_curve_points=35)
 STEP_DURATION_S = 0.2 if SMOKE else 0.5
 STEP_DT_S = 0.05
 
@@ -50,9 +51,8 @@ def _legacy_run(config: CosimConfig):
     iteration, fresh thermal model — the measurement baseline the
     surface-backed :meth:`ElectroThermalCosim.run` is judged against.
     """
-    groups = config.n_channel_groups
+    groups = N_CHANNEL_GROUPS
     voltage = config.operating_voltage_v
-    channels_per_group = ARRAY_CHANNEL_COUNT // groups
 
     def group_curve(temperature_k):
         cell = build_array_cell(
@@ -61,8 +61,9 @@ def _legacy_run(config: CosimConfig):
             temperature_dependent=True,
         )
         return cell.polarization_curve(
-            n_points=config.n_curve_points, max_overpotential_v=1.4
-        ).scaled(channels_per_group)
+            n_points=config.n_curve_points,
+            max_overpotential_v=MAX_OVERPOTENTIAL_V,
+        ).scaled(CHANNELS_PER_GROUP)
 
     def group_current(curve):
         return FlowCellArray.combine_at_voltage([curve], voltage)
@@ -76,7 +77,7 @@ def _legacy_run(config: CosimConfig):
     columns = config.nx // groups
     temperatures = np.full(groups, config.inlet_temperature_k)
     group_currents = np.zeros(groups)
-    for iteration in range(1, config.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         thermal = model.solve_steady()
         fluid = thermal.field("channels", "fluid")
         new_temperatures = np.array([
@@ -88,14 +89,13 @@ def _legacy_run(config: CosimConfig):
         curves = [group_curve(t) for t in temperatures]
         group_currents = np.array([group_current(c) for c in curves])
         ocvs = np.array([c.open_circuit_voltage_v for c in curves])
-        if config.include_cell_heat:
-            heat = np.zeros((config.ny, config.nx))
-            for g in range(groups):
-                loss = max(0.0, ocvs[g] - voltage) * group_currents[g]
-                cells = columns * config.ny
-                heat[:, g * columns:(g + 1) * columns] = loss / cells
-            model.set_power_map("channels", heat, kind="fluid")
-        if shift < config.tolerance_k and iteration > 1:
+        heat = np.zeros((config.ny, config.nx))
+        for g in range(groups):
+            loss = max(0.0, ocvs[g] - voltage) * group_currents[g]
+            cells = columns * config.ny
+            heat[:, g * columns:(g + 1) * columns] = loss / cells
+        model.set_power_map("channels", heat, kind="fluid")
+        if shift < TOLERANCE_K and iteration > 1:
             break
     return group_currents, float(group_currents.sum()), isothermal
 

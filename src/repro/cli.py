@@ -144,7 +144,7 @@ def _cmd_fig9(_: argparse.Namespace) -> int:
 def _cmd_cosim(_: argparse.Namespace) -> int:
     from repro.cosim import CosimConfig, ElectroThermalCosim
 
-    base = dict(nx=44, ny=22, n_channel_groups=11)
+    base = dict(nx=44, ny=22)
     for label, config in (
         ("nominal", CosimConfig(**base)),
         ("48 ml/min", CosimConfig(total_flow_ml_min=48.0, **base)),

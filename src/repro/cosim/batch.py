@@ -188,7 +188,7 @@ def _sample_columns(
         by_config.setdefault(config, []).append(k)
     peaks_c = states.max(axis=0) - 273.15
     sampled = [
-        (config, columns, *coolant_columns(model, states[:, columns], config))
+        (config, columns, *coolant_columns(model, states[:, columns]))
         for config, columns in by_config.items()
     ]
     warm_surfaces(

@@ -18,17 +18,28 @@ import numpy as np
 from repro.casestudy.power7plus import build_thermal_model
 from repro.casestudy.tables import TABLE2
 from repro.cosim.surface import (
-    DEFAULT_RESOLUTION_K,
     DEFAULT_TEMPERATURE_RANGE_K,
+    N_CHANNEL_GROUPS,
     surface_for,
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.thermal.solver import ThermalSolution
 
+#: Fixed-point iteration budget of one run.
+MAX_ITERATIONS = 12
+
+#: Convergence threshold on the largest group-temperature change [K].
+TOLERANCE_K = 0.05
+
 
 @dataclass(frozen=True)
 class CosimConfig:
     """Configuration of one co-simulation run.
+
+    The coupling bins the channels into :data:`N_CHANNEL_GROUPS` groups,
+    each with its own electrochemistry at its own temperature, feeds the
+    cells' polarization losses back as fluid heat, and iterates at most
+    :data:`MAX_ITERATIONS` times to a :data:`TOLERANCE_K` fixed point.
 
     Parameters
     ----------
@@ -36,66 +47,46 @@ class CosimConfig:
         Coolant operating point (Table II nominal: 676 ml/min at 300 K).
     operating_voltage_v:
         Array terminal voltage held by the VRMs (1 V in the paper).
-    n_channel_groups:
-        Channels are binned into this many thermally distinct groups
-        (88 channels in 11 groups of 8 by default); each group gets its own
-        electrochemical model at its own temperature.
-    max_iterations / tolerance_k:
-        Fixed-point iteration budget and convergence threshold on the
-        largest group-temperature change.
-    include_cell_heat:
-        Whether the cells' own polarization losses are fed back as heat.
     nx / ny:
-        Thermal raster (nx should be a multiple of n_channel_groups).
-    surface_temperature_range_k / surface_resolution_k:
-        Window and spacing of the shared
-        :class:`~repro.cosim.surface.PolarizationSurface` the run draws
-        its group curves from (see that module for the accuracy budget).
+        Thermal raster (nx must be a multiple of the group count).
+    n_curve_points:
+        Samples of each group polarization curve on the shared
+        :class:`~repro.cosim.surface.PolarizationSurface`.
     """
 
     total_flow_ml_min: float = TABLE2["total_flow_ml_min"]
     inlet_temperature_k: float = TABLE2["inlet_temperature_k"]
     operating_voltage_v: float = 1.0
-    n_channel_groups: int = 11
-    max_iterations: int = 12
-    tolerance_k: float = 0.05
-    include_cell_heat: bool = True
     nx: int = 88
     ny: int = 44
     n_curve_points: int = 50
-    surface_temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K
-    surface_resolution_k: float = DEFAULT_RESOLUTION_K
 
     def __post_init__(self) -> None:
-        if self.n_channel_groups < 1:
-            raise ConfigurationError("need at least one channel group")
-        if self.nx % self.n_channel_groups:
-            raise ConfigurationError(
-                f"nx={self.nx} must be a multiple of n_channel_groups="
-                f"{self.n_channel_groups}"
-            )
-        if self.max_iterations < 1:
-            raise ConfigurationError("need at least one iteration")
-        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
-        if not 0.0 < self.tolerance_k < math.inf:
-            raise ConfigurationError(
-                f"tolerance_k must be finite and > 0 K, got {self.tolerance_k}"
-            )
-        if not 0.0 < self.surface_resolution_k < math.inf:
-            raise ConfigurationError(
-                "surface_resolution_k must be finite and > 0 K, got "
-                f"{self.surface_resolution_k}"
-            )
-        t_min, t_max = self.surface_temperature_range_k
-        if not t_min < t_max:
-            raise ConfigurationError(
-                "surface temperature range must satisfy min < max"
-            )
+        check_config(self, "total_flow_ml_min", "inlet_temperature_k",
+                     "operating_voltage_v")
+        t_min, t_max = DEFAULT_TEMPERATURE_RANGE_K
         if not t_min <= self.inlet_temperature_k <= t_max:
             raise ConfigurationError(
                 f"inlet temperature {self.inlet_temperature_k:g} K outside "
                 f"the surface range ({t_min:g}, {t_max:g}) K"
             )
+
+
+def check_config(config, *positive_fields: str) -> None:
+    """Reject a non-finite or non-positive value of any named field, or an
+    ``nx`` the channel groups do not divide; each error names its field."""
+    for name in positive_fields:
+        value = getattr(config, name)
+        # Written as ``not 0 < x < inf`` so NaN and inf fail the check too.
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{name} must be finite and > 0, got {value}"
+            )
+    if config.nx % N_CHANNEL_GROUPS:
+        raise ConfigurationError(
+            f"nx={config.nx} must be a multiple of the {N_CHANNEL_GROUPS} "
+            "channel groups"
+        )
 
 
 @dataclass
@@ -135,9 +126,7 @@ class CosimResult:
         return self.thermal.peak_celsius
 
 
-def group_coolant_temperatures(
-    thermal: ThermalSolution, config: CosimConfig
-) -> np.ndarray:
+def group_coolant_temperatures(thermal: ThermalSolution) -> np.ndarray:
     """Mean coolant temperature over each group's channel columns [K].
 
     The one-solution case of :func:`coolant_columns`, shared by the
@@ -145,13 +134,13 @@ def group_coolant_temperatures(
     which channels belong to which group.
     """
     group_temperatures, _ = coolant_columns(
-        thermal.model, thermal.temperatures_k[:, None], config
+        thermal.model, thermal.temperatures_k[:, None]
     )
     return group_temperatures[0]
 
 
 def coolant_columns(
-    model, states: np.ndarray, config: CosimConfig
+    model, states: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Coolant temperatures [K] of ``(n_dof, k)`` thermal state columns.
 
@@ -163,14 +152,14 @@ def coolant_columns(
     per-group ``fluid[:, group].mean()`` of the column alone.
     """
     k = states.shape[1]
-    ny, nx = config.ny, config.nx
-    groups = config.n_channel_groups
-    columns_per_group = nx // groups
+    ny, nx = model.ny, model.nx
+    columns_per_group = nx // N_CHANNEL_GROUPS
     offset = model._field("channels", "fluid").offset
     fluid = np.ascontiguousarray(states[offset:offset + nx * ny].T)
     blocks = np.ascontiguousarray(
-        fluid.reshape(k, ny, groups, columns_per_group).transpose(0, 2, 1, 3)
-    ).reshape(k, groups, ny * columns_per_group)
+        fluid.reshape(k, ny, N_CHANNEL_GROUPS, columns_per_group)
+        .transpose(0, 2, 1, 3)
+    ).reshape(k, N_CHANNEL_GROUPS, ny * columns_per_group)
     return (
         blocks.sum(axis=2) / (ny * columns_per_group),
         fluid.sum(axis=1) / (ny * nx),
@@ -216,17 +205,13 @@ class ElectroThermalCosim:
             self._model_config = self.config
         return self._model
 
-    def _group_temperatures(self, thermal: ThermalSolution) -> np.ndarray:
-        return group_coolant_temperatures(thermal, self.config)
-
     def _cell_heat_map(self, group_currents: np.ndarray,
                        group_ocvs: np.ndarray) -> np.ndarray:
         """Fluid-layer heat map [W/cell] from cell polarization losses."""
         heat = np.zeros((self.config.ny, self.config.nx))
-        groups = self.config.n_channel_groups
-        columns_per_group = self.config.nx // groups
+        columns_per_group = self.config.nx // N_CHANNEL_GROUPS
         voltage = self.config.operating_voltage_v
-        for g in range(groups):
+        for g in range(N_CHANNEL_GROUPS):
             loss_w = max(0.0, (group_ocvs[g] - voltage)) * group_currents[g]
             cells = columns_per_group * self.config.ny
             heat[:, g * columns_per_group:(g + 1) * columns_per_group] = loss_w / cells
@@ -237,12 +222,11 @@ class ElectroThermalCosim:
     def run(self) -> CosimResult:
         """Iterate thermal and electrochemical models to a fixed point."""
         config = self.config
-        groups = config.n_channel_groups
         voltage = config.operating_voltage_v
         surface = self._surface
 
         # Isothermal reference at the inlet temperature.
-        isothermal_current = groups * surface.current_at(
+        isothermal_current = N_CHANNEL_GROUPS * surface.current_at(
             config.inlet_temperature_k, voltage
         )
 
@@ -253,26 +237,26 @@ class ElectroThermalCosim:
             "channels", np.zeros((config.ny, config.nx)), kind="fluid"
         )
 
-        temperatures = np.full(groups, config.inlet_temperature_k)
-        group_currents = np.zeros(groups)
+        temperatures = np.full(N_CHANNEL_GROUPS, config.inlet_temperature_k)
+        group_currents = np.zeros(N_CHANNEL_GROUPS)
         thermal: "ThermalSolution | None" = None
         converged = False
         iteration = 0
-        for iteration in range(1, config.max_iterations + 1):
+        for iteration in range(1, MAX_ITERATIONS + 1):
             thermal = model.solve_steady()
-            new_temperatures = self._group_temperatures(thermal)
+            new_temperatures = group_coolant_temperatures(thermal)
             shift = float(np.max(np.abs(new_temperatures - temperatures)))
             temperatures = new_temperatures
 
             group_currents = surface.currents_at(temperatures, voltage)
             group_ocvs = surface.ocvs_at(temperatures)
 
-            if shift < config.tolerance_k and iteration > 1:
+            if shift < TOLERANCE_K and iteration > 1:
                 converged = True
                 break
             # The next solve's cell heat: after the last solve the model
             # keeps the map ``thermal`` was solved with (energy balance).
-            if config.include_cell_heat and iteration < config.max_iterations:
+            if iteration < MAX_ITERATIONS:
                 model.set_power_map(
                     "channels",
                     self._cell_heat_map(group_currents, group_ocvs),

@@ -9,8 +9,8 @@ the transient stepper kept its own private cache the steady solver could
 not see.
 
 A :class:`PolarizationSurface` replaces all of that: group polarization
-curves are computed on a uniform temperature grid (configurable range and
-resolution), each grid node at most once, and queries interpolate linearly
+curves are computed on a uniform temperature grid, each grid node at most
+once, and queries interpolate linearly
 between the two bracketing nodes. The surface is shared process-wide via
 :meth:`PolarizationSurface.shared` / :func:`surface_for`, so the steady
 coupling loop, the transient stepper and the sweep evaluators all draw
@@ -39,11 +39,22 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro import obs
+from repro.casestudy.tables import TABLE2
 from repro.electrochem.polarization import PolarizationCurve
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cosim.coupling import CosimConfig
+
+#: Thermally distinct channel groups: the paper's 88 channels in 11 groups
+#: of 8, each with its own electrochemistry at its own temperature.
+N_CHANNEL_GROUPS = 11
+
+#: Parallel channels per group; every node curve is scaled by it.
+CHANNELS_PER_GROUP = TABLE2["channel_count"] // N_CHANNEL_GROUPS
+
+#: Largest overpotential each node's polarization curve is sampled to [V].
+MAX_OVERPOTENTIAL_V = 1.4
 
 #: Default temperature window [K]: generously wider than any co-sim
 #: operating envelope (the 48 ml/min stress case peaks near 365 K). A node
@@ -62,10 +73,9 @@ class PolarizationSurface:
     ----------
     total_flow_ml_min:
         Total array flow; fixes the per-channel flow of every curve.
-    channels_per_group:
-        Parallel channels per thermal group; curves are scaled by it.
-    n_curve_points / max_overpotential_v:
-        Sampling of each underlying polarization curve.
+    n_curve_points:
+        Samples of each underlying polarization curve (up to
+        :data:`MAX_OVERPOTENTIAL_V`, scaled to :data:`CHANNELS_PER_GROUP`).
     temperature_range_k / resolution_k:
         Grid window and spacing. Queries outside the window raise (widen
         the range rather than extrapolate). A node's curve is constructed
@@ -82,20 +92,16 @@ class PolarizationSurface:
     def __init__(
         self,
         total_flow_ml_min: float,
-        channels_per_group: int,
         *,
         n_curve_points: int = 50,
         temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
         resolution_k: float = DEFAULT_RESOLUTION_K,
-        max_overpotential_v: float = 1.4,
     ) -> None:
         # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
         if not 0.0 < total_flow_ml_min < math.inf:
             raise ConfigurationError(
                 f"total flow must be finite and > 0 ml/min, got {total_flow_ml_min}"
             )
-        if channels_per_group < 1:
-            raise ConfigurationError("need at least one channel per group")
         if n_curve_points < 2:
             raise ConfigurationError("need at least two curve points")
         if not 0.0 < resolution_k < math.inf:
@@ -111,9 +117,7 @@ class PolarizationSurface:
         if t_min <= 0.0:
             raise ConfigurationError("temperature range must be > 0 K")
         self.total_flow_ml_min = float(total_flow_ml_min)
-        self.channels_per_group = int(channels_per_group)
         self.n_curve_points = int(n_curve_points)
-        self.max_overpotential_v = float(max_overpotential_v)
         self.resolution_k = float(resolution_k)
         n_nodes = int(math.ceil((t_max - t_min) / resolution_k)) + 1
         self.node_temperatures_k = t_min + resolution_k * np.arange(n_nodes)
@@ -265,50 +269,30 @@ class PolarizationSurface:
 
     # -- process-wide sharing --------------------------------------------------
 
-    #: Shared surfaces keyed on every construction parameter. Bounded: a
+    #: Shared surfaces keyed on ``(flow, n_curve_points)``. Bounded: a
     #: long-running sweep over many flows evicts the oldest surface rather
     #: than growing without limit.
-    _SHARED: "dict[tuple, PolarizationSurface]" = {}
+    _SHARED: "dict[tuple[float, int], PolarizationSurface]" = {}
     _SHARED_MAX = 32
 
     @classmethod
     def shared(
-        cls,
-        total_flow_ml_min: float,
-        channels_per_group: int,
-        *,
-        n_curve_points: int = 50,
-        temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
-        resolution_k: float = DEFAULT_RESOLUTION_K,
-        max_overpotential_v: float = 1.4,
+        cls, total_flow_ml_min: float, n_curve_points: int = 50
     ) -> "PolarizationSurface":
-        """The process-wide surface for these parameters (built on first use).
+        """The process-wide default-window surface of a flow and curve
+        sampling (built on first use).
 
         The single curve source behind
         :class:`~repro.cosim.coupling.ElectroThermalCosim`,
         :class:`~repro.cosim.transient.TransientCosim` and the ``cosim`` /
         ``transient`` sweep evaluators, the runtime engine and the fleet
-        chips: co-simulations with the same flow, group size and curve
-        sampling share every node curve.
+        chips: co-simulations with the same flow and curve sampling share
+        every node curve.
         """
-        key = (
-            float(total_flow_ml_min),
-            int(channels_per_group),
-            int(n_curve_points),
-            tuple(float(t) for t in temperature_range_k),
-            float(resolution_k),
-            float(max_overpotential_v),
-        )
+        key = (float(total_flow_ml_min), int(n_curve_points))
         surface = cls._SHARED.get(key)
         if surface is None:
-            surface = cls(
-                total_flow_ml_min,
-                channels_per_group,
-                n_curve_points=n_curve_points,
-                temperature_range_k=temperature_range_k,
-                resolution_k=resolution_k,
-                max_overpotential_v=max_overpotential_v,
-            )
+            surface = cls(total_flow_ml_min, n_curve_points=n_curve_points)
             while len(cls._SHARED) >= cls._SHARED_MAX:
                 cls._SHARED.pop(next(iter(cls._SHARED)))
             cls._SHARED[key] = surface
@@ -329,7 +313,7 @@ def warm_surfaces(
     appear more than once. The missing bracketing nodes of all of them
     are marched together: one
     :func:`~repro.flowcell.batch.batched_polarization_curves` call per
-    curve sampling (``n_curve_points``, ``max_overpotential_v``), whatever
+    curve sampling (``n_curve_points``), whatever
     the surfaces' flows. The march is elementwise across cells, so a
     node's curve is bit-identical whichever batch builds it. Returns how
     many nodes were built.
@@ -348,13 +332,12 @@ def _march_nodes(missing: "dict[PolarizationSurface, Iterable[int]]") -> int:
     from repro.casestudy.power7plus import build_array_cell
     from repro.flowcell.batch import batched_polarization_curves
 
-    marches: "dict[tuple[int, float], list[tuple[PolarizationSurface, int]]]" = {}
+    marches: "dict[int, list[tuple[PolarizationSurface, int]]]" = {}
     for surface, nodes in missing.items():
-        sampling = (surface.n_curve_points, surface.max_overpotential_v)
-        marches.setdefault(sampling, []).extend(
+        marches.setdefault(surface.n_curve_points, []).extend(
             (surface, node) for node in sorted(nodes)
         )
-    for (n_points, max_overpotential_v), targets in marches.items():
+    for n_points, targets in marches.items():
         # Warm counters: whether a node is already built depends on what
         # earlier runs left in the shared surfaces.
         obs.inc("surface.nodes_warmed", len(targets), warm=True)
@@ -368,21 +351,15 @@ def _march_nodes(missing: "dict[PolarizationSurface, Iterable[int]]") -> int:
             for surface, node in targets
         ]
         curves = batched_polarization_curves(
-            cells, n_points=n_points, max_overpotential_v=max_overpotential_v
+            cells, n_points=n_points, max_overpotential_v=MAX_OVERPOTENTIAL_V
         )
         for (surface, node), curve in zip(targets, curves):
-            surface._curves[node] = curve.scaled(surface.channels_per_group)
+            surface._curves[node] = curve.scaled(CHANNELS_PER_GROUP)
     return sum(len(targets) for targets in marches.values())
 
 
 def surface_for(config: "CosimConfig") -> PolarizationSurface:
     """The shared surface matching a co-simulation configuration."""
-    from repro.casestudy.power7plus import ARRAY_CHANNEL_COUNT
-
     return PolarizationSurface.shared(
-        total_flow_ml_min=config.total_flow_ml_min,
-        channels_per_group=ARRAY_CHANNEL_COUNT // config.n_channel_groups,
-        n_curve_points=config.n_curve_points,
-        temperature_range_k=config.surface_temperature_range_k,
-        resolution_k=config.surface_resolution_k,
+        config.total_flow_ml_min, config.n_curve_points
     )

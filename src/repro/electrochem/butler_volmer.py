@@ -129,8 +129,10 @@ def overpotential_for_current(
             raise ConvergenceError("Butler-Volmer inversion produced non-positive root")
         return 2.0 * math.log(u) / f_over_rt
 
-    # Imported here: every couple in the library is symmetric, so a cold
-    # command never pays for loading scipy.optimize.
+    # Imported here: only the planar validation cell inverts Butler-Volmer,
+    # and its couples are symmetric (the closed form above); the porous
+    # march evaluates the case-study couples (alpha = 0.25) forward only.
+    # So a cold command never pays for loading scipy.optimize.
     from scipy.optimize import brentq
 
     def residual(eta: float) -> float:

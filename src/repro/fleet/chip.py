@@ -56,7 +56,7 @@ def _sample_chips(model, temperatures: np.ndarray, config):
 
     surface = surface_for(config)
     t_min, t_max = surface.temperature_range_k
-    group_temps, _ = coolant_columns(model, temperatures, config)
+    group_temps, _ = coolant_columns(model, temperatures)
     return (
         surface,
         np.clip(group_temps, t_min, t_max),

@@ -130,9 +130,11 @@ class FleetSpec:
             raise ConfigurationError(
                 "release temperature must be <= trip temperature"
             )
-        # SupplySpec and TrafficModel validate the rest eagerly.
+        # SupplySpec, TrafficModel and ScenarioSpec validate the rest
+        # eagerly.
         self.supply()
         self.traffic()
+        self.table_base_spec()
 
     def supply(self) -> SupplySpec:
         """The shared hydraulic budget."""

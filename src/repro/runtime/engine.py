@@ -27,7 +27,7 @@ Per control step the engine
    pumping power, and
 5. draws the generated charge from the electrolyte reservoirs.
 
-Flow commands are quantized to ``flow_resolution_ml_min`` so the caches
+Flow commands are quantized to :data:`FLOW_RESOLUTION_ML_MIN` so the caches
 stay bounded: each distinct quantized flow costs one thermal model (the
 kept :meth:`~repro.casestudy.power7plus.ThermalFamily.kept_model` of the
 family the steady sweeps solve on; its backward-Euler LU per step size
@@ -47,8 +47,8 @@ import numpy as np
 
 from repro import obs
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
-from repro.cosim.coupling import CosimConfig, coolant_columns
-from repro.cosim.surface import surface_for, warm_surfaces
+from repro.cosim.coupling import check_config, coolant_columns
+from repro.cosim.surface import PolarizationSurface, warm_surfaces
 from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.runtime.controllers import (
@@ -65,59 +65,44 @@ from repro.runtime.trace import WorkloadTrace
 #: shared server-silicon limit of :mod:`repro.core.metrics`.
 TEMPERATURE_LIMIT_C = DEFAULT_TEMPERATURE_LIMIT_C
 
+#: Control/integration step [s]: the thermal state advances one
+#: backward-Euler step and the controllers act once per interval.
+CONTROL_DT_S = 0.05
+
+#: Flow commands quantize to this grid [ml/min] (see module docstring).
+FLOW_RESOLUTION_ML_MIN = 16.0
+
+#: Samples of each group polarization curve on the runtime's surfaces.
+N_CURVE_POINTS = 40
+
+
 @dataclass
 class RuntimeConfig:
     """Configuration of one closed-loop runtime run.
 
     Parameters
     ----------
-    control_dt_s:
-        Control/integration step; the thermal state advances one
-        backward-Euler step and the controllers act once per interval.
     inlet_temperature_k / operating_voltage_v:
         Coolant inlet and the terminal voltage held by the VRMs.
-    nx / ny / n_channel_groups / n_curve_points:
-        Raster and electrochemical sampling, as in
-        :class:`~repro.cosim.coupling.CosimConfig`.
-    flow_resolution_ml_min:
-        Flow commands quantize to this grid (see module docstring).
+    nx / ny:
+        Thermal raster (nx must be a multiple of the channel-group count,
+        as in :class:`~repro.cosim.coupling.CosimConfig`).
     pump_efficiency:
         Pump efficiency in (0, 1] used to price the hydraulic power
         (the paper assumes 0.5).
-    temperature_limit_c:
-        Junction limit for the violation KPI.
     """
 
-    control_dt_s: float = 0.05
     inlet_temperature_k: float = TABLE2["inlet_temperature_k"]
     operating_voltage_v: float = 1.0
     nx: int = 44
     ny: int = 22
-    n_channel_groups: int = 11
-    n_curve_points: int = 40
-    flow_resolution_ml_min: float = 16.0
     pump_efficiency: float = PAPER_ANCHORS["pump_efficiency"]
-    temperature_limit_c: float = TEMPERATURE_LIMIT_C
 
     def __post_init__(self) -> None:
-        # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
-        if not 0.0 < self.control_dt_s < math.inf:
-            raise ConfigurationError(
-                f"control_dt_s must be finite and > 0, got {self.control_dt_s}"
-            )
-        if not 0.0 < self.flow_resolution_ml_min < math.inf:
-            raise ConfigurationError(
-                "flow_resolution_ml_min must be finite and > 0 ml/min, got "
-                f"{self.flow_resolution_ml_min}"
-            )
+        check_config(self, "inlet_temperature_k", "operating_voltage_v")
         if not 0.0 < self.pump_efficiency <= 1.0:
             raise ConfigurationError(
                 f"pump efficiency must be in (0, 1], got {self.pump_efficiency}"
-            )
-        if self.nx % self.n_channel_groups:
-            raise ConfigurationError(
-                f"nx={self.nx} must be a multiple of n_channel_groups="
-                f"{self.n_channel_groups}"
             )
 
 
@@ -320,8 +305,8 @@ class BatchedRuntimeEngine:
         (``None`` entries — or ``None`` for the whole list — run those
         lanes without a governor / reservoir).
     config:
-        Shared engine configuration; every lane runs the same raster,
-        timing, quantization grid and pricing.
+        Shared engine configuration; every lane runs the same coolant
+        inlet, voltage, raster and pricing.
     """
 
     def __init__(
@@ -351,7 +336,6 @@ class BatchedRuntimeEngine:
         self._solvers: "dict[float, object]" = {}
         self._power_maps: "dict[str, np.ndarray]" = {}
         self._pumping: "dict[float, float]" = {}
-        self._cosim_configs: "dict[float, CosimConfig]" = {}
 
     def __len__(self) -> int:
         return len(self._controllers)
@@ -368,7 +352,7 @@ class BatchedRuntimeEngine:
         676 ml/min — while continuously varying commands still collapse
         onto a bounded set of flows.
         """
-        resolution = self.config.flow_resolution_ml_min
+        resolution = FLOW_RESOLUTION_ML_MIN
         quantized = self._anchors + np.round(
             (flows_ml_min - self._anchors) / resolution
         ) * resolution
@@ -410,21 +394,6 @@ class BatchedRuntimeEngine:
             self._pumping[flow_ml_min] = pumping
         return pumping
 
-    def _cosim_config(self, flow_ml_min: float) -> CosimConfig:
-        cosim_config = self._cosim_configs.get(flow_ml_min)
-        if cosim_config is None:
-            cosim_config = CosimConfig(
-                total_flow_ml_min=flow_ml_min,
-                inlet_temperature_k=self.config.inlet_temperature_k,
-                operating_voltage_v=self.config.operating_voltage_v,
-                n_channel_groups=self.config.n_channel_groups,
-                nx=self.config.nx,
-                ny=self.config.ny,
-                n_curve_points=self.config.n_curve_points,
-            )
-            self._cosim_configs[flow_ml_min] = cosim_config
-        return cosim_config
-
     def _flow_groups(self, flows: np.ndarray) -> "list[tuple[float, list[int]]]":
         """Lanes grouped by quantized flow, in sorted flow order."""
         groups: "dict[float, list[int]]" = {}
@@ -455,8 +424,7 @@ class BatchedRuntimeEngine:
         return results
 
     def _run(self, trace: WorkloadTrace) -> "list[RuntimeResult]":
-        config = self.config
-        voltage = config.operating_voltage_v
+        voltage = self.config.operating_voltage_v
         n_lanes = len(self)
         self._controllers.reset()
         self._governors.reset()
@@ -486,7 +454,7 @@ class BatchedRuntimeEngine:
         peaks = np.zeros(n_lanes)
         nets = np.zeros(n_lanes)
         have_observation = False
-        for t_start, step_dt, segment in trace.iter_steps(config.control_dt_s):
+        for t_start, step_dt, segment in trace.iter_steps(CONTROL_DT_S):
             if have_observation:
                 scales = self._governors.scale_commands(peaks, nets)
                 throttled = self._governors.throttled
@@ -520,14 +488,14 @@ class BatchedRuntimeEngine:
                     )
                     states[:, lanes] = advanced
 
-                    cosim_config = self._cosim_config(flow)
                     group_temps, mean_coolants_k = coolant_columns(
-                        model, advanced, cosim_config
+                        model, advanced
                     )
                     peaks[lanes] = advanced.max(axis=0) - 273.15
                     mean_coolants_c[lanes] = mean_coolants_k - 273.15
                     pumpings[lanes] = self._pumping_w(flow)
-                    stepped.append((lanes, surface_for(cosim_config), group_temps))
+                    surface = PolarizationSurface.shared(flow, N_CURVE_POINTS)
+                    stepped.append((lanes, surface, group_temps))
                 warm_surfaces(
                     (surface, temps) for _, surface, temps in stepped
                 )
@@ -560,7 +528,7 @@ class BatchedRuntimeEngine:
                     net_w=net,
                     state_of_charge=float(socs[lane]),
                     throttled=bool(throttled[lane]),
-                    violation=peak_c > config.temperature_limit_c,
+                    violation=peak_c > TEMPERATURE_LIMIT_C,
                 ))
             have_observation = True
         reservoirs.write_back()

@@ -222,7 +222,6 @@ def cosim_config(spec: ScenarioSpec):
         operating_voltage_v=spec.operating_voltage_v,
         nx=spec.nx,
         ny=spec.ny,
-        n_channel_groups=11,
     )
 
 

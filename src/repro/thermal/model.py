@@ -22,7 +22,8 @@ Only advection and the inlet enthalpy depend on flow, so the matrix is
 ``conduction + advection(q)``. Each model caches its own system and
 factorizations; only models used through :meth:`ThermalModel.at_flow` also
 keep the conduction matrix, shared by reference across a flow family (the
-steady sweep evaluators' :func:`repro.sweep.vectorized.steady_families`).
+case study's kept :func:`repro.casestudy.power7plus.thermal_family`, which
+the steady sweeps, the step responses and the runtime all derive from).
 """
 
 from __future__ import annotations

@@ -135,7 +135,7 @@ class TestSharing:
             StepResponseCase(
                 config=CosimConfig(
                     total_flow_ml_min=flow, inlet_temperature_k=INLET,
-                    nx=22, ny=11, n_channel_groups=11,
+                    nx=22, ny=11,
                 ),
                 utilization_before=0.1, utilization_after=1.0,
                 duration_s=0.1, dt_s=0.05,

@@ -55,6 +55,19 @@ class TestCommands:
         assert "bright-silicon utilization" in output
         assert "pumping power [W]" in output
 
+    def test_cosim_prints_the_three_scenarios_exactly(self, capsys):
+        """Byte witness of the coupling loop's fixed group count,
+        iteration budget, tolerance and surface window."""
+        assert main(["cosim"]) == 0
+        assert capsys.readouterr().out == (
+            "nominal      I =  6.09 A, peak  42.1 C, "
+            "gain vs own isothermal  +1.6 %\n"
+            "48 ml/min    I =  9.19 A, peak  95.8 C, "
+            "gain vs own isothermal +26.7 %\n"
+            "37 C inlet   I =  6.62 A, peak  52.3 C, "
+            "gain vs own isothermal  +1.4 %\n"
+        )
+
 
 class TestVersion:
     def test_version_flag_prints_and_exits(self, capsys):
@@ -282,6 +295,28 @@ def test_importing_the_cli_loads_no_scipy_optimize():
     Butler-Volmer inversion imports scipy.optimize when it is taken."""
     src = Path(__file__).resolve().parents[2] / "src"
     probe = "import sys, repro.cli; print('scipy.optimize' in sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    ).stdout.strip()
+    assert loaded == "False"
+
+
+def test_array_build_and_cold_flow_sweep_load_no_scipy_optimize():
+    """Only the planar validation cell inverts Butler-Volmer, and its
+    couples are symmetric (the closed form); the case-study couples
+    (alpha = 0.25) are only evaluated forward by the porous march. So
+    building the array and a cold flow sweep never take the Brent branch."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        "import contextlib, io, sys\n"
+        "from repro.casestudy.power7plus import build_array\n"
+        "from repro.cli import main\n"
+        "build_array()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['sweep', 'flow', '--points', '4']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
     loaded = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), check=True,

@@ -5,48 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from repro.cosim import CosimConfig, CosimResult, ElectroThermalCosim
+from repro.cosim import CosimConfig, CosimResult, ElectroThermalCosim, coupling
+from repro.cosim.coupling import MAX_ITERATIONS, N_CHANNEL_GROUPS
 from repro.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
 def nominal_result():
     """Nominal coupled run at a reduced raster for speed."""
-    config = CosimConfig(nx=44, ny=22, n_channel_groups=11, n_curve_points=35)
+    config = CosimConfig(nx=44, ny=22, n_curve_points=35)
     return ElectroThermalCosim(config).run()
 
 
 class TestConfig:
     def test_nx_must_divide_groups(self):
-        with pytest.raises(ConfigurationError):
-            CosimConfig(nx=88, n_channel_groups=13)
-
-    def test_rejects_zero_groups(self):
-        with pytest.raises(ConfigurationError):
-            CosimConfig(n_channel_groups=0)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ConfigurationError):
-            CosimConfig(tolerance_k=0.0)
-
-    def test_rejects_bad_surface_grid(self):
-        with pytest.raises(ConfigurationError):
-            CosimConfig(surface_resolution_k=0.0)
-        with pytest.raises(ConfigurationError):
-            CosimConfig(surface_temperature_range_k=(400.0, 300.0))
+        with pytest.raises(ConfigurationError, match="nx=90"):
+            CosimConfig(nx=90)
 
     def test_rejects_inlet_outside_surface_range(self):
-        with pytest.raises(ConfigurationError):
-            CosimConfig(
-                inlet_temperature_k=500.0,
-                surface_temperature_range_k=(250.0, 450.0),
-            )
+        with pytest.raises(ConfigurationError, match="surface range"):
+            CosimConfig(inlet_temperature_k=500.0)
+
+    @pytest.mark.parametrize(
+        "field", ["total_flow_ml_min", "inlet_temperature_k", "operating_voltage_v"]
+    )
+    @pytest.mark.parametrize("value", [-1.0, 0.0])
+    def test_rejects_non_positive_operating_point(self, field, value):
+        """A negative voltage used to run to 53.2 A of 'generated' current;
+        each operating-point field fails at construction, by name (the
+        non-finite rows are in ``test_guards.py``)."""
+        with pytest.raises(ConfigurationError, match=field):
+            CosimConfig(nx=22, ny=11, **{field: value})
 
 
 class TestNominalCoupling:
     def test_converges(self, nominal_result):
         assert nominal_result.converged
-        assert nominal_result.iterations <= nominal_result.config.max_iterations
+        assert nominal_result.iterations <= MAX_ITERATIONS
 
     def test_paper_s2_anchor_small_gain(self, nominal_result):
         """At the nominal flow the paper reports at most ~4 % change."""
@@ -80,8 +75,7 @@ class TestStressScenarios:
     def test_low_flow_gain_matches_paper(self):
         """48 ml/min: the paper's 'up to 23 %' power-gain scenario."""
         config = CosimConfig(
-            total_flow_ml_min=48.0, nx=44, ny=22, n_channel_groups=11,
-            n_curve_points=35,
+            total_flow_ml_min=48.0, nx=44, ny=22, n_curve_points=35,
         )
         result = ElectroThermalCosim(config).run()
         assert result.converged
@@ -90,8 +84,7 @@ class TestStressScenarios:
     def test_warm_inlet_gain_positive(self):
         """37 C inlet: a clear but smaller thermally induced gain."""
         config = CosimConfig(
-            inlet_temperature_k=310.15, nx=44, ny=22, n_channel_groups=11,
-            n_curve_points=35,
+            inlet_temperature_k=310.15, nx=44, ny=22, n_curve_points=35,
         )
         result = ElectroThermalCosim(config).run()
         assert result.converged
@@ -101,8 +94,7 @@ class TestStressScenarios:
 
     def test_warm_inlet_beats_nominal_current(self, nominal_result):
         config = CosimConfig(
-            inlet_temperature_k=310.15, nx=44, ny=22, n_channel_groups=11,
-            n_curve_points=35,
+            inlet_temperature_k=310.15, nx=44, ny=22, n_curve_points=35,
         )
         warm = ElectroThermalCosim(config).run()
         gain_vs_27c = warm.array_current_a / nominal_result.isothermal_current_a - 1.0
@@ -110,8 +102,7 @@ class TestStressScenarios:
 
     def test_low_flow_runs_hot(self):
         config = CosimConfig(
-            total_flow_ml_min=48.0, nx=44, ny=22, n_channel_groups=11,
-            n_curve_points=35,
+            total_flow_ml_min=48.0, nx=44, ny=22, n_curve_points=35,
         )
         result = ElectroThermalCosim(config).run()
         # ~45 K coolant rise at 48 ml/min pushes the peak toward 85-90 C.
@@ -185,34 +176,29 @@ class TestCurrentGainContract:
 
 
 class TestHeatFeedback:
-    def test_cell_heat_raises_temperature_slightly(self):
-        base_config = CosimConfig(
-            nx=44, ny=22, n_channel_groups=11, n_curve_points=35,
-            include_cell_heat=False,
-        )
-        with_heat = CosimConfig(
-            nx=44, ny=22, n_channel_groups=11, n_curve_points=35,
-            include_cell_heat=True,
-        )
-        cold = ElectroThermalCosim(base_config).run()
-        warm = ElectroThermalCosim(with_heat).run()
-        assert warm.peak_temperature_c >= cold.peak_temperature_c - 0.05
+    def test_cell_heat_raises_temperature_slightly(self, nominal_result):
+        """Against the chip-only steady solve (no cell heat fed back)."""
+        from repro.casestudy.power7plus import build_thermal_model
+
+        cold = build_thermal_model(nx=44, ny=22).solve_steady()
+        warm = nominal_result
+        assert warm.peak_temperature_c >= cold.peak_celsius - 0.05
         # The polarization loss at 6 A is ~4 W against a 151 W chip: small.
-        assert warm.peak_temperature_c - cold.peak_temperature_c < 1.0
+        assert warm.peak_temperature_c - cold.peak_celsius < 1.0
 
     @pytest.mark.parametrize("flow, max_iterations, converged", [
         (676.0, 10, True),
         (59.0, 2, False),
     ], ids=["converged", "stopped-at-max-iterations"])
     def test_final_thermal_state_balances_its_own_power(
-        self, flow, max_iterations, converged
+        self, flow, max_iterations, converged, monkeypatch
     ):
         """The returned solution's model carries the cell heat it was
         solved with, so its energy balance closes to solver accuracy
         (a map set after the last solve read 1e-4..1e-3 W here)."""
+        monkeypatch.setattr(coupling, "MAX_ITERATIONS", max_iterations)
         result = ElectroThermalCosim(CosimConfig(
-            total_flow_ml_min=flow, nx=22, ny=11, n_channel_groups=11,
-            max_iterations=max_iterations,
+            total_flow_ml_min=flow, nx=22, ny=11,
         )).run()
         assert result.converged is converged
         assert result.iterations == (2 if converged else max_iterations)
@@ -236,10 +222,10 @@ class TestCoolantColumns:
         fluid = ThermalSolution(
             temperatures_k=np.ascontiguousarray(column), model=model
         ).field("channels", "fluid")
-        width = config.nx // config.n_channel_groups
+        width = config.nx // N_CHANNEL_GROUPS
         groups = np.array([
             float(fluid[:, g * width:(g + 1) * width].mean())
-            for g in range(config.n_channel_groups)
+            for g in range(N_CHANNEL_GROUPS)
         ])
         return groups, float(fluid.mean())
 
@@ -257,8 +243,8 @@ class TestCoolantColumns:
             for position in range(k):
                 states = 300.0 + 60.0 * rng.random((model.n_dof, k))
                 states[:, position] = lane
-                groups, means = coolant_columns(model, states, config)
-                assert groups.shape == (k, config.n_channel_groups)
+                groups, means = coolant_columns(model, states)
+                assert groups.shape == (k, N_CHANNEL_GROUPS)
                 assert np.array_equal(groups[position], oracle_groups)
                 assert means[position] == oracle_mean
                 for j in range(k):
@@ -275,5 +261,5 @@ class TestCoolantColumns:
         thermal = nominal_result.thermal
         expected, _ = self._oracle(thermal.model, thermal.temperatures_k, config)
         assert np.array_equal(
-            group_coolant_temperatures(thermal, config), expected
+            group_coolant_temperatures(thermal), expected
         )

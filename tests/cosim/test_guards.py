@@ -31,7 +31,9 @@ def test_non_finite_input_is_rejected_naming_the_field(field, bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["tolerance_k", "surface_resolution_k"])
+@pytest.mark.parametrize(
+    "field", ["total_flow_ml_min", "inlet_temperature_k", "operating_voltage_v"]
+)
 def test_non_finite_cosim_config_is_rejected_naming_the_field(field, bad):
     with pytest.raises(ConfigurationError, match=field):
         CosimConfig(**{field: bad})

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.casestudy.power7plus import ARRAY_CHANNEL_COUNT, build_array_cell
+from repro.casestudy.power7plus import build_array_cell
 from repro.cosim import CosimConfig, PolarizationSurface, surface_for, warm_surfaces
+from repro.cosim.surface import CHANNELS_PER_GROUP, MAX_OVERPOTENTIAL_V
 from repro.errors import ConfigurationError
 from repro.flowcell.array import FlowCellArray
-
-CHANNELS_PER_GROUP = ARRAY_CHANNEL_COUNT // 11
 
 #: Off-node temperatures spanning the co-sim operating envelope: nominal
 #: inlet, warm inlet, and the coolant temperatures the 48 ml/min stress
@@ -24,7 +23,7 @@ def direct_group_curve(flow_ml_min: float, temperature_k: float, n_points: int):
         temperature_dependent=True,
     )
     return cell.polarization_curve(
-        n_points=n_points, max_overpotential_v=1.4
+        n_points=n_points, max_overpotential_v=MAX_OVERPOTENTIAL_V
     ).scaled(CHANNELS_PER_GROUP)
 
 
@@ -45,9 +44,7 @@ def count_marches(monkeypatch):
 
 @pytest.fixture(scope="module")
 def surface():
-    return PolarizationSurface(
-        676.0, CHANNELS_PER_GROUP, n_curve_points=35
-    )
+    return PolarizationSurface(676.0, n_curve_points=35)
 
 
 class TestAccuracy:
@@ -110,8 +107,7 @@ class TestVectorization:
 
 class TestGrid:
     def test_nodes_built_lazily(self):
-        fresh = PolarizationSurface(676.0, CHANNELS_PER_GROUP,
-                                    n_curve_points=20)
+        fresh = PolarizationSurface(676.0, n_curve_points=20)
         assert fresh.nodes_built == 0
         fresh.currents_at([300.1, 300.2], 1.0)
         # Two queries inside one grid cell touch only its two nodes.
@@ -138,7 +134,7 @@ class TestGrid:
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigurationError):
-            PolarizationSurface(676.0, CHANNELS_PER_GROUP, **kwargs)
+            PolarizationSurface(676.0, **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         {"total_flow_ml_min": float("nan")},
@@ -150,13 +146,11 @@ class TestGrid:
     def test_non_finite_inputs_rejected(self, kwargs):
         kwargs = {"total_flow_ml_min": 676.0, **kwargs}
         with pytest.raises(ConfigurationError):
-            PolarizationSurface(channels_per_group=CHANNELS_PER_GROUP, **kwargs)
+            PolarizationSurface(**kwargs)
 
-    def test_flow_and_group_validation(self):
+    def test_flow_validation(self):
         with pytest.raises(ConfigurationError):
-            PolarizationSurface(0.0, CHANNELS_PER_GROUP)
-        with pytest.raises(ConfigurationError):
-            PolarizationSurface(676.0, 0)
+            PolarizationSurface(0.0)
 
 
 class TestGridEdges:
@@ -173,7 +167,7 @@ class TestGridEdges:
     @pytest.fixture(scope="class")
     def narrow(self):
         return PolarizationSurface(
-            676.0, CHANNELS_PER_GROUP, n_curve_points=35,
+            676.0, n_curve_points=35,
             temperature_range_k=(300.0, 304.0), resolution_k=1.0,
         )
 
@@ -209,7 +203,7 @@ class TestGridEdges:
 
     def test_non_multiple_span_overshoots_to_the_next_node(self):
         surface = PolarizationSurface(
-            676.0, CHANNELS_PER_GROUP, n_curve_points=20,
+            676.0, n_curve_points=20,
             temperature_range_k=(300.0, 301.3), resolution_k=0.5,
         )
         lo, hi = surface.temperature_range_k
@@ -275,11 +269,11 @@ class TestHistoryIndependence:
         """A surface whose own queries (scalar or array) warm its nodes
         matches one warmed in a cross-surface batch, bit for bit."""
         alone, batched = (
-            PolarizationSurface(676.0, CHANNELS_PER_GROUP, n_curve_points=35)
+            PolarizationSurface(676.0, n_curve_points=35)
             for _ in range(2)
         )
         others = [
-            PolarizationSurface(flow, CHANNELS_PER_GROUP, n_curve_points=35)
+            PolarizationSurface(flow, n_curve_points=35)
             for flow in (169.0, 1352.0)
         ]
         # One prefill of every node the queries touch, one more pair, and
@@ -314,8 +308,7 @@ class TestHistoryIndependence:
         makes exactly one march per sampling."""
         def surfaces():
             return [
-                PolarizationSurface(flow, CHANNELS_PER_GROUP,
-                                    n_curve_points=points)
+                PolarizationSurface(flow, n_curve_points=points)
                 for flow in (169.0, 676.0, 1352.0) for points in (35, 50)
             ]
 
@@ -335,9 +328,9 @@ class TestHistoryIndependence:
     def test_runtime_fleet_chip_and_transient_share_one_surface(
         self, monkeypatch
     ):
-        """One curve construction, so one surface per configuration: the
-        runtime engine, a fleet chip and the transient stepper all query
-        the same object."""
+        """One curve construction, so one surface per flow and curve
+        sampling: at the fleet chips' sampling, the runtime engine, a
+        fleet chip and the transient stepper all query the same object."""
         from repro.cosim import TransientCosim
         from repro.fleet.chip import batch_chip_states
         from repro.sweep.evaluators import cosim_config
@@ -347,6 +340,7 @@ class TestHistoryIndependence:
             RuntimeConfig,
             TraceSegment,
             WorkloadTrace,
+            engine,
         )
         from repro.sweep.spec import ScenarioSpec
 
@@ -358,6 +352,7 @@ class TestHistoryIndependence:
             return real_currents_at(surface, temperatures_k, voltage_v)
 
         monkeypatch.setattr(PolarizationSurface, "currents_at", recording)
+        monkeypatch.setattr(engine, "N_CURVE_POINTS", 50)
         spec = ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
                             total_flow_ml_min=676.0, utilization=0.7)
         PolarizationSurface.clear_shared()
@@ -367,7 +362,7 @@ class TestHistoryIndependence:
             caller = "runtime"
             BatchedRuntimeEngine(
                 [FixedFlow(spec.total_flow_ml_min)],
-                config=RuntimeConfig(nx=22, ny=11, n_curve_points=50),
+                config=RuntimeConfig(nx=22, ny=11),
             ).run(WorkloadTrace("hold", [
                 TraceSegment(0.1, spec.utilization, spec.workload)
             ]))
@@ -381,7 +376,7 @@ class TestHistoryIndependence:
         assert set(queried) == {"fleet chip", "runtime", "transient"}
         assert len(set().union(*queried.values())) == 1
 
-    def test_fleet_chip_ignores_earlier_batched_runs(self):
+    def test_fleet_chip_ignores_earlier_batched_runs(self, monkeypatch):
         """Runtime runs and batched step responses warm surfaces at the
         fleet chips' coolant points; the chip metrics must not notice."""
         from repro.cosim.batch import StepResponseCase, batched_step_responses
@@ -393,9 +388,12 @@ class TestHistoryIndependence:
             RuntimeConfig,
             TraceSegment,
             WorkloadTrace,
+            engine,
         )
         from repro.sweep.spec import ScenarioSpec
 
+        # At the chips' curve sampling the runtime shares their surfaces.
+        monkeypatch.setattr(engine, "N_CURVE_POINTS", 50)
         specs = [
             ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
                          total_flow_ml_min=flow, utilization=utilization)
@@ -411,7 +409,7 @@ class TestHistoryIndependence:
             for spec in specs:
                 BatchedRuntimeEngine(
                     [FixedFlow(spec.total_flow_ml_min)],
-                    config=RuntimeConfig(nx=22, ny=11, n_curve_points=50),
+                    config=RuntimeConfig(nx=22, ny=11),
                 ).run(WorkloadTrace("hold", [
                     TraceSegment(0.1, spec.utilization, spec.workload)
                 ]))

@@ -9,8 +9,7 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture(scope="module")
 def cosim():
-    return TransientCosim(CosimConfig(nx=22, ny=11, n_channel_groups=11,
-                                      n_curve_points=30))
+    return TransientCosim(CosimConfig(nx=22, ny=11, n_curve_points=30))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +126,7 @@ def direct_march(config, u_before, u_after, duration_s, dt_s, n_full):
     surface = surface_for(config)
 
     def sample(time_s, thermal):
-        temps = group_coolant_temperatures(thermal, config)
+        temps = group_coolant_temperatures(thermal)
         currents = surface.currents_at(temps, config.operating_voltage_v)
         fluid = thermal.field("channels", "fluid")
         return TransientSample(
@@ -175,8 +174,7 @@ class TestStepResponseOracle:
     def test_bit_identical_to_direct_march(
         self, u_before, u_after, duration_s, dt_s, n_full
     ):
-        config = CosimConfig(nx=22, ny=11, n_channel_groups=11,
-                             n_curve_points=30)
+        config = CosimConfig(nx=22, ny=11, n_curve_points=30)
         got = TransientCosim(config).run_step_response(
             u_before, u_after, duration_s=duration_s, dt_s=dt_s
         )
@@ -185,8 +183,8 @@ class TestStepResponseOracle:
         assert got == want
 
     def test_other_coolant_point(self):
-        config = CosimConfig(nx=22, ny=11, n_channel_groups=11,
-                             n_curve_points=30, total_flow_ml_min=338.0,
+        config = CosimConfig(nx=22, ny=11, n_curve_points=30,
+                             total_flow_ml_min=338.0,
                              inlet_temperature_k=310.0)
         got = TransientCosim(config).run_step_response(
             0.2, 0.8, duration_s=0.17, dt_s=0.04

@@ -21,6 +21,7 @@ only with a deliberate recalibration.
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.fleet import FleetEngine, FleetSpec
 from repro.fleet.chip import ChipTable
 from repro.sweep import SweepRunner
@@ -150,3 +151,18 @@ class TestChipTableGridMemo:
         np.testing.assert_array_equal(
             tables[1].peak_c, [[50.0, 51.0], [52.0, 53.0]]
         )
+
+
+class TestSpecBoundary:
+    @pytest.mark.parametrize("field, value", [
+        ("operating_voltage_v", -1.0),
+        ("inlet_temperature_k", -1.0),
+        ("pump_efficiency", 0.0),
+        ("pump_efficiency", 1.5),
+    ])
+    def test_bad_chip_constant_fails_at_construction(self, field, value):
+        """The per-chip constants are checked with the fleet spec, not at
+        the first chip-table build (non-finite rows are in
+        ``tests/test_nonfinite_guards.py``)."""
+        with pytest.raises(ConfigurationError):
+            FleetSpec(**{field: value})

@@ -60,7 +60,6 @@ class TestBatchedStepResponseProperties:
             inlet_temperature_k=inlet,
             nx=22,
             ny=11,
-            n_channel_groups=11,
         )
         case = StepResponseCase(
             config=config,
@@ -102,7 +101,7 @@ class TestBatchedStepResponseProperties:
         """Reordering the cases permutes the trajectories and nothing
         else — lanes in a lockstep march do not interact."""
         config = CosimConfig(
-            total_flow_ml_min=flow, nx=22, ny=11, n_channel_groups=11
+            total_flow_ml_min=flow, nx=22, ny=11
         )
         cases = [
             StepResponseCase(

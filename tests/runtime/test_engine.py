@@ -30,7 +30,7 @@ from repro.runtime import (
 
 
 def config(**overrides) -> RuntimeConfig:
-    base = dict(nx=22, ny=11, control_dt_s=0.05)
+    base = dict(nx=22, ny=11)
     base.update(overrides)
     return RuntimeConfig(**base)
 
@@ -55,11 +55,13 @@ def run_one(controller, trace=None, governor=None, reservoir=None,
 
 class TestRuntimeConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"control_dt_s": 0.0},
-        {"flow_resolution_ml_min": 0.0},
         {"pump_efficiency": 0.0},
         {"pump_efficiency": 1.1},
         {"nx": 23},  # not a multiple of the 11 channel groups
+        # A -1 V config used to run the step trace to -113.8 J net.
+        {"operating_voltage_v": -1.0},
+        {"operating_voltage_v": 0.0},
+        {"inlet_temperature_k": -1.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -196,8 +198,11 @@ class TestClosedLoop:
             unthrottled_peak, abs=2.0
         )
 
-    def test_violation_accounting(self):
-        result = run_one(FixedFlow(676.0), temperature_limit_c=35.0)
+    def test_violation_accounting(self, monkeypatch):
+        from repro.runtime import engine
+
+        monkeypatch.setattr(engine, "TEMPERATURE_LIMIT_C", 35.0)
+        result = run_one(FixedFlow(676.0))
         assert result.n_violations > 0
         assert 0.0 < result.violation_time_fraction <= 1.0
         assert result.peak_temperature_c > 35.0
@@ -315,8 +320,9 @@ class TestScalarOracle:
             build_thermal_model,
         )
         from repro.casestudy.workloads import standard_workloads
-        from repro.cosim.coupling import CosimConfig, group_coolant_temperatures
-        from repro.cosim.surface import surface_for
+        from repro.cosim.coupling import group_coolant_temperatures
+        from repro.cosim.surface import PolarizationSurface
+        from repro.runtime.engine import CONTROL_DT_S, N_CURVE_POINTS
 
         workloads = {w.name: w for w in standard_workloads()}
 
@@ -328,26 +334,19 @@ class TestScalarOracle:
             nx=cfg.nx, ny=cfg.ny, total_flow_ml_min=flow_ml_min,
             inlet_temperature_k=cfg.inlet_temperature_k,
         )
-        cosim_config = CosimConfig(
-            total_flow_ml_min=flow_ml_min,
-            inlet_temperature_k=cfg.inlet_temperature_k,
-            operating_voltage_v=cfg.operating_voltage_v,
-            n_channel_groups=cfg.n_channel_groups,
-            nx=cfg.nx, ny=cfg.ny, n_curve_points=cfg.n_curve_points,
-        )
-        surface = surface_for(cosim_config)
+        surface = PolarizationSurface.shared(flow_ml_min, N_CURVE_POINTS)
         pumping = array_pumping_power_w(
             flow_ml_min, pump_efficiency=cfg.pump_efficiency
         )
         model.set_power_map("active_si", power(trace.segments[0]))
         state = model.solve_steady()
         rows = []
-        for _, step_dt, segment in trace.iter_steps(cfg.control_dt_s):
+        for _, step_dt, segment in trace.iter_steps(CONTROL_DT_S):
             model.set_power_map("active_si", power(segment))
             state = model.solve_transient(
                 duration_s=step_dt, dt_s=step_dt, initial=state
             )
-            temps = group_coolant_temperatures(state, cosim_config)
+            temps = group_coolant_temperatures(state)
             current = float(
                 surface.currents_at(temps, cfg.operating_voltage_v).sum()
             )

@@ -20,7 +20,7 @@ from repro.runtime import (
 from repro.runtime.controllers import VectorFlowControllers
 from repro.runtime.state import ElectrolyteState, ElectrolyteStateArray
 
-FIELDS = ("control_dt_s", "flow_resolution_ml_min")
+FIELDS = ("inlet_temperature_k", "operating_voltage_v")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -92,6 +92,9 @@ CASES = [
     ("skew", lambda v: TrafficModel(n_chips=4, skew=v)),
     ("users_per_chip", lambda v: TrafficModel(n_chips=4, users_per_chip=v)),
     ("skew", lambda v: FleetSpec(skew=v)),
+    ("operating_voltage_v", lambda v: FleetSpec(operating_voltage_v=v)),
+    ("inlet_temperature_k", lambda v: FleetSpec(inlet_temperature_k=v)),
+    ("pump_efficiency", lambda v: FleetSpec(pump_efficiency=v)),
     ("skew", lambda v: _served_fleet(skew=v)),
 ]
 
