@@ -30,6 +30,7 @@ from repro.cosim.surface import (
     CHANNELS_PER_GROUP,
     MAX_OVERPOTENTIAL_V,
     N_CHANNEL_GROUPS,
+    N_CURVE_POINTS,
 )
 from repro.flowcell.array import FlowCellArray
 
@@ -38,10 +39,10 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 #: Steady co-sim configuration under test: the default CosimConfig (the
 #: acceptance point), or a reduced raster in smoke mode.
 STEADY_CONFIG = (
-    CosimConfig(nx=22, ny=11, n_curve_points=35) if SMOKE else CosimConfig()
+    CosimConfig(nx=22, ny=11) if SMOKE else CosimConfig()
 )
 
-TRANSIENT_CONFIG = CosimConfig(nx=22, ny=11, n_curve_points=35)
+TRANSIENT_CONFIG = CosimConfig(nx=22, ny=11)
 STEP_DURATION_S = 0.2 if SMOKE else 0.5
 STEP_DT_S = 0.05
 
@@ -61,7 +62,7 @@ def _legacy_run(config: CosimConfig):
             temperature_dependent=True,
         )
         return cell.polarization_curve(
-            n_points=config.n_curve_points,
+            n_points=N_CURVE_POINTS,
             max_overpotential_v=MAX_OVERPOTENTIAL_V,
         ).scaled(CHANNELS_PER_GROUP)
 

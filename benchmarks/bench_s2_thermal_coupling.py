@@ -21,7 +21,7 @@ from repro.cosim import CosimConfig, ElectroThermalCosim
 
 
 def run_scenarios():
-    base = dict(nx=44, ny=22, n_curve_points=40)
+    base = dict(nx=44, ny=22)
     nominal = ElectroThermalCosim(CosimConfig(**base)).run()
     low_flow = ElectroThermalCosim(
         CosimConfig(total_flow_ml_min=48.0, **base)

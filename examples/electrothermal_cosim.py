@@ -13,7 +13,7 @@ from repro.cosim import CosimConfig, ElectroThermalCosim
 
 
 def main() -> None:
-    base = dict(nx=44, ny=22, n_curve_points=40)
+    base = dict(nx=44, ny=22)
 
     print("Running nominal scenario (676 ml/min, 27 C inlet)...")
     nominal = ElectroThermalCosim(CosimConfig(**base)).run()

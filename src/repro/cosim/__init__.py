@@ -23,7 +23,7 @@ stacked state columns) with bit-identical trajectories.
 
 from repro.cosim.batch import StepResponseCase, batched_step_responses
 from repro.cosim.coupling import CosimConfig, CosimResult, ElectroThermalCosim
-from repro.cosim.surface import PolarizationSurface, surface_for, warm_surfaces
+from repro.cosim.surface import PolarizationSurface, warm_surfaces
 from repro.cosim.transient import TransientCosim, TransientSample
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "TransientCosim",
     "TransientSample",
     "batched_step_responses",
-    "surface_for",
     "warm_surfaces",
 ]

@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cosim.coupling import CosimConfig, coolant_columns
-from repro.cosim.surface import surface_for, warm_surfaces
+from repro.cosim.surface import PolarizationSurface, warm_surfaces
 from repro.cosim.transient import TransientSample
 from repro.errors import ConfigurationError
 
@@ -188,14 +188,16 @@ def _sample_columns(
         by_config.setdefault(config, []).append(k)
     peaks_c = states.max(axis=0) - 273.15
     sampled = [
-        (config, columns, *coolant_columns(model, states[:, columns]))
+        (
+            config, columns,
+            PolarizationSurface.shared(config.total_flow_ml_min),
+            *coolant_columns(model, states[:, columns]),
+        )
         for config, columns in by_config.items()
     ]
-    warm_surfaces(
-        (surface_for(config), temps) for config, _, temps, _ in sampled
-    )
-    for config, columns, temps, mean_coolants_k in sampled:
-        currents = surface_for(config).currents_at(
+    warm_surfaces((surface, temps) for _, _, surface, temps, _ in sampled)
+    for config, columns, surface, temps, mean_coolants_k in sampled:
+        currents = surface.currents_at(
             temps, config.operating_voltage_v
         ).sum(axis=1)
         for k, current, mean_coolant_k in zip(columns, currents, mean_coolants_k):

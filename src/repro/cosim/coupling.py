@@ -20,7 +20,7 @@ from repro.casestudy.tables import TABLE2
 from repro.cosim.surface import (
     DEFAULT_TEMPERATURE_RANGE_K,
     N_CHANNEL_GROUPS,
-    surface_for,
+    PolarizationSurface,
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.thermal.solver import ThermalSolution
@@ -49,9 +49,6 @@ class CosimConfig:
         Array terminal voltage held by the VRMs (1 V in the paper).
     nx / ny:
         Thermal raster (nx must be a multiple of the group count).
-    n_curve_points:
-        Samples of each group polarization curve on the shared
-        :class:`~repro.cosim.surface.PolarizationSurface`.
     """
 
     total_flow_ml_min: float = TABLE2["total_flow_ml_min"]
@@ -59,22 +56,16 @@ class CosimConfig:
     operating_voltage_v: float = 1.0
     nx: int = 88
     ny: int = 44
-    n_curve_points: int = 50
 
     def __post_init__(self) -> None:
         check_config(self, "total_flow_ml_min", "inlet_temperature_k",
                      "operating_voltage_v")
-        t_min, t_max = DEFAULT_TEMPERATURE_RANGE_K
-        if not t_min <= self.inlet_temperature_k <= t_max:
-            raise ConfigurationError(
-                f"inlet temperature {self.inlet_temperature_k:g} K outside "
-                f"the surface range ({t_min:g}, {t_max:g}) K"
-            )
 
 
 def check_config(config, *positive_fields: str) -> None:
-    """Reject a non-finite or non-positive value of any named field, or an
-    ``nx`` the channel groups do not divide; each error names its field."""
+    """Reject a non-finite or non-positive value of any named field, an
+    inlet outside the polarization surface's window, or an ``nx`` the
+    channel groups do not divide; each error names its field."""
     for name in positive_fields:
         value = getattr(config, name)
         # Written as ``not 0 < x < inf`` so NaN and inf fail the check too.
@@ -82,6 +73,12 @@ def check_config(config, *positive_fields: str) -> None:
             raise ConfigurationError(
                 f"{name} must be finite and > 0, got {value}"
             )
+    t_min, t_max = DEFAULT_TEMPERATURE_RANGE_K
+    if not t_min <= config.inlet_temperature_k <= t_max:
+        raise ConfigurationError(
+            f"inlet_temperature_k={config.inlet_temperature_k:g} K outside "
+            f"the polarization surface's window [{t_min:g}, {t_max:g}] K"
+        )
     if config.nx % N_CHANNEL_GROUPS:
         raise ConfigurationError(
             f"nx={config.nx} must be a multiple of the {N_CHANNEL_GROUPS} "
@@ -188,7 +185,7 @@ class ElectroThermalCosim:
     def _surface(self):
         """Resolved per access (a dict lookup on the shared store), so
         rebinding ``self.config`` between runs is honored."""
-        return surface_for(self.config)
+        return PolarizationSurface.shared(self.config.total_flow_ml_min)
 
     def _thermal_model(self):
         """The persistent thermal model (cell-heat map reset per run).

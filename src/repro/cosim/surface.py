@@ -10,31 +10,38 @@ not see.
 
 A :class:`PolarizationSurface` replaces all of that: group polarization
 curves are computed on a uniform temperature grid, each grid node at most
-once, and queries interpolate linearly
-between the two bracketing nodes. The surface is shared process-wide via
-:meth:`PolarizationSurface.shared` / :func:`surface_for`, so the steady
-coupling loop, the transient stepper and the sweep evaluators all draw
-from the same curve store — a sweep revisiting the same flow rate never
-rebuilds a curve.
+once, and queries interpolate linearly between the two bracketing nodes.
+Every curve is sampled at :data:`N_CURVE_POINTS`, so a flow has one
+surface, shared process-wide via :meth:`PolarizationSurface.shared`: the
+steady coupling loop, the transient stepper, the runtime engine, the
+fleet chips and the sweep evaluators all draw from the same curve store —
+a sweep revisiting the same flow rate never rebuilds a curve.
 
 Nodes are only ever built by a batched march. :func:`warm_surfaces` takes
 the query temperatures of many surfaces at once (the runtime engine's flow
 groups, a step-response batch's columns, a fleet table's chips) and
 marches every missing bracketing node of all of them in one
-:func:`~repro.flowcell.batch.batched_polarization_curves` call per curve
-sampling; :meth:`PolarizationSurface.warm_nodes` is its one-surface call,
+:func:`~repro.flowcell.batch.batched_polarization_curves` call;
+:meth:`PolarizationSurface.warm_nodes` is its one-surface call,
 and every query warms its own brackets the same way before it reads them.
 
-Accuracy: the group current varies by a fraction of a percent per kelvin
-over the operating envelope, so linear interpolation at the default 0.5 K
-resolution sits orders of magnitude inside the 0.5 % acceptance band
-(``tests/cosim/test_surface.py`` asserts this against direct construction).
+Accuracy has two parts. Across temperature, the group current varies by
+a fraction of a percent per kelvin over the operating envelope, so linear
+interpolation at the default 0.5 K resolution adds well under the 0.5 %
+acceptance band (``tests/cosim/test_surface.py`` asserts this against
+direct construction at the same sampling). Along each curve, the
+:data:`N_CURVE_POINTS` samples bound how well a node's current at the
+terminal voltage is resolved: against 400-point curves at 676 ml/min and
+1 V, 50 points are off by up to 1.8 % over 300-340 K (1.7-1.8 % at
+315-320 K), while at 48 ml/min the error stays under 0.1 %. A finer
+sampling would move the calibrated group currents, so it is a model
+change, not a knob.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -43,15 +50,16 @@ from repro.casestudy.tables import TABLE2
 from repro.electrochem.polarization import PolarizationCurve
 from repro.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cosim.coupling import CosimConfig
-
 #: Thermally distinct channel groups: the paper's 88 channels in 11 groups
 #: of 8, each with its own electrochemistry at its own temperature.
 N_CHANNEL_GROUPS = 11
 
 #: Parallel channels per group; every node curve is scaled by it.
 CHANNELS_PER_GROUP = TABLE2["channel_count"] // N_CHANNEL_GROUPS
+
+#: Samples of each node's polarization curve: every surface uses this
+#: one sampling, so a flow has exactly one surface.
+N_CURVE_POINTS = 50
 
 #: Largest overpotential each node's polarization curve is sampled to [V].
 MAX_OVERPOTENTIAL_V = 1.4
@@ -72,9 +80,8 @@ class PolarizationSurface:
     Parameters
     ----------
     total_flow_ml_min:
-        Total array flow; fixes the per-channel flow of every curve.
-    n_curve_points:
-        Samples of each underlying polarization curve (up to
+        Total array flow; fixes the per-channel flow of every curve. Each
+        node curve has :data:`N_CURVE_POINTS` samples (up to
         :data:`MAX_OVERPOTENTIAL_V`, scaled to :data:`CHANNELS_PER_GROUP`).
     temperature_range_k / resolution_k:
         Grid window and spacing. Queries outside the window raise (widen
@@ -93,7 +100,6 @@ class PolarizationSurface:
         self,
         total_flow_ml_min: float,
         *,
-        n_curve_points: int = 50,
         temperature_range_k: "tuple[float, float]" = DEFAULT_TEMPERATURE_RANGE_K,
         resolution_k: float = DEFAULT_RESOLUTION_K,
     ) -> None:
@@ -102,8 +108,6 @@ class PolarizationSurface:
             raise ConfigurationError(
                 f"total flow must be finite and > 0 ml/min, got {total_flow_ml_min}"
             )
-        if n_curve_points < 2:
-            raise ConfigurationError("need at least two curve points")
         if not 0.0 < resolution_k < math.inf:
             raise ConfigurationError(
                 f"grid resolution must be finite and > 0 K, got {resolution_k}"
@@ -117,7 +121,6 @@ class PolarizationSurface:
         if t_min <= 0.0:
             raise ConfigurationError("temperature range must be > 0 K")
         self.total_flow_ml_min = float(total_flow_ml_min)
-        self.n_curve_points = int(n_curve_points)
         self.resolution_k = float(resolution_k)
         n_nodes = int(math.ceil((t_max - t_min) / resolution_k)) + 1
         self.node_temperatures_k = t_min + resolution_k * np.arange(n_nodes)
@@ -155,9 +158,9 @@ class PolarizationSurface:
             bad_lo = float(temperatures_k.min())
             bad_hi = float(temperatures_k.max())
             raise ConfigurationError(
-                f"temperature query [{bad_lo:.2f}, {bad_hi:.2f}] K outside "
-                f"the surface grid [{t_min:.2f}, {t_max:.2f}] K — widen "
-                "temperature_range_k"
+                f"coolant temperature [{bad_lo:.2f}, {bad_hi:.2f}] K outside "
+                f"the polarization surface's window [{t_min:.2f}, "
+                f"{t_max:.2f}] K"
             )
         position = (temperatures_k - t_min) / self.resolution_k
         index = np.clip(
@@ -269,30 +272,27 @@ class PolarizationSurface:
 
     # -- process-wide sharing --------------------------------------------------
 
-    #: Shared surfaces keyed on ``(flow, n_curve_points)``. Bounded: a
-    #: long-running sweep over many flows evicts the oldest surface rather
-    #: than growing without limit.
-    _SHARED: "dict[tuple[float, int], PolarizationSurface]" = {}
+    #: Shared surfaces keyed on flow. Bounded: a long-running sweep over
+    #: many flows evicts the oldest surface rather than growing without
+    #: limit.
+    _SHARED: "dict[float, PolarizationSurface]" = {}
     _SHARED_MAX = 32
 
     @classmethod
-    def shared(
-        cls, total_flow_ml_min: float, n_curve_points: int = 50
-    ) -> "PolarizationSurface":
-        """The process-wide default-window surface of a flow and curve
-        sampling (built on first use).
+    def shared(cls, total_flow_ml_min: float) -> "PolarizationSurface":
+        """The process-wide default-window surface of a flow (built on
+        first use).
 
         The single curve source behind
         :class:`~repro.cosim.coupling.ElectroThermalCosim`,
         :class:`~repro.cosim.transient.TransientCosim` and the ``cosim`` /
         ``transient`` sweep evaluators, the runtime engine and the fleet
-        chips: co-simulations with the same flow and curve sampling share
-        every node curve.
+        chips: co-simulations at the same flow share every node curve.
         """
-        key = (float(total_flow_ml_min), int(n_curve_points))
+        key = float(total_flow_ml_min)
         surface = cls._SHARED.get(key)
         if surface is None:
-            surface = cls(total_flow_ml_min, n_curve_points=n_curve_points)
+            surface = cls(total_flow_ml_min)
             while len(cls._SHARED) >= cls._SHARED_MAX:
                 cls._SHARED.pop(next(iter(cls._SHARED)))
             cls._SHARED[key] = surface
@@ -311,12 +311,11 @@ def warm_surfaces(
 
     ``queries`` holds ``(surface, temperatures_k)`` pairs; a surface may
     appear more than once. The missing bracketing nodes of all of them
-    are marched together: one
-    :func:`~repro.flowcell.batch.batched_polarization_curves` call per
-    curve sampling (``n_curve_points``), whatever
-    the surfaces' flows. The march is elementwise across cells, so a
-    node's curve is bit-identical whichever batch builds it. Returns how
-    many nodes were built.
+    are marched together in one
+    :func:`~repro.flowcell.batch.batched_polarization_curves` call,
+    whatever the surfaces' flows. The march is elementwise across cells,
+    so a node's curve is bit-identical whichever batch builds it. Returns
+    how many nodes were built.
     """
     missing: "dict[PolarizationSurface, set[int]]" = {}
     for surface, temperatures_k in queries:
@@ -328,38 +327,32 @@ def warm_surfaces(
 
 
 def _march_nodes(missing: "dict[PolarizationSurface, Iterable[int]]") -> int:
-    """Build the given nodes of each surface, one march per curve sampling."""
+    """Build the given nodes of each surface in one march."""
     from repro.casestudy.power7plus import build_array_cell
     from repro.flowcell.batch import batched_polarization_curves
 
-    marches: "dict[int, list[tuple[PolarizationSurface, int]]]" = {}
-    for surface, nodes in missing.items():
-        marches.setdefault(surface.n_curve_points, []).extend(
-            (surface, node) for node in sorted(nodes)
+    targets = [
+        (surface, node)
+        for surface, nodes in missing.items()
+        for node in sorted(nodes)
+    ]
+    if not targets:
+        return 0
+    # Warm counters: whether a node is already built depends on what
+    # earlier runs left in the shared surfaces.
+    obs.inc("surface.nodes_warmed", len(targets), warm=True)
+    obs.observe("surface.warm_nodes.size", len(targets), warm=True)
+    cells = [
+        build_array_cell(
+            total_flow_ml_min=surface.total_flow_ml_min,
+            temperature_k=float(surface.node_temperatures_k[node]),
+            temperature_dependent=True,
         )
-    for n_points, targets in marches.items():
-        # Warm counters: whether a node is already built depends on what
-        # earlier runs left in the shared surfaces.
-        obs.inc("surface.nodes_warmed", len(targets), warm=True)
-        obs.observe("surface.warm_nodes.size", len(targets), warm=True)
-        cells = [
-            build_array_cell(
-                total_flow_ml_min=surface.total_flow_ml_min,
-                temperature_k=float(surface.node_temperatures_k[node]),
-                temperature_dependent=True,
-            )
-            for surface, node in targets
-        ]
-        curves = batched_polarization_curves(
-            cells, n_points=n_points, max_overpotential_v=MAX_OVERPOTENTIAL_V
-        )
-        for (surface, node), curve in zip(targets, curves):
-            surface._curves[node] = curve.scaled(CHANNELS_PER_GROUP)
-    return sum(len(targets) for targets in marches.values())
-
-
-def surface_for(config: "CosimConfig") -> PolarizationSurface:
-    """The shared surface matching a co-simulation configuration."""
-    return PolarizationSurface.shared(
-        config.total_flow_ml_min, config.n_curve_points
+        for surface, node in targets
+    ]
+    curves = batched_polarization_curves(
+        cells, n_points=N_CURVE_POINTS, max_overpotential_v=MAX_OVERPOTENTIAL_V
     )
+    for (surface, node), curve in zip(targets, curves):
+        surface._curves[node] = curve.scaled(CHANNELS_PER_GROUP)
+    return len(targets)

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
+from repro.runtime.controllers import RELEASE_PEAK_C, TEMPERATURE_LIMIT_C
 from repro.sweep.evaluators import cosim_config
 from repro.sweep.spec import ScenarioSpec
 
@@ -52,9 +52,9 @@ def _sample_chips(model, temperatures: np.ndarray, config):
     generation saturates at the window edge rather than extrapolating.
     """
     from repro.cosim.coupling import coolant_columns
-    from repro.cosim.surface import surface_for
+    from repro.cosim.surface import PolarizationSurface
 
-    surface = surface_for(config)
+    surface = PolarizationSurface.shared(config.total_flow_ml_min)
     t_min, t_max = surface.temperature_range_k
     group_temps, _ = coolant_columns(model, temperatures)
     return (
@@ -101,7 +101,7 @@ def chip_metrics(
             "generated_w": generated,
             "pumping_w": pumping,
             "net_w": generated - pumping,
-            "feasible": float(peak_c <= DEFAULT_TEMPERATURE_LIMIT_C),
+            "feasible": float(peak_c <= TEMPERATURE_LIMIT_C),
         })
     return metrics
 
@@ -189,12 +189,13 @@ class ChipTable:
 
     ``peak_c`` / ``net_w`` / ``generated_w`` / ``pumping_w`` /
     ``current_a`` are ``(n_flows, n_utils)`` arrays indexed by the sorted
-    ``flows_ml_min`` and ``utilizations`` axes. The trip/release limits
-    encode the same hysteresis as
-    :class:`~repro.runtime.controllers.ThrottleGovernor`: a chip whose
-    requested level would exceed ``trip_temperature_c`` is throttled down
-    to the largest level at or below ``release_temperature_c`` — the
-    governor never parks a chip riding the trip limit itself.
+    ``flows_ml_min`` and ``utilizations`` axes. The throttle model is
+    the :class:`~repro.runtime.controllers.ThrottleGovernor`'s default
+    hysteresis: a chip whose requested level would exceed
+    :data:`~repro.runtime.controllers.TEMPERATURE_LIMIT_C` is throttled
+    down to the largest level at or below
+    :data:`~repro.runtime.controllers.RELEASE_PEAK_C` — the governor never
+    parks a chip riding the trip limit itself.
     """
 
     flows_ml_min: "tuple[float, ...]"
@@ -204,8 +205,6 @@ class ChipTable:
     generated_w: np.ndarray
     pumping_w: np.ndarray
     current_a: np.ndarray
-    trip_temperature_c: float = DEFAULT_TEMPERATURE_LIMIT_C
-    release_temperature_c: float = 80.0
 
     def __post_init__(self) -> None:
         n_flows, n_utils = len(self.flows_ml_min), len(self.utilizations)
@@ -215,10 +214,6 @@ class ChipTable:
             raise ConfigurationError("flow levels must be sorted ascending")
         if list(self.utilizations) != sorted(self.utilizations):
             raise ConfigurationError("utilizations must be sorted ascending")
-        if not self.release_temperature_c <= self.trip_temperature_c:
-            raise ConfigurationError(
-                "release temperature must be <= trip temperature"
-            )
         for name in ("peak_c", "net_w", "generated_w", "pumping_w",
                      "current_a"):
             if getattr(self, name).shape != (n_flows, n_utils):
@@ -233,8 +228,6 @@ class ChipTable:
         utilizations: "Sequence[float]",
         base: ScenarioSpec,
         runner,
-        trip_temperature_c: float = DEFAULT_TEMPERATURE_LIMIT_C,
-        release_temperature_c: float = 80.0,
     ) -> "ChipTable":
         """Evaluate the grid through ``runner`` and assemble the table.
 
@@ -261,8 +254,6 @@ class ChipTable:
             generated_w=grid("generated_w"),
             pumping_w=grid("pumping_w"),
             current_a=grid("array_current_a"),
-            trip_temperature_c=float(trip_temperature_c),
-            release_temperature_c=float(release_temperature_c),
         )
 
     # -- quantization -----------------------------------------------------------------
@@ -301,19 +292,19 @@ class ChipTable:
     @cached_property
     def max_trip_util_index(self) -> np.ndarray:
         """Largest sustainable util index per flow (peak <= trip limit)."""
-        return self._last_feasible_util(self.trip_temperature_c)
+        return self._last_feasible_util(TEMPERATURE_LIMIT_C)
 
     @cached_property
     def max_release_util_index(self) -> np.ndarray:
         """Largest util index a *throttled* chip recovers to per flow
         (peak <= release limit, the governor's hysteresis guard band)."""
-        return self._last_feasible_util(self.release_temperature_c)
+        return self._last_feasible_util(RELEASE_PEAK_C)
 
     @cached_property
     def min_feasible_flow_index(self) -> np.ndarray:
         """Per util level, the smallest flow index sustaining it without
         tripping (the top level if none does — best effort)."""
-        feasible = self.peak_c <= self.trip_temperature_c
+        feasible = self.peak_c <= TEMPERATURE_LIMIT_C
         first = np.argmax(feasible, axis=0)
         return np.where(feasible.any(axis=0), first, self.n_flows - 1).astype(int)
 

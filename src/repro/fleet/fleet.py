@@ -1,8 +1,8 @@
 """Fleet engine: many chips, one coolant supply, one traffic stream.
 
 :class:`FleetSpec` declares the whole rack-scale scenario — fleet size,
-allocation policy, hydraulic budget and quantization, traffic shape and
-skew, the per-chip coolant/electrical constants. :class:`FleetEngine`
+allocation policy, hydraulic budget, traffic shape and skew, the
+per-chip coolant/electrical constants. :class:`FleetEngine`
 evaluates it quasi-statically: every trace segment is long on the chip
 thermal time scale (the fleet trace compresses hours, the die settles in
 milliseconds), so each chip sits at the steady state of its quantized
@@ -31,7 +31,6 @@ import numpy as np
 
 from repro import obs
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
-from repro.core.metrics import DEFAULT_TEMPERATURE_LIMIT_C
 from repro.errors import ConfigurationError
 from repro.fleet.chip import ChipTable
 from repro.fleet.supply import (
@@ -41,7 +40,7 @@ from repro.fleet.supply import (
     jain_fairness,
     supply_distribution,
 )
-from repro.fleet.traffic import DEFAULT_USERS_PER_CHIP, TrafficModel
+from repro.fleet.traffic import TrafficModel
 from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import ScenarioSpec
 
@@ -59,6 +58,11 @@ def shared_fleet_runner() -> SweepRunner:
     return _SHARED_RUNNER
 
 
+#: Quantization of the fleet's utilization axis: a binary fraction, so
+#: the levels tile ``[0, 1]`` without float drift.
+UTILIZATION_RESOLUTION = 0.0625
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """One rack-scale co-design scenario, ready to evaluate.
@@ -72,8 +76,10 @@ class FleetSpec:
         ``uniform``, ``proportional`` or ``greedy``.
     supply_per_chip_ml_min:
         Pump budget per chip [ml/min]; total budget is ``n_chips`` times
-        this. Must lie within the per-chip flow bounds.
-    trace / trace_seed / skew / users_per_chip:
+        this. Must lie within the :class:`~repro.fleet.supply.SupplySpec`
+        per-chip flow bounds, whose defaults (and valve quantization) the
+        fleet uses.
+    trace / trace_seed / skew:
         Traffic model (see :class:`~repro.fleet.traffic.TrafficModel`).
     inlet_temperature_k / operating_voltage_v / pump_efficiency:
         Per-chip coolant and electrical constants (Table II nominal inlet,
@@ -81,16 +87,11 @@ class FleetSpec:
     nx / ny:
         Per-chip thermal raster (reduced 22x11 default, as the runtime
         preset uses; nx stays a multiple of the 11 channel groups).
-    min_flow_ml_min / max_flow_ml_min / flow_resolution_ml_min:
-        Per-chip flow bounds and valve quantization of the shared supply.
-    utilization_resolution:
-        Quantization of the utilization axis; ``1/resolution`` must be an
-        integer so the grid tiles ``[0, 1]`` exactly (binary fractions
-        like 0.0625 quantize without float drift).
-    trip_temperature_c / release_temperature_c:
-        Throttle hysteresis (defaults mirror
-        :class:`~repro.runtime.controllers.ThrottleGovernor`: trip at the
-        85 degC server-silicon limit, recover at 80 degC).
+
+    The utilization axis is quantized at :data:`UTILIZATION_RESOLUTION`,
+    and the throttle hysteresis is the
+    :class:`~repro.runtime.controllers.ThrottleGovernor`'s (see
+    :class:`~repro.fleet.chip.ChipTable`).
     """
 
     n_chips: int = 8
@@ -99,36 +100,17 @@ class FleetSpec:
     trace: str = "diurnal-bursty"
     trace_seed: int = 7
     skew: float = 0.35
-    users_per_chip: float = DEFAULT_USERS_PER_CHIP
     inlet_temperature_k: float = TABLE2["inlet_temperature_k"]
     operating_voltage_v: float = 1.0
     pump_efficiency: float = PAPER_ANCHORS["pump_efficiency"]
     nx: int = 22
     ny: int = 11
-    min_flow_ml_min: float = 16.0
-    max_flow_ml_min: float = 96.0
-    flow_resolution_ml_min: float = 8.0
-    utilization_resolution: float = 0.0625
-    trip_temperature_c: float = DEFAULT_TEMPERATURE_LIMIT_C
-    release_temperature_c: float = 80.0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown allocation policy {self.policy!r}; expected one "
                 f"of {POLICY_NAMES}"
-            )
-        steps = 1.0 / self.utilization_resolution
-        if not 0.0 < self.utilization_resolution <= 1.0 or (
-            abs(steps - round(steps)) > 1e-9
-        ):
-            raise ConfigurationError(
-                "utilization_resolution must tile [0, 1] exactly "
-                f"(got {self.utilization_resolution})"
-            )
-        if not self.release_temperature_c <= self.trip_temperature_c:
-            raise ConfigurationError(
-                "release temperature must be <= trip temperature"
             )
         # SupplySpec, TrafficModel and ScenarioSpec validate the rest
         # eagerly.
@@ -141,9 +123,6 @@ class FleetSpec:
         return SupplySpec(
             n_chips=self.n_chips,
             supply_per_chip_ml_min=self.supply_per_chip_ml_min,
-            min_flow_ml_min=self.min_flow_ml_min,
-            max_flow_ml_min=self.max_flow_ml_min,
-            resolution_ml_min=self.flow_resolution_ml_min,
         )
 
     def traffic(self) -> TrafficModel:
@@ -153,13 +132,12 @@ class FleetSpec:
             trace=self.trace,
             trace_seed=self.trace_seed,
             skew=self.skew,
-            users_per_chip=self.users_per_chip,
         )
 
     def utilization_levels(self) -> np.ndarray:
         """The quantized utilization grid over ``[0, 1]``, ascending."""
-        n_levels = int(round(1.0 / self.utilization_resolution)) + 1
-        return self.utilization_resolution * np.arange(n_levels, dtype=float)
+        n_levels = int(round(1.0 / UTILIZATION_RESOLUTION)) + 1
+        return UTILIZATION_RESOLUTION * np.arange(n_levels, dtype=float)
 
     def table_base_spec(self) -> ScenarioSpec:
         """The per-chip constants as a ``fleet_chip`` scenario base."""
@@ -324,8 +302,6 @@ class FleetEngine:
                 utilizations=self.spec.utilization_levels(),
                 base=self.spec.table_base_spec(),
                 runner=self.runner,
-                trip_temperature_c=self.spec.trip_temperature_c,
-                release_temperature_c=self.spec.release_temperature_c,
             )
         obs.gauge(
             "fleet.table.points",

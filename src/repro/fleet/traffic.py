@@ -25,11 +25,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.runtime.trace import WorkloadTrace, standard_trace
 
-#: Nominal users one chip serves at full utilization — the rack-scale
-#: narrative anchor (an 8-chip demo fleet is ~2M users, a 1k-chip rack
-#: fleet ~250M).
-DEFAULT_USERS_PER_CHIP = 250_000.0
-
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -48,22 +43,17 @@ class TrafficModel:
         ``exp(skew * z) / mean(...)`` with ``z`` standard normal, so 0
         means a perfect balancer (all chips identical) and larger values
         spread the fleet across the utilization range. Must be >= 0.
-    users_per_chip:
-        Nominal users one chip serves at full utilization (narrative
-        scaling only; the physics sees utilization).
     """
 
     n_chips: int
     trace: str = "diurnal-bursty"
     trace_seed: int = 7
     skew: float = 0.35
-    users_per_chip: float = DEFAULT_USERS_PER_CHIP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_chips", int(self.n_chips))
         object.__setattr__(self, "trace_seed", int(self.trace_seed))
         object.__setattr__(self, "skew", float(self.skew))
-        object.__setattr__(self, "users_per_chip", float(self.users_per_chip))
         if self.n_chips < 1:
             raise ConfigurationError("a fleet needs at least one chip")
         if self.trace_seed < 0:
@@ -72,11 +62,6 @@ class TrafficModel:
         if not 0.0 <= self.skew < math.inf:
             raise ConfigurationError(
                 f"skew must be finite and >= 0, got {self.skew}"
-            )
-        if not 0.0 < self.users_per_chip < math.inf:
-            raise ConfigurationError(
-                "users_per_chip must be finite and > 0, got "
-                f"{self.users_per_chip}"
             )
         # Validates the trace name eagerly (same closed-set policy as
         # ScenarioSpec).

@@ -43,6 +43,11 @@ from repro.errors import ConfigurationError
 #: the sweep evaluators' feasibility verdicts use).
 TEMPERATURE_LIMIT_C = DEFAULT_TEMPERATURE_LIMIT_C
 
+#: Peak below which a tripped governor releases its throttle [degC]: the
+#: hysteresis guard band under :data:`TEMPERATURE_LIMIT_C`, shared with
+#: the fleet chip table's throttle model.
+RELEASE_PEAK_C = 80.0
+
 
 class FixedFlow:
     """Open-loop constant flow — the paper's static operating point."""
@@ -152,7 +157,7 @@ class ThrottleGovernor:
     def __init__(
         self,
         trip_peak_c: float = TEMPERATURE_LIMIT_C,
-        release_peak_c: float = 80.0,
+        release_peak_c: float = RELEASE_PEAK_C,
         throttle_scale: float = 0.7,
         min_net_w: "float | None" = None,
     ) -> None:

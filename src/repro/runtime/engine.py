@@ -72,9 +72,6 @@ CONTROL_DT_S = 0.05
 #: Flow commands quantize to this grid [ml/min] (see module docstring).
 FLOW_RESOLUTION_ML_MIN = 16.0
 
-#: Samples of each group polarization curve on the runtime's surfaces.
-N_CURVE_POINTS = 40
-
 
 @dataclass
 class RuntimeConfig:
@@ -494,7 +491,7 @@ class BatchedRuntimeEngine:
                     peaks[lanes] = advanced.max(axis=0) - 273.15
                     mean_coolants_c[lanes] = mean_coolants_k - 273.15
                     pumpings[lanes] = self._pumping_w(flow)
-                    surface = PolarizationSurface.shared(flow, N_CURVE_POINTS)
+                    surface = PolarizationSurface.shared(flow)
                     stepped.append((lanes, surface, group_temps))
                 warm_surfaces(
                     (surface, temps) for _, surface, temps in stepped

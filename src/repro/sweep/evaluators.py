@@ -573,7 +573,7 @@ def run_runtime_scenarios(specs: "Sequence[ScenarioSpec]") -> list:
     return results
 
 
-@register_evaluator("runtime", version=2)
+@register_evaluator("runtime", version=3)
 def batch_runtime(
     specs: "Sequence[ScenarioSpec]",
 ) -> "list[dict[str, float]]":

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
+from repro.cosim.surface import N_CHANNEL_GROUPS
 from repro.errors import ConfigurationError
 
 #: Spec fields that identify a scenario physically; ``label`` is cosmetic
@@ -59,6 +60,13 @@ def _closed_sets() -> "dict[str, tuple[str, ...]]":
         "WORKLOAD_NAMES": WORKLOAD_NAMES, "TRACE_NAMES": TRACE_NAMES,
         "POLICY_NAMES": POLICY_NAMES,
     }
+
+
+#: Evaluators whose thermal raster is split into the channel groups, so
+#: their ``nx`` must be a multiple of the group count.
+_GROUPED_EVALUATORS = frozenset(
+    {"cosim", "transient", "runtime", "fleet_chip", "fleet"}
+)
 
 
 def _unknown(field: str, names: str) -> "Callable[[ScenarioSpec], bool]":
@@ -101,6 +109,10 @@ _RULES: "tuple[tuple[tuple[str, ...], Callable[[ScenarioSpec], bool], str], ...]
      "PID gains must be >= 0"),
     (("nx", "ny"), lambda s: s.nx < 2 or s.ny < 2,
      "thermal raster needs nx, ny >= 2"),
+    (("evaluator", "nx"),
+     lambda s: s.evaluator in _GROUPED_EVALUATORS and s.nx % N_CHANNEL_GROUPS,
+     "nx={s.nx} must be a multiple of the " + str(N_CHANNEL_GROUPS)
+     + " channel groups for the {s.evaluator!r} evaluator"),
     # The enum-like fields are closed sets; rejecting typos here means
     # a bad grid fails before any scenario has burned solver time.
     (("vrm",), _unknown("vrm", "VRM_NAMES"),

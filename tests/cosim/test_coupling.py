@@ -13,7 +13,7 @@ from repro.errors import ConfigurationError
 @pytest.fixture(scope="module")
 def nominal_result():
     """Nominal coupled run at a reduced raster for speed."""
-    config = CosimConfig(nx=44, ny=22, n_curve_points=35)
+    config = CosimConfig(nx=44, ny=22)
     return ElectroThermalCosim(config).run()
 
 
@@ -23,7 +23,7 @@ class TestConfig:
             CosimConfig(nx=90)
 
     def test_rejects_inlet_outside_surface_range(self):
-        with pytest.raises(ConfigurationError, match="surface range"):
+        with pytest.raises(ConfigurationError, match="inlet_temperature_k"):
             CosimConfig(inlet_temperature_k=500.0)
 
     @pytest.mark.parametrize(
@@ -75,7 +75,7 @@ class TestStressScenarios:
     def test_low_flow_gain_matches_paper(self):
         """48 ml/min: the paper's 'up to 23 %' power-gain scenario."""
         config = CosimConfig(
-            total_flow_ml_min=48.0, nx=44, ny=22, n_curve_points=35,
+            total_flow_ml_min=48.0, nx=44, ny=22,
         )
         result = ElectroThermalCosim(config).run()
         assert result.converged
@@ -84,7 +84,7 @@ class TestStressScenarios:
     def test_warm_inlet_gain_positive(self):
         """37 C inlet: a clear but smaller thermally induced gain."""
         config = CosimConfig(
-            inlet_temperature_k=310.15, nx=44, ny=22, n_curve_points=35,
+            inlet_temperature_k=310.15, nx=44, ny=22,
         )
         result = ElectroThermalCosim(config).run()
         assert result.converged
@@ -94,7 +94,7 @@ class TestStressScenarios:
 
     def test_warm_inlet_beats_nominal_current(self, nominal_result):
         config = CosimConfig(
-            inlet_temperature_k=310.15, nx=44, ny=22, n_curve_points=35,
+            inlet_temperature_k=310.15, nx=44, ny=22,
         )
         warm = ElectroThermalCosim(config).run()
         gain_vs_27c = warm.array_current_a / nominal_result.isothermal_current_a - 1.0
@@ -102,7 +102,7 @@ class TestStressScenarios:
 
     def test_low_flow_runs_hot(self):
         config = CosimConfig(
-            total_flow_ml_min=48.0, nx=44, ny=22, n_curve_points=35,
+            total_flow_ml_min=48.0, nx=44, ny=22,
         )
         result = ElectroThermalCosim(config).run()
         # ~45 K coolant rise at 48 ml/min pushes the peak toward 85-90 C.
@@ -140,7 +140,7 @@ class TestCurrentGainContract:
         currents and a nan gain (not a ZeroDivisionError, and not a fake
         finite gain from interpolation slivers)."""
         config = CosimConfig(
-            nx=22, ny=11, n_curve_points=30, operating_voltage_v=2.0,
+            nx=22, ny=11, operating_voltage_v=2.0,
         )
         result = ElectroThermalCosim(config).run()
         assert result.array_current_a == 0.0
@@ -151,11 +151,11 @@ class TestCurrentGainContract:
         """Rebinding .config between runs must not serve results from the
         stale surface or thermal model."""
         cosim = ElectroThermalCosim(
-            CosimConfig(nx=22, ny=11, n_curve_points=30)
+            CosimConfig(nx=22, ny=11)
         )
         nominal = cosim.run()
         cosim.config = CosimConfig(
-            nx=22, ny=11, n_curve_points=30, total_flow_ml_min=48.0,
+            nx=22, ny=11, total_flow_ml_min=48.0,
         )
         low_flow = cosim.run()
         assert low_flow.peak_temperature_c > nominal.peak_temperature_c + 20.0
@@ -165,7 +165,7 @@ class TestCurrentGainContract:
         """The persistent model and shared surface must not let one run
         contaminate the next (cell-heat map reset per run)."""
         cosim = ElectroThermalCosim(
-            CosimConfig(nx=22, ny=11, n_curve_points=30)
+            CosimConfig(nx=22, ny=11)
         )
         first = cosim.run()
         second = cosim.run()

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.casestudy.power7plus import build_array_cell
-from repro.cosim import CosimConfig, PolarizationSurface, surface_for, warm_surfaces
-from repro.cosim.surface import CHANNELS_PER_GROUP, MAX_OVERPOTENTIAL_V
+from repro.cosim import PolarizationSurface, warm_surfaces
+from repro.cosim.surface import (
+    CHANNELS_PER_GROUP,
+    MAX_OVERPOTENTIAL_V,
+    N_CURVE_POINTS,
+)
 from repro.errors import ConfigurationError
 from repro.flowcell.array import FlowCellArray
 
@@ -15,7 +19,7 @@ from repro.flowcell.array import FlowCellArray
 ENVELOPE_TEMPS_K = (300.0, 303.37, 310.15, 322.71, 341.0, 363.2)
 
 
-def direct_group_curve(flow_ml_min: float, temperature_k: float, n_points: int):
+def direct_group_curve(flow_ml_min: float, temperature_k: float):
     """The pre-refactor reference: a curve built at the exact temperature."""
     cell = build_array_cell(
         total_flow_ml_min=flow_ml_min,
@@ -23,7 +27,7 @@ def direct_group_curve(flow_ml_min: float, temperature_k: float, n_points: int):
         temperature_dependent=True,
     )
     return cell.polarization_curve(
-        n_points=n_points, max_overpotential_v=MAX_OVERPOTENTIAL_V
+        n_points=N_CURVE_POINTS, max_overpotential_v=MAX_OVERPOTENTIAL_V
     ).scaled(CHANNELS_PER_GROUP)
 
 
@@ -44,7 +48,7 @@ def count_marches(monkeypatch):
 
 @pytest.fixture(scope="module")
 def surface():
-    return PolarizationSurface(676.0, n_curve_points=35)
+    return PolarizationSurface(676.0)
 
 
 class TestAccuracy:
@@ -54,20 +58,20 @@ class TestAccuracy:
         across the co-sim operating envelope (the acceptance band)."""
         interpolated = surface.currents_at(ENVELOPE_TEMPS_K, voltage)
         for temperature, current in zip(ENVELOPE_TEMPS_K, interpolated):
-            curve = direct_group_curve(676.0, temperature, 35)
+            curve = direct_group_curve(676.0, temperature)
             direct = FlowCellArray.combine_at_voltage([curve], voltage)
             assert current == pytest.approx(direct, rel=5e-3)
 
     def test_ocvs_match_direct_construction(self, surface):
         ocvs = surface.ocvs_at(ENVELOPE_TEMPS_K)
         for temperature, ocv in zip(ENVELOPE_TEMPS_K, ocvs):
-            curve = direct_group_curve(676.0, temperature, 35)
+            curve = direct_group_curve(676.0, temperature)
             assert ocv == pytest.approx(curve.open_circuit_voltage_v, rel=5e-3)
 
     def test_exact_node_query_is_exact(self, surface):
         """A query landing on a grid node reproduces that node's curve."""
         node_t = float(surface.node_temperatures_k[100])
-        curve = direct_group_curve(676.0, node_t, 35)
+        curve = direct_group_curve(676.0, node_t)
         direct = FlowCellArray.combine_at_voltage([curve], 1.0)
         assert surface.current_at(node_t, 1.0) == pytest.approx(direct, rel=1e-12)
 
@@ -107,7 +111,7 @@ class TestVectorization:
 
 class TestGrid:
     def test_nodes_built_lazily(self):
-        fresh = PolarizationSurface(676.0, n_curve_points=20)
+        fresh = PolarizationSurface(676.0)
         assert fresh.nodes_built == 0
         fresh.currents_at([300.1, 300.2], 1.0)
         # Two queries inside one grid cell touch only its two nodes.
@@ -130,7 +134,6 @@ class TestGrid:
         {"resolution_k": -1.0},
         {"temperature_range_k": (400.0, 300.0)},
         {"temperature_range_k": (-10.0, 300.0)},
-        {"n_curve_points": 1},
     ])
     def test_validation_rejects(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -167,14 +170,13 @@ class TestGridEdges:
     @pytest.fixture(scope="class")
     def narrow(self):
         return PolarizationSurface(
-            676.0, n_curve_points=35,
-            temperature_range_k=(300.0, 304.0), resolution_k=1.0,
+            676.0, temperature_range_k=(300.0, 304.0), resolution_k=1.0,
         )
 
     @pytest.mark.parametrize("edge", [0, -1])
     def test_edge_queries_match_direct_construction(self, narrow, edge):
         edge_t = float(narrow.node_temperatures_k[edge])
-        curve = direct_group_curve(676.0, edge_t, 35)
+        curve = direct_group_curve(676.0, edge_t)
         direct = FlowCellArray.combine_at_voltage([curve], 1.0)
         # Exact, not approximately: the edge query must evaluate the
         # edge node's own curve, with zero interpolation weight leaking
@@ -196,6 +198,16 @@ class TestGridEdges:
             with pytest.raises(ConfigurationError, match="outside"):
                 narrow.ocvs_at([bad])
 
+    def test_out_of_window_error_names_the_coolant_and_window(self, narrow):
+        """No caller can set the window, so the error names the coolant
+        temperature and the window it left, not a knob."""
+        with pytest.raises(ConfigurationError) as caught:
+            narrow.current_at(310.0, 1.0)
+        message = str(caught.value)
+        assert "coolant temperature" in message
+        assert "window [300.00, 304.00] K" in message
+        assert "temperature_range_k" not in message
+
     def test_one_bad_temperature_fails_the_whole_batch(self, narrow):
         lo, hi = narrow.temperature_range_k
         with pytest.raises(ConfigurationError):
@@ -203,8 +215,7 @@ class TestGridEdges:
 
     def test_non_multiple_span_overshoots_to_the_next_node(self):
         surface = PolarizationSurface(
-            676.0, n_curve_points=20,
-            temperature_range_k=(300.0, 301.3), resolution_k=0.5,
+            676.0, temperature_range_k=(300.0, 301.3), resolution_k=0.5,
         )
         lo, hi = surface.temperature_range_k
         assert lo == pytest.approx(300.0)
@@ -229,21 +240,22 @@ class TestGridEdges:
 
 
 class TestSharing:
-    def test_same_config_shares_one_surface(self):
-        config = CosimConfig(nx=44, ny=22, n_curve_points=35)
-        assert surface_for(config) is surface_for(config)
+    def test_same_flow_shares_one_surface(self):
+        assert PolarizationSurface.shared(676.0) is PolarizationSurface.shared(
+            676
+        )
 
     def test_different_flow_gets_its_own_surface(self):
-        base = CosimConfig(nx=44, ny=22)
-        low = CosimConfig(nx=44, ny=22, total_flow_ml_min=48.0)
-        assert surface_for(base) is not surface_for(low)
+        assert (
+            PolarizationSurface.shared(676.0)
+            is not PolarizationSurface.shared(48.0)
+        )
 
     def test_clear_shared_resets(self):
-        config = CosimConfig(nx=44, ny=22, n_curve_points=25)
-        first = surface_for(config)
+        first = PolarizationSurface.shared(676.0)
         PolarizationSurface.clear_shared()
         try:
-            assert surface_for(config) is not first
+            assert PolarizationSurface.shared(676.0) is not first
         finally:
             PolarizationSurface.clear_shared()
 
@@ -269,11 +281,11 @@ class TestHistoryIndependence:
         """A surface whose own queries (scalar or array) warm its nodes
         matches one warmed in a cross-surface batch, bit for bit."""
         alone, batched = (
-            PolarizationSurface(676.0, n_curve_points=35)
+            PolarizationSurface(676.0)
             for _ in range(2)
         )
         others = [
-            PolarizationSurface(flow, n_curve_points=35)
+            PolarizationSurface(flow)
             for flow in (169.0, 1352.0)
         ]
         # One prefill of every node the queries touch, one more pair, and
@@ -303,22 +315,19 @@ class TestHistoryIndependence:
         self._assert_same_nodes(alone, batched)
 
     def test_cross_surface_warm_is_batch_independent(self, monkeypatch):
-        """Surfaces at three flows and two curve samplings warmed by one
-        call hold the node curves each would build alone, and the call
-        makes exactly one march per sampling."""
+        """Surfaces at three flows warmed by one call hold the node curves
+        each would build alone, and the call makes exactly one march."""
         def surfaces():
             return [
-                PolarizationSurface(flow, n_curve_points=points)
-                for flow in (169.0, 676.0, 1352.0) for points in (35, 50)
+                PolarizationSurface(flow) for flow in (169.0, 676.0, 1352.0)
             ]
 
-        temps = [(300.2 + 7.0 * k, 341.0 - 3.5 * k) for k in range(6)]
+        temps = [(300.2 + 7.0 * k, 341.0 - 3.5 * k) for k in range(3)]
         together, alone = surfaces(), surfaces()
         marches = count_marches(monkeypatch)
         built = warm_surfaces(zip(together, temps))
-        assert [size for size, _ in marches] == [12, 12]
-        assert sorted(points for _, points in marches) == [35, 50]
-        assert built == 24
+        assert marches == [(12, N_CURVE_POINTS)]
+        assert built == 12
         for surface, surface_temps in zip(alone, temps):
             assert surface.warm_nodes(surface_temps) == 4
         for surface, twin in zip(alone, together):
@@ -328,9 +337,9 @@ class TestHistoryIndependence:
     def test_runtime_fleet_chip_and_transient_share_one_surface(
         self, monkeypatch
     ):
-        """One curve construction, so one surface per flow and curve
-        sampling: at the fleet chips' sampling, the runtime engine, a
-        fleet chip and the transient stepper all query the same object."""
+        """One curve construction and one sampling, so one surface per
+        flow: the runtime engine, a fleet chip and the transient stepper
+        all query the same object."""
         from repro.cosim import TransientCosim
         from repro.fleet.chip import batch_chip_states
         from repro.sweep.evaluators import cosim_config
@@ -340,7 +349,6 @@ class TestHistoryIndependence:
             RuntimeConfig,
             TraceSegment,
             WorkloadTrace,
-            engine,
         )
         from repro.sweep.spec import ScenarioSpec
 
@@ -352,7 +360,6 @@ class TestHistoryIndependence:
             return real_currents_at(surface, temperatures_k, voltage_v)
 
         monkeypatch.setattr(PolarizationSurface, "currents_at", recording)
-        monkeypatch.setattr(engine, "N_CURVE_POINTS", 50)
         spec = ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
                             total_flow_ml_min=676.0, utilization=0.7)
         PolarizationSurface.clear_shared()
@@ -376,7 +383,46 @@ class TestHistoryIndependence:
         assert set(queried) == {"fleet chip", "runtime", "transient"}
         assert len(set().union(*queried.values())) == 1
 
-    def test_fleet_chip_ignores_earlier_batched_runs(self, monkeypatch):
+    def test_one_surface_per_flow_builds_each_node_once(self):
+        """A fleet chip, a one-lane runtime run and a step response at one
+        flow share one surface, and no node of it is marched twice."""
+        from repro import obs
+        from repro.cosim import TransientCosim
+        from repro.fleet.chip import batch_chip_states
+        from repro.runtime import (
+            BatchedRuntimeEngine,
+            FixedFlow,
+            RuntimeConfig,
+            TraceSegment,
+            WorkloadTrace,
+        )
+        from repro.sweep.evaluators import cosim_config
+        from repro.sweep.spec import ScenarioSpec
+
+        spec = ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
+                            total_flow_ml_min=676.0, utilization=0.7)
+        PolarizationSurface.clear_shared()
+        obs.start()
+        try:
+            batch_chip_states([spec])
+            BatchedRuntimeEngine(
+                [FixedFlow(spec.total_flow_ml_min)],
+                config=RuntimeConfig(nx=22, ny=11),
+            ).run(WorkloadTrace("hold", [
+                TraceSegment(0.1, spec.utilization, spec.workload)
+            ]))
+            TransientCosim(cosim_config(spec)).run_step_response(
+                0.4, spec.utilization, 0.1, 0.05
+            )
+            warmed = obs.snapshot()["warm"]["counters"]["surface.nodes_warmed"]
+            assert len(PolarizationSurface._SHARED) == 1
+            (surface,) = PolarizationSurface._SHARED.values()
+            assert warmed == surface.nodes_built > 0
+        finally:
+            obs.stop()
+            PolarizationSurface.clear_shared()
+
+    def test_fleet_chip_ignores_earlier_batched_runs(self):
         """Runtime runs and batched step responses warm surfaces at the
         fleet chips' coolant points; the chip metrics must not notice."""
         from repro.cosim.batch import StepResponseCase, batched_step_responses
@@ -388,12 +434,9 @@ class TestHistoryIndependence:
             RuntimeConfig,
             TraceSegment,
             WorkloadTrace,
-            engine,
         )
         from repro.sweep.spec import ScenarioSpec
 
-        # At the chips' curve sampling the runtime shares their surfaces.
-        monkeypatch.setattr(engine, "N_CURVE_POINTS", 50)
         specs = [
             ScenarioSpec(evaluator="fleet_chip", nx=22, ny=11,
                          total_flow_ml_min=flow, utilization=utilization)

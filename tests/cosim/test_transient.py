@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture(scope="module")
 def cosim():
-    return TransientCosim(CosimConfig(nx=22, ny=11, n_curve_points=30))
+    return TransientCosim(CosimConfig(nx=22, ny=11))
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ class TestPartialFinalStep:
             return real(matrix, capacitance, dt_s)
 
         monkeypatch.setattr(thermal_model, "factorize_transient", counting)
-        fresh = TransientCosim(CosimConfig(nx=22, ny=11, n_curve_points=30))
+        fresh = TransientCosim(CosimConfig(nx=22, ny=11))
         fresh.run_step_response(0.1, 1.0, duration_s=0.5, dt_s=0.05)
         assert dts == [0.025]
 
@@ -121,9 +121,9 @@ def direct_march(config, u_before, u_after, duration_s, dt_s, n_full):
         full_load_power_map,
     )
     from repro.cosim.coupling import group_coolant_temperatures
-    from repro.cosim.surface import surface_for
+    from repro.cosim.surface import PolarizationSurface
 
-    surface = surface_for(config)
+    surface = PolarizationSurface.shared(config.total_flow_ml_min)
 
     def sample(time_s, thermal):
         temps = group_coolant_temperatures(thermal)
@@ -174,7 +174,7 @@ class TestStepResponseOracle:
     def test_bit_identical_to_direct_march(
         self, u_before, u_after, duration_s, dt_s, n_full
     ):
-        config = CosimConfig(nx=22, ny=11, n_curve_points=30)
+        config = CosimConfig(nx=22, ny=11)
         got = TransientCosim(config).run_step_response(
             u_before, u_after, duration_s=duration_s, dt_s=dt_s
         )
@@ -183,7 +183,7 @@ class TestStepResponseOracle:
         assert got == want
 
     def test_other_coolant_point(self):
-        config = CosimConfig(nx=22, ny=11, n_curve_points=30,
+        config = CosimConfig(nx=22, ny=11,
                              total_flow_ml_min=338.0,
                              inlet_temperature_k=310.0)
         got = TransientCosim(config).run_step_response(

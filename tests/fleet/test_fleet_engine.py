@@ -166,3 +166,9 @@ class TestSpecBoundary:
         ``tests/test_nonfinite_guards.py``)."""
         with pytest.raises(ConfigurationError):
             FleetSpec(**{field: value})
+
+    def test_undivided_raster_fails_at_construction(self):
+        """The chips' raster is split into the channel groups; an nx they
+        do not divide fails with the spec, naming nx."""
+        with pytest.raises(ConfigurationError, match="nx=23"):
+            FleetSpec(nx=23)

@@ -48,8 +48,6 @@ def synthetic_table() -> ChipTable:
         generated_w=generated,
         pumping_w=pumping,
         current_a=np.full_like(generated, 5.0),
-        trip_temperature_c=85.0,
-        release_temperature_c=80.0,
     )
 
 
@@ -63,7 +61,6 @@ def fleet_engine(n_chips: int, policy: str, supply: float) -> FleetEngine:
         n_chips=n_chips,
         policy=policy,
         supply_per_chip_ml_min=supply,
-        utilization_resolution=0.125,
     )
     engine = FleetEngine(spec)
     engine.__dict__["chip_table"] = TABLE

@@ -68,6 +68,23 @@ class TestRuntimeConfig:
             config(**kwargs)
 
 
+    @pytest.mark.parametrize("inlet_k", [240.0, 460.0])
+    def test_rejects_inlet_outside_surface_window(self, inlet_k):
+        """An inlet the polarization surface cannot cover fails with the
+        config, by name, not after the first steady solve and step."""
+        with pytest.raises(ConfigurationError, match="inlet_temperature_k"):
+            config(inlet_temperature_k=inlet_k)
+
+    def test_runtime_spec_names_an_inlet_outside_the_window(self):
+        from repro.sweep import ScenarioSpec
+        from repro.sweep.evaluators import evaluate_spec
+
+        spec = ScenarioSpec(evaluator="runtime", nx=22, ny=11,
+                            inlet_temperature_k=460.0)
+        with pytest.raises(ConfigurationError, match="inlet_temperature_k"):
+            evaluate_spec(spec)
+
+
 class TestEngineTrajectory:
     @pytest.fixture(scope="class")
     def fixed_result(self) -> RuntimeResult:
@@ -322,7 +339,7 @@ class TestScalarOracle:
         from repro.casestudy.workloads import standard_workloads
         from repro.cosim.coupling import group_coolant_temperatures
         from repro.cosim.surface import PolarizationSurface
-        from repro.runtime.engine import CONTROL_DT_S, N_CURVE_POINTS
+        from repro.runtime.engine import CONTROL_DT_S
 
         workloads = {w.name: w for w in standard_workloads()}
 
@@ -334,7 +351,7 @@ class TestScalarOracle:
             nx=cfg.nx, ny=cfg.ny, total_flow_ml_min=flow_ml_min,
             inlet_temperature_k=cfg.inlet_temperature_k,
         )
-        surface = PolarizationSurface.shared(flow_ml_min, N_CURVE_POINTS)
+        surface = PolarizationSurface.shared(flow_ml_min)
         pumping = array_pumping_power_w(
             flow_ml_min, pump_efficiency=cfg.pump_efficiency
         )

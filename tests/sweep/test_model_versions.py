@@ -7,8 +7,9 @@ reduced 22x11 raster, evaluated on the serial backend, each keyed by
 unchanged; the steady evaluators, bumped when serial evaluation became
 a batch of one and again when their columns moved onto a family's
 canonical Krylov space, and the transient and runtime evaluators,
-bumped when their state columns became one triangular solve each, must
-read their old entries as plain misses and re-evaluate.
+bumped when their state columns became one triangular solve each (the
+runtime again when its surfaces moved to the shared curve sampling),
+must read their old entries as plain misses and re-evaluate.
 """
 
 import hashlib
@@ -28,10 +29,25 @@ PARENT_STORE = Path(__file__).parent / "data" / "parent_store"
 #: Bumped evaluators and their versions: the steady ones moved when their
 #: scalar twin was deleted and again with the canonical Krylov space
 #: (version 3); a transient or runtime column's bits stopped depending on
-#: its batch width (version 2).
+#: its batch width (version 2), and the runtime's polarization surfaces
+#: moved from 40 to the shared 50 curve points (version 3).
 VERSIONS = {
     "fleet_chip": 3, "geometry": 3, "operating_point": 3, "workload": 3,
-    "runtime": 2, "transient": 2,
+    "runtime": 3, "transient": 2,
+}
+
+#: How far each bumped evaluator's metrics may move from the parent
+#: store's, by ``(evaluator, metric)``; everything else moved only at the
+#: rounding level. The runtime's finer curve sampling is a deliberate
+#: model change: its generated current, and with it the electrical
+#: metrics, rose by ~2e-4 relative, while its thermal trajectory and
+#: control decisions never read the current.
+MOVED_RTOL = {
+    ("runtime", name): 1e-3
+    for name in (
+        "harvested_energy_j", "net_energy_j", "mean_net_w",
+        "final_state_of_charge",
+    )
 }
 BUMPED = tuple(VERSIONS)
 
@@ -95,13 +111,17 @@ def test_parent_store_replays_unchanged_and_misses_bumped(tmp_path):
             assert result.from_cache
             assert result.metrics == parent
         else:
-            # Re-evaluated, and moved only at the rounding level.
+            # Re-evaluated, and moved only at the rounding level, or
+            # within the bound of a deliberate model change.
             assert not result.from_cache
             assert set(result.metrics) == set(parent)
             for name, value in parent.items():
-                assert result.metrics[name] == pytest.approx(
-                    value, rel=EQUIVALENCE_RTOL, abs=EQUIVALENCE_RTOL
+                rtol = MOVED_RTOL.get(
+                    (result.spec.evaluator, name), EQUIVALENCE_RTOL
                 )
+                assert result.metrics[name] == pytest.approx(
+                    value, rel=rtol, abs=EQUIVALENCE_RTOL
+                ), (result.spec.evaluator, name)
 
     # The re-evaluated entries land beside the parent's; a second reader
     # replays everything.

@@ -47,6 +47,23 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(**changes)
 
+    @pytest.mark.parametrize(
+        "evaluator", ["cosim", "transient", "runtime", "fleet_chip", "fleet"]
+    )
+    def test_grouped_evaluators_reject_an_undivided_raster(self, evaluator):
+        """These evaluators split nx into the 11 channel groups: a raster
+        the groups do not divide fails at construction and on replace of
+        either field, naming nx, instead of at evaluation."""
+        with pytest.raises(ConfigurationError, match="nx=23"):
+            ScenarioSpec(evaluator=evaluator, nx=23, ny=11)
+        with pytest.raises(ConfigurationError, match="nx=23"):
+            ScenarioSpec(evaluator=evaluator, nx=22, ny=11).replace(nx=23)
+        with pytest.raises(ConfigurationError, match="nx=23"):
+            ScenarioSpec(nx=23, ny=11).replace(evaluator=evaluator)
+
+    def test_operating_point_takes_any_raster(self):
+        assert ScenarioSpec(evaluator="operating_point", nx=23, ny=11).nx == 23
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("field", ScenarioSpec._FLOAT_FIELDS)
     def test_non_finite_floats_rejected_by_name(self, field, value):

@@ -90,7 +90,6 @@ CASES = [
     ("release_peak_c", lambda v: ThrottleGovernor(release_peak_c=v)),
     ("min_net_w", lambda v: ThrottleGovernor(min_net_w=v)),
     ("skew", lambda v: TrafficModel(n_chips=4, skew=v)),
-    ("users_per_chip", lambda v: TrafficModel(n_chips=4, users_per_chip=v)),
     ("skew", lambda v: FleetSpec(skew=v)),
     ("operating_voltage_v", lambda v: FleetSpec(operating_voltage_v=v)),
     ("inlet_temperature_k", lambda v: FleetSpec(inlet_temperature_k=v)),
