@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.runtime.controllers import RELEASE_PEAK_C, TEMPERATURE_LIMIT_C
+from repro.runtime import controllers
 from repro.sweep.evaluators import cosim_config
 from repro.sweep.spec import ScenarioSpec
 
@@ -101,7 +101,7 @@ def chip_metrics(
             "generated_w": generated,
             "pumping_w": pumping,
             "net_w": generated - pumping,
-            "feasible": float(peak_c <= TEMPERATURE_LIMIT_C),
+            "feasible": float(peak_c <= controllers.TEMPERATURE_LIMIT_C),
         })
     return metrics
 
@@ -292,19 +292,19 @@ class ChipTable:
     @cached_property
     def max_trip_util_index(self) -> np.ndarray:
         """Largest sustainable util index per flow (peak <= trip limit)."""
-        return self._last_feasible_util(TEMPERATURE_LIMIT_C)
+        return self._last_feasible_util(controllers.TEMPERATURE_LIMIT_C)
 
     @cached_property
     def max_release_util_index(self) -> np.ndarray:
         """Largest util index a *throttled* chip recovers to per flow
         (peak <= release limit, the governor's hysteresis guard band)."""
-        return self._last_feasible_util(RELEASE_PEAK_C)
+        return self._last_feasible_util(controllers.RELEASE_PEAK_C)
 
     @cached_property
     def min_feasible_flow_index(self) -> np.ndarray:
         """Per util level, the smallest flow index sustaining it without
         tripping (the top level if none does — best effort)."""
-        feasible = self.peak_c <= TEMPERATURE_LIMIT_C
+        feasible = self.peak_c <= controllers.TEMPERATURE_LIMIT_C
         first = np.argmax(feasible, axis=0)
         return np.where(feasible.any(axis=0), first, self.n_flows - 1).astype(int)
 

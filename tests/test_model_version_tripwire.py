@@ -33,7 +33,7 @@ def _exports(tmp_path, base_rows, head_rows):
 @pytest.fixture
 def versions(monkeypatch):
     """Base and head trees whose runtime versions the test sets."""
-    trees = {"base": {"runtime": 2}, "head": {"runtime": 2}}
+    trees = {"base": {"runtime": 2}, str(tripwire.HEAD_SRC): {"runtime": 2}}
     monkeypatch.setattr(
         tripwire, "tree_info", lambda src: (FIELDS, trees[src])
     )
@@ -43,7 +43,7 @@ def versions(monkeypatch):
 def test_unchanged_exports_pass(tmp_path, versions):
     rows = ["runtime,22,,1.5\n", "runtime,44,,1.25\n"]
     base, head = _exports(tmp_path, rows, rows)
-    assert tripwire.findings(base, head, "base", "head") == []
+    assert tripwire.findings(base, head, "base") == []
 
 
 def test_moved_metric_without_a_bump_is_a_finding(tmp_path, versions):
@@ -51,20 +51,20 @@ def test_moved_metric_without_a_bump_is_a_finding(tmp_path, versions):
         tmp_path, ["runtime,22,,1.5\n", "runtime,44,,1.25\n"],
         ["runtime,22,,1.5\n", "runtime,44,,1.2500001\n"],
     )
-    (found,) = tripwire.findings(base, head, "base", "head")
+    (found,) = tripwire.findings(base, head, "base")
     assert "'runtime' moved ['net_w'] at model version 2" in found
-    versions["head"]["runtime"] = 3
-    assert tripwire.findings(base, head, "base", "head") == []
+    versions[str(tripwire.HEAD_SRC)]["runtime"] = 3
+    assert tripwire.findings(base, head, "base") == []
 
 
 def test_scenarios_only_one_side_has_are_ignored(tmp_path, versions):
     base, head = _exports(
         tmp_path, ["runtime,22,,1.5\n"], ["runtime,33,,9.0\n"],
     )
-    assert tripwire.findings(base, head, "base", "head") == []
+    assert tripwire.findings(base, head, "base") == []
 
 
 def test_tree_info_reads_the_source_tree():
-    fields, versions = tripwire.tree_info(str(REPO_ROOT / "src"))
+    fields, versions = tripwire.tree_info(str(tripwire.HEAD_SRC))
     assert {"evaluator", "nx", "label"} <= fields
     assert versions["runtime"] == 3

@@ -4,7 +4,7 @@ Store keys carry each evaluator's model version, so a change that moves
 an evaluator's numbers must bump it: otherwise a store filled by the old
 code replays stale results as the new model's. This script compares two
 directories of ``repro sweep --csv`` exports, one made at a base commit
-and one at the head, file by file (same names, ``sweep_*.csv``). A row
+and one at this script's own tree (the head), file by file (same names, ``sweep_*.csv``). A row
 is one scenario, keyed by its spec columns. Every scenario present in
 both exports whose metric cells differ is a finding unless its
 evaluator's model version differs between the two source trees. Exit 1
@@ -13,7 +13,7 @@ on any finding, 0 otherwise.
 Usage::
 
     python tools/model_version_tripwire.py --base-src BASE/src \\
-        BASE_EXPORTS HEAD_EXPORTS [--head-src src]
+        BASE_EXPORTS HEAD_EXPORTS
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+#: The head source tree: the one this script belongs to.
+HEAD_SRC = Path(__file__).resolve().parents[1] / "src"
 
 _VERSIONS = (
     "import json; from repro.sweep import ScenarioSpec; "
@@ -56,13 +59,11 @@ def read_rows(path: Path, spec_fields: "set[str]") -> "dict[tuple, dict]":
     }
 
 
-def findings(
-    base_dir: Path, head_dir: Path, base_src: str, head_src: str
-) -> "list[str]":
+def findings(base_dir: Path, head_dir: Path, base_src: str) -> "list[str]":
     """One line per export and evaluator whose metrics moved without a
     model-version bump."""
     base_fields, base_versions = tree_info(base_src)
-    head_fields, head_versions = tree_info(head_src)
+    head_fields, head_versions = tree_info(str(HEAD_SRC))
     spec_fields = base_fields & head_fields
     found = []
     for base_path in sorted(base_dir.glob("sweep_*.csv")):
@@ -102,11 +103,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("base_exports", type=Path)
     parser.add_argument("head_exports", type=Path)
     parser.add_argument("--base-src", required=True)
-    parser.add_argument("--head-src", default="src")
     args = parser.parse_args(argv)
-    found = findings(
-        args.base_exports, args.head_exports, args.base_src, args.head_src
-    )
+    found = findings(args.base_exports, args.head_exports, args.base_src)
     for line in found:
         print(f"model-version tripwire: {line}", file=sys.stderr)
     return 1 if found else 0
