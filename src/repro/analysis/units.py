@@ -127,7 +127,7 @@ DIMENSIONLESS_MARKERS: "frozenset[str]" = frozenset({
     "enhancement", "boost", "elasticity",
     # unit-polymorphic slots (axis bounds, table values, PID gains)
     "lo", "hi", "bound", "value", "vmin", "vmax", "threshold", "step",
-    "kp", "ki", "kd", "users",
+    "kp", "ki", "users",
 })
 
 #: Snake-case phrases that satisfy RPL203 as a whole even though no

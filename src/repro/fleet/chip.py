@@ -190,8 +190,9 @@ class ChipTable:
     ``peak_c`` / ``net_w`` / ``generated_w`` / ``pumping_w`` /
     ``current_a`` are ``(n_flows, n_utils)`` arrays indexed by the sorted
     ``flows_ml_min`` and ``utilizations`` axes. The throttle model is
-    the :class:`~repro.runtime.controllers.ThrottleGovernor`'s default
-    hysteresis: a chip whose requested level would exceed
+    the runtime governor's hysteresis
+    (:class:`~repro.runtime.controllers.VectorThrottleGovernors`): a chip
+    whose requested level would exceed
     :data:`~repro.runtime.controllers.TEMPERATURE_LIMIT_C` is throttled
     down to the largest level at or below
     :data:`~repro.runtime.controllers.RELEASE_PEAK_C` — the governor never

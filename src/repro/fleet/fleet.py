@@ -11,10 +11,11 @@ milliseconds), so each chip sits at the steady state of its quantized
 (vectorized backend by default, memoized through the
 :class:`~repro.store.ResultStore` like any scenario batch).
 
-Throttling mirrors :class:`~repro.runtime.controllers.ThrottleGovernor`:
-a chip whose requested level would exceed the trip limit at its allocated
-flow is served at the release-limit level instead (the hysteresis guard
-band), and the shortfall is counted as shed load.
+Throttling mirrors the runtime governor
+(:class:`~repro.runtime.controllers.VectorThrottleGovernors`): a chip
+whose requested level would exceed the trip limit at its allocated flow
+is served at the release-limit level instead (the hysteresis guard band),
+and the shortfall is counted as shed load.
 
 :class:`FleetResult` carries per-chip aggregates plus the fleet KPIs the
 ROADMAP asks for: total net energy, worst-case junction temperature,
@@ -89,8 +90,7 @@ class FleetSpec:
         preset uses; nx stays a multiple of the 11 channel groups).
 
     The utilization axis is quantized at :data:`UTILIZATION_RESOLUTION`,
-    and the throttle hysteresis is the
-    :class:`~repro.runtime.controllers.ThrottleGovernor`'s (see
+    and the throttle hysteresis is the runtime governor's (see
     :class:`~repro.fleet.chip.ChipTable`).
     """
 

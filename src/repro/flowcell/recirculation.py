@@ -79,19 +79,6 @@ class ElectrolyteReservoir:
         charged = self._conc_red if self.is_fuel else self._conc_ox
         return self.electrolyte.couple.electrons * FARADAY * charged * self.volume_m3
 
-    def set_concentrations(
-        self, conc_ox_mol_m3: float, conc_red_mol_m3: float
-    ) -> None:
-        """Overwrite the present composition — e.g. with the state a
-        batched stepper advanced outside this object."""
-        if conc_ox_mol_m3 < 0.0 or conc_red_mol_m3 < 0.0:
-            raise ConfigurationError(
-                f"concentrations must be >= 0 mol/m^3, got "
-                f"ox={conc_ox_mol_m3}, red={conc_red_mol_m3}"
-            )
-        self._conc_ox = float(conc_ox_mol_m3)
-        self._conc_red = float(conc_red_mol_m3)
-
     def current_composition(self) -> Electrolyte:
         """An :class:`Electrolyte` snapshot at the present composition."""
         return self.electrolyte.with_concentrations(self._conc_ox, self._conc_red)

@@ -8,11 +8,12 @@ power-delivery demands as workload varies:
 
 - :mod:`repro.runtime.trace` — piecewise workload schedules and the
   synthetic generators (step, ramp, square, bursty, diurnal);
-- :mod:`repro.runtime.controllers` — flow-control policies (fixed, PID
-  on peak junction temperature), a hysteresis throttle governor, and the
-  lane-array control law that runs them;
+- :mod:`repro.runtime.controllers` — flow-control policies (fixed, PI
+  on peak junction temperature) and the lane-array control law that runs
+  them, with the hysteresis throttle governor every lane runs;
 - :mod:`repro.runtime.state` — electrolyte reservoir state-of-charge
-  along a trace (the flow-battery storage side);
+  along a trace (the flow-battery storage side), one fresh case-study
+  reservoir per lane;
 - :mod:`repro.runtime.engine` — :class:`BatchedRuntimeEngine`, the one
   stepper tying them together: it advances one or many scenario lanes
   per control interval (vector controllers, array SOC, thermal steps
@@ -29,7 +30,6 @@ beats the paper's fixed nominal flow on net energy without violating the
 from repro.runtime.controllers import (
     FixedFlow,
     PIDFlowController,
-    ThrottleGovernor,
     VectorFlowControllers,
     VectorThrottleGovernors,
 )
@@ -39,11 +39,7 @@ from repro.runtime.engine import (
     RuntimeResult,
     RuntimeSample,
 )
-from repro.runtime.state import (
-    ElectrolyteState,
-    ElectrolyteStateArray,
-    build_case_study_loop,
-)
+from repro.runtime.state import ElectrolyteStateArray, build_case_study_loop
 from repro.runtime.trace import (
     TRACE_NAMES,
     TraceSegment,
@@ -60,14 +56,12 @@ from repro.runtime.trace import (
 __all__ = [
     "TRACE_NAMES",
     "BatchedRuntimeEngine",
-    "ElectrolyteState",
     "ElectrolyteStateArray",
     "FixedFlow",
     "PIDFlowController",
     "RuntimeConfig",
     "RuntimeResult",
     "RuntimeSample",
-    "ThrottleGovernor",
     "VectorFlowControllers",
     "VectorThrottleGovernors",
     "TraceSegment",

@@ -4,14 +4,13 @@ This is the dynamic counterpart of :class:`~repro.cosim.coupling.
 ElectroThermalCosim` (one operating point, run to a fixed point) and
 :class:`~repro.cosim.transient.TransientCosim` (one open-loop step): a
 :class:`BatchedRuntimeEngine` executes a whole :class:`~repro.runtime.
-trace.WorkloadTrace` while flow controllers and throttle governors close
-the loop around the thermal state — the paper's "one coolant stream
+trace.WorkloadTrace` while flow controllers and the throttle governor
+close the loop around the thermal state — the paper's "one coolant stream
 modulated at runtime" claim as an executable scenario. The engine runs
 one or many scenario lanes in lockstep; a single scenario is a one-lane
 call::
 
-    BatchedRuntimeEngine([controller], governors=[governor],
-                         reservoirs=[reservoir], config=config).run(trace)[0]
+    BatchedRuntimeEngine([controller], config).run(trace)[0]
 
 Per control step the engine
 
@@ -25,7 +24,7 @@ Per control step the engine
    temperatures, peaks, and group currents on the shared
    :class:`~repro.cosim.surface.PolarizationSurface` — and prices the
    pumping power, and
-5. draws the generated charge from the electrolyte reservoirs.
+5. draws the generated charge from the lanes' electrolyte reservoirs.
 
 Flow commands are quantized to :data:`FLOW_RESOLUTION_ML_MIN` so the caches
 stay bounded: each distinct quantized flow costs one thermal model (the
@@ -54,11 +53,10 @@ from repro.errors import ConfigurationError
 from repro.runtime.controllers import (
     FixedFlow,
     PIDFlowController,
-    ThrottleGovernor,
     VectorFlowControllers,
     VectorThrottleGovernors,
 )
-from repro.runtime.state import ElectrolyteState, ElectrolyteStateArray
+from repro.runtime.state import ElectrolyteStateArray
 from repro.runtime.trace import WorkloadTrace
 
 #: Junction-temperature limit used for violation accounting [degC] — the
@@ -99,7 +97,7 @@ class RuntimeConfig:
         check_config(self, "inlet_temperature_k", "operating_voltage_v")
         if not 0.0 < self.pump_efficiency <= 1.0:
             raise ConfigurationError(
-                f"pump efficiency must be in (0, 1], got {self.pump_efficiency}"
+                f"pump_efficiency must be in (0, 1], got {self.pump_efficiency}"
             )
 
 
@@ -212,7 +210,7 @@ class RuntimeResult:
 
     @property
     def final_state_of_charge(self) -> float:
-        """Reservoir SOC at the end of the trace (nan without a reservoir)."""
+        """Reservoir SOC at the end of the trace."""
         return self.samples[-1].state_of_charge
 
     def kpis(self) -> "dict[str, float]":
@@ -259,11 +257,10 @@ class BatchedRuntimeEngine:
     - controller and governor state live in
       :class:`~repro.runtime.controllers.VectorFlowControllers` /
       :class:`~repro.runtime.controllers.VectorThrottleGovernors` lane
-      arrays, updated with one vectorized pass per step;
-    - reservoir SOC advances as an
-      :class:`~repro.runtime.state.ElectrolyteStateArray` and is written
-      back to the lanes' :class:`~repro.runtime.state.ElectrolyteState`
-      objects when the run ends;
+      arrays, updated with one vectorized pass per step; every lane runs
+      the hysteresis governor;
+    - every lane draws on its own fresh case-study reservoir, an
+      :class:`~repro.runtime.state.ElectrolyteStateArray` lane;
     - lanes commanding the *same quantized flow* share one kept thermal
       model of the family and its backward-Euler factorization, and
       advance as stacked state columns
@@ -284,23 +281,16 @@ class BatchedRuntimeEngine:
     :func:`~repro.cosim.surface.warm_surfaces` call).
 
     The engine is reusable: :meth:`run` resets the controllers and
-    governors and starts from the trace's initial steady state, while the
+    governors, fills fresh reservoirs and starts from the trace's initial
+    steady state, so every run is an independent trial, while the
     per-flow steppers, which pin their kept models against eviction (and
-    the process-wide polarization surfaces), persist across runs. The
-    reservoirs are deliberately *not* reset:
-    back-to-back runs model continuous operation drawing down the same
-    tanks (attach fresh :class:`~repro.runtime.state.ElectrolyteState`
-    objects for independent trials).
+    the process-wide polarization surfaces), persist across runs.
 
     Parameters
     ----------
     controllers:
         One :class:`~repro.runtime.controllers.FixedFlow` or
         :class:`~repro.runtime.controllers.PIDFlowController` per lane.
-    governors / reservoirs:
-        Optional per-lane throttle governors and electrolyte states
-        (``None`` entries — or ``None`` for the whole list — run those
-        lanes without a governor / reservoir).
     config:
         Shared engine configuration; every lane runs the same coolant
         inlet, voltage, raster and pricing.
@@ -309,26 +299,13 @@ class BatchedRuntimeEngine:
     def __init__(
         self,
         controllers: "Sequence[FixedFlow | PIDFlowController]",
-        governors: "Sequence[ThrottleGovernor | None] | None" = None,
-        reservoirs: "Sequence[ElectrolyteState | None] | None" = None,
         config: "RuntimeConfig | None" = None,
     ) -> None:
         if not controllers:
             raise ConfigurationError("need at least one scenario lane")
-        n_lanes = len(controllers)
-        if governors is None:
-            governors = [None] * n_lanes
-        if reservoirs is None:
-            reservoirs = [None] * n_lanes
-        if len(governors) != n_lanes or len(reservoirs) != n_lanes:
-            raise ConfigurationError(
-                "controllers, governors and reservoirs must have one entry "
-                "per lane"
-            )
         self.config = config if config is not None else RuntimeConfig()
         self._controllers = VectorFlowControllers(controllers)
-        self._governors = VectorThrottleGovernors(governors)
-        self._reservoir_states = list(reservoirs)
+        self._governors = VectorThrottleGovernors(len(controllers))
         self._anchors = self._controllers.initial_flows_ml_min
         self._solvers: "dict[float, object]" = {}
         self._power_maps: "dict[str, np.ndarray]" = {}
@@ -425,7 +402,7 @@ class BatchedRuntimeEngine:
         n_lanes = len(self)
         self._controllers.reset()
         self._governors.reset()
-        reservoirs = ElectrolyteStateArray(self._reservoir_states)
+        reservoirs = ElectrolyteStateArray(n_lanes)
 
         # Initial condition per lane: the steady state of the trace's
         # first operating point at the lane's initial flow. Lanes at the
@@ -449,11 +426,10 @@ class BatchedRuntimeEngine:
         lane_samples: "list[list[RuntimeSample]]" = [[] for _ in range(n_lanes)]
         throttled = np.zeros(n_lanes, dtype=bool)
         peaks = np.zeros(n_lanes)
-        nets = np.zeros(n_lanes)
         have_observation = False
         for t_start, step_dt, segment in trace.iter_steps(CONTROL_DT_S):
             if have_observation:
-                scales = self._governors.scale_commands(peaks, nets)
+                scales = self._governors.scale_commands(peaks)
                 throttled = self._governors.throttled
                 flows = self._quantize_flows(
                     self._controllers.flow_commands(peaks, step_dt)
@@ -508,7 +484,6 @@ class BatchedRuntimeEngine:
                 generated = current * voltage
                 pumping = float(pumpings[lane])
                 net = generated - pumping
-                nets[lane] = net
                 peak_c = float(peaks[lane])
                 lane_samples[lane].append(RuntimeSample(
                     time_s=time_s,
@@ -528,7 +503,6 @@ class BatchedRuntimeEngine:
                     violation=peak_c > TEMPERATURE_LIMIT_C,
                 ))
             have_observation = True
-        reservoirs.write_back()
 
         results = []
         for lane in range(n_lanes):

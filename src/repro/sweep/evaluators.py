@@ -33,7 +33,9 @@ and ``fleet`` share nothing yet: they loop over their specs.
 Every evaluator declares an integer model version. It is part of each
 spec's store key (:meth:`~repro.sweep.spec.ScenarioSpec.cache_key`), so
 an evaluator whose numbers move bumps it and stored results of the
-older model read as misses.
+older model read as misses. A roll-up evaluator's key also carries the
+versions of the evaluators it rolls up (:func:`key_versions`): ``fleet``
+follows ``fleet_chip``.
 
 The ``cosim`` and ``transient`` evaluators share the process-wide
 :class:`~repro.cosim.surface.PolarizationSurface` store, so sweeps that
@@ -124,6 +126,20 @@ def model_version(name: str) -> int:
     return _MODEL_VERSIONS.get(name, 1)
 
 
+#: Evaluators whose metrics roll up other evaluators' results: a fleet
+#: reads its chips off ``fleet_chip`` tables.
+_ROLLS_UP: "Dict[str, tuple[str, ...]]" = {"fleet": ("fleet_chip",)}
+
+
+def key_versions(name: str) -> "tuple[int, ...]":
+    """The model versions a spec's store key carries: the evaluator's
+    own, then those of the evaluators it rolls up, so a stored roll-up
+    never outlives a change to the results it was rolled up from."""
+    return (model_version(name),) + tuple(
+        model_version(inner) for inner in _ROLLS_UP.get(name, ())
+    )
+
+
 def evaluate_spec(spec: ScenarioSpec) -> "dict[str, float]":
     """Evaluate one spec: its registered evaluator as a batch of one.
 
@@ -149,12 +165,21 @@ def _current_at(curve, voltage_v: float) -> float:
 _ARRAY_CURVE_CACHE: "dict[float, PolarizationCurve]" = {}
 _ARRAY_CURVE_CACHE_MAX = 64
 
+#: Points each isothermal array curve is sampled at, apart from the
+#: polarization surface's 50 (:data:`repro.cosim.surface.N_CURVE_POINTS`):
+#: at 676 ml/min, 300 K and 1 V the array curve reads 5.9618 A against
+#: the surface's 5.9905 A, 0.48 % lower. One sampling would move the
+#: steady goldens (ROADMAP item 9).
+ARRAY_CURVE_POINTS = 40
+
 
 def array_curves(flows: "Sequence[float]") -> "dict[float, PolarizationCurve]":
     """Full-array polarization curves per total flow, batch-marched, cached.
 
-    The curve depends only on the flow rate (40 curve points, 1.4 V
-    overpotential sweep, 88-channel scaling), so grids varying
+    The curve depends only on the flow rate (:data:`ARRAY_CURVE_POINTS`
+    points up to the surface's
+    :data:`~repro.cosim.surface.MAX_OVERPOTENTIAL_V`, 88-channel
+    scaling), so grids varying
     voltage/VRM at fixed flow march it once per process, whatever the
     batch width. Returns ``{flow: curve}`` in sorted flow order; callers
     must treat the curves as read-only.
@@ -163,6 +188,7 @@ def array_curves(flows: "Sequence[float]") -> "dict[float, PolarizationCurve]":
         ARRAY_CHANNEL_COUNT,
         build_array_cell,
     )
+    from repro.cosim.surface import MAX_OVERPOTENTIAL_V
     from repro.flowcell.batch import batched_polarization_curves
 
     needed = set(flows)
@@ -170,7 +196,8 @@ def array_curves(flows: "Sequence[float]") -> "dict[float, PolarizationCurve]":
     if missing:
         cells = [build_array_cell(flow) for flow in missing]
         curves = batched_polarization_curves(
-            cells, n_points=40, max_overpotential_v=1.4
+            cells, n_points=ARRAY_CURVE_POINTS,
+            max_overpotential_v=MAX_OVERPOTENTIAL_V,
         )
         for flow, curve in zip(missing, curves):
             _ARRAY_CURVE_CACHE[flow] = curve.scaled(ARRAY_CHANNEL_COUNT)
@@ -500,15 +527,14 @@ def batch_transient(
 
 
 def runtime_scenario_parts(spec: ScenarioSpec):
-    """``(trace, controller, governor, reservoir, config)`` of one
-    runtime scenario: the single definition of how a spec wires up the
-    closed loop (gains, governor, reservoir)."""
+    """``(trace, controller, config)`` of one runtime scenario: the
+    single definition of how a spec wires up the closed loop. Every lane
+    runs the engine's hysteresis governor and a fresh case-study
+    reservoir."""
     from repro.runtime import (
-        ElectrolyteState,
         FixedFlow,
         PIDFlowController,
         RuntimeConfig,
-        ThrottleGovernor,
         standard_trace,
     )
 
@@ -528,7 +554,7 @@ def runtime_scenario_parts(spec: ScenarioSpec):
         ny=spec.ny,
         pump_efficiency=spec.pump_efficiency,
     )
-    return trace, controller, ThrottleGovernor(), ElectrolyteState(), config
+    return trace, controller, config
 
 
 def run_runtime_scenarios(specs: "Sequence[ScenarioSpec]") -> list:
@@ -561,13 +587,8 @@ def run_runtime_scenarios(specs: "Sequence[ScenarioSpec]") -> list:
     for key in sorted(groups):
         indices = groups[key]
         parts = [runtime_scenario_parts(specs[index]) for index in indices]
-        trace, _, _, _, config = parts[0]
-        engine = BatchedRuntimeEngine(
-            controllers=[part[1] for part in parts],
-            governors=[part[2] for part in parts],
-            reservoirs=[part[3] for part in parts],
-            config=config,
-        )
+        trace, _, config = parts[0]
+        engine = BatchedRuntimeEngine([part[1] for part in parts], config)
         for index, result in zip(indices, engine.run(trace)):
             results[index] = (trace, result)
     return results

@@ -334,18 +334,23 @@ class ScenarioSpec:
         (:func:`~repro.sweep.evaluators.model_version`): results stored
         by an older model of the evaluator read as misses. Version 1
         adds nothing, so a version-1 evaluator keeps the key it had
-        before versions existed. The hash is computed once per instance
-        (a spec is immutable); the memo travels with ``pickle``/``copy``
-        but never to a :meth:`replace` copy.
+        before versions existed. A roll-up evaluator's key also carries
+        the versions of the evaluators it rolls up
+        (:func:`~repro.sweep.evaluators.key_versions`). The hash is
+        computed once per instance (a spec is immutable); the memo
+        travels with ``pickle``/``copy`` but never to a :meth:`replace`
+        copy.
         """
         key = self.__dict__.get(_KEY_ATTR)
         if key is None:
-            from repro.sweep.evaluators import model_version
+            from repro.sweep.evaluators import key_versions
 
             identity = self.identity()
-            version = model_version(self.evaluator)
+            version, *rolled_up = key_versions(self.evaluator)
             if version != 1:
                 identity["model_version"] = version
+            if rolled_up:
+                identity["rolled_up_model_versions"] = rolled_up
             canonical = json.dumps(identity, sort_keys=True)
             key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
             object.__setattr__(self, _KEY_ATTR, key)

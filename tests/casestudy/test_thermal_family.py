@@ -20,7 +20,6 @@ from repro.runtime import (
     BatchedRuntimeEngine,
     PIDFlowController,
     RuntimeConfig,
-    ThrottleGovernor,
     step_trace,
 )
 from repro.sweep import ScenarioSpec
@@ -51,8 +50,7 @@ def steady_sweep() -> None:
 
 def runtime_engine() -> BatchedRuntimeEngine:
     return BatchedRuntimeEngine(
-        [PIDFlowController(initial_flow_ml_min=676.0)],
-        governors=[ThrottleGovernor()], config=CONFIG,
+        [PIDFlowController(initial_flow_ml_min=676.0)], CONFIG
     )
 
 

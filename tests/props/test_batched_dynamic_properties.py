@@ -15,20 +15,31 @@ with their scalar references, not just agreement at the preset grid points:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cosim import CosimConfig, StepResponseCase, TransientCosim
 from repro.cosim.batch import batched_step_responses
+from repro.runtime import state
 from repro.runtime.controllers import (
     FixedFlow,
     PIDFlowController,
-    ThrottleGovernor,
     VectorFlowControllers,
     VectorThrottleGovernors,
 )
-from repro.runtime.state import ElectrolyteState, ElectrolyteStateArray
+from repro.runtime.state import ElectrolyteStateArray
 
-from .test_runtime_opt_properties import tiny_loop
+from tests.runtime.electrolyte_oracle import ElectrolyteState
+
+from .test_runtime_opt_properties import TINY_TANK_M3, tiny_loop
+
+
+def tiny_array(n_lanes: int, min_soc: float) -> ElectrolyteStateArray:
+    """Array lanes on the microlitre tanks at a SOC floor of ``min_soc``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state, "TANK_VOLUME_M3", TINY_TANK_M3)
+        patch.setattr(state, "MIN_SOC", min_soc)
+        return ElectrolyteStateArray(n_lanes)
 
 #: Flows/inlets drawn from a small pool so the shared polarization
 #: surfaces and thermal families amortize across examples — the
@@ -173,40 +184,28 @@ class TestVectorControlPermutationEquivariance:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        lanes=st.lists(
-            st.booleans(),  # governed lane?
-            min_size=2,
-            max_size=6,
-        ),
         rounds=st.lists(
-            st.tuples(st.floats(0.0, 200.0), st.floats(-5.0, 10.0)),
+            st.lists(st.floats(0.0, 200.0), min_size=2, max_size=6),
             min_size=1,
             max_size=10,
         ),
         seed=st.randoms(use_true_random=False),
     )
     def test_governor_updates_commute_with_lane_permutation(
-        self, lanes, rounds, seed
+        self, rounds, seed
     ):
-        """Same equivariance for the hysteresis governors, including
-        ungoverned (``None``) lanes and the latched throttle state."""
-        def build():
-            return [
-                ThrottleGovernor() if governed else None
-                for governed in lanes
-            ]
-
-        n = len(lanes)
+        """Same equivariance for the hysteresis governors, latched
+        throttle state included."""
+        n = len(rounds[0])
         order = list(range(n))
         seed.shuffle(order)
         perm = np.asarray(order)
-        straight = VectorThrottleGovernors(build())
-        permuted = VectorThrottleGovernors([build()[i] for i in order])
-        for peak, net in rounds:
-            peaks = np.full(n, peak)
-            nets = np.full(n, net)
-            a = straight.scale_commands(peaks, nets)
-            b = permuted.scale_commands(peaks[perm], nets[perm])
+        straight = VectorThrottleGovernors(n)
+        permuted = VectorThrottleGovernors(n)
+        for peaks in rounds:
+            peaks = np.asarray((peaks * n)[:n])
+            a = straight.scale_commands(peaks)
+            b = permuted.scale_commands(peaks[perm])
             assert np.array_equal(b, a[perm])
             assert np.array_equal(
                 permuted.throttled, straight.throttled[perm]
@@ -236,11 +235,7 @@ class TestElectrolyteStateArrayProperties:
         regression for the scalar ulp bug the ``(1 - 1e-12)`` exact-supply
         margin fixed — an unguarded array draw would raise
         ``OperatingPointError`` from inside ``step`` here."""
-        lanes = [
-            ElectrolyteState(loop=tiny_loop(), min_soc=min_soc)
-            for _ in range(n_lanes)
-        ]
-        array = ElectrolyteStateArray(lanes)
+        array = tiny_array(n_lanes, min_soc)
         for requested, dt in draws:
             currents = np.full(n_lanes, requested)
             sustained = array.step(currents, dt)  # must not raise
@@ -268,9 +263,7 @@ class TestElectrolyteStateArrayProperties:
         depletion step). The microlitre tanks hold a few coulombs, so
         the >= 0.1 C/step draws always deplete within the loop bound."""
         scalar = ElectrolyteState(loop=tiny_loop(), min_soc=min_soc)
-        array = ElectrolyteStateArray(
-            [ElectrolyteState(loop=tiny_loop(), min_soc=min_soc)]
-        )
+        array = tiny_array(1, min_soc)
         for _ in range(200):
             ref = scalar.step(requested, dt)
             got = array.step(np.asarray([requested]), dt)

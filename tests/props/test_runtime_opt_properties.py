@@ -14,18 +14,29 @@ exercise only at a handful of points:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.flowcell.recirculation import ElectrolyteReservoir, RecirculationLoop
 from repro.opt.objective import Objective
 from repro.opt.pareto import dominates, objective_vector, pareto_front
 from repro.runtime.controllers import (
+    MAX_FLOW_ML_MIN,
+    MIN_FLOW_ML_MIN,
+    RELEASE_PEAK_C,
+    TARGET_PEAK_C,
+    TEMPERATURE_LIMIT_C,
+    THROTTLE_SCALE,
     PIDFlowController,
-    ThrottleGovernor,
     VectorFlowControllers,
     VectorThrottleGovernors,
 )
-from repro.runtime.state import ElectrolyteState
 from repro.sweep.runner import SweepResult
 from repro.sweep.spec import ScenarioSpec
+
+from tests.runtime.electrolyte_oracle import ElectrolyteState, tank_loop
+
+#: Per-tank volume of the depletable microlitre reservoirs [m^3].
+TINY_TANK_M3 = 2e-8
+
+#: The PID's starting flow in these properties: mid actuator range.
+MID_FLOW_ML_MIN = 0.5 * (MIN_FLOW_ML_MIN + MAX_FLOW_ML_MIN)
 
 
 def command(lane: VectorFlowControllers, peak_c: float, dt_s: float) -> float:
@@ -34,21 +45,13 @@ def command(lane: VectorFlowControllers, peak_c: float, dt_s: float) -> float:
 
 
 def scale(lane: VectorThrottleGovernors, peak_c: float) -> float:
-    """One-lane governor scale for an observed peak (no net floor)."""
-    return float(lane.scale_commands(np.array([peak_c]), np.array([1.6]))[0])
+    """One-lane governor scale for an observed peak."""
+    return float(lane.scale_commands(np.array([peak_c]))[0])
 
 
-def tiny_loop() -> RecirculationLoop:
+def tiny_loop():
     """A depletable reservoir pair (microlitres, not the 0.5 L default)."""
-    from repro.casestudy.power7plus import build_array_spec
-
-    spec = build_array_spec()
-    return RecirculationLoop(
-        anolyte_tank=ElectrolyteReservoir(spec.anolyte, 2e-8, is_fuel=True),
-        catholyte_tank=ElectrolyteReservoir(
-            spec.catholyte, 2e-8, is_fuel=False
-        ),
-    )
+    return tank_loop(TINY_TANK_M3)
 
 
 class TestElectrolyteStateProperties:
@@ -120,14 +123,14 @@ class TestPIDAntiWindupProperties:
         actuator range padded by one proportional term plus one
         integration step of the worst error seen.
         """
-        controller = PIDFlowController(kp=kp, ki=ki)
+        controller = PIDFlowController(MID_FLOW_ML_MIN, kp=kp, ki=ki)
         lane = VectorFlowControllers([controller])
-        lo, hi = controller.min_flow_ml_min, controller.max_flow_ml_min
+        lo, hi = MIN_FLOW_ML_MIN, MAX_FLOW_ML_MIN
         worst_error = 0.0
         for peak in peaks:
             assert lo <= command(lane, peak, dt) <= hi
             worst_error = max(
-                worst_error, abs(peak - controller.target_peak_c)
+                worst_error, abs(peak - TARGET_PEAK_C)
             )
             stored = (
                 controller.initial_flow_ml_min
@@ -145,13 +148,14 @@ class TestPIDAntiWindupProperties:
         """After any stretch of saturating-hot observations, a single
         cold observation immediately pulls the command off the clamp —
         the signature behaviour anti-windup exists for."""
-        controller = PIDFlowController(kp=40.0, ki=60.0)
-        lane = VectorFlowControllers([controller])
+        lane = VectorFlowControllers([
+            PIDFlowController(MID_FLOW_ML_MIN, kp=40.0, ki=60.0)
+        ])
         for _ in range(hot_steps):
             hot = command(lane, hot_peak, 0.05)
-        assert hot == controller.max_flow_ml_min
+        assert hot == MAX_FLOW_ML_MIN
         recovered = command(lane, 20.0, 0.05)
-        assert recovered < controller.max_flow_ml_min
+        assert recovered < MAX_FLOW_ML_MIN
 
 
 class TestThrottleHysteresisProperties:
@@ -159,7 +163,10 @@ class TestThrottleHysteresisProperties:
     @given(
         start_throttled=st.booleans(),
         peaks=st.lists(
-            st.floats(80.0, 85.0, exclude_min=True, exclude_max=True),
+            st.floats(
+                RELEASE_PEAK_C, TEMPERATURE_LIMIT_C,
+                exclude_min=True, exclude_max=True,
+            ),
             min_size=1,
             max_size=40,
         ),
@@ -168,8 +175,7 @@ class TestThrottleHysteresisProperties:
         """Peaks strictly inside (release, trip) never flip the throttle
         state, whichever side it starts on — the definition of the
         hysteresis band."""
-        governor = ThrottleGovernor(trip_peak_c=85.0, release_peak_c=80.0)
-        lane = VectorThrottleGovernors([governor])
+        lane = VectorThrottleGovernors(1)
         if start_throttled:
             scale(lane, 90.0)  # trip it first
             assert lane.throttled[0]
@@ -177,7 +183,7 @@ class TestThrottleHysteresisProperties:
         for peak in peaks:
             activity = scale(lane, peak)
             assert lane.throttled[0] == initial
-            expected = governor.throttle_scale if initial else 1.0
+            expected = THROTTLE_SCALE if initial else 1.0
             assert activity == expected
 
     @settings(max_examples=40, deadline=None)
@@ -185,17 +191,16 @@ class TestThrottleHysteresisProperties:
     def test_state_changes_only_at_the_thresholds(self, peaks):
         """A trip requires peak >= trip point; a release requires peak <
         release point. No other transition exists."""
-        governor = ThrottleGovernor(trip_peak_c=85.0, release_peak_c=80.0)
-        lane = VectorThrottleGovernors([governor])
+        lane = VectorThrottleGovernors(1)
         previous = bool(lane.throttled[0])
         for peak in peaks:
             scale(lane, peak)
             throttled = bool(lane.throttled[0])
             if throttled != previous:
                 if throttled:
-                    assert peak >= governor.trip_peak_c
+                    assert peak >= TEMPERATURE_LIMIT_C
                 else:
-                    assert peak < governor.release_peak_c
+                    assert peak < RELEASE_PEAK_C
             previous = throttled
 
 

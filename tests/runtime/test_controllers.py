@@ -1,20 +1,21 @@
 """Tests for flow controllers and the throttle governor.
 
-The policies (:class:`FixedFlow`, :class:`PIDFlowController`,
-:class:`ThrottleGovernor`) are parameter records; the control law runs in
-the lane arrays. Single-controller behaviour is checked on one-lane
-:class:`VectorFlowControllers` / :class:`VectorThrottleGovernors`, the
-form the runtime engine runs a single scenario in.
+The policies (:class:`FixedFlow`, :class:`PIDFlowController`) are
+parameter records; the control law runs in the lane arrays. Single-lane
+behaviour is checked on one-lane :class:`VectorFlowControllers` /
+:class:`VectorThrottleGovernors`, the form the runtime engine runs a
+single scenario in. The setpoint, actuator range, trip and release
+temperatures and throttle scale are module constants.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime import controllers
 from repro.runtime.controllers import (
     FixedFlow,
     PIDFlowController,
-    ThrottleGovernor,
     VectorFlowControllers,
     VectorThrottleGovernors,
 )
@@ -25,12 +26,9 @@ def command(lane: VectorFlowControllers, peak_c: float, dt_s: float) -> float:
     return float(lane.flow_commands(np.array([peak_c]), dt_s)[0])
 
 
-def scale(lane: VectorThrottleGovernors, peak_c: float,
-          net_w: float = 5.0) -> float:
-    """One-lane activity scale for an observed peak and net power."""
-    return float(
-        lane.scale_commands(np.array([peak_c]), np.array([net_w]))[0]
-    )
+def scale(lane: VectorThrottleGovernors, peak_c: float) -> float:
+    """One-lane activity scale for an observed peak."""
+    return float(lane.scale_commands(np.array([peak_c]))[0])
 
 
 class TestFixedFlow:
@@ -49,49 +47,44 @@ class TestFixedFlow:
 
 class TestPIDFlowController:
     def test_hot_raises_cold_lowers(self):
-        lane = VectorFlowControllers([PIDFlowController(
-            target_peak_c=78.0, kp=40.0, ki=0.0, initial_flow_ml_min=300.0
-        )])
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0, kp=40.0, ki=0.0)
+        ])
         hot = command(lane, 80.0, 0.05)
         lane.reset()
         cold = command(lane, 76.0, 0.05)
         assert hot > 300.0 > cold
-        # Pure proportional: symmetric errors move the command
-        # symmetrically.
+        # Pure proportional about the 78 C setpoint: symmetric errors
+        # move the command symmetrically.
         assert hot - 300.0 == pytest.approx(300.0 - cold)
 
+    def test_setpoint_is_read_at_call_time(self, monkeypatch):
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0, kp=40.0, ki=0.0)
+        ])
+        monkeypatch.setattr(controllers, "TARGET_PEAK_C", 80.0)
+        assert command(lane, 80.0, 0.05) == 300.0
+
     def test_integral_accumulates(self):
-        lane = VectorFlowControllers([PIDFlowController(
-            target_peak_c=78.0, kp=0.0, ki=100.0, initial_flow_ml_min=300.0
-        )])
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0, kp=0.0, ki=100.0)
+        ])
         first = command(lane, 80.0, 0.1)
         second = command(lane, 80.0, 0.1)
         assert second > first > 300.0
 
-    def test_derivative_damps_a_rising_error(self):
-        lane = VectorFlowControllers([PIDFlowController(
-            target_peak_c=78.0, kp=0.0, ki=0.0, kd=10.0,
-            initial_flow_ml_min=300.0,
-        )])
-        assert command(lane, 79.0, 0.1) == 300.0  # no slope on step one
-        rising = command(lane, 81.0, 0.1)
-        assert rising > 300.0  # positive error slope pushes flow up
-
     def test_commands_clamp_to_actuator_range(self):
-        lane = VectorFlowControllers([PIDFlowController(
-            target_peak_c=78.0, kp=1e6, ki=0.0,
-            min_flow_ml_min=60.0, max_flow_ml_min=1352.0,
-            initial_flow_ml_min=300.0,
-        )])
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0, kp=1e6, ki=0.0)
+        ])
         assert command(lane, 200.0, 0.05) == 1352.0
         assert command(lane, 0.0, 0.05) == 60.0
 
-    def test_anti_windup_freezes_integral_in_the_clamp(self):
-        lane = VectorFlowControllers([PIDFlowController(
-            target_peak_c=78.0, kp=0.0, ki=1000.0,
-            min_flow_ml_min=60.0, max_flow_ml_min=400.0,
-            initial_flow_ml_min=300.0,
-        )])
+    def test_anti_windup_freezes_integral_in_the_clamp(self, monkeypatch):
+        monkeypatch.setattr(controllers, "MAX_FLOW_ML_MIN", 400.0)
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0, kp=0.0, ki=1000.0)
+        ])
         # A long cold stretch saturates at min flow but must not wind up.
         for _ in range(50):
             assert command(lane, 40.0, 0.1) == 60.0
@@ -106,32 +99,44 @@ class TestPIDFlowController:
 
     def test_reset_restores_initial_state(self):
         def fresh():
-            return VectorFlowControllers([PIDFlowController(
-                ki=100.0, kd=5.0, initial_flow_ml_min=300.0
-            )])
+            return VectorFlowControllers([PIDFlowController(300.0, ki=100.0)])
 
         lane = fresh()
         command(lane, 85.0, 0.1)
         lane.reset()
         assert lane._integrals_k_s[0] == 0.0
-        assert not lane._has_previous
         # A reset lane replays a fresh lane's command stream exactly.
         reference = fresh()
         for peak in (85.0, 60.0, 90.0):
             assert command(lane, peak, 0.1) == command(reference, peak, 0.1)
 
     @pytest.mark.parametrize("kwargs", [
-        {"min_flow_ml_min": 0.0},
-        {"min_flow_ml_min": 500.0, "max_flow_ml_min": 400.0},
-        {"kp": -1.0},
+        {"initial_flow_ml_min": 676.0, "kp": -1.0},
         {"initial_flow_ml_min": 10.0},
+        {"initial_flow_ml_min": 2000.0},
+        {"initial_flow_ml_min": 676.0, "ki": -1.0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
             PIDFlowController(**kwargs)
 
+    @pytest.mark.parametrize("flow", [60.0, 1352.0])
+    def test_accepts_the_actuator_range_endpoints(self, flow):
+        lane = VectorFlowControllers([PIDFlowController(flow, kp=0.0, ki=0.0)])
+        assert lane.initial_flows_ml_min[0] == flow
+        assert command(lane, 78.0, 0.05) == flow
+
+    def test_actuator_range_is_read_at_call_time(self, monkeypatch):
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0, kp=1e6, ki=0.0)
+        ])
+        monkeypatch.setattr(controllers, "MIN_FLOW_ML_MIN", 100.0)
+        monkeypatch.setattr(controllers, "MAX_FLOW_ML_MIN", 500.0)
+        assert command(lane, 200.0, 0.05) == 500.0
+        assert command(lane, 0.0, 0.05) == 100.0
+
     def test_rejects_nonpositive_dt(self):
-        lane = VectorFlowControllers([PIDFlowController()])
+        lane = VectorFlowControllers([PIDFlowController(676.0)])
         with pytest.raises(ConfigurationError):
             command(lane, 80.0, 0.0)
 
@@ -153,12 +158,42 @@ class TestVectorFlowControllers:
         with pytest.raises(ConfigurationError):
             VectorFlowControllers([])
 
+    def test_each_lane_matches_its_one_lane_run(self):
+        """A mixed batch commands, lane by lane, exactly what each policy
+        commands alone: no reduction runs across lanes."""
+        def policies():
+            return [
+                FixedFlow(676.0),
+                PIDFlowController(300.0),
+                PIDFlowController(1352.0, kp=200.0, ki=0.0),
+                PIDFlowController(676.0, kp=80.0, ki=10.0),
+            ]
+
+        peaks = np.array([
+            [70.0, 90.0, 78.0, 60.0],
+            [95.0, 40.0, 81.5, 79.0],
+            [77.0, 77.0, 200.0, 0.0],
+        ])
+        batch = VectorFlowControllers(policies())
+        singles = [VectorFlowControllers([p]) for p in policies()]
+        for row in peaks:
+            got = batch.flow_commands(row, 0.1)
+            for lane, single in enumerate(singles):
+                assert got[lane] == command(single, row[lane], 0.1), lane
+
+    def test_initial_flows_follow_lane_order_and_are_a_copy(self):
+        lane = VectorFlowControllers([
+            PIDFlowController(300.0), FixedFlow(676.0)
+        ])
+        flows = lane.initial_flows_ml_min
+        assert list(flows) == [300.0, 676.0]
+        flows[:] = 0.0
+        assert list(lane.initial_flows_ml_min) == [300.0, 676.0]
+
 
 class TestThrottleGovernor:
     def test_hysteresis_cycle(self):
-        lane = VectorThrottleGovernors([ThrottleGovernor(
-            trip_peak_c=85.0, release_peak_c=80.0, throttle_scale=0.7
-        )])
+        lane = VectorThrottleGovernors(1)
         assert scale(lane, 84.9) == 1.0
         assert scale(lane, 85.0) == 0.7
         assert lane.throttled[0]
@@ -167,30 +202,52 @@ class TestThrottleGovernor:
         assert scale(lane, 79.9) == 1.0
         assert not lane.throttled[0]
 
-    def test_net_power_floor_trips(self):
-        lane = VectorThrottleGovernors([ThrottleGovernor(min_net_w=0.0)])
-        assert scale(lane, 40.0, net_w=-1.0) == 0.7
-        # Cool chip but still net-negative: stays throttled.
-        assert scale(lane, 40.0, net_w=-0.5) == 0.7
-        assert scale(lane, 40.0, net_w=1.0) == 1.0
+    def test_limits_and_scale_are_read_at_call_time(self, monkeypatch):
+        lane = VectorThrottleGovernors(1)
+        monkeypatch.setattr(controllers, "TEMPERATURE_LIMIT_C", 36.0)
+        monkeypatch.setattr(controllers, "RELEASE_PEAK_C", 34.0)
+        monkeypatch.setattr(controllers, "THROTTLE_SCALE", 0.5)
+        assert scale(lane, 36.0) == 0.5
+        assert scale(lane, 35.0) == 0.5
+        assert scale(lane, 33.9) == 1.0
+
+    def test_a_peak_at_the_release_temperature_holds_the_throttle(self):
+        lane = VectorThrottleGovernors(1)
+        scale(lane, 85.0)
+        assert scale(lane, 80.0) == 0.7
+        assert lane.throttled[0]
+
+    def test_lanes_keep_their_own_hysteresis(self):
+        """Each lane of a batch trips and releases on its own peaks, as it
+        does in a one-lane batch."""
+        peaks = np.array([
+            [84.0, 85.0, 90.0],
+            [82.0, 82.0, 79.0],
+            [86.0, 79.9, 82.0],
+        ])
+        batch = VectorThrottleGovernors(3)
+        singles = [VectorThrottleGovernors(1) for _ in range(3)]
+        for row in peaks:
+            got = batch.scale_commands(row)
+            assert list(got) == [
+                scale(single, peak) for single, peak in zip(singles, row)
+            ]
+        assert list(batch.throttled) == [True, False, False]
+
+    def test_throttled_is_a_copy(self):
+        lane = VectorThrottleGovernors(2)
+        flags = lane.throttled
+        flags[:] = True
+        assert not lane.throttled.any()
+        assert list(lane.scale_commands(np.array([82.0, 82.0]))) == [1.0, 1.0]
 
     def test_reset_releases(self):
-        lane = VectorThrottleGovernors([ThrottleGovernor()])
+        lane = VectorThrottleGovernors(1)
         scale(lane, 90.0)
         assert lane.throttled[0]
         lane.reset()
         assert not lane.throttled[0]
 
-    def test_ungoverned_lane_never_throttles(self):
-        lane = VectorThrottleGovernors([None])
-        assert scale(lane, 1e6, net_w=-1e6) == 1.0
-        assert not lane.throttled[0]
-
-    @pytest.mark.parametrize("kwargs", [
-        {"trip_peak_c": 85.0, "release_peak_c": 85.0},
-        {"throttle_scale": 0.0},
-        {"throttle_scale": 1.0},
-    ])
-    def test_rejects_invalid(self, kwargs):
+    def test_rejects_an_empty_batch(self):
         with pytest.raises(ConfigurationError):
-            ThrottleGovernor(**kwargs)
+            VectorThrottleGovernors(0)

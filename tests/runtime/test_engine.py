@@ -4,7 +4,10 @@ All engine runs here use the reduced 22 x 11 raster (trajectory KPIs are
 raster-insensitive, as in the transient co-sim tests) and short traces,
 so the whole module stays in test-suite time budgets. Single scenarios
 run as one-lane :class:`BatchedRuntimeEngine` calls, exactly as the CLI,
-the serve job and the serial sweep evaluator run them.
+the serve job and the serial sweep evaluator run them. Every lane runs
+the hysteresis governor and a fresh case-study reservoir; tests reach
+throttling and depletion by patching the governor's and the reservoir's
+module constants.
 """
 
 import dataclasses
@@ -16,17 +19,18 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime import (
     BatchedRuntimeEngine,
-    ElectrolyteState,
     FixedFlow,
     PIDFlowController,
     RuntimeConfig,
     RuntimeResult,
-    ThrottleGovernor,
     TraceSegment,
     WorkloadTrace,
-    build_case_study_loop,
+    controllers,
+    state,
     step_trace,
 )
+
+from tests.runtime.electrolyte_oracle import ElectrolyteState
 
 
 def config(**overrides) -> RuntimeConfig:
@@ -39,18 +43,22 @@ def short_step() -> WorkloadTrace:
     return step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=0.4)
 
 
-def engine_for(controller, governor=None, reservoir=None, **overrides):
+def engine_for(controller, **overrides):
     """A one-lane engine: the single-scenario form of the runtime."""
-    return BatchedRuntimeEngine(
-        [controller], governors=[governor], reservoirs=[reservoir],
-        config=config(**overrides),
-    )
+    return BatchedRuntimeEngine([controller], config(**overrides))
 
 
-def run_one(controller, trace=None, governor=None, reservoir=None,
-            **overrides) -> RuntimeResult:
-    engine = engine_for(controller, governor, reservoir, **overrides)
+def run_one(controller, trace=None, **overrides) -> RuntimeResult:
+    engine = engine_for(controller, **overrides)
     return engine.run(trace if trace is not None else short_step())[0]
+
+
+def tight_governor(monkeypatch):
+    """Trip/release inside the reduced raster's swing, so the hysteresis
+    engages mid-trace without a huge model."""
+    monkeypatch.setattr(controllers, "TEMPERATURE_LIMIT_C", 36.0)
+    monkeypatch.setattr(controllers, "RELEASE_PEAK_C", 34.0)
+    monkeypatch.setattr(controllers, "THROTTLE_SCALE", 0.5)
 
 
 class TestRuntimeConfig:
@@ -160,7 +168,7 @@ class TestEngineTrajectory:
         engine = engine_for(PIDFlowController(initial_flow_ml_min=300.0))
         [first] = engine.run(short_step())
         [second] = engine.run(short_step())
-        assert second.kpis() == pytest.approx(first.kpis(), nan_ok=True)
+        assert second.kpis() == first.kpis()
 
 
 class TestClosedLoop:
@@ -193,15 +201,11 @@ class TestClosedLoop:
             assert (model._steady_lu is not None) == (flow == 676.0), flow
             assert model._transient_lus or flow == 676.0
 
-    def test_governor_throttles_and_recovers(self):
-        # Trip thresholds placed inside the reduced raster's swing so
-        # the hysteresis engages mid-trace without a huge model.
-        governor = ThrottleGovernor(trip_peak_c=36.0, release_peak_c=34.0,
-                                    throttle_scale=0.5)
+    def test_governor_throttles_and_recovers(self, monkeypatch):
+        tight_governor(monkeypatch)
         result = run_one(
             FixedFlow(676.0),
             step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0),
-            governor=governor,
         )
         assert 0.0 < result.throttled_time_fraction < 1.0
         throttled = [s for s in result.samples if s.throttled]
@@ -213,6 +217,25 @@ class TestClosedLoop:
         )
         assert result.peak_temperature_c == pytest.approx(
             unthrottled_peak, abs=2.0
+        )
+
+    def test_runtime_specs_read_the_governor_limits_at_call_time(
+        self, monkeypatch
+    ):
+        """Every production lane runs the one governor, whose limits a
+        probe moves by patching the module; a 22 x 11 ``runtime`` spec
+        then throttles."""
+        from repro.sweep import ScenarioSpec
+        from repro.sweep.evaluators import run_runtime_scenarios
+
+        spec = ScenarioSpec(evaluator="runtime", nx=22, ny=11)
+        monkeypatch.setattr(controllers, "TEMPERATURE_LIMIT_C", 36.0)
+        monkeypatch.setattr(controllers, "RELEASE_PEAK_C", 34.0)
+        [(_, result)] = run_runtime_scenarios([spec])
+        throttled = [s for s in result.samples if s.throttled]
+        assert throttled
+        assert all(
+            s.activity_scale == controllers.THROTTLE_SCALE for s in throttled
         )
 
     def test_violation_accounting(self, monkeypatch):
@@ -237,98 +260,78 @@ class TestClosedLoop:
 
 
 class TestReservoirCoupling:
-    def test_soc_declines_along_the_trace(self):
-        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
-        result = run_one(FixedFlow(676.0), reservoir=reservoir)
+    def test_default_tanks_barely_dent_the_soc(self):
+        result = run_one(FixedFlow(676.0))
         socs = [s.state_of_charge for s in result.samples]
         assert socs[-1] < socs[0]
+        assert socs[0] - socs[-1] < 1e-3
         assert not math.isnan(result.final_state_of_charge)
 
-    def test_depletion_stops_generation(self):
-        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-8))
-        result = run_one(FixedFlow(676.0), reservoir=reservoir)
-        assert reservoir.depleted
+    def test_soc_declines_along_the_trace(self, monkeypatch):
+        monkeypatch.setattr(state, "TANK_VOLUME_M3", 1e-5)
+        result = run_one(FixedFlow(676.0))
+        socs = [s.state_of_charge for s in result.samples]
+        assert socs[-1] < socs[0]
+        assert all(s.generated_w > 0.0 for s in result.samples)
+
+    def test_depletion_stops_generation(self, monkeypatch):
+        monkeypatch.setattr(state, "TANK_VOLUME_M3", 1e-8)
+        result = run_one(FixedFlow(676.0))
         assert result.samples[-1].generated_w == 0.0
+        assert result.final_state_of_charge == pytest.approx(
+            state.MIN_SOC, abs=1e-6
+        )
         # Pumping continues regardless: net goes negative once the
         # reservoirs are spent.
         assert result.samples[-1].net_w < 0.0
 
-    def test_without_reservoir_soc_is_nan(self):
-        result = run_one(FixedFlow(676.0))
-        assert math.isnan(result.final_state_of_charge)
-
-    def test_reservoir_reflects_the_finished_run(self):
-        """The engine steps SOC as arrays and writes the tanks back, so
-        the caller's state ends where the trajectory ends."""
-        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
-        initial_soc = reservoir.state_of_charge
-        result = run_one(FixedFlow(676.0), reservoir=reservoir)
-        assert reservoir.state_of_charge == result.final_state_of_charge
-        assert reservoir.state_of_charge < initial_soc
-        assert not reservoir.depleted
-
-    def test_back_to_back_runs_keep_drawing_down_the_tanks(self):
-        reservoir = ElectrolyteState(build_case_study_loop(volume_m3=1e-5))
-        engine = engine_for(FixedFlow(676.0), reservoir=reservoir)
+    def test_each_run_starts_from_fresh_tanks(self, monkeypatch):
+        monkeypatch.setattr(state, "TANK_VOLUME_M3", 1e-5)
+        engine = engine_for(FixedFlow(676.0))
         [first] = engine.run(short_step())
         [second] = engine.run(short_step())
-        assert second.final_state_of_charge < first.final_state_of_charge
-        assert reservoir.state_of_charge == second.final_state_of_charge
+        assert second.samples == first.samples
 
 
 class TestLaneIndependence:
     @staticmethod
     def lanes():
-        """Fresh (controller, governor, reservoir) parts of a mixed batch:
-        fixed and PID, governed and ungoverned, with and without a
-        reservoir (one of them depleting), different initial flows."""
-        def tight_governor():
-            # Trips inside the reduced raster's swing.
-            return ThrottleGovernor(trip_peak_c=36.0, release_peak_c=34.0,
-                                    throttle_scale=0.5)
-
-        def reservoir(volume_m3):
-            return ElectrolyteState(build_case_study_loop(volume_m3))
-
+        """Fresh controllers of a mixed batch: fixed and PID, different
+        gains and initial flows."""
         return [
-            (FixedFlow(676.0), tight_governor(), reservoir(1e-5)),
-            (PIDFlowController(initial_flow_ml_min=300.0), None, None),
-            (PIDFlowController(target_peak_c=34.0, initial_flow_ml_min=676.0),
-             ThrottleGovernor(), reservoir(1e-8)),
-            (FixedFlow(400.0), None, reservoir(1e-6)),
-            (PIDFlowController(kp=80.0, ki=10.0, initial_flow_ml_min=676.0),
-             tight_governor(), None),
+            FixedFlow(676.0),
+            PIDFlowController(initial_flow_ml_min=300.0),
+            PIDFlowController(initial_flow_ml_min=1352.0, kp=200.0),
+            FixedFlow(400.0),
+            PIDFlowController(kp=80.0, ki=10.0, initial_flow_ml_min=676.0),
         ]
 
-    def test_each_lane_matches_its_one_lane_run(self):
+    @pytest.mark.parametrize("volume_m3", [1e-5, 1e-8])
+    def test_each_lane_matches_its_one_lane_run(self, monkeypatch, volume_m3):
+        tight_governor(monkeypatch)
+        monkeypatch.setattr(state, "TANK_VOLUME_M3", volume_m3)
         trace = step_trace(0.1, 1.0, hold_before_s=0.2, hold_after_s=1.0)
-        parts = self.lanes()
-        batched = BatchedRuntimeEngine(
-            [part[0] for part in parts],
-            governors=[part[1] for part in parts],
-            reservoirs=[part[2] for part in parts],
-            config=config(),
-        ).run(trace)
+        batched = BatchedRuntimeEngine(self.lanes(), config()).run(trace)
         # The batch really exercises what it claims to.
         assert len({s.flow_ml_min for r in batched for s in r.samples}) > 3
         assert any(s.throttled for r in batched for s in r.samples)
-        assert batched[2].samples[-1].generated_w == 0.0  # depleted lane
+        assert any(not s.throttled for r in batched for s in r.samples)
+        depleted = [r.samples[-1].generated_w == 0.0 for r in batched]
+        assert all(depleted) == (volume_m3 == 1e-8)
+        assert any(depleted) == (volume_m3 == 1e-8)
 
-        for lane, (controller, governor, reservoir) in enumerate(
-            self.lanes()
-        ):
-            alone = run_one(controller, trace, governor, reservoir)
+        for lane, controller in enumerate(self.lanes()):
+            alone = run_one(controller, trace)
             assert len(alone.samples) == len(batched[lane].samples)
             for a, b in zip(alone.samples, batched[lane].samples):
-                # Bit-identical in every field (repr: nan SOC compares
-                # equal on lanes without a reservoir).
+                # Bit-identical in every field.
                 assert repr(a) == repr(b), lane
 
 
 class TestScalarOracle:
     """The engine against an independent per-step march built from the
     scalar pieces: ``ThermalModel.solve_transient`` for the thermal step
-    and :meth:`ElectrolyteState.step` for the tanks."""
+    and the oracle's :meth:`ElectrolyteState.step` for the tanks."""
 
     @staticmethod
     def scalar_march(trace, flow_ml_min, cfg, reservoir):
@@ -379,18 +382,17 @@ class TestScalarOracle:
             })
         return rows
 
-    def test_fixed_flow_lane_matches_the_scalar_march(self):
+    def test_fixed_flow_lane_matches_the_scalar_march(self, monkeypatch):
         from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
+        monkeypatch.setattr(state, "TANK_VOLUME_M3", 1e-5)
         trace = short_step()
         cfg = config()
-        result = run_one(
-            FixedFlow(676.0), trace,
-            reservoir=ElectrolyteState(build_case_study_loop(1e-5)),
-        )
-        expected = self.scalar_march(
-            trace, 676.0, cfg, ElectrolyteState(build_case_study_loop(1e-5))
-        )
+        result = run_one(FixedFlow(676.0), trace)
+        # The default governor never trips on the reduced raster, so the
+        # scalar march runs unthrottled.
+        assert result.throttled_time_fraction == 0.0
+        expected = self.scalar_march(trace, 676.0, cfg, ElectrolyteState())
         assert len(result.samples) == len(expected)
         for sample, row in zip(result.samples, expected):
             got = dataclasses.asdict(sample)
@@ -403,10 +405,13 @@ class TestScalarOracle:
 
 
 class TestEngineInputs:
-    def test_rejects_mismatched_lane_lists(self):
+    def test_rejects_an_empty_batch(self):
         with pytest.raises(ConfigurationError):
-            BatchedRuntimeEngine(
-                [FixedFlow(676.0)], governors=[None, None], config=config()
-            )
-        with pytest.raises(ConfigurationError):
-            BatchedRuntimeEngine([], config=config())
+            BatchedRuntimeEngine([], config())
+
+    def test_rejects_an_unsupported_controller_by_name(self):
+        class Custom:
+            initial_flow_ml_min = 676.0
+
+        with pytest.raises(ConfigurationError, match="Custom"):
+            BatchedRuntimeEngine([FixedFlow(676.0), Custom()], config())

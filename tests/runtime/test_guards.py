@@ -18,9 +18,9 @@ from repro.runtime import (
     WorkloadTrace,
 )
 from repro.runtime.controllers import VectorFlowControllers
-from repro.runtime.state import ElectrolyteState, ElectrolyteStateArray
+from repro.runtime.state import ElectrolyteStateArray
 
-FIELDS = ("inlet_temperature_k", "operating_voltage_v")
+FIELDS = ("inlet_temperature_k", "operating_voltage_v", "pump_efficiency")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -37,22 +37,20 @@ def _trace():
 #: site -> (field named in the error, call with the bad value)
 SITES = {
     "FixedFlow flow_ml_min": ("flow_ml_min", lambda bad: FixedFlow(bad)),
-    "PIDFlowController min_flow_ml_min": ("min_flow_ml_min", lambda bad:
-        PIDFlowController(min_flow_ml_min=bad, initial_flow_ml_min=100.0)),
-    "PIDFlowController max_flow_ml_min": ("max_flow_ml_min", lambda bad:
-        PIDFlowController(max_flow_ml_min=bad, initial_flow_ml_min=100.0)),
+    "PIDFlowController initial_flow_ml_min": ("initial_flow_ml_min",
+        lambda bad: PIDFlowController(bad)),
     "VectorFlowControllers.flow_commands": ("dt_s", lambda bad:
-        VectorFlowControllers([PIDFlowController()]).flow_commands(
+        VectorFlowControllers([PIDFlowController(676.0)]).flow_commands(
             np.array([70.0]), bad
         )),
-    "ElectrolyteState.step": ("dt_s", lambda bad:
-        ElectrolyteState().step(1.0, bad)),
     "ElectrolyteStateArray.step": ("dt_s", lambda bad:
-        ElectrolyteStateArray([ElectrolyteState(), None]).step(
-            np.array([1.0, 1.0]), bad
-        )),
+        ElectrolyteStateArray(2).step(np.array([1.0, 1.0]), bad)),
+    "ElectrolyteStateArray.step currents_a": ("currents_a", lambda bad:
+        ElectrolyteStateArray(2).step(np.array([1.0, bad]), 1.0)),
     "TraceSegment duration_s": ("duration_s", lambda bad:
         TraceSegment(bad, 0.5)),
+    "TraceSegment utilization": ("utilization", lambda bad:
+        TraceSegment(0.5, bad)),
     "WorkloadTrace.iter_steps": ("dt_s", lambda bad:
         list(_trace().iter_steps(bad))),
 }

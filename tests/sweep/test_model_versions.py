@@ -9,7 +9,9 @@ a batch of one and again when their columns moved onto a family's
 canonical Krylov space, and the transient and runtime evaluators,
 bumped when their state columns became one triangular solve each (the
 runtime again when its surfaces moved to the shared curve sampling),
-must read their old entries as plain misses and re-evaluate.
+must read their old entries as plain misses and re-evaluate. So must
+``fleet``, still at version 1: its key carries the version of the
+``fleet_chip`` tables it rolls up.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import pytest
 
 from repro.store import ResultStore
 from repro.sweep import ScenarioSpec, SweepRunner, evaluator_names
+from repro.sweep import evaluators
 from repro.sweep.evaluators import model_version
 from repro.sweep.vectorized import EQUIVALENCE_RTOL
 
@@ -51,12 +54,18 @@ MOVED_RTOL = {
 }
 BUMPED = tuple(VERSIONS)
 
-#: Evaluators whose numbers did not move.
-UNCHANGED = ("cosim", "fleet", "vrm")
+#: Version-1 evaluators whose keys follow an evaluator they roll up.
+ROLLED_UP = ("fleet",)
+
+#: Evaluators whose numbers and keys did not move.
+UNCHANGED = ("cosim", "vrm")
+
+#: Evaluators whose parent-store entries read as misses.
+MISSED = BUMPED + ROLLED_UP
 
 #: The specs the parent store holds, one per evaluator.
 SPECS = [
-    ScenarioSpec(evaluator=name, nx=22, ny=11) for name in BUMPED + UNCHANGED
+    ScenarioSpec(evaluator=name, nx=22, ny=11) for name in MISSED + UNCHANGED
 ]
 
 
@@ -78,9 +87,9 @@ def test_every_evaluator_declares_a_version():
     versions = {name: model_version(name) for name in evaluator_names()}
     assert all(isinstance(version, int) for version in versions.values())
     assert {name: versions[name] for name in BUMPED} == VERSIONS
-    assert {name: versions[name] for name in UNCHANGED} == dict.fromkeys(
-        UNCHANGED, 1
-    )
+    assert {
+        name: versions[name] for name in UNCHANGED + ROLLED_UP
+    } == dict.fromkeys(UNCHANGED + ROLLED_UP, 1)
 
 
 def test_fixture_is_keyed_without_versions():
@@ -95,6 +104,17 @@ def test_only_bumped_evaluators_change_key():
         assert "model_version" not in spec.identity()
 
 
+def test_fleet_key_follows_the_fleet_chip_version(monkeypatch):
+    before = ScenarioSpec(evaluator="fleet", nx=22, ny=11).cache_key()
+    monkeypatch.setitem(
+        evaluators._MODEL_VERSIONS, "fleet_chip",
+        model_version("fleet_chip") + 1,
+    )
+    after = ScenarioSpec(evaluator="fleet", nx=22, ny=11).cache_key()
+    assert after != before
+    assert model_version("fleet") == 1
+
+
 def test_parent_store_replays_unchanged_and_misses_bumped(tmp_path):
     directory = tmp_path / "store"
     shutil.copytree(PARENT_STORE, directory)
@@ -103,7 +123,7 @@ def test_parent_store_replays_unchanged_and_misses_bumped(tmp_path):
     results = SweepRunner(cache=cache).run(SPECS)
 
     assert (cache.hits, cache.misses, cache.corrupt) == (
-        len(UNCHANGED), len(BUMPED), 0
+        len(UNCHANGED), len(MISSED), 0
     )
     for result in results:
         parent = stored[unversioned_key(result.spec)]

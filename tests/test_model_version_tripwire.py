@@ -64,7 +64,21 @@ def test_scenarios_only_one_side_has_are_ignored(tmp_path, versions):
     assert tripwire.findings(base, head, "base") == []
 
 
+def test_optimize_exports_are_checked_too(tmp_path, versions):
+    base, head = _exports(tmp_path, ["runtime,22,,1.5\n"], ["runtime,22,,1.5\n"])
+    (base / "opt_runtime-pid_vectorized.csv").write_text(
+        HEADER + "runtime,44,,1.25\n"
+    )
+    (head / "opt_runtime-pid_vectorized.csv").write_text(
+        HEADER + "runtime,44,,1.5\n"
+    )
+    (found,) = tripwire.findings(base, head, "base")
+    assert found.startswith("opt_runtime-pid_vectorized.csv: 'runtime'")
+
+
 def test_tree_info_reads_the_source_tree():
     fields, versions = tripwire.tree_info(str(tripwire.HEAD_SRC))
     assert {"evaluator", "nx", "label"} <= fields
-    assert versions["runtime"] == 3
+    assert versions["runtime"] == [3]
+    # A fleet's key follows the fleet_chip tables it rolls up.
+    assert versions["fleet"] == [1, versions["fleet_chip"][0]]

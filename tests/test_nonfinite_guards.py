@@ -20,7 +20,7 @@ from repro.flowcell.recirculation import (
 from repro.geometry.array import ChannelArray
 from repro.geometry.channel import RectangularChannel
 from repro.geometry.floorplan import Block, BlockKind, Floorplan
-from repro.runtime import PIDFlowController, ThrottleGovernor
+from repro.runtime import PIDFlowController
 from repro.serve.jobs import run_job
 from repro.sweep import SweepRunner
 
@@ -82,13 +82,8 @@ CASES = [
     ("die_width_m", _coverage),
     ("volume_m3", _reservoir),
     ("dt_s", _loop_step),
-    ("target_peak_c", lambda v: PIDFlowController(target_peak_c=v)),
-    ("kp", lambda v: PIDFlowController(kp=v)),
-    ("ki", lambda v: PIDFlowController(ki=v)),
-    ("kd", lambda v: PIDFlowController(kd=v)),
-    ("trip_peak_c", lambda v: ThrottleGovernor(trip_peak_c=v)),
-    ("release_peak_c", lambda v: ThrottleGovernor(release_peak_c=v)),
-    ("min_net_w", lambda v: ThrottleGovernor(min_net_w=v)),
+    ("kp", lambda v: PIDFlowController(676.0, kp=v)),
+    ("ki", lambda v: PIDFlowController(676.0, ki=v)),
     ("skew", lambda v: TrafficModel(n_chips=4, skew=v)),
     ("skew", lambda v: FleetSpec(skew=v)),
     ("operating_voltage_v", lambda v: FleetSpec(operating_voltage_v=v)),

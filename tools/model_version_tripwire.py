@@ -1,14 +1,16 @@
-"""Fail when a sweep export moved while its evaluator's model version did not.
+"""Fail when an export moved while its evaluator's model version did not.
 
 Store keys carry each evaluator's model version, so a change that moves
 an evaluator's numbers must bump it: otherwise a store filled by the old
 code replays stale results as the new model's. This script compares two
-directories of ``repro sweep --csv`` exports, one made at a base commit
-and one at this script's own tree (the head), file by file (same names, ``sweep_*.csv``). A row
-is one scenario, keyed by its spec columns. Every scenario present in
-both exports whose metric cells differ is a finding unless its
-evaluator's model version differs between the two source trees. Exit 1
-on any finding, 0 otherwise.
+directories of ``repro sweep --csv`` and ``repro optimize --csv``
+exports, one made at a base commit and one at this script's own tree
+(the head), file by file (same names, ``sweep_*.csv`` and
+``opt_*.csv``). A row is one scenario, keyed by its spec columns. Every
+scenario present in both exports whose metric cells differ is a finding
+unless the model versions its store key carries (the evaluator's own
+and those of the evaluators it rolls up) differ between the two source
+trees. Exit 1 on any finding, 0 otherwise.
 
 Usage::
 
@@ -29,16 +31,24 @@ from pathlib import Path
 #: The head source tree: the one this script belongs to.
 HEAD_SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: Export file patterns the tripwire compares.
+EXPORTS = ("sweep_*.csv", "opt_*.csv")
+
+# A tree without roll-up keys keys every evaluator on its own version.
 _VERSIONS = (
     "import json; from repro.sweep import ScenarioSpec; "
-    "from repro.sweep.evaluators import evaluator_names, model_version; "
+    "from repro.sweep import evaluators; "
+    "versions = getattr(evaluators, 'key_versions', "
+    "lambda name: (evaluators.model_version(name),)); "
     "print(json.dumps({'fields': ScenarioSpec.field_names(), 'versions': "
-    "{name: model_version(name) for name in evaluator_names()}}))"
+    "{name: list(versions(name)) "
+    "for name in evaluators.evaluator_names()}}))"
 )
 
 
-def tree_info(src: str) -> "tuple[set[str], dict[str, int]]":
-    """Spec field names and evaluator model versions of a source tree."""
+def tree_info(src: str) -> "tuple[set[str], dict[str, object]]":
+    """Spec field names and each evaluator's store-key model versions of
+    a source tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     out = subprocess.run(
         [sys.executable, "-c", _VERSIONS], env=env, check=True,
@@ -66,7 +76,10 @@ def findings(base_dir: Path, head_dir: Path, base_src: str) -> "list[str]":
     head_fields, head_versions = tree_info(str(HEAD_SRC))
     spec_fields = base_fields & head_fields
     found = []
-    for base_path in sorted(base_dir.glob("sweep_*.csv")):
+    base_paths = sorted(
+        path for pattern in EXPORTS for path in base_dir.glob(pattern)
+    )
+    for base_path in base_paths:
         head_path = head_dir / base_path.name
         if not head_path.exists():
             print(f"{base_path.name}: no head export, skipped")
