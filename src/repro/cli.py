@@ -25,10 +25,13 @@ Gives the reproduction a zero-code entry point:
   commands write with ``--trace`` / ``--metrics`` (see
   :mod:`repro.obs` and ``docs/observability.md``).
 
-``sweep --list`` and ``optimize --list`` print the available presets;
-``repro --version`` prints the package version. Every command is a thin
-wrapper over the public API, so the CLI doubles as usage documentation;
-``docs/cli.md`` walks through each one.
+``sweep``, ``optimize``, ``runtime`` and ``fleet`` run the job layer
+(:mod:`repro.serve.jobs`) that ``serve`` runs: each maps its flags onto
+the job kind's params, calls the kind's handler and prints from the job
+it returns. ``sweep --list`` and ``optimize --list`` print the available
+presets; ``repro --version`` prints the package version. Every command
+is a thin wrapper over the public API, so the CLI doubles as usage
+documentation; ``docs/cli.md`` walks through each one.
 """
 
 from __future__ import annotations
@@ -157,54 +160,104 @@ def _cmd_cosim(_: argparse.Namespace) -> int:
     return 0
 
 
-def _print_presets(presets: "dict[str, object]") -> None:
-    """One line per preset: name + description, name-sorted."""
-    width = max(len(name) for name in presets)
-    for name in sorted(presets):
-        print(f"{name:<{width}}  {presets[name].description}")
+def _preset_usage(args: argparse.Namespace, presets: "dict[str, object]"
+                  ) -> "int | None":
+    """Handle ``--list`` (one line per preset: name + description,
+    name-sorted) and a missing preset name; None when the job should
+    run."""
+    if args.list:
+        width = max(len(name) for name in presets)
+        for name in sorted(presets):
+            print(f"{name:<{width}}  {presets[name].description}")
+        return 0
+    if args.preset is None:
+        print(f"repro {args.command}: error: a preset name is required "
+              "(see --list)", file=sys.stderr)
+        return 2
+    return None
 
 
-def _obs_start(args: argparse.Namespace) -> None:
-    """Start an observability session if ``--trace``/``--metrics`` asked
-    for one (``trace_out`` is resolved by each handler — see
-    :func:`_split_workload_trace`)."""
-    if getattr(args, "trace_out", None) or getattr(args, "metrics", None):
-        from repro import obs
+def _runner(args: argparse.Namespace, directory: "str | None"):
+    """The sweep runner a job command, or the server, evaluates on."""
+    from repro.store import ResultStore
+    from repro.sweep import SweepRunner
 
-        obs.start()
-
-
-def _obs_finish(args: argparse.Namespace) -> None:
-    """Write the session's exports and print where they landed."""
-    from repro import obs
-
-    session = obs.stop()
-    if session is None:
-        return
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        print(f"Chrome trace written to {session.write_trace(trace_out)}")
-    if getattr(args, "metrics", None):
-        print(f"metrics written to {session.write_metrics(args.metrics)}")
+    return SweepRunner(
+        cache=ResultStore(
+            directory=directory,
+            max_disk_entries=getattr(args, "cache_max_entries", None),
+            max_disk_bytes=getattr(args, "cache_max_bytes", None),
+        ),
+        backend=getattr(args, "backend", None),
+    )
 
 
-def _split_workload_trace(
-    value: str, default: str
-) -> "tuple[str, str | None]":
-    """Resolve the dual-use ``--trace`` of ``runtime``/``fleet``.
+def _job_params(args: argparse.Namespace) -> "dict[str, object]":
+    """The job params the command's flags set.
 
-    Those commands already use ``--trace NAME`` to pick the workload or
-    traffic trace, while the observability flags spell the span-trace
-    output ``--trace out.json`` everywhere. A value ending in ``.json``
-    is unambiguous — no trace *name* ends that way — so it selects the
-    Chrome-trace output path and the workload trace falls back to the
-    command's default. The check is case-insensitive: ``--trace
-    OUT.JSON`` is a span-trace path on a case-preserving filesystem
-    too, not a (nonexistent) workload named ``OUT.JSON``.
+    Each mapped flag's ``dest`` is its param name and a flag the user
+    did not set is absent (``argparse.SUPPRESS``), so the job schema's
+    default applies. ``runtime``/``fleet`` already use ``--trace NAME``
+    to pick the workload or traffic trace, while the observability flags
+    spell the span-trace output ``--trace out.json`` everywhere. A value
+    ending in ``.json`` is unambiguous — no trace *name* ends that way —
+    so it becomes the Chrome-trace output path (``args.trace_out``) and
+    the trace param is left out. The check is case-insensitive: ``--trace
+    OUT.JSON`` is a span-trace path on a case-preserving filesystem too,
+    not a (nonexistent) workload named ``OUT.JSON``.
     """
-    if value.lower().endswith(".json"):
-        return default, value
-    return value, None
+    from repro.serve.jobs import _SCHEMAS
+
+    params = {
+        name: getattr(args, name)
+        for name in _SCHEMAS[args.command] if hasattr(args, name)
+    }
+    if params.get("trace", "").lower().endswith(".json"):
+        args.trace_out = params.pop("trace")
+    return params
+
+
+def _run_job(args: argparse.Namespace):
+    """Run the command's job (:func:`repro.serve.jobs.execute`) on its
+    runner, in an observability session if ``--trace``/``--metrics``
+    asked for one; returns ``(job, runner)``."""
+    from repro import obs
+    from repro.serve.jobs import execute
+
+    params = _job_params(args)
+    runner = _runner(args, getattr(args, "cache_dir", None))
+    trace_out = getattr(args, "trace_out", None)
+    metrics = getattr(args, "metrics", None)
+    if trace_out or metrics:
+        obs.start()
+    try:
+        return execute(args.command, params, runner), runner
+    finally:
+        session = obs.stop()
+        if session is not None:
+            if trace_out:
+                print("Chrome trace written to "
+                      f"{session.write_trace(trace_out)}")
+            if metrics:
+                print(f"metrics written to {session.write_metrics(metrics)}")
+
+
+def _export(args: argparse.Namespace, job, label: str) -> int:
+    """Write the job's ``--csv``/``--json`` exports; ``label`` leads
+    each "written to" line."""
+    if args.csv:
+        print(f"{label}CSV written to {job.export.save_csv(args.csv)}")
+    if args.json:
+        print(f"{label}JSON written to {job.export.save_json(args.json)}")
+    return 0
+
+
+def _print_kpis(kpis: "dict[str, object]") -> None:
+    from repro.core.report import format_table
+
+    print(format_table(
+        ["KPI", "value"], [[name, value] for name, value in kpis.items()]
+    ))
 
 
 def _print_cache_stats(cache) -> None:
@@ -229,80 +282,39 @@ def _print_cache_stats(cache) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.store import ResultStore
-    from repro.sweep import SweepRunner, get_preset
     from repro.sweep.presets import PRESETS
 
-    if args.list:
-        _print_presets(PRESETS)
-        return 0
-    if args.preset is None:
-        print("repro sweep: error: a preset name is required "
-              "(see --list)", file=sys.stderr)
-        return 2
-    preset = get_preset(args.preset)
-    specs = preset.expand(args.points)
-    runner = SweepRunner(
-        cache=ResultStore(
-            directory=args.cache_dir,
-            max_disk_entries=args.cache_max_entries,
-            max_disk_bytes=args.cache_max_bytes,
-        ),
-        backend=args.backend,
+    usage = _preset_usage(args, PRESETS)
+    if usage is not None:
+        return usage
+    job, runner = _run_job(args)
+    preset, results = job.subject, job.result
+    print(
+        f"sweep '{preset.name}' — {preset.description}\n"
+        f"{job.summary['scenarios']} scenarios through the "
+        f"{preset.base.evaluator!r} evaluator ({runner.backend.name} "
+        "backend)\n"
     )
-    _obs_start(args)
-    try:
-        results = runner.run(specs)
-
-        print(
-            f"sweep '{preset.name}' — {preset.description}\n"
-            f"{len(specs)} scenarios through the {preset.base.evaluator!r} "
-            f"evaluator ({runner.backend.name} backend)\n"
-        )
-        print(results.table())
-        print(
-            f"\nevaluated in {results.total_elapsed_s:.2f} s "
-            f"({runner.cache.hits} cache hit(s), "
-            f"{runner.cache.misses} miss(es))"
-        )
-        if args.cache_stats:
-            _print_cache_stats(runner.cache)
-        if args.csv:
-            print(f"CSV written to {results.save_csv(args.csv)}")
-        if args.json:
-            print(f"JSON written to {results.save_json(args.json)}")
-    finally:
-        _obs_finish(args)
-    return 0
+    print(results.table())
+    print(
+        f"\nevaluated in {results.total_elapsed_s:.2f} s "
+        f"({runner.cache.hits} cache hit(s), "
+        f"{runner.cache.misses} miss(es))"
+    )
+    if args.cache_stats:
+        _print_cache_stats(runner.cache)
+    return _export(args, job, "")
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.core.report import format_table
-    from repro.opt import get_preset
     from repro.opt.presets import PRESETS
-    from repro.store import ResultStore
-    from repro.sweep import SweepRunner
 
-    if args.list:
-        _print_presets(PRESETS)
-        return 0
-    if args.preset is None:
-        print("repro optimize: error: a preset name is required "
-              "(see --list)", file=sys.stderr)
-        return 2
-    preset = get_preset(args.preset)
-    runner = SweepRunner(
-        cache=ResultStore(directory=args.cache_dir),
-        backend=args.backend,
-    )
-    _obs_start(args)
-    try:
-        result = preset.optimizer(
-            runner=runner, max_rounds=args.rounds
-        ).run()
-    finally:
-        _obs_finish(args)
-
+    usage = _preset_usage(args, PRESETS)
+    if usage is not None:
+        return usage
+    job, _ = _run_job(args)
+    preset, result = job.subject, job.result
     problem = preset.problem
     print(
         f"optimize '{preset.name}' — {preset.description}\n"
@@ -350,7 +362,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         f"{best.metrics[lead.metric]:.4g} at "
         + ", ".join(
             f"{field}={show(getattr(best.spec, field))}"
-            for field in (axis.field for axis in problem.axes)
+            for field in axis_fields
         )
     )
     status = {
@@ -365,117 +377,45 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         f"{status} after {len(result.rounds)} round(s); "
         f"{result.n_evaluated} evaluation(s), {result.n_cached} from cache"
     )
-    if args.csv:
-        print(f"frontier CSV written to {result.frontier.save_csv(args.csv)}")
-    if args.json:
-        print(
-            f"frontier JSON written to {result.frontier.save_json(args.json)}"
-        )
-    return 0
+    return _export(args, job, "frontier ")
 
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
-    from repro.core.report import format_table
-    from repro.sweep import ScenarioSpec
-    from repro.sweep.evaluators import run_runtime_scenarios
-
-    trace_name, args.trace_out = _split_workload_trace(args.trace, "bursty")
-    spec = ScenarioSpec(
-        evaluator="runtime",
-        trace=trace_name,
-        trace_seed=args.seed,
-        controller=args.controller,
-        total_flow_ml_min=args.flow,
-        pid_kp=args.kp,
-        pid_ki=args.ki,
-    )
-    _obs_start(args)
-    try:
-        (trace, result), = run_runtime_scenarios([spec])
-    finally:
-        _obs_finish(args)
-
+    job, _ = _run_job(args)
+    trace = job.subject
     print(
         f"runtime '{trace.name}' — {len(trace.segments)} segment(s), "
-        f"{trace.duration_s:g} s, {args.controller} flow control\n"
+        f"{trace.duration_s:g} s, {job.params['controller']} flow control\n"
     )
-    kpis = result.kpis()
-    print(format_table(
-        ["KPI", "value"],
-        [[name, value] for name, value in kpis.items()],
-    ))
-    if args.csv:
-        print(f"\ntime series CSV written to {result.save_csv(args.csv)}")
-    if args.json:
-        print(f"\ntime series JSON written to {result.save_json(args.json)}")
-    return 0
+    _print_kpis(job.summary["kpis"])
+    return _export(args, job, "\ntime series ")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.core.report import format_table
-    from repro.fleet import FleetEngine, FleetSpec
-    from repro.store import ResultStore
-    from repro.sweep import SweepRunner
-
-    trace_name, args.trace_out = _split_workload_trace(
-        args.trace, "diurnal-bursty"
-    )
-    spec = FleetSpec(
-        n_chips=args.chips,
-        policy=args.policy,
-        supply_per_chip_ml_min=args.supply,
-        trace=trace_name,
-        trace_seed=args.seed,
-        skew=args.skew,
-    )
-    runner = SweepRunner(
-        cache=ResultStore(directory=args.cache_dir),
-        backend=args.backend,
-    )
-    _obs_start(args)
-    try:
-        result = FleetEngine(spec, runner=runner).run()
-    finally:
-        _obs_finish(args)
-
+    job, runner = _run_job(args)
+    spec = job.subject
     print(
         f"fleet — {spec.n_chips} chip(s), {spec.policy!r} allocation, "
         f"{spec.supply().total_flow_ml_min:g} ml/min shared supply, "
         f"'{spec.trace}' traffic (skew {spec.skew:g})\n"
     )
-    print(format_table(
-        ["KPI", "value"],
-        [[name, value] for name, value in result.kpis().items()],
-    ))
+    _print_kpis(job.summary["kpis"])
     print()
-    print(result.table())
+    print(job.result.table())
     stats = runner.cache.stats()
     print(
         f"\nchip table: {stats['misses']} evaluation(s), "
         f"{stats['hits']} cache hit(s) ({runner.backend.name} backend)"
     )
-    if args.csv:
-        print(f"per-chip CSV written to {result.save_csv(args.csv)}")
-    if args.json:
-        print(f"per-chip JSON written to {result.save_json(args.json)}")
-    return 0
+    return _export(args, job, "per-chip ")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import ResultServer
-    from repro.store import ResultStore
-    from repro.sweep import SweepRunner
 
-    runner = SweepRunner(
-        cache=ResultStore(
-            directory=args.store,
-            max_disk_entries=args.cache_max_entries,
-            max_disk_bytes=args.cache_max_bytes,
-        ),
-        backend=args.backend,
-    )
+    runner = _runner(args, args.store)
     server = ResultServer(
         runner, host=args.host, port=args.port,
         heartbeat_s=args.heartbeat,
@@ -569,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the available presets with descriptions and exit",
     )
     sweep.add_argument(
-        "--points", type=int, default=None, metavar="N",
+        "--points", type=int, default=argparse.SUPPRESS, metavar="N",
         help="grid density: expand to at least N scenarios "
         "(default: the preset's own)",
     )
@@ -634,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the available presets with descriptions and exit",
     )
     optimize.add_argument(
-        "--rounds", type=int, default=None, metavar="N",
+        "--rounds", type=int, default=argparse.SUPPRESS, metavar="N",
         help="refinement-round budget (default: the preset's own)",
     )
     optimize.add_argument(
@@ -678,31 +618,32 @@ def build_parser() -> argparse.ArgumentParser:
     # run time (caught in main), for the same startup-cost reason the
     # sweep presets are.
     runtime.add_argument(
-        "--trace", default="bursty", metavar="NAME",
+        "--trace", default=argparse.SUPPRESS, metavar="NAME",
         help="workload trace: step, ramp, square, bursty or diurnal "
         "(default: bursty); a value ending in .json instead writes a "
         "Chrome-format span trace there (see docs/observability.md)",
     )
     runtime.add_argument(
-        "--controller", default="pid", choices=("fixed", "pid"),
+        "--controller", default=argparse.SUPPRESS, choices=("fixed", "pid"),
         help="flow policy: closed-loop PID on peak temperature, or "
         "fixed open-loop flow (default: pid)",
     )
     runtime.add_argument(
-        "--flow", type=float, default=676.0, metavar="ML_MIN",
-        help="fixed flow, or the PID's starting flow (default: the "
-        "paper's nominal 676 ml/min)",
+        "--flow", dest="flow_ml_min", type=float,
+        default=argparse.SUPPRESS, metavar="ML_MIN",
+        help="fixed flow, or the PID's starting flow [ml/min] (default: "
+        "676, the paper's nominal)",
     )
     runtime.add_argument(
-        "--seed", type=int, default=7, metavar="N",
+        "--seed", type=int, default=argparse.SUPPRESS, metavar="N",
         help="burst-pattern seed of the bursty trace (default: 7)",
     )
     runtime.add_argument(
-        "--kp", type=float, default=40.0, metavar="G",
+        "--kp", type=float, default=argparse.SUPPRESS, metavar="G",
         help="PID proportional gain [ml/min per K] (default: 40)",
     )
     runtime.add_argument(
-        "--ki", type=float, default=60.0, metavar="G",
+        "--ki", type=float, default=argparse.SUPPRESS, metavar="G",
         help="PID integral gain [ml/min per K.s] (default: 60)",
     )
     runtime.add_argument(
@@ -729,33 +670,34 @@ def build_parser() -> argparse.ArgumentParser:
     # Policy and trace names are validated by the fleet layer at run
     # time (caught in main), for the same startup-cost reason as above.
     fleet.add_argument(
-        "--chips", type=int, default=8, metavar="N",
+        "--chips", type=int, default=argparse.SUPPRESS, metavar="N",
         help="fleet size (default: 8)",
     )
     fleet.add_argument(
-        "--policy", default="greedy", metavar="NAME",
+        "--policy", default=argparse.SUPPRESS, metavar="NAME",
         help="flow allocation policy: greedy, proportional or uniform "
         "(default: greedy)",
     )
     fleet.add_argument(
-        "--supply", type=float, default=40.0, metavar="ML_MIN",
+        "--supply", dest="supply_per_chip_ml_min", type=float,
+        default=argparse.SUPPRESS, metavar="ML_MIN",
         help="pump budget per chip [ml/min]; the shared supply is N "
         "chips times this (default: 40)",
     )
     fleet.add_argument(
-        "--trace", default="diurnal-bursty", metavar="NAME",
+        "--trace", default=argparse.SUPPRESS, metavar="NAME",
         help="traffic trace: step, ramp, square, bursty, diurnal or "
         "diurnal-bursty (default: diurnal-bursty); a value ending in "
         ".json instead writes a Chrome-format span trace there "
         "(see docs/observability.md)",
     )
     fleet.add_argument(
-        "--seed", type=int, default=7, metavar="N",
+        "--seed", type=int, default=argparse.SUPPRESS, metavar="N",
         help="traffic seed: burst pattern and per-chip load-balancing "
         "weights (default: 7)",
     )
     fleet.add_argument(
-        "--skew", type=float, default=0.35, metavar="S",
+        "--skew", type=float, default=argparse.SUPPRESS, metavar="S",
         help="load-balancing skew; 0 spreads traffic evenly "
         "(default: 0.35)",
     )

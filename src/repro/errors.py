@@ -5,6 +5,8 @@ can catch everything raised by this package with a single except clause while
 still being able to distinguish configuration mistakes from solver failures.
 """
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -33,3 +35,18 @@ class OperatingPointError(ReproError):
     Raised, for instance, when a galvanostatic solve asks for more current
     than the mass-transport or Faradaic limit of a cell allows.
     """
+
+
+def check_count(name: str, value: object) -> int:
+    """``value`` as an ``int`` if it is an integer >= 1, else a
+    :class:`ConfigurationError` naming ``name``; a bool, a float (even
+    ``2.0``), a string and NaN are not counts."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ConfigurationError(
+            f"{name} must be an integer >= 1, got {value!r}"
+        )
+    return int(value)

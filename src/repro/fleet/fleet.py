@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro.casestudy.tables import PAPER_ANCHORS, TABLE2
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_count
 from repro.fleet.chip import ChipTable
 from repro.fleet.supply import (
     POLICY_NAMES,
@@ -107,6 +107,7 @@ class FleetSpec:
     ny: int = 11
 
     def __post_init__(self) -> None:
+        check_count("n_chips", self.n_chips)
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown allocation policy {self.policy!r}; expected one "

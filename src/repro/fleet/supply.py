@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_count
 from repro.units import m3s_from_ml_per_min
 
 #: Allocation policies :func:`allocate` knows, sorted.
@@ -76,12 +76,12 @@ class SupplySpec:
     resolution_ml_min: float = 8.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_chips", int(self.n_chips))
+        object.__setattr__(
+            self, "n_chips", check_count("n_chips", self.n_chips)
+        )
         for name in ("supply_per_chip_ml_min", "min_flow_ml_min",
                      "max_flow_ml_min", "resolution_ml_min"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.n_chips < 1:
-            raise ConfigurationError("a fleet needs at least one chip")
         # Written as ``not 0 < x < inf`` so NaN and inf fail the checks too.
         if not 0.0 < self.min_flow_ml_min < math.inf:
             raise ConfigurationError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_count
 from repro.runtime.trace import WorkloadTrace, standard_trace
 
 
@@ -51,11 +51,11 @@ class TrafficModel:
     skew: float = 0.35
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_chips", int(self.n_chips))
+        object.__setattr__(
+            self, "n_chips", check_count("n_chips", self.n_chips)
+        )
         object.__setattr__(self, "trace_seed", int(self.trace_seed))
         object.__setattr__(self, "skew", float(self.skew))
-        if self.n_chips < 1:
-            raise ConfigurationError("a fleet needs at least one chip")
         if self.trace_seed < 0:
             raise ConfigurationError("trace seed must be >= 0")
         # Written as ``not lo <= x < inf`` so NaN and inf fail too.

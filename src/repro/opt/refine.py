@@ -21,14 +21,13 @@ evaluations** — the property bench A15 asserts.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_count
 from repro.opt.objective import Constraint, Objective
 from repro.opt.pareto import pareto_front
 from repro.sweep.runner import SweepResult, SweepResults, SweepRunner
@@ -243,14 +242,7 @@ class Optimizer:
         max_rounds: int = 5,
         tolerance: float = 0.05,
     ) -> None:
-        if (
-            isinstance(max_rounds, bool)
-            or not isinstance(max_rounds, numbers.Integral)
-            or max_rounds < 1
-        ):
-            raise ConfigurationError(
-                f"max_rounds must be an integer >= 1, got {max_rounds!r}"
-            )
+        check_count("max_rounds", max_rounds)
         if not 0.0 < tolerance < 1.0:
             raise ConfigurationError("tolerance must be in (0, 1)")
         self.problem = problem

@@ -1,9 +1,12 @@
-"""Job handlers: the server side of one submitted request.
+"""Job handlers: one per job kind, shared by ``repro serve`` and the CLI.
 
-Each handler is the API-level twin of the matching CLI command — same
-presets, same engines, same exporters — run against the server's shared
-:class:`~repro.sweep.runner.SweepRunner`. Handlers return plain
-JSON-able dicts that always include:
+Each handler resolves its params against :data:`_SCHEMAS`, the one
+table of defaults, builds the spec or preset, runs it on the given
+:class:`~repro.sweep.runner.SweepRunner` and returns the in-process
+:class:`Job`. The ``sweep``, ``optimize``, ``runtime`` and ``fleet``
+commands map their flags onto these params, call :func:`execute` and
+print from the job; the server calls :func:`run_job`, which turns the
+job into a plain JSON-able payload that always includes:
 
 - ``records`` — the flat result rows an in-process run would export;
 - ``csv`` / ``json`` — the exact export text (``repro.io.csv_dumps`` /
@@ -20,6 +23,7 @@ unknown parameter is a hard error (silently ignoring a typo like
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
@@ -40,6 +44,25 @@ _SCHEMAS: "dict[str, dict[str, Any]]" = {
         "trace": "diurnal-bursty", "seed": 7, "skew": 0.35,
     },
 }
+
+
+@dataclass(frozen=True)
+class Job:
+    """One job run in process.
+
+    ``subject`` is what ran (the sweep or optimization preset, the
+    workload trace, the :class:`~repro.fleet.FleetSpec`), ``result`` the
+    engine's answer, ``export`` the object whose ``records()`` /
+    ``save_csv()`` / ``save_json()`` are the job's rows (the result
+    itself, or an optimization's frontier) and ``summary`` the kind's
+    own payload fields.
+    """
+
+    params: "dict[str, Any]"
+    subject: Any
+    result: Any
+    export: Any
+    summary: "dict[str, Any]"
 
 
 def _resolve(kind: str, params: "dict[str, Any]") -> "dict[str, Any]":
@@ -63,56 +86,36 @@ def _resolve(kind: str, params: "dict[str, Any]") -> "dict[str, Any]":
     return resolved
 
 
-def _store_delta(
-    before: "dict[str, int]", after: "dict[str, int]"
-) -> "dict[str, int]":
-    return {name: after[name] - before[name] for name in after}
-
-
-def _sweep_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
+def _sweep_job(params: "dict[str, Any]", runner: Any) -> Job:
     from repro.sweep import get_preset
 
     preset = get_preset(params["preset"])
     specs = preset.expand(params["points"])
-    before = runner.cache.stats()
     results = runner.run(specs)
-    records = results.records()
-    return {
-        "kind": "sweep",
+    return Job(params, preset, results, results, {
         "preset": preset.name,
         "scenarios": len(specs),
         "evaluated_s": results.total_elapsed_s,
-        "records": records,
-        "csv": csv_dumps(records),
-        "json": dumps(records) + "\n",
-        "store": _store_delta(before, runner.cache.stats()),
-    }
+    })
 
 
-def _optimize_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
+def _optimize_job(params: "dict[str, Any]", runner: Any) -> Job:
     from repro.opt import get_preset
 
     preset = get_preset(params["preset"])
-    before = runner.cache.stats()
     result = preset.optimizer(
         runner=runner, max_rounds=params["rounds"]
     ).run()
-    records = result.frontier.records()
-    return {
-        "kind": "optimize",
+    return Job(params, preset, result, result.frontier, {
         "preset": preset.name,
         "rounds": len(result.rounds),
         "stop_reason": result.stop_reason,
         "n_evaluated": result.n_evaluated,
         "n_cached": result.n_cached,
-        "records": records,
-        "csv": csv_dumps(records),
-        "json": dumps(records) + "\n",
-        "store": _store_delta(before, runner.cache.stats()),
-    }
+    })
 
 
-def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
+def _runtime_job(params: "dict[str, Any]", runner: Any) -> Job:
     from repro.sweep import ScenarioSpec
     from repro.sweep.evaluators import run_runtime_scenarios
 
@@ -125,18 +128,12 @@ def _runtime_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
         pid_kp=params["kp"],
         pid_ki=params["ki"],
     )])
-    records = result.records()
-    return {
-        "kind": "runtime",
-        "trace": trace.name,
-        "kpis": result.kpis(),
-        "records": records,
-        "csv": csv_dumps(records),
-        "json": dumps(records) + "\n",
-    }
+    return Job(params, trace, result, result, {
+        "trace": trace.name, "kpis": result.kpis(),
+    })
 
 
-def _fleet_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
+def _fleet_job(params: "dict[str, Any]", runner: Any) -> Job:
     from repro.fleet import FleetEngine, FleetSpec
 
     spec = FleetSpec(
@@ -147,19 +144,10 @@ def _fleet_job(params: "dict[str, Any]", runner: Any) -> "dict[str, Any]":
         trace_seed=params["seed"],
         skew=params["skew"],
     )
-    before = runner.cache.stats()
     result = FleetEngine(spec, runner=runner).run()
-    records = result.records()
-    return {
-        "kind": "fleet",
-        "chips": spec.n_chips,
-        "policy": spec.policy,
-        "kpis": result.kpis(),
-        "records": records,
-        "csv": csv_dumps(records),
-        "json": dumps(records) + "\n",
-        "store": _store_delta(before, runner.cache.stats()),
-    }
+    return Job(params, spec, result, result, {
+        "chips": spec.n_chips, "policy": spec.policy, "kpis": result.kpis(),
+    })
 
 
 _HANDLERS = {
@@ -170,16 +158,39 @@ _HANDLERS = {
 }
 
 
-def run_job(
-    kind: str, params: "dict[str, Any]", runner: Any
-) -> "dict[str, Any]":
-    """Execute one job against the shared runner; returns the result
-    payload (see the module docstring for the common keys)."""
+def execute(kind: str, params: "dict[str, Any]", runner: Any) -> Job:
+    """Run one job of ``kind`` on ``runner``; ``params`` override the
+    kind's defaults in :data:`_SCHEMAS`."""
     handler = _HANDLERS.get(kind)
     if handler is None:
         raise ConfigurationError(
             f"unknown job kind {kind!r}; expected one of "
             + ", ".join(sorted(_HANDLERS))
         )
+    return handler(_resolve(kind, params), runner)
+
+
+def run_job(
+    kind: str, params: "dict[str, Any]", runner: Any
+) -> "dict[str, Any]":
+    """Execute one job against the shared runner; returns the result
+    payload (see the module docstring for the common keys)."""
     with obs.span("serve.job", kind=kind):
-        return handler(_resolve(kind, params), runner)
+        before = runner.cache.stats()
+        job = execute(kind, params, runner)
+        records = job.export.records()
+        payload = {
+            "kind": kind,
+            **job.summary,
+            "records": records,
+            "csv": csv_dumps(records),
+            "json": dumps(records) + "\n",
+        }
+        # The runtime job runs its one lane directly, not through the
+        # store, so it has no store delta to report.
+        if kind != "runtime":
+            after = runner.cache.stats()
+            payload["store"] = {
+                name: after[name] - before[name] for name in after
+            }
+        return payload

@@ -30,13 +30,12 @@ benchmarks run at a handful of points:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_count
 from repro.sweep.spec import ScenarioSpec, SweepGrid
 
 #: Flow range swept by the flow-centric presets [ml/min]: the paper's
@@ -65,15 +64,7 @@ class SweepPreset:
     def grid(self, points: "int | None" = None) -> SweepGrid:
         """The grid at the requested density (>= ``points`` scenarios)."""
         points = self.default_points if points is None else points
-        if (
-            isinstance(points, bool)
-            or not isinstance(points, numbers.Integral)
-            or points < 1
-        ):
-            raise ConfigurationError(
-                f"points must be an integer >= 1, got {points!r}"
-            )
-        return self.grid_builder(int(points))
+        return self.grid_builder(check_count("points", points))
 
     def expand(self, points: "int | None" = None) -> "list[ScenarioSpec]":
         """Concrete scenario list at the requested density."""

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _job_params, build_parser, main
+from repro.serve.jobs import _resolve
 
 
 class TestParser:
@@ -92,9 +93,10 @@ class TestRuntimeCommand:
             ["runtime", "--trace", "step", "--controller", "fixed"]
         )
         assert args.command == "runtime"
-        assert args.trace == "step"
-        assert args.controller == "fixed"
-        assert args.flow == 676.0
+        params = _resolve("runtime", _job_params(args))
+        assert params["trace"] == "step"
+        assert params["controller"] == "fixed"
+        assert params["flow_ml_min"] == 676.0
 
     def test_unknown_trace_fails_at_run_time(self, capsys):
         assert main(["runtime", "--trace", "nope"]) == 2
@@ -191,22 +193,21 @@ class TestOptimizeCommand:
 
 
 class TestWorkloadTraceSplit:
-    def test_json_suffix_routes_to_span_trace(self):
-        from repro.cli import _split_workload_trace
-
-        assert _split_workload_trace("out.json", "bursty") == (
-            "bursty", "out.json",
-        )
+    @pytest.mark.parametrize("command, default", [
+        ("runtime", "bursty"), ("fleet", "diurnal-bursty"),
+    ])
+    def test_json_suffix_routes_to_span_trace(self, command, default):
         # Case-insensitive: OUT.JSON is a span-trace path on a
         # case-preserving filesystem, not a workload named OUT.JSON.
-        assert _split_workload_trace("OUT.JSON", "bursty") == (
-            "bursty", "OUT.JSON",
-        )
+        for path in ("out.json", "OUT.JSON"):
+            args = build_parser().parse_args([command, "--trace", path])
+            assert _resolve(command, _job_params(args))["trace"] == default
+            assert args.trace_out == path
 
     def test_workload_name_passes_through(self):
-        from repro.cli import _split_workload_trace
-
-        assert _split_workload_trace("step", "bursty") == ("step", None)
+        args = build_parser().parse_args(["runtime", "--trace", "step"])
+        assert _job_params(args) == {"trace": "step"}
+        assert getattr(args, "trace_out", None) is None
 
     def test_runtime_uppercase_trace_writes_chrome_trace(
         self, capsys, tmp_path

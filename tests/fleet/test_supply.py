@@ -19,6 +19,7 @@ from repro.fleet.supply import (
     supply_distribution,
     uniform_allocation,
 )
+from repro.fleet.traffic import TrafficModel
 from repro.units import m3s_from_ml_per_min
 
 
@@ -53,6 +54,17 @@ class TestSupplySpec:
         arguments.update(kwargs)
         with pytest.raises(ConfigurationError):
             SupplySpec(**arguments)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: SupplySpec(n, 40.0), lambda n: TrafficModel(n_chips=n),
+], ids=["supply", "traffic"])
+@pytest.mark.parametrize("n_chips", [0, 2.5, "4", True])
+def test_chip_count_rejected_by_name(build, n_chips):
+    """A fractional, string or bool chip count fails on ``n_chips``; it
+    is not truncated to an integer."""
+    with pytest.raises(ConfigurationError, match="n_chips"):
+        build(n_chips)
 
 
 class TestFlowDistribution:

@@ -3,6 +3,10 @@
 
 from hypothesis import given, settings, strategies as st
 import pytest
+# The Brent branch of ``overpotential_for_current`` imports scipy.optimize
+# on first use; importing it here pays that once, before any example runs
+# against the deadline.
+import scipy.optimize  # noqa: F401
 
 from repro.constants import FARADAY
 from repro.electrochem.butler_volmer import (

@@ -277,16 +277,20 @@ class TestErrors:
         [
             ("sweep", "points", "points"),
             ("optimize", "rounds", "max_rounds"),
+            ("fleet", "chips", "n_chips"),
         ],
     )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, "3"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 2.5, "3", True]
+    )
     def test_malformed_count_named_in_error(self, kind, param, name, value):
         """A malformed count fails the job with a ConfigurationError that
         names the field, not a TypeError from deep inside."""
-        preset = "flow" if kind == "sweep" else "flow-optimum"
+        presets = {"sweep": {"preset": "flow"},
+                   "optimize": {"preset": "flow-optimum"}}
         with BackgroundServer() as bg:
             outcome = ServeClient(port=bg.port).submit(
-                kind, preset=preset, **{param: value}
+                kind, **presets.get(kind, {}), **{param: value}
             )
         assert not outcome.ok
         assert name in outcome.error

@@ -68,35 +68,40 @@ def _served_fleet(**params):
     return run_job("fleet", params, SweepRunner())
 
 
+#: (builder, field, build): the id ``builder-field`` is stable when a
+#: row is added or deleted, and unique where a field name repeats.
 CASES = [
-    ("min_flow_ml_min", lambda v: _supply(min_flow_ml_min=v)),
-    ("max_flow_ml_min", lambda v: _supply(max_flow_ml_min=v)),
-    ("resolution_ml_min", lambda v: _supply(resolution_ml_min=v)),
-    ("width_m", lambda v: _channel(width_m=v)),
-    ("height_m", lambda v: _channel(height_m=v)),
-    ("length_m", lambda v: _channel(length_m=v)),
-    ("width_m", lambda v: _block(width_m=v)),
-    ("height_m", lambda v: _block(height_m=v)),
-    ("width_m", lambda v: _floorplan(width_m=v)),
-    ("height_m", lambda v: _floorplan(height_m=v)),
-    ("die_width_m", _coverage),
-    ("volume_m3", _reservoir),
-    ("dt_s", _loop_step),
-    ("kp", lambda v: PIDFlowController(676.0, kp=v)),
-    ("ki", lambda v: PIDFlowController(676.0, ki=v)),
-    ("skew", lambda v: TrafficModel(n_chips=4, skew=v)),
-    ("skew", lambda v: FleetSpec(skew=v)),
-    ("operating_voltage_v", lambda v: FleetSpec(operating_voltage_v=v)),
-    ("inlet_temperature_k", lambda v: FleetSpec(inlet_temperature_k=v)),
-    ("pump_efficiency", lambda v: FleetSpec(pump_efficiency=v)),
-    ("skew", lambda v: _served_fleet(skew=v)),
+    ("supply", "min_flow_ml_min", lambda v: _supply(min_flow_ml_min=v)),
+    ("supply", "max_flow_ml_min", lambda v: _supply(max_flow_ml_min=v)),
+    ("supply", "resolution_ml_min",
+     lambda v: _supply(resolution_ml_min=v)),
+    ("channel", "width_m", lambda v: _channel(width_m=v)),
+    ("channel", "height_m", lambda v: _channel(height_m=v)),
+    ("channel", "length_m", lambda v: _channel(length_m=v)),
+    ("block", "width_m", lambda v: _block(width_m=v)),
+    ("block", "height_m", lambda v: _block(height_m=v)),
+    ("floorplan", "width_m", lambda v: _floorplan(width_m=v)),
+    ("floorplan", "height_m", lambda v: _floorplan(height_m=v)),
+    ("coverage", "die_width_m", _coverage),
+    ("reservoir", "volume_m3", _reservoir),
+    ("loop", "dt_s", _loop_step),
+    ("pid", "kp", lambda v: PIDFlowController(676.0, kp=v)),
+    ("pid", "ki", lambda v: PIDFlowController(676.0, ki=v)),
+    ("traffic", "skew", lambda v: TrafficModel(n_chips=4, skew=v)),
+    ("fleet", "skew", lambda v: FleetSpec(skew=v)),
+    ("fleet", "operating_voltage_v",
+     lambda v: FleetSpec(operating_voltage_v=v)),
+    ("fleet", "inlet_temperature_k",
+     lambda v: FleetSpec(inlet_temperature_k=v)),
+    ("fleet", "pump_efficiency", lambda v: FleetSpec(pump_efficiency=v)),
+    ("fleet_job", "skew", lambda v: _served_fleet(skew=v)),
 ]
 
 
 @pytest.mark.parametrize("value", NONFINITE, ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "field, build", CASES,
-    ids=[f"{i}-{name}" for i, (name, _) in enumerate(CASES)],
+    "field, build", [case[1:] for case in CASES],
+    ids=[f"{builder}-{field}" for builder, field, _ in CASES],
 )
 def test_nonfinite_field_rejected_by_name(field, build, value):
     with pytest.raises(ConfigurationError, match=field):

@@ -14,7 +14,13 @@ A ``fleet`` job and an ``optimize flow-optimum`` job are then each
 submitted twice as well: their warm replays go through the memoized
 chip-table specs and the flat-record JSON encoder, so they must also
 miss nothing and return the cold run's exact bytes, and the warm fleet
-job must read every chip-table point from the store once.
+job must read every chip-table point from the store once. A ``runtime``
+job is submitted once.
+
+For every kind it submits, the served CSV/JSON text must equal, byte for
+byte, the ``--csv``/``--json`` export of the matching CLI command
+(``repro.cli.main`` run in process with the same parameters as flags,
+on the same store directory).
 
 Run from the repository root (CI does)::
 
@@ -25,6 +31,9 @@ Exit code 0 on success; any contract violation raises.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import shutil
 import sys
 import tempfile
@@ -32,6 +41,35 @@ import tempfile
 POINTS = 6
 FLEET = {"chips": 8, "policy": "greedy", "supply_per_chip_ml_min": 40.0,
          "trace": "diurnal-bursty", "seed": 7, "skew": 0.35}
+RUNTIME = {"trace": "step", "controller": "fixed", "flow_ml_min": 338.0}
+
+#: Request param -> the CLI flag that sets it (where the names differ).
+FLAGS = {"flow_ml_min": "--flow", "supply_per_chip_ml_min": "--supply"}
+
+
+def _check_cli_export(served: dict, store_dir: str, kind: str,
+                      **params) -> None:
+    """The CLI command's --csv/--json files equal the served text."""
+    from repro.cli import main
+
+    argv = [kind]
+    if "preset" in params:
+        argv.append(params.pop("preset"))
+    for name, value in params.items():
+        argv += [FLAGS.get(name, f"--{name}"), str(value)]
+    csv_path = os.path.join(store_dir, f"cli-{kind}.csv")
+    json_path = os.path.join(store_dir, f"cli-{kind}.json")
+    argv += ["--csv", csv_path, "--json", json_path]
+    if kind != "runtime":
+        argv += ["--cache-dir", store_dir]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    for path, text in ((csv_path, served["csv"]), (json_path, served["json"])):
+        with open(path, "rb") as handle:
+            assert handle.read() == text.encode(), (argv, path)
+        os.remove(path)
+    print(f"serve smoke: served {kind} bytes equal `repro "
+          f"{' '.join(argv[:argv.index('--csv')])}` exports")
 
 
 def _replay_twice(client, kind: str, **params) -> dict:
@@ -71,6 +109,8 @@ def smoke(store_dir: str) -> None:
         assert warm["json"] == cold["json"]
         print("serve smoke: warm replay did 0 evaluations, "
               "byte-identical exports")
+        _check_cli_export(warm, store_dir, "sweep", preset="flow",
+                          points=POINTS)
 
         failed = client.submit("sweep", preset="no-such-preset")
         assert not failed.ok and "no-such-preset" in (failed.error or "")
@@ -88,9 +128,14 @@ def smoke(store_dir: str) -> None:
             len(spec.supply().flow_levels()) * len(spec.utilization_levels())
         )
         assert fleet["store"]["hits"] == points, (fleet["store"], points)
-        _replay_twice(client, "optimize", preset="flow-optimum")
+        _check_cli_export(fleet, store_dir, "fleet", **FLEET)
+        optimize = _replay_twice(client, "optimize", preset="flow-optimum")
+        _check_cli_export(optimize, store_dir, "optimize",
+                          preset="flow-optimum")
+        runtime = client.submit("runtime", **RUNTIME).require()
+        _check_cli_export(runtime, store_dir, "runtime", **RUNTIME)
 
-    assert server.jobs_completed == 7 and server.jobs_failed == 1
+    assert server.jobs_completed == 8 and server.jobs_failed == 1
     print(f"serve smoke: OK ({server.jobs_completed} job(s), "
           f"{server.jobs_failed} failure(s))")
 
