@@ -19,6 +19,9 @@ bench asserts the three headline claims of the PR:
   A15/A16 zero-eval replay guarantees to the fleet layer, via the new
   :meth:`~repro.store.ResultStore.stats` accounting).
 
+It also reports, with no bound, what the roll-up itself costs: µs per
+chip-step for each policy, at 8 chips and at the race's fleet size.
+
 Every timed run starts with a cold thermal path: the vectorized kernel
 caches and the process's kept thermal families are cleared per
 measurement (chip tables draw no models from the runtime engine's
@@ -68,6 +71,9 @@ MIN_SPEEDUP = 3.0
 
 #: The worst-chip junction limit the allocation must respect [degC].
 TEMPERATURE_LIMIT_C = 85.0
+
+#: Timed roll-ups per (fleet size, policy); the report takes the best.
+ROLLUP_REPEATS = 5
 
 
 def _race_spec() -> FleetSpec:
@@ -252,3 +258,37 @@ def test_a18_warm_fleet_preset_replay(tmp_path):
     # Zero evaluations all the way down: the shared chip-table runner
     # saw no traffic during the replay.
     assert shared_fleet_runner().cache.stats() == inner_before
+
+
+def test_a18_rollup_per_chip_step():
+    """Report-only: the roll-up's absolute cost per chip-step, for each
+    policy at 8 chips and at ``N_CHIPS``, on the default raster's warm
+    chip table (read once per engine, outside the timing)."""
+    runner = shared_fleet_runner()
+    rows = []
+    for n_chips in (8, N_CHIPS):
+        for policy in ("greedy", "proportional", "uniform"):
+            engine = FleetEngine(
+                FleetSpec(n_chips=n_chips, policy=policy), runner=runner
+            )
+            engine.chip_table
+            n_steps = len(engine.spec.traffic().utilization_matrix()[0])
+            best_s = np.inf
+            for _ in range(ROLLUP_REPEATS):
+                start = time.perf_counter()
+                engine.run()
+                best_s = min(best_s, time.perf_counter() - start)
+            rows.append([n_chips, policy, n_steps, 1e3 * best_s,
+                         1e6 * best_s / (n_chips * n_steps)])
+
+    emit(
+        f"A18 — fleet roll-up cost (best of {ROLLUP_REPEATS}, warm table)",
+        format_table(
+            ["chips", "policy", "steps", "roll-up [ms]", "per chip-step [us]"],
+            rows,
+        ),
+    )
+    artifact("A18", {
+        f"rollup_us_per_chip_step_{policy}_{n_chips}": us
+        for n_chips, policy, _, _, us in rows
+    })

@@ -41,11 +41,8 @@ from repro.fleet.supply import (
     POLICY_NAMES,
     SupplySpec,
     allocate,
-    greedy_allocation,
     jain_fairness,
-    proportional_allocation,
     supply_distribution,
-    uniform_allocation,
 )
 from repro.fleet.traffic import TrafficModel
 
@@ -58,10 +55,7 @@ __all__ = [
     "SupplySpec",
     "TrafficModel",
     "allocate",
-    "greedy_allocation",
     "jain_fairness",
-    "proportional_allocation",
     "shared_fleet_runner",
     "supply_distribution",
-    "uniform_allocation",
 ]

@@ -343,64 +343,50 @@ class FleetEngine:
             durations, utils = spec.traffic().utilization_matrix()
         else:
             utils = np.asarray(utilization, dtype=float)
-            if utils.ndim != 2 or utils.shape[1] != spec.n_chips:
+            if utils.ndim != 2 or len(utils) < 1 or (
+                utils.shape[1] != spec.n_chips
+            ):
                 raise ConfigurationError(
-                    f"utilization must be (n_steps, {spec.n_chips}), got "
-                    f"{utils.shape}"
+                    f"utilization must be (n_steps >= 1, {spec.n_chips}), "
+                    f"got {utils.shape}"
                 )
-            if np.any(utils < 0.0) or np.any(utils > 1.0):
+            # Written as ``not lo <= x <= hi`` so NaN fails the checks too.
+            if not np.all((0.0 <= utils) & (utils <= 1.0)):
                 raise ConfigurationError("utilization must be in [0, 1]")
             durations = (
-                np.ones(utils.shape[0])
+                np.ones(len(utils))
                 if durations_s is None
                 else np.asarray(durations_s, dtype=float)
             )
-            if durations.shape != (utils.shape[0],) or np.any(
-                durations <= 0.0
+            if durations.shape != (len(utils),) or not np.all(
+                (0.0 < durations) & (durations < np.inf)
             ):
                 raise ConfigurationError(
-                    "durations_s must be positive, one per step"
+                    "durations_s must be finite and positive, one per step"
                 )
 
         table = self.chip_table
-        supply = spec.supply()
-        n = spec.n_chips
         util_values = np.asarray(table.utilizations)
-
-        chip_flow_time = np.zeros(n)
-        chip_util_time = np.zeros(n)
-        chip_served_time = np.zeros(n)
-        chip_generated = np.zeros(n)
-        chip_pumping = np.zeros(n)
-        chip_net = np.zeros(n)
-        chip_peak = np.full(n, -np.inf)
-        chip_throttled_time = np.zeros(n)
-        fairness_time = 0.0
-        uniformity_time = 0.0
-
         obs.inc("fleet.steps", durations.size)
-        for step, dt in enumerate(durations):
-            requested = utils[step]
-            flows = allocate(spec.policy, supply, requested, table=table)
-            flow_idx = table.flow_indices(flows)
-            util_idx = table.util_indices(requested)
-            served_idx = table.served_util_indices(flow_idx, util_idx)
-            throttled = served_idx < util_idx
-
-            generated = table.generated_w[flow_idx, served_idx]
-            pumping = table.pumping_w[flow_idx, served_idx]
-            chip_generated += dt * generated
-            chip_pumping += dt * pumping
-            chip_net += dt * (generated - pumping)
-            chip_peak = np.maximum(
-                chip_peak, table.peak_c[flow_idx, served_idx]
-            )
-            chip_throttled_time += dt * throttled
-            chip_flow_time += dt * flows
-            chip_util_time += dt * util_values[util_idx]
-            chip_served_time += dt * util_values[served_idx]
-            fairness_time += dt * jain_fairness(flows)
-            uniformity_time += dt * supply_distribution(flows).uniformity
+        flows = allocate(spec.policy, spec.supply(), utils, table=table)
+        flow_idx = table.flow_indices(flows)
+        util_idx = table.util_indices(utils)
+        served_idx = table.served_util_indices(flow_idx, util_idx)
+        # One gather per table, through each chip-step's flat table index.
+        state = flow_idx * table.n_utils + served_idx
+        generated = np.take(table.generated_w, state)
+        pumping = np.take(table.pumping_w, state)
+        (
+            chip_flow_time, chip_util_time, chip_served_time, chip_generated,
+            chip_pumping, chip_net, chip_throttled_time,
+        ) = _step_sums(
+            durations, flows, util_values[util_idx], util_values[served_idx],
+            generated, pumping, generated - pumping, served_idx < util_idx,
+        )
+        fairness_time, uniformity_time = _step_sums(
+            durations, jain_fairness(flows),
+            supply_distribution(flows).uniformity,
+        )
 
         duration = float(durations.sum())
         requested_total = float(chip_util_time.sum())
@@ -419,9 +405,22 @@ class FleetEngine:
             chip_generated_energy_j=chip_generated,
             chip_pumping_energy_j=chip_pumping,
             chip_net_energy_j=chip_net,
-            chip_peak_temperature_c=chip_peak,
+            chip_peak_temperature_c=np.take(table.peak_c, state).max(axis=0),
             chip_throttled_time_fraction=chip_throttled_time / duration,
             allocation_fairness=float(fairness_time / duration),
             supply_uniformity=float(uniformity_time / duration),
             shed_load_fraction=float(shed),
         )
+
+
+def _step_sums(durations: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """Each term's ``durations``-weighted total over the schedule steps
+    (the terms' first axis), added in step order starting from zero: the
+    bits of a per-step ``total += dt * term`` (a pairwise ``sum`` would
+    round differently)."""
+    weighted = np.stack(terms, axis=1)
+    weighted *= durations.reshape((-1,) + (1,) * (weighted.ndim - 1))
+    total = np.zeros(weighted.shape[1:])
+    for step in weighted:
+        total += step
+    return total

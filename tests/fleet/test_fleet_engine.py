@@ -172,3 +172,28 @@ class TestSpecBoundary:
         do not divide fails with the spec, naming nx."""
         with pytest.raises(ConfigurationError, match="nx=23"):
             FleetSpec(nx=23)
+
+    @pytest.mark.parametrize("utilization, durations, field", [
+        (np.full((3, 2), np.nan), None, "utilization"),
+        ([[0.5, np.nan], [0.5, 0.5]], None, "utilization"),
+        ([[0.5, 1.5]], None, "utilization"),
+        (np.empty((0, 2)), None, "utilization"),
+        (np.empty((0, 2)), np.empty(0), "utilization"),
+        (np.full((2, 2), 0.5), [1.0, np.nan], "durations_s"),
+        (np.full((2, 2), 0.5), [np.inf, 1.0], "durations_s"),
+        (np.full((2, 2), 0.5), [1.0, 0.0], "durations_s"),
+        (np.full((2, 2), 0.5), [1.0], "durations_s"),
+    ], ids=["all-nan-util", "one-nan-util", "util-above-one", "no-steps",
+            "no-steps-no-durations", "nan-duration", "inf-duration",
+            "zero-duration", "short-durations"])
+    def test_bad_explicit_schedule_fails_by_field(
+        self, utilization, durations, field
+    ):
+        """An explicit schedule is checked before any table is built: NaN,
+        inf, out-of-range or empty inputs fail on the field they came in
+        on instead of reaching the KPIs (or a division by a zero
+        duration)."""
+        engine = FleetEngine(FleetSpec(n_chips=2))
+        with pytest.raises(ConfigurationError, match=field):
+            engine.run(utilization=utilization, durations_s=durations)
+        assert "chip_table" not in engine.__dict__

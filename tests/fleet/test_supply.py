@@ -15,9 +15,7 @@ from repro.fleet.supply import (
     SupplySpec,
     allocate,
     jain_fairness,
-    proportional_allocation,
     supply_distribution,
-    uniform_allocation,
 )
 from repro.fleet.traffic import TrafficModel
 from repro.units import m3s_from_ml_per_min
@@ -36,7 +34,8 @@ class TestSupplySpec:
     @pytest.mark.parametrize("supply_per_chip", [16.0, 96.0])
     def test_budget_at_a_bound_accepted(self, supply_per_chip):
         supply = SupplySpec(3, supply_per_chip)
-        assert np.all(uniform_allocation(supply) == supply_per_chip)
+        flows = allocate("uniform", supply, np.ones(3))
+        assert np.all(flows == supply_per_chip)
 
     @pytest.mark.parametrize("kwargs", [
         {"n_chips": 0},
@@ -123,6 +122,21 @@ class TestJainFairness:
         assert jain_fairness([3.0 * f for f in flows]) == pytest.approx(base)
 
 
+    def test_schedule_rows_match_single_steps(self):
+        """On a ``(n_steps, n_chips)`` schedule the diagnostics are per
+        row, each the bits of the one-step call."""
+        flows = np.random.default_rng(5).uniform(16.0, 96.0, size=(6, 37))
+        flows[2] = 0.0
+        fairness = jain_fairness(flows)
+        uniformity = supply_distribution(flows[[0, 1, 3, 4, 5]]).uniformity
+        assert fairness.shape == (6,)
+        assert list(fairness) == [jain_fairness(row) for row in flows]
+        assert list(uniformity) == [
+            supply_distribution(row).uniformity
+            for row in flows[[0, 1, 3, 4, 5]]
+        ]
+
+
 class TestBudgetOnlyPolicies:
     def test_uniform_gives_every_chip_the_per_chip_budget(self):
         supply = SupplySpec(5, 48.0)
@@ -136,23 +150,33 @@ class TestBudgetOnlyPolicies:
     ], ids=["even", "graded", "one-hot", "one-idle"])
     def test_proportional_conserves_within_bounds(self, utilization):
         supply = SupplySpec(4, 56.0)
-        flows = proportional_allocation(supply, utilization)
+        flows = allocate("proportional", supply, utilization)
         assert flows.sum() == pytest.approx(supply.total_flow_ml_min, rel=1e-12)
         assert flows.min() >= supply.min_flow_ml_min
         assert flows.max() <= supply.max_flow_ml_min
 
     def test_proportional_ranks_flow_by_utilization(self):
-        flows = proportional_allocation(SupplySpec(4, 40.0), [0.2, 0.9, 0.5, 0.1])
+        flows = allocate(
+            "proportional", SupplySpec(4, 40.0), [0.2, 0.9, 0.5, 0.1]
+        )
         assert list(np.argsort(flows)) == [3, 0, 2, 1]
 
     def test_proportional_without_demand_splits_evenly(self):
         supply = SupplySpec(3, 40.0)
-        flows = proportional_allocation(supply, np.zeros(3))
-        assert flows == pytest.approx(uniform_allocation(supply))
+        flows = allocate("proportional", supply, np.zeros(3))
+        assert flows == pytest.approx(allocate("uniform", supply, np.zeros(3)))
 
     def test_proportional_rejects_wrong_shape(self):
         with pytest.raises(ConfigurationError):
-            proportional_allocation(SupplySpec(3, 40.0), [1.0, 1.0])
+            allocate("proportional", SupplySpec(3, 40.0), [1.0, 1.0])
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("shape", [(2,), (4, 2), (3, 1, 3), ()])
+    def test_every_policy_rejects_a_wrong_shape(self, policy, shape):
+        """One step is ``(n_chips,)``, a schedule ``(n_steps, n_chips)``;
+        anything else fails on ``utilization``, whatever the policy."""
+        with pytest.raises(ConfigurationError, match="utilization"):
+            allocate(policy, SupplySpec(3, 40.0), np.ones(shape))
 
     def test_greedy_needs_a_table(self):
         with pytest.raises(ConfigurationError, match="ChipTable"):

@@ -82,3 +82,50 @@ def test_tree_info_reads_the_source_tree():
     assert versions["runtime"] == [3]
     # A fleet's key follows the fleet_chip tables it rolls up.
     assert versions["fleet"] == [1, versions["fleet_chip"][0]]
+
+
+def _fleet_exports(tmp_path, base_text, head_text):
+    base, head = tmp_path / "base", tmp_path / "head"
+    for directory, text in ((base, base_text), (head, head_text)):
+        directory.mkdir()
+        (directory / "fleet_greedy_6.csv").write_text(text)
+    return base, head
+
+
+@pytest.fixture
+def fleet_versions(monkeypatch):
+    """Base and head trees whose fleet key versions the test sets."""
+    trees = {"base": {"fleet": [1, 2]},
+             str(tripwire.HEAD_SRC): {"fleet": [1, 2]}}
+    monkeypatch.setattr(
+        tripwire, "tree_info", lambda src: (FIELDS, trees[src])
+    )
+    return trees
+
+
+def test_moved_fleet_export_without_a_bump_is_a_finding(
+    tmp_path, fleet_versions
+):
+    """A fleet export has chip rows, not scenarios: any moved byte under
+    unchanged fleet key versions is a finding."""
+    rows = "chip,net_energy_j\n0,1.5\n1,1.25\n"
+    base, head = _fleet_exports(tmp_path, rows, rows)
+    assert tripwire.findings(base, head, "base") == []
+    (head / "fleet_greedy_6.csv").write_text(
+        "chip,net_energy_j\n0,1.5\n1,1.2500001\n"
+    )
+    (found,) = tripwire.findings(base, head, "base")
+    assert found == (
+        "fleet_greedy_6.csv: 'fleet' export moved at model versions [1, 2]"
+    )
+
+
+def test_moved_fleet_export_with_a_bump_is_not_a_finding(
+    tmp_path, fleet_versions
+):
+    base, head = _fleet_exports(
+        tmp_path, "chip,net_energy_j\n0,1.5\n", "chip,net_energy_j\n0,1.75\n"
+    )
+    # A bump of the fleet_chip version its tables carry counts too.
+    fleet_versions[str(tripwire.HEAD_SRC)]["fleet"] = [1, 3]
+    assert tripwire.findings(base, head, "base") == []

@@ -3,14 +3,17 @@
 Store keys carry each evaluator's model version, so a change that moves
 an evaluator's numbers must bump it: otherwise a store filled by the old
 code replays stale results as the new model's. This script compares two
-directories of ``repro sweep --csv`` and ``repro optimize --csv``
-exports, one made at a base commit and one at this script's own tree
-(the head), file by file (same names, ``sweep_*.csv`` and
-``opt_*.csv``). A row is one scenario, keyed by its spec columns. Every
-scenario present in both exports whose metric cells differ is a finding
-unless the model versions its store key carries (the evaluator's own
-and those of the evaluators it rolls up) differ between the two source
-trees. Exit 1 on any finding, 0 otherwise.
+directories of ``repro sweep --csv``, ``repro optimize --csv`` and
+``repro fleet --csv`` exports, one made at a base commit and one at this
+script's own tree (the head), file by file (same names, ``sweep_*.csv``,
+``opt_*.csv`` and ``fleet_*.csv``). In a sweep or optimize export a row
+is one scenario, keyed by its spec columns. Every scenario present in
+both exports whose metric cells differ is a finding unless the model
+versions its store key carries (the evaluator's own and those of the
+evaluators it rolls up) differ between the two source trees. A fleet
+export's rows are chips, not scenarios, so it is compared whole: any
+change to its bytes is a finding unless the ``fleet`` evaluator's key
+versions differ. Exit 1 on any finding, 0 otherwise.
 
 Usage::
 
@@ -31,8 +34,12 @@ from pathlib import Path
 #: The head source tree: the one this script belongs to.
 HEAD_SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Export file patterns the tripwire compares.
+#: Export file patterns the tripwire compares row by row.
 EXPORTS = ("sweep_*.csv", "opt_*.csv")
+
+#: ``repro fleet`` export files, compared whole under the ``fleet``
+#: evaluator's key versions.
+FLEET_EXPORTS = "fleet_*.csv"
 
 # A tree without roll-up keys keys every evaluator on its own version.
 _VERSIONS = (
@@ -79,10 +86,19 @@ def findings(base_dir: Path, head_dir: Path, base_src: str) -> "list[str]":
     base_paths = sorted(
         path for pattern in EXPORTS for path in base_dir.glob(pattern)
     )
-    for base_path in base_paths:
+    for base_path in base_paths + sorted(base_dir.glob(FLEET_EXPORTS)):
         head_path = head_dir / base_path.name
         if not head_path.exists():
             print(f"{base_path.name}: no head export, skipped")
+            continue
+        if base_path.match(FLEET_EXPORTS):
+            versions = head_versions.get("fleet")
+            moved = base_path.read_bytes() != head_path.read_bytes()
+            print(f"{base_path.name}: fleet export "
+                  f"{'moved' if moved else 'unchanged'}")
+            if moved and base_versions.get("fleet") == versions:
+                found.append(f"{base_path.name}: 'fleet' export moved at "
+                             f"model versions {versions}")
             continue
         base_rows = read_rows(base_path, spec_fields)
         head_rows = read_rows(head_path, spec_fields)
