@@ -36,7 +36,7 @@ def main() -> None:
 
     print()
     print("=== Fig. 9: full-load thermal map =============================")
-    thermal = system.case_study.thermal_model.solve_steady()
+    thermal = system.steady_state()
     active = thermal.field_celsius("active_si")
     print(f"  peak junction temperature: {thermal.peak_celsius:.1f} C "
           "(paper: 41 C)")

@@ -307,12 +307,12 @@ class ThermalFamily:
     matrix of its flow-free :attr:`model` once; :meth:`at_flow` derives a
     flow's model without power maps, bit-identical to a fresh build.
     :attr:`steady_solver` is trained on first use, so a process that only
-    steps never pays for it, and :meth:`kept_model` keeps the runtime's
-    stepping models. All of it is a pure function of the key, so keeping
-    it changes no result.
+    steps never pays for it, and :meth:`kept_model` keeps the models the
+    runtime steps and the fixed point solves, with their LUs. All of it is
+    a pure function of the key, so keeping it changes no result.
     """
 
-    #: Stepping models kept, least recently used dropped. The bound
+    #: Models kept, least recently used dropped. The bound
     #: counts per family; a process keeps at most ``_FAMILIES_MAX``.
     KEPT_MODELS_MAX = 32
 
@@ -323,11 +323,20 @@ class ThermalFamily:
             floorplan.width_m, floorplan.height_m, nx, ny,
         )
         self._solver = None
+        self._full_load: "np.ndarray | None" = None
         self._kept: "dict[float, ThermalModel]" = {}
 
     def at_flow(self, total_flow_ml_min: float) -> ThermalModel:
         """The family's model at one flow [ml/min], without power maps."""
         return self.model.at_flow(m3s_from_ml_per_min(total_flow_ml_min))
+
+    @property
+    def full_load_map(self) -> np.ndarray:
+        """The read-only (ny, nx) full-load power map [W per cell]."""
+        if self._full_load is None:
+            self._full_load = full_load_power_map(self.model.nx, self.model.ny)
+            self._full_load.setflags(write=False)
+        return self._full_load
 
     @property
     def steady_solver(self):
@@ -337,16 +346,15 @@ class ThermalFamily:
             from repro.sweep.presets import FLOW_RANGE_ML_MIN
             from repro.thermal.batch import AnchoredSteadySolver
 
-            full_load = full_load_power_map(self.model.nx, self.model.ny)
             training = []
             for flow in np.geomspace(*FLOW_RANGE_ML_MIN, _TRAINING_FLOWS):
                 training.append(self.at_flow(float(flow)))
-                training[-1].set_power_map("active_si", full_load)
+                training[-1].set_power_map("active_si", self.full_load_map)
             self._solver = AnchoredSteadySolver(self.model, training)
         return self._solver
 
     def kept_model(self, total_flow_ml_min: float) -> ThermalModel:
-        """The kept stepping model of one flow [ml/min]."""
+        """The kept model of one flow [ml/min]."""
         flow = float(total_flow_ml_min)
         model = self._kept.pop(flow, None)
         if model is None:
@@ -419,7 +427,9 @@ class Power7CaseStudy:
     """Lazily built bundle of every case-study component.
 
     Convenience for examples and benches: construct once, access the
-    floorplan, array, thermal model and PDN with consistent parameters.
+    floorplan, array and hydraulics with consistent parameters. Its
+    thermal solves run on the case-study :func:`thermal_family`
+    (:meth:`repro.core.system.IntegratedPowerCoolingSystem.steady_state`).
     """
 
     total_flow_ml_min: float = TOTAL_FLOW_ML_MIN
@@ -430,22 +440,12 @@ class Power7CaseStudy:
     def __post_init__(self) -> None:
         self.floorplan = build_power7_floorplan()
         self._array: "FlowCellArray | None" = None
-        self._thermal: "ThermalModel | None" = None
 
     @property
     def array(self) -> FlowCellArray:
         if self._array is None:
             self._array = build_array(self.total_flow_ml_min)
         return self._array
-
-    @property
-    def thermal_model(self) -> ThermalModel:
-        if self._thermal is None:
-            self._thermal = build_thermal_model(
-                self.nx, self.ny, self.total_flow_ml_min, self.inlet_temperature_k,
-                floorplan=self.floorplan,
-            )
-        return self._thermal
 
     def pumping_power_w(self) -> float:
         return array_pumping_power_w(self.total_flow_ml_min)

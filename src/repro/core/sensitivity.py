@@ -85,32 +85,23 @@ def _array_current_with(scale_surface: float = 1.0, scale_km: float = 1.0) -> fl
 
 
 def _peak_temperature_with(scale_enhancement: float = 1.0) -> float:
+    from dataclasses import replace
+
     from repro.casestudy.power7plus import (
         HEAT_TRANSFER_ENHANCEMENT,
-        build_array_fluid,
-        build_array_layout,
+        build_thermal_stack,
         full_load_power_map,
-        ACTIVE_SI_THICKNESS_M,
-        BEOL_THICKNESS_M,
-        CAP_THICKNESS_M,
     )
     from repro.geometry.power7 import build_power7_floorplan
-    from repro.materials.solids import BEOL, SILICON
     from repro.thermal.model import ThermalModel
-    from repro.thermal.stack import LayerStack, MicrochannelLayer, SolidLayer
-    from repro.units import m3s_from_ml_per_min
+    from repro.thermal.stack import LayerStack
 
     floorplan = build_power7_floorplan()
-    stack = LayerStack([
-        SolidLayer("beol", BEOL_THICKNESS_M, BEOL),
-        SolidLayer("active_si", ACTIVE_SI_THICKNESS_M, SILICON),
-        MicrochannelLayer(
-            "channels", build_array_layout(), build_array_fluid(),
-            m3s_from_ml_per_min(676.0),
-            heat_transfer_enhancement=HEAT_TRANSFER_ENHANCEMENT * scale_enhancement,
-        ),
-        SolidLayer("cap", CAP_THICKNESS_M, SILICON),
-    ])
+    enhancement = HEAT_TRANSFER_ENHANCEMENT * scale_enhancement
+    stack = LayerStack(
+        replace(layer, heat_transfer_enhancement=enhancement) if layer.is_channel else layer
+        for layer in build_thermal_stack(676.0)
+    )
     model = ThermalModel(stack, floorplan.width_m, floorplan.height_m, 44, 22)
     model.set_power_map("active_si", full_load_power_map(44, 22, floorplan))
     # Sensitivity on the temperature *rise* (the physical response).

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from repro.casestudy.power7plus import (
     Power7CaseStudy,
-    build_thermal_model,
+    full_load_power_map,
+    thermal_family,
 )
 from repro.casestudy.tables import PAPER_ANCHORS
 from repro.core.baselines import ConventionalBaseline
@@ -32,6 +33,7 @@ from repro.core.metrics import (
 from repro.errors import ConfigurationError
 from repro.pdn.power7_pdn import CachePdnResult, solve_cache_pdn
 from repro.pdn.vrm import IdealVRM, VoltageRegulator
+from repro.thermal.solver import ThermalSolution
 from repro.units import bar_per_cm_from_pa_per_m
 
 
@@ -105,16 +107,29 @@ class IntegratedPowerCoolingSystem:
 
     # -- pieces ------------------------------------------------------------------
 
+    def steady_state(self, utilization: float = 1.0) -> ThermalSolution:
+        """The chip's steady state at a uniform utilization.
+
+        Solved on the kept model of the coolant point in the case-study
+        thermal family, so every step of the bright-silicon search reuses
+        one LU. The solution's own model carries the power map it was
+        solved with, so its energy balance closes.
+        """
+        from repro.thermal.batch import AnchoredTransientSolver
+
+        study = self.case_study
+        family = thermal_family(study.inlet_temperature_k, study.nx, study.ny)
+        power = full_load_power_map(study.nx, study.ny, study.floorplan, utilization)
+        solver = AnchoredTransientSolver(family.kept_model(study.total_flow_ml_min))
+        state = solver.solve_steady_columns(
+            solver.model.rhs_columns("active_si", [power])
+        )[:, 0]
+        model = family.at_flow(study.total_flow_ml_min)
+        model.set_power_map("active_si", power)
+        return ThermalSolution(temperatures_k=state, model=model)
+
     def _peak_temperature_at(self, utilization: float) -> float:
-        model = build_thermal_model(
-            nx=self.case_study.nx,
-            ny=self.case_study.ny,
-            total_flow_ml_min=self.case_study.total_flow_ml_min,
-            inlet_temperature_k=self.case_study.inlet_temperature_k,
-            utilization=utilization,
-            floorplan=self.case_study.floorplan,
-        )
-        return model.solve_steady().peak_celsius
+        return self.steady_state(utilization).peak_celsius
 
     def solve_pdn(self) -> CachePdnResult:
         """Solve the cache power grid (Fig. 8)."""
@@ -137,7 +152,7 @@ class IntegratedPowerCoolingSystem:
         efficiency = float(self.vrm.efficiency)
         delivered = array_power * efficiency
 
-        thermal = self.case_study.thermal_model.solve_steady()
+        thermal = self.steady_state()
         fluid = thermal.field("channels", "fluid")
         outlet_rise = float(
             fluid[-1, :].mean() - self.case_study.inlet_temperature_k

@@ -5,7 +5,7 @@ electrolytes react and diffuse faster — so the generated power depends on
 the thermal state and vice versa. :class:`~repro.cosim.coupling.ElectroThermalCosim`
 iterates the two models to a fixed point:
 
-1. solve the thermal model (chip power + flow-cell loss heat),
+1. solve the coolant point's kept thermal model (chip + cell loss heat),
 2. average the coolant temperature over each channel group,
 3. look up each group's current and OCV on the shared
    :class:`~repro.cosim.surface.PolarizationSurface` at its local

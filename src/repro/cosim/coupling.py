@@ -2,7 +2,7 @@
 
 The coupling is weak at the paper's nominal operating point (the coolant
 warms by only a few kelvin, shifting the generated current by a few
-percent), so a plain damped fixed-point iteration converges in a handful of
+percent), so a plain fixed-point iteration converges in a handful of
 rounds. The same loop handles the paper's stress scenarios — 48 ml/min
 low-flow operation and 37 C inlet — where the temperature feedback becomes
 a double-digit power gain.
@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.casestudy.power7plus import build_thermal_model
 from repro.casestudy.tables import TABLE2
 from repro.cosim.surface import (
     DEFAULT_TEMPERATURE_RANGE_K,
     N_CHANNEL_GROUPS,
     PolarizationSurface,
 )
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError
 from repro.thermal.solver import ThermalSolution
 
 #: Fixed-point iteration budget of one run.
@@ -123,19 +122,6 @@ class CosimResult:
         return self.thermal.peak_celsius
 
 
-def group_coolant_temperatures(thermal: ThermalSolution) -> np.ndarray:
-    """Mean coolant temperature over each group's channel columns [K].
-
-    The one-solution case of :func:`coolant_columns`, shared by the
-    steady loop so it and the batched steppers can never disagree about
-    which channels belong to which group.
-    """
-    group_temperatures, _ = coolant_columns(
-        thermal.model, thermal.temperatures_k[:, None]
-    )
-    return group_temperatures[0]
-
-
 def coolant_columns(
     model, states: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -169,38 +155,15 @@ class ElectroThermalCosim:
     Group polarization data comes from the shared
     :class:`~repro.cosim.surface.PolarizationSurface` (one interpolation
     per group per iteration instead of a full curve construction), and the
-    thermal model persists across :meth:`run` calls so its sparse
-    factorization is reused — repeated runs of the same configuration cost
-    a handful of triangular solves.
+    thermal solves run on the kept model of the coolant point in the
+    case-study :func:`~repro.casestudy.power7plus.thermal_family`, whose
+    steady LU outlives the run — repeated runs at one coolant point cost a
+    handful of triangular solves. The object holds only its
+    configuration, so a rebound :attr:`config` is honored.
     """
 
     def __init__(self, config: CosimConfig = CosimConfig()) -> None:
         self.config = config
-        self._model = None
-        self._model_config: "CosimConfig | None" = None
-
-    # -- building blocks -----------------------------------------------------
-
-    @property
-    def _surface(self):
-        """Resolved per access (a dict lookup on the shared store), so
-        rebinding ``self.config`` between runs is honored."""
-        return PolarizationSurface.shared(self.config.total_flow_ml_min)
-
-    def _thermal_model(self):
-        """The persistent thermal model (cell-heat map reset per run).
-
-        Rebuilt if ``self.config`` was rebound since the last run; the
-        config itself is frozen, so equality is the full staleness check.
-        """
-        if self._model is None or self._model_config != self.config:
-            self._model = build_thermal_model(
-                nx=self.config.nx, ny=self.config.ny,
-                total_flow_ml_min=self.config.total_flow_ml_min,
-                inlet_temperature_k=self.config.inlet_temperature_k,
-            )
-            self._model_config = self.config
-        return self._model
 
     def _cell_heat_map(self, group_currents: np.ndarray,
                        group_ocvs: np.ndarray) -> np.ndarray:
@@ -214,34 +177,37 @@ class ElectroThermalCosim:
             heat[:, g * columns_per_group:(g + 1) * columns_per_group] = loss_w / cells
         return heat
 
-    # -- main loop -------------------------------------------------------------------
-
     def run(self) -> CosimResult:
         """Iterate thermal and electrochemical models to a fixed point."""
+        from repro.casestudy.power7plus import thermal_family
+        from repro.thermal.batch import AnchoredTransientSolver
+
         config = self.config
         voltage = config.operating_voltage_v
-        surface = self._surface
+        surface = PolarizationSurface.shared(config.total_flow_ml_min)
 
         # Isothermal reference at the inlet temperature.
         isothermal_current = N_CHANNEL_GROUPS * surface.current_at(
             config.inlet_temperature_k, voltage
         )
 
-        model = self._thermal_model()
-        # A previous run may have left its converged cell-heat map on the
-        # fluid layer; start every run from the chip-only load.
-        model.set_power_map(
-            "channels", np.zeros((config.ny, config.nx)), kind="fluid"
-        )
+        family = thermal_family(config.inlet_temperature_k, config.nx, config.ny)
+        solver = AnchoredTransientSolver(family.kept_model(config.total_flow_ml_min))
+        # The chip's right-hand side, once; each solve adds the cells' loss
+        # heat on the (disjoint) channel-fluid rows.
+        chip_rhs = solver.model.rhs_columns("active_si", [family.full_load_map])
+        fluid = solver.model._field("channels").offset
+        fluid_rows = slice(fluid, fluid + config.nx * config.ny)
 
+        heat = np.zeros((config.ny, config.nx))
         temperatures = np.full(N_CHANNEL_GROUPS, config.inlet_temperature_k)
         group_currents = np.zeros(N_CHANNEL_GROUPS)
-        thermal: "ThermalSolution | None" = None
         converged = False
-        iteration = 0
         for iteration in range(1, MAX_ITERATIONS + 1):
-            thermal = model.solve_steady()
-            new_temperatures = group_coolant_temperatures(thermal)
+            rhs = chip_rhs.copy()
+            rhs[fluid_rows, 0] += heat.ravel()
+            state = solver.solve_steady_columns(rhs)[:, 0]
+            new_temperatures = coolant_columns(solver.model, state[:, None])[0][0]
             shift = float(np.max(np.abs(new_temperatures - temperatures)))
             temperatures = new_temperatures
 
@@ -251,17 +217,16 @@ class ElectroThermalCosim:
             if shift < TOLERANCE_K and iteration > 1:
                 converged = True
                 break
-            # The next solve's cell heat: after the last solve the model
-            # keeps the map ``thermal`` was solved with (energy balance).
+            # The next solve's cell heat: after the last solve ``heat``
+            # stays the map ``state`` was solved with (energy balance).
             if iteration < MAX_ITERATIONS:
-                model.set_power_map(
-                    "channels",
-                    self._cell_heat_map(group_currents, group_ocvs),
-                    kind="fluid",
-                )
+                heat = self._cell_heat_map(group_currents, group_ocvs)
 
-        if thermal is None:  # pragma: no cover - loop always runs once
-            raise ConvergenceError("co-simulation did not execute")
+        # The kept model carries no power maps; the solution's own model
+        # carries the two it was solved with, so its energy balance closes.
+        model = family.at_flow(config.total_flow_ml_min)
+        model.set_power_map("active_si", family.full_load_map)
+        model.set_power_map("channels", heat, kind="fluid")
         total_current = float(group_currents.sum())
         return CosimResult(
             config=config,
@@ -272,5 +237,5 @@ class ElectroThermalCosim:
             array_current_a=total_current,
             array_power_w=total_current * voltage,
             isothermal_current_a=float(isothermal_current),
-            thermal=thermal,
+            thermal=ThermalSolution(temperatures_k=state, model=model),
         )

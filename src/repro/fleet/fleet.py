@@ -63,6 +63,10 @@ def shared_fleet_runner() -> SweepRunner:
 #: the levels tile ``[0, 1]`` without float drift.
 UTILIZATION_RESOLUTION = 0.0625
 
+#: Longest explicit schedule [s] ``FleetEngine.run`` takes (~32 years): far
+#: above any trace's horizon, and every duration-weighted sum stays finite.
+MAX_SCHEDULE_S = 1e9
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -363,6 +367,11 @@ class FleetEngine:
             ):
                 raise ConfigurationError(
                     "durations_s must be finite and positive, one per step"
+                )
+            # The largest step first, so the sum itself cannot overflow.
+            if durations.max() > MAX_SCHEDULE_S or durations.sum() > MAX_SCHEDULE_S:
+                raise ConfigurationError(
+                    f"durations_s must total at most {MAX_SCHEDULE_S:g} s"
                 )
 
         table = self.chip_table

@@ -1,7 +1,8 @@
 """Trace-driven closed-loop runtime engine.
 
 This is the dynamic counterpart of :class:`~repro.cosim.coupling.
-ElectroThermalCosim` (one operating point, run to a fixed point) and
+ElectroThermalCosim` (one operating point, run to a fixed point on the
+same kept thermal models) and
 :class:`~repro.cosim.transient.TransientCosim` (one open-loop step): a
 :class:`BatchedRuntimeEngine` executes a whole :class:`~repro.runtime.
 trace.WorkloadTrace` while flow controllers and the throttle governor
@@ -31,9 +32,9 @@ stay bounded: each distinct quantized flow costs one thermal model (the
 kept :meth:`~repro.casestudy.power7plus.ThermalFamily.kept_model` of the
 family the steady sweeps solve on; its backward-Euler LU per step size
 is then reused for every later step at that flow, and only the lanes'
-initial flows also factorize the steady matrix) and one polarization
-surface (shared process-wide). A PID sweeping smoothly through flows
-therefore pays for a handful of models, not one per step.
+initial flows and the fixed point also factorize the steady matrix) and
+one polarization surface (shared process-wide). A PID sweeping smoothly
+through flows therefore pays for a handful of models, not one per step.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ use, so sweep results match the hand-rolled loops they replaced:
   energy, thermal, throttling and fairness KPIs.
 
 Work shared across a batch (thermal families, curve marches, lockstep
-trajectories) is described in :mod:`repro.sweep.vectorized`. ``cosim``
-and ``fleet`` share nothing yet: they loop over their specs.
+trajectories, kept models) is described in :mod:`repro.sweep.vectorized`.
+``cosim`` and ``fleet`` loop over their specs.
 
 Every evaluator declares an integer model version. It is part of each
 spec's store key (:meth:`~repro.sweep.spec.ScenarioSpec.cache_key`), so
@@ -473,8 +473,9 @@ def batch_cosim(specs: "Sequence[ScenarioSpec]") -> "list[dict[str, float]]":
     """Full electro-thermal fixed-point runs, one per spec.
 
     Scenarios sharing a flow rate draw from one polarization surface per
-    process, so only the first point at each flow pays for curve
-    construction; nothing else is shared across the batch yet.
+    process, and scenarios sharing a coolant point solve on one kept
+    thermal-family model, so only the first pays for curve construction
+    and the steady LU.
     """
     return [cosim_metrics(spec) for spec in specs]
 

@@ -34,7 +34,10 @@ work a wider batch shares is:
   arrays, and lanes commanding the same quantized flow share one kept
   stepping model of the family per control interval.
 
-``cosim`` and ``fleet`` share nothing across a batch yet.
+``cosim`` loops over its specs, but each fixed point solves on the
+family's kept model of its coolant point, so specs sharing one share that
+model and its exact steady LU. ``fleet`` shares nothing across a batch
+yet.
 
 Batch contract: every evaluator's metrics for a spec are the same bits
 at every batch width and in every batch composition. The steady

@@ -57,6 +57,17 @@ class TestCaseStudyEvaluators:
 
         assert _peak_temperature_with(1.5) < _peak_temperature_with(0.7)
 
+    def test_nominal_peak_rise_is_the_case_study_stack(self):
+        """At the nominal enhancement the stack is the case study's own
+        (``build_thermal_stack``), so the rise is its full-load peak's."""
+        from repro.casestudy.power7plus import build_thermal_model
+        from repro.core.sensitivity import _peak_temperature_with
+
+        fresh = build_thermal_model(nx=44, ny=22, total_flow_ml_min=676.0)
+        assert _peak_temperature_with(1.0) == (
+            fresh.solve_steady().peak_k - 300.0
+        )
+
     def test_pdn_drop_grows_with_impedance(self):
         from repro.core.sensitivity import _pdn_drop_with
 

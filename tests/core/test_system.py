@@ -1,5 +1,6 @@
 """Tests for the integrated system facade."""
 
+import numpy as np
 import pytest
 
 from repro.core.system import IntegratedPowerCoolingSystem
@@ -69,3 +70,53 @@ class TestConnectivity:
 
     def test_tighter_budget_frees_more(self, system):
         assert system.io_bumps_freed(0.02) > system.io_bumps_freed(0.10)
+
+
+class TestKeptModelSolves:
+    """The facade solves on the kept family model of its coolant point:
+    the bits of a freshly built case-study model, one LU for every
+    utilization."""
+
+    @pytest.mark.parametrize("flow, utilization", [
+        (676.0, 1.0), (48.0, 0.5), (30.0, 0.66015625),
+    ])
+    def test_steady_state_is_a_fresh_build(self, flow, utilization):
+        from repro.casestudy.power7plus import (
+            Power7CaseStudy,
+            build_thermal_model,
+        )
+
+        system = IntegratedPowerCoolingSystem(
+            Power7CaseStudy(total_flow_ml_min=flow, nx=44, ny=22)
+        )
+        fresh = build_thermal_model(
+            nx=44, ny=22, total_flow_ml_min=flow, utilization=utilization,
+        ).solve_steady()
+        state = system.steady_state(utilization)
+        assert np.array_equal(state.temperatures_k, fresh.temperatures_k)
+        assert state.energy_balance_error_w() == fresh.energy_balance_error_w()
+        assert system._peak_temperature_at(utilization) == fresh.peak_celsius
+
+    def test_bisection_factorizes_once(self, monkeypatch):
+        from repro.casestudy.power7plus import (
+            Power7CaseStudy,
+            clear_thermal_families,
+        )
+        from repro.core.metrics import bright_silicon_utilization
+        from repro.thermal import model as thermal_model
+
+        clear_thermal_families()
+        calls = []
+        factorize = thermal_model.factorize_steady
+        monkeypatch.setattr(
+            thermal_model, "factorize_steady",
+            lambda matrix: calls.append(1) or factorize(matrix),
+        )
+        system = IntegratedPowerCoolingSystem(
+            Power7CaseStudy(total_flow_ml_min=41.0, nx=22, ny=11)
+        )
+        utilization = bright_silicon_utilization(
+            system._peak_temperature_at, system.temperature_limit_c
+        )
+        assert 0.0 < utilization < 1.0
+        assert len(calls) == 1

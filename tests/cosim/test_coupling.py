@@ -162,8 +162,8 @@ class TestCurrentGainContract:
         assert low_flow.array_current_a > nominal.array_current_a
 
     def test_repeated_runs_share_state_safely(self):
-        """The persistent model and shared surface must not let one run
-        contaminate the next (cell-heat map reset per run)."""
+        """The kept family model and the shared surface must not let one
+        run contaminate the next."""
         cosim = ElectroThermalCosim(
             CosimConfig(nx=22, ny=11)
         )
@@ -253,13 +253,3 @@ class TestCoolantColumns:
                     )
                     assert np.array_equal(groups[j], expected)
                     assert means[j] == expected_mean
-
-    def test_one_solution_call_is_the_single_column_case(self, nominal_result):
-        from repro.cosim.coupling import group_coolant_temperatures
-
-        config = nominal_result.config
-        thermal = nominal_result.thermal
-        expected, _ = self._oracle(thermal.model, thermal.temperatures_k, config)
-        assert np.array_equal(
-            group_coolant_temperatures(thermal), expected
-        )

@@ -120,13 +120,15 @@ def direct_march(config, u_before, u_after, duration_s, dt_s, n_full):
         build_thermal_model,
         full_load_power_map,
     )
-    from repro.cosim.coupling import group_coolant_temperatures
+    from repro.cosim.coupling import coolant_columns
     from repro.cosim.surface import PolarizationSurface
 
     surface = PolarizationSurface.shared(config.total_flow_ml_min)
 
     def sample(time_s, thermal):
-        temps = group_coolant_temperatures(thermal)
+        temps = coolant_columns(
+            thermal.model, thermal.temperatures_k[:, None]
+        )[0][0]
         currents = surface.currents_at(temps, config.operating_voltage_v)
         fluid = thermal.field("channels", "fluid")
         return TransientSample(

@@ -183,16 +183,20 @@ class TestSpecBoundary:
         (np.full((2, 2), 0.5), [np.inf, 1.0], "durations_s"),
         (np.full((2, 2), 0.5), [1.0, 0.0], "durations_s"),
         (np.full((2, 2), 0.5), [1.0], "durations_s"),
+        (np.full((2, 2), 0.5), [1e308, 1e308], "durations_s"),
+        (np.full((2, 2), 0.5), [0.6e9, 0.6e9], "durations_s"),
     ], ids=["all-nan-util", "one-nan-util", "util-above-one", "no-steps",
             "no-steps-no-durations", "nan-duration", "inf-duration",
-            "zero-duration", "short-durations"])
+            "zero-duration", "short-durations", "overflowing-durations",
+            "schedule-above-bound"])
     def test_bad_explicit_schedule_fails_by_field(
         self, utilization, durations, field
     ):
         """An explicit schedule is checked before any table is built: NaN,
-        inf, out-of-range or empty inputs fail on the field they came in
-        on instead of reaching the KPIs (or a division by a zero
-        duration)."""
+        inf, out-of-range or empty inputs, and durations totalling more
+        than ``MAX_SCHEDULE_S`` (whose weighted sums would overflow to
+        inf and NaN KPIs), fail on the field they came in on instead of
+        reaching the KPIs (or a division by a zero duration)."""
         engine = FleetEngine(FleetSpec(n_chips=2))
         with pytest.raises(ConfigurationError, match=field):
             engine.run(utilization=utilization, durations_s=durations)

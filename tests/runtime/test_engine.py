@@ -340,7 +340,7 @@ class TestScalarOracle:
             build_thermal_model,
         )
         from repro.casestudy.workloads import standard_workloads
-        from repro.cosim.coupling import group_coolant_temperatures
+        from repro.cosim.coupling import coolant_columns
         from repro.cosim.surface import PolarizationSurface
         from repro.runtime.engine import CONTROL_DT_S
 
@@ -366,7 +366,9 @@ class TestScalarOracle:
             state = model.solve_transient(
                 duration_s=step_dt, dt_s=step_dt, initial=state
             )
-            temps = group_coolant_temperatures(state)
+            temps = coolant_columns(
+                state.model, state.temperatures_k[:, None]
+            )[0][0]
             current = float(
                 surface.currents_at(temps, cfg.operating_voltage_v).sum()
             )

@@ -118,6 +118,3 @@ class TestPolarizationEdgeCases:
 class TestCaseStudyBundleLaziness:
     def test_array_cached(self, case_study):
         assert case_study.array is case_study.array
-
-    def test_thermal_cached(self, case_study):
-        assert case_study.thermal_model is case_study.thermal_model

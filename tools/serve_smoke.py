@@ -10,12 +10,13 @@ a plain-socket client, and asserts the service contract end to end:
 - both return byte-identical CSV/JSON export text;
 - a bad job is an ``error`` event and the server survives it.
 
-A ``fleet`` job and an ``optimize flow-optimum`` job are then each
-submitted twice as well: their warm replays go through the memoized
-chip-table specs and the flat-record JSON encoder, so they must also
-miss nothing and return the cold run's exact bytes, and the warm fleet
-job must read every chip-table point from the store once. A ``runtime``
-job is submitted once.
+A ``cosim`` sweep, a ``fleet`` job and an ``optimize flow-optimum`` job
+are then each submitted twice as well: their warm replays go through
+the store, the memoized chip-table specs and the flat-record JSON
+encoder, so they must also miss nothing and return the cold run's exact
+bytes, and the warm fleet job must read every chip-table point from the
+store once. The cold ``cosim`` sweep runs the electro-thermal fixed
+point on the kept thermal family. A ``runtime`` job is submitted once.
 
 For every kind it submits, the served CSV/JSON text must equal, byte for
 byte, the ``--csv``/``--json`` export of the matching CLI command
@@ -117,6 +118,9 @@ def smoke(store_dir: str) -> None:
         assert client.submit("sweep", preset="flow", points=POINTS).ok
         print("serve smoke: job failure was an event; server survived")
 
+        cosim = _replay_twice(client, "sweep", preset="cosim", points=POINTS)
+        _check_cli_export(cosim, store_dir, "sweep", preset="cosim",
+                          points=POINTS)
         fleet = _replay_twice(client, "fleet", **FLEET)
         spec = FleetSpec(
             n_chips=FLEET["chips"], policy=FLEET["policy"],
@@ -135,7 +139,7 @@ def smoke(store_dir: str) -> None:
         runtime = client.submit("runtime", **RUNTIME).require()
         _check_cli_export(runtime, store_dir, "runtime", **RUNTIME)
 
-    assert server.jobs_completed == 8 and server.jobs_failed == 1
+    assert server.jobs_completed == 10 and server.jobs_failed == 1
     print(f"serve smoke: OK ({server.jobs_completed} job(s), "
           f"{server.jobs_failed} failure(s))")
 
